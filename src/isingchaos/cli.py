@@ -20,6 +20,7 @@ import numpy as np
 
 from . import empirics, statmodel
 from .eigensolve import (
+    CacheCorruptionError,
     DiagonalizationError,
     EigenDecomposition,
     NonHermitianError,
@@ -422,6 +423,7 @@ def main(argv=None) -> int:
         if args.command == "spacing":
             return cmd_spacing(config, args.surrogate)
     except (
+        CacheCorruptionError,
         DiagonalizationError,
         NonHermitianError,
         GibbsFitError,

@@ -5,6 +5,13 @@ H = -sum_j sx_j sx_{j+1} - lam * sum_j sz_j - alpha * sum_j sx_j,  site N+1 = 1.
 Two assembly paths: a sparse matrix over the full product basis (small chains,
 used as an oracle) and dense complex matrices in fixed translation-momentum
 sectors (production path).
+
+Every sector block commutes with the antiunitary A = (inversion) x (complex
+conjugation), so it is real symmetric in an A-invariant basis.  Sector
+matrices carry the map of A, and ``AntiunitarySymmetry`` converts between the
+plane-wave basis and that real basis; the eigensolver uses it to solve
+complex sectors as real problems while its eigenvectors stay plane-wave
+coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .spin_basis import ChainSizeError, MomentumBasis
+from .spin_basis import ChainSizeError, MomentumBasis, inversion_conjugation_map
 
 FULL_BASIS_MAX_SITES = 14
 SECTOR_MAX_SITES = 20
@@ -77,13 +84,80 @@ def build_full_hamiltonian(params: ModelParams) -> sparse.csr_matrix:
     return mat.tocsr()
 
 
+@dataclass(frozen=True)
+class AntiunitarySymmetry:
+    """An antiunitary A with A|a> = exp(i angle[a]) |partner[a]> and A^2 = 1.
+
+    The real basis U has at most two nonzeros per column: exp(i angle_a / 2)
+    e_a for each invariant state a, and for each pair (a, b = partner[a]) with
+    p = exp(i angle_a) the two columns (e_a + p e_b)/sqrt2 and
+    i (e_a - p e_b)/sqrt2.  Every column is A-invariant, so U^dagger h U is
+    real for any h that commutes with A.  Columns are ordered invariant
+    states first, then the "+" and the "-" combination of each pair.
+    """
+
+    partner: np.ndarray
+    angle: np.ndarray
+
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Plane-wave rows of U grouped as (invariant, first, partner) and their phases."""
+        idx = np.arange(self.partner.size)
+        invariant = idx[self.partner == idx]
+        first = idx[self.partner > idx]
+        order = np.concatenate([invariant, first, self.partner[first]])
+        phase = np.concatenate(
+            [
+                np.exp(0.5j * self.angle[invariant]),
+                np.ones(first.size),
+                np.exp(1j * self.angle[first]),
+            ]
+        )
+        return order, phase, invariant.size, first.size
+
+    def to_real(self, h: np.ndarray) -> np.ndarray:
+        """U^dagger h U, as a complex array whose imaginary part A forces to zero."""
+        order, phase, n_inv, n_pair = self._layout()
+        g = h[np.ix_(order, order)]
+        g *= phase.conj()[:, None]
+        g *= phase[None, :]
+        _mix_pairs(g, n_inv, n_pair, -1j)  # rows: the conjugate of U's pair block
+        _mix_pairs(g.T, n_inv, n_pair, 1j)  # columns
+        return g
+
+    def from_real(self, w: np.ndarray) -> np.ndarray:
+        """U w: real-basis column vectors back to plane-wave coefficients."""
+        order, phase, n_inv, n_pair = self._layout()
+        y = w.astype(np.complex128)
+        y[n_inv + n_pair :] *= 1j
+        _mix_pairs(y, n_inv, n_pair, 1.0)
+        y *= phase[:, None]
+        out = np.empty_like(y)
+        out[order] = y
+        return out
+
+
+def _mix_pairs(x: np.ndarray, start: int, n_pair: int, z: complex) -> None:
+    """In place along axis 0: rows (a, b) of each pair become ((a + b), z (a - b))/sqrt2."""
+    a = x[start : start + n_pair]
+    b = x[start + n_pair : start + 2 * n_pair]
+    diff = a - b
+    a += b
+    a *= np.sqrt(0.5)
+    np.multiply(diff, z * np.sqrt(0.5), out=b)
+
+
 @dataclass
 class SectorMatrix:
-    """Dense Hamiltonian block at fixed translation momentum."""
+    """Dense Hamiltonian block at fixed translation momentum.
+
+    ``entries`` is the block in the plane-wave basis; ``symmetry``, when set,
+    is an antiunitary the block commutes with (see ``AntiunitarySymmetry``).
+    """
 
     params: ModelParams
     k: int
     entries: np.ndarray
+    symmetry: AntiunitarySymmetry | None = None
 
     @property
     def dim(self) -> int:
@@ -109,7 +183,7 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
         raise ChainSizeError(f"sector assembly capped at N={SECTOR_MAX_SITES} (got {n})")
 
     dim = basis.dim
-    reps = np.array([st.orbit.representative for st in basis.states], dtype=np.int64)
+    reps = basis.representatives()
     periods = np.array([st.orbit.period for st in basis.states], dtype=np.float64)
     rep_index, shift = basis.config_lookup()
 
@@ -138,4 +212,10 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
             * phases[shift[targets[valid]] % n]
         )
         np.add.at(h, (r, c), vals)
-    return SectorMatrix(params=params, k=basis.k, entries=h)
+    partner, angle = inversion_conjugation_map(basis)
+    return SectorMatrix(
+        params=params,
+        k=basis.k,
+        entries=h,
+        symmetry=AntiunitarySymmetry(partner=partner, angle=angle),
+    )

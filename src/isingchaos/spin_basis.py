@@ -268,6 +268,9 @@ class MomentumBasis:
     def up_counts(self) -> np.ndarray:
         return np.array([st.orbit.n_up for st in self.states], dtype=np.int64)
 
+    def representatives(self) -> np.ndarray:
+        return np.array([st.orbit.representative for st in self.states], dtype=np.int64)
+
     def config_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """Maps configuration -> (basis index of its representative, shift).
 
@@ -275,8 +278,7 @@ class MomentumBasis:
         """
         rep, shift, _ = orbit_tables(self.n_sites)
         index = np.full(1 << self.n_sites, -1, dtype=np.int32)
-        for i, st in enumerate(self.states):
-            index[st.orbit.representative] = i
+        index[self.representatives()] = np.arange(self.dim, dtype=np.int32)
         return index[rep], shift
 
 
@@ -301,6 +303,23 @@ def momentum_basis(n_sites: int, k: int, classify: bool = True) -> MomentumBasis
     return basis
 
 
+def inversion_conjugation_map(basis: MomentumBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The antiunitary A = (inversion) x (complex conjugation) on the sector.
+
+    Returns ``(partner, angle)`` with A|k,a> = exp(i angle[a]) |k,partner[a]>.
+    Inversion sends momentum k to -k and conjugation sends it back, so A keeps
+    every sector in place; A^2 = 1 gives partner[partner] = identity and equal
+    angles on both members of a pair.
+    """
+    n = basis.n_sites
+    _, shift_of, _ = orbit_tables(n)
+    reflected = reflect_table(n)[basis.representatives()]
+    index_of_config, _ = basis.config_lookup()
+    partner = index_of_config[reflected].astype(np.int64)
+    steps = (basis.k * shift_of[reflected].astype(np.int64)) % n
+    return partner, 2 * np.pi * steps / n
+
+
 def classify_inversion(basis: MomentumBasis) -> MomentumBasis:
     """Mark each basis state invariant or paired under geometric inversion.
 
@@ -308,19 +327,15 @@ def classify_inversion(basis: MomentumBasis) -> MomentumBasis:
     (reflection is then equivalent to some translation); otherwise the state
     is paired with the distinct state built from the reflected orbit.
     """
-    rep_of, _, _ = orbit_tables(basis.n_sites)
-    for i, st in enumerate(basis.states):
-        refl_rep = int(rep_of[reflect(st.orbit.representative, basis.n_sites)])
-        if refl_rep == st.orbit.representative:
+    partner, _ = inversion_conjugation_map(basis)
+    assert np.array_equal(partner[partner], np.arange(basis.dim))
+    for i, (st, j) in enumerate(zip(basis.states, partner.tolist())):
+        if j == i:
             st.inversion_class = INVARIANT
             st.partner_index = None
         else:
             st.inversion_class = PAIRED
-            st.partner_index = basis.index_of_rep[refl_rep]
-    for i, st in enumerate(basis.states):
-        if st.inversion_class == PAIRED:
-            j = st.partner_index
-            assert j != i and basis.states[j].partner_index == i
+            st.partner_index = j
     return basis
 
 

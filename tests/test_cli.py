@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from isingchaos.cli import EXIT_BAD_ARGS, EXIT_OK, RunConfig, main
+from isingchaos.cli import EXIT_BAD_ARGS, EXIT_NUMERICAL, EXIT_OK, RunConfig, main
 
 
 def run(capsys, *argv):
@@ -225,3 +225,31 @@ def test_spacing_integrable_path(capsys):
     )
     assert code == EXIT_OK
     assert "z+1" in out and "z-1" in out
+
+
+def _diag_n6(tmp_path):
+    return ["diag", "--spins", "6", "--momentum", "0", "--cache-dir", str(tmp_path)]
+
+
+def test_truncated_sidecar_recomputes(tmp_path, capsys):
+    code, out, _ = run(capsys, *_diag_n6(tmp_path))
+    assert code == EXIT_OK and "computed" in out
+    (sidecar,) = tmp_path.glob("*.json")
+    sidecar.write_text(sidecar.read_text()[:20])
+    code, out, _ = run(capsys, *_diag_n6(tmp_path))
+    assert code == EXIT_OK and "computed" in out
+    json.loads(sidecar.read_text())  # rewritten whole
+    code, out, _ = run(capsys, *_diag_n6(tmp_path))
+    assert code == EXIT_OK and "cache hit" in out
+
+
+def test_corrupted_payload_is_a_numerical_failure(tmp_path, capsys):
+    code, _, _ = run(capsys, *_diag_n6(tmp_path))
+    assert code == EXIT_OK
+    (payload,) = tmp_path.glob("*.bin")
+    data = bytearray(payload.read_bytes())
+    data[40] ^= 0xFF
+    payload.write_bytes(bytes(data))
+    code, _, err = run(capsys, *_diag_n6(tmp_path))
+    assert code == EXIT_NUMERICAL
+    assert "checksum mismatch" in err

@@ -180,3 +180,34 @@ def test_zero_momentum_sector_is_real():
     # half-momentum sector of an even chain is real as well
     sector_half = build_sector_hamiltonian(momentum_basis(6, 3), ModelParams(6, 1.0, 1.0))
     assert np.max(np.abs(sector_half.entries.imag)) < 1e-15
+
+
+def conjugation_matrix(sector) -> np.ndarray:
+    """The unitary part M of A = M K, from the sector's inversion x conjugation map."""
+    sym = sector.symmetry
+    m = np.zeros((sector.dim, sector.dim), dtype=np.complex128)
+    m[sym.partner, np.arange(sector.dim)] = np.exp(1j * sym.angle)
+    return m
+
+
+@pytest.mark.parametrize("lam,alpha", [(1.0, 1.0), (0.6, 0.0)])
+@pytest.mark.parametrize("n_sites", [6, 7, 8])
+def test_sector_commutes_with_inversion_conjugation(n_sites, lam, alpha):
+    for k in range(n_sites):
+        sector = build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, lam, alpha))
+        m = conjugation_matrix(sector)
+        assert np.max(np.abs(m @ m.conj() - np.eye(sector.dim))) < 1e-15  # A^2 = 1
+        assert np.max(np.abs(m @ sector.entries.conj() - sector.entries @ m)) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites,k", [(7, 0), (7, 3), (8, 2), (8, 4), (9, 4)])
+def test_real_basis_is_unitary_and_invariant(n_sites, k):
+    sector = build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, 1.0, 1.0))
+    u = sector.symmetry.from_real(np.eye(sector.dim))
+    assert np.max(np.abs(u.conj().T @ u - np.eye(sector.dim))) < 1e-14
+    assert np.max(np.abs(np.sum(u != 0, axis=0) - 1.5)) <= 0.5  # one or two nonzeros per column
+    # every column is A-invariant, so the rotated block is real
+    assert np.max(np.abs(conjugation_matrix(sector) @ u.conj() - u)) < 1e-14
+    rotated = sector.symmetry.to_real(sector.entries)
+    assert np.max(np.abs(rotated - u.conj().T @ sector.entries @ u)) < 1e-12
+    assert np.max(np.abs(rotated.imag)) < 1e-12
