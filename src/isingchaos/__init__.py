@@ -12,7 +12,6 @@ from .moments import LocalMomentSet, analytic_moments, bruteforce_state_moments,
 from .spin_basis import (
     MomentumBasis,
     Orbit,
-    SpinConfig,
     classify_inversion,
     count_primitive_orbits,
     enumerate_orbits,
@@ -39,7 +38,6 @@ __all__ = [
     "MomentumBasis",
     "Orbit",
     "SectorMatrix",
-    "SpinConfig",
     "StrengthModel",
     "analytic_moments",
     "bruteforce_state_moments",

@@ -23,11 +23,10 @@ from .eigensolve import (
     CacheCorruptionError,
     DiagonalizationError,
     EigenDecomposition,
-    NonHermitianError,
     diagonalize_cached,
 )
-from .hamiltonian import ModelParams, build_sector_hamiltonian
-from .spin_basis import MomentumBasis, momentum_basis, sector_dimension
+from .hamiltonian import ModelParams, build_sector_hamiltonian, symmetry_blocks
+from .spin_basis import ChainSizeError, MomentumBasis, momentum_basis, sector_dimension
 from .statmodel import (
     GibbsFitError,
     GibbsInfeasibleError,
@@ -42,6 +41,8 @@ EXIT_BAD_ARGS = 2
 EXIT_NUMERICAL = 3
 
 CACHE_ENV_VAR = "ISINGCHAOS_CACHE_DIR"
+
+PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
 
 CORRECTION_VARIANTS = {
     "none": "gaussian",
@@ -98,6 +99,16 @@ def _parse_momenta(raw: list[str], n_sites: int) -> list[int]:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     momenta = _parse_momenta(args.momentum or ["all"], args.spins)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
+    ModelParams(n_sites=args.spins, lam=args.lam, alpha=args.alpha)  # raises on bad values
+    if not 0.0 < args.bulk_fraction <= 1.0:
+        raise ValueError(f"--bulk-fraction {args.bulk_fraction} is outside (0, 1]")
+    for flag, value, low in (
+        ("--grid", args.grid, 2),
+        ("--window-levels", args.window_levels, 2),
+        ("--seed", args.seed, 0),
+    ):
+        if value is not None and value < low:
+            raise ValueError(f"{flag} {value} is below {low}")
     return RunConfig(
         n_sites=args.spins,
         lam=args.lam,
@@ -318,47 +329,30 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
     for k in config.momenta:
         if config.alpha == 0.0:
             # integrable line: z-parity is a symmetry and exact degeneracies
-            # abound, so resolve sectors by exact block projection
+            # abound, so resolve every symmetry block and solve values only
             basis = momentum_basis(config.n_sites, k)
-            h = build_sector_hamiltonian(basis, config.params).entries
-            for label, energies in _integrable_subspectra(basis, h, k, config.n_sites):
-                if energies.size < 20:
-                    continue
-                res = empirics.spacing_ratio(energies)
-                print(
-                    f"k={k} {label}: r = {res.mean_r:.4f} "
-                    f"({res.n_excluded} degenerate spacings excluded)"
-                )
-            continue
-        basis, decomp, _ = _decompose_sector(config, k)
-        subsets = {"": np.arange(decomp.dim)}
-        if k == 0 or 2 * k == config.n_sites:
-            s_op = empirics.inversion_matrix(basis)
-            plus, minus, _ = empirics.split_by_parity(decomp, s_op)
-            subsets = {"parity +1": plus, "parity -1": minus}
-        for label, idx in subsets.items():
-            res = empirics.spacing_ratio(decomp.energies[idx])
+            z_parity = (-1) ** (config.n_sites - basis.up_counts())
+            blocks = symmetry_blocks(build_sector_hamiltonian(basis, config.params), z_parity)
+            subspectra = {
+                f"z{z:+d}{PARITY_LABELS[parity]}": np.linalg.eigvalsh(block)
+                for (z, parity), block in blocks.items()
+                if block.shape[0] >= 20
+            }
+        else:
+            _, decomp, _ = _decompose_sector(config, k)
+            subspectra = {"": decomp.energies}
+            if decomp.parity is not None:
+                subspectra = {
+                    "parity +1": decomp.energies[decomp.parity > 0],
+                    "parity -1": decomp.energies[decomp.parity < 0],
+                }
+        for label, energies in subspectra.items():
+            res = empirics.spacing_ratio(energies)
             print(
                 f"k={k} {label}: r = {res.mean_r:.4f} "
                 f"({res.n_excluded} degenerate spacings excluded)"
             )
     return EXIT_OK
-
-
-def _integrable_subspectra(basis: MomentumBasis, h: np.ndarray, k: int, n_sites: int):
-    signs = empirics.z_parity_signs(basis)
-    for zsign in (1, -1):
-        subset = np.flatnonzero(signs == zsign)
-        if subset.size == 0:
-            continue
-        if k == 0 or 2 * k == n_sites:
-            hp, hm = empirics.inversion_blocks(basis, h, subset)
-            for plabel, block in (("S+", hp), ("S-", hm)):
-                if block.shape[0]:
-                    yield f"z{zsign:+d} {plabel}", np.linalg.eigvalsh(block)
-        else:
-            sub = h[np.ix_(subset, subset)]
-            yield f"z{zsign:+d}", np.linalg.eigvalsh(sub)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -422,19 +416,18 @@ def main(argv=None) -> int:
             return cmd_coeff_hist(config, args.symbol or [])
         if args.command == "spacing":
             return cmd_spacing(config, args.surrogate)
+    except ChainSizeError as exc:
+        print(f"bad arguments: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
     except (
         CacheCorruptionError,
         DiagonalizationError,
-        NonHermitianError,
         GibbsFitError,
         GibbsInfeasibleError,
-        np.linalg.LinAlgError,
+        ValueError,  # NonHermitianError, LinAlgError and failed statistics
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"bad arguments: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
     return EXIT_BAD_ARGS
 
 

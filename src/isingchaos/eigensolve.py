@@ -1,15 +1,16 @@
 """Dense Hermitian eigensolver with residual checks and on-disk caching.
 
-Sectors whose block is exactly real are solved as real symmetric problems.
-Complex blocks that carry an antiunitary symmetry (every block built by
-``build_sector_hamiltonian``) are moved to the real basis of that symmetry,
-solved there as real symmetric problems, and their eigenvectors mapped back;
-any other Hermitian input takes a complex solve.  Whatever the path, the
+Every block built by ``build_sector_hamiltonian`` is solved in real
+arithmetic: the real blocks at k = 0 and k = N/2 as separate inversion-even
+and inversion-odd blocks, the complex ones in the real basis of their
+antiunitary symmetry, with eigenvectors mapped back.  Other real input takes a plain real
+solve and other Hermitian input a complex one.  Whatever the path, the
 returned eigenvectors are complex plane-wave coefficients in a fixed gauge.
 
-Spectra and eigenvectors are cached per (N, k, lam, alpha, format version)
-as little-endian float64 payloads plus a JSON sidecar carrying exact-key
-metadata and a checksum.  Writes are atomic (unique temp file + rename).
+Spectra, eigenvectors and parity labels (0 where there are none) are cached
+per (N, k, lam, alpha, format version) as little-endian payloads plus a JSON
+sidecar carrying exact-key metadata and a checksum over the whole payload.
+Writes are atomic (unique temp file + rename).
 """
 
 from __future__ import annotations
@@ -24,11 +25,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonian import ModelParams, SectorMatrix, hermiticity_defect
+from .hamiltonian import (
+    ModelParams,
+    NonHermitianError,
+    SectorMatrix,
+    SymmetryBreakingError,
+    hermiticity_defect,
+    symmetry_blocks,
+)
 
 logger = logging.getLogger(__name__)
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 # components within this relative distance of an eigenvector's largest
 # modulus count as tied for the phase gauge; symmetry makes exact ties common
@@ -37,14 +45,6 @@ GAUGE_TIE_RTOL = 1e-8
 ORTHO_PROBES = 4
 ORTHO_TOL = 1e-10
 ORTHO_SEED = 0
-
-
-class NonHermitianError(ValueError):
-    """Input matrix fails the Hermiticity tolerance."""
-
-
-class SymmetryBreakingError(NonHermitianError):
-    """Input matrix does not commute with the antiunitary symmetry it carries."""
 
 
 class DiagonalizationError(RuntimeError):
@@ -57,12 +57,17 @@ class CacheCorruptionError(RuntimeError):
 
 @dataclass
 class EigenDecomposition:
-    """Full spectrum and gauge-fixed eigenvectors of one sector."""
+    """Full spectrum and gauge-fixed eigenvectors of one sector.
+
+    ``parity`` is the inversion parity (+1 or -1) of each eigenstate where the
+    sector was solved in parity blocks (k = 0 and k = N/2), None elsewhere.
+    """
 
     params: ModelParams
     k: int
     energies: np.ndarray
     vectors: np.ndarray
+    parity: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -108,6 +113,57 @@ def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray, residual_factor:
     return None
 
 
+def _solve(a: np.ndarray, h: np.ndarray, residual_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Verified eigenpairs of the Hermitian ``a``; ``h`` is fingerprinted on failure."""
+    try:
+        energies, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(h)}") from exc
+    failure = _verify(a, energies, vectors, residual_factor)
+    if failure is not None:
+        raise DiagonalizationError(f"{failure} on matrix {_fingerprint(h)}")
+    return energies, vectors
+
+
+def _solve_blocks(
+    matrix: SectorMatrix, h: np.ndarray, tol: float, residual_factor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Solve and verify each symmetry block of ``matrix`` on its own.
+
+    Returns the energies in ascending order, the plane-wave eigenvectors
+    (real in the parity basis) and the inversion parity of each eigenstate,
+    or None outside the parity basis.
+    """
+    try:
+        blocks = symmetry_blocks(matrix, tol=tol)
+    except SymmetryBreakingError as exc:
+        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(h)})") from None
+    parities = np.array([parity for _, parity in blocks], dtype=np.int8)
+    symmetrized = [block + block.T for block in blocks.values()]
+    del blocks
+    solved = []
+    for a in symmetrized:
+        a *= 0.5
+        solved.append(_solve(a, h, residual_factor))
+    del symmetrized, a
+    sizes = [e.size for e, _ in solved]
+    energies = np.concatenate([e for e, _ in solved])
+    rank = np.argsort(energies, kind="stable")
+    if len(solved) == 1:
+        w = solved[0][1]
+    else:  # block-diagonal eigenvectors, columns in ascending energy order
+        w = np.zeros((h.shape[0], h.shape[0]))
+        column = np.empty_like(rank)
+        column[rank] = np.arange(rank.size)
+        for start, (_, vectors) in zip(np.cumsum([0] + sizes), solved):
+            part = slice(start, start + vectors.shape[0])
+            w[part, column[part]] = vectors
+    del solved
+    use_parity = bool(parities[0])
+    parity = np.repeat(parities, sizes)[rank] if use_parity else None
+    return energies[rank], matrix.symmetry.from_real(w, use_parity), parity
+
+
 def diagonalize(
     matrix: SectorMatrix,
     hermiticity_tol: float = 1e-12,
@@ -115,14 +171,19 @@ def diagonalize(
 ) -> EigenDecomposition:
     """Diagonalize a sector matrix and verify the eigenpairs.
 
-    The solve runs in real arithmetic when the block is exactly real, or when
-    it carries an antiunitary ``symmetry``: the block is then rotated into
-    that symmetry's real basis (raising ``SymmetryBreakingError`` if the
-    rotated matrix is not real within ``hermiticity_tol``) and the
-    eigenvectors are rotated back.  Coefficient statistics therefore stay
-    complex in the plane-wave basis.  Each eigenvector's phase is fixed so
-    that its largest-modulus component, the lowest index among ties within
-    relative ``GAUGE_TIE_RTOL``, is real and positive.
+    A block that carries an antiunitary ``symmetry`` is split into the real
+    blocks of ``symmetry_blocks`` (raising ``SymmetryBreakingError`` if it
+    is off-real or couples them beyond ``hermiticity_tol``): at k = 0 and
+    k = N/2 an inversion-even and an inversion-odd block, whose eigenstates
+    ``parity`` labels, elsewhere one A-invariant block.  Each block is
+    solved and verified on its own in real arithmetic, and the eigenvectors
+    are rotated back.  A block without a symmetry is solved as it is, real
+    or complex.
+
+    Coefficient statistics therefore stay complex in the plane-wave basis.
+    Each eigenvector's phase is fixed so that its largest-modulus component,
+    the lowest index among ties within relative ``GAUGE_TIE_RTOL``, is real
+    and positive.
 
     Raises ``NonHermitianError`` on bad input and ``DiagonalizationError``
     (with a matrix fingerprint) if LAPACK fails, a residual exceeds
@@ -139,37 +200,17 @@ def diagonalize(
     if defect > hermiticity_tol * scale:
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
 
-    lift = None
-    if real_input:
-        a = h + h.T
-    elif matrix.symmetry is not None:
-        rotated = matrix.symmetry.to_real(h)
-        broken = float(np.max(np.abs(rotated.imag)))
-        if broken > hermiticity_tol * scale:
-            raise SymmetryBreakingError(
-                f"matrix {_fingerprint(h)} is off-real by {broken:.3e} in the basis of its symmetry"
-            )
-        a = rotated.real + rotated.real.T
-        del rotated
-        lift = matrix.symmetry.from_real
+    parity = None
+    if matrix.symmetry is not None:
+        energies, vectors, parity = _solve_blocks(matrix, h, hermiticity_tol, residual_factor)
     else:
         a = h + h.conj().T
-    a *= 0.5
-
-    try:
-        energies, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(h)}") from exc
-    failure = _verify(a, energies, vectors, residual_factor)
-    if failure is not None:
-        raise DiagonalizationError(f"{failure} on matrix {_fingerprint(h)}")
-    del a
-
-    if lift is not None:
-        vectors = lift(vectors)
+        a *= 0.5
+        energies, vectors = _solve(a, h, residual_factor)
+        del a
     vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
     return EigenDecomposition(
-        params=matrix.params, k=matrix.k, energies=energies, vectors=vectors
+        params=matrix.params, k=matrix.k, energies=energies, vectors=vectors, parity=parity
     )
 
 
@@ -187,12 +228,13 @@ def _cache_stem(params: ModelParams, k: int) -> str:
     return f"N{params.n_sites}_k{k}_{digest}"
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
-    """Write to a uniquely named temp file beside ``path``, then rename onto it."""
+def _atomic_write(path: Path, *chunks) -> None:
+    """Write the chunks to a uniquely named temp file beside ``path``, then rename onto it."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -210,7 +252,11 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
     interleaved = np.empty((dim, dim, 2), dtype="<f8")
     interleaved[..., 0] = decomp.vectors.real
     interleaved[..., 1] = decomp.vectors.imag
-    payload = energies.tobytes() + interleaved.tobytes()
+    parity = np.zeros(dim, dtype="i1") if decomp.parity is None else decomp.parity
+    chunks = [energies, interleaved, np.asarray(parity, dtype="i1")]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
 
     meta = {
         "version": CACHE_VERSION,
@@ -221,9 +267,9 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
         "lam_hex": float(decomp.params.lam).hex(),
         "alpha_hex": float(decomp.params.alpha).hex(),
         "dim": dim,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
-    _atomic_write(cache_dir / f"{stem}.bin", payload)
+    _atomic_write(cache_dir / f"{stem}.bin", *chunks)
     _atomic_write(
         cache_dir / f"{stem}.json", json.dumps(meta, sort_keys=True).encode()
     )
@@ -290,13 +336,15 @@ def cache_load(params: ModelParams, k: int, cache_dir) -> EigenDecomposition | N
     if hashlib.sha256(payload).hexdigest() != meta["payload_sha256"]:
         raise CacheCorruptionError(f"checksum mismatch for {bin_path}")
     dim = meta["dim"]
-    expected = 8 * dim + 16 * dim * dim
-    if len(payload) != expected:
+    end = 8 * dim + 16 * dim * dim
+    if len(payload) != end + dim:
         raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
     energies = np.frombuffer(payload[: 8 * dim], dtype="<f8").copy()
-    flat = np.frombuffer(payload[8 * dim :], dtype="<f8").reshape(dim, dim, 2)
+    flat = np.frombuffer(payload[8 * dim : end], dtype="<f8").reshape(dim, dim, 2)
     vectors = flat[..., 0] + 1j * flat[..., 1]
-    return EigenDecomposition(params=params, k=k, energies=energies, vectors=vectors)
+    parity = np.frombuffer(payload[end:], dtype="i1").copy()
+    parity = parity if parity.any() else None  # 0: no parity labels
+    return EigenDecomposition(params=params, k=k, energies=energies, vectors=vectors, parity=parity)
 
 
 def diagonalize_cached(

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .eigensolve import EigenDecomposition
-from .spin_basis import MomentumBasis, orbit_tables, reflect_table
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
@@ -250,120 +249,6 @@ def goe_surrogate_levels(dim: int, rng: np.random.Generator) -> np.ndarray:
 def poisson_surrogate_levels(n: int, rng: np.random.Generator) -> np.ndarray:
     """Levels of an uncorrelated (Poisson) spectrum."""
     return np.sort(rng.uniform(0.0, 1.0, size=n))
-
-
-def _sector_operator(basis: MomentumBasis, image_table: np.ndarray, commute_sign: int) -> np.ndarray:
-    """Matrix of a configuration map in the momentum basis.
-
-    ``image_table`` sends a configuration bitmask to its image; the map must
-    satisfy op T = T^(commute_sign) op.  Anti-commuting maps (sign -1) stay
-    inside the sector only for k = 0 and k = N/2.
-    """
-    n, k = basis.n_sites, basis.k
-    if commute_sign == -1 and not (k == 0 or 2 * k == n):
-        raise ValueError("inversion maps k to N-k; only k=0 and k=N/2 stay put")
-    rep_of, shift_of, _ = orbit_tables(n)
-    mat = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for i, st in enumerate(basis.states):
-        image = int(image_table[st.orbit.representative])
-        j = basis.index_of_rep[int(rep_of[image])]
-        shift = int(shift_of[image])
-        if k == 0:
-            phase = 1.0
-        elif 2 * k == n:
-            phase = float((-1) ** shift)  # exactly real at half momentum
-        else:
-            phase = np.exp(-2j * np.pi * commute_sign * k * shift / n)
-        mat[j, i] = phase
-    return mat
-
-
-def inversion_matrix(basis: MomentumBasis) -> np.ndarray:
-    """Geometric inversion in the sector basis (k = 0 or N/2 only)."""
-    return _sector_operator(basis, reflect_table(basis.n_sites), commute_sign=-1)
-
-
-def spinflip_matrix(basis: MomentumBasis) -> np.ndarray:
-    """Global spin flip (configuration complement) in the sector basis."""
-    n = basis.n_sites
-    table = ((1 << n) - 1) - np.arange(1 << n, dtype=np.int64)
-    return _sector_operator(basis, table, commute_sign=+1)
-
-
-def z_parity_signs(basis: MomentumBasis) -> np.ndarray:
-    """Eigenvalues of the product of all sz operators, per basis state.
-
-    Diagonal in the configuration basis: (-1)^(number of down spins).  A
-    symmetry of the chain only when the longitudinal field vanishes.
-    """
-    n = basis.n_sites
-    return np.array(
-        [(-1) ** (n - st.orbit.n_up) for st in basis.states], dtype=np.int64
-    )
-
-
-def inversion_blocks(
-    basis: MomentumBasis, matrix: np.ndarray, subset: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project a sector matrix onto inversion-even and inversion-odd blocks.
-
-    Uses the exact pairing structure of the basis instead of eigenvector
-    classification, which stays well-defined in the presence of exact
-    degeneracies (e.g. the integrable chain).  ``subset`` optionally
-    restricts to basis indices closed under inversion (such as fixed
-    z-parity subsets).
-    """
-    s_op = inversion_matrix(basis)
-    idx = np.arange(basis.dim) if subset is None else np.asarray(subset)
-    in_subset = np.zeros(basis.dim, dtype=bool)
-    in_subset[idx] = True
-    plus_cols, minus_cols = [], []
-    seen = set()
-    for i in idx:
-        if i in seen:
-            continue
-        st = basis.states[i]
-        if st.partner_index is None:
-            sign = s_op[i, i].real  # +-1; phase can be -1 at k = N/2
-            col = np.zeros(basis.dim, dtype=np.complex128)
-            col[i] = 1.0
-            (plus_cols if sign > 0 else minus_cols).append(col)
-            seen.add(i)
-        else:
-            j = st.partner_index
-            if not in_subset[j]:
-                raise ValueError("subset is not closed under inversion")
-            phase = s_op[j, i]  # S e_i = phase e_j, with S^2 = 1
-            for target, sign in ((plus_cols, 1.0), (minus_cols, -1.0)):
-                col = np.zeros(basis.dim, dtype=np.complex128)
-                col[i] = 1.0 / np.sqrt(2)
-                col[j] = sign * phase / np.sqrt(2)
-                target.append(col)
-            seen.update((i, j))
-    blocks = []
-    for cols in (plus_cols, minus_cols):
-        if cols:
-            b = np.column_stack(cols)
-            blocks.append(b.conj().T @ matrix @ b)
-        else:
-            blocks.append(np.zeros((0, 0), dtype=np.complex128))
-    return blocks[0], blocks[1]
-
-
-def operator_expectations(decomp: EigenDecomposition, op: np.ndarray) -> np.ndarray:
-    """Real parts of <psi_a| op |psi_a> for all eigenstates."""
-    return np.real(np.sum(decomp.vectors.conj() * (op @ decomp.vectors), axis=0))
-
-
-def split_by_parity(
-    decomp: EigenDecomposition, op: np.ndarray, tol: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of +1, -1, and unresolved eigenstates of a Z2 symmetry."""
-    expect = operator_expectations(decomp, op)
-    plus = np.flatnonzero(np.abs(expect - 1.0) < tol)
-    minus = np.flatnonzero(np.abs(expect + 1.0) < tol)
-    mixed = np.flatnonzero((np.abs(expect - 1.0) >= tol) & (np.abs(expect + 1.0) >= tol))
-    return plus, minus, mixed
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,14 @@ FULL_BASIS_MAX_SITES = 14
 SECTOR_MAX_SITES = 20
 
 
+class NonHermitianError(ValueError):
+    """Input matrix fails the Hermiticity tolerance."""
+
+
+class SymmetryBreakingError(NonHermitianError):
+    """Input matrix does not commute with the symmetry it carries."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Chain length and the two field strengths."""
@@ -94,42 +102,74 @@ class AntiunitarySymmetry:
     i (e_a - p e_b)/sqrt2.  Every column is A-invariant, so U^dagger h U is
     real for any h that commutes with A.  Columns are ordered invariant
     states first, then the "+" and the "-" combination of each pair.
+
+    Where every phase p_a is +-1 (k = 0 and k = N/2), A is a real involution
+    P (the inversion) times conjugation, and a real h commutes with P itself.
+    The parity basis then drops the exp(i angle/2) and i factors: e_a with
+    parity p_a for each invariant state, and (e_a +- p e_b)/sqrt2 with parity
+    +-1 for each pair.  Its columns are ordered even invariant states, "+"
+    combinations, "-" combinations, odd invariant states, so the even and
+    the odd block of U^T h U are contiguous.
     """
 
     partner: np.ndarray
     angle: np.ndarray
 
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """Plane-wave rows of U grouped as (invariant, first, partner) and their phases."""
+    @property
+    def parity_signs(self) -> np.ndarray | None:
+        """The phases exp(i angle) as exact +-1 when all are real, else None."""
+        cos = np.cos(self.angle)
+        signs = np.where(cos > 0, 1.0, -1.0)
+        return signs if np.all(np.abs(cos - signs) < 1e-12) else None
+
+    def _layout(self, parity: bool = False) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Plane-wave rows of U grouped as (invariant, first, partner[, odd invariant]).
+
+        Returns the rows, their phases, the number of leading invariant
+        states and the number of pairs.
+        """
         idx = np.arange(self.partner.size)
         invariant = idx[self.partner == idx]
         first = idx[self.partner > idx]
-        order = np.concatenate([invariant, first, self.partner[first]])
-        phase = np.concatenate(
-            [
-                np.exp(0.5j * self.angle[invariant]),
-                np.ones(first.size),
-                np.exp(1j * self.angle[first]),
-            ]
-        )
+        if parity:
+            signs = self.parity_signs
+            odd = signs[invariant] < 0
+            invariant, trailing = invariant[~odd], invariant[odd]
+            lead_phase = np.ones(invariant.size)
+            pair_phase = signs[first]
+        else:
+            trailing = idx[:0]
+            lead_phase = np.exp(0.5j * self.angle[invariant])
+            pair_phase = np.exp(1j * self.angle[first])
+        order = np.concatenate([invariant, first, self.partner[first], trailing])
+        phase = np.concatenate([lead_phase, np.ones(first.size), pair_phase, np.ones(trailing.size)])
         return order, phase, invariant.size, first.size
 
-    def to_real(self, h: np.ndarray) -> np.ndarray:
-        """U^dagger h U, as a complex array whose imaginary part A forces to zero."""
-        order, phase, n_inv, n_pair = self._layout()
-        g = h[np.ix_(order, order)]
+    def to_real(self, h: np.ndarray, parity: bool = False) -> np.ndarray:
+        """U^dagger h U, in the parity basis if ``parity`` (see the class docstring).
+
+        In the A-invariant basis the result is complex and A forces its
+        imaginary part to zero; in the parity basis it is real for a real h.
+        """
+        order, phase, lead, n_pair = self._layout(parity)
+        g = h[np.ix_(order, order)].astype(np.result_type(h, phase), copy=False)
         g *= phase.conj()[:, None]
         g *= phase[None, :]
-        _mix_pairs(g, n_inv, n_pair, -1j)  # rows: the conjugate of U's pair block
-        _mix_pairs(g.T, n_inv, n_pair, 1j)  # columns
+        z = 1.0 if parity else 1j
+        _mix_pairs(g, lead, n_pair, np.conj(z))  # rows: the conjugate of U's pair block
+        _mix_pairs(g.T, lead, n_pair, z)  # columns
         return g
 
-    def from_real(self, w: np.ndarray) -> np.ndarray:
-        """U w: real-basis column vectors back to plane-wave coefficients."""
-        order, phase, n_inv, n_pair = self._layout()
-        y = w.astype(np.complex128)
-        y[n_inv + n_pair :] *= 1j
-        _mix_pairs(y, n_inv, n_pair, 1.0)
+    def from_real(self, w: np.ndarray, parity: bool = False) -> np.ndarray:
+        """U w: real-basis column vectors back to plane-wave coefficients.
+
+        In the parity basis the result is real and ``w`` is overwritten.
+        """
+        order, phase, lead, n_pair = self._layout(parity)
+        y = w.astype(np.result_type(w, phase), copy=False)
+        if not parity:
+            y[lead + n_pair :] *= 1j
+        _mix_pairs(y, lead, n_pair, 1.0)
         y *= phase[:, None]
         out = np.empty_like(y)
         out[order] = y
@@ -174,7 +214,8 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
 
     Each term maps a representative onto some configuration b; the matrix
     element picks up sqrt(t_a / t_b) times the plane-wave phase of the shift
-    locating b inside its own orbit.
+    locating b inside its own orbit.  The block is float64 at k = 0 and
+    k = N/2, where every phase is real, and complex128 elsewhere.
     """
     n = params.n_sites
     if basis.n_sites != n:
@@ -187,18 +228,17 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
     periods = np.array([st.orbit.period for st in basis.states], dtype=np.float64)
     rep_index, shift = basis.config_lookup()
 
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    cols = np.arange(dim)
-    h[cols, cols] = diagonal_energy(params, _popcount(reps, n))
-
-    # k = 0 and k = N/2 give exactly real matrices; keep the phases exact so
-    # downstream code can dispatch on a strictly real sector
+    # k = 0 and k = N/2 give exactly real matrices: assemble them as float64
+    # so the eigensolver dispatches on a strictly real sector
     if basis.k == 0:
-        phases = np.ones(n, dtype=np.complex128)
+        phases = np.ones(n)
     elif 2 * basis.k == n:
-        phases = ((-1.0) ** np.arange(n)).astype(np.complex128)
+        phases = (-1.0) ** np.arange(n)
     else:
         phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
+    h = np.zeros((dim, dim), dtype=phases.dtype)
+    cols = np.arange(dim)
+    h[cols, cols] = diagonal_energy(params, _popcount(reps, n))
     flips = [((1 << j) | (1 << ((j + 1) % n)), -1.0) for j in range(n)]
     flips += [(1 << j, -params.alpha) for j in range(n)]
     for mask, coeff in flips:
@@ -219,3 +259,48 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
         entries=h,
         symmetry=AntiunitarySymmetry(partner=partner, angle=angle),
     )
+
+
+def symmetry_blocks(
+    matrix: SectorMatrix, row_labels: np.ndarray | None = None, tol: float = 1e-12
+) -> dict[tuple[int, int], np.ndarray]:
+    """Real diagonal blocks of a sector matrix in the real basis of its ``symmetry``.
+
+    A float block whose phases are all real (k = 0, N/2) is taken to the
+    parity basis, whose columns have inversion parity +-1; any other block
+    to the A-invariant basis, parity 0.  With ``row_labels`` each column is
+    also labelled by the integer label of its plane-wave rows, which must
+    agree on both members of a pair (the z-parity does, since inversion
+    keeps the up-spin count).  Returns ``{(row label or 0, parity): block}``
+    in descending key order; without ``row_labels`` the blocks are views, in
+    basis column order.  Raises ``SymmetryBreakingError`` if the matrix has,
+    in that basis, an imaginary part or an entry coupling two blocks above
+    ``tol`` * max|h|.
+    """
+    sym, h = matrix.symmetry, matrix.entries
+    use_parity = not np.iscomplexobj(h) and sym.parity_signs is not None
+    rows, _, lead, n_pair = sym._layout(use_parity)
+    g = sym.to_real(h, use_parity)
+    parity = np.where(np.arange(matrix.dim) < lead + n_pair, 1, -1) * use_parity
+    labels = np.zeros_like(parity)
+    if row_labels is not None:
+        labels = np.asarray(row_labels)[rows]
+        order = np.lexsort((-parity, -labels))
+        g, labels, parity = g[np.ix_(order, order)], labels[order], parity[order]
+    change = (np.diff(labels) != 0) | (np.diff(parity) != 0)
+    edges = [0, *(np.flatnonzero(change) + 1).tolist(), matrix.dim]
+    limit = tol * (max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0)
+    if np.iscomplexobj(g):
+        off_real = float(np.max(np.abs(g.imag), initial=0.0))
+        if off_real > limit:
+            raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
+        g = g.real
+    spans = list(zip(edges[:-1], edges[1:]))
+    coupling = max(
+        [0.0]
+        + [float(np.max(np.abs(g[a:b, b:]), initial=0.0)) for a, b in spans]
+        + [float(np.max(np.abs(g[b:, a:b]), initial=0.0)) for a, b in spans]
+    )
+    if coupling > limit:
+        raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
+    return {(int(labels[a]), int(parity[a])): g[a:b, a:b] for a, b in spans}

@@ -160,27 +160,6 @@ def zero_momentum_dimension_totient(n_sites: int) -> int:
 
 
 @dataclass(frozen=True)
-class SpinConfig:
-    """A length-N configuration stored as a bitmask (bit i = site i+1)."""
-
-    bits: int
-    n_sites: int
-
-    def __post_init__(self):
-        if self.n_sites < 2:
-            raise ChainSizeError("need at least 2 sites")
-        if not 0 <= self.bits < (1 << self.n_sites):
-            raise ValueError("bitmask outside configuration space")
-
-    @property
-    def n_up(self) -> int:
-        return self.bits.bit_count()
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n_sites))
-
-
-@dataclass(frozen=True)
 class Orbit:
     """A translation orbit, identified by its minimal translate."""
 

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from isingchaos import empirics
-from isingchaos.hamiltonian import ModelParams, build_full_hamiltonian, build_sector_hamiltonian
+from isingchaos.hamiltonian import (
+    ModelParams,
+    build_full_hamiltonian,
+    build_sector_hamiltonian,
+    symmetry_blocks,
+)
 from isingchaos.moments import (
     all_state_moments,
     analytic_moments,
@@ -281,8 +286,8 @@ def test_criterion_9_spacing_ratios(store):
     ).mean_r
 
     basis, decomp = store.get(15, 0)
-    s_op = empirics.inversion_matrix(basis)
-    plus, minus, mixed = empirics.split_by_parity(decomp, s_op)
+    plus = np.flatnonzero(decomp.parity == 1)
+    minus = np.flatnonzero(decomp.parity == -1)
     chaotic_rs = np.concatenate(
         [
             empirics.spacing_ratio(decomp.energies[idx]).r_values
@@ -295,20 +300,20 @@ def test_criterion_9_spacing_ratios(store):
     # a commensurate single-particle spectrum); exact degeneracies force
     # block-projected symmetry resolution
     params0 = ModelParams(15, 1.2, 0.0)
-    h0 = build_sector_hamiltonian(basis, params0).entries
-    signs = empirics.z_parity_signs(basis)
+    z_parity = (-1) ** (15 - basis.up_counts())
+    blocks = symmetry_blocks(build_sector_hamiltonian(basis, params0), z_parity)
     integrable_rs = []
-    for zsign in (1, -1):
-        subset = np.flatnonzero(signs == zsign)
-        for block in empirics.inversion_blocks(basis, h0, subset):
-            energies = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-            integrable_rs.append(empirics.spacing_ratio(energies).r_values)
+    for block in blocks.values():
+        energies = np.linalg.eigvalsh(0.5 * (block + block.T))
+        integrable_rs.append(empirics.spacing_ratio(energies).r_values)
     integrable = float(np.concatenate(integrable_rs).mean())
 
     ok = (
         abs(goe - 0.531) < 0.01
         and abs(poisson - 0.386) < 0.01
-        and mixed.size == 0
+        and plus.size == (basis.dim + basis.n_invariant) // 2
+        and minus.size == (basis.dim - basis.n_invariant) // 2
+        and len(blocks) == 4
         and abs(chaotic - 0.5307) < 0.02
         and abs(integrable - empirics.POISSON_MEAN_R) < 0.03
     )

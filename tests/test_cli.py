@@ -253,3 +253,41 @@ def test_corrupted_payload_is_a_numerical_failure(tmp_path, capsys):
     code, _, err = run(capsys, *_diag_n6(tmp_path))
     assert code == EXIT_NUMERICAL
     assert "checksum mismatch" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--bulk-fraction", "0"),
+        ("--bulk-fraction", "1.5"),
+        ("--bulk-fraction", "nan"),
+        ("--grid", "1"),
+        ("--window-levels", "1"),
+        ("--seed", "-1"),
+        ("--lambda", "inf"),
+    ],
+)
+def test_out_of_range_arguments_exit_at_parse_time(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--spins", "8", "--momentum", "0", flag, value])
+    assert exc.value.code == EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert (flag if flag != "--lambda" else "must be finite") in err
+
+
+def test_chain_size_error_is_a_bad_argument(capsys):
+    code, _, err = run(capsys, "basis-info", "--spins", "30", "--momentum", "0")
+    assert code == EXIT_BAD_ARGS
+    assert "bad arguments" in err
+
+
+def test_internal_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    from isingchaos import empirics
+
+    def no_bulk(*args, **kwargs):
+        raise ValueError("no finite deviations inside the bulk")
+
+    monkeypatch.setattr(empirics, "compare", no_bulk)
+    code, _, err = run(capsys, "compare", "--spins", "8", "--momentum", "1", "--out", str(tmp_path))
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: no finite deviations" in err

@@ -1,5 +1,6 @@
 """Eigensolver contracts and cache round-trips."""
 
+import dataclasses
 import json
 import logging
 
@@ -22,6 +23,7 @@ from isingchaos.eigensolve import (
 from isingchaos.empirics import coefficient_samples
 from isingchaos.hamiltonian import ModelParams, SectorMatrix, build_full_hamiltonian, build_sector_hamiltonian
 from isingchaos.spin_basis import momentum_basis
+from parity_oracle import inversion_matrix
 
 PARAMS = ModelParams(6, 1.0, 1.0)
 
@@ -113,13 +115,18 @@ def test_determinism():
 
 def test_cache_roundtrip_bit_exact(tmp_path):
     params = ModelParams(10, 1.0, 1.0)
-    basis = momentum_basis(10, 1)
-    decomp = diagonalize(build_sector_hamiltonian(basis, params))
-    cache_store(decomp, tmp_path)
-    loaded = cache_load(params, 1, tmp_path)
-    assert loaded is not None
-    assert np.array_equal(loaded.energies, decomp.energies)
-    assert np.array_equal(loaded.vectors, decomp.vectors)
+    for k in (1, 0):
+        decomp = diagonalize(build_sector_hamiltonian(momentum_basis(10, k), params))
+        cache_store(decomp, tmp_path)
+        loaded = cache_load(params, k, tmp_path)
+        assert loaded is not None
+        assert np.array_equal(loaded.energies, decomp.energies)
+        assert np.array_equal(loaded.vectors, decomp.vectors)
+        if k == 0:
+            assert loaded.parity.dtype == np.int8
+            assert np.array_equal(loaded.parity, decomp.parity)
+        else:
+            assert loaded.parity is None and decomp.parity is None
 
 
 def test_cache_key_is_exact(tmp_path):
@@ -137,11 +144,13 @@ def test_cache_corruption_detected(tmp_path):
     decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
     meta_path = cache_store(decomp, tmp_path)
     bin_path = meta_path.with_suffix(".bin")
-    payload = bytearray(bin_path.read_bytes())
-    payload[13] ^= 0xFF
-    bin_path.write_bytes(bytes(payload))
-    with pytest.raises(CacheCorruptionError):
-        cache_load(params, 0, tmp_path)
+    original = bin_path.read_bytes()
+    for offset in (13, len(original) - 1):  # an energy byte, the last parity label
+        payload = bytearray(original)
+        payload[offset] ^= 0xFF
+        bin_path.write_bytes(bytes(payload))
+        with pytest.raises(CacheCorruptionError):
+            cache_load(params, 0, tmp_path)
 
 
 def test_cache_version_mismatch_is_a_miss(tmp_path):
@@ -195,17 +204,58 @@ def test_real_solve_matches_complex_oracle(n_sites):
             assert got.size == ref.size == (1 if real_sector else 2) * decomp.dim
 
 
+@pytest.mark.parametrize("n_sites,k", [(8, 4), (9, 0), (10, 0), (12, 0), (10, 5), (12, 6)])
+def test_parity_blocks_match_dense_inversion_oracle(n_sites, k):
+    basis = momentum_basis(n_sites, k)
+    matrix = build_sector_hamiltonian(basis, ModelParams(n_sites, 1.0, 1.0))
+    assert matrix.entries.dtype == np.float64
+    decomp = diagonalize(matrix)
+    s_op = inversion_matrix(basis)
+    assert np.max(np.abs(s_op @ decomp.vectors - decomp.vectors * decomp.parity)) < 1e-10
+    # block sizes: one state of each parity per pair, invariant states by their own sign
+    invariant = [i for i, st in enumerate(basis.states) if st.partner_index is None]
+    n_pairs = (basis.dim - len(invariant)) // 2
+    n_even = n_pairs + int(np.sum(s_op[invariant, invariant].real > 0))
+    assert np.sum(decomp.parity == 1) == n_even
+    assert np.sum(decomp.parity == -1) == basis.dim - n_even
+    if k == 0:
+        assert n_even == (basis.dim + basis.n_invariant) // 2
+    oracle = oracle_decomposition(matrix)
+    assert np.max(np.abs(decomp.energies - oracle.energies)) < 1e-12
+    assert np.max(np.abs(decomp.vectors - oracle.vectors)) < 1e-10
+
+
+def test_cache_v1_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
+    params = ModelParams(6, 1.0, 1.0)
+    matrix = build_sector_hamiltonian(momentum_basis(6, 0), params)
+    decomp = diagonalize(matrix)
+    # an entry written under format version 1, which carried no parity labels
+    monkeypatch.setattr(eigensolve, "CACHE_VERSION", 1)
+    v1_sidecar = cache_store(dataclasses.replace(decomp, parity=None), tmp_path)
+    monkeypatch.undo()
+    with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
+        loaded, hit = diagonalize_cached(lambda: matrix, params, 0, tmp_path)
+    assert not hit and "cache miss" in caplog.text
+    assert np.array_equal(loaded.parity, decomp.parity)
+    assert json.loads(v1_sidecar.read_text())["version"] == 1
+    loaded, hit = diagonalize_cached(lambda: matrix, params, 0, tmp_path)
+    assert hit and np.array_equal(loaded.parity, decomp.parity)
+
+
 def test_symmetry_breaking_perturbation_raises():
-    matrix = build_sector_hamiltonian(momentum_basis(8, 1), ModelParams(8, 1.0, 1.0))
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((matrix.dim, matrix.dim)) + 1j * rng.standard_normal((matrix.dim, matrix.dim))
-    perturbed = matrix.entries + 1e-6 * (a + a.conj().T)
-    broken = SectorMatrix(matrix.params, matrix.k, perturbed, symmetry=matrix.symmetry)
-    with pytest.raises(SymmetryBreakingError):
-        diagonalize(broken)
-    # without the symmetry claim the same Hermitian matrix takes the complex solve
-    decomp = diagonalize(SectorMatrix(matrix.params, matrix.k, perturbed))
-    assert np.max(np.abs(decomp.energies - np.linalg.eigvalsh(perturbed))) < 1e-12
+    # k = 1: complex noise breaks A; k = 0: real noise couples the parity blocks
+    for k, imag in ((1, 1j), (0, 0.0)):
+        matrix = build_sector_hamiltonian(momentum_basis(8, k), ModelParams(8, 1.0, 1.0))
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((matrix.dim, matrix.dim)) + imag * rng.standard_normal((matrix.dim, matrix.dim))
+        perturbed = matrix.entries + 1e-6 * (a + a.conj().T)
+        broken = SectorMatrix(matrix.params, matrix.k, perturbed, symmetry=matrix.symmetry)
+        with pytest.raises(SymmetryBreakingError, match="off-real" if k else "couples two symmetry blocks"):
+            diagonalize(broken)
+        # without the symmetry claim the same Hermitian matrix takes a plain solve
+        decomp = diagonalize(SectorMatrix(matrix.params, matrix.k, perturbed))
+        assert decomp.parity is None
+        assert np.max(np.abs(decomp.energies - np.linalg.eigvalsh(perturbed))) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -13,21 +13,17 @@ from isingchaos.empirics import (
     empirical_participation_ratio,
     empirical_strength_function,
     goe_surrogate_levels,
-    inversion_blocks,
-    inversion_matrix,
-    operator_expectations,
     poisson_surrogate_levels,
     sector_state_moments,
     spacing_ratio,
-    split_by_parity,
     strength_moments,
     windowed_coefficient_stats,
     windows_fixed_count,
     windows_fixed_width,
-    z_parity_signs,
 )
-from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian
+from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian, symmetry_blocks
 from isingchaos.spin_basis import momentum_basis
+from parity_oracle import inversion_matrix
 
 
 def synthetic_decomposition(vectors: np.ndarray, energies=None) -> EigenDecomposition:
@@ -205,55 +201,57 @@ def test_inversion_matrix_is_involution_and_commutes(store):
 
 def test_half_momentum_inversion_phases():
     # at k = N/2 invariant states may carry inversion eigenvalue -1; the
-    # operator stays a real involution (classified by enumeration)
+    # operator stays a real involution (classified by enumeration), and the
+    # sector's symmetry map carries the same signs
     basis = momentum_basis(8, 4)
     s_op = inversion_matrix(basis)
     assert np.max(np.abs(s_op.imag)) == 0.0
-    diag = np.array(
-        [
-            s_op[i, i].real
-            for i, st in enumerate(basis.states)
-            if st.partner_index is None
-        ]
-    )
+    invariant = [i for i, st in enumerate(basis.states) if st.partner_index is None]
+    diag = np.array([s_op[i, i].real for i in invariant])
     assert set(np.round(diag).astype(int)) <= {-1, 1}
     assert np.any(diag < 0)  # the -1 branch genuinely occurs
+    signs = build_sector_hamiltonian(basis, ModelParams(8, 1.0, 1.0)).symmetry.parity_signs
+    assert np.array_equal(signs[invariant], diag)
+    assert build_sector_hamiltonian(momentum_basis(8, 3), ModelParams(8, 1.0, 1.0)).symmetry.parity_signs is None
 
 
 def test_split_by_parity_counts(store):
     basis, decomp = store.get(12, 0)
+    plus = np.flatnonzero(decomp.parity == 1)
+    minus = np.flatnonzero(decomp.parity == -1)
+    assert plus.size + minus.size == decomp.dim
+    assert plus.size == (basis.dim + basis.n_invariant) // 2
+    assert minus.size == (basis.dim - basis.n_invariant) // 2
     s_op = inversion_matrix(basis)
-    plus, minus, mixed = split_by_parity(decomp, s_op)
-    assert mixed.size == 0
-    assert plus.size == round(0.5 * (1 + basis.delta) * basis.dim)
-    assert minus.size == round(0.5 * (1 - basis.delta) * basis.dim)
-    expect = operator_expectations(decomp, s_op)
-    assert np.max(np.abs(np.abs(expect) - 1.0)) < 1e-6
+    expect = np.real(np.sum(decomp.vectors.conj() * (s_op @ decomp.vectors), axis=0))
+    assert np.max(np.abs(expect - decomp.parity)) < 1e-6
 
 
 def test_inversion_blocks_reproduce_sector_spectrum(store):
     basis = momentum_basis(10, 0)
     params = ModelParams(10, 1.0, 1.0)
-    h = build_sector_hamiltonian(basis, params).entries
-    hp, hm = inversion_blocks(basis, h)
-    assert hp.shape[0] + hm.shape[0] == basis.dim
-    union = np.sort(np.concatenate([np.linalg.eigvalsh(hp), np.linalg.eigvalsh(hm)]))
-    full = np.sort(np.linalg.eigvalsh(h))
+    matrix = build_sector_hamiltonian(basis, params)
+    blocks = symmetry_blocks(matrix, np.zeros(basis.dim, dtype=int))
+    assert sorted(blocks) == [(0, -1), (0, 1)]
+    assert blocks[0, 1].shape[0] == (basis.dim + basis.n_invariant) // 2
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.values()]))
+    full = np.sort(np.linalg.eigvalsh(matrix.entries))
     assert np.max(np.abs(union - full)) < 1e-9
 
 
 def test_z_parity_blocks_at_zero_longitudinal_field():
-    basis = momentum_basis(8, 0)
-    params = ModelParams(8, 1.0, 0.0)
-    h = build_sector_hamiltonian(basis, params).entries
-    signs = z_parity_signs(basis)
-    collected = []
-    for zsign in (1, -1):
-        subset = np.flatnonzero(signs == zsign)
-        hp, hm = inversion_blocks(basis, h, subset)
-        collected += [np.linalg.eigvalsh(hp), np.linalg.eigvalsh(hm)]
-    union = np.sort(np.concatenate(collected))
-    assert np.max(np.abs(union - np.sort(np.linalg.eigvalsh(h)))) < 1e-9
+    for k in (0, 3, 4):
+        basis = momentum_basis(8, k)
+        matrix = build_sector_hamiltonian(basis, ModelParams(8, 1.0, 0.0))
+        signs = (-1) ** (8 - basis.up_counts())
+        blocks = symmetry_blocks(matrix, signs)
+        parities = [0] if k == 3 else [1, -1]
+        assert list(blocks) == [(z, p) for z in (1, -1) for p in parities]
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.values()]))
+        assert np.max(np.abs(union - np.sort(np.linalg.eigvalsh(matrix.entries)))) < 1e-9
+        # at a nonzero longitudinal field z-parity is broken and the check says so
+        with pytest.raises(ValueError, match="couples"):
+            symmetry_blocks(build_sector_hamiltonian(basis, ModelParams(8, 1.0, 0.5)), signs)
 
 
 def test_compare_identical_and_offset(store):

@@ -10,6 +10,7 @@ from isingchaos.hamiltonian import (
     build_full_hamiltonian,
     build_sector_hamiltonian,
     hermiticity_defect,
+    symmetry_blocks,
 )
 from isingchaos.spin_basis import momentum_basis
 
@@ -211,3 +212,16 @@ def test_real_basis_is_unitary_and_invariant(n_sites, k):
     rotated = sector.symmetry.to_real(sector.entries)
     assert np.max(np.abs(rotated - u.conj().T @ sector.entries @ u)) < 1e-12
     assert np.max(np.abs(rotated.imag)) < 1e-12
+    signs = sector.symmetry.parity_signs
+    if signs is None:
+        return
+    # k = 0, N/2: the parity basis is real orthogonal and splits h into two blocks
+    assert 2 * k % n_sites == 0 and sector.entries.dtype == np.float64
+    u = sector.symmetry.from_real(np.eye(sector.dim), parity=True)
+    assert np.max(np.abs(u.T @ u - np.eye(sector.dim))) < 1e-14
+    assert np.max(np.abs(np.sum(u != 0, axis=0) - 1.5)) <= 0.5
+    g = sector.symmetry.to_real(sector.entries, parity=True)
+    assert g.dtype == np.float64
+    assert np.max(np.abs(g - u.T @ sector.entries @ u)) < 1e-12
+    n_even = symmetry_blocks(sector)[0, 1].shape[0]
+    assert np.max(np.abs(g[:n_even, n_even:])) < 1e-12
