@@ -44,6 +44,9 @@ CACHE_ENV_VAR = "ISINGCHAOS_CACHE_DIR"
 
 PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
 
+# spectra (or symmetry blocks) with fewer levels are skipped by ``spacing``
+MIN_SPACING_LEVELS = 20
+
 CORRECTION_VARIANTS = {
     "none": "gaussian",
     "gram-charlier": "gram_charlier",
@@ -336,7 +339,6 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
             subspectra = {
                 f"z{z:+d}{PARITY_LABELS[parity]}": np.linalg.eigvalsh(block)
                 for (z, parity), block in blocks.items()
-                if block.shape[0] >= 20
             }
         else:
             _, decomp, _ = _decompose_sector(config, k)
@@ -347,6 +349,9 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
                     "parity -1": decomp.energies[decomp.parity < 0],
                 }
         for label, energies in subspectra.items():
+            if energies.size < MIN_SPACING_LEVELS:
+                print(f"k={k} {label}: skipped (n < {MIN_SPACING_LEVELS} levels)")
+                continue
             res = empirics.spacing_ratio(energies)
             print(
                 f"k={k} {label}: r = {res.mean_r:.4f} "

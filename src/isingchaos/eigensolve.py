@@ -249,11 +249,10 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
 
     energies = np.ascontiguousarray(decomp.energies, dtype="<f8")
     dim = energies.size
-    interleaved = np.empty((dim, dim, 2), dtype="<f8")
-    interleaved[..., 0] = decomp.vectors.real
-    interleaved[..., 1] = decomp.vectors.imag
+    # little-endian complex128 is the interleaved re/im layout of the format
+    vectors = np.ascontiguousarray(decomp.vectors, dtype="<c16")
     parity = np.zeros(dim, dtype="i1") if decomp.parity is None else decomp.parity
-    chunks = [energies, interleaved, np.asarray(parity, dtype="i1")]
+    chunks = [energies, vectors, np.asarray(parity, dtype="i1")]
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
@@ -332,17 +331,21 @@ def cache_load(params: ModelParams, k: int, cache_dir) -> EigenDecomposition | N
     ):
         logger.info("cache miss: %s holds a different key", meta_path)
         return None
-    payload = bin_path.read_bytes()
-    if hashlib.sha256(payload).hexdigest() != meta["payload_sha256"]:
-        raise CacheCorruptionError(f"checksum mismatch for {bin_path}")
     dim = meta["dim"]
-    end = 8 * dim + 16 * dim * dim
-    if len(payload) != end + dim:
-        raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
-    energies = np.frombuffer(payload[: 8 * dim], dtype="<f8").copy()
-    flat = np.frombuffer(payload[8 * dim : end], dtype="<f8").reshape(dim, dim, 2)
-    vectors = flat[..., 0] + 1j * flat[..., 1]
-    parity = np.frombuffer(payload[end:], dtype="i1").copy()
+    with open(bin_path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size != 8 * dim + 16 * dim * dim + dim:
+            raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
+        energies = np.empty(dim, dtype="<f8")
+        vectors = np.empty((dim, dim), dtype="<c16")
+        parity = np.empty(dim, dtype="i1")
+        digest = hashlib.sha256()
+        for part in (energies, vectors, parity):  # read straight into the final arrays
+            raw = part.reshape(-1).view(np.uint8)
+            if fh.readinto(raw) != raw.size:
+                raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
+            digest.update(raw)
+    if digest.hexdigest() != meta["payload_sha256"]:
+        raise CacheCorruptionError(f"checksum mismatch for {bin_path}")
     parity = parity if parity.any() else None  # 0: no parity labels
     return EigenDecomposition(params=params, k=k, energies=energies, vectors=vectors, parity=parity)
 

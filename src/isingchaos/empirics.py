@@ -9,15 +9,22 @@ interpolates a model prediction at empirical window centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .eigensolve import EigenDecomposition
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(x) -> np.ndarray | float:
+    """Standard normal CDF 0.5 erfc(-x / sqrt 2) elementwise (the arguments are bin edges)."""
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0)), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ def _gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarr
     n_bins = max(8, int(round(np.sqrt(n))))
     edges = np.linspace(mu - 4 * s, mu + 4 * s, n_bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
-    cdf = ndtr((edges - mu) / s)
+    cdf = normal_cdf((edges - mu) / s)
     expected = n * np.diff(cdf)
     keep = expected >= 5.0
     dof = int(keep.sum()) - 3

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .spin_basis import ChainSizeError, MomentumBasis, inversion_conjugation_map
 
@@ -62,8 +61,10 @@ def _popcount(states: np.ndarray, n_sites: int) -> np.ndarray:
     return counts
 
 
-def build_full_hamiltonian(params: ModelParams) -> sparse.csr_matrix:
+def build_full_hamiltonian(params: ModelParams) -> "scipy.sparse.csr_matrix":
     """Sparse real-symmetric Hamiltonian over all 2^N configurations."""
+    from scipy import sparse  # imported here: only this oracle needs SciPy
+
     n = params.n_sites
     if n > FULL_BASIS_MAX_SITES:
         raise ChainSizeError(

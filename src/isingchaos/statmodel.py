@@ -13,11 +13,11 @@ basis states (real vs complex coefficient ensembles).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import gamma
 
 from .hamiltonian import ModelParams
 from .moments import LocalMomentSet, analytic_moments
@@ -34,6 +34,14 @@ GIBBS_HALF_WIDTH = 12.0  # integration half-width in units of sigma
 def fmt_float(x: float) -> str:
     """Locale-independent 17-significant-digit float formatting."""
     return format(float(x), ".17g")
+
+
+_gamma = np.frompyfunc(math.gamma, 1, 1)
+
+
+def gamma(x) -> np.ndarray | float:
+    """Euler's Gamma function elementwise (the arguments are a few q values)."""
+    return np.asarray(_gamma(x), dtype=float)[()]
 
 
 def r_q_complex(q) -> np.ndarray | float:
@@ -74,13 +82,22 @@ def _panel_quadrature(n_nodes: int, half_width: float = GIBBS_HALF_WIDTH):
     return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
 
 
-def _std_moments(coeffs: np.ndarray, nodes, weights, n_max: int = 8):
-    """Raw moments 0..n_max of exp(-sum_j c_j x^j) on the quadrature grid."""
-    logp = -sum(c * nodes**j for j, c in enumerate(coeffs, start=1))
+def _power_table(nodes: np.ndarray, n_max: int = 8) -> np.ndarray:
+    """Columns x^0 .. x^n_max of the quadrature nodes, built once per grid."""
+    return np.vander(nodes, n_max + 1, increasing=True)
+
+
+def _std_moments(coeffs, powers: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Raw moments 0..n_max of exp(-sum_j c_j x^j) on a quadrature grid.
+
+    ``powers`` is ``_power_table(nodes, n_max)``; log p and the moments are
+    one matrix-vector product each.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    logp = -(powers[:, 1 : coeffs.size + 1] @ coeffs)
     logp -= logp.max()
     density = weights * np.exp(logp)
-    z = density.sum()
-    return np.array([np.sum(density * nodes**j) for j in range(n_max + 1)]) / z
+    return (density @ powers) / density.sum()
 
 
 @dataclass(frozen=True)
@@ -103,20 +120,18 @@ class GibbsFit:
         return np.exp(logp - self.log_z_std) / self.sigma
 
 
-def _newton_solve(targets, n_orders, nodes, weights, tol, max_iter, start):
+def _newton_solve(targets, n_orders, powers, weights, tol, max_iter, start):
     """Damped Newton on the standardized moment equations; returns best found."""
     coeffs = np.array(start, dtype=float)
-    m = _std_moments(coeffs, nodes, weights)
+    m = _std_moments(coeffs, powers, weights)
     g = m[1 : n_orders + 1] - targets
     scale = np.maximum(np.abs(targets), 1.0)
     residual = float(np.max(np.abs(g) / scale))
+    orders = np.arange(1, n_orders + 1)
     for _ in range(max_iter):
         if residual < tol:
             break
-        jac = np.empty((n_orders, n_orders))
-        for i in range(1, n_orders + 1):
-            for j in range(1, n_orders + 1):
-                jac[j - 1, i - 1] = -(m[i + j] - m[i] * m[j])
+        jac = np.outer(m[orders], m[orders]) - m[orders[:, None] + orders]
         try:
             delta = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError as exc:
@@ -126,7 +141,7 @@ def _newton_solve(targets, n_orders, nodes, weights, tol, max_iter, start):
         for _ in range(40):
             trial = coeffs.copy()
             trial[:n_orders] += step * delta
-            m_trial = _std_moments(trial, nodes, weights)
+            m_trial = _std_moments(trial, powers, weights)
             g_trial = m_trial[1 : n_orders + 1] - targets
             trial_res = float(np.max(np.abs(g_trial) / scale))
             if trial_res < residual:
@@ -194,10 +209,11 @@ def fit_gibbs(
     coeffs = None
     for _refine in range(4):
         nodes, weights = _panel_quadrature(nodes_now)
+        powers = _power_table(nodes)
         start = np.zeros(4)
         start[1] = 0.5
         coeffs, m_std, res_std = _newton_solve(
-            targets, n_orders, nodes, weights, tol_std, max_iter, start
+            targets, n_orders, powers, weights, tol_std, max_iter, start
         )
         if res_std > 1e3 * tol_std:
             # continuation: ramp the cumulants up from the Gaussian solution
@@ -208,10 +224,10 @@ def fit_gibbs(
                     partial[2] = frac * targets[2]
                     partial[3] = 3.0 + frac * (targets[3] - 3.0)
                 coeffs, m_std, res_std = _newton_solve(
-                    partial, n_orders, nodes, weights, tol_std, max_iter, coeffs
+                    partial, n_orders, powers, weights, tol_std, max_iter, coeffs
                 )
         fine_nodes, fine_weights = _panel_quadrature(2 * nodes_now)
-        m_fine = _std_moments(coeffs, fine_nodes, fine_weights)
+        m_fine = _std_moments(coeffs, _power_table(fine_nodes), fine_weights)
         mu_fit = _std_to_energy_moments(m_fine, moments.e_n, sigma)
         residual = float(np.max(np.abs(mu_fit - mu_target)[:n_orders] / mu_scale[:n_orders]))
         if residual < tol:
@@ -222,7 +238,7 @@ def fit_gibbs(
             f"moment residual {residual:.2e} above {tol:.0e} after refinement"
         )
 
-    logp = -sum(c * nodes**j for j, c in enumerate(coeffs, start=1))
+    logp = -(powers[:, 1:5] @ coeffs)
     peak = logp.max()
     log_z_std = peak + np.log(np.sum(weights * np.exp(logp - peak)))
     boundary = max(logp[0], logp[-1])
@@ -255,12 +271,8 @@ def fit_gibbs(
 def gibbs_energy_moments(fit: GibbsFit, n_nodes: int = 4000) -> np.ndarray:
     """Raw energy moments mu_1..mu_4 of a fitted density, by quadrature."""
     nodes, weights = _panel_quadrature(n_nodes)
-    m = _std_moments(fit.std_coeffs, nodes, weights, n_max=4)
-    e, s = fit.e_center, fit.sigma
-    out = np.empty(4)
-    for j in range(1, 5):
-        out[j - 1] = sum(comb(j, i) * e ** (j - i) * s**i * m[i] for i in range(j + 1))
-    return out
+    m = _std_moments(fit.std_coeffs, _power_table(nodes, 4), weights)
+    return _std_to_energy_moments(m, fit.e_center, fit.sigma)
 
 
 @dataclass

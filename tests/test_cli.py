@@ -1,6 +1,9 @@
 """CLI pipelines: argument handling, caching, determinism, exports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +228,29 @@ def test_spacing_integrable_path(capsys):
     )
     assert code == EXIT_OK
     assert "z+1" in out and "z-1" in out
+
+
+@pytest.mark.parametrize("alpha", ["1", "0"])
+@pytest.mark.parametrize("spins", ["3", "4", "5"])
+def test_spacing_skips_small_blocks(capsys, spins, alpha):
+    code, out, _ = run(capsys, "spacing", "--spins", spins, "--alpha", alpha, "--momentum", "0")
+    assert code == EXIT_OK
+    lines = out.splitlines()[1:]
+    assert lines and all(line.endswith(": skipped (n < 20 levels)") for line in lines)
+
+
+def test_import_leaves_scipy_unloaded():
+    script = (
+        "import sys\n"
+        "import isingchaos.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'scipy imported'\n"
+        "from isingchaos import ModelParams, build_full_hamiltonian\n"
+        "h = build_full_hamiltonian(ModelParams(4, 1.0, 1.0))\n"
+        "assert h.shape == (16, 16) and abs(h - h.T).max() == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _diag_n6(tmp_path):

@@ -153,6 +153,34 @@ def test_cache_corruption_detected(tmp_path):
             cache_load(params, 0, tmp_path)
 
 
+def test_cache_payload_layout(tmp_path):
+    # energies <f8, eigenvectors as interleaved re/im <f8 pairs in row-major
+    # order, then one int8 parity label per state
+    params = ModelParams(6, 1.0, 1.0)
+    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
+    meta_path = cache_store(decomp, tmp_path)
+    interleaved = np.empty(decomp.vectors.shape + (2,), dtype="<f8")
+    interleaved[..., 0] = decomp.vectors.real
+    interleaved[..., 1] = decomp.vectors.imag
+    expected = (
+        decomp.energies.astype("<f8").tobytes()
+        + interleaved.tobytes()
+        + decomp.parity.astype("i1").tobytes()
+    )
+    assert meta_path.with_suffix(".bin").read_bytes() == expected
+
+
+@pytest.mark.parametrize("change", ["truncate", "append"])
+def test_cache_payload_size_change_detected(tmp_path, change):
+    params = ModelParams(6, 1.0, 1.0)
+    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 1), params))
+    bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
+    payload = bin_path.read_bytes()
+    bin_path.write_bytes(payload[:-1] if change == "truncate" else payload + b"\0")
+    with pytest.raises(CacheCorruptionError, match="size mismatch"):
+        cache_load(params, 1, tmp_path)
+
+
 def test_cache_version_mismatch_is_a_miss(tmp_path):
     import json
 

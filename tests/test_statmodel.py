@@ -4,7 +4,10 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, ndtr
+
+from isingchaos import statmodel
+from isingchaos.empirics import normal_cdf
 
 from isingchaos.hamiltonian import ModelParams
 from isingchaos.moments import LocalMomentSet, analytic_moments
@@ -13,6 +16,8 @@ from isingchaos.statmodel import (
     GibbsInfeasibleError,
     ParitySplit,
     _panel_quadrature,
+    _power_table,
+    _std_moments,
     build_strength_model,
     delta_correction,
     fit_gibbs,
@@ -53,6 +58,47 @@ def test_gaussian_moment_factors():
     q = 1.7
     assert r_q_complex(q) == pytest.approx(gamma(q + 1))
     assert r_q_real(q) == pytest.approx(2**q * gamma(q + 0.5) / np.sqrt(np.pi))
+
+
+def test_elementwise_special_functions_match_scipy():
+    q = np.array([1.0, 1.5, 1.7, 2.0, 2.5, 3.0, 4.25])
+    for arg in (q + 1.0, q + 0.5):
+        np.testing.assert_allclose(statmodel.gamma(arg), gamma(arg), rtol=1e-14, atol=0)
+    x = np.linspace(-4.0, 4.0, 41)
+    np.testing.assert_allclose(normal_cdf(x), ndtr(x), rtol=1e-14, atol=0)
+    assert isinstance(statmodel.gamma(2.5), float) and isinstance(normal_cdf(0.3), float)
+    assert normal_cdf(x).dtype == np.float64
+
+
+def _std_moments_loop(coeffs, nodes, weights, n_max):
+    """Reference power-loop form of the standardized Gibbs moments."""
+    logp = -sum(c * nodes**j for j, c in enumerate(coeffs, start=1))
+    logp -= logp.max()
+    density = weights * np.exp(logp)
+    z = density.sum()
+    moments = np.array([np.sum(density * nodes**j) for j in range(n_max + 1)]) / z
+    scale = np.array([np.sum(density * np.abs(nodes) ** j) for j in range(n_max + 1)]) / z
+    return moments, scale
+
+
+@pytest.mark.parametrize("n_nodes", [2000, 4000, 8000])
+@pytest.mark.parametrize("n_max", [4, 8])
+def test_std_moments_match_power_loop(n_nodes, n_max):
+    fitted = fit_gibbs(analytic_moments(P17, 5)).std_coeffs
+    coeff_sets = [
+        (0.0, 0.5, 0.0, 0.0),
+        (0.1, 0.45, -0.02, 0.01),
+        (-0.3, 0.2, 0.05, 0.004),
+        (0.0, 0.5),
+        fitted,
+    ]
+    nodes, weights = _panel_quadrature(n_nodes)
+    powers = _power_table(nodes, n_max)
+    for coeffs in coeff_sets:
+        want, scale = _std_moments_loop(coeffs, nodes, weights, n_max)
+        got = _std_moments(coeffs, powers, weights)
+        # relative to the moment of |x|^j, the rounding scale of odd moments near 0
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), coeffs
 
 
 def test_gaussian_peak_value():
