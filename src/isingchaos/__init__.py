@@ -11,10 +11,7 @@ from .hamiltonian import (
 from .moments import LocalMomentSet, analytic_moments, bruteforce_state_moments, domain_wall_count
 from .spin_basis import (
     MomentumBasis,
-    Orbit,
-    classify_inversion,
     count_primitive_orbits,
-    enumerate_orbits,
     invariant_counts,
     momentum_basis,
     sector_dimension,
@@ -36,7 +33,6 @@ __all__ = [
     "LocalMomentSet",
     "ModelParams",
     "MomentumBasis",
-    "Orbit",
     "SectorMatrix",
     "StrengthModel",
     "analytic_moments",
@@ -46,11 +42,9 @@ __all__ = [
     "build_strength_model",
     "cache_load",
     "cache_store",
-    "classify_inversion",
     "count_primitive_orbits",
     "diagonalize",
     "domain_wall_count",
-    "enumerate_orbits",
     "fit_gibbs",
     "invariant_counts",
     "model_spectral_density",

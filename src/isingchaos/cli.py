@@ -128,6 +128,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _check_symbols(symbols: list[int], config: RunConfig) -> None:
+    for k in config.momenta:
+        dim = sector_dimension(config.n_sites, k)
+        for sym in symbols:
+            if not 0 <= sym < dim:
+                raise ValueError(f"--symbol {sym} outside [0, {dim}) at k={k}")
+
+
 def _ensure_out_dir(config: RunConfig) -> Path:
     out = Path(config.out_dir or "isingchaos_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -149,9 +157,7 @@ def _decompose_sector(
 
 
 def _model_grid(config: RunConfig) -> np.ndarray:
-    params = config.params
-    sigma = np.sqrt(params.n_sites * (1 + params.alpha**2))
-    span = abs(params.lam) * params.n_sites + 6 * sigma
+    span = statmodel.prediction_span(config.params)
     return np.linspace(-span, span, config.grid)
 
 
@@ -242,9 +248,7 @@ def cmd_compare(config: RunConfig) -> int:
         _, pr = empirics.empirical_participation_ratio(decomp)
         emp = np.array([pr[w.indices].mean() for w in windows])
         corrected = prediction_curve(basis, model, grid)
-        uncorrected = prediction_curve(
-            basis, baseline, grid, apply_symmetry_correction=False
-        )
+        uncorrected = prediction_curve(basis, baseline, grid, delta_mode="none")
         rep_c = empirics.compare(
             grid, corrected.pr, windows, emp, decomp.dim, config.bulk_fraction
         )
@@ -334,7 +338,7 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
             # integrable line: z-parity is a symmetry and exact degeneracies
             # abound, so resolve every symmetry block and solve values only
             basis = momentum_basis(config.n_sites, k)
-            z_parity = (-1) ** (config.n_sites - basis.up_counts())
+            z_parity = (-1) ** (config.n_sites - basis.n_up)
             blocks = symmetry_blocks(build_sector_hamiltonian(basis, config.params), z_parity)
             subspectra = {
                 f"z{z:+d}{PARITY_LABELS[parity]}": np.linalg.eigvalsh(block)
@@ -406,6 +410,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.command == "coeff-hist":
+            _check_symbols(args.symbol or [], config)
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
     try:

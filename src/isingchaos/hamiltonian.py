@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_basis import ChainSizeError, MomentumBasis, inversion_conjugation_map
+from .spin_basis import ChainSizeError, MomentumBasis, popcount
 
 FULL_BASIS_MAX_SITES = 14
 SECTOR_MAX_SITES = 20
@@ -54,13 +54,6 @@ def diagonal_energy(params: ModelParams, n_up) -> np.ndarray | float:
     return params.lam * (params.n_sites - 2 * np.asarray(n_up, dtype=float))
 
 
-def _popcount(states: np.ndarray, n_sites: int) -> np.ndarray:
-    counts = np.zeros_like(states)
-    for i in range(n_sites):
-        counts += (states >> i) & 1
-    return counts
-
-
 def build_full_hamiltonian(params: ModelParams) -> "scipy.sparse.csr_matrix":
     """Sparse real-symmetric Hamiltonian over all 2^N configurations."""
     from scipy import sparse  # imported here: only this oracle needs SciPy
@@ -72,7 +65,7 @@ def build_full_hamiltonian(params: ModelParams) -> "scipy.sparse.csr_matrix":
         )
     size = 1 << n
     states = np.arange(size, dtype=np.int64)
-    diag = diagonal_energy(params, _popcount(states, n))
+    diag = diagonal_energy(params, popcount(states, n))
 
     rows = [states]
     cols = [states]
@@ -225,8 +218,8 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
         raise ChainSizeError(f"sector assembly capped at N={SECTOR_MAX_SITES} (got {n})")
 
     dim = basis.dim
-    reps = basis.representatives()
-    periods = np.array([st.orbit.period for st in basis.states], dtype=np.float64)
+    reps = basis.reps
+    periods = basis.periods.astype(np.float64)
     rep_index, shift = basis.config_lookup()
 
     # k = 0 and k = N/2 give exactly real matrices: assemble them as float64
@@ -239,7 +232,7 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
         phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
     h = np.zeros((dim, dim), dtype=phases.dtype)
     cols = np.arange(dim)
-    h[cols, cols] = diagonal_energy(params, _popcount(reps, n))
+    h[cols, cols] = diagonal_energy(params, basis.n_up)
     flips = [((1 << j) | (1 << ((j + 1) % n)), -1.0) for j in range(n)]
     flips += [(1 << j, -params.alpha) for j in range(n)]
     for mask, coeff in flips:
@@ -253,12 +246,11 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
             * phases[shift[targets[valid]] % n]
         )
         np.add.at(h, (r, c), vals)
-    partner, angle = inversion_conjugation_map(basis)
     return SectorMatrix(
         params=params,
         k=basis.k,
         entries=h,
-        symmetry=AntiunitarySymmetry(partner=partner, angle=angle),
+        symmetry=AntiunitarySymmetry(partner=basis.partner, angle=basis.angle),
     )
 
 

@@ -4,14 +4,13 @@ Configurations are integer bitmasks: bit ``i`` holds the spin at site ``i + 1``
 (1 = up).  The translation operator moves every spin one site to the right,
 which is a left rotation of the bit string.  Orbits under translation are
 grouped by their lexicographically smallest member (the representative), and
-momentum bases are built from one normalized plane-wave state per admissible
-orbit.
+a momentum basis holds one normalized plane-wave state per admissible orbit,
+stored as arrays together with the map of inversion x conjugation.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -19,9 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_ENUM_SITES = 24
-
-INVARIANT = "invariant"
-PAIRED = "paired"
 
 
 class ChainSizeError(ValueError):
@@ -159,96 +155,53 @@ def zero_momentum_dimension_totient(n_sites: int) -> int:
     return total // n_sites
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """A translation orbit, identified by its minimal translate."""
-
-    representative: int
-    period: int
-    n_sites: int
-
-    @property
-    def n_up(self) -> int:
-        return self.representative.bit_count()
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(
-            rotate_left(self.representative, self.n_sites, j) for j in range(self.period)
-        )
-
-
-def enumerate_orbits(n_sites: int) -> list[Orbit]:
-    """All translation orbits, ordered by (up-spin count, representative)."""
-    rep, _, period = orbit_tables(n_sites)
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    is_rep = rep == states
-    reps = states[is_rep]
-    pers = period[is_rep]
-    orbits = [
-        Orbit(int(r), int(t), n_sites) for r, t in zip(reps.tolist(), pers.tolist())
-    ]
-    orbits.sort(key=lambda o: (o.n_up, o.representative))
-    total = sum(o.period for o in orbits)
-    assert total == 1 << n_sites
-    return orbits
-
-
-@dataclass
-class MomentumBasisState:
-    """One plane-wave basis state: an orbit carrying momentum k."""
-
-    orbit: Orbit
-    momentum: int
-    inversion_class: str | None = None
-    partner_index: int | None = None
-
-    @property
-    def normalization(self) -> float:
-        return 1.0 / np.sqrt(self.orbit.period)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MomentumBasis:
-    """Ordered momentum-sector basis with inversion classification."""
+    """Momentum-k basis: one plane-wave state per orbit whose period t has k t = 0 mod N.
+
+    State ``a`` is the plane wave over the orbit of ``reps[a]`` (its smallest
+    member), of period ``periods[a]`` and with ``n_up[a]`` up spins; states
+    are ordered by (n_up, representative).  ``partner``/``angle`` is the map
+    of the antiunitary A = (inversion) x (complex conjugation):
+    A|k,a> = exp(i angle[a]) |k,partner[a]>.  Inversion sends momentum k to
+    -k and conjugation sends it back, so A keeps the sector in place; A^2 = 1
+    gives partner[partner] = identity and equal angles on both members of a
+    pair.  A state is inversion-invariant iff it is its own partner (the
+    reflected orbit is the orbit itself), and paired otherwise.
+    """
 
     n_sites: int
     k: int
-    states: list[MomentumBasisState]
-    index_of_rep: dict[int, int] = field(repr=False)
+    reps: np.ndarray
+    periods: np.ndarray
+    n_up: np.ndarray
+    partner: np.ndarray
+    angle: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.reps.size
 
     def nu_tot(self) -> np.ndarray:
         """Number of basis states per up-spin count n (length N+1)."""
-        counts = np.zeros(self.n_sites + 1, dtype=np.int64)
-        for st in self.states:
-            counts[st.orbit.n_up] += 1
-        return counts
+        return np.bincount(self.n_up, minlength=self.n_sites + 1)
 
     def nu_inv(self) -> np.ndarray:
         """Number of inversion-invariant basis states per up-spin count."""
-        counts = np.zeros(self.n_sites + 1, dtype=np.int64)
-        for st in self.states:
-            if st.inversion_class == INVARIANT:
-                counts[st.orbit.n_up] += 1
-        return counts
+        return np.bincount(self.n_up[self._invariant], minlength=self.n_sites + 1)
+
+    @property
+    def _invariant(self) -> np.ndarray:
+        return self.partner == np.arange(self.dim)
 
     @property
     def n_invariant(self) -> int:
-        return sum(1 for st in self.states if st.inversion_class == INVARIANT)
+        return int(np.count_nonzero(self._invariant))
 
     @property
     def delta(self) -> float:
         """Fraction of invariant states, N_inv / N_tot."""
         return self.n_invariant / self.dim
-
-    def up_counts(self) -> np.ndarray:
-        return np.array([st.orbit.n_up for st in self.states], dtype=np.int64)
-
-    def representatives(self) -> np.ndarray:
-        return np.array([st.orbit.representative for st in self.states], dtype=np.int64)
 
     def config_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """Maps configuration -> (basis index of its representative, shift).
@@ -256,66 +209,46 @@ class MomentumBasis:
         Index is -1 for configurations whose orbit does not carry momentum k.
         """
         rep, shift, _ = orbit_tables(self.n_sites)
-        index = np.full(1 << self.n_sites, -1, dtype=np.int32)
-        index[self.representatives()] = np.arange(self.dim, dtype=np.int32)
-        return index[rep], shift
+        return _rep_index(self.reps, self.n_sites)[rep], shift
 
 
-def momentum_basis(n_sites: int, k: int, classify: bool = True) -> MomentumBasis:
-    """Build the momentum-k basis from admissible orbits."""
+def _rep_index(reps: np.ndarray, n_sites: int) -> np.ndarray:
+    index = np.full(1 << n_sites, -1, dtype=np.int32)
+    index[reps] = np.arange(reps.size, dtype=np.int32)
+    return index
+
+
+def popcount(states: np.ndarray, n_sites: int) -> np.ndarray:
+    """Number of up spins in each configuration."""
+    counts = np.zeros_like(states)
+    for i in range(n_sites):
+        counts += (states >> i) & 1
+    return counts
+
+
+def momentum_basis(n_sites: int, k: int) -> MomentumBasis:
+    """Build the momentum-k basis from admissible orbits, with its inversion map."""
     if not 0 <= k < n_sites:
         raise ValueError(f"momentum k={k} outside [0, {n_sites})")
-    orbits = enumerate_orbits(n_sites)
-    states = [
-        MomentumBasisState(orbit=o, momentum=k)
-        for o in orbits
-        if momentum_admissible(o.period, k, n_sites)
-    ]
-    basis = MomentumBasis(
+    rep_of, shift_of, period_of = orbit_tables(n_sites)
+    states = np.arange(1 << n_sites, dtype=np.int64)
+    reps = states[(rep_of == states) & momentum_admissible(period_of, k, n_sites)]
+    n_up = popcount(reps, n_sites)
+    order = np.lexsort((reps, n_up))
+    reps, n_up = reps[order], n_up[order]
+    reflected = reflect_table(n_sites)[reps]
+    partner = _rep_index(reps, n_sites)[rep_of[reflected]].astype(np.int64)
+    assert np.array_equal(partner[partner], np.arange(reps.size))
+    steps = (k * shift_of[reflected].astype(np.int64)) % n_sites
+    return MomentumBasis(
         n_sites=n_sites,
         k=k,
-        states=states,
-        index_of_rep={st.orbit.representative: i for i, st in enumerate(states)},
+        reps=reps,
+        periods=period_of[reps].astype(np.int64),
+        n_up=n_up,
+        partner=partner,
+        angle=2 * np.pi * steps / n_sites,
     )
-    if classify:
-        classify_inversion(basis)
-    return basis
-
-
-def inversion_conjugation_map(basis: MomentumBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The antiunitary A = (inversion) x (complex conjugation) on the sector.
-
-    Returns ``(partner, angle)`` with A|k,a> = exp(i angle[a]) |k,partner[a]>.
-    Inversion sends momentum k to -k and conjugation sends it back, so A keeps
-    every sector in place; A^2 = 1 gives partner[partner] = identity and equal
-    angles on both members of a pair.
-    """
-    n = basis.n_sites
-    _, shift_of, _ = orbit_tables(n)
-    reflected = reflect_table(n)[basis.representatives()]
-    index_of_config, _ = basis.config_lookup()
-    partner = index_of_config[reflected].astype(np.int64)
-    steps = (basis.k * shift_of[reflected].astype(np.int64)) % n
-    return partner, 2 * np.pi * steps / n
-
-
-def classify_inversion(basis: MomentumBasis) -> MomentumBasis:
-    """Mark each basis state invariant or paired under geometric inversion.
-
-    A state is invariant iff the reflected orbit coincides with its own orbit
-    (reflection is then equivalent to some translation); otherwise the state
-    is paired with the distinct state built from the reflected orbit.
-    """
-    partner, _ = inversion_conjugation_map(basis)
-    assert np.array_equal(partner[partner], np.arange(basis.dim))
-    for i, (st, j) in enumerate(zip(basis.states, partner.tolist())):
-        if j == i:
-            st.inversion_class = INVARIANT
-            st.partner_index = None
-        else:
-            st.inversion_class = PAIRED
-            st.partner_index = j
-    return basis
 
 
 class InvariantCount(NamedTuple):
@@ -339,30 +272,4 @@ def invariant_counts(n_sites: int, n_up: int) -> InvariantCount:
     is_rep = rep_of == states
     reps = states[is_rep]
     invariant = rep_of[refl[reps]] == reps
-    n_of = np.array([int(r).bit_count() for r in reps.tolist()], dtype=np.int64)
-    return InvariantCount(int(np.sum(invariant & (n_of == n_up))), False)
-
-
-def dump_basis_jsonl(basis: MomentumBasis, path) -> None:
-    """Write one JSON record per basis state (stable external format)."""
-    with open(path, "w") as fh:
-        for st in basis.states:
-            fh.write(
-                json.dumps(
-                    {
-                        "repr": st.orbit.representative,
-                        "period": st.orbit.period,
-                        "k": basis.k,
-                        "n": st.orbit.n_up,
-                        "inv_class": st.inversion_class,
-                        "partner_index": st.partner_index,
-                    }
-                )
-                + "\n"
-            )
-
-
-def load_basis_jsonl(path) -> list[dict]:
-    """Read back records produced by ``dump_basis_jsonl``."""
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    return InvariantCount(int(np.sum(invariant & (popcount(reps, n_sites) == n_up))), False)

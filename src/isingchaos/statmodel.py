@@ -348,6 +348,12 @@ def _density_stack(model: StrengthModel, energy) -> np.ndarray:
     return np.stack([strength_density(model, n, e) for n in range(model.n_sites + 1)])
 
 
+def prediction_span(params: ModelParams) -> float:
+    """Half-width |lam| N + 6 sigma of the energy range that predictions cover."""
+    sigma = np.sqrt(params.n_sites * (1 + params.alpha**2))
+    return abs(params.lam) * params.n_sites + 6 * sigma
+
+
 def model_spectral_density(
     model: StrengthModel, energy, basis: MomentumBasis | None = None
 ) -> np.ndarray:
@@ -377,11 +383,13 @@ def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
 def delta_correction(
     basis: MomentumBasis, model: StrengthModel, energy, q: float, mode: str = "uniform"
 ):
-    """Invariant-state weight delta_q(E), or its uniform approximation."""
+    """Invariant-state weight delta_q(E), its uniform approximation, or 0 for "none"."""
     if mode == "uniform":
         return basis.delta
+    if mode == "none":
+        return 0.0
     if mode != "exact":
-        raise ValueError("mode must be 'uniform' or 'exact'")
+        raise ValueError("mode must be 'uniform', 'exact' or 'none'")
     stack = _clipped_power(_density_stack(model, energy), q)
     num = basis.nu_inv().astype(float) @ stack
     den = basis.nu_tot().astype(float) @ stack
@@ -496,32 +504,20 @@ def prediction_curve(
     energies: np.ndarray,
     q_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     delta_mode: str = "uniform",
-    apply_symmetry_correction: bool = True,
 ) -> PredictionCurve:
     """Evaluate density, M_q, and Pr predictions on a grid.
 
-    ``apply_symmetry_correction=False`` drops the invariant-state corrections
-    (delta = 0), giving the plain Gaussian-ensemble baseline.
+    ``delta_mode="none"`` drops the invariant-state corrections (delta = 0),
+    giving the plain Gaussian-ensemble baseline.
     """
     energies = np.asarray(energies, dtype=float)
     rho = model_spectral_density(model, energies, basis)
-    if apply_symmetry_correction:
-        mode = delta_mode
-        moments = {q: predict_moment(basis, model, energies, q, mode) for q in q_values}
-        pr = predict_participation_ratio(basis, model, energies, mode)
-    else:
-        stack = _clipped_power(_density_stack(model, energies), 1.0)
-        nu = basis.nu_tot().astype(float)
-        s1 = nu @ stack
-        factor = r_q_real if _is_real_sector(basis) else r_q_complex
-        moments = {q: factor(q) * (nu @ stack**q) / s1**q for q in q_values}
-        pr = 1.0 / moments[2.0] if 2.0 in moments else 1.0 / (
-            factor(2.0) * (nu @ stack**2) / s1**2
-        )
+    moments = {q: predict_moment(basis, model, energies, q, delta_mode) for q in q_values}
+    pr = predict_participation_ratio(basis, model, energies, delta_mode)
     corrections = []
     if model.variant != "gaussian":
         corrections.append(model.variant)
-    if apply_symmetry_correction:
+    if delta_mode != "none":
         corrections.append(f"delta[{delta_mode}]")
     return PredictionCurve(
         energies=energies,

@@ -21,11 +21,13 @@ def inversion_matrix(basis: MomentumBasis) -> np.ndarray:
     n, k = basis.n_sites, basis.k
     if not (k == 0 or 2 * k == n):
         raise ValueError("inversion maps k to N-k; only k=0 and k=N/2 stay put")
+    reps = basis.reps.tolist()
+    index_of_rep = {r: i for i, r in enumerate(reps)}
     mat = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for i, st in enumerate(basis.states):
-        image = reflect(st.orbit.representative, n)
+    for i, r in enumerate(reps):
+        image = reflect(r, n)
         orbit = [rotate_left(image, n, s) for s in range(n)]
         rep = min(orbit)
         shift = next(s for s in range(n) if rotate_left(rep, n, s) == image)
-        mat[basis.index_of_rep[rep], i] = 1.0 if k == 0 else float((-1) ** shift)
+        mat[index_of_rep[rep], i] = 1.0 if k == 0 else float((-1) ** shift)
     return mat

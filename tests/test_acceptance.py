@@ -22,13 +22,7 @@ from isingchaos.moments import (
     bruteforce_state_moments,
     domain_wall_count,
 )
-from isingchaos.spin_basis import (
-    enumerate_orbits,
-    invariant_counts,
-    momentum_admissible,
-    momentum_basis,
-    sector_dimension,
-)
+from isingchaos.spin_basis import invariant_counts, momentum_basis, sector_dimension
 from isingchaos.statmodel import (
     _clipped_power,
     _density_stack,
@@ -37,6 +31,9 @@ from isingchaos.statmodel import (
     gibbs_energy_moments,
     model_spectral_density,
     prediction_curve,
+    prediction_span,
+    r_q_complex,
+    r_q_real,
 )
 
 
@@ -115,12 +112,8 @@ def test_criterion_4_counting_formulas():
     ok = True
     notes = []
     for n_sites in range(2, 18):
-        orbits = enumerate_orbits(n_sites)
         for k in range(n_sites):
-            enumerated = sum(
-                1 for o in orbits if momentum_admissible(o.period, k, n_sites)
-            )
-            if enumerated != sector_dimension(n_sites, k):
+            if momentum_basis(n_sites, k).dim != sector_dimension(n_sites, k):
                 ok = False
                 notes.append(f"dim mismatch N={n_sites} k={k}")
     for n_sites in range(5, 18, 2):
@@ -151,8 +144,7 @@ def test_criterion_5_spectral_density(store):
     )
     # 80-bin histogram over the model's prediction-grid span; deviations are
     # scored on bins inside the bulk (central 60% of levels)
-    sigma = np.sqrt(n_sites * 2.0)
-    span = n_sites + 6 * sigma
+    span = prediction_span(params)
     edges = np.linspace(-span, span, 81)
     counts, _ = np.histogram(levels, bins=edges)
     density = counts / np.diff(edges) / levels.size
@@ -184,7 +176,12 @@ def _pr_comparison(basis, decomp, corrected_model, gauss_model):
     emp = np.array([pr[w.indices].mean() for w in windows])
     grid = np.linspace(decomp.energies[0], decomp.energies[-1], 512)
     corr = prediction_curve(basis, corrected_model, grid)
-    unc = prediction_curve(basis, gauss_model, grid, apply_symmetry_correction=False)
+    unc = prediction_curve(basis, gauss_model, grid, delta_mode="none")
+    # oracle for the uncorrected baseline: the plain Gaussian-ensemble closed form
+    stack = _clipped_power(_density_stack(gauss_model, grid), 1.0)
+    nu = basis.nu_tot().astype(float)
+    factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
+    assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ stack**2.0) / (nu @ stack) ** 2.0))
     rep_c = empirics.compare(grid, corr.pr, windows, emp, decomp.dim)
     rep_u = empirics.compare(grid, unc.pr, windows, emp, decomp.dim)
     # effective R2 from data: model ratio-part divided by empirical Pr
@@ -300,7 +297,7 @@ def test_criterion_9_spacing_ratios(store):
     # a commensurate single-particle spectrum); exact degeneracies force
     # block-projected symmetry resolution
     params0 = ModelParams(15, 1.2, 0.0)
-    z_parity = (-1) ** (15 - basis.up_counts())
+    z_parity = (-1) ** (15 - basis.n_up)
     blocks = symmetry_blocks(build_sector_hamiltonian(basis, params0), z_parity)
     integrable_rs = []
     for block in blocks.values():

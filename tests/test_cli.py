@@ -257,6 +257,12 @@ def _diag_n6(tmp_path):
     return ["diag", "--spins", "6", "--momentum", "0", "--cache-dir", str(tmp_path)]
 
 
+def test_every_public_name_resolves():
+    import isingchaos
+
+    assert [name for name in isingchaos.__all__ if not hasattr(isingchaos, name)] == []
+
+
 def test_truncated_sidecar_recomputes(tmp_path, capsys):
     code, out, _ = run(capsys, *_diag_n6(tmp_path))
     assert code == EXIT_OK and "computed" in out
@@ -299,6 +305,21 @@ def test_out_of_range_arguments_exit_at_parse_time(capsys, flag, value):
     assert exc.value.code == EXIT_BAD_ARGS
     err = capsys.readouterr().err
     assert (flag if flag != "--lambda" else "must be finite") in err
+
+
+@pytest.mark.parametrize(
+    "symbol,momenta",
+    [("999", ["0"]), ("-1", ["0"]), ("12", ["0", "1"])],  # dims at N = 6: 14 (k=0), 9 (k=1)
+)
+def test_coeff_hist_symbol_out_of_range_exits_at_parse_time(tmp_path, capsys, symbol, momenta):
+    argv = ["coeff-hist", "--spins", "6", "--symbol", symbol, "--out", str(tmp_path / "out")]
+    for k in momenta:
+        argv += ["--momentum", k]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_BAD_ARGS
+    assert f"--symbol {symbol} outside" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # refused before any work
 
 
 def test_chain_size_error_is_a_bad_argument(capsys):

@@ -241,7 +241,7 @@ def test_parity_blocks_match_dense_inversion_oracle(n_sites, k):
     s_op = inversion_matrix(basis)
     assert np.max(np.abs(s_op @ decomp.vectors - decomp.vectors * decomp.parity)) < 1e-10
     # block sizes: one state of each parity per pair, invariant states by their own sign
-    invariant = [i for i, st in enumerate(basis.states) if st.partner_index is None]
+    invariant = np.flatnonzero(np.diag(s_op) != 0)
     n_pairs = (basis.dim - len(invariant)) // 2
     n_even = n_pairs + int(np.sum(s_op[invariant, invariant].real > 0))
     assert np.sum(decomp.parity == 1) == n_even

@@ -119,7 +119,7 @@ def test_strength_function_centers_on_diagonal_at_strong_field(store):
     basis = momentum_basis(10, 1)
     decomp = diagonalize(build_sector_hamiltonian(basis, params))
     sym = 3
-    e_n = params.lam * (10 - 2 * basis.states[sym].orbit.n_up)
+    e_n = params.lam * (10 - 2 * int(basis.reps[sym]).bit_count())
     mean_e = strength_moments(decomp, sym, order=1)[0]
     sigma = np.sqrt(10 * (1 + 1.0))
     assert abs(mean_e - e_n) < sigma
@@ -201,12 +201,14 @@ def test_inversion_matrix_is_involution_and_commutes(store):
 
 def test_half_momentum_inversion_phases():
     # at k = N/2 invariant states may carry inversion eigenvalue -1; the
-    # operator stays a real involution (classified by enumeration), and the
-    # sector's symmetry map carries the same signs
+    # operator stays a real involution (classified by enumeration: a state
+    # is invariant iff the oracle maps it onto itself), and the sector's
+    # symmetry map carries the same signs
     basis = momentum_basis(8, 4)
     s_op = inversion_matrix(basis)
     assert np.max(np.abs(s_op.imag)) == 0.0
-    invariant = [i for i, st in enumerate(basis.states) if st.partner_index is None]
+    invariant = np.flatnonzero(np.diag(s_op) != 0)
+    assert np.array_equal(invariant, np.flatnonzero(basis.partner == np.arange(basis.dim)))
     diag = np.array([s_op[i, i].real for i in invariant])
     assert set(np.round(diag).astype(int)) <= {-1, 1}
     assert np.any(diag < 0)  # the -1 branch genuinely occurs
@@ -243,7 +245,7 @@ def test_z_parity_blocks_at_zero_longitudinal_field():
     for k in (0, 3, 4):
         basis = momentum_basis(8, k)
         matrix = build_sector_hamiltonian(basis, ModelParams(8, 1.0, 0.0))
-        signs = (-1) ** (8 - basis.up_counts())
+        signs = (-1) ** (8 - basis.n_up)
         blocks = symmetry_blocks(matrix, signs)
         parities = [0] if k == 3 else [1, -1]
         assert list(blocks) == [(z, p) for z in (1, -1) for p in parities]

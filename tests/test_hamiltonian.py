@@ -12,7 +12,7 @@ from isingchaos.hamiltonian import (
     hermiticity_defect,
     symmetry_blocks,
 )
-from isingchaos.spin_basis import momentum_basis
+from isingchaos.spin_basis import momentum_basis, rotate_left
 
 
 def test_two_site_matrix_explicit():
@@ -58,15 +58,20 @@ def test_two_site_row_structure_merges_coincidences():
         assert len(cols) == 4  # diagonal + merged double-bond target + 2 flips
 
 
-def embedded_momentum_state(orbit, k: int, n_sites: int) -> np.ndarray:
-    """Oracle: the plane-wave state as an explicit product-basis vector."""
-    from isingchaos.spin_basis import rotate_left
+def orbit_period(rep: int, n_sites: int) -> int:
+    return next(j for j in range(1, n_sites + 1) if rotate_left(rep, n_sites, j) == rep)
 
+
+def same_orbit(a: int, b: int, n_sites: int) -> bool:
+    return any(rotate_left(a, n_sites, j) == b for j in range(n_sites))
+
+
+def embedded_momentum_state(rep: int, k: int, n_sites: int) -> np.ndarray:
+    """Oracle: the plane-wave state as an explicit product-basis vector."""
+    period = orbit_period(rep, n_sites)
     v = np.zeros(1 << n_sites, dtype=np.complex128)
-    for j in range(orbit.period):
-        v[rotate_left(orbit.representative, n_sites, j)] += np.exp(
-            -2j * np.pi * k * j / n_sites
-        ) / np.sqrt(orbit.period)
+    for j in range(period):
+        v[rotate_left(rep, n_sites, j)] += np.exp(-2j * np.pi * k * j / n_sites) / np.sqrt(period)
     return v
 
 
@@ -79,7 +84,7 @@ def test_sector_elements_match_embedded_states(n_sites, k, lam, alpha):
     sector = build_sector_hamiltonian(basis, params)
     h_full = build_full_hamiltonian(params).toarray()
     vecs = np.column_stack(
-        [embedded_momentum_state(st.orbit, k, n_sites) for st in basis.states]
+        [embedded_momentum_state(rep, k, n_sites) for rep in basis.reps.tolist()]
     )
     oracle = vecs.conj().T @ h_full @ vecs
     assert np.max(np.abs(sector.entries - oracle)) < 1e-12
@@ -96,14 +101,12 @@ def test_diagonal_rule():
     # own orbit, adding a dispersion term on top of E_n for those states)
     basis = momentum_basis(7, 1)
     sector = build_sector_hamiltonian(basis, params)
-    rep_idx, _ = basis.config_lookup()
-    for i, st in enumerate(basis.states):
-        rep = st.orbit.representative
+    for i, rep in enumerate(basis.reps.tolist()):
         targets = [rep ^ ((1 << j) | (1 << ((j + 1) % 7))) for j in range(7)]
         targets += [rep ^ (1 << j) for j in range(7)]
-        if all(rep_idx[t] != i for t in targets):
+        if not any(same_orbit(t, rep, 7) for t in targets):
             assert sector.entries[i, i].real == pytest.approx(
-                params.lam * (7 - 2 * st.orbit.n_up)
+                params.lam * (7 - 2 * rep.bit_count())
             )
         assert abs(sector.entries[i, i].imag) < 1e-12
 
@@ -127,11 +130,9 @@ def test_zero_fields_sector_diagonal():
     for k in range(6):
         basis = momentum_basis(6, k)
         sector = build_sector_hamiltonian(basis, params)
-        rep_idx, _ = basis.config_lookup()
-        for i, st in enumerate(basis.states):
-            rep = st.orbit.representative
+        for i, rep in enumerate(basis.reps.tolist()):
             targets = [rep ^ ((1 << j) | (1 << ((j + 1) % 6))) for j in range(6)]
-            if all(rep_idx[t] != i for t in targets):
+            if not any(same_orbit(t, rep, 6) for t in targets):
                 assert sector.entries[i, i] == 0.0
 
 

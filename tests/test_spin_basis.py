@@ -4,22 +4,17 @@ Brute-force oracles (explicit rotation/reflection over all bit strings) back
 every combinatorial claim before the closed-form counts are trusted.
 """
 
-import json
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingchaos.spin_basis import (
-    INVARIANT,
-    PAIRED,
     ChainSizeError,
     count_primitive_orbits,
-    dump_basis_jsonl,
-    enumerate_orbits,
     invariant_counts,
-    load_basis_jsonl,
     momentum_admissible,
     momentum_basis,
     orbit_tables,
@@ -46,40 +41,43 @@ def brute_orbits(n_sites: int) -> dict[int, set[int]]:
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7, 8, 10, 12])
 def test_orbits_match_bruteforce_partition(n_sites):
+    # every period admits k = 0, so the k = 0 basis holds one state per orbit
     oracle = brute_orbits(n_sites)
-    orbits = enumerate_orbits(n_sites)
-    assert len(orbits) == len(oracle)
+    basis = momentum_basis(n_sites, 0)
+    assert basis.dim == len(oracle)
     covered = set()
-    for orbit in orbits:
-        members = set(orbit.members())
-        assert members == oracle[orbit.representative]
-        assert len(members) == orbit.period
+    for rep, period, n_up in zip(basis.reps.tolist(), basis.periods.tolist(), basis.n_up.tolist()):
+        members = {rotate_left(rep, n_sites, j) for j in range(period)}
+        assert members == oracle[rep]
+        assert len(members) == period
         assert not members & covered
         covered |= members
-        assert all(m.bit_count() == orbit.n_up for m in members)
+        assert all(m.bit_count() == n_up for m in members)
     assert len(covered) == 1 << n_sites
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=2, max_value=13))
 def test_orbit_partition_property(n_sites):
-    orbits = enumerate_orbits(n_sites)
-    assert sum(o.period for o in orbits) == 1 << n_sites
-    reps = [o.representative for o in orbits]
-    assert len(set(reps)) == len(reps)
+    basis = momentum_basis(n_sites, 0)
+    assert basis.periods.sum() == 1 << n_sites
+    assert np.unique(basis.reps).size == basis.dim
 
 
 def test_spec_orbit_examples():
-    n4 = enumerate_orbits(4)
-    assert len(n4) == 6
-    assert sorted(o.period for o in n4) == [1, 1, 2, 4, 4, 4]
-    n2 = enumerate_orbits(2)
-    assert {frozenset(o.members()) for o in n2} == {
+    n4 = momentum_basis(4, 0)
+    assert n4.dim == 6
+    assert sorted(n4.periods.tolist()) == [1, 1, 2, 4, 4, 4]
+    n2 = momentum_basis(2, 0)
+    assert {
+        frozenset(rotate_left(r, 2, j) for j in range(t))
+        for r, t in zip(n2.reps.tolist(), n2.periods.tolist())
+    } == {
         frozenset({0}),
         frozenset({3}),
         frozenset({1, 2}),
     }
-    assert len(enumerate_orbits(17)) == 7712
+    assert momentum_basis(17, 0).dim == 7712
 
 
 def test_orbit_tables_shift_semantics():
@@ -92,7 +90,7 @@ def test_orbit_tables_shift_semantics():
 
 def test_enumeration_range_error():
     with pytest.raises(ChainSizeError):
-        enumerate_orbits(1)
+        momentum_basis(1, 0)
     with pytest.raises(ChainSizeError):
         orbit_tables(30)
 
@@ -152,10 +150,10 @@ def test_sector_dimensions_sum_to_hilbert_space(n_sites):
 @pytest.mark.parametrize("n_sites", [4, 6, 8, 9, 10])
 def test_sector_dimension_matches_enumeration(n_sites):
     for k in range(n_sites):
-        basis = momentum_basis(n_sites, k, classify=False)
+        basis = momentum_basis(n_sites, k)
         assert basis.dim == sector_dimension(n_sites, k)
-        for st_ in basis.states:
-            assert momentum_admissible(st_.orbit.period, k, n_sites)
+        for period in basis.periods.tolist():
+            assert momentum_admissible(period, k, n_sites)
 
 
 def test_reflect():
@@ -166,8 +164,8 @@ def test_reflect():
 
 def test_classify_inversion_examples():
     basis = momentum_basis(5, 0)
-    state = basis.states[basis.index_of_rep[0b00011]]
-    assert state.inversion_class == INVARIANT
+    i = basis.reps.tolist().index(0b00011)
+    assert basis.partner[i] == i
 
     b17 = momentum_basis(17, 0)
     assert b17.n_invariant == 512
@@ -187,25 +185,17 @@ def brute_invariant_orbits(n_sites: int) -> set[int]:
 def test_classification_matches_bruteforce_reflection(n_sites):
     oracle = brute_invariant_orbits(n_sites)
     basis = momentum_basis(n_sites, 0)
-    marked = {
-        st_.orbit.representative
-        for st_ in basis.states
-        if st_.inversion_class == INVARIANT
-    }
+    marked = set(basis.reps[basis.partner == np.arange(basis.dim)].tolist())
     assert marked == oracle
 
 
 @pytest.mark.parametrize("n_sites,k", [(8, 1), (9, 0), (10, 5), (12, 3)])
 def test_pairing_is_an_involution(n_sites, k):
     basis = momentum_basis(n_sites, k)
-    for i, st_ in enumerate(basis.states):
-        if st_.inversion_class == PAIRED:
-            j = st_.partner_index
-            assert j is not None and j != i
-            assert basis.states[j].partner_index == i
-            assert basis.states[j].inversion_class == PAIRED
-        else:
-            assert st_.partner_index is None
+    for i, j in enumerate(basis.partner.tolist()):
+        assert 0 <= j < basis.dim
+        assert basis.partner[j] == i
+        assert basis.angle[j] == basis.angle[i]
 
 
 def test_invariant_count_examples():
@@ -241,7 +231,7 @@ def test_nu_count_sums(n_sites, k):
 
 def test_basis_ordering_deterministic():
     basis = momentum_basis(9, 2)
-    keys = [(st_.orbit.n_up, st_.orbit.representative) for st_ in basis.states]
+    keys = list(zip(basis.n_up.tolist(), basis.reps.tolist()))
     assert keys == sorted(keys)
 
 
@@ -252,25 +242,44 @@ def test_config_lookup_roundtrip():
         i = rep_idx[s]
         if i < 0:
             continue
-        rep = basis.states[i].orbit.representative
+        rep = int(basis.reps[i])
         assert rotate_left(rep, 8, int(shift[s])) == s
-    admissible = {m for st_ in basis.states for m in st_.orbit.members()}
+    admissible = {rotate_left(r, 8, j) for r in basis.reps.tolist() for j in range(8)}
     assert {s for s in range(256) if rep_idx[s] >= 0} == admissible
 
 
-def test_jsonl_dump_roundtrip(tmp_path):
-    basis = momentum_basis(6, 0)
-    path = tmp_path / "basis.jsonl"
-    dump_basis_jsonl(basis, path)
-    records = load_basis_jsonl(path)
-    assert len(records) == basis.dim
-    for rec, st_ in zip(records, basis.states):
-        assert rec["repr"] == st_.orbit.representative
-        assert rec["period"] == st_.orbit.period
-        assert rec["k"] == 0
-        assert rec["n"] == st_.orbit.n_up
-        assert rec["inv_class"] == st_.inversion_class
-        assert rec["partner_index"] == st_.partner_index
-    # stable external format: every line is standalone JSON
-    for line in path.read_text().splitlines():
-        json.loads(line)
+def brute_basis(n_sites: int, k: int) -> dict[str, np.ndarray]:
+    """Oracle: the basis arrays built state by state from rotations and reflections."""
+
+    def orbit_rep(s: int) -> int:
+        return min(rotate_left(s, n_sites, j) for j in range(n_sites))
+
+    def period(s: int) -> int:
+        return next(j for j in range(1, n_sites + 1) if rotate_left(s, n_sites, j) == s)
+
+    reps = [s for s in range(1 << n_sites) if s == orbit_rep(s) and k * period(s) % n_sites == 0]
+    reps.sort(key=lambda s: (s.bit_count(), s))
+    index = {r: i for i, r in enumerate(reps)}
+    partner, angle = [], []
+    for r in reps:
+        image = reflect(r, n_sites)
+        image_rep = orbit_rep(image)
+        shift = next(j for j in range(n_sites) if rotate_left(image_rep, n_sites, j) == image)
+        partner.append(index[image_rep])
+        angle.append(2 * np.pi * (k * shift % n_sites) / n_sites)
+    return {
+        "reps": np.array(reps),
+        "periods": np.array([period(r) for r in reps]),
+        "n_up": np.array([r.bit_count() for r in reps]),
+        "partner": np.array(partner),
+        "angle": np.array(angle),
+    }
+
+
+@pytest.mark.parametrize("n_sites,k", [(8, 4), (9, 0), (10, 5), (12, 3)])
+def test_basis_arrays_match_bruteforce(n_sites, k):
+    basis = momentum_basis(n_sites, k)
+    oracle = brute_basis(n_sites, k)
+    assert basis.dim == oracle["reps"].size
+    for name, expected in oracle.items():
+        np.testing.assert_array_equal(getattr(basis, name), expected, err_msg=name)

@@ -15,6 +15,8 @@ from isingchaos.spin_basis import momentum_basis
 from isingchaos.statmodel import (
     GibbsInfeasibleError,
     ParitySplit,
+    _clipped_power,
+    _density_stack,
     _panel_quadrature,
     _power_table,
     _std_moments,
@@ -277,17 +279,35 @@ def test_effective_r2():
     e = 0.35
     for basis, r2 in ((b0, 3 * (1 + b0.delta)), (b2, 2 + b2.delta)):
         m2 = predict_moment(basis, model, e, 2.0)
-        curve = prediction_curve(
-            basis, model, np.array([e]), q_values=(2.0,), apply_symmetry_correction=False
-        )
+        curve = prediction_curve(basis, model, np.array([e]), q_values=(2.0,), delta_mode="none")
         base = 3.0 if basis.k == 0 else 2.0
         assert m2 / curve.moments[2.0][0] == pytest.approx(r2 / base)
     # the monotone-correction identity for the real sector
     m2_c = predict_moment(b0, model, e, 2.0)
-    curve0 = prediction_curve(
-        b0, model, np.array([e]), q_values=(2.0,), apply_symmetry_correction=False
-    )
+    curve0 = prediction_curve(b0, model, np.array([e]), q_values=(2.0,), delta_mode="none")
     assert m2_c / curve0.moments[2.0][0] == pytest.approx(1 + b0.delta)
+
+
+def closed_form_uncorrected_moment(basis, model, energies, q):
+    """Oracle: the plain Gaussian-ensemble M_q = r_q sum_n nu_n P_n^q / (sum_n nu_n P_n)^q."""
+    stack = _clipped_power(_density_stack(model, energies), 1.0)
+    nu = basis.nu_tot().astype(float)
+    s1 = nu @ stack
+    factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
+    return factor(q) * (nu @ stack**q) / s1**q
+
+
+@pytest.mark.parametrize("n_sites,k", [(17, 0), (17, 2), (12, 6)])
+def test_uncorrected_prediction_matches_closed_formula(n_sites, k):
+    basis = momentum_basis(n_sites, k)
+    energies = np.linspace(-12.0, 12.0, 41)
+    for variant in ("gaussian", "gram_charlier"):
+        model = build_strength_model(ModelParams(n_sites, 1.0, 1.0), variant)
+        curve = prediction_curve(basis, model, energies, q_values=(1.5, 2.0, 3.0), delta_mode="none")
+        for q, moment in curve.moments.items():
+            assert np.array_equal(moment, closed_form_uncorrected_moment(basis, model, energies, q))
+        assert np.array_equal(curve.pr, 1.0 / curve.moments[2.0])
+        assert curve.corrections == ("none" if variant == "gaussian" else variant)
 
 
 def test_participation_ratio_flat_chain():
