@@ -23,9 +23,10 @@ from .eigensolve import (
     CacheCorruptionError,
     DiagonalizationError,
     EigenDecomposition,
+    block_spectra,
     diagonalize_cached,
 )
-from .hamiltonian import ModelParams, build_sector_hamiltonian, symmetry_blocks
+from .hamiltonian import ModelParams, build_sector_hamiltonian
 from .spin_basis import ChainSizeError, MomentumBasis, momentum_basis, sector_dimension
 from .statmodel import (
     GibbsFitError,
@@ -43,6 +44,8 @@ EXIT_NUMERICAL = 3
 CACHE_ENV_VAR = "ISINGCHAOS_CACHE_DIR"
 
 PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
+# ``spacing`` block labels away from the integrable line
+SPACING_LABELS = {1: "parity +1", -1: "parity -1", 0: ""}
 
 # spectra (or symmetry blocks) with fewer levels are skipped by ``spacing``
 MIN_SPACING_LEVELS = 20
@@ -278,6 +281,7 @@ def cmd_compare(config: RunConfig) -> int:
             f"k={k}: corrected median dev {rep_c.bulk_median:.4f}, "
             f"uncorrected {rep_u.bulk_median:.4f}"
         )
+        del basis, decomp  # free this sector before the next one loads
     (out / "comparison_report.json").write_text(json.dumps(report_all, indent=2))
     return EXIT_OK
 
@@ -315,6 +319,7 @@ def cmd_coeff_hist(config: RunConfig, symbols: list[int]) -> int:
                             + "\n"
                         )
             print(f"k={k} symbol={sym}: wrote {path}")
+        del basis, decomp  # free this sector before the next one loads
     return EXIT_OK
 
 
@@ -336,21 +341,24 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
     for k in config.momenta:
         if config.alpha == 0.0:
             # integrable line: z-parity is a symmetry and exact degeneracies
-            # abound, so resolve every symmetry block and solve values only
+            # abound, so resolve every symmetry block
             basis = momentum_basis(config.n_sites, k)
             z_parity = (-1) ** (config.n_sites - basis.n_up)
-            blocks = symmetry_blocks(build_sector_hamiltonian(basis, config.params), z_parity)
+            spectra = block_spectra(build_sector_hamiltonian(basis, config.params), z_parity)
             subspectra = {
-                f"z{z:+d}{PARITY_LABELS[parity]}": np.linalg.eigvalsh(block)
-                for (z, parity), block in blocks.items()
+                f"z{z:+d}{PARITY_LABELS[parity]}": energies
+                for (z, parity), energies in spectra.items()
             }
-        else:
+        elif config.cache_dir is None:  # the ratio reads energies only
+            basis = momentum_basis(config.n_sites, k)
+            spectra = block_spectra(build_sector_hamiltonian(basis, config.params))
+            subspectra = {SPACING_LABELS[parity]: energies for (_, parity), energies in spectra.items()}
+        else:  # load, or solve in full and store, the cached decomposition
             _, decomp, _ = _decompose_sector(config, k)
             subspectra = {"": decomp.energies}
             if decomp.parity is not None:
                 subspectra = {
-                    "parity +1": decomp.energies[decomp.parity > 0],
-                    "parity -1": decomp.energies[decomp.parity < 0],
+                    SPACING_LABELS[p]: decomp.energies[decomp.parity == p] for p in (1, -1)
                 }
         for label, energies in subspectra.items():
             if energies.size < MIN_SPACING_LEVELS:

@@ -6,6 +6,8 @@ and inversion-odd blocks, the complex ones in the real basis of their
 antiunitary symmetry, with eigenvectors mapped back.  Other real input takes a plain real
 solve and other Hermitian input a complex one.  Whatever the path, the
 returned eigenvectors are complex plane-wave coefficients in a fixed gauge.
+``block_spectra`` runs the same pre-solve checks and symmetry split but
+solves for eigenvalues only, checked per block by their sum rules.
 
 Spectra, eigenvectors and parity labels (0 where there are none) are cached
 per (N, k, lam, alpha, format version) as little-endian payloads plus a JSON
@@ -45,6 +47,9 @@ GAUGE_TIE_RTOL = 1e-8
 ORTHO_PROBES = 4
 ORTHO_TOL = 1e-10
 ORTHO_SEED = 0
+# values-only solves: |sum E - tr B| <= SUM_RULE_RTOL sqrt(n) |B|_F and
+# |sum E^2 - |B|_F^2| <= SUM_RULE_RTOL |B|_F^2 per block (measured: <= 1.2e-15)
+SUM_RULE_RTOL = 1e-12
 
 
 class DiagonalizationError(RuntimeError):
@@ -125,22 +130,48 @@ def _solve(a: np.ndarray, h: np.ndarray, residual_factor: float) -> tuple[np.nda
     return energies, vectors
 
 
+def _checked_blocks(
+    matrix: SectorMatrix, row_labels: np.ndarray | None, tol: float
+) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """Pre-solve checks of both solvers: hermiticity, then the symmetry split.
+
+    Returns the entries (real when their imaginary part is zero) and the
+    blocks of ``symmetry_blocks`` with ``row_labels``, or the entries as the
+    one block (0, 0) of a matrix without a symmetry.  Raises
+    ``NonHermitianError`` if |h - h^dagger| exceeds ``tol`` * max(1, max|h|)
+    and ``SymmetryBreakingError``, with the matrix fingerprint, if the
+    symmetry does not hold.
+    """
+    h = np.asarray(matrix.entries)
+    scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
+    if not np.iscomplexobj(h) or not np.any(h.imag):
+        h = h.real
+    defect = hermiticity_defect(h)
+    if defect > tol * scale:
+        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
+    if matrix.symmetry is None:
+        if row_labels is not None:
+            raise ValueError("row labels need a matrix that carries a symmetry")
+        return h, {(0, 0): h}
+    try:
+        return h, symmetry_blocks(matrix, row_labels, tol=tol)
+    except SymmetryBreakingError as exc:
+        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(h)})") from None
+
+
 def _solve_blocks(
-    matrix: SectorMatrix, h: np.ndarray, tol: float, residual_factor: float
+    matrix: SectorMatrix, h: np.ndarray, blocks: dict, residual_factor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Solve and verify each symmetry block of ``matrix`` on its own.
 
     Returns the energies in ascending order, the plane-wave eigenvectors
     (real in the parity basis) and the inversion parity of each eigenstate,
-    or None outside the parity basis.
+    or None outside the parity basis.  ``blocks`` is emptied, so the
+    real-basis copy they view is freed before the solves.
     """
-    try:
-        blocks = symmetry_blocks(matrix, tol=tol)
-    except SymmetryBreakingError as exc:
-        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(h)})") from None
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
     symmetrized = [block + block.T for block in blocks.values()]
-    del blocks
+    blocks.clear()
     solved = []
     for a in symmetrized:
         a *= 0.5
@@ -191,18 +222,10 @@ def diagonalize(
     randomized orthonormality check (``ORTHO_PROBES`` probes at relative
     tolerance ``ORTHO_TOL``).
     """
-    h = np.asarray(matrix.entries)
-    scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
-    real_input = not np.iscomplexobj(h) or not np.any(h.imag)
-    if real_input:
-        h = h.real
-    defect = hermiticity_defect(h)
-    if defect > hermiticity_tol * scale:
-        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
-
+    h, blocks = _checked_blocks(matrix, None, hermiticity_tol)
     parity = None
     if matrix.symmetry is not None:
-        energies, vectors, parity = _solve_blocks(matrix, h, hermiticity_tol, residual_factor)
+        energies, vectors, parity = _solve_blocks(matrix, h, blocks, residual_factor)
     else:
         a = h + h.conj().T
         a *= 0.5
@@ -212,6 +235,58 @@ def diagonalize(
     return EigenDecomposition(
         params=matrix.params, k=matrix.k, energies=energies, vectors=vectors, parity=parity
     )
+
+
+def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:
+    """Level count, finiteness and the two sum rules of a block's spectrum; a failure message or None."""
+    n = block.shape[0]
+    if energies.shape != (n,) or not np.all(np.isfinite(energies)):
+        return f"{energies.size} levels, not {n} finite ones"
+    # row sums first: each row holds a few nonzeros, so the total stays exact to rounding
+    frob2 = float(np.sum(np.einsum("ij,ij->i", block.conj(), block).real))
+    deviation = abs(float(np.sum(energies)) - float(np.trace(block).real))
+    bound = SUM_RULE_RTOL * np.sqrt(n * frob2)
+    if deviation > bound:
+        return f"sum E deviates from tr B by {deviation:.3e} (bound {bound:.1e})"
+    deviation = abs(float(np.sum(np.square(energies))) - frob2)
+    bound = SUM_RULE_RTOL * frob2
+    if deviation > bound:
+        return f"sum E^2 deviates from |B|_F^2 by {deviation:.3e} (bound {bound:.1e})"
+    return None
+
+
+def block_spectra(
+    matrix: SectorMatrix, row_labels: np.ndarray | None = None, hermiticity_tol: float = 1e-12
+) -> dict[tuple[int, int], np.ndarray]:
+    """Verified eigenvalues of each symmetry block, without eigenvectors.
+
+    Runs the pre-solve checks of ``diagonalize`` (hermiticity, then the
+    ``symmetry_blocks`` split, here with optional ``row_labels``) and
+    ``np.linalg.eigvalsh`` on each block B of dimension n.  Each spectrum
+    must hold n finite levels and satisfy the sum rules sum E = tr B within
+    ``SUM_RULE_RTOL`` sqrt(n) |B|_F and sum E^2 = |B|_F^2 within
+    ``SUM_RULE_RTOL`` |B|_F^2.  That catches a lost, shifted or non-finite
+    level, but it is weaker than the residual check of ``diagonalize``: an
+    error that preserves both sums passes.
+
+    Returns ``{(label, parity): ascending energies}`` keyed and ordered as
+    ``symmetry_blocks`` returns the blocks; a matrix without a symmetry is
+    the one block (0, 0).  Raises ``NonHermitianError``,
+    ``SymmetryBreakingError``, or ``DiagonalizationError`` with a matrix
+    fingerprint if LAPACK fails or a check does not hold.
+    """
+    h, blocks = _checked_blocks(matrix, row_labels, hermiticity_tol)
+    spectra = {}
+    for key, block in blocks.items():
+        try:
+            energies = np.linalg.eigvalsh(block)
+        except np.linalg.LinAlgError as exc:
+            raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(h)}") from exc
+        failure = _sum_rule_failure(block, energies)
+        if failure is not None:
+            raise DiagonalizationError(f"block {key}: {failure} on matrix {_fingerprint(h)}")
+        spectra[key] = energies
+    return spectra
 
 
 def _cache_stem(params: ModelParams, k: int) -> str:

@@ -19,6 +19,9 @@ from .eigensolve import EigenDecomposition
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
 
+# eigenvectors per chunk of the participation-ratio sum
+PR_CHUNK_COLUMNS = 64
+
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -196,9 +199,17 @@ def sector_state_moments(matrix: np.ndarray, index: int, order: int = 4) -> np.n
 
 
 def empirical_participation_ratio(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Per-eigenstate (E_a, Pr_a) with Pr = 1 / sum |C|^4 in the sector basis."""
-    pr = 1.0 / np.sum(np.abs(decomp.vectors) ** 4, axis=0)
-    return decomp.energies.copy(), pr
+    """Per-eigenstate (E_a, Pr_a) with Pr = 1 / sum |C|^4 in the sector basis.
+
+    Summed in chunks of ``PR_CHUNK_COLUMNS`` eigenvectors, so no D x D
+    temporary is made; each column sums in the same order as a whole-matrix sum.
+    """
+    vectors = decomp.vectors
+    sums = np.empty(vectors.shape[1])
+    for start in range(0, vectors.shape[1], PR_CHUNK_COLUMNS):
+        cols = slice(start, start + PR_CHUNK_COLUMNS)
+        sums[cols] = np.sum(np.abs(vectors[:, cols]) ** 4, axis=0)
+    return decomp.energies.copy(), 1.0 / sums
 
 
 def state_moment_sums(decomp: EigenDecomposition, q: float) -> np.ndarray:

@@ -230,6 +230,48 @@ def test_spacing_integrable_path(capsys):
     assert "z+1" in out and "z-1" in out
 
 
+def test_spacing_solves_values_only_without_a_cache(capsys, monkeypatch):
+    from isingchaos import eigensolve
+
+    def no_full_solve(*args, **kwargs):
+        raise AssertionError("spacing ran the eigenvector solve")
+
+    monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
+    monkeypatch.setattr(eigensolve, "diagonalize", no_full_solve)
+    code, out, _ = run(capsys, "spacing", "--spins", "10", "--momentum", "0", "--momentum", "1", "--momentum", "5")
+    assert code == EXIT_OK
+    labels = [line.split(":")[0] for line in out.splitlines()[1:]]
+    assert labels == ["k=0 parity +1", "k=0 parity -1", "k=1 ", "k=5 parity +1", "k=5 parity -1"]
+    code, out, _ = run(capsys, "spacing", "--spins", "10", "--alpha", "0", "--momentum", "0", "--momentum", "1")
+    assert code == EXIT_OK
+    labels = [line.split(":")[0] for line in out.splitlines()[1:]]
+    assert labels == ["k=0 z+1 S+", "k=0 z+1 S-", "k=0 z-1 S+", "k=0 z-1 S-", "k=1 z+1", "k=1 z-1"]
+
+
+def test_spacing_with_a_cache_dir_stores_and_reuses_vectors(tmp_path, capsys, monkeypatch):
+    from isingchaos import cli, eigensolve
+
+    argv = ["spacing", "--spins", "10", "--momentum", "0", "--momentum", "1", "--cache-dir", str(tmp_path)]
+    code, first, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(list(tmp_path.glob("*.bin"))) == 2
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("spacing solved a cached sector")
+
+    # the second run is served from the cache: no solve at all
+    monkeypatch.setattr(eigensolve, "diagonalize", no_solve)
+    monkeypatch.setattr(cli, "block_spectra", no_solve)
+    code, second, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert second == first
+    # the values-only path prints the same ratios
+    monkeypatch.undo()
+    monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
+    code, uncached, _ = run(capsys, *argv[:-2])
+    assert code == EXIT_OK and uncached == first
+
+
 @pytest.mark.parametrize("alpha", ["1", "0"])
 @pytest.mark.parametrize("spins", ["3", "4", "5"])
 def test_spacing_skips_small_blocks(capsys, spins, alpha):
@@ -338,3 +380,20 @@ def test_internal_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypat
     code, _, err = run(capsys, "compare", "--spins", "8", "--momentum", "1", "--out", str(tmp_path))
     assert code == EXIT_NUMERICAL
     assert "numerical failure: no finite deviations" in err
+
+
+def test_two_concurrent_cache_writers(tmp_path):
+    from isingchaos import ModelParams, cache_load
+
+    argv = [sys.executable, "-m", "isingchaos.cli", "diag", "--spins", "8", "--momentum", "1"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    writers = [
+        subprocess.Popen(argv + ["--cache-dir", str(tmp_path)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(2)
+    ]
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err.decode()
+    loaded = cache_load(ModelParams(8, 1.0, 1.0), 1, tmp_path)  # raises on a checksum mismatch
+    assert loaded is not None and loaded.dim == 30
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".bin", ".json"]

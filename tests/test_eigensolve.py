@@ -15,13 +15,20 @@ from isingchaos.eigensolve import (
     NonHermitianError,
     SymmetryBreakingError,
     _fix_phases,
+    block_spectra,
     cache_load,
     cache_store,
     diagonalize,
     diagonalize_cached,
 )
 from isingchaos.empirics import coefficient_samples
-from isingchaos.hamiltonian import ModelParams, SectorMatrix, build_full_hamiltonian, build_sector_hamiltonian
+from isingchaos.hamiltonian import (
+    ModelParams,
+    SectorMatrix,
+    build_full_hamiltonian,
+    build_sector_hamiltonian,
+    symmetry_blocks,
+)
 from isingchaos.spin_basis import momentum_basis
 from parity_oracle import inversion_matrix
 
@@ -345,3 +352,115 @@ def test_atomic_write_uses_unique_temp_files(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         eigensolve._atomic_write(target, b"third")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.bin"]
+
+
+@pytest.mark.parametrize("n_sites,k", [(10, 0), (10, 5), (12, 1), (12, 3)])
+def test_block_spectra_match_diagonalize_per_block(n_sites, k):
+    basis = momentum_basis(n_sites, k)
+    # integrable line: blocks labelled by z-parity and, at k = 0 and N/2, inversion parity
+    matrix = build_sector_hamiltonian(basis, ModelParams(n_sites, 0.9, 0.0))
+    z_parity = (-1) ** (n_sites - basis.n_up)
+    spectra = block_spectra(matrix, z_parity)
+    blocks = symmetry_blocks(matrix, z_parity)
+    assert list(spectra) == list(blocks)
+    for key, block in blocks.items():
+        oracle = diagonalize(SectorMatrix(matrix.params, k, np.array(block))).energies
+        assert spectra[key].shape == oracle.shape
+        assert np.max(np.abs(spectra[key] - oracle)) < 1e-12
+    union = np.sort(np.concatenate(list(spectra.values())))
+    assert np.max(np.abs(union - diagonalize(matrix).energies)) < 1e-12
+    # off the integrable line: inversion-parity blocks only, as diagonalize labels them
+    matrix = build_sector_hamiltonian(basis, ModelParams(n_sites, 0.9, 1.1))
+    decomp = diagonalize(matrix)
+    spectra = block_spectra(matrix)
+    if decomp.parity is None:
+        assert list(spectra) == [(0, 0)]
+        assert np.max(np.abs(spectra[(0, 0)] - decomp.energies)) < 1e-12
+    else:
+        assert list(spectra) == [(0, 1), (0, -1)]
+        for p in (1, -1):
+            assert np.max(np.abs(spectra[(0, p)] - decomp.energies[decomp.parity == p])) < 1e-12
+
+
+def _shift_top_level(energies):
+    energies[-1] += 1e-6 * np.max(np.abs(energies))
+    return energies
+
+
+def _spread_extremes(energies):
+    # sum E is kept, sum E^2 is not
+    shift = 1e-6 * np.max(np.abs(energies))
+    energies[0] -= shift
+    energies[-1] += shift
+    return energies
+
+
+def _nan_level(energies):
+    energies[3] = np.nan
+    return energies
+
+
+def _drop_level(energies):
+    return energies[1:]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_shift_top_level, "sum E deviates"),
+        (_spread_extremes, "sum E\\^2 deviates"),
+        (_nan_level, "finite"),
+        (_drop_level, "levels"),
+    ],
+    ids=["shifted", "spread", "nan", "dropped"],
+)
+def test_block_spectra_sum_rules_catch_a_bad_level(monkeypatch, k, corrupt, message):
+    matrix = build_sector_hamiltonian(momentum_basis(10, k), ModelParams(10, 1.0, 1.0))
+    exact_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: corrupt(exact_eigvalsh(a)))
+    with pytest.raises(DiagonalizationError, match=message):
+        block_spectra(matrix)
+
+
+def test_block_spectra_sum_rules_hold_tightly():
+    # measured deviations sit near 1e-15; the checks leave about three decades
+    for n_sites, k in ((12, 0), (12, 1)):
+        matrix = build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, 1.0, 1.0))
+        for key, block in symmetry_blocks(matrix).items():
+            energies = block_spectra(matrix)[key]
+            frob2 = np.sum(block**2)
+            assert abs(energies.sum() - np.trace(block)) < 1e-14 * np.sqrt(block.shape[0] * frob2)
+            assert abs(np.sum(energies**2) - frob2) < 1e-14 * frob2
+
+
+def test_block_spectra_linalg_failure_is_a_diagonalization_error(monkeypatch):
+    matrix = build_sector_hamiltonian(momentum_basis(8, 0), ModelParams(8, 1.0, 1.0))
+
+    def failing_eigvalsh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    with pytest.raises(DiagonalizationError, match="eigensolver failed on matrix [0-9a-f]{16}"):
+        block_spectra(matrix)
+
+
+def test_block_spectra_pre_solve_checks():
+    matrix = build_sector_hamiltonian(momentum_basis(8, 0), ModelParams(8, 1.0, 1.0))
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((matrix.dim, matrix.dim))
+    # real noise couples the two parity blocks of k = 0
+    coupled = SectorMatrix(matrix.params, 0, matrix.entries + 1e-6 * (a + a.T), symmetry=matrix.symmetry)
+    with pytest.raises(SymmetryBreakingError, match="couples two symmetry blocks"):
+        block_spectra(coupled)
+    skewed = SectorMatrix(matrix.params, 0, matrix.entries + 1e-6 * a, symmetry=matrix.symmetry)
+    with pytest.raises(NonHermitianError, match="hermiticity defect"):
+        block_spectra(skewed)
+    # without a symmetry the matrix is one block, complex input included
+    rng_h = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    h = (rng_h + rng_h.conj().T) / 2
+    spectra = block_spectra(as_sector(h))
+    assert list(spectra) == [(0, 0)]
+    assert np.max(np.abs(spectra[(0, 0)] - np.linalg.eigvalsh(h))) < 1e-12
+    with pytest.raises(ValueError, match="row labels"):
+        block_spectra(as_sector(h), np.ones(30, dtype=int))

@@ -143,6 +143,22 @@ def test_participation_ratio_synthetic():
     assert pr[0] == pytest.approx(8.0)
 
 
+def test_chunked_participation_ratio_is_exact_and_small(store):
+    import tracemalloc
+
+    from isingchaos import empirics
+
+    basis, decomp = store.get(12, 1)
+    assert decomp.dim > empirics.PR_CHUNK_COLUMNS and decomp.dim % empirics.PR_CHUNK_COLUMNS
+    _, pr = empirical_participation_ratio(decomp)
+    assert np.array_equal(pr, 1.0 / np.sum(np.abs(decomp.vectors) ** 4, axis=0))
+    tracemalloc.start()
+    empirical_participation_ratio(decomp)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 0.5 * decomp.vectors.nbytes  # no D x D temporary
+
+
 def test_participation_ratio_bounds(store):
     basis, decomp = store.get(10, 1)
     _, pr = empirical_participation_ratio(decomp)
