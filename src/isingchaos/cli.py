@@ -44,8 +44,6 @@ EXIT_NUMERICAL = 3
 CACHE_ENV_VAR = "ISINGCHAOS_CACHE_DIR"
 
 PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
-# ``spacing`` block labels away from the integrable line
-SPACING_LABELS = {1: "parity +1", -1: "parity -1", 0: ""}
 
 # spectra (or symmetry blocks) with fewer levels are skipped by ``spacing``
 MIN_SPACING_LEVELS = 20
@@ -339,28 +337,17 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
         r = empirics.spacing_ratio(empirics.poisson_surrogate_levels(200000, rng))
         print(f"Poisson surrogate mean r: {r.mean_r:.4f}")
     for k in config.momenta:
-        if config.alpha == 0.0:
-            # integrable line: z-parity is a symmetry and exact degeneracies
-            # abound, so resolve every symmetry block
-            basis = momentum_basis(config.n_sites, k)
-            z_parity = (-1) ** (config.n_sites - basis.n_up)
-            spectra = block_spectra(build_sector_hamiltonian(basis, config.params), z_parity)
-            subspectra = {
-                f"z{z:+d}{PARITY_LABELS[parity]}": energies
-                for (z, parity), energies in spectra.items()
-            }
-        elif config.cache_dir is None:  # the ratio reads energies only
-            basis = momentum_basis(config.n_sites, k)
-            spectra = block_spectra(build_sector_hamiltonian(basis, config.params))
-            subspectra = {SPACING_LABELS[parity]: energies for (_, parity), energies in spectra.items()}
-        else:  # load, or solve in full and store, the cached decomposition
-            _, decomp, _ = _decompose_sector(config, k)
-            subspectra = {"": decomp.energies}
-            if decomp.parity is not None:
-                subspectra = {
-                    SPACING_LABELS[p]: decomp.energies[decomp.parity == p] for p in (1, -1)
-                }
-        for label, energies in subspectra.items():
+        # the ratio reads energies only, so every symmetry block is solved for
+        # its eigenvalues alone; on the integrable line (alpha = 0) z-parity is
+        # a symmetry too and exact degeneracies abound, so it labels the rows
+        basis = momentum_basis(config.n_sites, k)
+        z_parity = (-1) ** (config.n_sites - basis.n_up) if config.alpha == 0.0 else None
+        spectra = block_spectra(build_sector_hamiltonian(basis, config.params), z_parity)
+        for (z, parity), energies in spectra.items():
+            if z_parity is not None:
+                label = f"z{z:+d}{PARITY_LABELS[parity]}"
+            else:
+                label = f"parity {parity:+d}" if parity else ""
             if energies.size < MIN_SPACING_LEVELS:
                 print(f"k={k} {label}: skipped (n < {MIN_SPACING_LEVELS} levels)")
                 continue

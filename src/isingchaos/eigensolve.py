@@ -47,6 +47,8 @@ GAUGE_TIE_RTOL = 1e-8
 ORTHO_PROBES = 4
 ORTHO_TOL = 1e-10
 ORTHO_SEED = 0
+# pre-solve checks: |h - h^dagger| and the coupling of symmetry blocks, relative to max(1, max|h|)
+HERMITICITY_TOL = 1e-12
 # values-only solves: |sum E - tr B| <= SUM_RULE_RTOL sqrt(n) |B|_F and
 # |sum E^2 - |B|_F^2| <= SUM_RULE_RTOL |B|_F^2 per block (measured: <= 1.2e-15)
 SUM_RULE_RTOL = 1e-12
@@ -137,10 +139,10 @@ def _checked_blocks(
 
     Returns the entries (real when their imaginary part is zero) and the
     blocks of ``symmetry_blocks`` with ``row_labels``, or the entries as the
-    one block (0, 0) of a matrix without a symmetry.  Raises
-    ``NonHermitianError`` if |h - h^dagger| exceeds ``tol`` * max(1, max|h|)
-    and ``SymmetryBreakingError``, with the matrix fingerprint, if the
-    symmetry does not hold.
+    one block (0, 0) of a matrix without a symmetry, where ``row_labels``
+    do not apply.  Raises ``NonHermitianError`` if |h - h^dagger| exceeds
+    ``tol`` * max(1, max|h|) and ``SymmetryBreakingError``, with the matrix
+    fingerprint, if the symmetry does not hold.
     """
     h = np.asarray(matrix.entries)
     scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
@@ -150,8 +152,6 @@ def _checked_blocks(
     if defect > tol * scale:
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
     if matrix.symmetry is None:
-        if row_labels is not None:
-            raise ValueError("row labels need a matrix that carries a symmetry")
         return h, {(0, 0): h}
     try:
         return h, symmetry_blocks(matrix, row_labels, tol=tol)
@@ -162,15 +162,16 @@ def _checked_blocks(
 def _solve_blocks(
     matrix: SectorMatrix, h: np.ndarray, blocks: dict, residual_factor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Solve and verify each symmetry block of ``matrix`` on its own.
+    """Solve and verify each block of ``_checked_blocks`` on its own.
 
-    Returns the energies in ascending order, the plane-wave eigenvectors
-    (real in the parity basis) and the inversion parity of each eigenstate,
-    or None outside the parity basis.  ``blocks`` is emptied, so the
+    Returns the energies in ascending order, the eigenvectors (plane-wave,
+    and real in the parity basis, where there is a symmetry; in the basis of
+    the matrix where there is none) and the inversion parity of each
+    eigenstate, or None outside the parity basis.  ``blocks`` is emptied, so the
     real-basis copy they view is freed before the solves.
     """
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
-    symmetrized = [block + block.T for block in blocks.values()]
+    symmetrized = [block + block.conj().T for block in blocks.values()]
     blocks.clear()
     solved = []
     for a in symmetrized:
@@ -192,12 +193,14 @@ def _solve_blocks(
     del solved
     use_parity = bool(parities[0])
     parity = np.repeat(parities, sizes)[rank] if use_parity else None
-    return energies[rank], matrix.symmetry.from_real(w, use_parity), parity
+    if matrix.symmetry is not None:
+        w = matrix.symmetry.from_real(w, use_parity)
+    return energies[rank], w, parity
 
 
 def diagonalize(
     matrix: SectorMatrix,
-    hermiticity_tol: float = 1e-12,
+    hermiticity_tol: float = HERMITICITY_TOL,
     residual_factor: float = 1e-8,
 ) -> EigenDecomposition:
     """Diagonalize a sector matrix and verify the eigenpairs.
@@ -223,14 +226,7 @@ def diagonalize(
     tolerance ``ORTHO_TOL``).
     """
     h, blocks = _checked_blocks(matrix, None, hermiticity_tol)
-    parity = None
-    if matrix.symmetry is not None:
-        energies, vectors, parity = _solve_blocks(matrix, h, blocks, residual_factor)
-    else:
-        a = h + h.conj().T
-        a *= 0.5
-        energies, vectors = _solve(a, h, residual_factor)
-        del a
+    energies, vectors, parity = _solve_blocks(matrix, h, blocks, residual_factor)
     vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
     return EigenDecomposition(
         params=matrix.params, k=matrix.k, energies=energies, vectors=vectors, parity=parity
@@ -256,12 +252,13 @@ def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:
 
 
 def block_spectra(
-    matrix: SectorMatrix, row_labels: np.ndarray | None = None, hermiticity_tol: float = 1e-12
+    matrix: SectorMatrix, row_labels: np.ndarray | None = None
 ) -> dict[tuple[int, int], np.ndarray]:
     """Verified eigenvalues of each symmetry block, without eigenvectors.
 
-    Runs the pre-solve checks of ``diagonalize`` (hermiticity, then the
-    ``symmetry_blocks`` split, here with optional ``row_labels``) and
+    Runs the pre-solve checks of ``diagonalize`` at ``HERMITICITY_TOL``
+    (hermiticity, then the ``symmetry_blocks`` split, here with optional
+    ``row_labels``) and
     ``np.linalg.eigvalsh`` on each block B of dimension n.  Each spectrum
     must hold n finite levels and satisfy the sum rules sum E = tr B within
     ``SUM_RULE_RTOL`` sqrt(n) |B|_F and sum E^2 = |B|_F^2 within
@@ -275,7 +272,7 @@ def block_spectra(
     ``SymmetryBreakingError``, or ``DiagonalizationError`` with a matrix
     fingerprint if LAPACK fails or a check does not hold.
     """
-    h, blocks = _checked_blocks(matrix, row_labels, hermiticity_tol)
+    h, blocks = _checked_blocks(matrix, row_labels, HERMITICITY_TOL)
     spectra = {}
     for key, block in blocks.items():
         try:

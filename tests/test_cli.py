@@ -230,7 +230,7 @@ def test_spacing_integrable_path(capsys):
     assert "z+1" in out and "z-1" in out
 
 
-def test_spacing_solves_values_only_without_a_cache(capsys, monkeypatch):
+def test_spacing_solves_values_only(capsys, monkeypatch):
     from isingchaos import eigensolve
 
     def no_full_solve(*args, **kwargs):
@@ -248,28 +248,25 @@ def test_spacing_solves_values_only_without_a_cache(capsys, monkeypatch):
     assert labels == ["k=0 z+1 S+", "k=0 z+1 S-", "k=0 z-1 S+", "k=0 z-1 S-", "k=1 z+1", "k=1 z-1"]
 
 
-def test_spacing_with_a_cache_dir_stores_and_reuses_vectors(tmp_path, capsys, monkeypatch):
-    from isingchaos import cli, eigensolve
+def test_spacing_neither_reads_nor_fills_the_cache(tmp_path, capsys, monkeypatch):
+    from isingchaos import eigensolve
 
-    argv = ["spacing", "--spins", "10", "--momentum", "0", "--momentum", "1", "--cache-dir", str(tmp_path)]
-    code, first, _ = run(capsys, *argv)
-    assert code == EXIT_OK
-    assert len(list(tmp_path.glob("*.bin"))) == 2
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("spacing solved a cached sector")
-
-    # the second run is served from the cache: no solve at all
-    monkeypatch.setattr(eigensolve, "diagonalize", no_solve)
-    monkeypatch.setattr(cli, "block_spectra", no_solve)
-    code, second, _ = run(capsys, *argv)
-    assert code == EXIT_OK
-    assert second == first
-    # the values-only path prints the same ratios
-    monkeypatch.undo()
+    argv = ["spacing", "--spins", "10", "--momentum", "0", "--momentum", "1"]
     monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
-    code, uncached, _ = run(capsys, *argv[:-2])
-    assert code == EXIT_OK and uncached == first
+    code, uncached, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+
+    def no_full_solve(*args, **kwargs):
+        raise AssertionError("spacing ran the eigenvector solve")
+
+    # a cache given by flag or by environment changes nothing: diag fills it
+    monkeypatch.setattr(eigensolve, "diagonalize", no_full_solve)
+    code, flagged, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "flag"))
+    assert code == EXIT_OK and flagged == uncached
+    monkeypatch.setenv("ISINGCHAOS_CACHE_DIR", str(tmp_path / "env"))
+    code, from_env, _ = run(capsys, *argv)
+    assert code == EXIT_OK and from_env == uncached
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", ["1", "0"])

@@ -462,5 +462,3 @@ def test_block_spectra_pre_solve_checks():
     spectra = block_spectra(as_sector(h))
     assert list(spectra) == [(0, 0)]
     assert np.max(np.abs(spectra[(0, 0)] - np.linalg.eigvalsh(h))) < 1e-12
-    with pytest.raises(ValueError, match="row labels"):
-        block_spectra(as_sector(h), np.ones(30, dtype=int))
