@@ -359,28 +359,34 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--spins", type=int, required=True, help="chain length N")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument(
-        "--momentum",
-        action="append",
-        metavar="K",
-        help="sector momentum (repeatable) or 'all'",
-    )
-    parser.add_argument(
-        "--corrections",
-        choices=sorted(CORRECTION_VARIANTS),
-        default="gram-charlier",
-    )
-    parser.add_argument("--window-levels", type=int, default=None)
-    parser.add_argument("--bulk-fraction", type=float, default=0.6)
-    parser.add_argument("--grid", type=int, default=512)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+# every optional flag: (destination, default, further add_argument keywords)
+FLAGS = {
+    "--lambda": ("lam", 1.0, {"type": float}),
+    "--alpha": ("alpha", 1.0, {"type": float}),
+    "--corrections": ("corrections", "gram-charlier", {"choices": sorted(CORRECTION_VARIANTS)}),
+    "--window-levels": ("window_levels", None, {"type": int}),
+    "--bulk-fraction": ("bulk_fraction", 0.6, {"type": float}),
+    "--grid": ("grid", 512, {"type": int}),
+    "--cache-dir": ("cache_dir", None, {}),
+    "--out": ("out", None, {}),
+    "--seed": ("seed", 0, {"type": int}),
+    "--format": ("format", "csv", {"choices": ["csv", "json"]}),
+    "--symbol": ("symbol", None, {"type": int, "action": "append"}),
+    "--surrogate": ("surrogate", None, {"choices": ["goe", "poisson"]}),
+}
+
+# the flags each command reads besides --spins and --momentum; any other exits 2
+COMMAND_FLAGS = {
+    "basis-info": ["--out", "--format"],
+    "diag": ["--lambda", "--alpha", "--cache-dir"],
+    "predict": ["--lambda", "--alpha", "--corrections", "--grid", "--out"],
+    "compare": [
+        "--lambda", "--alpha", "--corrections", "--window-levels", "--bulk-fraction",
+        "--grid", "--cache-dir", "--out",
+    ],
+    "coeff-hist": ["--lambda", "--alpha", "--window-levels", "--cache-dir", "--out", "--symbol"],
+    "spacing": ["--lambda", "--alpha", "--seed", "--surrogate"],
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,13 +396,20 @@ def build_parser() -> argparse.ArgumentParser:
         "of the two-field Ising chain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("basis-info", "diag", "predict", "compare", "coeff-hist", "spacing"):
+    for name, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "coeff-hist":
-            p.add_argument("--symbol", type=int, action="append", default=None)
-        if name == "spacing":
-            p.add_argument("--surrogate", choices=["goe", "poisson"], default=None)
+        # flags a command does not take keep their defaults, so every run has a full config
+        p.set_defaults(**{dest: default for dest, default, _ in FLAGS.values()})
+        p.add_argument("--spins", type=int, required=True, help="chain length N")
+        p.add_argument(
+            "--momentum",
+            action="append",
+            metavar="K",
+            help="sector momentum (repeatable) or 'all'",
+        )
+        for flag in flags:
+            dest, _, keywords = FLAGS[flag]
+            p.add_argument(flag, dest=dest, **keywords)
     return parser
 
 

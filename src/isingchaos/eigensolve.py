@@ -1,13 +1,12 @@
 """Dense Hermitian eigensolver with residual checks and on-disk caching.
 
-Every block built by ``build_sector_hamiltonian`` is solved in real
-arithmetic: the real blocks at k = 0 and k = N/2 as separate inversion-even
-and inversion-odd blocks, the complex ones in the real basis of their
-antiunitary symmetry, with eigenvectors mapped back.  Other real input takes a plain real
-solve and other Hermitian input a complex one.  Whatever the path, the
-returned eigenvectors are complex plane-wave coefficients in a fixed gauge.
-``block_spectra`` runs the same pre-solve checks and symmetry split but
-solves for eigenvalues only, checked per block by their sum rules.
+Every sector matrix is solved in real arithmetic, in the real basis its
+``MomentumBasis`` owns: at k = 0 and k = N/2 as separate inversion-even and
+inversion-odd blocks, elsewhere as one A-invariant block, with eigenvectors
+mapped back.  The returned eigenvectors are complex plane-wave coefficients
+in a fixed gauge.  ``block_spectra`` runs the same pre-solve checks and
+symmetry split but solves for eigenvalues only, checked per block by their
+sum rules.
 
 Spectra, eigenvectors and parity labels (0 where there are none) are cached
 per (N, k, lam, alpha, format version) as little-endian payloads plus a JSON
@@ -32,7 +31,6 @@ from .hamiltonian import (
     NonHermitianError,
     SectorMatrix,
     SymmetryBreakingError,
-    hermiticity_defect,
     symmetry_blocks,
 )
 
@@ -47,8 +45,8 @@ GAUGE_TIE_RTOL = 1e-8
 ORTHO_PROBES = 4
 ORTHO_TOL = 1e-10
 ORTHO_SEED = 0
-# pre-solve checks: |h - h^dagger| and the coupling of symmetry blocks, relative to max(1, max|h|)
-HERMITICITY_TOL = 1e-12
+# eigenpair residuals: |h w - E w| <= RESIDUAL_FACTOR max|E| per eigenvector
+RESIDUAL_FACTOR = 1e-8
 # values-only solves: |sum E - tr B| <= SUM_RULE_RTOL sqrt(n) |B|_F and
 # |sum E^2 - |B|_F^2| <= SUM_RULE_RTOL |B|_F^2 per block (measured: <= 1.2e-15)
 SUM_RULE_RTOL = 1e-12
@@ -103,80 +101,63 @@ def _fingerprint(h: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
 
 
-def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray, residual_factor: float) -> str | None:
+def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray) -> str | None:
     """Residual and orthonormality of the eigenpairs of ``a``; a failure message or None."""
     norm = max(float(np.max(np.abs(energies))), np.finfo(float).tiny)
     residual = a @ w
     residual -= w * energies
     worst = float(np.max(np.linalg.norm(residual, axis=0)))
     del residual
-    if worst > residual_factor * norm:
-        return f"residual {worst:.3e} exceeds {residual_factor:.1e} * |H|"
+    if worst > RESIDUAL_FACTOR * norm:
+        return f"residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.1e} * |H|"
     probes = np.random.default_rng(ORTHO_SEED).standard_normal((w.shape[0], ORTHO_PROBES))
-    back = (w.T @ (w @ probes).conj()).conj()  # W^H W x without copying W
+    back = w.T @ (w @ probes)  # W^T W x without copying W
     defect = float(np.max(np.linalg.norm(back - probes, axis=0) / np.linalg.norm(probes, axis=0)))
     if defect > ORTHO_TOL:
         return f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL:.1e}"
     return None
 
 
-def _solve(a: np.ndarray, h: np.ndarray, residual_factor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Verified eigenpairs of the Hermitian ``a``; ``h`` is fingerprinted on failure."""
+def _solve(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verified eigenpairs of the symmetric ``a``; ``h`` is fingerprinted on failure."""
     try:
         energies, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(h)}") from exc
-    failure = _verify(a, energies, vectors, residual_factor)
+    failure = _verify(a, energies, vectors)
     if failure is not None:
         raise DiagonalizationError(f"{failure} on matrix {_fingerprint(h)}")
     return energies, vectors
 
 
 def _checked_blocks(
-    matrix: SectorMatrix, row_labels: np.ndarray | None, tol: float
-) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
-    """Pre-solve checks of both solvers: hermiticity, then the symmetry split.
-
-    Returns the entries (real when their imaginary part is zero) and the
-    blocks of ``symmetry_blocks`` with ``row_labels``, or the entries as the
-    one block (0, 0) of a matrix without a symmetry, where ``row_labels``
-    do not apply.  Raises ``NonHermitianError`` if |h - h^dagger| exceeds
-    ``tol`` * max(1, max|h|) and ``SymmetryBreakingError``, with the matrix
-    fingerprint, if the symmetry does not hold.
-    """
-    h = np.asarray(matrix.entries)
-    scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
-    if not np.iscomplexobj(h) or not np.any(h.imag):
-        h = h.real
-    defect = hermiticity_defect(h)
-    if defect > tol * scale:
-        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    if matrix.symmetry is None:
-        return h, {(0, 0): h}
+    matrix: SectorMatrix, row_labels: np.ndarray | None
+) -> dict[tuple[int, int], np.ndarray]:
+    """The checked blocks of ``symmetry_blocks``, with the matrix fingerprint on a symmetry failure."""
     try:
-        return h, symmetry_blocks(matrix, row_labels, tol=tol)
+        return symmetry_blocks(matrix, row_labels)
     except SymmetryBreakingError as exc:
-        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(h)})") from None
+        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(matrix.entries)})") from None
 
 
 def _solve_blocks(
-    matrix: SectorMatrix, h: np.ndarray, blocks: dict, residual_factor: float
+    matrix: SectorMatrix, blocks: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Solve and verify each block of ``_checked_blocks`` on its own.
 
-    Returns the energies in ascending order, the eigenvectors (plane-wave,
-    and real in the parity basis, where there is a symmetry; in the basis of
-    the matrix where there is none) and the inversion parity of each
-    eigenstate, or None outside the parity basis.  ``blocks`` is emptied, so the
+    Returns the energies in ascending order, the plane-wave eigenvectors
+    (real where ``matrix.basis.is_real``) and there the inversion parity of
+    each eigenstate, elsewhere None.  ``blocks`` is emptied, so the
     real-basis copy they view is freed before the solves.
     """
+    h, dim = matrix.entries, matrix.dim
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
-    symmetrized = [block + block.conj().T for block in blocks.values()]
+    symmetrized = [block + block.T for block in blocks.values()]
     blocks.clear()
     solved = []
     for a in symmetrized:
         a *= 0.5
-        solved.append(_solve(a, h, residual_factor))
+        solved.append(_solve(a, h))
     del symmetrized, a
     sizes = [e.size for e, _ in solved]
     energies = np.concatenate([e for e, _ in solved])
@@ -184,49 +165,38 @@ def _solve_blocks(
     if len(solved) == 1:
         w = solved[0][1]
     else:  # block-diagonal eigenvectors, columns in ascending energy order
-        w = np.zeros((h.shape[0], h.shape[0]))
+        w = np.zeros((dim, dim))
         column = np.empty_like(rank)
         column[rank] = np.arange(rank.size)
         for start, (_, vectors) in zip(np.cumsum([0] + sizes), solved):
             part = slice(start, start + vectors.shape[0])
             w[part, column[part]] = vectors
     del solved
-    use_parity = bool(parities[0])
-    parity = np.repeat(parities, sizes)[rank] if use_parity else None
-    if matrix.symmetry is not None:
-        w = matrix.symmetry.from_real(w, use_parity)
-    return energies[rank], w, parity
+    parity = np.repeat(parities, sizes)[rank] if matrix.basis.is_real else None
+    return energies[rank], matrix.basis.from_real(w), parity
 
 
-def diagonalize(
-    matrix: SectorMatrix,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    residual_factor: float = 1e-8,
-) -> EigenDecomposition:
+def diagonalize(matrix: SectorMatrix) -> EigenDecomposition:
     """Diagonalize a sector matrix and verify the eigenpairs.
 
-    A block that carries an antiunitary ``symmetry`` is split into the real
-    blocks of ``symmetry_blocks`` (raising ``SymmetryBreakingError`` if it
-    is off-real or couples them beyond ``hermiticity_tol``): at k = 0 and
-    k = N/2 an inversion-even and an inversion-odd block, whose eigenstates
-    ``parity`` labels, elsewhere one A-invariant block.  Each block is
-    solved and verified on its own in real arithmetic, and the eigenvectors
-    are rotated back.  A block without a symmetry is solved as it is, real
-    or complex.
+    The matrix is split into the real blocks of ``symmetry_blocks``
+    (raising ``NonHermitianError`` or ``SymmetryBreakingError`` if a
+    pre-solve check fails): at k = 0 and k = N/2 an inversion-even and an
+    inversion-odd block, whose eigenstates ``parity`` labels, elsewhere one
+    A-invariant block.  Each block is solved and verified on its own in real
+    arithmetic, and the eigenvectors are rotated back.
 
     Coefficient statistics therefore stay complex in the plane-wave basis.
     Each eigenvector's phase is fixed so that its largest-modulus component,
     the lowest index among ties within relative ``GAUGE_TIE_RTOL``, is real
     and positive.
 
-    Raises ``NonHermitianError`` on bad input and ``DiagonalizationError``
-    (with a matrix fingerprint) if LAPACK fails, a residual exceeds
-    ``residual_factor`` times the spectral norm, or the eigenvectors fail a
-    randomized orthonormality check (``ORTHO_PROBES`` probes at relative
-    tolerance ``ORTHO_TOL``).
+    Raises ``DiagonalizationError`` (with a matrix fingerprint) if LAPACK
+    fails, a residual exceeds ``RESIDUAL_FACTOR`` times the spectral norm,
+    or the eigenvectors fail a randomized orthonormality check
+    (``ORTHO_PROBES`` probes at relative tolerance ``ORTHO_TOL``).
     """
-    h, blocks = _checked_blocks(matrix, None, hermiticity_tol)
-    energies, vectors, parity = _solve_blocks(matrix, h, blocks, residual_factor)
+    energies, vectors, parity = _solve_blocks(matrix, _checked_blocks(matrix, None))
     vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
     return EigenDecomposition(
         params=matrix.params, k=matrix.k, energies=energies, vectors=vectors, parity=parity
@@ -239,8 +209,8 @@ def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:
     if energies.shape != (n,) or not np.all(np.isfinite(energies)):
         return f"{energies.size} levels, not {n} finite ones"
     # row sums first: each row holds a few nonzeros, so the total stays exact to rounding
-    frob2 = float(np.sum(np.einsum("ij,ij->i", block.conj(), block).real))
-    deviation = abs(float(np.sum(energies)) - float(np.trace(block).real))
+    frob2 = float(np.sum(np.einsum("ij,ij->i", block, block)))
+    deviation = abs(float(np.sum(energies)) - float(np.trace(block)))
     bound = SUM_RULE_RTOL * np.sqrt(n * frob2)
     if deviation > bound:
         return f"sum E deviates from tr B by {deviation:.3e} (bound {bound:.1e})"
@@ -256,32 +226,28 @@ def block_spectra(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Verified eigenvalues of each symmetry block, without eigenvectors.
 
-    Runs the pre-solve checks of ``diagonalize`` at ``HERMITICITY_TOL``
-    (hermiticity, then the ``symmetry_blocks`` split, here with optional
-    ``row_labels``) and
-    ``np.linalg.eigvalsh`` on each block B of dimension n.  Each spectrum
-    must hold n finite levels and satisfy the sum rules sum E = tr B within
-    ``SUM_RULE_RTOL`` sqrt(n) |B|_F and sum E^2 = |B|_F^2 within
-    ``SUM_RULE_RTOL`` |B|_F^2.  That catches a lost, shifted or non-finite
+    Runs the pre-solve checks and the split of ``symmetry_blocks``, here
+    with optional ``row_labels``, and ``np.linalg.eigvalsh`` on each block B
+    of dimension n.  Each spectrum must hold n finite levels and satisfy the
+    sum rules sum E = tr B within ``SUM_RULE_RTOL`` sqrt(n) |B|_F and
+    sum E^2 = |B|_F^2 within ``SUM_RULE_RTOL`` |B|_F^2.  That catches a lost, shifted or non-finite
     level, but it is weaker than the residual check of ``diagonalize``: an
     error that preserves both sums passes.
 
     Returns ``{(label, parity): ascending energies}`` keyed and ordered as
-    ``symmetry_blocks`` returns the blocks; a matrix without a symmetry is
-    the one block (0, 0).  Raises ``NonHermitianError``,
+    ``symmetry_blocks`` returns the blocks.  Raises ``NonHermitianError``,
     ``SymmetryBreakingError``, or ``DiagonalizationError`` with a matrix
     fingerprint if LAPACK fails or a check does not hold.
     """
-    h, blocks = _checked_blocks(matrix, row_labels, HERMITICITY_TOL)
     spectra = {}
-    for key, block in blocks.items():
+    for key, block in _checked_blocks(matrix, row_labels).items():
         try:
             energies = np.linalg.eigvalsh(block)
         except np.linalg.LinAlgError as exc:
-            raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(h)}") from exc
+            raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(matrix.entries)}") from exc
         failure = _sum_rule_failure(block, energies)
         if failure is not None:
-            raise DiagonalizationError(f"block {key}: {failure} on matrix {_fingerprint(h)}")
+            raise DiagonalizationError(f"block {key}: {failure} on matrix {_fingerprint(matrix.entries)}")
         spectra[key] = energies
     return spectra
 

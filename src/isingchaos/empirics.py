@@ -70,17 +70,22 @@ def windows_fixed_count(energies: np.ndarray, levels_per_window: int) -> list[En
 
 
 def windows_fixed_width(energies: np.ndarray, width: float) -> list[EnergyWindow]:
-    """Fixed-width energy bins; bins with fewer than 2 states are dropped."""
+    """Fixed-width energy bins; bins with fewer than 2 states are dropped.
+
+    Bin i holds edges[i] <= E < edges[i + 1], and the last bin also holds
+    every level at or above its upper edge, as ``np.histogram`` closes it.
+    """
     if width <= 0:
         raise ValueError("width must be positive")
     order = np.argsort(energies)
     sorted_e = energies[order]
     edges = np.arange(sorted_e[0], sorted_e[-1] + width, width)
+    bins = np.minimum(np.searchsorted(edges, sorted_e, side="right") - 1, edges.size - 2)
     out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mask = (sorted_e >= lo) & (sorted_e < hi)
-        if mask.sum() >= 2:
-            out.append(EnergyWindow(lo=float(lo), hi=float(hi), indices=order[mask]))
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        indices = order[bins == i]
+        if indices.size >= 2:
+            out.append(EnergyWindow(lo=float(lo), hi=float(hi), indices=indices))
     return out
 
 

@@ -5,13 +5,14 @@ Configurations are integer bitmasks: bit ``i`` holds the spin at site ``i + 1``
 which is a left rotation of the bit string.  Orbits under translation are
 grouped by their lexicographically smallest member (the representative), and
 a momentum basis holds one normalized plane-wave state per admissible orbit,
-stored as arrays together with the map of inversion x conjugation.
+stored as arrays together with the map of inversion x conjugation and the
+real basis that map defines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -168,6 +169,19 @@ class MomentumBasis:
     gives partner[partner] = identity and equal angles on both members of a
     pair.  A state is inversion-invariant iff it is its own partner (the
     reflected orbit is the orbit itself), and paired otherwise.
+
+    Every sector matrix commutes with A, so it is real symmetric in an
+    A-invariant basis U, which the basis owns (``real_layout``, ``to_real``,
+    ``from_real``).  U has at most two nonzeros per column.  Where ``is_real``
+    (k = 0 and k = N/2) every phase exp(i angle) is +-1, A is the inversion P
+    times conjugation, and U is the real parity basis: e_a with parity
+    exp(i angle_a) for each invariant state, and for each pair (a, b =
+    partner[a]) with p = exp(i angle_a) the columns (e_a +- p e_b)/sqrt2 with
+    parity +-1.  Its columns are ordered even invariant states, "+"
+    combinations, "-" combinations, odd invariant states, so the even and the
+    odd block of U^T h U are contiguous.  Elsewhere U has the columns
+    exp(i angle_a / 2) e_a for each invariant state, then (e_a + p e_b)/sqrt2
+    and i (e_a - p e_b)/sqrt2 for each pair, all of parity 0.
     """
 
     n_sites: int
@@ -181,6 +195,65 @@ class MomentumBasis:
     @property
     def dim(self) -> int:
         return self.reps.size
+
+    @property
+    def is_real(self) -> bool:
+        """k = 0 and k = N/2: real phases, a real sector matrix and parity-split real basis."""
+        return self.k == 0 or 2 * self.k == self.n_sites
+
+    @cached_property
+    def real_layout(self) -> "RealLayout":
+        """The plane-wave rows and phases of U, grouped as the class docstring orders its columns."""
+        idx = np.arange(self.dim)
+        invariant = idx[self.partner == idx]
+        first = idx[self.partner > idx]
+        if self.is_real:
+            sign = np.where(self.angle == 0, 1.0, -1.0)  # angle is exactly 0 or pi here
+            odd = sign[invariant] < 0
+            invariant, trailing = invariant[~odd], invariant[odd]
+            lead_phase, pair_phase = np.ones(invariant.size), sign[first]
+        else:
+            trailing = idx[:0]
+            lead_phase = np.exp(0.5j * self.angle[invariant])
+            pair_phase = np.exp(1j * self.angle[first])
+        n_even = invariant.size + first.size
+        return RealLayout(
+            rows=np.concatenate([invariant, first, self.partner[first], trailing]),
+            phase=np.concatenate([lead_phase, np.ones(first.size), pair_phase, np.ones(trailing.size)]),
+            lead=invariant.size,
+            n_pair=first.size,
+            parity=(np.where(idx < n_even, 1, -1) * self.is_real).astype(np.int8),
+        )
+
+    def to_real(self, h: np.ndarray) -> np.ndarray:
+        """U^dagger h U for a matrix ``h`` over this basis.
+
+        Real for a real ``h`` where ``is_real``; complex elsewhere, with an
+        imaginary part that vanishes when ``h`` commutes with A.
+        """
+        rows, phase, lead, n_pair, _ = self.real_layout
+        g = h[np.ix_(rows, rows)].astype(np.result_type(h, phase), copy=False)
+        g *= phase.conj()[:, None]
+        g *= phase[None, :]
+        z = 1.0 if self.is_real else 1j
+        _mix_pairs(g, lead, n_pair, np.conj(z))  # rows: the conjugate of U's pair block
+        _mix_pairs(g.T, lead, n_pair, z)  # columns
+        return g
+
+    def from_real(self, w: np.ndarray) -> np.ndarray:
+        """U w: real-basis column vectors back to plane-wave coefficients.
+
+        Where ``is_real`` the result is real and ``w`` is overwritten.
+        """
+        rows, phase, lead, n_pair, _ = self.real_layout
+        y = w.astype(np.result_type(w, phase), copy=False)
+        if not self.is_real:
+            y[lead + n_pair :] *= 1j
+        _mix_pairs(y, lead, n_pair, 1.0)
+        y *= phase[:, None]
+        out = np.empty_like(y)
+        out[rows] = y
+        return out
 
     def nu_tot(self) -> np.ndarray:
         """Number of basis states per up-spin count n (length N+1)."""
@@ -210,6 +283,33 @@ class MomentumBasis:
         """
         rep, shift, _ = orbit_tables(self.n_sites)
         return _rep_index(self.reps, self.n_sites)[rep], shift
+
+
+class RealLayout(NamedTuple):
+    """The real basis U of a ``MomentumBasis`` as U = P diag(phase) M.
+
+    P sends position c to plane-wave row ``rows[c]``.  M keeps the ``lead``
+    leading and any trailing positions and mixes positions lead + i and
+    lead + n_pair + i of pair i into its "+" and its "-" column.
+    ``parity`` is the inversion parity of each column: +-1 where the basis
+    ``is_real``, 0 elsewhere.
+    """
+
+    rows: np.ndarray
+    phase: np.ndarray
+    lead: int
+    n_pair: int
+    parity: np.ndarray
+
+
+def _mix_pairs(x: np.ndarray, start: int, n_pair: int, z: complex) -> None:
+    """In place along axis 0: rows (a, b) of each pair become ((a + b), z (a - b))/sqrt2."""
+    a = x[start : start + n_pair]
+    b = x[start + n_pair : start + 2 * n_pair]
+    diff = a - b
+    a += b
+    a *= np.sqrt(0.5)
+    np.multiply(diff, z * np.sqrt(0.5), out=b)
 
 
 def _rep_index(reps: np.ndarray, n_sites: int) -> np.ndarray:

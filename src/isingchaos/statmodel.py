@@ -397,11 +397,6 @@ def delta_correction(
     return out if np.ndim(energy) else float(out[0])
 
 
-def _is_real_sector(basis: MomentumBasis) -> bool:
-    # k = 0 and (even N) k = N/2 give real sector matrices and real ensembles
-    return basis.k == 0 or 2 * basis.k == basis.n_sites
-
-
 def predict_moment(
     basis: MomentumBasis,
     model: StrengthModel,
@@ -411,7 +406,7 @@ def predict_moment(
 ):
     """Model prediction for the eigenvector moment M_q(E) in one sector.
 
-    Real sectors (k = 0, and k = N/2 which shares the real structure) use the
+    Real sectors (``basis.is_real``: k = 0 and k = N/2) use the
     real-ensemble factor with the parity correction 1 + (2^(q-1) - 1) delta;
     complex sectors interpolate between complex and real ensemble factors
     with weight delta.
@@ -423,7 +418,7 @@ def predict_moment(
     s1 = nu @ stack
     sq = nu @ stack**q
     delta = delta_correction(basis, model, energy, q, delta_mode)
-    if _is_real_sector(basis):
+    if basis.is_real:
         factor = r_q_real(q) * (1.0 + (2.0 ** (q - 1) - 1.0) * delta)
     else:
         factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta

@@ -259,10 +259,11 @@ def test_spacing_neither_reads_nor_fills_the_cache(tmp_path, capsys, monkeypatch
     def no_full_solve(*args, **kwargs):
         raise AssertionError("spacing ran the eigenvector solve")
 
-    # a cache given by flag or by environment changes nothing: diag fills it
+    # spacing takes no --cache-dir, and a cache given by environment changes nothing: diag fills it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache-dir", str(tmp_path / "flag")])
+    assert exc.value.code == EXIT_BAD_ARGS
     monkeypatch.setattr(eigensolve, "diagonalize", no_full_solve)
-    code, flagged, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "flag"))
-    assert code == EXIT_OK and flagged == uncached
     monkeypatch.setenv("ISINGCHAOS_CACHE_DIR", str(tmp_path / "env"))
     code, from_env, _ = run(capsys, *argv)
     assert code == EXIT_OK and from_env == uncached
@@ -339,11 +340,30 @@ def test_corrupted_payload_is_a_numerical_failure(tmp_path, capsys):
     ],
 )
 def test_out_of_range_arguments_exit_at_parse_time(capsys, flag, value):
+    command = "spacing" if flag == "--seed" else "compare"
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "--spins", "8", "--momentum", "0", flag, value])
+        main([command, "--spins", "8", "--momentum", "0", flag, value])
     assert exc.value.code == EXIT_BAD_ARGS
     err = capsys.readouterr().err
     assert (flag if flag != "--lambda" else "must be finite") in err
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("basis-info", "--lambda", "0.5"),
+        ("diag", "--out", "out"),
+        ("predict", "--cache-dir", "cache"),
+        ("compare", "--seed", "1"),
+        ("coeff-hist", "--corrections", "gibbs"),
+        ("spacing", "--bulk-fraction", "0.8"),
+    ],
+)
+def test_flag_a_command_does_not_read_exits_at_parse_time(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spins", "6", "--momentum", "0", flag, value])
+    assert exc.value.code == EXIT_BAD_ARGS
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from isingchaos.eigensolve import (
 from isingchaos.empirics import coefficient_samples
 from isingchaos.hamiltonian import (
     ModelParams,
-    SectorMatrix,
     build_full_hamiltonian,
     build_sector_hamiltonian,
     symmetry_blocks,
@@ -32,48 +31,30 @@ from isingchaos.hamiltonian import (
 from isingchaos.spin_basis import momentum_basis
 from parity_oracle import inversion_matrix
 
-PARAMS = ModelParams(6, 1.0, 1.0)
-
-
-def as_sector(matrix, params=PARAMS, k=0):
-    return SectorMatrix(params=params, k=k, entries=np.asarray(matrix, dtype=np.complex128))
-
-
-def test_two_by_two_closed_form():
-    a, b = 0.7, 0.4 - 0.3j
-    decomp = diagonalize(as_sector([[a, b], [np.conj(b), a]]))
-    assert decomp.energies == pytest.approx([a - abs(b), a + abs(b)])
-
-
-def test_diagonal_matrix():
-    decomp = diagonalize(as_sector(np.diag([3.0, -1.0, 2.0])))
-    assert decomp.energies == pytest.approx([-1.0, 2.0, 3.0])
-    # identity permutation up to ordering; columns are unit basis vectors
-    for col in decomp.vectors.T:
-        assert np.sort(np.abs(col)) == pytest.approx([0.0, 0.0, 1.0])
+def sector(n_sites, k):
+    return build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, 1.0, 1.0))
 
 
 def test_residuals_and_orthonormality():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    h = (a + a.conj().T) / 2
-    decomp = diagonalize(as_sector(h))
-    norm = np.max(np.abs(decomp.energies))
-    residual = h @ decomp.vectors - decomp.vectors * decomp.energies
-    assert np.max(np.linalg.norm(residual, axis=0)) < 1e-8 * norm
-    gram = decomp.vectors.conj().T @ decomp.vectors
-    assert np.max(np.abs(gram - np.eye(40))) < 1e-8
-    assert np.max(np.abs(np.sum(np.abs(decomp.vectors) ** 2, axis=0) - 1)) < 1e-10
+    for k in (1, 0):
+        matrix = sector(8, k)
+        decomp = diagonalize(matrix)
+        norm = np.max(np.abs(decomp.energies))
+        residual = matrix.entries @ decomp.vectors - decomp.vectors * decomp.energies
+        assert np.max(np.linalg.norm(residual, axis=0)) < 1e-8 * norm
+        gram = decomp.vectors.conj().T @ decomp.vectors
+        assert np.max(np.abs(gram - np.eye(matrix.dim))) < 1e-8
+        assert np.max(np.abs(np.sum(np.abs(decomp.vectors) ** 2, axis=0) - 1)) < 1e-10
 
 
 def test_phase_gauge():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    decomp = diagonalize(as_sector((a + a.conj().T) / 2))
-    for col in decomp.vectors.T:
-        lead = col[np.argmax(np.abs(col))]
-        assert lead.imag == pytest.approx(0.0, abs=1e-12)
-        assert lead.real > 0
+    for k in (1, 0):
+        for col in diagonalize(sector(8, k)).vectors.T:
+            # symmetry ties |c_a| = |c_partner(a)|: the lowest index among them leads
+            modulus = np.abs(col)
+            lead = col[np.argmax(modulus >= (1 - eigensolve.GAUGE_TIE_RTOL) * modulus.max())]
+            assert lead.imag == pytest.approx(0.0, abs=1e-12)
+            assert lead.real > 0
 
 
 def test_phase_gauge_breaks_ties_by_lowest_index():
@@ -88,8 +69,12 @@ def test_phase_gauge_breaks_ties_by_lowest_index():
 
 
 def test_non_hermitian_rejected():
-    with pytest.raises(NonHermitianError):
-        diagonalize(as_sector([[0.0, 1.0], [0.5, 0.0]]))
+    for k in (1, 0):
+        matrix = sector(8, k)
+        a = np.random.default_rng(7).standard_normal((matrix.dim, matrix.dim))
+        skewed = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * (a - a.T))
+        with pytest.raises(NonHermitianError, match="hermiticity defect"):
+            diagonalize(skewed)
 
 
 def test_energies_ascending_and_count():
@@ -280,17 +265,31 @@ def test_cache_v1_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
 def test_symmetry_breaking_perturbation_raises():
     # k = 1: complex noise breaks A; k = 0: real noise couples the parity blocks
     for k, imag in ((1, 1j), (0, 0.0)):
-        matrix = build_sector_hamiltonian(momentum_basis(8, k), ModelParams(8, 1.0, 1.0))
+        matrix = sector(8, k)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((matrix.dim, matrix.dim)) + imag * rng.standard_normal((matrix.dim, matrix.dim))
-        perturbed = matrix.entries + 1e-6 * (a + a.conj().T)
-        broken = SectorMatrix(matrix.params, matrix.k, perturbed, symmetry=matrix.symmetry)
+        broken = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * (a + a.conj().T))
         with pytest.raises(SymmetryBreakingError, match="off-real" if k else "couples two symmetry blocks"):
             diagonalize(broken)
-        # without the symmetry claim the same Hermitian matrix takes a plain solve
-        decomp = diagonalize(SectorMatrix(matrix.params, matrix.k, perturbed))
-        assert decomp.parity is None
-        assert np.max(np.abs(decomp.energies - np.linalg.eigvalsh(perturbed))) < 1e-12
+
+
+def test_real_sector_in_complex_storage_keeps_its_parity_blocks():
+    # the basis, not the dtype of the entries, chooses the real basis
+    matrix = sector(8, 0)
+    as_complex = dataclasses.replace(matrix, entries=matrix.entries.astype(np.complex128))
+    blocks, complex_blocks = symmetry_blocks(matrix), symmetry_blocks(as_complex)
+    assert list(complex_blocks) == list(blocks) == [(0, 1), (0, -1)]
+    for key, block in blocks.items():
+        assert np.array_equal(complex_blocks[key], block)
+    decomp, complex_decomp = diagonalize(matrix), diagonalize(as_complex)
+    assert np.array_equal(complex_decomp.energies, decomp.energies)
+    assert np.array_equal(complex_decomp.parity, decomp.parity)
+    assert np.array_equal(complex_decomp.vectors, decomp.vectors)
+    # an imaginary Hermitian part breaks the real structure of k = 0
+    a = np.random.default_rng(3).standard_normal((matrix.dim, matrix.dim))
+    noisy = dataclasses.replace(as_complex, entries=as_complex.entries + 1e-6j * (a - a.T))
+    with pytest.raises(SymmetryBreakingError, match="off-real"):
+        diagonalize(noisy)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -364,7 +363,7 @@ def test_block_spectra_match_diagonalize_per_block(n_sites, k):
     blocks = symmetry_blocks(matrix, z_parity)
     assert list(spectra) == list(blocks)
     for key, block in blocks.items():
-        oracle = diagonalize(SectorMatrix(matrix.params, k, np.array(block))).energies
+        oracle = np.linalg.eigvalsh(block)
         assert spectra[key].shape == oracle.shape
         assert np.max(np.abs(spectra[key] - oracle)) < 1e-12
     union = np.sort(np.concatenate(list(spectra.values())))
@@ -446,19 +445,13 @@ def test_block_spectra_linalg_failure_is_a_diagonalization_error(monkeypatch):
 
 
 def test_block_spectra_pre_solve_checks():
-    matrix = build_sector_hamiltonian(momentum_basis(8, 0), ModelParams(8, 1.0, 1.0))
+    matrix = sector(8, 0)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((matrix.dim, matrix.dim))
     # real noise couples the two parity blocks of k = 0
-    coupled = SectorMatrix(matrix.params, 0, matrix.entries + 1e-6 * (a + a.T), symmetry=matrix.symmetry)
+    coupled = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * (a + a.T))
     with pytest.raises(SymmetryBreakingError, match="couples two symmetry blocks"):
         block_spectra(coupled)
-    skewed = SectorMatrix(matrix.params, 0, matrix.entries + 1e-6 * a, symmetry=matrix.symmetry)
+    skewed = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * a)
     with pytest.raises(NonHermitianError, match="hermiticity defect"):
         block_spectra(skewed)
-    # without a symmetry the matrix is one block, complex input included
-    rng_h = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    h = (rng_h + rng_h.conj().T) / 2
-    spectra = block_spectra(as_sector(h))
-    assert list(spectra) == [(0, 0)]
-    assert np.max(np.abs(spectra[(0, 0)] - np.linalg.eigvalsh(h))) < 1e-12

@@ -54,6 +54,9 @@ def test_windows_fixed_width():
     windows = windows_fixed_width(energies, 0.25)
     assert all(w.size >= 2 for w in windows)
     assert all(w.hi - w.lo == pytest.approx(0.25) for w in windows)
+    # the last bin is closed on the right, as in np.histogram: no top level is lost
+    windows = windows_fixed_width(np.array([0.0, 1.0, 2.0, 3.0]), 1.5)
+    assert [w.indices.tolist() for w in windows] == [[0, 1], [2, 3]]
     with pytest.raises(ValueError):
         windows_fixed_width(energies, 0.0)
 
@@ -218,8 +221,8 @@ def test_inversion_matrix_is_involution_and_commutes(store):
 def test_half_momentum_inversion_phases():
     # at k = N/2 invariant states may carry inversion eigenvalue -1; the
     # operator stays a real involution (classified by enumeration: a state
-    # is invariant iff the oracle maps it onto itself), and the sector's
-    # symmetry map carries the same signs
+    # is invariant iff the oracle maps it onto itself), and the real basis
+    # gives each invariant state's column the same sign as its parity
     basis = momentum_basis(8, 4)
     s_op = inversion_matrix(basis)
     assert np.max(np.abs(s_op.imag)) == 0.0
@@ -228,9 +231,10 @@ def test_half_momentum_inversion_phases():
     diag = np.array([s_op[i, i].real for i in invariant])
     assert set(np.round(diag).astype(int)) <= {-1, 1}
     assert np.any(diag < 0)  # the -1 branch genuinely occurs
-    signs = build_sector_hamiltonian(basis, ModelParams(8, 1.0, 1.0)).symmetry.parity_signs
-    assert np.array_equal(signs[invariant], diag)
-    assert build_sector_hamiltonian(momentum_basis(8, 3), ModelParams(8, 1.0, 1.0)).symmetry.parity_signs is None
+    rows, parity = basis.real_layout.rows, basis.real_layout.parity
+    single = np.isin(rows, invariant)
+    assert np.array_equal(parity[single], np.diag(s_op).real[rows[single]])
+    assert not momentum_basis(8, 3).real_layout.parity.any()
 
 
 def test_split_by_parity_counts(store):

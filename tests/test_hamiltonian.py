@@ -13,6 +13,7 @@ from isingchaos.hamiltonian import (
     symmetry_blocks,
 )
 from isingchaos.spin_basis import momentum_basis, rotate_left
+from parity_oracle import inversion_matrix
 
 
 def test_two_site_matrix_explicit():
@@ -184,11 +185,10 @@ def test_zero_momentum_sector_is_real():
     assert np.max(np.abs(sector_half.entries.imag)) < 1e-15
 
 
-def conjugation_matrix(sector) -> np.ndarray:
-    """The unitary part M of A = M K, from the sector's inversion x conjugation map."""
-    sym = sector.symmetry
-    m = np.zeros((sector.dim, sector.dim), dtype=np.complex128)
-    m[sym.partner, np.arange(sector.dim)] = np.exp(1j * sym.angle)
+def conjugation_matrix(basis) -> np.ndarray:
+    """The unitary part M of A = M K, from the basis's inversion x conjugation map."""
+    m = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    m[basis.partner, np.arange(basis.dim)] = np.exp(1j * basis.angle)
     return m
 
 
@@ -197,32 +197,43 @@ def conjugation_matrix(sector) -> np.ndarray:
 def test_sector_commutes_with_inversion_conjugation(n_sites, lam, alpha):
     for k in range(n_sites):
         sector = build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, lam, alpha))
-        m = conjugation_matrix(sector)
+        m = conjugation_matrix(sector.basis)
         assert np.max(np.abs(m @ m.conj() - np.eye(sector.dim))) < 1e-15  # A^2 = 1
         assert np.max(np.abs(m @ sector.entries.conj() - sector.entries @ m)) < 1e-12
 
 
 @pytest.mark.parametrize("n_sites,k", [(7, 0), (7, 3), (8, 2), (8, 4), (9, 4)])
 def test_real_basis_is_unitary_and_invariant(n_sites, k):
-    sector = build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, 1.0, 1.0))
-    u = sector.symmetry.from_real(np.eye(sector.dim))
-    assert np.max(np.abs(u.conj().T @ u - np.eye(sector.dim))) < 1e-14
+    basis = momentum_basis(n_sites, k)
+    sector = build_sector_hamiltonian(basis, ModelParams(n_sites, 1.0, 1.0))
+    u = basis.from_real(np.eye(basis.dim))
+    assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))) < 1e-14
     assert np.max(np.abs(np.sum(u != 0, axis=0) - 1.5)) <= 0.5  # one or two nonzeros per column
-    # every column is A-invariant, so the rotated block is real
-    assert np.max(np.abs(conjugation_matrix(sector) @ u.conj() - u)) < 1e-14
-    rotated = sector.symmetry.to_real(sector.entries)
-    assert np.max(np.abs(rotated - u.conj().T @ sector.entries @ u)) < 1e-12
-    assert np.max(np.abs(rotated.imag)) < 1e-12
-    signs = sector.symmetry.parity_signs
-    if signs is None:
+    # A maps each column onto itself, times its inversion parity where there is one
+    parity = basis.real_layout.parity
+    sign = np.where(parity < 0, -1.0, 1.0)
+    assert np.max(np.abs(conjugation_matrix(basis) @ u.conj() - u * sign)) < 1e-14
+    g = basis.to_real(sector.entries)
+    assert np.max(np.abs(g - u.conj().T @ sector.entries @ u)) < 1e-12
+    assert np.max(np.abs(g.imag)) < 1e-12
+    if not basis.is_real:
+        assert 2 * k % n_sites != 0 and not parity.any()
         return
     # k = 0, N/2: the parity basis is real orthogonal and splits h into two blocks
-    assert 2 * k % n_sites == 0 and sector.entries.dtype == np.float64
-    u = sector.symmetry.from_real(np.eye(sector.dim), parity=True)
-    assert np.max(np.abs(u.T @ u - np.eye(sector.dim))) < 1e-14
-    assert np.max(np.abs(np.sum(u != 0, axis=0) - 1.5)) <= 0.5
-    g = sector.symmetry.to_real(sector.entries, parity=True)
-    assert g.dtype == np.float64
-    assert np.max(np.abs(g - u.T @ sector.entries @ u)) < 1e-12
-    n_even = symmetry_blocks(sector)[0, 1].shape[0]
+    assert 2 * k % n_sites == 0 and u.dtype == g.dtype == np.float64
+    n_even = int(np.sum(parity == 1))
+    assert np.all(parity[n_even:] == -1)
     assert np.max(np.abs(g[:n_even, n_even:])) < 1e-12
+    assert symmetry_blocks(sector)[0, 1].shape[0] == n_even
+
+
+@pytest.mark.parametrize("n_sites,k", [(8, 4), (10, 0), (10, 5)])
+def test_real_layout_parities_match_inversion_oracle(n_sites, k):
+    basis = momentum_basis(n_sites, k)
+    u = basis.from_real(np.eye(basis.dim))
+    # the real basis diagonalizes the state-by-state inversion, with the column parities as signs
+    rotated = u.T @ inversion_matrix(basis) @ u
+    signs = np.diag(rotated).real
+    assert np.max(np.abs(rotated - np.diag(signs))) < 1e-14
+    assert np.array_equal(np.sign(signs), basis.real_layout.parity)
+    assert np.max(np.abs(np.abs(signs) - 1)) < 1e-14
