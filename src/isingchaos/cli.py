@@ -55,14 +55,50 @@ CORRECTION_VARIANTS = {
 }
 
 
+# every optional flag: (RunConfig field, further add_argument keywords); the
+# defaults are those of the RunConfig fields
+FLAGS = {
+    "--lambda": ("lam", {"type": float}),
+    "--alpha": ("alpha", {"type": float}),
+    "--corrections": ("corrections", {"choices": sorted(CORRECTION_VARIANTS)}),
+    "--window-levels": ("window_levels", {"type": int}),
+    "--bulk-fraction": ("bulk_fraction", {"type": float}),
+    "--grid": ("grid", {"type": int}),
+    "--cache-dir": ("cache_dir", {}),
+    "--out": ("out_dir", {}),
+    "--seed": ("seed", {"type": int}),
+    "--format": ("format", {"choices": ["csv", "json"]}),
+    "--symbol": ("symbols", {"type": int, "action": "append"}),
+    "--surrogate": ("surrogate", {"choices": ["goe", "poisson"]}),
+}
+
+# the flags each command reads besides --spins and --momentum; any other exits 2
+COMMAND_FLAGS = {
+    "basis-info": ["--out", "--format"],
+    "diag": ["--lambda", "--alpha", "--cache-dir"],
+    "predict": ["--lambda", "--alpha", "--corrections", "--grid", "--out"],
+    "compare": [
+        "--lambda", "--alpha", "--corrections", "--window-levels", "--bulk-fraction",
+        "--grid", "--cache-dir", "--out",
+    ],
+    "coeff-hist": ["--lambda", "--alpha", "--window-levels", "--cache-dir", "--out", "--symbol"],
+    "spacing": ["--lambda", "--alpha", "--seed", "--surrogate"],
+}
+
+
 @dataclass
 class RunConfig:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run.
+
+    Settings the command does not read keep their defaults, and ``to_json``
+    leaves them out, so the record reloads to an equal ``RunConfig``.
+    """
 
     n_sites: int
-    lam: float
-    alpha: float
     momenta: list[int]
+    command: str | None = None
+    lam: float = 1.0
+    alpha: float = 1.0
     corrections: str = "gram-charlier"
     window_levels: int | None = None
     bulk_fraction: float = 0.6
@@ -70,11 +106,21 @@ class RunConfig:
     cache_dir: str | None = None
     out_dir: str | None = None
     seed: int = 0
-    q_values: list[float] = dataclasses.field(default_factory=lambda: [1.5, 2.0, 3.0])
     format: str = "csv"
+    symbols: list[int] | None = None
+    surrogate: str | None = None
+    q_values: list[float] = dataclasses.field(default_factory=lambda: [1.5, 2.0, 3.0])
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
+        """``n_sites``, ``momenta`` and what ``command`` reads; every field without a command."""
+        record = dataclasses.asdict(self)
+        if self.command is not None:
+            read = {"command", "n_sites", "momenta"}
+            read.update(FLAGS[flag][0] for flag in COMMAND_FLAGS[self.command])
+            if self.command == "predict":
+                read.add("q_values")
+            record = {key: value for key, value in record.items() if key in read}
+        return json.dumps(record, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -102,7 +148,9 @@ def _parse_momenta(raw: list[str], n_sites: int) -> list[int]:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     momenta = _parse_momenta(args.momentum or ["all"], args.spins)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
+    settings = {dest: getattr(args, dest) for dest, _ in FLAGS.values()}
+    if "--cache-dir" in COMMAND_FLAGS[args.command]:
+        settings["cache_dir"] = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     ModelParams(n_sites=args.spins, lam=args.lam, alpha=args.alpha)  # raises on bad values
     if not 0.0 < args.bulk_fraction <= 1.0:
         raise ValueError(f"--bulk-fraction {args.bulk_fraction} is outside (0, 1]")
@@ -113,26 +161,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ):
         if value is not None and value < low:
             raise ValueError(f"{flag} {value} is below {low}")
-    return RunConfig(
-        n_sites=args.spins,
-        lam=args.lam,
-        alpha=args.alpha,
-        momenta=momenta,
-        corrections=args.corrections,
-        window_levels=args.window_levels,
-        bulk_fraction=args.bulk_fraction,
-        grid=args.grid,
-        cache_dir=cache_dir,
-        out_dir=args.out,
-        seed=args.seed,
-        format=args.format,
-    )
+    return RunConfig(n_sites=args.spins, momenta=momenta, command=args.command, **settings)
 
 
-def _check_symbols(symbols: list[int], config: RunConfig) -> None:
+def _check_symbols(config: RunConfig) -> None:
     for k in config.momenta:
         dim = sector_dimension(config.n_sites, k)
-        for sym in symbols:
+        for sym in config.symbols or []:
             if not 0 <= sym < dim:
                 raise ValueError(f"--symbol {sym} outside [0, {dim}) at k={k}")
 
@@ -234,106 +269,107 @@ def cmd_predict(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _compare_sector(config: RunConfig, k: int, grid, model, baseline, out: Path) -> dict:
+    basis, decomp, _ = _decompose_sector(config, k)
+    windows = empirics.windows_fixed_count(
+        decomp.energies, config.default_window_levels(decomp.dim)
+    )
+    _, pr = empirics.empirical_participation_ratio(decomp)
+    emp = np.array([pr[w.indices].mean() for w in windows])
+    corrected = prediction_curve(basis, model, grid)
+    uncorrected = prediction_curve(basis, baseline, grid, delta_mode="none")
+    rep_c = empirics.compare(grid, corrected.pr, windows, emp, decomp.dim, config.bulk_fraction)
+    rep_u = empirics.compare(grid, uncorrected.pr, windows, emp, decomp.dim, config.bulk_fraction)
+    with open(out / f"compare_k{k}.csv", "w", newline="") as fh:
+        fh.write("E,empirical_Pr,predicted_corrected,predicted_uncorrected,in_bulk\n")
+        for row_c, row_u in zip(rep_c.rows, rep_u.rows):
+            fh.write(
+                ",".join(
+                    [
+                        fmt_float(row_c.e_center),
+                        fmt_float(row_c.empirical),
+                        fmt_float(row_c.predicted),
+                        fmt_float(row_u.predicted),
+                        str(int(row_c.in_bulk)),
+                    ]
+                )
+                + "\n"
+            )
+    print(
+        f"k={k}: corrected median dev {rep_c.bulk_median:.4f}, "
+        f"uncorrected {rep_u.bulk_median:.4f}"
+    )
+    return {"corrected": rep_c.to_dict(), "uncorrected": rep_u.to_dict()}
+
+
 def cmd_compare(config: RunConfig) -> int:
     out = _ensure_out_dir(config)
     grid = _model_grid(config)
     variant = CORRECTION_VARIANTS[config.corrections]
     model = build_strength_model(config.params, variant)
     baseline = build_strength_model(config.params, "gaussian")
-    report_all = {}
-    for k in config.momenta:
-        basis, decomp, _ = _decompose_sector(config, k)
-        windows = empirics.windows_fixed_count(
-            decomp.energies, config.default_window_levels(decomp.dim)
-        )
-        _, pr = empirics.empirical_participation_ratio(decomp)
-        emp = np.array([pr[w.indices].mean() for w in windows])
-        corrected = prediction_curve(basis, model, grid)
-        uncorrected = prediction_curve(basis, baseline, grid, delta_mode="none")
-        rep_c = empirics.compare(
-            grid, corrected.pr, windows, emp, decomp.dim, config.bulk_fraction
-        )
-        rep_u = empirics.compare(
-            grid, uncorrected.pr, windows, emp, decomp.dim, config.bulk_fraction
-        )
-        report_all[f"k={k}"] = {
-            "corrected": rep_c.to_dict(),
-            "uncorrected": rep_u.to_dict(),
-        }
-        with open(out / f"compare_k{k}.csv", "w", newline="") as fh:
-            fh.write("E,empirical_Pr,predicted_corrected,predicted_uncorrected,in_bulk\n")
-            for row_c, row_u in zip(rep_c.rows, rep_u.rows):
-                fh.write(
-                    ",".join(
-                        [
-                            fmt_float(row_c.e_center),
-                            fmt_float(row_c.empirical),
-                            fmt_float(row_c.predicted),
-                            fmt_float(row_u.predicted),
-                            str(int(row_c.in_bulk)),
-                        ]
-                    )
-                    + "\n"
-                )
-        print(
-            f"k={k}: corrected median dev {rep_c.bulk_median:.4f}, "
-            f"uncorrected {rep_u.bulk_median:.4f}"
-        )
-        del basis, decomp  # free this sector before the next one loads
+    # one sector per call, so that every array of a sector is freed before the next one
+    # loads; an array kept past that can pin the freed eigenvectors' heap block, and a
+    # larger next sector then takes fresh memory
+    report_all = {
+        f"k={k}": _compare_sector(config, k, grid, model, baseline, out) for k in config.momenta
+    }
     (out / "comparison_report.json").write_text(json.dumps(report_all, indent=2))
     return EXIT_OK
 
 
-def cmd_coeff_hist(config: RunConfig, symbols: list[int]) -> int:
+def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
+    basis, decomp, _ = _decompose_sector(config, k)
+    windows = empirics.windows_fixed_count(
+        decomp.energies, config.default_window_levels(decomp.dim)
+    )
+    for sym in config.symbols or [decomp.dim // 2]:
+        stats = empirics.windowed_coefficient_stats(decomp, sym, windows)
+        path = out / f"coeff_hist_k{k}_s{sym}.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("window,bin_lo,bin_hi,count,density,chi2_reduced,n_samples\n")
+            for i, st in enumerate(stats):
+                if st.insufficient:
+                    continue
+                dens = st.density
+                for j, (lo, hi) in enumerate(zip(st.bin_edges[:-1], st.bin_edges[1:])):
+                    fh.write(
+                        ",".join(
+                            [
+                                str(i),
+                                fmt_float(lo),
+                                fmt_float(hi),
+                                str(int(st.counts[j])),
+                                fmt_float(dens[j]),
+                                fmt_float(st.chi2_reduced),
+                                str(st.n_samples),
+                            ]
+                        )
+                        + "\n"
+                    )
+        print(f"k={k} symbol={sym}: wrote {path}")
+
+
+def cmd_coeff_hist(config: RunConfig) -> int:
     out = _ensure_out_dir(config)
     for k in config.momenta:
-        basis, decomp, _ = _decompose_sector(config, k)
-        chosen = symbols or [decomp.dim // 2]
-        windows = empirics.windows_fixed_count(
-            decomp.energies, config.default_window_levels(decomp.dim)
-        )
-        for sym in chosen:
-            stats = empirics.windowed_coefficient_stats(decomp, sym, windows)
-            path = out / f"coeff_hist_k{k}_s{sym}.csv"
-            with open(path, "w", newline="") as fh:
-                fh.write("window,bin_lo,bin_hi,count,density,chi2_reduced,n_samples\n")
-                for i, st in enumerate(stats):
-                    if st.insufficient:
-                        continue
-                    dens = st.density
-                    for j, (lo, hi) in enumerate(zip(st.bin_edges[:-1], st.bin_edges[1:])):
-                        fh.write(
-                            ",".join(
-                                [
-                                    str(i),
-                                    fmt_float(lo),
-                                    fmt_float(hi),
-                                    str(int(st.counts[j])),
-                                    fmt_float(dens[j]),
-                                    fmt_float(st.chi2_reduced),
-                                    str(st.n_samples),
-                                ]
-                            )
-                            + "\n"
-                        )
-            print(f"k={k} symbol={sym}: wrote {path}")
-        del basis, decomp  # free this sector before the next one loads
+        _coeff_hist_sector(config, k, out)  # one sector per call, as in cmd_compare
     return EXIT_OK
 
 
-def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
+def cmd_spacing(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     print(
         f"reference values: GOE {empirics.GOE_MEAN_R:.4f}, "
         f"Poisson {empirics.POISSON_MEAN_R:.4f}"
     )
-    if surrogate == "goe":
+    if config.surrogate == "goe":
         rs = [
             empirics.spacing_ratio(empirics.goe_surrogate_levels(800, rng)).mean_r
             for _ in range(10)
         ]
         print(f"GOE surrogate mean r: {np.mean(rs):.4f}")
-    elif surrogate == "poisson":
+    elif config.surrogate == "poisson":
         r = empirics.spacing_ratio(empirics.poisson_surrogate_levels(200000, rng))
         print(f"Poisson surrogate mean r: {r.mean_r:.4f}")
     for k in config.momenta:
@@ -359,33 +395,13 @@ def cmd_spacing(config: RunConfig, surrogate: str | None) -> int:
     return EXIT_OK
 
 
-# every optional flag: (destination, default, further add_argument keywords)
-FLAGS = {
-    "--lambda": ("lam", 1.0, {"type": float}),
-    "--alpha": ("alpha", 1.0, {"type": float}),
-    "--corrections": ("corrections", "gram-charlier", {"choices": sorted(CORRECTION_VARIANTS)}),
-    "--window-levels": ("window_levels", None, {"type": int}),
-    "--bulk-fraction": ("bulk_fraction", 0.6, {"type": float}),
-    "--grid": ("grid", 512, {"type": int}),
-    "--cache-dir": ("cache_dir", None, {}),
-    "--out": ("out", None, {}),
-    "--seed": ("seed", 0, {"type": int}),
-    "--format": ("format", "csv", {"choices": ["csv", "json"]}),
-    "--symbol": ("symbol", None, {"type": int, "action": "append"}),
-    "--surrogate": ("surrogate", None, {"choices": ["goe", "poisson"]}),
-}
-
-# the flags each command reads besides --spins and --momentum; any other exits 2
-COMMAND_FLAGS = {
-    "basis-info": ["--out", "--format"],
-    "diag": ["--lambda", "--alpha", "--cache-dir"],
-    "predict": ["--lambda", "--alpha", "--corrections", "--grid", "--out"],
-    "compare": [
-        "--lambda", "--alpha", "--corrections", "--window-levels", "--bulk-fraction",
-        "--grid", "--cache-dir", "--out",
-    ],
-    "coeff-hist": ["--lambda", "--alpha", "--window-levels", "--cache-dir", "--out", "--symbol"],
-    "spacing": ["--lambda", "--alpha", "--seed", "--surrogate"],
+COMMANDS = {
+    "basis-info": cmd_basis_info,
+    "diag": cmd_diag,
+    "predict": cmd_predict,
+    "compare": cmd_compare,
+    "coeff-hist": cmd_coeff_hist,
+    "spacing": cmd_spacing,
 }
 
 
@@ -396,10 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
         "of the two-field Ising chain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    defaults = {dest: fields[dest] for dest, _ in FLAGS.values()}
     for name, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(name)
         # flags a command does not take keep their defaults, so every run has a full config
-        p.set_defaults(**{dest: default for dest, default, _ in FLAGS.values()})
+        p.set_defaults(**defaults)
         p.add_argument("--spins", type=int, required=True, help="chain length N")
         p.add_argument(
             "--momentum",
@@ -408,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="sector momentum (repeatable) or 'all'",
         )
         for flag in flags:
-            dest, _, keywords = FLAGS[flag]
+            dest, keywords = FLAGS[flag]
             p.add_argument(flag, dest=dest, **keywords)
     return parser
 
@@ -419,22 +437,11 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "coeff-hist":
-            _check_symbols(args.symbol or [], config)
+            _check_symbols(config)
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
     try:
-        if args.command == "basis-info":
-            return cmd_basis_info(config)
-        if args.command == "diag":
-            return cmd_diag(config)
-        if args.command == "predict":
-            return cmd_predict(config)
-        if args.command == "compare":
-            return cmd_compare(config)
-        if args.command == "coeff-hist":
-            return cmd_coeff_hist(config, args.symbol or [])
-        if args.command == "spacing":
-            return cmd_spacing(config, args.surrogate)
+        return COMMANDS[args.command](config)
     except ChainSizeError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -447,7 +454,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

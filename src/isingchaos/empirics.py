@@ -19,8 +19,8 @@ from .eigensolve import EigenDecomposition
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
 
-# eigenvectors per chunk of the participation-ratio sum
-PR_CHUNK_COLUMNS = 64
+# eigenvector rows per block of the moment sums sum_n |C_n|^2q
+MOMENT_CHUNK_ROWS = 64
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -204,22 +204,38 @@ def sector_state_moments(matrix: np.ndarray, index: int, order: int = 4) -> np.n
 
 
 def empirical_participation_ratio(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Per-eigenstate (E_a, Pr_a) with Pr = 1 / sum |C|^4 in the sector basis.
-
-    Summed in chunks of ``PR_CHUNK_COLUMNS`` eigenvectors, so no D x D
-    temporary is made; each column sums in the same order as a whole-matrix sum.
-    """
-    vectors = decomp.vectors
-    sums = np.empty(vectors.shape[1])
-    for start in range(0, vectors.shape[1], PR_CHUNK_COLUMNS):
-        cols = slice(start, start + PR_CHUNK_COLUMNS)
-        sums[cols] = np.sum(np.abs(vectors[:, cols]) ** 4, axis=0)
-    return decomp.energies.copy(), 1.0 / sums
+    """Per-eigenstate (E_a, Pr_a) with Pr = 1 / sum |C|^4 in the sector basis."""
+    return decomp.energies.copy(), 1.0 / state_moment_sums(decomp, 2.0)
 
 
 def state_moment_sums(decomp: EigenDecomposition, q: float) -> np.ndarray:
-    """Per-eigenstate sum_n |C_n|^2q."""
-    return np.sum(np.abs(decomp.vectors) ** (2 * q), axis=0)
+    """Per-eigenstate sum_n |C_n|^2q, with |C|^2 = Re^2 + Im^2 and, at q = 2, no pow().
+
+    The rows go through in blocks of ``MOMENT_CHUNK_ROWS`` into one small
+    (rows + 1) x D buffer whose first row carries the running sums, so no
+    D x D temporary is made and each column adds its rows in the same order
+    as ``np.sum(..., axis=0)`` of the whole C-ordered array.
+    """
+    vectors = decomp.vectors
+    n_rows, n_cols = vectors.shape
+    buf = np.zeros((MOMENT_CHUNK_ROWS + 1, n_cols))
+    imag_sq = np.empty((MOMENT_CHUNK_ROWS, n_cols))
+    sums = np.zeros(n_cols)
+    for start in range(0, n_rows, MOMENT_CHUNK_ROWS):
+        block = vectors[start : start + MOMENT_CHUNK_ROWS]
+        rows = block.shape[0]
+        p = buf[1 : rows + 1]
+        np.multiply(block.real, block.real, out=p)
+        if np.iscomplexobj(block):
+            np.multiply(block.imag, block.imag, out=imag_sq[:rows])
+            p += imag_sq[:rows]
+        if q == 2:
+            p *= p
+        elif q != 1:
+            np.power(p, q, out=p)
+        buf[0] = sums
+        np.sum(buf[: rows + 1], axis=0, out=sums)
+    return sums
 
 
 def empirical_moments(

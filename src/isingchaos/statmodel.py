@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -83,8 +84,21 @@ def _panel_quadrature(n_nodes: int, half_width: float = GIBBS_HALF_WIDTH):
 
 
 def _power_table(nodes: np.ndarray, n_max: int = 8) -> np.ndarray:
-    """Columns x^0 .. x^n_max of the quadrature nodes, built once per grid."""
+    """Columns x^0 .. x^n_max of the quadrature nodes."""
     return np.vander(nodes, n_max + 1, increasing=True)
+
+
+@lru_cache(maxsize=8)
+def _gibbs_grid(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and power table of one composite grid, built once per node count.
+
+    Every fit shares them, so they are read-only.
+    """
+    nodes, weights = _panel_quadrature(n_nodes)
+    powers = _power_table(nodes)
+    weights.flags.writeable = False
+    powers.flags.writeable = False
+    return weights, powers
 
 
 def _std_moments(coeffs, powers: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -208,8 +222,7 @@ def fit_gibbs(
     nodes_now = n_nodes
     coeffs = None
     for _refine in range(4):
-        nodes, weights = _panel_quadrature(nodes_now)
-        powers = _power_table(nodes)
+        weights, powers = _gibbs_grid(nodes_now)
         start = np.zeros(4)
         start[1] = 0.5
         coeffs, m_std, res_std = _newton_solve(
@@ -226,8 +239,8 @@ def fit_gibbs(
                 coeffs, m_std, res_std = _newton_solve(
                     partial, n_orders, powers, weights, tol_std, max_iter, coeffs
                 )
-        fine_nodes, fine_weights = _panel_quadrature(2 * nodes_now)
-        m_fine = _std_moments(coeffs, _power_table(fine_nodes), fine_weights)
+        fine_weights, fine_powers = _gibbs_grid(2 * nodes_now)
+        m_fine = _std_moments(coeffs, fine_powers, fine_weights)
         mu_fit = _std_to_energy_moments(m_fine, moments.e_n, sigma)
         residual = float(np.max(np.abs(mu_fit - mu_target)[:n_orders] / mu_scale[:n_orders]))
         if residual < tol:
@@ -344,14 +357,30 @@ def strength_density(model: StrengthModel, n_up: int, energy) -> np.ndarray:
 
 
 def _density_stack(model: StrengthModel, energy) -> np.ndarray:
+    """The (N+1) x G stack of P_n(E): the one input of every prediction."""
     e = np.atleast_1d(np.asarray(energy, dtype=float))
     return np.stack([strength_density(model, n, e) for n in range(model.n_sites + 1)])
+
+
+def _energy_shaped(out: np.ndarray, energy):
+    return out if np.ndim(energy) else float(out[0])
 
 
 def prediction_span(params: ModelParams) -> float:
     """Half-width |lam| N + 6 sigma of the energy range that predictions cover."""
     sigma = np.sqrt(params.n_sites * (1 + params.alpha**2))
     return abs(params.lam) * params.n_sites + 6 * sigma
+
+
+def _spectral_density(stack: np.ndarray, basis: MomentumBasis | None) -> np.ndarray:
+    n = stack.shape[0] - 1
+    if basis is None:
+        weights = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
+        weights /= 2.0**n
+    else:
+        weights = basis.nu_tot().astype(float)
+        weights /= weights.sum()
+    return np.clip(weights @ stack, 0.0, None)
 
 
 def model_spectral_density(
@@ -363,16 +392,7 @@ def model_spectral_density(
     used; with a basis, the sector's per-n state counts.  Negative lobes of
     the corrected expansion are truncated so the density stays a density.
     """
-    stack = _density_stack(model, energy)
-    n = model.n_sites
-    if basis is None:
-        weights = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
-        weights /= 2.0**n
-    else:
-        weights = basis.nu_tot().astype(float)
-        weights /= weights.sum()
-    out = np.clip(weights @ stack, 0.0, None)
-    return out if np.ndim(energy) else float(out[0])
+    return _energy_shaped(_spectral_density(_density_stack(model, energy), basis), energy)
 
 
 def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
@@ -380,21 +400,41 @@ def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
     return np.clip(stack, 0.0, None) ** q
 
 
-def delta_correction(
-    basis: MomentumBasis, model: StrengthModel, energy, q: float, mode: str = "uniform"
-):
-    """Invariant-state weight delta_q(E), its uniform approximation, or 0 for "none"."""
+def _delta(basis: MomentumBasis, powered: np.ndarray | None, mode: str):
+    """delta_q from ``powered``, the clipped stack to the power q (read by "exact" only)."""
     if mode == "uniform":
         return basis.delta
     if mode == "none":
         return 0.0
     if mode != "exact":
         raise ValueError("mode must be 'uniform', 'exact' or 'none'")
-    stack = _clipped_power(_density_stack(model, energy), q)
-    num = basis.nu_inv().astype(float) @ stack
-    den = basis.nu_tot().astype(float) @ stack
-    out = num / den
-    return out if np.ndim(energy) else float(out[0])
+    return (basis.nu_inv().astype(float) @ powered) / (basis.nu_tot().astype(float) @ powered)
+
+
+def delta_correction(
+    basis: MomentumBasis, model: StrengthModel, energy, q: float, mode: str = "uniform"
+):
+    """Invariant-state weight delta_q(E), its uniform approximation, or 0 for "none"."""
+    if mode != "exact":
+        return _delta(basis, None, mode)
+    powered = _clipped_power(_density_stack(model, energy), q)
+    return _energy_shaped(_delta(basis, powered, mode), energy)
+
+
+def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
+    """M_q on the grid of ``clipped``, the density stack clipped at zero."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    nu = basis.nu_tot().astype(float)
+    powered = clipped**q
+    s1 = nu @ clipped
+    sq = nu @ powered
+    delta = _delta(basis, powered, delta_mode)
+    if basis.is_real:
+        factor = r_q_real(q) * (1.0 + (2.0 ** (q - 1) - 1.0) * delta)
+    else:
+        factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
+    return factor * sq / s1**q
 
 
 def predict_moment(
@@ -411,19 +451,8 @@ def predict_moment(
     complex sectors interpolate between complex and real ensemble factors
     with weight delta.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    stack = _clipped_power(_density_stack(model, energy), 1.0)
-    nu = basis.nu_tot().astype(float)
-    s1 = nu @ stack
-    sq = nu @ stack**q
-    delta = delta_correction(basis, model, energy, q, delta_mode)
-    if basis.is_real:
-        factor = r_q_real(q) * (1.0 + (2.0 ** (q - 1) - 1.0) * delta)
-    else:
-        factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
-    out = factor * sq / s1**q
-    return out if np.ndim(energy) else float(out[0])
+    clipped = _clipped_power(_density_stack(model, energy), 1.0)
+    return _energy_shaped(_moment(basis, clipped, q, delta_mode), energy)
 
 
 def predict_participation_ratio(
@@ -502,13 +531,19 @@ def prediction_curve(
 ) -> PredictionCurve:
     """Evaluate density, M_q, and Pr predictions on a grid.
 
-    ``delta_mode="none"`` drops the invariant-state corrections (delta = 0),
-    giving the plain Gaussian-ensemble baseline.
+    The strength-density stack is built once and every column comes from it,
+    through the same helpers as ``model_spectral_density``, ``predict_moment``
+    and ``predict_participation_ratio``.  ``delta_mode="none"`` drops the
+    invariant-state corrections (delta = 0), giving the plain
+    Gaussian-ensemble baseline.
     """
     energies = np.asarray(energies, dtype=float)
-    rho = model_spectral_density(model, energies, basis)
-    moments = {q: predict_moment(basis, model, energies, q, delta_mode) for q in q_values}
-    pr = predict_participation_ratio(basis, model, energies, delta_mode)
+    stack = _density_stack(model, energies)
+    rho = _spectral_density(stack, basis)
+    clipped = _clipped_power(stack, 1.0)
+    moments = {q: _moment(basis, clipped, q, delta_mode) for q in q_values}
+    m2 = moments[2.0] if 2.0 in moments else _moment(basis, clipped, 2.0, delta_mode)
+    pr = 1.0 / m2
     corrections = []
     if model.variant != "gaussian":
         corrections.append(model.variant)

@@ -1,5 +1,6 @@
 """CLI pipelines: argument handling, caching, determinism, exports."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-from isingchaos.cli import EXIT_BAD_ARGS, EXIT_NUMERICAL, EXIT_OK, RunConfig, main
+from isingchaos.cli import (
+    EXIT_BAD_ARGS,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    RunConfig,
+    _config_from_args,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -172,6 +181,59 @@ def test_compare_pipeline(tmp_path, capsys):
     csv_rows = (tmp_path / "out" / "compare_k0.csv").read_text().splitlines()
     assert csv_rows[0] == "E,empirical_Pr,predicted_corrected,predicted_uncorrected,in_bulk"
     assert len(csv_rows) > 3
+
+
+def test_compare_gibbs_twice_in_one_process_is_byte_identical(tmp_path, capsys):
+    from isingchaos import statmodel
+
+    cache = str(tmp_path / "cache")
+    assert run(capsys, "diag", "--spins", "10", "--momentum", "all", "--cache-dir", cache)[0] == EXIT_OK
+    statmodel._gibbs_grid.cache_clear()  # the first run builds the quadrature, the second reuses it
+    argv = ["compare", "--spins", "10", "--momentum", "all", "--corrections", "gibbs", "--cache-dir", cache]
+    for name in ("cold", "warm"):
+        assert run(capsys, *argv, "--out", str(tmp_path / name))[0] == EXIT_OK
+    outputs = sorted(p.name for p in (tmp_path / "cold").iterdir() if p.name != "run_config.json")
+    assert len(outputs) == 11 and "comparison_report.json" in outputs
+    for name in outputs:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+def test_run_config_records_only_what_the_command_reads(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("ISINGCHAOS_CACHE_DIR", str(cache))
+    cases = [
+        (
+            ["basis-info", "--spins", "6", "--momentum", "0"],
+            {"out_dir", "format"},
+            RunConfig(n_sites=6, momenta=[0], command="basis-info"),
+        ),
+        (
+            ["compare", "--spins", "10", "--momentum", "1", "--corrections", "gibbs",
+             "--window-levels", "10"],
+            {"lam", "alpha", "corrections", "window_levels", "bulk_fraction", "grid",
+             "cache_dir", "out_dir"},
+            RunConfig(n_sites=10, momenta=[1], command="compare", corrections="gibbs",
+                      window_levels=10, cache_dir=str(cache)),
+        ),
+        (
+            ["predict", "--spins", "6", "--momentum", "0", "--grid", "16"],
+            {"lam", "alpha", "corrections", "grid", "out_dir", "q_values"},
+            RunConfig(n_sites=6, momenta=[0], command="predict", grid=16),
+        ),
+    ]
+    for argv, read, expected in cases:
+        out = tmp_path / argv[0]
+        assert run(capsys, *argv, "--out", str(out))[0] == EXIT_OK
+        text = (out / "run_config.json").read_text()
+        assert set(json.loads(text)) == {"command", "n_sites", "momenta"} | read
+        config = RunConfig.from_json(text)
+        assert config == dataclasses.replace(expected, out_dir=str(out))
+        assert config.to_json() == text
+        # basis-info takes no --cache-dir and leaves the variable unread; compare fills it
+        assert cache.exists() == (argv[0] != "basis-info")
+    for command, takes_cache in (("basis-info", False), ("spacing", False), ("compare", True)):
+        config = _config_from_args(build_parser().parse_args([command, "--spins", "6"]))
+        assert config.cache_dir == (str(cache) if takes_cache else None)
 
 
 def test_coeff_hist(tmp_path, capsys):

@@ -16,6 +16,7 @@ from isingchaos.empirics import (
     poisson_surrogate_levels,
     sector_state_moments,
     spacing_ratio,
+    state_moment_sums,
     strength_moments,
     windowed_coefficient_stats,
     windows_fixed_count,
@@ -146,20 +147,59 @@ def test_participation_ratio_synthetic():
     assert pr[0] == pytest.approx(8.0)
 
 
-def test_chunked_participation_ratio_is_exact_and_small(store):
+def _peak_bytes(fn, *args):
     import tracemalloc
 
+    tracemalloc.start()
+    fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def _unchunked_moment_sums(vectors, q):
+    """Whole-matrix oracle of the kernel's formula: sum_n (Re^2 + Im^2)^q."""
+    p = vectors.real**2 + vectors.imag**2
+    return np.sum(p * p if q == 2 else p**q, axis=0)
+
+
+def test_chunked_participation_ratio_is_exact_and_small(store):
     from isingchaos import empirics
 
     basis, decomp = store.get(12, 1)
-    assert decomp.dim > empirics.PR_CHUNK_COLUMNS and decomp.dim % empirics.PR_CHUNK_COLUMNS
+    rows = empirics.MOMENT_CHUNK_ROWS
+    assert decomp.dim > rows and decomp.dim % rows  # several blocks, the last one short
     _, pr = empirical_participation_ratio(decomp)
-    assert np.array_equal(pr, 1.0 / np.sum(np.abs(decomp.vectors) ** 4, axis=0))
-    tracemalloc.start()
-    empirical_participation_ratio(decomp)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 0.5 * decomp.vectors.nbytes  # no D x D temporary
+    # exact against the same formula summed without chunks
+    assert np.array_equal(pr, 1.0 / _unchunked_moment_sums(decomp.vectors, 2.0))
+    # and within rounding of the plain |C|^4 sum
+    np.testing.assert_allclose(
+        pr, 1.0 / np.sum(np.abs(decomp.vectors) ** 4, axis=0), rtol=1e-14, atol=0
+    )
+    assert _peak_bytes(empirical_participation_ratio, decomp) < 0.5 * decomp.vectors.nbytes
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_chunked_state_moment_sums_are_exact_and_small(store, q):
+    basis, decomp = store.get(12, 1)
+    sums = state_moment_sums(decomp, q)
+    assert np.array_equal(sums, _unchunked_moment_sums(decomp.vectors, q))
+    np.testing.assert_allclose(
+        sums, np.sum(np.abs(decomp.vectors) ** (2 * q), axis=0), rtol=1e-14, atol=0
+    )
+    assert _peak_bytes(state_moment_sums, decomp, q) < 0.5 * decomp.vectors.nbytes
+
+
+def test_state_moment_sums_of_real_vectors(store):
+    # the kernel skips the imaginary part of real storage
+    basis, decomp = store.get(10, 0)
+    real = EigenDecomposition(
+        params=decomp.params, k=0, energies=decomp.energies, vectors=decomp.vectors.real.copy()
+    )
+    for q in (1.5, 2.0, 3.0):
+        assert np.array_equal(
+            state_moment_sums(real, q), _unchunked_moment_sums(real.vectors, q)
+        )
 
 
 def test_participation_ratio_bounds(store):

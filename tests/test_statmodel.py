@@ -388,3 +388,58 @@ def test_prediction_csv_deterministic(tmp_path):
 def test_fmt_float_17_digits():
     assert fmt_float(1 / 3) == "0.33333333333333331"
     assert float(fmt_float(np.pi)) == np.pi
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("variant", ["gaussian", "gram_charlier", "gibbs"])
+def test_single_stack_curve_equals_per_function_path(variant, k):
+    params = ModelParams(12, 1.0, 1.0)
+    model = build_strength_model(params, variant)
+    basis = momentum_basis(12, k)
+    assert basis.is_real == (k == 0)
+    span = statmodel.prediction_span(params)
+    energies = np.linspace(-span, span, 97)
+    for mode in ("uniform", "exact", "none"):
+        curve = prediction_curve(basis, model, energies, q_values=(1.5, 3.0), delta_mode=mode)
+        assert np.array_equal(curve.rho, model_spectral_density(model, energies, basis))
+        for q, moment in curve.moments.items():
+            assert np.array_equal(moment, predict_moment(basis, model, energies, q, mode))
+        assert np.array_equal(curve.pr, predict_participation_ratio(basis, model, energies, mode))
+
+
+def test_prediction_curve_builds_one_density_stack(monkeypatch):
+    model = build_strength_model(ModelParams(12, 1.0, 1.0), "gibbs")
+    calls = []
+    inner = statmodel.strength_density
+
+    def counting(model, n_up, energy):
+        calls.append(n_up)
+        return inner(model, n_up, energy)
+
+    monkeypatch.setattr(statmodel, "strength_density", counting)
+    prediction_curve(momentum_basis(12, 1), model, np.linspace(-20.0, 20.0, 33), delta_mode="exact")
+    assert sorted(calls) == list(range(13))
+
+
+def test_gibbs_quadrature_is_built_once_per_node_count(monkeypatch):
+    built = []
+    inner = statmodel._panel_quadrature
+
+    def counting(n_nodes, *args):
+        built.append(n_nodes)
+        return inner(n_nodes, *args)
+
+    statmodel._gibbs_grid.cache_clear()
+    monkeypatch.setattr(statmodel, "_panel_quadrature", counting)
+    try:
+        model = build_strength_model(ModelParams(14, 1.0, 1.0), "gibbs")
+    finally:
+        statmodel._gibbs_grid.cache_clear()  # drop grids built through the wrapper
+    assert all(fit is not None for fit in model.gibbs_fits)
+    assert len(built) == len(set(built)) and {2000, 4000} <= set(built)
+
+
+def test_memoized_gibbs_quadrature_is_read_only():
+    for array in statmodel._gibbs_grid(2000):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
