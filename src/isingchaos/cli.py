@@ -32,8 +32,8 @@ from .statmodel import (
     GibbsFitError,
     GibbsInfeasibleError,
     build_strength_model,
-    fmt_float,
     prediction_curve,
+    write_csv,
     write_prediction_csv,
 )
 
@@ -224,21 +224,8 @@ def cmd_basis_info(config: RunConfig) -> int:
         if config.format == "json":
             (out / "basis_info.json").write_text(json.dumps(rows, indent=2))
         else:
-            with open(out / "basis_info.csv", "w", newline="") as fh:
-                fh.write("k,dim_exact,dim_approx,n_invariant,delta\n")
-                for r in rows:
-                    fh.write(
-                        ",".join(
-                            [
-                                str(r["k"]),
-                                str(r["dim_exact"]),
-                                fmt_float(r["dim_approx"]),
-                                str(r["n_invariant"]),
-                                fmt_float(r["delta"]),
-                            ]
-                        )
-                        + "\n"
-                    )
+            header = ["k", "dim_exact", "dim_approx", "n_invariant", "delta"]
+            write_csv(out / "basis_info.csv", header, ([r[h] for h in header] for r in rows))
     return EXIT_OK
 
 
@@ -280,21 +267,14 @@ def _compare_sector(config: RunConfig, k: int, grid, model, baseline, out: Path)
     uncorrected = prediction_curve(basis, baseline, grid, delta_mode="none")
     rep_c = empirics.compare(grid, corrected.pr, windows, emp, decomp.dim, config.bulk_fraction)
     rep_u = empirics.compare(grid, uncorrected.pr, windows, emp, decomp.dim, config.bulk_fraction)
-    with open(out / f"compare_k{k}.csv", "w", newline="") as fh:
-        fh.write("E,empirical_Pr,predicted_corrected,predicted_uncorrected,in_bulk\n")
-        for row_c, row_u in zip(rep_c.rows, rep_u.rows):
-            fh.write(
-                ",".join(
-                    [
-                        fmt_float(row_c.e_center),
-                        fmt_float(row_c.empirical),
-                        fmt_float(row_c.predicted),
-                        fmt_float(row_u.predicted),
-                        str(int(row_c.in_bulk)),
-                    ]
-                )
-                + "\n"
-            )
+    write_csv(
+        out / f"compare_k{k}.csv",
+        ["E", "empirical_Pr", "predicted_corrected", "predicted_uncorrected", "in_bulk"],
+        (
+            [row_c.e_center, row_c.empirical, row_c.predicted, row_u.predicted, int(row_c.in_bulk)]
+            for row_c, row_u in zip(rep_c.rows, rep_u.rows)
+        ),
+    )
     print(
         f"k={k}: corrected median dev {rep_c.bulk_median:.4f}, "
         f"uncorrected {rep_u.bulk_median:.4f}"
@@ -326,27 +306,18 @@ def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
     for sym in config.symbols or [decomp.dim // 2]:
         stats = empirics.windowed_coefficient_stats(decomp, sym, windows)
         path = out / f"coeff_hist_k{k}_s{sym}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("window,bin_lo,bin_hi,count,density,chi2_reduced,n_samples\n")
-            for i, st in enumerate(stats):
-                if st.insufficient:
-                    continue
-                dens = st.density
-                for j, (lo, hi) in enumerate(zip(st.bin_edges[:-1], st.bin_edges[1:])):
-                    fh.write(
-                        ",".join(
-                            [
-                                str(i),
-                                fmt_float(lo),
-                                fmt_float(hi),
-                                str(int(st.counts[j])),
-                                fmt_float(dens[j]),
-                                fmt_float(st.chi2_reduced),
-                                str(st.n_samples),
-                            ]
-                        )
-                        + "\n"
-                    )
+        write_csv(
+            path,
+            ["window", "bin_lo", "bin_hi", "count", "density", "chi2_reduced", "n_samples"],
+            (
+                [i, lo, hi, int(count), dens, st.chi2_reduced, st.n_samples]
+                for i, st in enumerate(stats)
+                if not st.insufficient
+                for lo, hi, count, dens in zip(
+                    st.bin_edges[:-1], st.bin_edges[1:], st.counts, st.density
+                )
+            ),
+        )
         print(f"k={k} symbol={sym}: wrote {path}")
 
 

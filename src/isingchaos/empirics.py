@@ -1,10 +1,10 @@
 """Empirical eigenvector statistics and model-vs-data comparison tools.
 
 Everything here works on full sector eigen-decompositions: windowed
-coefficient distributions with Gaussian-fit quality, strength-function
-histograms, participation ratios, eigenvector moments, nearest-neighbour
-spacing ratios (with GOE / Poisson surrogates), and a deviation report that
-interpolates a model prediction at empirical window centers.
+coefficient distributions with Gaussian-fit quality, participation ratios,
+eigenvector moments, nearest-neighbour spacing ratios (with GOE / Poisson
+surrogates), and a deviation report that interpolates a model prediction at
+empirical window centers.
 """
 
 from __future__ import annotations
@@ -66,26 +66,6 @@ def windows_fixed_count(energies: np.ndarray, levels_per_window: int) -> list[En
                 short=idx.size < levels_per_window,
             )
         )
-    return out
-
-
-def windows_fixed_width(energies: np.ndarray, width: float) -> list[EnergyWindow]:
-    """Fixed-width energy bins; bins with fewer than 2 states are dropped.
-
-    Bin i holds edges[i] <= E < edges[i + 1], and the last bin also holds
-    every level at or above its upper edge, as ``np.histogram`` closes it.
-    """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    order = np.argsort(energies)
-    sorted_e = energies[order]
-    edges = np.arange(sorted_e[0], sorted_e[-1] + width, width)
-    bins = np.minimum(np.searchsorted(edges, sorted_e, side="right") - 1, edges.size - 2)
-    out = []
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        indices = order[bins == i]
-        if indices.size >= 2:
-            out.append(EnergyWindow(lo=float(lo), hi=float(hi), indices=indices))
     return out
 
 
@@ -168,38 +148,6 @@ def windowed_coefficient_stats(
                 counts=counts,
             )
         )
-    return out
-
-
-def empirical_strength_function(
-    decomp: EigenDecomposition, symbol_index: int, bins: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """|C|^2-weighted histogram of the spectrum: the empirical P_n(E).
-
-    Returns (bin_edges, density); the density integrates to the total weight
-    sum |C|^2 = 1.
-    """
-    weights = np.abs(decomp.vectors[symbol_index, :]) ** 2
-    counts, edges = np.histogram(decomp.energies, bins=bins, weights=weights)
-    density = counts / np.diff(edges)
-    return edges, density
-
-
-def strength_moments(decomp: EigenDecomposition, symbol_index: int, order: int = 4) -> np.ndarray:
-    """Spectral moments sum_a |C(a)|^2 E_a^j for j = 1..order."""
-    w = np.abs(decomp.vectors[symbol_index, :]) ** 2
-    return np.array([np.sum(w * decomp.energies**j) for j in range(1, order + 1)])
-
-
-def sector_state_moments(matrix: np.ndarray, index: int, order: int = 4) -> np.ndarray:
-    """<i|H^j|i> within a sector by repeated dense application."""
-    v = np.zeros(matrix.shape[0], dtype=matrix.dtype)
-    v[index] = 1.0
-    out = np.empty(order)
-    w = v
-    for j in range(order):
-        w = matrix @ w
-        out[j] = np.real(np.vdot(v, w))
     return out
 
 
@@ -341,23 +289,20 @@ def compare(
     centers = np.array([w.center for w in windows])
     if centers.min() > pred_energies.max() or centers.max() < pred_energies.min():
         raise ValueError("prediction grid and empirical windows do not overlap")
-    level_rank = {}
-    rank = 0
-    for w in windows:
-        level_rank[id(w)] = (rank + 0.5 * w.size) / total_levels
-        rank += w.size
+    # mean level rank of each window as a fraction of the spectrum (exact half-integers)
+    sizes = np.array([w.size for w in windows])
+    level_rank = (np.cumsum(sizes) - 0.5 * sizes) / total_levels
     rows = []
-    for w, emp in zip(windows, empirical_values):
+    for w, emp, frac in zip(windows, empirical_values, level_rank):
         pred = float(np.interp(w.center, pred_energies, pred_values))
         rel = abs(emp - pred) / abs(pred) if pred != 0 else np.inf
-        frac = level_rank[id(w)]
         rows.append(
             WindowComparison(
                 e_center=w.center,
                 empirical=float(emp),
                 predicted=pred,
                 rel_deviation=float(rel),
-                in_bulk=abs(frac - 0.5) <= bulk_fraction / 2,
+                in_bulk=bool(abs(frac - 0.5) <= bulk_fraction / 2),
             )
         )
     bulk = [r.rel_deviation for r in rows if r.in_bulk and np.isfinite(r.rel_deviation)]

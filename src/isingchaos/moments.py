@@ -2,9 +2,7 @@
 
 Closed forms for the first four moments of H in a configuration with n spins
 up, parameterized by the number k of domain-wall pairs (anti-aligned
-neighbour pairs / 2).  A brute-force path computes <s|H^j|s> exactly on small
-chains by repeated sparse application and serves as the oracle for the
-analytic formulas.
+neighbour pairs / 2).
 """
 
 from __future__ import annotations
@@ -12,14 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .hamiltonian import FULL_BASIS_MAX_SITES, ModelParams, build_full_hamiltonian
-from .spin_basis import ChainSizeError, rotate_left
+from .hamiltonian import ModelParams
+from .spin_basis import ChainSizeError
 
 
-class FormulaRangeError(ValueError):
-    """Analytic moment formulas requested below their validity range."""
+class FormulaRangeError(ChainSizeError):
+    """Chain too short for the analytic moment formulas: an out-of-range length."""
 
 
 @dataclass(frozen=True)
@@ -56,23 +52,9 @@ class LocalMomentSet:
         )
 
 
-def domain_wall_count(config: int, n_sites: int) -> int:
-    """Number of domain-wall pairs: anti-aligned neighbour pairs on the ring / 2."""
-    walls = (config ^ rotate_left(config, n_sites)).bit_count()
-    assert walls % 2 == 0
-    return walls // 2
-
-
 def mean_domain_wall_count(n_sites: int, n_up: int) -> Fraction:
-    """Average of ``domain_wall_count`` over all C(N, n) configurations."""
+    """Mean number of domain-wall pairs over all C(N, n) configurations with n up spins."""
     return Fraction(n_up * (n_sites - n_up), n_sites - 1)
-
-
-def cumulants_from_raw(mu1: float, mu2: float, mu3: float, mu4: float) -> tuple[float, float]:
-    """Third and fourth cumulants from raw moments."""
-    k3 = mu3 - 3 * mu2 * mu1 + 2 * mu1**3
-    k4 = mu4 - 4 * mu3 * mu1 - 3 * mu2**2 + 12 * mu2 * mu1**2 - 6 * mu1**4
-    return k3, k4
 
 
 def analytic_moments(
@@ -109,38 +91,3 @@ def analytic_moments(
         n_up=n_up, e_n=e, sigma2=sigma2, mu3=mu3, mu4=mu4, k3=k3, k4=k4, k_walls=k_walls
     )
 
-
-def bruteforce_state_moments(
-    config: int, params: ModelParams, order: int = 4
-) -> np.ndarray:
-    """<s|H^j|s> for j = 1..order by repeated sparse application (N <= 12)."""
-    if params.n_sites > 12:
-        raise ChainSizeError("brute-force moments capped at N=12")
-    if not 1 <= order <= 6:
-        raise ValueError("order must be in [1, 6]")
-    h = build_full_hamiltonian(params)
-    v = np.zeros(1 << params.n_sites)
-    v[config] = 1.0
-    out = np.empty(order)
-    w = v
-    for j in range(order):
-        w = h @ w
-        out[j] = v @ w
-    return out
-
-
-def all_state_moments(params: ModelParams, order: int = 4) -> np.ndarray:
-    """<s|H^j|s> for every configuration at once via dense matrix powers.
-
-    Returns an array of shape (order, 2^N).  Dense powers keep this fast for
-    the oracle sweeps; capped well below the sparse path's limit.
-    """
-    if params.n_sites > min(FULL_BASIS_MAX_SITES, 11):
-        raise ChainSizeError("dense moment sweep capped at N=11")
-    h = build_full_hamiltonian(params).toarray()
-    out = np.empty((order, h.shape[0]))
-    power = np.eye(h.shape[0])
-    for j in range(order):
-        power = power @ h
-        out[j] = np.diag(power)
-    return out

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -25,24 +24,9 @@ class ChainSizeError(ValueError):
     """Requested chain length outside the supported range."""
 
 
-def rotate_left(state: int, n_sites: int, shift: int = 1) -> int:
-    """Translate a configuration by ``shift`` sites."""
-    shift %= n_sites
-    mask = (1 << n_sites) - 1
-    return ((state << shift) | (state >> (n_sites - shift))) & mask
-
-
-def reflect(state: int, n_sites: int) -> int:
-    """Geometric inversion: reverse the site order of a configuration."""
-    out = 0
-    for i in range(n_sites):
-        out |= ((state >> i) & 1) << (n_sites - 1 - i)
-    return out
-
-
 @lru_cache(maxsize=4)
 def reflect_table(n_sites: int) -> np.ndarray:
-    """Vectorized ``reflect`` for all 2^N configurations."""
+    """Geometric inversion (site order reversed) of all 2^N configurations."""
     states = np.arange(1 << n_sites, dtype=np.int64)
     out = np.zeros_like(states)
     for i in range(n_sites):
@@ -95,19 +79,6 @@ def _mobius(n: int) -> int:
     return mu
 
 
-def _totient(n: int) -> int:
-    result, p, m = n, 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -147,13 +118,6 @@ def sector_dimension(n_sites: int, k: int, mode: str = "exact") -> int | float:
         for t in _divisors(n_sites)
         if momentum_admissible(t, k, n_sites)
     )
-
-
-def zero_momentum_dimension_totient(n_sites: int) -> int:
-    """Closed-form k=0 dimension: (1/N) sum over d|N of totient(d) 2^{N/d}."""
-    total = sum(_totient(d) * (1 << (n_sites // d)) for d in _divisors(n_sites))
-    assert total % n_sites == 0
-    return total // n_sites
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,26 +314,3 @@ def momentum_basis(n_sites: int, k: int) -> MomentumBasis:
         angle=2 * np.pi * steps / n_sites,
     )
 
-
-class InvariantCount(NamedTuple):
-    count: int
-    by_formula: bool
-
-
-def invariant_counts(n_sites: int, n_up: int) -> InvariantCount:
-    """Number of inversion-invariant orbits with a fixed up-spin count.
-
-    Odd chains use the closed form C(N//2, n//2); even chains fall back to
-    exhaustive reflection testing (flagged via ``by_formula=False``).
-    """
-    if not 0 <= n_up <= n_sites:
-        raise ValueError("up-spin count outside [0, N]")
-    if n_sites % 2 == 1:
-        return InvariantCount(comb(n_sites // 2, n_up // 2), True)
-    rep_of, _, _ = orbit_tables(n_sites)
-    refl = reflect_table(n_sites)
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    is_rep = rep_of == states
-    reps = states[is_rep]
-    invariant = rep_of[refl[reps]] == reps
-    return InvariantCount(int(np.sum(invariant & (popcount(reps, n_sites) == n_up))), False)

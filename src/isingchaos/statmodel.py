@@ -37,6 +37,15 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """One CSV file: float cells (numpy's too) through ``fmt_float``, every other cell ``str``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [fmt_float(c) if isinstance(c, float) else str(c) for c in row]
+            fh.write(",".join(cells) + "\n")
+
+
 _gamma = np.frompyfunc(math.gamma, 1, 1)
 
 
@@ -281,13 +290,6 @@ def fit_gibbs(
     )
 
 
-def gibbs_energy_moments(fit: GibbsFit, n_nodes: int = 4000) -> np.ndarray:
-    """Raw energy moments mu_1..mu_4 of a fitted density, by quadrature."""
-    nodes, weights = _panel_quadrature(n_nodes)
-    m = _std_moments(fit.std_coeffs, _power_table(nodes, 4), weights)
-    return _std_to_energy_moments(m, fit.e_center, fit.sigma)
-
-
 @dataclass
 class StrengthModel:
     """Per-n strength-function model for one parameter set."""
@@ -362,37 +364,27 @@ def _density_stack(model: StrengthModel, energy) -> np.ndarray:
     return np.stack([strength_density(model, n, e) for n in range(model.n_sites + 1)])
 
 
-def _energy_shaped(out: np.ndarray, energy):
-    return out if np.ndim(energy) else float(out[0])
-
-
 def prediction_span(params: ModelParams) -> float:
     """Half-width |lam| N + 6 sigma of the energy range that predictions cover."""
     sigma = np.sqrt(params.n_sites * (1 + params.alpha**2))
     return abs(params.lam) * params.n_sites + 6 * sigma
 
 
-def _spectral_density(stack: np.ndarray, basis: MomentumBasis | None) -> np.ndarray:
-    n = stack.shape[0] - 1
-    if basis is None:
-        weights = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
-        weights /= 2.0**n
-    else:
-        weights = basis.nu_tot().astype(float)
-        weights /= weights.sum()
+def _spectral_density(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # negative lobes of the corrected expansion are truncated so the density stays a density
+    weights = counts / counts.sum()
     return np.clip(weights @ stack, 0.0, None)
 
 
-def model_spectral_density(
-    model: StrengthModel, energy, basis: MomentumBasis | None = None
-) -> np.ndarray:
-    """Normalized model density of states (clipped at zero).
+def model_spectral_density(model: StrengthModel, energy) -> np.ndarray:
+    """Normalized model density of states of the full chain (clipped at zero).
 
-    Without a basis the 2^-N binomial weights of the full product basis are
-    used; with a basis, the sector's per-n state counts.  Negative lobes of
-    the corrected expansion are truncated so the density stays a density.
+    The P_n(E) carry the 2^-N binomial weights of the full product basis; a
+    sector's density is ``prediction_curve(...).rho``.
     """
-    return _energy_shaped(_spectral_density(_density_stack(model, energy), basis), energy)
+    n = model.n_sites
+    counts = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
+    return _spectral_density(_density_stack(model, energy), counts)
 
 
 def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
@@ -411,16 +403,6 @@ def _delta(basis: MomentumBasis, powered: np.ndarray | None, mode: str):
     return (basis.nu_inv().astype(float) @ powered) / (basis.nu_tot().astype(float) @ powered)
 
 
-def delta_correction(
-    basis: MomentumBasis, model: StrengthModel, energy, q: float, mode: str = "uniform"
-):
-    """Invariant-state weight delta_q(E), its uniform approximation, or 0 for "none"."""
-    if mode != "exact":
-        return _delta(basis, None, mode)
-    powered = _clipped_power(_density_stack(model, energy), q)
-    return _energy_shaped(_delta(basis, powered, mode), energy)
-
-
 def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
     """M_q on the grid of ``clipped``, the density stack clipped at zero."""
     if q < 1:
@@ -435,35 +417,6 @@ def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str
     else:
         factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
     return factor * sq / s1**q
-
-
-def predict_moment(
-    basis: MomentumBasis,
-    model: StrengthModel,
-    energy,
-    q: float,
-    delta_mode: str = "uniform",
-):
-    """Model prediction for the eigenvector moment M_q(E) in one sector.
-
-    Real sectors (``basis.is_real``: k = 0 and k = N/2) use the
-    real-ensemble factor with the parity correction 1 + (2^(q-1) - 1) delta;
-    complex sectors interpolate between complex and real ensemble factors
-    with weight delta.
-    """
-    clipped = _clipped_power(_density_stack(model, energy), 1.0)
-    return _energy_shaped(_moment(basis, clipped, q, delta_mode), energy)
-
-
-def predict_participation_ratio(
-    basis: MomentumBasis,
-    model: StrengthModel,
-    energy,
-    delta_mode: str = "uniform",
-):
-    """Predicted Pr(E) = 1 / M_2(E); effective R_2 is 2 + delta (complex
-    sectors) or 3 (1 + delta) (real sectors)."""
-    return 1.0 / predict_moment(basis, model, energy, 2.0, delta_mode)
 
 
 @dataclass(frozen=True)
@@ -529,17 +482,20 @@ def prediction_curve(
     q_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     delta_mode: str = "uniform",
 ) -> PredictionCurve:
-    """Evaluate density, M_q, and Pr predictions on a grid.
+    """Evaluate density, M_q, and Pr = 1 / M_2 predictions on a grid.
 
-    The strength-density stack is built once and every column comes from it,
-    through the same helpers as ``model_spectral_density``, ``predict_moment``
-    and ``predict_participation_ratio``.  ``delta_mode="none"`` drops the
-    invariant-state corrections (delta = 0), giving the plain
-    Gaussian-ensemble baseline.
+    The strength-density stack is built once and every column comes from it.
+    Real sectors (``basis.is_real``: k = 0 and k = N/2) use the real-ensemble
+    factor with the parity correction 1 + (2^(q-1) - 1) delta, so the
+    effective R_2 is 3 (1 + delta); complex sectors interpolate between the
+    complex and the real ensemble factor with weight delta, so R_2 = 2 + delta.
+    ``delta_mode`` is "uniform" (delta = N_inv / N_tot), "exact" (delta_q(E)
+    from the invariant states' share of the stack) or "none" (delta = 0,
+    the plain Gaussian-ensemble baseline).
     """
     energies = np.asarray(energies, dtype=float)
     stack = _density_stack(model, energies)
-    rho = _spectral_density(stack, basis)
+    rho = _spectral_density(stack, basis.nu_tot().astype(float))
     clipped = _clipped_power(stack, 1.0)
     moments = {q: _moment(basis, clipped, q, delta_mode) for q in q_values}
     m2 = moments[2.0] if 2.0 in moments else _moment(basis, clipped, 2.0, delta_mode)
@@ -569,15 +525,6 @@ def write_prediction_csv(curve: PredictionCurve, path) -> None:
         "sector",
         "corrections",
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, e in enumerate(curve.energies):
-            row = [fmt_float(e), fmt_float(curve.rho[i])]
-            row += [fmt_float(curve.moments[q][i]) for q in qs]
-            row += [
-                fmt_float(curve.pr[i]),
-                curve.variant,
-                curve.sector,
-                curve.corrections,
-            ]
-            fh.write(",".join(row) + "\n")
+    columns = [curve.energies, curve.rho, *(curve.moments[q] for q in qs), curve.pr]
+    labels = [curve.variant, curve.sector, curve.corrections]
+    write_csv(path, header, ([*values, *labels] for values in zip(*columns)))

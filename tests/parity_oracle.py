@@ -8,7 +8,8 @@ representative, so the labels can be checked against P v = parity v.
 
 import numpy as np
 
-from isingchaos.spin_basis import MomentumBasis, reflect, rotate_left
+from isingchaos.spin_basis import MomentumBasis
+from oracles import reflect, rotate_left
 
 
 def inversion_matrix(basis: MomentumBasis) -> np.ndarray:

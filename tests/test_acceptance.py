@@ -16,24 +16,25 @@ from isingchaos.hamiltonian import (
     build_sector_hamiltonian,
     symmetry_blocks,
 )
-from isingchaos.moments import (
-    all_state_moments,
-    analytic_moments,
-    bruteforce_state_moments,
-    domain_wall_count,
-)
-from isingchaos.spin_basis import invariant_counts, momentum_basis, sector_dimension
+from isingchaos.moments import analytic_moments
+from isingchaos.spin_basis import momentum_basis, sector_dimension
 from isingchaos.statmodel import (
     _clipped_power,
     _density_stack,
     build_strength_model,
     fit_gibbs,
-    gibbs_energy_moments,
     model_spectral_density,
     prediction_curve,
     prediction_span,
     r_q_complex,
     r_q_real,
+)
+from oracles import (
+    all_state_moments,
+    bruteforce_state_moments,
+    domain_wall_count,
+    gibbs_energy_moments,
+    invariant_counts,
 )
 
 

@@ -449,6 +449,16 @@ def test_chain_size_error_is_a_bad_argument(capsys):
     assert "bad arguments" in err
 
 
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_chain_too_short_for_moment_formulas_is_a_bad_argument(tmp_path, capsys, command):
+    argv = [command, "--spins", "4", "--out", str(tmp_path / "out")]
+    if command == "compare":
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_BAD_ARGS
+    assert "bad arguments: fourth-moment formula requires N >= 5" in err
+
+
 def test_internal_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     from isingchaos import empirics
 

@@ -11,19 +11,16 @@ from isingchaos.empirics import (
     coefficient_samples,
     empirical_moments,
     empirical_participation_ratio,
-    empirical_strength_function,
     goe_surrogate_levels,
     poisson_surrogate_levels,
-    sector_state_moments,
     spacing_ratio,
     state_moment_sums,
-    strength_moments,
     windowed_coefficient_stats,
     windows_fixed_count,
-    windows_fixed_width,
 )
 from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian, symmetry_blocks
 from isingchaos.spin_basis import momentum_basis
+from oracles import empirical_strength_function, sector_state_moments, strength_moments
 from parity_oracle import inversion_matrix
 
 
@@ -48,18 +45,6 @@ def test_windows_fixed_count():
     assert sorted(covered) == list(range(103))
     with pytest.raises(ValueError):
         windows_fixed_count(energies, 1)
-
-
-def test_windows_fixed_width():
-    energies = np.concatenate([np.linspace(0, 1, 50), [5.0]])
-    windows = windows_fixed_width(energies, 0.25)
-    assert all(w.size >= 2 for w in windows)
-    assert all(w.hi - w.lo == pytest.approx(0.25) for w in windows)
-    # the last bin is closed on the right, as in np.histogram: no top level is lost
-    windows = windows_fixed_width(np.array([0.0, 1.0, 2.0, 3.0]), 1.5)
-    assert [w.indices.tolist() for w in windows] == [[0, 1], [2, 3]]
-    with pytest.raises(ValueError):
-        windows_fixed_width(energies, 0.0)
 
 
 def test_window_stats_on_true_gaussian_samples():

@@ -12,7 +12,8 @@ from isingchaos.hamiltonian import (
     hermiticity_defect,
     symmetry_blocks,
 )
-from isingchaos.spin_basis import momentum_basis, rotate_left
+from isingchaos.spin_basis import momentum_basis
+from oracles import rotate_left
 from parity_oracle import inversion_matrix
 
 

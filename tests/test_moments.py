@@ -12,14 +12,16 @@ from isingchaos.hamiltonian import ModelParams
 from isingchaos.moments import (
     FormulaRangeError,
     LocalMomentSet,
-    all_state_moments,
     analytic_moments,
-    bruteforce_state_moments,
-    cumulants_from_raw,
-    domain_wall_count,
     mean_domain_wall_count,
 )
 from isingchaos.spin_basis import ChainSizeError
+from oracles import (
+    all_state_moments,
+    bruteforce_state_moments,
+    cumulants_from_raw,
+    domain_wall_count,
+)
 
 
 def count_up_blocks(config: int, n_sites: int) -> int:

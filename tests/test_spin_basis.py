@@ -14,15 +14,12 @@ from hypothesis import strategies as st
 from isingchaos.spin_basis import (
     ChainSizeError,
     count_primitive_orbits,
-    invariant_counts,
     momentum_admissible,
     momentum_basis,
     orbit_tables,
-    reflect,
-    rotate_left,
     sector_dimension,
-    zero_momentum_dimension_totient,
 )
+from oracles import invariant_counts, reflect, rotate_left, zero_momentum_dimension_totient
 
 
 def brute_orbits(n_sites: int) -> dict[int, set[int]]:

@@ -16,25 +16,24 @@ from isingchaos.statmodel import (
     GibbsInfeasibleError,
     ParitySplit,
     _clipped_power,
+    _delta,
     _density_stack,
     _panel_quadrature,
     _power_table,
     _std_moments,
     build_strength_model,
-    delta_correction,
     fit_gibbs,
     fmt_float,
-    gibbs_energy_moments,
     model_spectral_density,
     parity_split_quantities,
-    predict_moment,
-    predict_participation_ratio,
     prediction_curve,
     r_q_complex,
     r_q_real,
     strength_density,
+    write_csv,
     write_prediction_csv,
 )
+from oracles import gibbs_energy_moments
 
 P17 = ModelParams(17, 1.0, 1.0)
 
@@ -228,36 +227,48 @@ def test_spectral_density_symmetry_and_norm():
     x, w = _panel_quadrature(4000)
     sigma = np.sqrt(10 * (1 + 1.2**2))
     grid = sigma * 2.2 * x  # wide enough to cover all component means
-    for basis in (None, momentum_basis(10, 3)):
-        total = np.sum(w * sigma * 2.2 * model_spectral_density(model, grid, basis))
+    with np.errstate(divide="ignore", invalid="ignore"):  # M_q is 0/0 far out; only rho is read
+        sector_rho = prediction_curve(momentum_basis(10, 3), model, grid).rho
+    for rho in (model_spectral_density(model, grid), sector_rho):
+        total = np.sum(w * sigma * 2.2 * rho)
         assert abs(total - 1.0) < 1e-6
+
+
+def exact_delta(basis, model, energies, q):
+    """delta_q(E) of ``delta_mode="exact"`` on a grid."""
+    return _delta(basis, _clipped_power(_density_stack(model, energies), q), "exact")
 
 
 def test_delta_correction_values():
     model = build_strength_model(P17, "gaussian")
     b0 = momentum_basis(17, 0)
-    assert delta_correction(b0, model, 0.0, 2.0) == pytest.approx(512 / 7712)
-    exact = delta_correction(b0, model, np.linspace(-15, 15, 61), 2.0, mode="exact")
+    assert _delta(b0, None, "uniform") == pytest.approx(512 / 7712)
+    assert _delta(b0, None, "none") == 0.0
+    exact = exact_delta(b0, model, np.linspace(-15, 15, 61), 2.0)
     assert np.all((exact >= 0.0) & (exact <= 1.0))
-    b15 = momentum_basis(15, 0)
-    model15 = build_strength_model(ModelParams(15, 1.0, 1.0), "gaussian")
-    assert delta_correction(b15, model15, 0.0, 2.0) == pytest.approx(256 / 2192)
+    assert _delta(momentum_basis(15, 0), None, "uniform") == pytest.approx(256 / 2192)
 
 
 def test_delta_exact_reduces_to_uniform_when_densities_coincide():
     params = ModelParams(9, 0.0, 1.0)
     model = build_strength_model(params, "gaussian")
     basis = momentum_basis(9, 0)
-    for e in (-3.0, 0.0, 2.5):
-        exact = delta_correction(basis, model, e, 2.0, mode="exact")
-        assert exact == pytest.approx(basis.delta)
+    energies = np.array([-3.0, 0.0, 2.5])
+    exact = exact_delta(basis, model, energies, 2.0)
+    assert exact == pytest.approx(np.full(3, basis.delta))
+    # and so do the curves, in a real and in a complex sector
+    for sector in (basis, momentum_basis(9, 1)):
+        exact_curve = prediction_curve(sector, model, energies, delta_mode="exact")
+        uniform_curve = prediction_curve(sector, model, energies)
+        for q, moment in exact_curve.moments.items():
+            assert moment == pytest.approx(uniform_curve.moments[q], rel=1e-12)
 
 
 def test_moment_prediction_normalization():
     model = build_strength_model(P17, "gram_charlier")
     for k in (0, 2):
-        basis = momentum_basis(17, k)
-        assert predict_moment(basis, model, 0.7, 1.0) == pytest.approx(1.0)
+        curve = prediction_curve(momentum_basis(17, k), model, np.array([0.7]), q_values=(1.0,))
+        assert curve.moments[1.0][0] == pytest.approx(1.0)
 
 
 def test_moment_prediction_flat_chain_closed_form():
@@ -265,11 +276,12 @@ def test_moment_prediction_flat_chain_closed_form():
     model = build_strength_model(params, "gaussian")
     basis = momentum_basis(12, 1)
     n_tot, delta = basis.dim, basis.delta
+    curve = prediction_curve(basis, model, np.array([0.0]), q_values=(1.5, 2.0, 3.0))
     for q in (1.5, 2.0, 3.0):
         expected = (
             r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
         ) * n_tot ** (1 - q)
-        assert predict_moment(basis, model, 0.0, q) == pytest.approx(expected)
+        assert curve.moments[q][0] == pytest.approx(expected)
 
 
 def test_effective_r2():
@@ -277,13 +289,17 @@ def test_effective_r2():
     b0 = momentum_basis(17, 0)
     b2 = momentum_basis(17, 2)
     e = 0.35
+
+    def corrected_m2(basis):
+        return prediction_curve(basis, model, np.array([e]), q_values=(2.0,)).moments[2.0][0]
+
     for basis, r2 in ((b0, 3 * (1 + b0.delta)), (b2, 2 + b2.delta)):
-        m2 = predict_moment(basis, model, e, 2.0)
+        m2 = corrected_m2(basis)
         curve = prediction_curve(basis, model, np.array([e]), q_values=(2.0,), delta_mode="none")
         base = 3.0 if basis.k == 0 else 2.0
         assert m2 / curve.moments[2.0][0] == pytest.approx(r2 / base)
     # the monotone-correction identity for the real sector
-    m2_c = predict_moment(b0, model, e, 2.0)
+    m2_c = corrected_m2(b0)
     curve0 = prediction_curve(b0, model, np.array([e]), q_values=(2.0,), delta_mode="none")
     assert m2_c / curve0.moments[2.0][0] == pytest.approx(1 + b0.delta)
 
@@ -315,22 +331,23 @@ def test_participation_ratio_flat_chain():
     model = build_strength_model(params, "gaussian")
     b1 = momentum_basis(12, 1)
     b0 = momentum_basis(12, 0)
-    for e in (-2.0, 0.0, 3.0):
-        assert predict_participation_ratio(b1, model, e) == pytest.approx(
-            b1.dim / (2 + b1.delta)
-        )
-        assert predict_participation_ratio(b0, model, e) == pytest.approx(
-            b0.dim / (3 * (1 + b0.delta))
-        )
+    energies = np.array([-2.0, 0.0, 3.0])
+    assert prediction_curve(b1, model, energies).pr == pytest.approx(
+        np.full(3, b1.dim / (2 + b1.delta))
+    )
+    assert prediction_curve(b0, model, energies).pr == pytest.approx(
+        np.full(3, b0.dim / (3 * (1 + b0.delta)))
+    )
 
 
 def test_participation_ratio_is_inverse_second_moment():
     model = build_strength_model(P17, "gram_charlier")
     basis = momentum_basis(17, 2)
-    for e in (-4.0, 1.0):
-        assert predict_participation_ratio(basis, model, e) == pytest.approx(
-            1.0 / predict_moment(basis, model, e, 2.0)
-        )
+    energies = np.array([-4.0, 1.0])
+    # Pr comes from its own M_2 when q = 2 is not among the curve's moments
+    pr = prediction_curve(basis, model, energies, q_values=(1.5,)).pr
+    m2 = prediction_curve(basis, model, energies, q_values=(2.0,)).moments[2.0]
+    assert pr == pytest.approx(1.0 / m2)
 
 
 def test_parity_split_quantities():
@@ -390,21 +407,11 @@ def test_fmt_float_17_digits():
     assert float(fmt_float(np.pi)) == np.pi
 
 
-@pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("variant", ["gaussian", "gram_charlier", "gibbs"])
-def test_single_stack_curve_equals_per_function_path(variant, k):
-    params = ModelParams(12, 1.0, 1.0)
-    model = build_strength_model(params, variant)
-    basis = momentum_basis(12, k)
-    assert basis.is_real == (k == 0)
-    span = statmodel.prediction_span(params)
-    energies = np.linspace(-span, span, 97)
-    for mode in ("uniform", "exact", "none"):
-        curve = prediction_curve(basis, model, energies, q_values=(1.5, 3.0), delta_mode=mode)
-        assert np.array_equal(curve.rho, model_spectral_density(model, energies, basis))
-        for q, moment in curve.moments.items():
-            assert np.array_equal(moment, predict_moment(basis, model, energies, q, mode))
-        assert np.array_equal(curve.pr, predict_participation_ratio(basis, model, energies, mode))
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [[1 / 3, np.float64(0.1), np.int64(7), "k=0"], [2, np.inf, int(True), "none"]]
+    write_csv(path, ["a", "b", "c", "d"], iter(rows))
+    assert path.read_text() == "a,b,c,d\n0.33333333333333331,0.10000000000000001,7,k=0\n2,inf,1,none\n"
 
 
 def test_prediction_curve_builds_one_density_stack(monkeypatch):
