@@ -258,21 +258,18 @@ def cmd_predict(config: RunConfig) -> int:
 
 def _compare_sector(config: RunConfig, k: int, grid, model, baseline, out: Path) -> dict:
     basis, decomp, _ = _decompose_sector(config, k)
-    windows = empirics.windows_fixed_count(
-        decomp.energies, config.default_window_levels(decomp.dim)
-    )
-    _, pr = empirics.empirical_participation_ratio(decomp)
-    emp = np.array([pr[w.indices].mean() for w in windows])
+    edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
+    pr = empirics.empirical_participation_ratio(decomp)
     corrected = prediction_curve(basis, model, grid)
     uncorrected = prediction_curve(basis, baseline, grid, delta_mode="none")
-    rep_c = empirics.compare(grid, corrected.pr, windows, emp, decomp.dim, config.bulk_fraction)
-    rep_u = empirics.compare(grid, uncorrected.pr, windows, emp, decomp.dim, config.bulk_fraction)
+    rep_c = empirics.compare(grid, corrected.pr, decomp.energies, pr, edges, config.bulk_fraction)
+    rep_u = empirics.compare(grid, uncorrected.pr, decomp.energies, pr, edges, config.bulk_fraction)
     write_csv(
         out / f"compare_k{k}.csv",
         ["E", "empirical_Pr", "predicted_corrected", "predicted_uncorrected", "in_bulk"],
-        (
-            [row_c.e_center, row_c.empirical, row_c.predicted, row_u.predicted, int(row_c.in_bulk)]
-            for row_c, row_u in zip(rep_c.rows, rep_u.rows)
+        zip(
+            rep_c.e_center, rep_c.empirical, rep_c.predicted, rep_u.predicted,
+            rep_c.in_bulk.astype(int),
         ),
     )
     print(
@@ -300,11 +297,9 @@ def cmd_compare(config: RunConfig) -> int:
 
 def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
     basis, decomp, _ = _decompose_sector(config, k)
-    windows = empirics.windows_fixed_count(
-        decomp.energies, config.default_window_levels(decomp.dim)
-    )
+    edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     for sym in config.symbols or [decomp.dim // 2]:
-        stats = empirics.windowed_coefficient_stats(decomp, sym, windows)
+        stats = empirics.windowed_coefficient_stats(decomp, sym, edges)
         path = out / f"coeff_hist_k{k}_s{sym}.csv"
         write_csv(
             path,

@@ -4,7 +4,9 @@ Everything here works on full sector eigen-decompositions: windowed
 coefficient distributions with Gaussian-fit quality, participation ratios,
 eigenvector moments, nearest-neighbour spacing ratios (with GOE / Poisson
 surrogates), and a deviation report that interpolates a model prediction at
-empirical window centers.
+empirical window centers.  A window is a contiguous range of level ranks in
+the ascending spectrum, and one integer array of edges carries them all, so
+every windowed statistic is a reduction over slices of per-level values.
 """
 
 from __future__ import annotations
@@ -15,12 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolve import EigenDecomposition
+from .spin_basis import is_real_sector
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
 
 # eigenvector rows per block of the moment sums sum_n |C_n|^2q
 MOMENT_CHUNK_ROWS = 64
+
+# spacing_ratio reads the central fraction of the levels, and spacings below
+# the tolerance count as degenerate
+SPACING_BULK_FRACTION = 0.6
+DEGENERACY_TOL = 1e-12
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -30,67 +38,53 @@ def normal_cdf(x) -> np.ndarray | float:
     return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0)), dtype=float)[()]
 
 
-@dataclass(frozen=True)
-class EnergyWindow:
-    """A contiguous block of eigenstates, sorted by energy."""
+def windows_fixed_count(energies: np.ndarray, levels_per_window: int) -> np.ndarray:
+    """Rank edges ``[0, L, 2L, ..., stop]`` of consecutive windows of an ascending spectrum.
 
-    lo: float
-    hi: float
-    indices: np.ndarray
-    short: bool = False
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def size(self) -> int:
-        return self.indices.size
-
-
-def windows_fixed_count(energies: np.ndarray, levels_per_window: int) -> list[EnergyWindow]:
-    """Consecutive windows of a fixed level count (last one may be short)."""
+    Window ``i`` holds the levels ``edges[i]:edges[i + 1]``; the last one may
+    be short, and a trailing one-level window is dropped.
+    """
     if levels_per_window < 2:
         raise ValueError("windows need at least 2 levels")
-    order = np.argsort(energies)
-    out = []
-    for start in range(0, order.size, levels_per_window):
-        idx = order[start : start + levels_per_window]
-        if idx.size < 2:
-            break
-        out.append(
-            EnergyWindow(
-                lo=float(energies[idx[0]]),
-                hi=float(energies[idx[-1]]),
-                indices=idx,
-                short=idx.size < levels_per_window,
-            )
-        )
-    return out
+    energies = np.asarray(energies)
+    if np.any(np.diff(energies) < 0):
+        raise ValueError("windows need an ascending spectrum")
+    n = energies.size
+    stop = n - 1 if n % levels_per_window == 1 else n
+    return np.append(np.arange(0, stop, levels_per_window), stop)
 
 
-def coefficient_samples(decomp: EigenDecomposition, symbol_index: int, indices) -> np.ndarray:
-    """Real coefficient samples for one symbol over selected eigenstates.
+def window_means(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Mean of the per-level ``values`` over each window of ``edges``."""
+    return np.array([values[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
 
-    Real sectors give the coefficients themselves; complex sectors contribute
-    real and imaginary parts as separate Gaussian samples.
+
+def coefficient_samples(decomp: EigenDecomposition, symbol_index: int, levels) -> np.ndarray:
+    """Real coefficient samples for one symbol over the eigenstates ``levels`` (indices or a slice).
+
+    Real sectors (``is_real_sector``) give the coefficients themselves;
+    complex sectors contribute real and imaginary parts as separate Gaussian
+    samples.
     """
-    c = decomp.vectors[symbol_index, indices]
-    if np.max(np.abs(c.imag), initial=0.0) < 1e-12:
+    c = decomp.vectors[symbol_index, levels]
+    if is_real_sector(decomp.params.n_sites, decomp.k):
         return c.real.copy()
     return np.concatenate([c.real, c.imag])
 
 
 @dataclass(frozen=True)
 class WindowCoefficientStats:
-    window: EnergyWindow
     n_samples: int
     mean: float
     variance: float
     chi2_reduced: float
-    insufficient: bool
     bin_edges: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
+
+    @property
+    def insufficient(self) -> bool:
+        """The Gaussian fit has no degree of freedom, so ``chi2_reduced`` is inf."""
+        return self.chi2_reduced == np.inf
 
     @property
     def density(self) -> np.ndarray:
@@ -100,7 +94,11 @@ class WindowCoefficientStats:
 
 
 def _gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Reduced chi^2 of the moment-fitted Gaussian against a histogram."""
+    """Reduced chi^2 of the moment-fitted Gaussian against a histogram.
+
+    inf when the fit has no degree of freedom: no spread, or fewer than four
+    bins expecting 5 or more counts, as for every sample of 36 or fewer.
+    """
     n = samples.size
     mu = samples.mean()
     s = samples.std()
@@ -120,40 +118,31 @@ def _gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarr
 
 
 def windowed_coefficient_stats(
-    decomp: EigenDecomposition,
-    symbol_index: int,
-    windows: list[EnergyWindow],
-    min_samples: int = 30,
+    decomp: EigenDecomposition, symbol_index: int, edges: np.ndarray
 ) -> list[WindowCoefficientStats]:
     """Per-window sample statistics of one coefficient with Gaussian fits."""
     if not 0 <= symbol_index < decomp.dim:
         raise IndexError("symbol index outside the basis")
     out = []
-    for win in windows:
-        samples = coefficient_samples(decomp, symbol_index, win.indices)
-        insufficient = samples.size < min_samples
-        if insufficient:
-            chi2, edges, counts = np.inf, np.array([]), np.array([])
-        else:
-            chi2, edges, counts = _gaussian_fit_chi2(samples)
+    for a, b in zip(edges[:-1], edges[1:]):
+        samples = coefficient_samples(decomp, symbol_index, slice(a, b))
+        chi2, bin_edges, counts = _gaussian_fit_chi2(samples)
         out.append(
             WindowCoefficientStats(
-                window=win,
                 n_samples=samples.size,
                 mean=float(samples.mean()),
                 variance=float(samples.var()),
                 chi2_reduced=chi2,
-                insufficient=insufficient,
-                bin_edges=edges,
+                bin_edges=bin_edges,
                 counts=counts,
             )
         )
     return out
 
 
-def empirical_participation_ratio(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Per-eigenstate (E_a, Pr_a) with Pr = 1 / sum |C|^4 in the sector basis."""
-    return decomp.energies.copy(), 1.0 / state_moment_sums(decomp, 2.0)
+def empirical_participation_ratio(decomp: EigenDecomposition) -> np.ndarray:
+    """Per-eigenstate Pr = 1 / sum |C|^4 in the sector basis."""
+    return 1.0 / state_moment_sums(decomp, 2.0)
 
 
 def state_moment_sums(decomp: EigenDecomposition, q: float) -> np.ndarray:
@@ -186,14 +175,11 @@ def state_moment_sums(decomp: EigenDecomposition, q: float) -> np.ndarray:
     return sums
 
 
-def empirical_moments(
-    decomp: EigenDecomposition, q: float, windows: list[EnergyWindow]
-) -> np.ndarray:
+def empirical_moments(decomp: EigenDecomposition, q: float, edges: np.ndarray) -> np.ndarray:
     """Window averages of the eigenvector moment sums."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    per_state = state_moment_sums(decomp, q)
-    return np.array([per_state[w.indices].mean() for w in windows])
+    return window_means(state_moment_sums(decomp, q), edges)
 
 
 @dataclass(frozen=True)
@@ -203,22 +189,18 @@ class SpacingRatioResult:
     n_excluded: int
 
 
-def spacing_ratio(
-    energies: np.ndarray,
-    degeneracy_tol: float = 1e-12,
-    bulk_fraction: float = 0.6,
-) -> SpacingRatioResult:
+def spacing_ratio(energies: np.ndarray) -> SpacingRatioResult:
     """Mean consecutive-spacing ratio r = min(s_i, s_i+1)/max(s_i, s_i+1).
 
-    Restricted to the central ``bulk_fraction`` of levels; spacings below
-    ``degeneracy_tol`` are excluded and counted.
+    Restricted to the central ``SPACING_BULK_FRACTION`` of levels; spacings
+    below ``DEGENERACY_TOL`` are excluded and counted.
     """
     e = np.sort(np.asarray(energies, dtype=float))
     n = e.size
-    skip = int(round(0.5 * (1 - bulk_fraction) * n))
+    skip = int(round(0.5 * (1 - SPACING_BULK_FRACTION) * n))
     e = e[skip : n - skip] if skip > 0 else e
     s = np.diff(e)
-    keep = s > degeneracy_tol
+    keep = s > DEGENERACY_TOL
     n_excluded = int(np.sum(~keep))
     s = s[keep]
     if s.size < 2:
@@ -239,77 +221,67 @@ def poisson_surrogate_levels(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WindowComparison:
-    e_center: float
-    empirical: float
-    predicted: float
-    rel_deviation: float
-    in_bulk: bool
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    rows: list[WindowComparison]
+    """One row per window: its energy center, empirical mean, prediction and deviation."""
+
+    e_center: np.ndarray
+    empirical: np.ndarray
+    predicted: np.ndarray
+    rel_deviation: np.ndarray
+    in_bulk: np.ndarray
     bulk_median: float
     bulk_p90: float
     bulk_fraction: float
 
     def to_dict(self) -> dict:
+        keys = ("E", "empirical", "predicted", "rel_deviation", "in_bulk")
+        columns = (self.e_center, self.empirical, self.predicted, self.rel_deviation, self.in_bulk)
         return {
             "bulk_fraction": self.bulk_fraction,
             "bulk_median": self.bulk_median,
             "bulk_p90": self.bulk_p90,
-            "rows": [
-                {
-                    "E": r.e_center,
-                    "empirical": r.empirical,
-                    "predicted": r.predicted,
-                    "rel_deviation": r.rel_deviation,
-                    "in_bulk": r.in_bulk,
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))],
         }
 
 
 def compare(
     pred_energies: np.ndarray,
     pred_values: np.ndarray,
-    windows: list[EnergyWindow],
-    empirical_values: np.ndarray,
-    total_levels: int,
+    energies: np.ndarray,
+    values: np.ndarray,
+    edges: np.ndarray,
     bulk_fraction: float = 0.6,
 ) -> ComparisonReport:
-    """Interpolate a prediction at window centers and report deviations.
+    """Window means of the per-level ``values`` against a prediction at the window centers.
 
-    Bulk windows are those whose mean level index falls in the central
+    ``energies`` is the ascending spectrum that ``edges`` cuts into windows.
+    Bulk windows are those whose mean level rank falls in the central
     ``bulk_fraction`` of the spectrum; the others are flagged, not dropped.
     """
     pred_energies = np.asarray(pred_energies, dtype=float)
-    centers = np.array([w.center for w in windows])
+    lo, hi = edges[:-1], edges[1:]
+    centers = 0.5 * (energies[lo] + energies[hi - 1])
     if centers.min() > pred_energies.max() or centers.max() < pred_energies.min():
         raise ValueError("prediction grid and empirical windows do not overlap")
+    empirical = window_means(values, edges)
+    predicted = np.interp(centers, pred_energies, pred_values)
+    rel = np.divide(
+        np.abs(empirical - predicted),
+        np.abs(predicted),
+        out=np.full(centers.size, np.inf),
+        where=predicted != 0,
+    )
     # mean level rank of each window as a fraction of the spectrum (exact half-integers)
-    sizes = np.array([w.size for w in windows])
-    level_rank = (np.cumsum(sizes) - 0.5 * sizes) / total_levels
-    rows = []
-    for w, emp, frac in zip(windows, empirical_values, level_rank):
-        pred = float(np.interp(w.center, pred_energies, pred_values))
-        rel = abs(emp - pred) / abs(pred) if pred != 0 else np.inf
-        rows.append(
-            WindowComparison(
-                e_center=w.center,
-                empirical=float(emp),
-                predicted=pred,
-                rel_deviation=float(rel),
-                in_bulk=bool(abs(frac - 0.5) <= bulk_fraction / 2),
-            )
-        )
-    bulk = [r.rel_deviation for r in rows if r.in_bulk and np.isfinite(r.rel_deviation)]
-    if not bulk:
+    in_bulk = np.abs(0.5 * (lo + hi) / energies.size - 0.5) <= bulk_fraction / 2
+    bulk = rel[in_bulk & np.isfinite(rel)]
+    if not bulk.size:
         raise ValueError("no finite deviations inside the bulk")
     return ComparisonReport(
-        rows=rows,
+        e_center=centers,
+        empirical=empirical,
+        predicted=predicted,
+        rel_deviation=rel,
+        in_bulk=in_bulk,
         bulk_median=float(np.median(bulk)),
         bulk_p90=float(np.percentile(bulk, 90)),
         bulk_fraction=bulk_fraction,

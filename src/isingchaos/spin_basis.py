@@ -120,6 +120,11 @@ def sector_dimension(n_sites: int, k: int, mode: str = "exact") -> int | float:
     )
 
 
+def is_real_sector(n_sites: int, k: int) -> bool:
+    """Whether the momentum-k sector is real: k = 0 or 2k = N, the package's one such rule."""
+    return k == 0 or 2 * k == n_sites
+
+
 @dataclass(frozen=True, eq=False)
 class MomentumBasis:
     """Momentum-k basis: one plane-wave state per orbit whose period t has k t = 0 mod N.
@@ -163,7 +168,7 @@ class MomentumBasis:
     @property
     def is_real(self) -> bool:
         """k = 0 and k = N/2: real phases, a real sector matrix and parity-split real basis."""
-        return self.k == 0 or 2 * self.k == self.n_sites
+        return is_real_sector(self.n_sites, self.k)
 
     @cached_property
     def real_layout(self) -> "RealLayout":

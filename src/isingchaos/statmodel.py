@@ -30,6 +30,9 @@ VARIANTS = ("gaussian", "gram_charlier", "gibbs")
 
 GC_CLAMP_SIGMAS = 6.0
 GIBBS_HALF_WIDTH = 12.0  # integration half-width in units of sigma
+GIBBS_TOL = 1e-8  # relative moment residual a fit must reach
+GIBBS_MAX_ITER = 100  # Newton steps per solve
+GIBBS_NODES = 2000  # quadrature nodes of the first grid; refinement doubles them
 
 
 def fmt_float(x: float) -> str:
@@ -81,12 +84,12 @@ class GibbsInfeasibleError(RuntimeError):
     """Fitted density is dominated by the integration boundary."""
 
 
-def _panel_quadrature(n_nodes: int, half_width: float = GIBBS_HALF_WIDTH):
-    """Composite Gauss-Legendre rule on [-half_width, half_width]."""
+def _panel_quadrature(n_nodes: int):
+    """Composite Gauss-Legendre rule on [-GIBBS_HALF_WIDTH, GIBBS_HALF_WIDTH]."""
     per_panel = 40
     n_panels = max(2, int(np.ceil(n_nodes / per_panel)))
     x, w = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(-half_width, half_width, n_panels + 1)
+    edges = np.linspace(-GIBBS_HALF_WIDTH, GIBBS_HALF_WIDTH, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
@@ -132,7 +135,6 @@ class GibbsFit:
     std_coeffs: tuple[float, float, float, float]
     log_z_std: float
     multipliers: tuple[float, float, float, float]
-    log_z_energy: float
     n_orders: int
     residual: float
     boundary_ratio: float
@@ -143,7 +145,7 @@ class GibbsFit:
         return np.exp(logp - self.log_z_std) / self.sigma
 
 
-def _newton_solve(targets, n_orders, powers, weights, tol, max_iter, start):
+def _newton_solve(targets, n_orders, powers, weights, tol, start):
     """Damped Newton on the standardized moment equations; returns best found."""
     coeffs = np.array(start, dtype=float)
     m = _std_moments(coeffs, powers, weights)
@@ -151,7 +153,7 @@ def _newton_solve(targets, n_orders, powers, weights, tol, max_iter, start):
     scale = np.maximum(np.abs(targets), 1.0)
     residual = float(np.max(np.abs(g) / scale))
     orders = np.arange(1, n_orders + 1)
-    for _ in range(max_iter):
+    for _ in range(GIBBS_MAX_ITER):
         if residual < tol:
             break
         jac = np.outer(m[orders], m[orders]) - m[orders[:, None] + orders]
@@ -187,20 +189,14 @@ def _std_to_energy_moments(m_std: np.ndarray, e: float, sigma: float) -> np.ndar
     return out
 
 
-def fit_gibbs(
-    moments: LocalMomentSet,
-    n_orders: int = 4,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    n_nodes: int = 2000,
-) -> GibbsFit:
+def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4) -> GibbsFit:
     """Fit exp(-sum_{j<=n_orders} mu_j E^j)/Z to the first n_orders moments.
 
     Works in the standardized variable on [-12, 12] sigma with composite
     Gauss-Legendre quadrature, Newton iteration started from the Gaussian
     solution, and continuation in the cumulant magnitudes if the direct
-    solve stalls.  Node count doubles until the converged moments are stable
-    below ``tol``.
+    solve stalls.  Node count doubles from ``GIBBS_NODES`` until the converged
+    moments are stable below ``GIBBS_TOL``.
     """
     if n_orders not in (2, 4):
         raise ValueError("n_orders must be 2 or 4")
@@ -226,16 +222,16 @@ def fit_gibbs(
         np.abs(mu_target),
         sigma ** np.arange(1, 5),
     )
-    tol_std = max(5e-14, tol * 1e-5)
+    tol_std = max(5e-14, GIBBS_TOL * 1e-5)
 
-    nodes_now = n_nodes
+    nodes_now = GIBBS_NODES
     coeffs = None
     for _refine in range(4):
         weights, powers = _gibbs_grid(nodes_now)
         start = np.zeros(4)
         start[1] = 0.5
         coeffs, m_std, res_std = _newton_solve(
-            targets, n_orders, powers, weights, tol_std, max_iter, start
+            targets, n_orders, powers, weights, tol_std, start
         )
         if res_std > 1e3 * tol_std:
             # continuation: ramp the cumulants up from the Gaussian solution
@@ -246,18 +242,18 @@ def fit_gibbs(
                     partial[2] = frac * targets[2]
                     partial[3] = 3.0 + frac * (targets[3] - 3.0)
                 coeffs, m_std, res_std = _newton_solve(
-                    partial, n_orders, powers, weights, tol_std, max_iter, coeffs
+                    partial, n_orders, powers, weights, tol_std, coeffs
                 )
         fine_weights, fine_powers = _gibbs_grid(2 * nodes_now)
         m_fine = _std_moments(coeffs, fine_powers, fine_weights)
         mu_fit = _std_to_energy_moments(m_fine, moments.e_n, sigma)
         residual = float(np.max(np.abs(mu_fit - mu_target)[:n_orders] / mu_scale[:n_orders]))
-        if residual < tol:
+        if residual < GIBBS_TOL:
             break
         nodes_now *= 2
     else:
         raise GibbsFitError(
-            f"moment residual {residual:.2e} above {tol:.0e} after refinement"
+            f"moment residual {residual:.2e} above {GIBBS_TOL:.0e} after refinement"
         )
 
     logp = -(powers[:, 1:5] @ coeffs)
@@ -276,14 +272,12 @@ def fit_gibbs(
     poly_e = poly_x(np.polynomial.Polynomial([-moments.e_n / sigma, 1.0 / sigma]))
     a = np.zeros(5)
     a[: len(poly_e.coef)] = poly_e.coef
-    log_z_energy = float(np.log(sigma) + log_z_std + a[0])
     return GibbsFit(
         e_center=moments.e_n,
         sigma=float(sigma),
         std_coeffs=tuple(coeffs),
         log_z_std=float(log_z_std),
         multipliers=tuple(a[1:5]),
-        log_z_energy=log_z_energy,
         n_orders=n_orders,
         residual=residual,
         boundary_ratio=boundary_ratio,
@@ -392,6 +386,11 @@ def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
     return np.clip(stack, 0.0, None) ** q
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and NaN where den is 0: there every P_n(E) vanishes (or underflows), so no states."""
+    return np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den > 0)
+
+
 def _delta(basis: MomentumBasis, powered: np.ndarray | None, mode: str):
     """delta_q from ``powered``, the clipped stack to the power q (read by "exact" only)."""
     if mode == "uniform":
@@ -400,7 +399,7 @@ def _delta(basis: MomentumBasis, powered: np.ndarray | None, mode: str):
         return 0.0
     if mode != "exact":
         raise ValueError("mode must be 'uniform', 'exact' or 'none'")
-    return (basis.nu_inv().astype(float) @ powered) / (basis.nu_tot().astype(float) @ powered)
+    return _ratio(basis.nu_inv().astype(float) @ powered, basis.nu_tot().astype(float) @ powered)
 
 
 def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
@@ -416,7 +415,7 @@ def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str
         factor = r_q_real(q) * (1.0 + (2.0 ** (q - 1) - 1.0) * delta)
     else:
         factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
-    return factor * sq / s1**q
+    return _ratio(factor * sq, s1**q)
 
 
 @dataclass(frozen=True)

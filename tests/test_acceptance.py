@@ -170,11 +170,8 @@ def test_criterion_5_spectral_density(store):
 
 
 def _pr_comparison(basis, decomp, corrected_model, gauss_model):
-    windows = empirics.windows_fixed_count(
-        decomp.energies, max(50, decomp.dim // 40)
-    )
-    _, pr = empirics.empirical_participation_ratio(decomp)
-    emp = np.array([pr[w.indices].mean() for w in windows])
+    edges = empirics.windows_fixed_count(decomp.energies, max(50, decomp.dim // 40))
+    pr = empirics.empirical_participation_ratio(decomp)
     grid = np.linspace(decomp.energies[0], decomp.energies[-1], 512)
     corr = prediction_curve(basis, corrected_model, grid)
     unc = prediction_curve(basis, gauss_model, grid, delta_mode="none")
@@ -183,15 +180,14 @@ def _pr_comparison(basis, decomp, corrected_model, gauss_model):
     nu = basis.nu_tot().astype(float)
     factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
     assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ stack**2.0) / (nu @ stack) ** 2.0))
-    rep_c = empirics.compare(grid, corr.pr, windows, emp, decomp.dim)
-    rep_u = empirics.compare(grid, unc.pr, windows, emp, decomp.dim)
+    rep_c = empirics.compare(grid, corr.pr, decomp.energies, pr, edges)
+    rep_u = empirics.compare(grid, unc.pr, decomp.energies, pr, edges)
     # effective R2 from data: model ratio-part divided by empirical Pr
-    centers = np.array([w.center for w in windows])
-    stack = _clipped_power(_density_stack(corrected_model, centers), 1.0)
+    stack = _clipped_power(_density_stack(corrected_model, rep_c.e_center), 1.0)
     nu = basis.nu_tot().astype(float)
     ratio_part = (nu @ stack) ** 2 / (nu @ stack**2)
-    bulk_idx = [i for i, row in enumerate(rep_c.rows) if row.in_bulk]
-    r2_fit = float(np.median([ratio_part[i] / emp[i] for i in bulk_idx]))
+    bulk = rep_c.in_bulk
+    r2_fit = float(np.median(ratio_part[bulk] / rep_c.empirical[bulk]))
     return rep_c.bulk_median, rep_u.bulk_median, r2_fit
 
 
@@ -252,12 +248,12 @@ def test_criterion_7_gibbs_fitter():
 
 def test_criterion_8_coefficient_gaussianity(store):
     basis, decomp = store.get(14, 0)
-    windows = empirics.windows_fixed_count(decomp.energies, 500)
+    edges = empirics.windows_fixed_count(decomp.energies, 500)
     rng = np.random.default_rng(42)
     symbols = rng.choice(decomp.dim, size=20, replace=False)
     chis = []
     for symbol in symbols:
-        stats = empirics.windowed_coefficient_stats(decomp, int(symbol), windows)
+        stats = empirics.windowed_coefficient_stats(decomp, int(symbol), edges)
         chis.extend(s.chi2_reduced for s in stats if not s.insufficient)
     median = float(np.median(chis))
     report(
@@ -265,7 +261,7 @@ def test_criterion_8_coefficient_gaussianity(store):
         "coefficient gaussianity",
         median < 1.5,
         f"median reduced chi^2 {median:.3f} over {len(chis)} fits "
-        f"(20 symbols x {len(windows)} windows of ~500 levels)",
+        f"(20 symbols x {edges.size - 1} windows of ~500 levels)",
     )
 
 

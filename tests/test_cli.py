@@ -257,6 +257,38 @@ def test_coeff_hist(tmp_path, capsys):
     assert len(rows) > 5
 
 
+def _chi2_column(path):
+    header, *rows = path.read_text().splitlines()
+    col = header.split(",").index("chi2_reduced")
+    return [float(row.split(",")[col]) for row in rows]
+
+
+def test_coeff_hist_skips_windows_without_a_degree_of_freedom(tmp_path, capsys):
+    # k=0 is real: 30 levels give 30 samples, too few for a chi^2 with a degree of
+    # freedom, so no window is written; 37 levels give finite fits
+    argv = ["coeff-hist", "--spins", "12", "--momentum", "0", "--symbol", "3"]
+    assert run(capsys, *argv, "--window-levels", "30", "--out", str(tmp_path / "w30"))[0] == EXIT_OK
+    assert _chi2_column(tmp_path / "w30" / "coeff_hist_k0_s3.csv") == []
+    assert run(capsys, *argv, "--window-levels", "37", "--out", str(tmp_path / "w37"))[0] == EXIT_OK
+    chi2 = _chi2_column(tmp_path / "w37" / "coeff_hist_k0_s3.csv")
+    assert chi2 and all(np.isfinite(chi2))
+
+
+def test_predict_where_the_model_has_no_states(tmp_path, capsys):
+    # the Gram-Charlier clamp zeroes every P_n(E) at the grid edge: M_q and Pr are
+    # NaN there, without a floating-point warning (the suite turns those into errors)
+    code, _, _ = run(
+        capsys, "predict", "--spins", "10", "--lambda", "0.8", "--alpha", "1.2", "--momentum", "1",
+        "--corrections", "gram-charlier", "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    header, *rows = (tmp_path / "predict_k1_gram-charlier.csv").read_text().splitlines()
+    cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    empty = [c for c in cells if c["Pr"] == "nan"]
+    assert len(empty) == 45 and all(float(c["rho"]) == 0.0 for c in empty)
+    assert all(np.isfinite(float(c["Pr"])) for c in cells if float(c["rho"]) > 0.0)
+
+
 def test_spacing_command(capsys):
     code, out, _ = run(
         capsys,

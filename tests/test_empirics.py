@@ -15,6 +15,7 @@ from isingchaos.empirics import (
     poisson_surrogate_levels,
     spacing_ratio,
     state_moment_sums,
+    window_means,
     windowed_coefficient_stats,
     windows_fixed_count,
 )
@@ -24,13 +25,13 @@ from oracles import empirical_strength_function, sector_state_moments, strength_
 from parity_oracle import inversion_matrix
 
 
-def synthetic_decomposition(vectors: np.ndarray, energies=None) -> EigenDecomposition:
+def synthetic_decomposition(vectors: np.ndarray, energies=None, k=0) -> EigenDecomposition:
     n_states = vectors.shape[1]
     if energies is None:
         energies = np.arange(n_states, dtype=float)
     return EigenDecomposition(
-        params=ModelParams(2, 0.0, 0.0),
-        k=0,
+        params=ModelParams(4, 0.0, 0.0),
+        k=k,
         energies=np.asarray(energies, dtype=float),
         vectors=np.asarray(vectors, dtype=np.complex128),
     )
@@ -38,13 +39,29 @@ def synthetic_decomposition(vectors: np.ndarray, energies=None) -> EigenDecompos
 
 def test_windows_fixed_count():
     energies = np.linspace(0, 1, 103)
-    windows = windows_fixed_count(energies, 25)
-    assert [w.size for w in windows] == [25, 25, 25, 25, 3]
-    assert [w.short for w in windows] == [False, False, False, False, True]
-    covered = np.concatenate([w.indices for w in windows])
+    edges = windows_fixed_count(energies, 25)
+    assert edges.dtype.kind == "i" and edges.tolist() == [0, 25, 50, 75, 100, 103]
+    sizes = np.diff(edges)
+    assert sizes.tolist() == [25, 25, 25, 25, 3]
+    assert (sizes < 25).tolist() == [False, False, False, False, True]  # only the last is short
+    covered = np.concatenate([np.arange(a, b) for a, b in zip(edges[:-1], edges[1:])])
     assert sorted(covered) == list(range(103))
     with pytest.raises(ValueError):
         windows_fixed_count(energies, 1)
+
+
+def test_windows_fixed_count_drops_a_trailing_level_and_needs_ascending_levels():
+    assert windows_fixed_count(np.arange(101.0), 25).tolist() == [0, 25, 50, 75, 100]
+    assert windows_fixed_count(np.arange(102.0), 25).tolist() == [0, 25, 50, 75, 100, 102]
+    assert windows_fixed_count(np.arange(1.0), 25).tolist() == [0]
+    with pytest.raises(ValueError, match="ascending"):
+        windows_fixed_count(np.array([0.0, 2.0, 1.0, 3.0]), 2)
+
+
+def test_window_means_are_slice_means():
+    values = np.arange(9.0) ** 2
+    edges = windows_fixed_count(np.arange(9.0), 4)  # the ninth level is dropped
+    assert window_means(values, edges).tolist() == [3.5, 31.5]
 
 
 def test_window_stats_on_true_gaussian_samples():
@@ -52,8 +69,8 @@ def test_window_stats_on_true_gaussian_samples():
     dim = 3000
     vectors = rng.standard_normal((4, dim)) * 0.01
     decomp = synthetic_decomposition(vectors)
-    windows = windows_fixed_count(decomp.energies, dim)
-    stats = windowed_coefficient_stats(decomp, 1, windows)[0]
+    edges = windows_fixed_count(decomp.energies, dim)
+    stats = windowed_coefficient_stats(decomp, 1, edges)[0]
     assert not stats.insufficient
     assert stats.mean == pytest.approx(0.0, abs=4 * 0.01 / np.sqrt(dim))
     assert stats.variance == pytest.approx(1e-4, rel=0.1)
@@ -63,22 +80,31 @@ def test_window_stats_on_true_gaussian_samples():
 def test_window_stats_insufficient_flag():
     rng = np.random.default_rng(1)
     decomp = synthetic_decomposition(rng.standard_normal((3, 20)))
-    windows = windows_fixed_count(decomp.energies, 20)
-    stats = windowed_coefficient_stats(decomp, 0, windows)[0]
+    edges = windows_fixed_count(decomp.energies, 20)
+    stats = windowed_coefficient_stats(decomp, 0, edges)[0]
     assert stats.insufficient
+
+
+@pytest.mark.parametrize("n", [30, 36, 37, 50])
+def test_window_is_insufficient_exactly_without_a_degree_of_freedom(n):
+    # a moment-fitted Gaussian has a degree of freedom from 37 samples on
+    rng = np.random.default_rng(n)
+    decomp = synthetic_decomposition(rng.standard_normal((2, n)))
+    (stats,) = windowed_coefficient_stats(decomp, 0, windows_fixed_count(decomp.energies, n))
+    assert stats.n_samples == n
+    assert stats.insufficient == (n <= 36) == (stats.chi2_reduced == np.inf)
 
 
 def test_variance_estimators_agree(store):
     # window-mean |C|^2 and the averaged-strength-function construction are
     # the same sum; both paths must agree identically
     basis, decomp = store.get(10, 1)
-    windows = windows_fixed_count(decomp.energies, 40)
+    edges = windows_fixed_count(decomp.energies, 40)
     sym = 17
     weights = np.abs(decomp.vectors[sym, :]) ** 2
-    for w in windows:
-        direct = weights[w.indices].mean()
-        strength_path = weights[w.indices].sum() / w.size
-        assert direct == pytest.approx(strength_path, rel=1e-14)
+    direct = window_means(weights, edges)
+    strength_path = np.add.reduceat(weights[: edges[-1]], edges[:-1]) / np.diff(edges)
+    assert direct == pytest.approx(strength_path, rel=1e-14)
 
 
 def test_coefficient_samples_real_vs_complex(store):
@@ -88,6 +114,16 @@ def test_coefficient_samples_real_vs_complex(store):
     basis1, decomp1 = store.get(10, 1)
     s1 = coefficient_samples(decomp1, 5, np.arange(decomp1.dim))
     assert s1.size == 2 * decomp1.dim  # complex sector: re and im parts
+
+
+def test_coefficient_samples_follow_the_sector_not_the_data():
+    # a complex sector (k = 1 of N = 4) whose symbol row happens to be real
+    # still gives real and imaginary parts; a real sector (k = 2 = N/2) does not
+    rng = np.random.default_rng(5)
+    vectors = rng.standard_normal((3, 12))
+    for k, n_samples in ((1, 24), (2, 12), (0, 12)):
+        decomp = synthetic_decomposition(vectors, k=k)
+        assert coefficient_samples(decomp, 1, slice(0, 12)).size == n_samples
 
 
 def test_strength_function_weight_and_sum_rules(store):
@@ -125,10 +161,10 @@ def test_strength_completeness(store):
 def test_participation_ratio_synthetic():
     aligned = np.zeros((4, 1), dtype=complex)
     aligned[2, 0] = 1.0
-    _, pr = empirical_participation_ratio(synthetic_decomposition(aligned, [0.0]))
+    pr = empirical_participation_ratio(synthetic_decomposition(aligned, [0.0]))
     assert pr[0] == pytest.approx(1.0)
     uniform = np.full((8, 1), np.sqrt(1 / 8), dtype=complex)
-    _, pr = empirical_participation_ratio(synthetic_decomposition(uniform, [0.0]))
+    pr = empirical_participation_ratio(synthetic_decomposition(uniform, [0.0]))
     assert pr[0] == pytest.approx(8.0)
 
 
@@ -154,7 +190,7 @@ def test_chunked_participation_ratio_is_exact_and_small(store):
     basis, decomp = store.get(12, 1)
     rows = empirics.MOMENT_CHUNK_ROWS
     assert decomp.dim > rows and decomp.dim % rows  # several blocks, the last one short
-    _, pr = empirical_participation_ratio(decomp)
+    pr = empirical_participation_ratio(decomp)
     # exact against the same formula summed without chunks
     assert np.array_equal(pr, 1.0 / _unchunked_moment_sums(decomp.vectors, 2.0))
     # and within rounding of the plain |C|^4 sum
@@ -189,27 +225,26 @@ def test_state_moment_sums_of_real_vectors(store):
 
 def test_participation_ratio_bounds(store):
     basis, decomp = store.get(10, 1)
-    _, pr = empirical_participation_ratio(decomp)
+    pr = empirical_participation_ratio(decomp)
     assert np.all(pr >= 1.0 - 1e-9)
     assert np.all(pr <= decomp.dim + 1e-9)
 
 
 def test_empirical_moments_q1_is_one(store):
     basis, decomp = store.get(10, 2)
-    windows = windows_fixed_count(decomp.energies, 30)
-    m1 = empirical_moments(decomp, 1.0, windows)
-    assert m1 == pytest.approx(np.ones(len(windows)), abs=1e-12)
+    edges = windows_fixed_count(decomp.energies, 30)
+    m1 = empirical_moments(decomp, 1.0, edges)
+    assert m1 == pytest.approx(np.ones(edges.size - 1), abs=1e-12)
     with pytest.raises(ValueError):
-        empirical_moments(decomp, 0.5, windows)
+        empirical_moments(decomp, 0.5, edges)
 
 
 def test_empirical_moments_q2_vs_participation(store):
     basis, decomp = store.get(10, 2)
-    windows = windows_fixed_count(decomp.energies, 30)
-    m2 = empirical_moments(decomp, 2.0, windows)
-    _, pr = empirical_participation_ratio(decomp)
-    for w, m in zip(windows, m2):
-        assert m == pytest.approx(np.mean(1.0 / pr[w.indices]), rel=1e-12)
+    edges = windows_fixed_count(decomp.energies, 30)
+    m2 = empirical_moments(decomp, 2.0, edges)
+    pr = empirical_participation_ratio(decomp)
+    assert m2 == pytest.approx(window_means(1.0 / pr, edges), rel=1e-12)
 
 
 def test_spacing_ratio_surrogates():
@@ -226,8 +261,9 @@ def test_spacing_ratio_excludes_degeneracies():
     rng = np.random.default_rng(3)
     base = np.sort(rng.uniform(0, 1, 400))
     doubled = np.sort(np.concatenate([base, base]))
-    res = spacing_ratio(doubled, bulk_fraction=1.0)
-    assert res.n_excluded == pytest.approx(base.size, abs=2)
+    res = spacing_ratio(doubled)
+    # the central 60% of the levels hold 0.6 x 400 pairs, each one degenerate spacing
+    assert res.n_excluded == pytest.approx(0.6 * base.size, abs=2)
     with pytest.raises(ValueError):
         spacing_ratio(np.array([1.0, 1.0, 1.0]))
 
@@ -303,28 +339,48 @@ def test_z_parity_blocks_at_zero_longitudinal_field():
 
 def test_compare_identical_and_offset(store):
     basis, decomp = store.get(10, 1)
-    windows = windows_fixed_count(decomp.energies, 25)
-    _, pr = empirical_participation_ratio(decomp)
-    emp = np.array([pr[w.indices].mean() for w in windows])
-    grid = np.array([w.center for w in windows])
-    exact = emp.copy()
-    report = compare(grid, exact, windows, emp, decomp.dim)
+    edges = windows_fixed_count(decomp.energies, 25)
+    pr = empirical_participation_ratio(decomp)
+    # a first report gives the window centers and means to use as the prediction
+    first = compare(decomp.energies, np.ones(decomp.dim), decomp.energies, pr, edges)
+    grid, exact = first.e_center, first.empirical
+    assert np.array_equal(exact, window_means(pr, edges))
+    report = compare(grid, exact, decomp.energies, pr, edges)
     assert report.bulk_median == pytest.approx(0.0, abs=1e-12)
-    report_off = compare(grid, exact, windows, emp * 1.10, decomp.dim)
+    report_off = compare(grid, exact, decomp.energies, pr * 1.10, edges)
     assert report_off.bulk_median == pytest.approx(0.10, rel=1e-6)
-    flagged = [r for r in report.rows if not r.in_bulk]
-    assert flagged  # edge windows are flagged, not dropped
+    assert not report.in_bulk.all()  # edge windows are flagged, not dropped
+    assert report.in_bulk.size == edges.size - 1
     with pytest.raises(ValueError):
-        compare(grid + 1e6, exact, windows, emp, decomp.dim)
+        compare(grid + 1e6, exact, decomp.energies, pr, edges)
+
+
+def test_compare_columns_equal_the_per_window_loop(store):
+    # the reference takes each window's center, mean, prediction, deviation and
+    # bulk flag one scalar at a time
+    basis, decomp = store.get(10, 1)
+    edges = windows_fixed_count(decomp.energies, 30)
+    pr = empirical_participation_ratio(decomp)
+    grid = np.linspace(decomp.energies[0], decomp.energies[-1], 77)
+    pred = 2.0 + np.cos(grid)
+    report = compare(grid, pred, decomp.energies, pr, edges, bulk_fraction=0.5)
+    assert report.in_bulk.any() and not report.in_bulk.all()
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        center = 0.5 * (float(decomp.energies[a]) + float(decomp.energies[b - 1]))
+        emp = pr[a:b].mean()
+        p = float(np.interp(center, grid, pred))
+        assert (report.e_center[i], report.empirical[i], report.predicted[i]) == (center, emp, p)
+        assert report.rel_deviation[i] == abs(emp - p) / abs(p)
+        assert report.in_bulk[i] == (abs((a + b) / 2 / decomp.dim - 0.5) <= 0.25)
 
 
 def test_compare_bulk_fraction():
     energies = np.linspace(0, 1, 200)
     vectors = np.eye(200, dtype=complex)
     decomp = synthetic_decomposition(vectors, energies)
-    windows = windows_fixed_count(energies, 20)
-    emp = np.ones(len(windows))
+    edges = windows_fixed_count(energies, 20)
     grid = np.linspace(0, 1, 50)
-    report = compare(grid, np.ones(50), windows, emp, 200, bulk_fraction=0.6)
-    in_bulk = [r.in_bulk for r in report.rows]
-    assert sum(in_bulk) == 6  # central 60% of ten 20-level windows
+    pr = empirical_participation_ratio(decomp)  # every state is a basis state: Pr = 1
+    report = compare(grid, np.ones(50), energies, pr, edges, bulk_fraction=0.6)
+    assert report.bulk_median == 0.0
+    assert report.in_bulk.sum() == 6  # central 60% of ten 20-level windows

@@ -27,6 +27,7 @@ from isingchaos.statmodel import (
     model_spectral_density,
     parity_split_quantities,
     prediction_curve,
+    prediction_span,
     r_q_complex,
     r_q_real,
     strength_density,
@@ -227,8 +228,7 @@ def test_spectral_density_symmetry_and_norm():
     x, w = _panel_quadrature(4000)
     sigma = np.sqrt(10 * (1 + 1.2**2))
     grid = sigma * 2.2 * x  # wide enough to cover all component means
-    with np.errstate(divide="ignore", invalid="ignore"):  # M_q is 0/0 far out; only rho is read
-        sector_rho = prediction_curve(momentum_basis(10, 3), model, grid).rho
+    sector_rho = prediction_curve(momentum_basis(10, 3), model, grid).rho  # M_q is NaN far out
     for rho in (model_spectral_density(model, grid), sector_rho):
         total = np.sum(w * sigma * 2.2 * rho)
         assert abs(total - 1.0) < 1e-6
@@ -450,3 +450,20 @@ def test_memoized_gibbs_quadrature_is_read_only():
     for array in statmodel._gibbs_grid(2000):
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+@pytest.mark.parametrize("delta_mode", ["uniform", "exact"])
+def test_gibbs_curve_far_outside_the_spectrum_is_nan_without_warnings(delta_mode):
+    # on twice the prediction span the Gibbs densities underflow: M_q and Pr are
+    # NaN there, and no floating-point warning is raised (the suite makes them errors)
+    params = ModelParams(10, 0.9, 1.1)
+    span = prediction_span(params)
+    grid = np.linspace(-2 * span, 2 * span, 257)
+    curve = prediction_curve(
+        momentum_basis(10, 1), build_strength_model(params, "gibbs"), grid, delta_mode=delta_mode
+    )
+    empty = np.isnan(curve.moments[3.0])
+    assert empty.any() and np.all(np.abs(grid[empty]) > span)
+    inside = np.abs(grid) <= span
+    assert np.isfinite(curve.pr[inside]).all()
+    assert all(np.isfinite(m[inside]).all() for m in curve.moments.values())
