@@ -5,7 +5,8 @@ stdout and every written file with the recorded copy: numbers at a relative
 tolerance of 1e-9, all other text exactly, with the run directory masked.
 
 To record the files afresh (only when an output change is intended and
-documented), run ``PYTHONPATH=src python tests/test_golden.py``.
+documented), run ``PYTHONPATH=src python tests/test_golden.py [CASE ...]``;
+with case names only those cases are recorded, otherwise all of them.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ CASES = {
     "coeff-hist": ["coeff-hist", *SECTOR, *MODEL, "--out", "{out}"],
     "coeff-hist-symbol-3": ["coeff-hist", *SECTOR, *MODEL, "--symbol", "3", "--out", "{out}"],
     "spacing": ["spacing", *SECTOR, *MODEL],
+    # the integrable line: z-parity labels every block as well
+    "spacing-alpha-0": ["spacing", *SECTOR, "--lambda", "0.9", "--alpha", "0"],
 }
 
 NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
@@ -89,17 +92,20 @@ def test_golden_output(name, tmp_path, monkeypatch):
         assert_matches(got[key], want[key], f"{name}/{key}")
 
 
-def record() -> None:
+def record(names: list[str]) -> None:
     os.environ.pop("ISINGCHAOS_CACHE_DIR", None)
-    shutil.rmtree(GOLDEN, ignore_errors=True)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
+        for name in names or CASES:
             target = GOLDEN / name
+            shutil.rmtree(target, ignore_errors=True)
             target.mkdir(parents=True)
             for key, text in run_case(name, Path(tmp)).items():
                 (target / key).write_text(text)
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])
     sys.exit(0)
