@@ -26,7 +26,7 @@ from .eigensolve import (
     block_spectra,
     diagonalize_cached,
 )
-from .hamiltonian import ModelParams, build_sector_hamiltonian
+from .hamiltonian import ModelParams, build_sector_hamiltonian, sector_elements
 from .spin_basis import ChainSizeError, MomentumBasis, momentum_basis, sector_dimension
 from .statmodel import (
     GibbsFitError,
@@ -300,6 +300,9 @@ def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     for sym in config.symbols or [decomp.dim // 2]:
         stats = empirics.windowed_coefficient_stats(decomp, sym, edges)
+        if all(st.insufficient for st in stats):
+            print(f"k={k} symbol={sym}: skipped (no window has a degree of freedom)")
+            continue
         path = out / f"coeff_hist_k{k}_s{sym}.csv"
         write_csv(
             path,
@@ -344,7 +347,7 @@ def cmd_spacing(config: RunConfig) -> int:
         # a symmetry too and exact degeneracies abound, so it labels the rows
         basis = momentum_basis(config.n_sites, k)
         z_parity = (-1) ** (config.n_sites - basis.n_up) if config.alpha == 0.0 else None
-        spectra = block_spectra(build_sector_hamiltonian(basis, config.params), z_parity)
+        spectra = block_spectra(basis, sector_elements(basis, config.params), z_parity)
         for (z, parity), energies in spectra.items():
             if z_parity is not None:
                 label = f"z{z:+d}{PARITY_LABELS[parity]}"

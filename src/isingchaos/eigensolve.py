@@ -5,8 +5,9 @@ Every sector matrix is solved in real arithmetic, in the real basis its
 inversion-odd blocks, elsewhere as one A-invariant block, with eigenvectors
 mapped back.  The returned eigenvectors are complex plane-wave coefficients
 in a fixed gauge.  ``block_spectra`` runs the same pre-solve checks and
-symmetry split but solves for eigenvalues only, checked per block by their
-sum rules.
+symmetry split on the sector's element list, with no dense plane-wave
+block, and solves for eigenvalues only, checked per block by their sum
+rules.
 
 Spectra, eigenvectors and parity labels (0 where there are none) are cached
 per (N, k, lam, alpha, format version) as little-endian payloads plus a JSON
@@ -29,10 +30,14 @@ import numpy as np
 from .hamiltonian import (
     ModelParams,
     NonHermitianError,
+    SectorElements,
     SectorMatrix,
     SymmetryBreakingError,
+    element_blocks,
+    summed_elements,
     symmetry_blocks,
 )
+from .spin_basis import MomentumBasis
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +102,11 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _fingerprint(h: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
+def _fingerprint(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray) -> str | None:
@@ -130,20 +138,10 @@ def _solve(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vectors
 
 
-def _checked_blocks(
-    matrix: SectorMatrix, row_labels: np.ndarray | None
-) -> dict[tuple[int, int], np.ndarray]:
-    """The checked blocks of ``symmetry_blocks``, with the matrix fingerprint on a symmetry failure."""
-    try:
-        return symmetry_blocks(matrix, row_labels)
-    except SymmetryBreakingError as exc:
-        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(matrix.entries)})") from None
-
-
 def _solve_blocks(
     matrix: SectorMatrix, blocks: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Solve and verify each block of ``_checked_blocks`` on its own.
+    """Solve and verify each block of ``symmetry_blocks`` on its own.
 
     Returns the energies in ascending order, the plane-wave eigenvectors
     (real where ``matrix.basis.is_real``) and there the inversion parity of
@@ -196,7 +194,11 @@ def diagonalize(matrix: SectorMatrix) -> EigenDecomposition:
     or the eigenvectors fail a randomized orthonormality check
     (``ORTHO_PROBES`` probes at relative tolerance ``ORTHO_TOL``).
     """
-    energies, vectors, parity = _solve_blocks(matrix, _checked_blocks(matrix, None))
+    try:
+        blocks = symmetry_blocks(matrix)
+    except SymmetryBreakingError as exc:
+        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(matrix.entries)})") from None
+    energies, vectors, parity = _solve_blocks(matrix, blocks)
     vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
     return EigenDecomposition(
         params=matrix.params, k=matrix.k, energies=energies, vectors=vectors, parity=parity
@@ -222,32 +224,43 @@ def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:
 
 
 def block_spectra(
-    matrix: SectorMatrix, row_labels: np.ndarray | None = None
+    basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Verified eigenvalues of each symmetry block, without eigenvectors.
+    """Verified eigenvalues of each symmetry block of a sector, without eigenvectors.
 
-    Runs the pre-solve checks and the split of ``symmetry_blocks``, here
-    with optional ``row_labels``, and ``np.linalg.eigvalsh`` on each block B
-    of dimension n.  Each spectrum must hold n finite levels and satisfy the
-    sum rules sum E = tr B within ``SUM_RULE_RTOL`` sqrt(n) |B|_F and
-    sum E^2 = |B|_F^2 within ``SUM_RULE_RTOL`` |B|_F^2.  That catches a lost, shifted or non-finite
+    Builds the checked real blocks of ``element_blocks`` from the sector's
+    elements over ``basis`` (``hamiltonian.sector_elements``), here with
+    optional ``row_labels``, with no dense plane-wave block, and runs
+    ``np.linalg.eigvalsh`` on each block B of dimension n.  Each spectrum
+    must hold n finite levels and satisfy the sum rules sum E = tr B within
+    ``SUM_RULE_RTOL`` sqrt(n) |B|_F and sum E^2 = |B|_F^2 within
+    ``SUM_RULE_RTOL`` |B|_F^2.  That catches a lost, shifted or non-finite
     level, but it is weaker than the residual check of ``diagonalize``: an
     error that preserves both sums passes.
 
     Returns ``{(label, parity): ascending energies}`` keyed and ordered as
-    ``symmetry_blocks`` returns the blocks.  Raises ``NonHermitianError``,
-    ``SymmetryBreakingError``, or ``DiagonalizationError`` with a matrix
-    fingerprint if LAPACK fails or a check does not hold.
+    ``element_blocks`` returns the blocks.  Raises ``NonHermitianError``,
+    ``SymmetryBreakingError``, or ``DiagonalizationError`` with a fingerprint
+    of the summed elements if LAPACK fails or a check does not hold.
     """
+
+    def fingerprint() -> str:
+        return _fingerprint(*summed_elements(elements, basis.dim))
+
+    try:
+        blocks = element_blocks(basis, elements, row_labels)
+    except SymmetryBreakingError as exc:
+        raise SymmetryBreakingError(f"{exc} (matrix {fingerprint()})") from None
     spectra = {}
-    for key, block in _checked_blocks(matrix, row_labels).items():
+    for key in list(blocks):
+        block = blocks.pop(key)  # each block is freed once solved
         try:
             energies = np.linalg.eigvalsh(block)
         except np.linalg.LinAlgError as exc:
-            raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(matrix.entries)}") from exc
+            raise DiagonalizationError(f"eigensolver failed on matrix {fingerprint()}") from exc
         failure = _sum_rule_failure(block, energies)
         if failure is not None:
-            raise DiagonalizationError(f"block {key}: {failure} on matrix {_fingerprint(matrix.entries)}")
+            raise DiagonalizationError(f"block {key}: {failure} on matrix {fingerprint()}")
         spectra[key] = energies
     return spectra
 

@@ -3,18 +3,21 @@
 H = -sum_j sx_j sx_{j+1} - lam * sum_j sz_j - alpha * sum_j sx_j,  site N+1 = 1.
 
 Two assembly paths: a sparse matrix over the full product basis (small chains,
-used as an oracle) and dense matrices in fixed translation-momentum sectors
-(production path), real at k = 0 and k = N/2 and complex elsewhere.
+used as an oracle) and, in fixed translation-momentum sectors (production
+path), one element list per sector, real at k = 0 and k = N/2 and complex
+elsewhere, which is summed into a dense block or mapped into real blocks.
 
 Every sector block commutes with the antiunitary A = (inversion) x (complex
-conjugation), so it is real symmetric in an A-invariant basis.  Sector
-matrices carry their ``MomentumBasis``, which owns that real basis;
-``symmetry_blocks`` checks a block and splits it there into real blocks.
+conjugation), so it is real symmetric in an A-invariant basis, which the
+sector's ``MomentumBasis`` owns.  ``symmetry_blocks`` checks a dense block
+and splits it there into real blocks; ``element_blocks`` runs the same
+checks on the element list and builds the real blocks from it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,21 +115,26 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> SectorMatrix:
-    """Assemble the momentum-sector Hamiltonian in the given orbit basis.
+class SectorElements(NamedTuple):
+    """Matrix elements of a sector block over its plane-wave states.
 
-    Each term maps a representative onto some configuration b; the matrix
-    element picks up sqrt(t_a / t_b) times the plane-wave phase of the shift
-    locating b inside its own orbit.  The block is float64 where
-    ``basis.is_real`` (every phase is +-1) and complex128 elsewhere.
+    The block is the sum of ``values[i]`` at (``rows[i]``, ``cols[i]``);
+    a (row, col) pair may appear more than once.
     """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _element_chunks(basis: MomentumBasis, params: ModelParams):
+    """The elements of ``sector_elements`` as (rows, cols, values) chunks: the diagonal, then each flip."""
     n = params.n_sites
     if basis.n_sites != n:
         raise ValueError("basis and params disagree on the chain length")
     if n > SECTOR_MAX_SITES:
         raise ChainSizeError(f"sector assembly capped at N={SECTOR_MAX_SITES} (got {n})")
 
-    dim = basis.dim
     reps = basis.reps
     periods = basis.periods.astype(np.float64)
     rep_index, shift = basis.config_lookup()
@@ -134,43 +142,72 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
     phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
     if basis.is_real:
         phases = phases.real  # exactly +-1
-    h = np.zeros((dim, dim), dtype=phases.dtype)
-    cols = np.arange(dim)
-    h[cols, cols] = diagonal_energy(params, basis.n_up)
+    states = np.arange(basis.dim)
+    yield states, states, diagonal_energy(params, basis.n_up)
     flips = [((1 << j) | (1 << ((j + 1) % n)), -1.0) for j in range(n)]
     flips += [(1 << j, -params.alpha) for j in range(n)]
     for mask, coeff in flips:
         targets = reps ^ mask
         rows = rep_index[targets]
         valid = rows >= 0
-        r, c = rows[valid], cols[valid]
-        vals = (
-            coeff
-            * np.sqrt(periods[c] / periods[r])
-            * phases[shift[targets[valid]] % n]
-        )
-        np.add.at(h, (r, c), vals)
+        r, c = rows[valid], states[valid]
+        yield r, c, coeff * np.sqrt(periods[c] / periods[r]) * phases[shift[targets[valid]] % n]
+
+
+def sector_elements(basis: MomentumBasis, params: ModelParams) -> SectorElements:
+    """The elements of the momentum-sector Hamiltonian in the given orbit basis.
+
+    The diagonal comes first, one element per state in basis order, then the
+    elements of each bond flip and each single-site flip in site order.  Each
+    flip maps a representative onto some configuration b; the matrix element
+    picks up sqrt(t_a / t_b) times the plane-wave phase of the shift locating
+    b inside its own orbit.  The values are float64 where ``basis.is_real``
+    (every phase is +-1) and complex128 elsewhere.
+    """
+    rows, cols, values = zip(*_element_chunks(basis, params))
+    return SectorElements(np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
+
+
+def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> SectorMatrix:
+    """The dense momentum-sector block: the elements of ``sector_elements`` summed in their order.
+
+    The block is filled chunk by chunk: one scatter of the concatenated list
+    leaves heap fragments that raised the peak RSS of ``diag --spins 14
+    --momentum all`` by 7% (glibc's dynamic mmap threshold).
+    """
+    chunks = _element_chunks(basis, params)
+    states, _, energies = next(chunks)
+    h = np.zeros((basis.dim, basis.dim), dtype=np.float64 if basis.is_real else np.complex128)
+    # the diagonal is assigned, not added, so that a vanishing diagonal energy keeps its sign
+    h[states, states] = energies
+    for rows, cols, values in chunks:
+        np.add.at(h, (rows, cols), values)
     return SectorMatrix(params=params, basis=basis, entries=h)
 
 
-def symmetry_blocks(
-    matrix: SectorMatrix, row_labels: np.ndarray | None = None
-) -> dict[tuple[int, int], np.ndarray]:
-    """Checked real diagonal blocks of a sector matrix in the real basis of its ``basis``.
+def _limit(magnitudes: np.ndarray) -> float:
+    """The pre-solve tolerance for a block with entries of these magnitudes."""
+    return HERMITICITY_TOL * float(np.max(magnitudes, initial=1.0))
+
+
+def _block_edges(labels: np.ndarray, parity: np.ndarray) -> list[int]:
+    """Start of each run of equal (label, parity) in column order, and the end."""
+    change = (np.diff(labels) != 0) | (np.diff(parity) != 0)
+    return [0, *(np.flatnonzero(change) + 1).tolist(), parity.size]
+
+
+def symmetry_blocks(matrix: SectorMatrix) -> dict[tuple[int, int], np.ndarray]:
+    """Checked real diagonal blocks of a dense sector matrix in the real basis of its ``basis``.
 
     The columns carry the inversion parity of that basis: +-1 at k = 0 and
-    N/2, 0 elsewhere.  With ``row_labels`` each column is also labelled by
-    the integer label of its plane-wave rows, which must agree on both
-    members of a pair (the z-parity does, since inversion keeps the up-spin
-    count).  Returns ``{(row label or 0, parity): block}`` in descending key
-    order; without ``row_labels`` the blocks are views, in basis column
-    order.  With limit ``HERMITICITY_TOL`` * max(1, max|h|), raises
-    ``NonHermitianError`` if |h - h^dagger| exceeds it and
-    ``SymmetryBreakingError`` if, in the real basis, an imaginary part or an
-    entry coupling two blocks does.
+    N/2, 0 elsewhere.  Returns ``{(0, parity): block}`` in descending key
+    order, as views in basis column order.  With limit ``HERMITICITY_TOL`` *
+    max(1, max|h|), raises ``NonHermitianError`` if |h - h^dagger| exceeds
+    it and ``SymmetryBreakingError`` if, in the real basis, an imaginary
+    part or an entry coupling two blocks does.
     """
     basis, h = matrix.basis, matrix.entries
-    limit = HERMITICITY_TOL * float(np.max(np.abs(h), initial=1.0))
+    limit = _limit(np.abs(h))
     defect = hermiticity_defect(h)
     if defect > limit:
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
@@ -180,14 +217,8 @@ def symmetry_blocks(
         if off_real > limit:
             raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
         g = g.real
-    rows, parity = basis.real_layout.rows, basis.real_layout.parity
-    labels = np.zeros_like(parity)
-    if row_labels is not None:
-        labels = np.asarray(row_labels)[rows]
-        order = np.lexsort((-parity, -labels))
-        g, labels, parity = g[np.ix_(order, order)], labels[order], parity[order]
-    change = (np.diff(labels) != 0) | (np.diff(parity) != 0)
-    edges = [0, *(np.flatnonzero(change) + 1).tolist(), matrix.dim]
+    parity = basis.real_layout.parity
+    edges = _block_edges(np.zeros_like(parity), parity)
     spans = list(zip(edges[:-1], edges[1:]))
     coupling = max(
         [0.0]
@@ -196,4 +227,81 @@ def symmetry_blocks(
     )
     if coupling > limit:
         raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
-    return {(int(labels[a]), int(parity[a])): g[a:b, a:b] for a, b in spans}
+    return {(0, int(parity[a])): g[a:b, a:b] for a, b in spans}
+
+
+def summed_elements(elements: SectorElements, dim: int) -> SectorElements:
+    """One element per (row, col) pair of a ``dim`` x ``dim`` block, sorted by row, then col.
+
+    The values of repeated pairs are added in list order.
+    """
+    rows, cols, values = elements
+    key, inverse = np.unique(np.asarray(rows, dtype=np.int64) * dim + cols, return_inverse=True)
+    summed = np.bincount(inverse, weights=values.real, minlength=key.size)
+    if np.iscomplexobj(values):
+        summed = summed + 1j * np.bincount(inverse, weights=values.imag, minlength=key.size)
+    return SectorElements(key // dim, key % dim, summed)
+
+
+def element_blocks(
+    basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
+) -> dict[tuple[int, int], np.ndarray]:
+    """Checked real diagonal blocks of a sector, built from its elements without the dense block.
+
+    The result equals ``symmetry_blocks`` of the dense block, up to rounding.
+    With ``row_labels`` each real column is also labelled by the integer
+    label of its plane-wave rows, which must agree on both members of a pair
+    (the z-parity does, since inversion keeps the up-spin count).  Returns
+    ``{(row label or 0, parity): block}`` in descending key order, each block
+    a new float64 array with its columns in basis column order.  After
+    summing repeated elements, with limit ``HERMITICITY_TOL`` * max(1,
+    max|h|) it raises ``NonHermitianError`` if an element differs from the
+    conjugate of its transpose (0 where that is absent) by more than the
+    limit, and ``SymmetryBreakingError`` if, in the real basis, an imaginary
+    part or an entry coupling two blocks does.
+    """
+    dim = basis.dim
+    rows, cols, values = summed_elements(elements, dim)
+    limit = _limit(np.abs(values))
+    key = rows * dim + cols
+    mirror_key = cols * dim + rows
+    at = np.minimum(np.searchsorted(key, mirror_key), key.size - 1)
+    mirror = np.where(key[at] == mirror_key, values[at], 0.0)
+    defect = float(np.max(np.abs(values - mirror.conj()), initial=0.0))
+    if defect > limit:
+        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
+
+    # U^dagger h U: the element (a, b, v) adds conj(U[a, c]) v U[b, d] at (c, d)
+    # for each of the at most 2 x 2 nonzeros U[a, c], U[b, d]
+    u_col, u_coef = basis.real_entries()
+    g = u_coef[rows].conj()[:, :, None] * values[:, None, None] * u_coef[cols][:, None, :]
+    g_rows, g_cols = np.broadcast_arrays(u_col[rows][:, :, None], u_col[cols][:, None, :])
+    nonzero = (u_coef[rows] != 0)[:, :, None] & (u_coef[cols] != 0)[:, None, :]
+    g_rows, g_cols, g = summed_elements(
+        SectorElements(g_rows[nonzero], g_cols[nonzero], g[nonzero]), dim
+    )
+    if np.iscomplexobj(g):  # real values at real k give a real g, with nothing to check
+        off_real = float(np.max(np.abs(g.imag), initial=0.0))
+        if off_real > limit:
+            raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
+        g = g.real
+
+    parity = basis.real_layout.parity
+    labels = np.zeros_like(parity) if row_labels is None else np.asarray(row_labels)[basis.real_layout.rows]
+    order = np.lexsort((-parity, -labels))  # descending keys; stable, so basis order within a block
+    edges = _block_edges(labels[order], parity[order])
+    block_of = np.empty(dim, dtype=np.int64)
+    local = np.empty(dim, dtype=np.int64)
+    block_of[order] = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    local[order] = np.arange(dim) - np.repeat(edges[:-1], np.diff(edges))
+    inside = block_of[g_rows] == block_of[g_cols]
+    coupling = float(np.max(np.abs(g[~inside]), initial=0.0))
+    if coupling > limit:
+        raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
+    blocks = {}
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        mine = inside & (block_of[g_rows] == i)
+        block = np.zeros((b - a, b - a))
+        block[local[g_rows[mine]], local[g_cols[mine]]] = g[mine]
+        blocks[int(labels[order[a]]), int(parity[order[a]])] = block
+    return blocks

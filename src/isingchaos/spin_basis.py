@@ -194,6 +194,29 @@ class MomentumBasis:
             parity=(np.where(idx < n_even, 1, -1) * self.is_real).astype(np.int8),
         )
 
+    def real_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzeros of U by plane-wave row: U[a, col[a, j]] = coef[a, j] for j = 0, 1.
+
+        ``col[a]`` holds the "+" and the "-" column of the pair of state a; an
+        invariant state has one column, so its ``coef[a, 1]`` is 0.
+        """
+        rows, phase, lead, n_pair, _ = self.real_layout
+        z = 1.0 if self.is_real else 1j
+        first = slice(lead, lead + n_pair)
+        second = slice(lead + n_pair, lead + 2 * n_pair)
+        position = np.arange(self.dim)
+        col = np.stack([position, position], axis=1)
+        col[first, 1] = position[second]
+        col[second, 0] = position[first]
+        coef = np.zeros((self.dim, 2), dtype=np.result_type(phase, z))
+        coef[:, 0] = 1.0
+        coef[first] = [np.sqrt(0.5), z * np.sqrt(0.5)]
+        coef[second] = [np.sqrt(0.5), -z * np.sqrt(0.5)]
+        coef *= phase[:, None]
+        out_col, out_coef = np.empty_like(col), np.empty_like(coef)
+        out_col[rows], out_coef[rows] = col, coef
+        return out_col, out_coef
+
     def to_real(self, h: np.ndarray) -> np.ndarray:
         """U^dagger h U for a matrix ``h`` over this basis.
 

@@ -387,7 +387,7 @@ def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, and NaN where den is 0: there every P_n(E) vanishes (or underflows), so no states."""
+    """num / den, and NaN where den is 0: there every P_n(E) vanishes, so no states."""
     return np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den > 0)
 
 
@@ -403,19 +403,24 @@ def _delta(basis: MomentumBasis, powered: np.ndarray | None, mode: str):
 
 
 def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
-    """M_q on the grid of ``clipped``, the density stack clipped at zero."""
+    """M_q on the grid of ``clipped``, the density stack clipped at zero; NaN where no n has states.
+
+    Each P_n is divided by sum_n nu_n P_n before the power, so that a tiny
+    but nonzero density does not underflow to 0 / 0.  An n without states
+    (nu_n = 0) takes share 0: its P_n is not part of that sum.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     nu = basis.nu_tot().astype(float)
-    powered = clipped**q
     s1 = nu @ clipped
-    sq = nu @ powered
+    share = np.divide(clipped, s1, out=np.zeros(clipped.shape), where=(nu[:, None] > 0) & (s1 > 0))
+    powered = share**q
     delta = _delta(basis, powered, delta_mode)
     if basis.is_real:
         factor = r_q_real(q) * (1.0 + (2.0 ** (q - 1) - 1.0) * delta)
     else:
         factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
-    return _ratio(factor * sq, s1**q)
+    return np.where(s1 > 0, factor * (nu @ powered), np.nan)
 
 
 @dataclass(frozen=True)

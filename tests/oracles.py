@@ -2,7 +2,8 @@
 
 None of these run in the pipeline: single-configuration bit operations,
 closed-form and exhaustive counts, explicit powers of H, spectral sums over
-eigenvectors, and quadrature moments of a fitted Gibbs density.
+eigenvectors, quadrature moments of a fitted Gibbs density, and labelled
+symmetry blocks cut from the dense real-basis block.
 """
 
 from math import comb
@@ -11,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from isingchaos.eigensolve import EigenDecomposition
-from isingchaos.hamiltonian import FULL_BASIS_MAX_SITES, ModelParams, build_full_hamiltonian
+from isingchaos.hamiltonian import FULL_BASIS_MAX_SITES, ModelParams, SectorMatrix, build_full_hamiltonian
 from isingchaos.spin_basis import ChainSizeError, _divisors, orbit_tables, popcount, reflect_table
 from isingchaos.statmodel import (
     GibbsFit,
@@ -167,3 +168,21 @@ def gibbs_energy_moments(fit: GibbsFit, n_nodes: int = 4000) -> np.ndarray:
     nodes, weights = _panel_quadrature(n_nodes)
     m = _std_moments(fit.std_coeffs, _power_table(nodes, 4), weights)
     return _std_to_energy_moments(m, fit.e_center, fit.sigma)
+
+
+def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Dense reference for ``element_blocks`` with row labels.
+
+    The real-basis block U^dagger h U has its columns sorted by descending
+    (label of their plane-wave rows, parity), basis order within, and is
+    cut at each change.
+    """
+    basis = matrix.basis
+    g = basis.to_real(matrix.entries).real
+    labels = np.asarray(row_labels)[basis.real_layout.rows]
+    parity = basis.real_layout.parity
+    order = np.lexsort((-parity, -labels))
+    g, labels, parity = g[np.ix_(order, order)], labels[order], parity[order]
+    change = (np.diff(labels) != 0) | (np.diff(parity) != 0)
+    edges = [0, *(np.flatnonzero(change) + 1).tolist(), g.shape[0]]
+    return {(int(labels[a]), int(parity[a])): g[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])}

@@ -14,7 +14,8 @@ from isingchaos.hamiltonian import (
     ModelParams,
     build_full_hamiltonian,
     build_sector_hamiltonian,
-    symmetry_blocks,
+    element_blocks,
+    sector_elements,
 )
 from isingchaos.moments import analytic_moments
 from isingchaos.spin_basis import momentum_basis, sector_dimension
@@ -179,7 +180,7 @@ def _pr_comparison(basis, decomp, corrected_model, gauss_model):
     stack = _clipped_power(_density_stack(gauss_model, grid), 1.0)
     nu = basis.nu_tot().astype(float)
     factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
-    assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ stack**2.0) / (nu @ stack) ** 2.0))
+    assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ (stack / (nu @ stack)) ** 2.0)))
     rep_c = empirics.compare(grid, corr.pr, decomp.energies, pr, edges)
     rep_u = empirics.compare(grid, unc.pr, decomp.energies, pr, edges)
     # effective R2 from data: model ratio-part divided by empirical Pr
@@ -295,7 +296,7 @@ def test_criterion_9_spacing_ratios(store):
     # block-projected symmetry resolution
     params0 = ModelParams(15, 1.2, 0.0)
     z_parity = (-1) ** (15 - basis.n_up)
-    blocks = symmetry_blocks(build_sector_hamiltonian(basis, params0), z_parity)
+    blocks = element_blocks(basis, sector_elements(basis, params0), z_parity)
     integrable_rs = []
     for block in blocks.values():
         energies = np.linalg.eigvalsh(0.5 * (block + block.T))

@@ -265,10 +265,12 @@ def _chi2_column(path):
 
 def test_coeff_hist_skips_windows_without_a_degree_of_freedom(tmp_path, capsys):
     # k=0 is real: 30 levels give 30 samples, too few for a chi^2 with a degree of
-    # freedom, so no window is written; 37 levels give finite fits
+    # freedom, so no window is written and, with none left, no file; 37 levels give finite fits
     argv = ["coeff-hist", "--spins", "12", "--momentum", "0", "--symbol", "3"]
-    assert run(capsys, *argv, "--window-levels", "30", "--out", str(tmp_path / "w30"))[0] == EXIT_OK
-    assert _chi2_column(tmp_path / "w30" / "coeff_hist_k0_s3.csv") == []
+    code, out, _ = run(capsys, *argv, "--window-levels", "30", "--out", str(tmp_path / "w30"))
+    assert code == EXIT_OK
+    assert out == "k=0 symbol=3: skipped (no window has a degree of freedom)\n"
+    assert sorted(p.name for p in (tmp_path / "w30").iterdir()) == ["run_config.json"]
     assert run(capsys, *argv, "--window-levels", "37", "--out", str(tmp_path / "w37"))[0] == EXIT_OK
     chi2 = _chi2_column(tmp_path / "w37" / "coeff_hist_k0_s3.csv")
     assert chi2 and all(np.isfinite(chi2))
@@ -325,13 +327,22 @@ def test_spacing_integrable_path(capsys):
 
 
 def test_spacing_solves_values_only(capsys, monkeypatch):
-    from isingchaos import eigensolve
+    from isingchaos import cli, eigensolve, hamiltonian
+    from isingchaos.spin_basis import MomentumBasis
 
-    def no_full_solve(*args, **kwargs):
-        raise AssertionError("spacing ran the eigenvector solve")
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"spacing ran {what}")
+
+        return call
 
     monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
-    monkeypatch.setattr(eigensolve, "diagonalize", no_full_solve)
+    monkeypatch.setattr(eigensolve, "diagonalize", refuse("the eigenvector solve"))
+    # nor any part of the dense plane-wave path: spacing builds its blocks from the element list
+    for module in (cli, hamiltonian):
+        monkeypatch.setattr(module, "build_sector_hamiltonian", refuse("the dense assembly"))
+    monkeypatch.setattr(hamiltonian, "hermiticity_defect", refuse("the dense hermiticity check"))
+    monkeypatch.setattr(MomentumBasis, "to_real", refuse("the dense real-basis gather"))
     code, out, _ = run(capsys, "spacing", "--spins", "10", "--momentum", "0", "--momentum", "1", "--momentum", "5")
     assert code == EXIT_OK
     labels = [line.split(":")[0] for line in out.splitlines()[1:]]

@@ -24,11 +24,14 @@ from isingchaos.eigensolve import (
 from isingchaos.empirics import coefficient_samples
 from isingchaos.hamiltonian import (
     ModelParams,
+    SectorElements,
     build_full_hamiltonian,
     build_sector_hamiltonian,
+    sector_elements,
     symmetry_blocks,
 )
 from isingchaos.spin_basis import momentum_basis
+from oracles import labelled_blocks
 from parity_oracle import inversion_matrix
 
 def sector(n_sites, k):
@@ -357,10 +360,11 @@ def test_atomic_write_uses_unique_temp_files(tmp_path, monkeypatch):
 def test_block_spectra_match_diagonalize_per_block(n_sites, k):
     basis = momentum_basis(n_sites, k)
     # integrable line: blocks labelled by z-parity and, at k = 0 and N/2, inversion parity
-    matrix = build_sector_hamiltonian(basis, ModelParams(n_sites, 0.9, 0.0))
+    params = ModelParams(n_sites, 0.9, 0.0)
     z_parity = (-1) ** (n_sites - basis.n_up)
-    spectra = block_spectra(matrix, z_parity)
-    blocks = symmetry_blocks(matrix, z_parity)
+    spectra = block_spectra(basis, sector_elements(basis, params), z_parity)
+    matrix = build_sector_hamiltonian(basis, params)
+    blocks = labelled_blocks(matrix, z_parity)
     assert list(spectra) == list(blocks)
     for key, block in blocks.items():
         oracle = np.linalg.eigvalsh(block)
@@ -369,9 +373,9 @@ def test_block_spectra_match_diagonalize_per_block(n_sites, k):
     union = np.sort(np.concatenate(list(spectra.values())))
     assert np.max(np.abs(union - diagonalize(matrix).energies)) < 1e-12
     # off the integrable line: inversion-parity blocks only, as diagonalize labels them
-    matrix = build_sector_hamiltonian(basis, ModelParams(n_sites, 0.9, 1.1))
-    decomp = diagonalize(matrix)
-    spectra = block_spectra(matrix)
+    params = ModelParams(n_sites, 0.9, 1.1)
+    decomp = diagonalize(build_sector_hamiltonian(basis, params))
+    spectra = block_spectra(basis, sector_elements(basis, params))
     if decomp.parity is None:
         assert list(spectra) == [(0, 0)]
         assert np.max(np.abs(spectra[(0, 0)] - decomp.energies)) < 1e-12
@@ -403,6 +407,11 @@ def _drop_level(energies):
     return energies[1:]
 
 
+def _elements(n_sites, k):
+    basis = momentum_basis(n_sites, k)
+    return basis, sector_elements(basis, ModelParams(n_sites, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize(
     "corrupt,message",
@@ -415,43 +424,65 @@ def _drop_level(energies):
     ids=["shifted", "spread", "nan", "dropped"],
 )
 def test_block_spectra_sum_rules_catch_a_bad_level(monkeypatch, k, corrupt, message):
-    matrix = build_sector_hamiltonian(momentum_basis(10, k), ModelParams(10, 1.0, 1.0))
+    basis, elements = _elements(10, k)
     exact_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: corrupt(exact_eigvalsh(a)))
-    with pytest.raises(DiagonalizationError, match=message):
-        block_spectra(matrix)
+    with pytest.raises(DiagonalizationError, match=message + ".* on matrix [0-9a-f]{16}"):
+        block_spectra(basis, elements)
 
 
 def test_block_spectra_sum_rules_hold_tightly():
     # measured deviations sit near 1e-15; the checks leave about three decades
     for n_sites, k in ((12, 0), (12, 1)):
-        matrix = build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, 1.0, 1.0))
-        for key, block in symmetry_blocks(matrix).items():
-            energies = block_spectra(matrix)[key]
+        basis, elements = _elements(n_sites, k)
+        spectra = block_spectra(basis, elements)
+        for key, block in symmetry_blocks(build_sector_hamiltonian(basis, ModelParams(n_sites, 1.0, 1.0))).items():
+            energies = spectra[key]
             frob2 = np.sum(block**2)
             assert abs(energies.sum() - np.trace(block)) < 1e-14 * np.sqrt(block.shape[0] * frob2)
             assert abs(np.sum(energies**2) - frob2) < 1e-14 * frob2
 
 
 def test_block_spectra_linalg_failure_is_a_diagonalization_error(monkeypatch):
-    matrix = build_sector_hamiltonian(momentum_basis(8, 0), ModelParams(8, 1.0, 1.0))
+    basis, elements = _elements(8, 0)
 
     def failing_eigvalsh(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
     with pytest.raises(DiagonalizationError, match="eigensolver failed on matrix [0-9a-f]{16}"):
-        block_spectra(matrix)
+        block_spectra(basis, elements)
+
+
+def _with(elements, rows, cols, values):
+    """The element list with further elements appended."""
+    return SectorElements(
+        np.concatenate([elements.rows, rows]),
+        np.concatenate([elements.cols, cols]),
+        np.concatenate([elements.values, values]),
+    )
 
 
 def test_block_spectra_pre_solve_checks():
-    matrix = sector(8, 0)
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((matrix.dim, matrix.dim))
-    # real noise couples the two parity blocks of k = 0
-    coupled = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * (a + a.T))
-    with pytest.raises(SymmetryBreakingError, match="couples two symmetry blocks"):
-        block_spectra(coupled)
-    skewed = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * a)
+    basis, elements = _elements(8, 0)
+    pair = int(np.flatnonzero(basis.partner != np.arange(basis.dim))[0])
+    # a shift of one member of an inversion pair breaks inversion: it couples the parity blocks
+    coupled = _with(elements, [pair], [pair], [1e-6])
+    with pytest.raises(SymmetryBreakingError, match="couples two symmetry blocks by .* \\(matrix [0-9a-f]{16}\\)"):
+        block_spectra(basis, coupled)
+    # an element whose transpose differs
+    row, col = elements.rows[-1], elements.cols[-1]
+    assert row != col
+    skewed = _with(elements, [row], [col], [1e-6])
     with pytest.raises(NonHermitianError, match="hermiticity defect"):
-        block_spectra(skewed)
+        block_spectra(basis, skewed)
+    # an element without a transpose
+    present = set(zip(elements.rows.tolist(), elements.cols.tolist()))
+    row, col = next((r, c) for r in range(basis.dim) for c in range(basis.dim) if (c, r) not in present)
+    with pytest.raises(NonHermitianError, match="hermiticity defect 1.000e-06"):
+        block_spectra(basis, _with(elements, [row], [col], [1e-6]))
+    # at k = 1 the same shift is imaginary in the real basis
+    basis, elements = _elements(8, 1)
+    pair = int(np.flatnonzero(basis.partner != np.arange(basis.dim))[0])
+    with pytest.raises(SymmetryBreakingError, match="off-real by .* \\(matrix [0-9a-f]{16}\\)"):
+        block_spectra(basis, _with(elements, [pair], [pair], [1e-6]))

@@ -19,7 +19,7 @@ from isingchaos.empirics import (
     windowed_coefficient_stats,
     windows_fixed_count,
 )
-from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian, symmetry_blocks
+from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian, element_blocks, sector_elements
 from isingchaos.spin_basis import momentum_basis
 from oracles import empirical_strength_function, sector_state_moments, strength_moments
 from parity_oracle import inversion_matrix
@@ -314,7 +314,7 @@ def test_inversion_blocks_reproduce_sector_spectrum(store):
     basis = momentum_basis(10, 0)
     params = ModelParams(10, 1.0, 1.0)
     matrix = build_sector_hamiltonian(basis, params)
-    blocks = symmetry_blocks(matrix, np.zeros(basis.dim, dtype=int))
+    blocks = element_blocks(basis, sector_elements(basis, params), np.zeros(basis.dim, dtype=int))
     assert sorted(blocks) == [(0, -1), (0, 1)]
     assert blocks[0, 1].shape[0] == (basis.dim + basis.n_invariant) // 2
     union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.values()]))
@@ -325,16 +325,17 @@ def test_inversion_blocks_reproduce_sector_spectrum(store):
 def test_z_parity_blocks_at_zero_longitudinal_field():
     for k in (0, 3, 4):
         basis = momentum_basis(8, k)
-        matrix = build_sector_hamiltonian(basis, ModelParams(8, 1.0, 0.0))
+        params = ModelParams(8, 1.0, 0.0)
+        matrix = build_sector_hamiltonian(basis, params)
         signs = (-1) ** (8 - basis.n_up)
-        blocks = symmetry_blocks(matrix, signs)
+        blocks = element_blocks(basis, sector_elements(basis, params), signs)
         parities = [0] if k == 3 else [1, -1]
         assert list(blocks) == [(z, p) for z in (1, -1) for p in parities]
         union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.values()]))
         assert np.max(np.abs(union - np.sort(np.linalg.eigvalsh(matrix.entries)))) < 1e-9
         # at a nonzero longitudinal field z-parity is broken and the check says so
         with pytest.raises(ValueError, match="couples"):
-            symmetry_blocks(build_sector_hamiltonian(basis, ModelParams(8, 1.0, 0.5)), signs)
+            element_blocks(basis, sector_elements(basis, ModelParams(8, 1.0, 0.5)), signs)
 
 
 def test_compare_identical_and_offset(store):

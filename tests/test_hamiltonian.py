@@ -9,11 +9,13 @@ from isingchaos.hamiltonian import (
     ModelParams,
     build_full_hamiltonian,
     build_sector_hamiltonian,
+    element_blocks,
     hermiticity_defect,
+    sector_elements,
     symmetry_blocks,
 )
 from isingchaos.spin_basis import momentum_basis
-from oracles import rotate_left
+from oracles import labelled_blocks, rotate_left
 from parity_oracle import inversion_matrix
 
 
@@ -210,6 +212,12 @@ def test_real_basis_is_unitary_and_invariant(n_sites, k):
     u = basis.from_real(np.eye(basis.dim))
     assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))) < 1e-14
     assert np.max(np.abs(np.sum(u != 0, axis=0) - 1.5)) <= 0.5  # one or two nonzeros per column
+    # the same U, row by row from its nonzeros
+    col, coef = basis.real_entries()
+    from_entries = np.zeros_like(u)
+    for j in (0, 1):
+        np.add.at(from_entries, (np.arange(basis.dim), col[:, j]), coef[:, j])
+    assert coef.dtype == u.dtype and np.max(np.abs(from_entries - u)) < 1e-15
     # A maps each column onto itself, times its inversion parity where there is one
     parity = basis.real_layout.parity
     sign = np.where(parity < 0, -1.0, 1.0)
@@ -238,3 +246,19 @@ def test_real_layout_parities_match_inversion_oracle(n_sites, k):
     assert np.max(np.abs(rotated - np.diag(signs))) < 1e-14
     assert np.array_equal(np.sign(signs), basis.real_layout.parity)
     assert np.max(np.abs(np.abs(signs) - 1)) < 1e-14
+
+
+@pytest.mark.parametrize("n_sites", [6, 7, 8, 9, 10])
+def test_element_blocks_match_dense_blocks(n_sites):
+    for k in range(n_sites):
+        basis = momentum_basis(n_sites, k)
+        # off the integrable line without labels, on it with the z-parity labels
+        for alpha, labels in ((1.1, None), (0.0, (-1) ** (n_sites - basis.n_up))):
+            params = ModelParams(n_sites, 0.9, alpha)
+            matrix = build_sector_hamiltonian(basis, params)
+            want = symmetry_blocks(matrix) if labels is None else labelled_blocks(matrix, labels)
+            got = element_blocks(basis, sector_elements(basis, params), labels)
+            assert list(got) == list(want)
+            for key, block in want.items():
+                assert got[key].dtype == np.float64 and got[key].shape == block.shape
+                assert np.max(np.abs(got[key] - block), initial=0.0) < 1e-13

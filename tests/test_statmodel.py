@@ -305,12 +305,12 @@ def test_effective_r2():
 
 
 def closed_form_uncorrected_moment(basis, model, energies, q):
-    """Oracle: the plain Gaussian-ensemble M_q = r_q sum_n nu_n P_n^q / (sum_n nu_n P_n)^q."""
+    """Oracle: the plain Gaussian-ensemble M_q = r_q sum_n nu_n (P_n / sum_m nu_m P_m)^q."""
     stack = _clipped_power(_density_stack(model, energies), 1.0)
     nu = basis.nu_tot().astype(float)
     s1 = nu @ stack
     factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
-    return factor(q) * (nu @ stack**q) / s1**q
+    return factor(q) * (nu @ (stack / s1) ** q)
 
 
 @pytest.mark.parametrize("n_sites,k", [(17, 0), (17, 2), (12, 6)])
@@ -453,17 +453,37 @@ def test_memoized_gibbs_quadrature_is_read_only():
 
 
 @pytest.mark.parametrize("delta_mode", ["uniform", "exact"])
-def test_gibbs_curve_far_outside_the_spectrum_is_nan_without_warnings(delta_mode):
-    # on twice the prediction span the Gibbs densities underflow: M_q and Pr are
-    # NaN there, and no floating-point warning is raised (the suite makes them errors)
+def test_gibbs_curve_far_outside_the_spectrum_is_finite_without_warnings(delta_mode):
+    # out to twice the prediction span and a little beyond, the Gibbs densities are tiny
+    # (rho down to 1e-112 at 2 spans) but not zero: M_q and Pr stay finite there, though
+    # (sum_n nu_n P_n)^q underflows, and no floating-point warning is raised (the suite
+    # makes them errors).  Beyond 2.1 spans P_10, whose n has no states at k = 1, exceeds
+    # that sum by far and must not enter the normalized stack.
     params = ModelParams(10, 0.9, 1.1)
+    basis = momentum_basis(10, 1)
+    assert basis.nu_tot()[10] == 0
+    model = build_strength_model(params, "gibbs")
     span = prediction_span(params)
-    grid = np.linspace(-2 * span, 2 * span, 257)
-    curve = prediction_curve(
-        momentum_basis(10, 1), build_strength_model(params, "gibbs"), grid, delta_mode=delta_mode
-    )
-    empty = np.isnan(curve.moments[3.0])
-    assert empty.any() and np.all(np.abs(grid[empty]) > span)
-    inside = np.abs(grid) <= span
-    assert np.isfinite(curve.pr[inside]).all()
-    assert all(np.isfinite(m[inside]).all() for m in curve.moments.values())
+    nu = basis.nu_tot().astype(float)
+    tiny = np.finfo(float).tiny
+    underflowed = 0
+    for half_width in (2.0, 2.2):
+        grid = np.linspace(-half_width * span, half_width * span, 257)
+        curve = prediction_curve(basis, model, grid, delta_mode=delta_mode)
+        assert np.all(curve.rho > 0)
+        assert np.isfinite(curve.pr).all()
+        assert all(np.isfinite(m).all() for m in curve.moments.values())
+        # the unscaled ratio sum_n nu_n P_n^q / (sum_n nu_n P_n)^q gives the same values
+        # wherever neither sum underflows: to 0 (0 / 0) or to a subnormal number, which
+        # has lost digits
+        stack = _clipped_power(_density_stack(model, grid), 1.0)
+        for q, moment in curve.moments.items():
+            powered = stack**q
+            factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * _delta(basis, powered, delta_mode)
+            num, den = nu @ powered, (nu @ stack) ** q
+            normal = (num >= tiny) & (den >= tiny)
+            underflowed += np.count_nonzero(den == 0)
+            assert np.count_nonzero(normal) > 200
+            unscaled = factor * num / np.where(normal, den, 1.0)
+            np.testing.assert_allclose(moment[normal], unscaled[normal], rtol=1e-12, atol=0)
+    assert underflowed > 0
