@@ -180,16 +180,16 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 
 
 def _decompose_sector(
-    config: RunConfig, k: int
-) -> tuple[MomentumBasis, EigenDecomposition, bool]:
-    basis = momentum_basis(config.n_sites, k)
-    decomp, hit = diagonalize_cached(
+    config: RunConfig, basis: MomentumBasis, rows=None
+) -> tuple[EigenDecomposition, bool]:
+    """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit."""
+    return diagonalize_cached(
         lambda: build_sector_hamiltonian(basis, config.params),
         config.params,
-        k,
+        basis.k,
         config.cache_dir,
+        rows,
     )
-    return basis, decomp, hit
 
 
 def _model_grid(config: RunConfig) -> np.ndarray:
@@ -231,7 +231,8 @@ def cmd_basis_info(config: RunConfig) -> int:
 
 def cmd_diag(config: RunConfig) -> int:
     for k in config.momenta:
-        basis, decomp, hit = _decompose_sector(config, k)
+        basis = momentum_basis(config.n_sites, k)
+        decomp, hit = _decompose_sector(config, basis, rows=())  # the energies only
         status = "cache hit" if hit else "computed"
         print(
             f"k={k}: dim={basis.dim} {status}; "
@@ -257,7 +258,8 @@ def cmd_predict(config: RunConfig) -> int:
 
 
 def _compare_sector(config: RunConfig, k: int, grid, model, baseline, out: Path) -> dict:
-    basis, decomp, _ = _decompose_sector(config, k)
+    basis = momentum_basis(config.n_sites, k)
+    decomp, _ = _decompose_sector(config, basis, rows=())  # Pr reads the moment sums, not V
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     pr = empirics.empirical_participation_ratio(decomp)
     corrected = prediction_curve(basis, model, grid)
@@ -285,9 +287,7 @@ def cmd_compare(config: RunConfig) -> int:
     variant = CORRECTION_VARIANTS[config.corrections]
     model = build_strength_model(config.params, variant)
     baseline = build_strength_model(config.params, "gaussian")
-    # one sector per call, so that every array of a sector is freed before the next one
-    # loads; an array kept past that can pin the freed eigenvectors' heap block, and a
-    # larger next sector then takes fresh memory
+    # one sector per call, so that every array of a sector is freed before the next one loads
     report_all = {
         f"k={k}": _compare_sector(config, k, grid, model, baseline, out) for k in config.momenta
     }
@@ -296,9 +296,11 @@ def cmd_compare(config: RunConfig) -> int:
 
 
 def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
-    basis, decomp, _ = _decompose_sector(config, k)
+    basis = momentum_basis(config.n_sites, k)
+    symbols = config.symbols or [basis.dim // 2]
+    decomp, _ = _decompose_sector(config, basis, rows=symbols)
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
-    for sym in config.symbols or [decomp.dim // 2]:
+    for sym in symbols:
         stats = empirics.windowed_coefficient_stats(decomp, sym, edges)
         if all(st.insufficient for st in stats):
             print(f"k={k} symbol={sym}: skipped (no window has a degree of freedom)")

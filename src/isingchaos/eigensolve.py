@@ -9,10 +9,15 @@ symmetry split on the sector's element list, with no dense plane-wave
 block, and solves for eigenvalues only, checked per block by their sum
 rules.
 
-Spectra, eigenvectors and parity labels (0 where there are none) are cached
-per (N, k, lam, alpha, format version) as little-endian payloads plus a JSON
-sidecar carrying exact-key metadata and a checksum over the whole payload.
-Writes are atomic (unique temp file + rename).
+Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
+from its eigenvectors by ``state_moment_sums``.  It is cached per
+(N, k, lam, alpha, format version) as one little-endian payload plus a JSON
+sidecar with the exact key and SHA-256 digests.  Format 3 lays the payload
+out as a head, the energies (<f8), parity labels (i1, 0 where there are
+none) and moment sums (<f8) under one digest, then V as row-major <c16 in
+blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads and
+verifies the head and only the blocks that hold the rows of V its caller
+asks for.  Writes are atomic (unique temp file + rename).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +46,11 @@ from .spin_basis import MomentumBasis
 
 logger = logging.getLogger(__name__)
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
+# rows of V under one digest in the cache payload; fixed by CACHE_VERSION
+CACHE_BLOCK_ROWS = 64
+# rows of V per chunk of the moment sums sum_n |C_n|^2q
+MOMENT_CHUNK_ROWS = 64
 
 # components within this relative distance of an eigenvector's largest
 # modulus count as tied for the phase gauge; symmetry makes exact ties common
@@ -65,23 +74,94 @@ class CacheCorruptionError(RuntimeError):
     """Cache payload does not match its recorded checksum."""
 
 
+def state_moment_sums(vectors: np.ndarray, q: float) -> np.ndarray:
+    """Per-eigenstate (column) sum_n |C_n|^2q, with |C|^2 = Re^2 + Im^2 and, at q = 2, no pow().
+
+    The rows go through in blocks of ``MOMENT_CHUNK_ROWS`` into one small
+    (rows + 1) x D buffer whose first row carries the running sums, so no
+    D x D temporary is made and each column adds its rows in the same order
+    as ``np.sum(..., axis=0)`` of the whole C-ordered array.
+    """
+    n_rows, n_cols = vectors.shape
+    buf = np.zeros((MOMENT_CHUNK_ROWS + 1, n_cols))
+    imag_sq = np.empty((MOMENT_CHUNK_ROWS, n_cols))
+    sums = np.zeros(n_cols)
+    for start in range(0, n_rows, MOMENT_CHUNK_ROWS):
+        block = vectors[start : start + MOMENT_CHUNK_ROWS]
+        rows = block.shape[0]
+        p = buf[1 : rows + 1]
+        np.multiply(block.real, block.real, out=p)
+        if np.iscomplexobj(block):
+            np.multiply(block.imag, block.imag, out=imag_sq[:rows])
+            p += imag_sq[:rows]
+        if q == 2:
+            p *= p
+        elif q != 1:
+            np.power(p, q, out=p)
+        buf[0] = sums
+        np.sum(buf[: rows + 1], axis=0, out=sums)
+    return sums
+
+
 @dataclass
 class EigenDecomposition:
-    """Full spectrum and gauge-fixed eigenvectors of one sector.
+    """Full spectrum, per-state summary and gauge-fixed eigenvectors of one sector.
 
     ``parity`` is the inversion parity (+1 or -1) of each eigenstate where the
     sector was solved in parity blocks (k = 0 and k = N/2), None elsewhere.
+    ``sum_c4`` is sum_n |C_n|^4 of each eigenstate; when it is not given it is
+    computed from ``vectors``, which must then hold every row.
+
+    ``vectors`` holds V, one column per eigenstate.  With ``rows`` None it
+    holds every row; otherwise ``vectors[i]`` is row ``rows[i]`` of V (the
+    rows ascending), and ``vectors`` is None when ``rows`` is empty.  Read a
+    row with ``coefficients``, which works either way.
     """
 
     params: ModelParams
     k: int
     energies: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     parity: np.ndarray | None = None
+    sum_c4: np.ndarray | None = None
+    rows: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.sum_c4 is None:
+            if self.rows is not None:
+                raise ValueError("the moment sums need every row of the eigenvectors")
+            self.sum_c4 = state_moment_sums(self.vectors, 2.0)
 
     @property
     def dim(self) -> int:
         return self.energies.size
+
+    def coefficients(self, symbol: int) -> np.ndarray:
+        """Row ``symbol`` of V: the coefficient of that basis state in each eigenstate."""
+        if self.rows is None:
+            return self.vectors[symbol]
+        if symbol not in self.rows:
+            raise KeyError(f"row {symbol} of the eigenvectors was not loaded")
+        return self.vectors[self.rows.index(symbol)]
+
+
+def _row_selection(rows, dim: int) -> tuple[int, ...] | None:
+    """The rows of V a caller asks for, ascending and distinct; None means every row."""
+    if rows is None:
+        return None
+    rows = tuple(sorted({int(row) for row in rows}))
+    if rows and not (rows[0] >= 0 and rows[-1] < dim):
+        raise IndexError(f"rows {list(rows)} outside the basis [0, {dim})")
+    return rows
+
+
+def _restrict(decomp: EigenDecomposition, rows) -> EigenDecomposition:
+    """A full decomposition cut down to the rows of V that ``rows`` selects."""
+    rows = _row_selection(rows, decomp.dim)
+    if rows is None:
+        return decomp
+    vectors = decomp.vectors[list(rows)] if rows else None  # a copy, so V can be freed
+    return replace(decomp, vectors=vectors, rows=rows)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -102,11 +182,15 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _fingerprint(*arrays: np.ndarray) -> str:
+def _sha256(*parts: np.ndarray) -> str:
     digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a).tobytes())
-    return digest.hexdigest()[:16]
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _fingerprint(*arrays: np.ndarray) -> str:
+    return _sha256(*map(np.ascontiguousarray, arrays))[:16]
 
 
 def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray) -> str | None:
@@ -187,7 +271,8 @@ def diagonalize(matrix: SectorMatrix) -> EigenDecomposition:
     Coefficient statistics therefore stay complex in the plane-wave basis.
     Each eigenvector's phase is fixed so that its largest-modulus component,
     the lowest index among ties within relative ``GAUGE_TIE_RTOL``, is real
-    and positive.
+    and positive.  The decomposition carries every row of V and its moment
+    sums ``sum_c4``.
 
     Raises ``DiagonalizationError`` (with a matrix fingerprint) if LAPACK
     fails, a residual exceeds ``RESIDUAL_FACTOR`` times the spectral norm,
@@ -293,21 +378,21 @@ def _atomic_write(path: Path, *chunks) -> None:
 
 
 def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
-    """Persist a decomposition; returns the sidecar path."""
+    """Persist a decomposition that holds every row of V; returns the sidecar path."""
+    if decomp.rows is not None:
+        raise ValueError("only a decomposition with every row of the eigenvectors is stored")
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     stem = _cache_stem(decomp.params, decomp.k)
 
-    energies = np.ascontiguousarray(decomp.energies, dtype="<f8")
-    dim = energies.size
+    parity = np.zeros(decomp.dim) if decomp.parity is None else decomp.parity  # 0: no labels
+    head = [
+        np.ascontiguousarray(decomp.energies, dtype="<f8"),
+        np.ascontiguousarray(parity, dtype="i1"),
+        np.ascontiguousarray(decomp.sum_c4, dtype="<f8"),
+    ]
     # little-endian complex128 is the interleaved re/im layout of the format
     vectors = np.ascontiguousarray(decomp.vectors, dtype="<c16")
-    parity = np.zeros(dim, dtype="i1") if decomp.parity is None else decomp.parity
-    chunks = [energies, vectors, np.asarray(parity, dtype="i1")]
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-
     meta = {
         "version": CACHE_VERSION,
         "n_sites": decomp.params.n_sites,
@@ -316,10 +401,14 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
         "alpha": decomp.params.alpha,
         "lam_hex": float(decomp.params.lam).hex(),
         "alpha_hex": float(decomp.params.alpha).hex(),
-        "dim": dim,
-        "payload_sha256": digest.hexdigest(),
+        "dim": decomp.dim,
+        "head_sha256": _sha256(*head),
+        "block_sha256": [
+            _sha256(vectors[start : start + CACHE_BLOCK_ROWS])
+            for start in range(0, decomp.dim, CACHE_BLOCK_ROWS)
+        ],
     }
-    _atomic_write(cache_dir / f"{stem}.bin", *chunks)
+    _atomic_write(cache_dir / f"{stem}.bin", *head, vectors)
     _atomic_write(
         cache_dir / f"{stem}.json", json.dumps(meta, sort_keys=True).encode()
     )
@@ -327,18 +416,18 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
 
 
 _SIDECAR_FIELDS = {
-    "version": int,
     "n_sites": int,
     "k": int,
     "lam_hex": str,
     "alpha_hex": str,
     "dim": int,
-    "payload_sha256": str,
+    "head_sha256": str,
+    "block_sha256": list,
 }
 
 
 def _read_sidecar(meta_path: Path) -> dict | None:
-    """Parsed sidecar, or None (logged) when it is unreadable or incomplete."""
+    """Parsed sidecar, or None (logged) when it is unreadable, of another format version or incomplete."""
     try:
         meta = json.loads(meta_path.read_bytes())
     except (OSError, ValueError) as exc:
@@ -347,19 +436,48 @@ def _read_sidecar(meta_path: Path) -> dict | None:
     if not isinstance(meta, dict):
         logger.warning("cache miss: sidecar %s is not a JSON object", meta_path)
         return None
+    if meta.get("version") != CACHE_VERSION:
+        logger.info("cache miss: %s has format version %r", meta_path, meta.get("version"))
+        return None
     for key, kind in _SIDECAR_FIELDS.items():
         if not isinstance(meta.get(key), kind):
             logger.warning("cache miss: sidecar %s lacks a valid %r", meta_path, key)
             return None
+    digests = meta["block_sha256"]
+    if len(digests) != -(-meta["dim"] // CACHE_BLOCK_ROWS) or not all(
+        isinstance(digest, str) for digest in digests
+    ):
+        logger.warning("cache miss: sidecar %s lacks a valid 'block_sha256'", meta_path)
+        return None
     return meta
 
 
-def cache_load(params: ModelParams, k: int, cache_dir) -> EigenDecomposition | None:
+def _read_verified(fh, parts: list[np.ndarray], sha256: str, bin_path: Path) -> None:
+    """Read the next bytes of ``fh`` straight into ``parts``, checked against ``sha256``."""
+    digest = hashlib.sha256()
+    for part in parts:
+        raw = part.reshape(-1).view(np.uint8)
+        if fh.readinto(raw) != raw.size:
+            raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
+        digest.update(raw)
+    if digest.hexdigest() != sha256:
+        raise CacheCorruptionError(f"checksum mismatch for {bin_path}")
+
+
+def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomposition | None:
     """Load a cached decomposition; None signals a miss (recompute).
 
-    A missing, malformed or mismatched sidecar is a miss, logged with its
-    reason.  A payload that disagrees with a valid sidecar's checksum or size
-    raises ``CacheCorruptionError``.
+    ``rows`` selects the rows of V to load: None (every row), an empty
+    sequence (none, and ``vectors`` is None) or the symbols whose rows are
+    wanted.  The head (energies, parity labels and moment sums) is always
+    read, and of V only the blocks that hold a wanted row; every part read
+    is checked against its SHA-256 in the sidecar.
+
+    A missing, malformed or mismatched sidecar, or one of another format
+    version, is a miss, logged with its reason.  A payload whose size
+    disagrees with a valid sidecar, or a part read that fails its digest,
+    raises ``CacheCorruptionError``.  A row outside the basis raises
+    ``IndexError``.
     """
     cache_dir = Path(cache_dir)
     stem = _cache_stem(params, k)
@@ -371,9 +489,6 @@ def cache_load(params: ModelParams, k: int, cache_dir) -> EigenDecomposition | N
     meta = _read_sidecar(meta_path)
     if meta is None:
         return None
-    if meta["version"] != CACHE_VERSION:
-        logger.info("cache miss: %s has format version %s", meta_path, meta["version"])
-        return None
     if (
         meta["lam_hex"] != float(params.lam).hex()
         or meta["alpha_hex"] != float(params.alpha).hex()
@@ -383,33 +498,58 @@ def cache_load(params: ModelParams, k: int, cache_dir) -> EigenDecomposition | N
         logger.info("cache miss: %s holds a different key", meta_path)
         return None
     dim = meta["dim"]
+    rows = _row_selection(rows, dim)
+    head_bytes, row_bytes = 17 * dim, 16 * dim
+    energies = np.empty(dim, dtype="<f8")
+    parity = np.empty(dim, dtype="i1")
+    sum_c4 = np.empty(dim, dtype="<f8")
+    vectors = None
     with open(bin_path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size != 8 * dim + 16 * dim * dim + dim:
+        if os.fstat(fh.fileno()).st_size != head_bytes + dim * row_bytes:
             raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
-        energies = np.empty(dim, dtype="<f8")
-        vectors = np.empty((dim, dim), dtype="<c16")
-        parity = np.empty(dim, dtype="i1")
-        digest = hashlib.sha256()
-        for part in (energies, vectors, parity):  # read straight into the final arrays
-            raw = part.reshape(-1).view(np.uint8)
-            if fh.readinto(raw) != raw.size:
-                raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
-            digest.update(raw)
-    if digest.hexdigest() != meta["payload_sha256"]:
-        raise CacheCorruptionError(f"checksum mismatch for {bin_path}")
-    parity = parity if parity.any() else None  # 0: no parity labels
-    return EigenDecomposition(params=params, k=k, energies=energies, vectors=vectors, parity=parity)
+        _read_verified(fh, [energies, parity, sum_c4], meta["head_sha256"], bin_path)
+        digests = meta["block_sha256"]
+        if rows is None:  # every block in turn, straight into V
+            vectors = np.empty((dim, dim), dtype="<c16")
+            for block, sha256 in enumerate(digests):
+                start = block * CACHE_BLOCK_ROWS
+                _read_verified(fh, [vectors[start : start + CACHE_BLOCK_ROWS]], sha256, bin_path)
+        elif rows:  # only the blocks that hold a wanted row, each through one buffer
+            vectors = np.empty((len(rows), dim), dtype="<c16")
+            buffer = np.empty((min(CACHE_BLOCK_ROWS, dim), dim), dtype="<c16")
+            wanted = np.array(rows)
+            for block in np.unique(wanted // CACHE_BLOCK_ROWS):
+                start = int(block) * CACHE_BLOCK_ROWS
+                part = buffer[: min(CACHE_BLOCK_ROWS, dim - start)]
+                fh.seek(head_bytes + start * row_bytes)
+                _read_verified(fh, [part], digests[block], bin_path)
+                held = wanted // CACHE_BLOCK_ROWS == block
+                vectors[held] = part[wanted[held] - start]
+    return EigenDecomposition(
+        params=params,
+        k=k,
+        energies=energies,
+        vectors=vectors,
+        parity=parity if parity.any() else None,  # 0: no parity labels
+        sum_c4=sum_c4,
+        rows=rows,
+    )
 
 
 def diagonalize_cached(
-    matrix_builder, params: ModelParams, k: int, cache_dir=None
+    matrix_builder, params: ModelParams, k: int, cache_dir=None, rows=None
 ) -> tuple[EigenDecomposition, bool]:
-    """Load from cache or diagonalize-and-store; returns (decomp, was_hit)."""
+    """Load from cache or diagonalize-and-store; returns (decomp, was_hit).
+
+    ``rows`` selects the rows of V as in ``cache_load``.  A miss stores the
+    full decomposition, then returns it cut down to those rows, as a hit
+    would return it.
+    """
     if cache_dir is not None:
-        hit = cache_load(params, k, cache_dir)
+        hit = cache_load(params, k, cache_dir, rows)
         if hit is not None:
             return hit, True
     decomp = diagonalize(matrix_builder())
     if cache_dir is not None:
         cache_store(decomp, cache_dir)
-    return decomp, False
+    return _restrict(decomp, rows), False

@@ -1,10 +1,12 @@
 """Empirical eigenvector statistics and model-vs-data comparison tools.
 
-Everything here works on full sector eigen-decompositions: windowed
-coefficient distributions with Gaussian-fit quality, participation ratios,
-eigenvector moments, nearest-neighbour spacing ratios (with GOE / Poisson
-surrogates), and a deviation report that interpolates a model prediction at
-empirical window centers.  A window is a contiguous range of level ranks in
+Everything here works on sector eigen-decompositions: windowed
+coefficient distributions with Gaussian-fit quality (from the one row of V
+per symbol they read), participation ratios (from the moment sums the
+decomposition carries), eigenvector moments (from every row of V),
+nearest-neighbour spacing ratios (with GOE / Poisson surrogates), and a
+deviation report that interpolates a model prediction at empirical window
+centers.  A window is a contiguous range of level ranks in
 the ascending spectrum, and one integer array of edges carries them all, so
 every windowed statistic is a reduction over slices of per-level values.
 """
@@ -16,14 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import EigenDecomposition
+from .eigensolve import EigenDecomposition, state_moment_sums
 from .spin_basis import is_real_sector
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
-
-# eigenvector rows per block of the moment sums sum_n |C_n|^2q
-MOMENT_CHUNK_ROWS = 64
 
 # spacing_ratio reads the central fraction of the levels, and spacings below
 # the tolerance count as degenerate
@@ -66,7 +65,7 @@ def coefficient_samples(decomp: EigenDecomposition, symbol_index: int, levels) -
     complex sectors contribute real and imaginary parts as separate Gaussian
     samples.
     """
-    c = decomp.vectors[symbol_index, levels]
+    c = decomp.coefficients(symbol_index)[levels]
     if is_real_sector(decomp.params.n_sites, decomp.k):
         return c.real.copy()
     return np.concatenate([c.real, c.imag])
@@ -141,45 +140,17 @@ def windowed_coefficient_stats(
 
 
 def empirical_participation_ratio(decomp: EigenDecomposition) -> np.ndarray:
-    """Per-eigenstate Pr = 1 / sum |C|^4 in the sector basis."""
-    return 1.0 / state_moment_sums(decomp, 2.0)
-
-
-def state_moment_sums(decomp: EigenDecomposition, q: float) -> np.ndarray:
-    """Per-eigenstate sum_n |C_n|^2q, with |C|^2 = Re^2 + Im^2 and, at q = 2, no pow().
-
-    The rows go through in blocks of ``MOMENT_CHUNK_ROWS`` into one small
-    (rows + 1) x D buffer whose first row carries the running sums, so no
-    D x D temporary is made and each column adds its rows in the same order
-    as ``np.sum(..., axis=0)`` of the whole C-ordered array.
-    """
-    vectors = decomp.vectors
-    n_rows, n_cols = vectors.shape
-    buf = np.zeros((MOMENT_CHUNK_ROWS + 1, n_cols))
-    imag_sq = np.empty((MOMENT_CHUNK_ROWS, n_cols))
-    sums = np.zeros(n_cols)
-    for start in range(0, n_rows, MOMENT_CHUNK_ROWS):
-        block = vectors[start : start + MOMENT_CHUNK_ROWS]
-        rows = block.shape[0]
-        p = buf[1 : rows + 1]
-        np.multiply(block.real, block.real, out=p)
-        if np.iscomplexobj(block):
-            np.multiply(block.imag, block.imag, out=imag_sq[:rows])
-            p += imag_sq[:rows]
-        if q == 2:
-            p *= p
-        elif q != 1:
-            np.power(p, q, out=p)
-        buf[0] = sums
-        np.sum(buf[: rows + 1], axis=0, out=sums)
-    return sums
+    """Per-eigenstate Pr = 1 / sum |C|^4 in the sector basis, from the decomposition's moment sums."""
+    return 1.0 / decomp.sum_c4
 
 
 def empirical_moments(decomp: EigenDecomposition, q: float, edges: np.ndarray) -> np.ndarray:
-    """Window averages of the eigenvector moment sums."""
+    """Window averages of the eigenvector moment sums; ``decomp`` must hold every row of V."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return window_means(state_moment_sums(decomp, q), edges)
+    if decomp.rows is not None:
+        raise ValueError("moment sums need every row of the eigenvectors")
+    return window_means(state_moment_sums(decomp.vectors, q), edges)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Eigensolver contracts and cache round-trips."""
 
 import dataclasses
+import hashlib
 import json
 import logging
 
@@ -20,6 +21,7 @@ from isingchaos.eigensolve import (
     cache_store,
     diagonalize,
     diagonalize_cached,
+    state_moment_sums,
 )
 from isingchaos.empirics import coefficient_samples
 from isingchaos.hamiltonian import (
@@ -140,7 +142,7 @@ def test_cache_corruption_detected(tmp_path):
     meta_path = cache_store(decomp, tmp_path)
     bin_path = meta_path.with_suffix(".bin")
     original = bin_path.read_bytes()
-    for offset in (13, len(original) - 1):  # an energy byte, the last parity label
+    for offset in (13, len(original) - 1):  # an energy byte, the last byte of V
         payload = bytearray(original)
         payload[offset] ^= 0xFF
         bin_path.write_bytes(bytes(payload))
@@ -149,20 +151,29 @@ def test_cache_corruption_detected(tmp_path):
 
 
 def test_cache_payload_layout(tmp_path):
-    # energies <f8, eigenvectors as interleaved re/im <f8 pairs in row-major
-    # order, then one int8 parity label per state
-    params = ModelParams(6, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
+    # the head: energies <f8, one int8 parity label per state and the moment
+    # sums <f8, under one digest; then the eigenvectors as interleaved re/im
+    # <f8 pairs in row-major order, one digest per block of rows
+    params = ModelParams(10, 1.0, 1.0)
+    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(10, 0), params))
     meta_path = cache_store(decomp, tmp_path)
+    head = (
+        decomp.energies.astype("<f8").tobytes()
+        + decomp.parity.astype("i1").tobytes()
+        + decomp.sum_c4.astype("<f8").tobytes()
+    )
     interleaved = np.empty(decomp.vectors.shape + (2,), dtype="<f8")
     interleaved[..., 0] = decomp.vectors.real
     interleaved[..., 1] = decomp.vectors.imag
-    expected = (
-        decomp.energies.astype("<f8").tobytes()
-        + interleaved.tobytes()
-        + decomp.parity.astype("i1").tobytes()
-    )
-    assert meta_path.with_suffix(".bin").read_bytes() == expected
+    assert meta_path.with_suffix(".bin").read_bytes() == head + interleaved.tobytes()
+    meta = json.loads(meta_path.read_text())
+    assert meta["head_sha256"] == hashlib.sha256(head).hexdigest()
+    rows = eigensolve.CACHE_BLOCK_ROWS
+    assert decomp.dim == 108 and rows == 64  # two blocks, the second one short
+    assert meta["block_sha256"] == [
+        hashlib.sha256(interleaved[start : start + rows].tobytes()).hexdigest()
+        for start in (0, rows)
+    ]
 
 
 @pytest.mark.parametrize("change", ["truncate", "append"])
@@ -176,16 +187,19 @@ def test_cache_payload_size_change_detected(tmp_path, change):
         cache_load(params, 1, tmp_path)
 
 
-def test_cache_version_mismatch_is_a_miss(tmp_path):
-    import json
-
+def test_cache_version_mismatch_is_a_miss(tmp_path, caplog):
+    # a sidecar of format version 2: one digest over the whole payload, no
+    # moment sums and no block digests
     params = ModelParams(6, 1.0, 1.0)
     decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
     meta_path = cache_store(decomp, tmp_path)
     meta = json.loads(meta_path.read_text())
-    meta["version"] = 999
+    del meta["head_sha256"], meta["block_sha256"]
+    meta.update(version=2, payload_sha256="0" * 64)
     meta_path.write_text(json.dumps(meta))
-    assert cache_load(params, 0, tmp_path) is None
+    with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
+        assert cache_load(params, 0, tmp_path) is None
+    assert "cache miss" in caplog.text and "format version 2" in caplog.text
 
 
 def test_diagonalize_cached(tmp_path):
@@ -200,6 +214,81 @@ def test_diagonalize_cached(tmp_path):
     assert (hit1, hit2) == (False, True)
     assert np.array_equal(first.energies, second.energies)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+def _flip_byte(path, offset):
+    payload = bytearray(path.read_bytes())
+    payload[offset] ^= 0xFF
+    path.write_bytes(bytes(payload))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
+    params = ModelParams(12, 1.0, 1.0)
+    matrix = build_sector_hamiltonian(momentum_basis(12, k), params)
+    decomp = diagonalize(matrix)
+    cache_store(decomp, tmp_path)
+    full = cache_load(params, k, tmp_path)
+    dim = full.dim
+    assert full.rows is None and np.array_equal(full.vectors, decomp.vectors)
+    # unordered, repeated, and spread over the first, a middle and the short last block
+    for asked in ((dim - 1, 5, 64, 63, 5), (200,), ()):
+        rows = tuple(sorted(set(asked)))
+        loaded = cache_load(params, k, tmp_path, rows=asked)
+        missed, hit = diagonalize_cached(lambda: matrix, params, k, None, rows=asked)
+        assert not hit
+        for got in (loaded, missed):  # a miss returns what a hit returns
+            assert got.rows == rows
+            for name in ("energies", "sum_c4", "parity"):
+                assert np.array_equal(getattr(got, name), getattr(full, name)), name
+            if rows:
+                assert np.array_equal(got.vectors, full.vectors[list(rows)])
+                for row in rows:
+                    assert np.array_equal(got.coefficients(row), full.coefficients(row))
+            else:
+                assert got.vectors is None
+            with pytest.raises(KeyError):
+                got.coefficients(1)
+    with pytest.raises(IndexError):
+        cache_load(params, k, tmp_path, rows=[dim])
+    with pytest.raises(ValueError, match="every row"):
+        cache_store(loaded, tmp_path)
+
+
+def test_stored_moment_sums_equal_the_kernel_on_the_stored_vectors(tmp_path):
+    params = ModelParams(12, 1.0, 1.0)
+    for k in (0, 1):
+        cache_store(diagonalize(build_sector_hamiltonian(momentum_basis(12, k), params)), tmp_path)
+        loaded = cache_load(params, k, tmp_path)
+        assert np.array_equal(loaded.sum_c4, state_moment_sums(loaded.vectors, 2.0))
+
+
+def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
+    params = ModelParams(12, 1.0, 1.0)
+    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(12, 1), params))
+    bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
+    dim, rows = decomp.dim, eigensolve.CACHE_BLOCK_ROWS
+    _flip_byte(bin_path, 17 * dim + 16 * dim * (rows + 3) + 5)  # row 67, in block 1
+    for asked in ([67], [3, 70], None):  # a read block, and the full load
+        with pytest.raises(CacheCorruptionError, match="checksum"):
+            cache_load(params, 1, tmp_path, rows=asked)
+    for asked in ([3], [3, 200], ()):  # blocks 0 and 3 only, or no block
+        loaded = cache_load(params, 1, tmp_path, rows=asked)
+        assert np.array_equal(loaded.energies, decomp.energies)
+        if asked:
+            assert np.array_equal(loaded.vectors, decomp.vectors[asked])
+
+
+@pytest.mark.parametrize("part", ["energies", "parity", "sum_c4"])
+def test_corrupt_head_fails_every_load(tmp_path, part):
+    params = ModelParams(10, 1.0, 1.0)
+    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(10, 0), params))
+    bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
+    dim = decomp.dim
+    _flip_byte(bin_path, {"energies": 3, "parity": 8 * dim + 7, "sum_c4": 9 * dim + 8 * dim - 1}[part])
+    for asked in ((), [3], None):
+        with pytest.raises(CacheCorruptionError, match="checksum"):
+            cache_load(params, 0, tmp_path, rows=asked)
 
 
 def oracle_decomposition(matrix):
@@ -318,8 +407,15 @@ def test_orthonormality_check_catches_corrupted_column(monkeypatch, k):
         lambda text: json.dumps({**json.loads(text), "dim": "12"}),
         lambda text: "[]",
         lambda text: "",
+        lambda text: json.dumps({**json.loads(text), "block_sha256": []}),
+        lambda text: json.dumps({**json.loads(text), "block_sha256": 2 * json.loads(text)["block_sha256"]}),
+        lambda text: json.dumps({**json.loads(text), "block_sha256": [0]}),
+        lambda text: json.dumps({**json.loads(text), "block_sha256": json.loads(text)["block_sha256"][0]}),
     ],
-    ids=["truncated", "missing-key", "wrong-type", "not-an-object", "empty"],
+    ids=[
+        "truncated", "missing-key", "wrong-type", "not-an-object", "empty",
+        "no-digests", "too-many-digests", "digest-not-a-string", "digests-not-a-list",
+    ],
 )
 def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, sidecar):
     params = ModelParams(6, 1.0, 1.0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from isingchaos.eigensolve import EigenDecomposition, diagonalize
+from isingchaos import eigensolve
+from isingchaos.eigensolve import EigenDecomposition, diagonalize, state_moment_sums
 from isingchaos.empirics import (
     GOE_MEAN_R,
     POISSON_MEAN_R,
@@ -14,7 +15,6 @@ from isingchaos.empirics import (
     goe_surrogate_levels,
     poisson_surrogate_levels,
     spacing_ratio,
-    state_moment_sums,
     window_means,
     windowed_coefficient_stats,
     windows_fixed_count,
@@ -185,10 +185,8 @@ def _unchunked_moment_sums(vectors, q):
 
 
 def test_chunked_participation_ratio_is_exact_and_small(store):
-    from isingchaos import empirics
-
     basis, decomp = store.get(12, 1)
-    rows = empirics.MOMENT_CHUNK_ROWS
+    rows = eigensolve.MOMENT_CHUNK_ROWS
     assert decomp.dim > rows and decomp.dim % rows  # several blocks, the last one short
     pr = empirical_participation_ratio(decomp)
     # exact against the same formula summed without chunks
@@ -203,12 +201,12 @@ def test_chunked_participation_ratio_is_exact_and_small(store):
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
 def test_chunked_state_moment_sums_are_exact_and_small(store, q):
     basis, decomp = store.get(12, 1)
-    sums = state_moment_sums(decomp, q)
+    sums = state_moment_sums(decomp.vectors, q)
     assert np.array_equal(sums, _unchunked_moment_sums(decomp.vectors, q))
     np.testing.assert_allclose(
         sums, np.sum(np.abs(decomp.vectors) ** (2 * q), axis=0), rtol=1e-14, atol=0
     )
-    assert _peak_bytes(state_moment_sums, decomp, q) < 0.5 * decomp.vectors.nbytes
+    assert _peak_bytes(state_moment_sums, decomp.vectors, q) < 0.5 * decomp.vectors.nbytes
 
 
 def test_state_moment_sums_of_real_vectors(store):
@@ -219,7 +217,7 @@ def test_state_moment_sums_of_real_vectors(store):
     )
     for q in (1.5, 2.0, 3.0):
         assert np.array_equal(
-            state_moment_sums(real, q), _unchunked_moment_sums(real.vectors, q)
+            state_moment_sums(real.vectors, q), _unchunked_moment_sums(real.vectors, q)
         )
 
 
@@ -237,6 +235,8 @@ def test_empirical_moments_q1_is_one(store):
     assert m1 == pytest.approx(np.ones(edges.size - 1), abs=1e-12)
     with pytest.raises(ValueError):
         empirical_moments(decomp, 0.5, edges)
+    with pytest.raises(ValueError, match="every row"):
+        empirical_moments(eigensolve._restrict(decomp, [0, 3]), 1.0, edges)
 
 
 def test_empirical_moments_q2_vs_participation(store):

@@ -3,6 +3,8 @@
 Each case runs one command in-process into its own directory and compares
 stdout and every written file with the recorded copy: numbers at a relative
 tolerance of 1e-9, all other text exactly, with the run directory masked.
+The cases that read the cache run once more against entries that ``diag``
+stored, and must match the same recorded copy.
 
 To record the files afresh (only when an output change is intended and
 documented), run ``PYTHONPATH=src python tests/test_golden.py [CASE ...]``;
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from isingchaos import eigensolve
 from isingchaos.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -81,15 +85,40 @@ def assert_matches(got: str, want: str, where: str) -> None:
             assert math.isclose(float(g), float(w), rel_tol=RTOL), f"{where}: {g} != {w}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
-    got = run_case(name, tmp_path)
-    want_dir = GOLDEN / name
-    want = {p.name: p.read_text() for p in sorted(want_dir.iterdir())}
+def assert_golden(name: str, got: dict[str, str]) -> None:
+    want = {p.name: p.read_text() for p in sorted((GOLDEN / name).iterdir())}
     assert sorted(got) == sorted(want)
     for key in want:
         assert_matches(got[key], want[key], f"{name}/{key}")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
+    assert_golden(name, run_case(name, tmp_path))
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory) -> Path:
+    cache = tmp_path_factory.mktemp("cache")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["diag", *SECTOR, *MODEL, "--cache-dir", str(cache)]) == EXIT_OK
+    return cache
+
+
+@pytest.mark.parametrize("name", ["coeff-hist", "coeff-hist-symbol-3", *(f"compare-{c}" for c in CORRECTIONS)])
+def test_golden_output_from_a_filled_cache(name, filled_cache, tmp_path, monkeypatch):
+    # the cases recorded without a cache, run again on the entries diag stored:
+    # every sector must be a hit, and the hit path must write the same files
+    def no_solve(matrix):
+        raise AssertionError(f"k={matrix.k} was solved, not read from the cache")
+
+    monkeypatch.setenv("ISINGCHAOS_CACHE_DIR", str(filled_cache))
+    monkeypatch.setattr(eigensolve, "diagonalize", no_solve)
+    got = run_case(name, tmp_path)
+    # the cache directory is the one recorded setting that differs
+    got["run_config.json"] = got["run_config.json"].replace(json.dumps(str(filled_cache)), "null")
+    assert_golden(name, got)
 
 
 def record(names: list[str]) -> None:
