@@ -32,6 +32,7 @@ from .statmodel import (
     GibbsFitError,
     GibbsInfeasibleError,
     build_strength_model,
+    density_stack,
     prediction_curve,
     write_csv,
     write_prediction_csv,
@@ -180,16 +181,20 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 
 
 def _decompose_sector(
-    config: RunConfig, basis: MomentumBasis, rows=None
+    config: RunConfig, k: int, rows=None, basis: MomentumBasis | None = None
 ) -> tuple[EigenDecomposition, bool]:
-    """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit."""
-    return diagonalize_cached(
-        lambda: build_sector_hamiltonian(basis, config.params),
-        config.params,
-        basis.k,
-        config.cache_dir,
-        rows,
-    )
+    """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit.
+
+    Only a miss builds the sector matrix, over ``basis``, or over a basis
+    built then when none is given.
+    """
+
+    def sector_matrix():
+        return build_sector_hamiltonian(
+            basis if basis is not None else momentum_basis(config.n_sites, k), config.params
+        )
+
+    return diagonalize_cached(sector_matrix, config.params, k, config.cache_dir, rows)
 
 
 def _model_grid(config: RunConfig) -> np.ndarray:
@@ -225,14 +230,14 @@ def cmd_basis_info(config: RunConfig) -> int:
             (out / "basis_info.json").write_text(json.dumps(rows, indent=2))
         else:
             header = ["k", "dim_exact", "dim_approx", "n_invariant", "delta"]
-            write_csv(out / "basis_info.csv", header, ([r[h] for h in header] for r in rows))
+            write_csv(out / "basis_info.csv", header, [[r[h] for r in rows] for h in header])
     return EXIT_OK
 
 
 def cmd_diag(config: RunConfig) -> int:
     for k in config.momenta:
         basis = momentum_basis(config.n_sites, k)
-        decomp, hit = _decompose_sector(config, basis, rows=())  # the energies only
+        decomp, hit = _decompose_sector(config, k, rows=(), basis=basis)  # the energies only
         status = "cache hit" if hit else "computed"
         print(
             f"k={k}: dim={basis.dim} {status}; "
@@ -246,33 +251,33 @@ def cmd_predict(config: RunConfig) -> int:
     grid = _model_grid(config)
     variant = CORRECTION_VARIANTS[config.corrections]
     model = build_strength_model(config.params, variant)
+    stack = density_stack(model, grid)  # the model on the grid, the same for every sector
     for k in config.momenta:
         basis = momentum_basis(config.n_sites, k)
-        curve = prediction_curve(
-            basis, model, grid, q_values=tuple(config.q_values)
-        )
+        curve = prediction_curve(basis, model, grid, q_values=tuple(config.q_values), stack=stack)
         path = out / f"predict_k{k}_{config.corrections}.csv"
         write_prediction_csv(curve, path)
         print(f"k={k}: wrote {path}")
     return EXIT_OK
 
 
-def _compare_sector(config: RunConfig, k: int, grid, model, baseline, out: Path) -> dict:
+def _compare_sector(config: RunConfig, k: int, grid, corrected, uncorrected, out: Path) -> dict:
+    """``corrected`` and ``uncorrected`` are each a model and its density stack on ``grid``."""
     basis = momentum_basis(config.n_sites, k)
-    decomp, _ = _decompose_sector(config, basis, rows=())  # Pr reads the moment sums, not V
+    decomp, _ = _decompose_sector(config, k, rows=(), basis=basis)  # Pr reads the moment sums, not V
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     pr = empirics.empirical_participation_ratio(decomp)
-    corrected = prediction_curve(basis, model, grid)
-    uncorrected = prediction_curve(basis, baseline, grid, delta_mode="none")
-    rep_c = empirics.compare(grid, corrected.pr, decomp.energies, pr, edges, config.bulk_fraction)
-    rep_u = empirics.compare(grid, uncorrected.pr, decomp.energies, pr, edges, config.bulk_fraction)
+    (model, stack), (baseline, baseline_stack) = corrected, uncorrected
+    pr_c = prediction_curve(basis, model, grid, q_values=(2.0,), stack=stack).pr
+    pr_u = prediction_curve(
+        basis, baseline, grid, q_values=(2.0,), delta_mode="none", stack=baseline_stack
+    ).pr
+    rep_c = empirics.compare(grid, pr_c, decomp.energies, pr, edges, config.bulk_fraction)
+    rep_u = empirics.compare(grid, pr_u, decomp.energies, pr, edges, config.bulk_fraction)
     write_csv(
         out / f"compare_k{k}.csv",
         ["E", "empirical_Pr", "predicted_corrected", "predicted_uncorrected", "in_bulk"],
-        zip(
-            rep_c.e_center, rep_c.empirical, rep_c.predicted, rep_u.predicted,
-            rep_c.in_bulk.astype(int),
-        ),
+        [rep_c.e_center, rep_c.empirical, rep_c.predicted, rep_u.predicted, rep_c.in_bulk],
     )
     print(
         f"k={k}: corrected median dev {rep_c.bulk_median:.4f}, "
@@ -287,36 +292,43 @@ def cmd_compare(config: RunConfig) -> int:
     variant = CORRECTION_VARIANTS[config.corrections]
     model = build_strength_model(config.params, variant)
     baseline = build_strength_model(config.params, "gaussian")
+    # each model is evaluated on the grid once, for every sector
+    corrected = (model, density_stack(model, grid))
+    uncorrected = (baseline, density_stack(baseline, grid))
     # one sector per call, so that every array of a sector is freed before the next one loads
     report_all = {
-        f"k={k}": _compare_sector(config, k, grid, model, baseline, out) for k in config.momenta
+        f"k={k}": _compare_sector(config, k, grid, corrected, uncorrected, out)
+        for k in config.momenta
     }
     (out / "comparison_report.json").write_text(json.dumps(report_all, indent=2))
     return EXIT_OK
 
 
 def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
-    basis = momentum_basis(config.n_sites, k)
-    symbols = config.symbols or [basis.dim // 2]
-    decomp, _ = _decompose_sector(config, basis, rows=symbols)
+    symbols = config.symbols or [sector_dimension(config.n_sites, k) // 2]
+    decomp, _ = _decompose_sector(config, k, rows=symbols)  # no basis is built on a cache hit
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     for sym in symbols:
         stats = empirics.windowed_coefficient_stats(decomp, sym, edges)
-        if all(st.insufficient for st in stats):
+        fitted = [(i, st) for i, st in enumerate(stats) if not st.insufficient]
+        if not fitted:
             print(f"k={k} symbol={sym}: skipped (no window has a degree of freedom)")
             continue
+        windows, fits = zip(*fitted)
+        bins = [st.counts.size for st in fits]
         path = out / f"coeff_hist_k{k}_s{sym}.csv"
         write_csv(
             path,
             ["window", "bin_lo", "bin_hi", "count", "density", "chi2_reduced", "n_samples"],
-            (
-                [i, lo, hi, int(count), dens, st.chi2_reduced, st.n_samples]
-                for i, st in enumerate(stats)
-                if not st.insufficient
-                for lo, hi, count, dens in zip(
-                    st.bin_edges[:-1], st.bin_edges[1:], st.counts, st.density
-                )
-            ),
+            [
+                np.repeat(windows, bins),
+                np.concatenate([st.bin_edges[:-1] for st in fits]),
+                np.concatenate([st.bin_edges[1:] for st in fits]),
+                np.concatenate([st.counts for st in fits]),
+                np.concatenate([st.density for st in fits]),
+                np.repeat([st.chi2_reduced for st in fits], bins),
+                np.repeat([st.n_samples for st in fits], bins),
+            ],
         )
         print(f"k={k} symbol={sym}: wrote {path}")
 

@@ -518,8 +518,8 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
             vectors = np.empty((len(rows), dim), dtype="<c16")
             buffer = np.empty((min(CACHE_BLOCK_ROWS, dim), dim), dtype="<c16")
             wanted = np.array(rows)
-            for block in np.unique(wanted // CACHE_BLOCK_ROWS):
-                start = int(block) * CACHE_BLOCK_ROWS
+            for block in dict.fromkeys(row // CACHE_BLOCK_ROWS for row in rows):  # rows ascend
+                start = block * CACHE_BLOCK_ROWS
                 part = buffer[: min(CACHE_BLOCK_ROWS, dim - start)]
                 fh.seek(head_bytes + start * row_bytes)
                 _read_verified(fh, [part], digests[block], bin_path)

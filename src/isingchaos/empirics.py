@@ -63,12 +63,13 @@ def coefficient_samples(decomp: EigenDecomposition, symbol_index: int, levels) -
 
     Real sectors (``is_real_sector``) give the coefficients themselves;
     complex sectors contribute real and imaginary parts as separate Gaussian
-    samples.
+    samples, joined along the last axis, so a 2-D index array of windows
+    gives one row of samples per window.
     """
     c = decomp.coefficients(symbol_index)[levels]
     if is_real_sector(decomp.params.n_sites, decomp.k):
         return c.real.copy()
-    return np.concatenate([c.real, c.imag])
+    return np.concatenate([c.real, c.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -92,50 +93,64 @@ class WindowCoefficientStats:
         return self.counts / (self.n_samples * widths)
 
 
-def _gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Reduced chi^2 of the moment-fitted Gaussian against a histogram.
+def _gaussian_fits(samples: np.ndarray) -> list[WindowCoefficientStats]:
+    """Moment-fitted Gaussian against a histogram for each row of ``samples``, one window per row.
 
-    inf when the fit has no degree of freedom: no spread, or fewer than four
-    bins expecting 5 or more counts, as for every sample of 36 or fewer.
+    The histogram has max(8, round(sqrt n)) bins over mean +- 4 std, counted
+    by ``np.histogram``'s rule for array bins (left-inclusive, the last edge
+    inclusive), and only bins that expect 5 or more counts enter chi^2.  It
+    is inf when the fit has no degree of freedom: no spread, or fewer than
+    four such bins, as for every window of 36 or fewer samples.
     """
-    n = samples.size
-    mu = samples.mean()
-    s = samples.std()
-    if s == 0:
-        return np.inf, np.array([mu, mu]), np.array([n])
+    n_rows, n = samples.shape
+    mean, var = samples.mean(axis=1), samples.var(axis=1)
+    std = np.sqrt(var)
+    spread = np.flatnonzero(std > 0)
+    mu, s, x = mean[spread], std[spread], samples[spread]
     n_bins = max(8, int(round(np.sqrt(n))))
-    edges = np.linspace(mu - 4 * s, mu + 4 * s, n_bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    cdf = normal_cdf((edges - mu) / s)
-    expected = n * np.diff(cdf)
+    edges = np.linspace(mu - 4 * s, mu + 4 * s, n_bins + 1, axis=1)
+    below = np.count_nonzero(x[:, :, None] < edges[:, None, :-1], axis=1)
+    within = np.count_nonzero(x <= edges[:, -1:], axis=1)
+    counts = np.diff(np.column_stack([below, within]), axis=1)
+    expected = n * np.diff(normal_cdf((edges - mu[:, None]) / s[:, None]), axis=1)
     keep = expected >= 5.0
-    dof = int(keep.sum()) - 3
-    if dof < 1:
-        return np.inf, edges, counts
-    chi2 = float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep]))
-    return chi2 / dof, edges, counts
+    kept = keep.sum(axis=1)
+    terms = (counts - expected) ** 2 / expected
+    chi2 = np.full(spread.size, np.inf)
+    # the rows with m kept bins are summed as one (rows, m) array, so that each sum adds
+    # its m terms as a 1-D sum of them does; bins not kept must not enter, even as zeros
+    for m in set(kept[kept > 3].tolist()):
+        rows = kept == m
+        chi2[rows] = terms[rows][keep[rows]].reshape(-1, m).sum(axis=1) / (m - 3)
+    fits = dict(zip(spread.tolist(), zip(chi2.tolist(), edges, counts)))
+    return [
+        WindowCoefficientStats(
+            n,
+            float(mean[row]),
+            float(var[row]),
+            *(fits.get(row) or (np.inf, np.array([mean[row], mean[row]]), np.array([n]))),
+        )
+        for row in range(n_rows)
+    ]
 
 
 def windowed_coefficient_stats(
     decomp: EigenDecomposition, symbol_index: int, edges: np.ndarray
 ) -> list[WindowCoefficientStats]:
-    """Per-window sample statistics of one coefficient with Gaussian fits."""
+    """Per-window sample statistics of one coefficient with Gaussian fits.
+
+    Windows of one size are fitted together as the rows of one 2-D array of
+    samples: the full windows in one group, a short last one in another.
+    """
     if not 0 <= symbol_index < decomp.dim:
         raise IndexError("symbol index outside the basis")
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        samples = coefficient_samples(decomp, symbol_index, slice(a, b))
-        chi2, bin_edges, counts = _gaussian_fit_chi2(samples)
-        out.append(
-            WindowCoefficientStats(
-                n_samples=samples.size,
-                mean=float(samples.mean()),
-                variance=float(samples.var()),
-                chi2_reduced=chi2,
-                bin_edges=bin_edges,
-                counts=counts,
-            )
-        )
+    starts, sizes = edges[:-1], np.diff(edges)
+    out = [None] * sizes.size
+    for size in set(sizes.tolist()):
+        windows = np.flatnonzero(sizes == size)
+        samples = coefficient_samples(decomp, symbol_index, starts[windows, None] + np.arange(size))
+        for window, stats in zip(windows.tolist(), _gaussian_fits(samples)):
+            out[window] = stats
     return out
 
 
@@ -215,6 +230,26 @@ class ComparisonReport:
         }
 
 
+def _median_p90(values: np.ndarray) -> tuple[float, float]:
+    """``np.median`` and ``np.percentile(values, 90)`` of a non-empty array, bit for bit, from one sort.
+
+    The percentile follows numpy's "linear" rule: the virtual index
+    (n - 1) 0.9 splits into its floor i and fraction t, and the value is
+    interpolated between ranks i and i + 1 as numpy's ``_lerp`` does it,
+    from the upper rank where t >= 0.5.
+    """
+    s = np.sort(values).tolist()
+    n = len(s)
+    half = n // 2
+    median = s[half] if n % 2 else (s[half - 1] + s[half]) / 2
+    index = (n - 1) * 0.9
+    i = int(index)
+    t = index - i
+    a, b = s[i], s[min(i + 1, n - 1)]
+    p90 = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return median, p90
+
+
 def compare(
     pred_energies: np.ndarray,
     pred_values: np.ndarray,
@@ -247,13 +282,14 @@ def compare(
     bulk = rel[in_bulk & np.isfinite(rel)]
     if not bulk.size:
         raise ValueError("no finite deviations inside the bulk")
+    bulk_median, bulk_p90 = _median_p90(bulk)
     return ComparisonReport(
         e_center=centers,
         empirical=empirical,
         predicted=predicted,
         rel_deviation=rel,
         in_bulk=in_bulk,
-        bulk_median=float(np.median(bulk)),
-        bulk_p90=float(np.percentile(bulk, 90)),
+        bulk_median=bulk_median,
+        bulk_p90=bulk_p90,
         bulk_fraction=bulk_fraction,
     )

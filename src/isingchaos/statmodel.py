@@ -40,13 +40,25 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """One CSV file: float cells (numpy's too) through ``fmt_float``, every other cell ``str``."""
+def _format_column(column) -> list[str]:
+    """The cells of one column, formatted once by its dtype."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return [fmt_float(x) for x in column.tolist()]
+    if column.dtype.kind in "biu":
+        return [str(x) for x in column.astype(int).tolist()]
+    return column.tolist()  # strings
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """One CSV file from equal-length columns, each formatted once by its dtype.
+
+    Floats go through ``fmt_float``, integers and bools as ``str(int)``, and
+    strings unchanged.
+    """
+    lines = [",".join(header), *map(",".join, zip(*map(_format_column, columns)))]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [fmt_float(c) if isinstance(c, float) else str(c) for c in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 _gamma = np.frompyfunc(math.gamma, 1, 1)
@@ -134,15 +146,26 @@ class GibbsFit:
     sigma: float
     std_coeffs: tuple[float, float, float, float]
     log_z_std: float
-    multipliers: tuple[float, float, float, float]
     n_orders: int
     residual: float
     boundary_ratio: float
 
+    @property
+    def multipliers(self) -> tuple[float, float, float, float]:
+        """mu_1..mu_4 of exp(-sum_i mu_i E^i): sum_j c_j ((E - E_n) / sigma)^j expanded in powers of E."""
+        c = self.std_coeffs
+        return tuple(
+            sum(comb(j, i) * c[j - 1] * (-self.e_center) ** (j - i) / self.sigma**j for j in range(i, 5))
+            for i in range(1, 5)
+        )
+
     def density(self, energy) -> np.ndarray:
+        """P_n(E), zero outside the support |E - E_n| <= ``GIBBS_HALF_WIDTH`` sigma it was fitted on."""
         x = (np.asarray(energy, dtype=float) - self.e_center) / self.sigma
+        inside = np.abs(x) <= GIBBS_HALF_WIDTH
+        x = np.where(inside, x, 0.0)  # beyond the support the quartic may turn upward and overflow
         logp = -sum(c * x**j for j, c in enumerate(self.std_coeffs, start=1))
-        return np.exp(logp - self.log_z_std) / self.sigma
+        return np.where(inside, np.exp(logp - self.log_z_std) / self.sigma, 0.0)
 
 
 def _newton_solve(targets, n_orders, powers, weights, tol, start):
@@ -267,17 +290,11 @@ def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4) -> GibbsFit:
             "target moments are not representable on the truncated support"
         )
 
-    # expand sum_j c_j ((E - e)/sigma)^j into energy-variable multipliers
-    poly_x = np.polynomial.Polynomial([0.0, *coeffs])
-    poly_e = poly_x(np.polynomial.Polynomial([-moments.e_n / sigma, 1.0 / sigma]))
-    a = np.zeros(5)
-    a[: len(poly_e.coef)] = poly_e.coef
     return GibbsFit(
         e_center=moments.e_n,
         sigma=float(sigma),
         std_coeffs=tuple(coeffs),
         log_z_std=float(log_z_std),
-        multipliers=tuple(a[1:5]),
         n_orders=n_orders,
         residual=residual,
         boundary_ratio=boundary_ratio,
@@ -352,8 +369,8 @@ def strength_density(model: StrengthModel, n_up: int, energy) -> np.ndarray:
     return out
 
 
-def _density_stack(model: StrengthModel, energy) -> np.ndarray:
-    """The (N+1) x G stack of P_n(E): the one input of every prediction."""
+def density_stack(model: StrengthModel, energy) -> np.ndarray:
+    """The (N+1) x G stack of P_n(E): the one input of every prediction, the same for every sector."""
     e = np.atleast_1d(np.asarray(energy, dtype=float))
     return np.stack([strength_density(model, n, e) for n in range(model.n_sites + 1)])
 
@@ -378,7 +395,7 @@ def model_spectral_density(model: StrengthModel, energy) -> np.ndarray:
     """
     n = model.n_sites
     counts = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
-    return _spectral_density(_density_stack(model, energy), counts)
+    return _spectral_density(density_stack(model, energy), counts)
 
 
 def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
@@ -485,10 +502,13 @@ def prediction_curve(
     energies: np.ndarray,
     q_values: tuple[float, ...] = (1.5, 2.0, 3.0),
     delta_mode: str = "uniform",
+    stack: np.ndarray | None = None,
 ) -> PredictionCurve:
     """Evaluate density, M_q, and Pr = 1 / M_2 predictions on a grid.
 
-    The strength-density stack is built once and every column comes from it.
+    Every column comes from the strength-density stack ``stack``, which is
+    ``density_stack(model, energies)``: a caller that predicts many sectors
+    evaluates the model once and passes it; otherwise it is built here.
     Real sectors (``basis.is_real``: k = 0 and k = N/2) use the real-ensemble
     factor with the parity correction 1 + (2^(q-1) - 1) delta, so the
     effective R_2 is 3 (1 + delta); complex sectors interpolate between the
@@ -498,7 +518,10 @@ def prediction_curve(
     the plain Gaussian-ensemble baseline).
     """
     energies = np.asarray(energies, dtype=float)
-    stack = _density_stack(model, energies)
+    if stack is None:
+        stack = density_stack(model, energies)
+    elif stack.shape != (model.n_sites + 1, energies.size):
+        raise ValueError(f"density stack of shape {stack.shape} does not match the model and grid")
     rho = _spectral_density(stack, basis.nu_tot().astype(float))
     clipped = _clipped_power(stack, 1.0)
     moments = {q: _moment(basis, clipped, q, delta_mode) for q in q_values}
@@ -531,4 +554,4 @@ def write_prediction_csv(curve: PredictionCurve, path) -> None:
     ]
     columns = [curve.energies, curve.rho, *(curve.moments[q] for q in qs), curve.pr]
     labels = [curve.variant, curve.sector, curve.corrections]
-    write_csv(path, header, ([*values, *labels] for values in zip(*columns)))
+    write_csv(path, header, [*columns, *([label] * curve.energies.size for label in labels)])

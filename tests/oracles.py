@@ -2,8 +2,9 @@
 
 None of these run in the pipeline: single-configuration bit operations,
 closed-form and exhaustive counts, explicit powers of H, spectral sums over
-eigenvectors, quadrature moments of a fitted Gibbs density, and labelled
-symmetry blocks cut from the dense real-basis block.
+eigenvectors, quadrature moments of a fitted Gibbs density, labelled
+symmetry blocks cut from the dense real-basis block, the Gaussian fit of one
+window at a time, and a CSV writer that formats cell by cell.
 """
 
 from math import comb
@@ -12,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from isingchaos.eigensolve import EigenDecomposition
+from isingchaos.empirics import normal_cdf
 from isingchaos.hamiltonian import FULL_BASIS_MAX_SITES, ModelParams, SectorMatrix, build_full_hamiltonian
 from isingchaos.spin_basis import ChainSizeError, _divisors, orbit_tables, popcount, reflect_table
 from isingchaos.statmodel import (
@@ -20,6 +22,7 @@ from isingchaos.statmodel import (
     _power_table,
     _std_moments,
     _std_to_energy_moments,
+    fmt_float,
 )
 
 
@@ -186,3 +189,36 @@ def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[
     change = (np.diff(labels) != 0) | (np.diff(parity) != 0)
     edges = [0, *(np.flatnonzero(change) + 1).tolist(), g.shape[0]]
     return {(int(labels[a]), int(parity[a])): g[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])}
+
+
+def gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Reduced chi^2, bin edges and counts of one window's moment-fitted Gaussian against its histogram.
+
+    inf when the fit has no degree of freedom: no spread, or fewer than four
+    bins expecting 5 or more counts, as for every sample of 36 or fewer.
+    """
+    n = samples.size
+    mu = samples.mean()
+    s = samples.std()
+    if s == 0:
+        return np.inf, np.array([mu, mu]), np.array([n])
+    n_bins = max(8, int(round(np.sqrt(n))))
+    edges = np.linspace(mu - 4 * s, mu + 4 * s, n_bins + 1)
+    counts, _ = np.histogram(samples, bins=edges)
+    cdf = normal_cdf((edges - mu) / s)
+    expected = n * np.diff(cdf)
+    keep = expected >= 5.0
+    dof = int(keep.sum()) - 3
+    if dof < 1:
+        return np.inf, edges, counts
+    chi2 = float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    return chi2 / dof, edges, counts
+
+
+def write_csv_rows(path, header: list[str], rows) -> None:
+    """One CSV file row by row: float cells (numpy's too) through ``fmt_float``, every other cell ``str``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [fmt_float(c) if isinstance(c, float) else str(c) for c in row]
+            fh.write(",".join(cells) + "\n")

@@ -21,8 +21,8 @@ from isingchaos.moments import analytic_moments
 from isingchaos.spin_basis import momentum_basis, sector_dimension
 from isingchaos.statmodel import (
     _clipped_power,
-    _density_stack,
     build_strength_model,
+    density_stack,
     fit_gibbs,
     model_spectral_density,
     prediction_curve,
@@ -177,14 +177,14 @@ def _pr_comparison(basis, decomp, corrected_model, gauss_model):
     corr = prediction_curve(basis, corrected_model, grid)
     unc = prediction_curve(basis, gauss_model, grid, delta_mode="none")
     # oracle for the uncorrected baseline: the plain Gaussian-ensemble closed form
-    stack = _clipped_power(_density_stack(gauss_model, grid), 1.0)
+    stack = _clipped_power(density_stack(gauss_model, grid), 1.0)
     nu = basis.nu_tot().astype(float)
     factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
     assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ (stack / (nu @ stack)) ** 2.0)))
     rep_c = empirics.compare(grid, corr.pr, decomp.energies, pr, edges)
     rep_u = empirics.compare(grid, unc.pr, decomp.energies, pr, edges)
     # effective R2 from data: model ratio-part divided by empirical Pr
-    stack = _clipped_power(_density_stack(corrected_model, rep_c.e_center), 1.0)
+    stack = _clipped_power(density_stack(corrected_model, rep_c.e_center), 1.0)
     nu = basis.nu_tot().astype(float)
     ratio_part = (nu @ stack) ** 2 / (nu @ stack**2)
     bulk = rep_c.in_bulk

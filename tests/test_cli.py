@@ -236,6 +236,48 @@ def test_run_config_records_only_what_the_command_reads(tmp_path, capsys, monkey
         assert config.cache_dir == (str(cache) if takes_cache else None)
 
 
+def test_compare_evaluates_each_model_on_the_grid_once(tmp_path, capsys, monkeypatch):
+    from isingchaos import statmodel
+
+    calls = []
+    inner = statmodel.strength_density
+
+    def counting(model, n_up, energy):
+        calls.append(model.variant)
+        return inner(model, n_up, energy)
+
+    monkeypatch.setattr(statmodel, "strength_density", counting)
+    momenta = ["--momentum", "0", "--momentum", "1", "--momentum", "5"]
+    code, _, _ = run(
+        capsys, "compare", "--spins", "10", *momenta, "--corrections", "gibbs",
+        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_OK
+    # N + 1 densities per model for the three sectors, not N + 1 per prediction curve
+    assert sorted(calls) == ["gaussian"] * 11 + ["gibbs"] * 11
+
+
+@pytest.mark.parametrize("command", [["compare", "--corrections", "gibbs"], ["coeff-hist"]])
+def test_warm_analysis_leaves_numpy_ma_and_scipy_unloaded(tmp_path, capsys, command):
+    cache = str(tmp_path / "cache")
+    assert run(capsys, "diag", "--spins", "8", "--momentum", "all", "--cache-dir", cache)[0] == EXIT_OK
+    argv = [command[0], "--spins", "8", "--momentum", "all", *command[1:], "--cache-dir", cache,
+            "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from isingchaos import cli, eigensolve\n"
+        "def no_solve(matrix):\n"
+        "    raise AssertionError('cache miss')\n"
+        "eigensolve.diagonalize = no_solve\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'numpy.ma' or m.startswith(('numpy.ma.', 'scipy'))]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_coeff_hist(tmp_path, capsys):
     code, _, _ = run(
         capsys,

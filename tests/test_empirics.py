@@ -8,6 +8,7 @@ from isingchaos.eigensolve import EigenDecomposition, diagonalize, state_moment_
 from isingchaos.empirics import (
     GOE_MEAN_R,
     POISSON_MEAN_R,
+    _median_p90,
     compare,
     coefficient_samples,
     empirical_moments,
@@ -21,7 +22,7 @@ from isingchaos.empirics import (
 )
 from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian, element_blocks, sector_elements
 from isingchaos.spin_basis import momentum_basis
-from oracles import empirical_strength_function, sector_state_moments, strength_moments
+from oracles import empirical_strength_function, gaussian_fit_chi2, sector_state_moments, strength_moments
 from parity_oracle import inversion_matrix
 
 
@@ -93,6 +94,53 @@ def test_window_is_insufficient_exactly_without_a_degree_of_freedom(n):
     (stats,) = windowed_coefficient_stats(decomp, 0, windows_fixed_count(decomp.energies, n))
     assert stats.n_samples == n
     assert stats.insufficient == (n <= 36) == (stats.chi2_reduced == np.inf)
+
+
+def _assert_fits_equal_the_oracle(decomp, symbol, edges):
+    """Each window's stats equal the one-window fit bit for bit; returns them."""
+    stats = windowed_coefficient_stats(decomp, symbol, edges)
+    assert len(stats) == edges.size - 1
+    for a, b, st in zip(edges[:-1], edges[1:], stats):
+        samples = coefficient_samples(decomp, symbol, slice(a, b))
+        chi2, bin_edges, counts = gaussian_fit_chi2(samples)
+        assert st.n_samples == samples.size
+        assert st.mean == float(samples.mean()) and st.variance == float(samples.var())
+        assert st.chi2_reduced == chi2
+        assert np.array_equal(st.bin_edges, bin_edges) and bin_edges.dtype == st.bin_edges.dtype
+        assert np.array_equal(st.counts, counts) and counts.dtype == st.counts.dtype
+    return stats
+
+
+def test_array_window_fits_equal_the_per_window_oracle(store):
+    fitted = insufficient = 0
+    for k in (0, 1):  # a real and a complex sector
+        _, decomp = store.get(10, k)
+        for levels in (15, 23, 40):
+            edges = windows_fixed_count(decomp.energies, levels)
+            assert np.diff(edges)[-1] < levels  # a short last window
+            for symbol in (0, decomp.dim // 2, decomp.dim - 1):
+                stats = _assert_fits_equal_the_oracle(decomp, symbol, edges)
+                fitted += sum(not st.insufficient for st in stats)
+                insufficient += sum(st.insufficient and st.n_samples <= 36 for st in stats)
+    assert fitted > 0 and insufficient > 0
+
+
+def test_array_window_fits_equal_the_oracle_on_a_zero_spread_window():
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((2, 130))
+    vectors[0, 50:100] = 0.125
+    decomp = synthetic_decomposition(vectors)
+    stats = _assert_fits_equal_the_oracle(decomp, 0, windows_fixed_count(decomp.energies, 50))
+    assert [st.insufficient for st in stats] == [False, True, True]
+    assert stats[1].counts.tolist() == [50] and stats[1].bin_edges.tolist() == [0.125, 0.125]
+
+
+def test_bulk_median_and_p90_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in range(1, 258):
+        for values in (rng.random(n) * 10.0 ** rng.integers(-6, 3), rng.integers(0, 4, n) * 0.1):
+            median, p90 = _median_p90(values)  # the second array has ties
+            assert median == np.median(values) and p90 == np.percentile(values, 90)
 
 
 def test_variance_estimators_agree(store):
