@@ -54,9 +54,9 @@ def write_csv(path, header: list[str], columns) -> None:
     """One CSV file from equal-length columns, each formatted once by its dtype.
 
     Floats go through ``fmt_float``, integers and bools as ``str(int)``, and
-    strings unchanged.
+    strings unchanged.  Columns of unequal length raise ``ValueError``.
     """
-    lines = [",".join(header), *map(",".join, zip(*map(_format_column, columns)))]
+    lines = [",".join(header), *map(",".join, zip(*map(_format_column, columns), strict=True))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -160,12 +160,9 @@ class GibbsFit:
         )
 
     def density(self, energy) -> np.ndarray:
-        """P_n(E), zero outside the support |E - E_n| <= ``GIBBS_HALF_WIDTH`` sigma it was fitted on."""
         x = (np.asarray(energy, dtype=float) - self.e_center) / self.sigma
-        inside = np.abs(x) <= GIBBS_HALF_WIDTH
-        x = np.where(inside, x, 0.0)  # beyond the support the quartic may turn upward and overflow
         logp = -sum(c * x**j for j, c in enumerate(self.std_coeffs, start=1))
-        return np.where(inside, np.exp(logp - self.log_z_std) / self.sigma, 0.0)
+        return np.exp(logp - self.log_z_std) / self.sigma
 
 
 def _newton_solve(targets, n_orders, powers, weights, tol, start):
@@ -508,7 +505,8 @@ def prediction_curve(
 
     Every column comes from the strength-density stack ``stack``, which is
     ``density_stack(model, energies)``: a caller that predicts many sectors
-    evaluates the model once and passes it; otherwise it is built here.
+    (``compare``, ``predict``) evaluates the model once and passes it.  A
+    library call for one sector may leave it out, and it is built here.
     Real sectors (``basis.is_real``: k = 0 and k = N/2) use the real-ensemble
     factor with the parity correction 1 + (2^(q-1) - 1) delta, so the
     effective R_2 is 3 (1 + delta); complex sectors interpolate between the
