@@ -12,7 +12,7 @@ rules.
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
 from its eigenvectors by ``state_moment_sums``.  It is cached per
 (N, k, lam, alpha, format version) as one little-endian payload plus a JSON
-sidecar with the exact key and SHA-256 digests.  Format 3 lays the payload
+sidecar with the exact key and SHA-256 digests.  Format 4 lays the payload
 out as a head, the energies (<f8), parity labels (i1, 0 where there are
 none) and moment sums (<f8) under one digest, then V as row-major <c16 in
 blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads and
@@ -46,9 +46,10 @@ from .spin_basis import MomentumBasis
 
 logger = logging.getLogger(__name__)
 
-CACHE_VERSION = 3
-# rows of V under one digest in the cache payload; fixed by CACHE_VERSION
-CACHE_BLOCK_ROWS = 64
+CACHE_VERSION = 4
+# rows of V under one digest in the cache payload; fixed by CACHE_VERSION.
+# Small, so that a load of a few rows hashes little more than those rows
+CACHE_BLOCK_ROWS = 8
 # rows of V per chunk of the moment sums sum_n |C_n|^2q
 MOMENT_CHUNK_ROWS = 64
 

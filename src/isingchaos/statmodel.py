@@ -33,6 +33,7 @@ GIBBS_HALF_WIDTH = 12.0  # integration half-width in units of sigma
 GIBBS_TOL = 1e-8  # relative moment residual a fit must reach
 GIBBS_MAX_ITER = 100  # Newton steps per solve
 GIBBS_NODES = 2000  # quadrature nodes of the first grid; refinement doubles them
+GAUSSIAN_START = (0.0, 0.5, 0.0, 0.0)  # standardized coefficients of exp(-x^2 / 2)
 
 
 def fmt_float(x: float) -> str:
@@ -209,6 +210,35 @@ def _std_to_energy_moments(m_std: np.ndarray, e: float, sigma: float) -> np.ndar
     return out
 
 
+def _solve_standardized(targets, n_orders, powers, weights, tol, start):
+    """Coefficients, moments and residual of one grid's Newton solve.
+
+    With a ``start`` (a warm start) Newton runs from it first.  If that
+    stalls, or when there is none, Newton runs from the Gaussian, and if that
+    stalls too, the cumulants are ramped up from the Gaussian solution.
+    """
+    stall_limit = 1e3 * tol
+    if start is not None:
+        try:
+            coeffs, m_std, res_std = _newton_solve(targets, n_orders, powers, weights, tol, start)
+        except GibbsFitError:
+            res_std = np.inf
+        if res_std <= stall_limit:
+            return coeffs, m_std, res_std
+        log.info("warm-started Gibbs fit stalled; restarting from the Gaussian")
+    coeffs, m_std, res_std = _newton_solve(targets, n_orders, powers, weights, tol, GAUSSIAN_START)
+    if res_std > stall_limit:
+        # continuation: ramp the cumulants up from the Gaussian solution
+        coeffs = GAUSSIAN_START
+        for frac in (0.25, 0.5, 0.75, 1.0):
+            partial = targets.copy()
+            if n_orders == 4:
+                partial[2] = frac * targets[2]
+                partial[3] = 3.0 + frac * (targets[3] - 3.0)
+            coeffs, m_std, res_std = _newton_solve(partial, n_orders, powers, weights, tol, coeffs)
+    return coeffs, m_std, res_std
+
+
 def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4) -> GibbsFit:
     """Fit exp(-sum_{j<=n_orders} mu_j E^j)/Z to the first n_orders moments.
 
@@ -217,6 +247,16 @@ def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4) -> GibbsFit:
     solution, and continuation in the cumulant magnitudes if the direct
     solve stalls.  Node count doubles from ``GIBBS_NODES`` until the converged
     moments are stable below ``GIBBS_TOL``.
+    """
+    return _fit_gibbs(moments, n_orders, None)
+
+
+def _fit_gibbs(moments: LocalMomentSet, n_orders: int, start) -> GibbsFit:
+    """``fit_gibbs``, with Newton warm-started from ``start`` when it is given.
+
+    ``start`` is the ``std_coeffs`` of a fit of the same order.  The
+    max-entropy problem is convex, so the start changes the fit only in the
+    last digits; a warm start that stalls falls back to the Gaussian.
     """
     if n_orders not in (2, 4):
         raise ValueError("n_orders must be 2 or 4")
@@ -245,25 +285,11 @@ def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4) -> GibbsFit:
     tol_std = max(5e-14, GIBBS_TOL * 1e-5)
 
     nodes_now = GIBBS_NODES
-    coeffs = None
     for _refine in range(4):
         weights, powers = _gibbs_grid(nodes_now)
-        start = np.zeros(4)
-        start[1] = 0.5
-        coeffs, m_std, res_std = _newton_solve(
+        coeffs, m_std, res_std = _solve_standardized(
             targets, n_orders, powers, weights, tol_std, start
         )
-        if res_std > 1e3 * tol_std:
-            # continuation: ramp the cumulants up from the Gaussian solution
-            coeffs = start
-            for frac in (0.25, 0.5, 0.75, 1.0):
-                partial = targets.copy()
-                if n_orders == 4:
-                    partial[2] = frac * targets[2]
-                    partial[3] = 3.0 + frac * (targets[3] - 3.0)
-                coeffs, m_std, res_std = _newton_solve(
-                    partial, n_orders, powers, weights, tol_std, coeffs
-                )
         fine_weights, fine_powers = _gibbs_grid(2 * nodes_now)
         m_fine = _std_moments(coeffs, fine_powers, fine_weights)
         mu_fit = _std_to_energy_moments(m_fine, moments.e_n, sigma)
@@ -313,23 +339,39 @@ class StrengthModel:
         return self.params.n_sites
 
 
+def _gibbs_fits(moments: tuple[LocalMomentSet, ...]) -> tuple[GibbsFit | None, ...]:
+    """One four-moment fit per n, None where it failed (Gram-Charlier stands in).
+
+    The first fit is of the n whose standardized skewness and excess
+    kurtosis are smallest, from the Gaussian.  The fits then walk outward
+    from it to both ends, each warm-started from the last fit on its way.
+    """
+
+    def non_gaussianity(mom: LocalMomentSet) -> float:
+        return abs(mom.k3) / mom.sigma2**1.5 + abs(mom.k4) / mom.sigma2**2
+
+    first = min(range(len(moments)), key=lambda n: non_gaussianity(moments[n]))
+    fits: dict[int, GibbsFit | None] = {}
+    for walk in (range(first, len(moments)), range(first, -1, -1)):
+        start = None
+        for n in walk:
+            if n not in fits:
+                try:
+                    fits[n] = _fit_gibbs(moments[n], 4, start)
+                except GibbsFitError:
+                    log.warning("Gibbs fit failed for n=%d; falling back to Gram-Charlier", n)
+                    fits[n] = None
+            if fits[n] is not None:
+                start = fits[n].std_coeffs
+    return tuple(fits[n] for n in range(len(moments)))
+
+
 def build_strength_model(params: ModelParams, variant: str = "gaussian") -> StrengthModel:
     """Assemble the model for all n, using mean domain-wall counts."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     moments = tuple(analytic_moments(params, n) for n in range(params.n_sites + 1))
-    fits: tuple[GibbsFit | None, ...] = ()
-    if variant == "gibbs":
-        acc = []
-        for mom in moments:
-            try:
-                acc.append(fit_gibbs(mom))
-            except GibbsFitError:
-                log.warning(
-                    "Gibbs fit failed for n=%d; falling back to Gram-Charlier", mom.n_up
-                )
-                acc.append(None)
-        fits = tuple(acc)
+    fits = _gibbs_fits(moments) if variant == "gibbs" else ()
     return StrengthModel(params=params, variant=variant, moments=moments, gibbs_fits=fits)
 
 

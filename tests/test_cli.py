@@ -18,6 +18,9 @@ from isingchaos.cli import (
     build_parser,
     main,
 )
+from isingchaos.eigensolve import EigenDecomposition
+from isingchaos.hamiltonian import ModelParams
+from isingchaos.spin_basis import sector_dimension
 
 
 def run(capsys, *argv):
@@ -305,6 +308,41 @@ def _chi2_column(path):
     return [float(row.split(",")[col]) for row in rows]
 
 
+def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, monkeypatch):
+    from isingchaos import eigensolve
+
+    # a filled N=14 cache of random entries: which bytes a load reads does not depend on them
+    params = ModelParams(14, 1.0, 1.0)
+    rng = np.random.default_rng(0)
+    dims = {k: sector_dimension(14, k) for k in range(14)}
+    for k, dim in dims.items():
+        vectors = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        energies = np.sort(rng.standard_normal(dim))
+        eigensolve.cache_store(EigenDecomposition(params, k, energies, vectors), tmp_path / "cache")
+    hashed = {k: [] for k in dims}
+    inner = eigensolve._read_verified
+
+    def recording(fh, parts, sha256, bin_path):
+        k = int(bin_path.name.split("_")[1].removeprefix("k"))  # entries are named N14_k<k>_<key digest>
+        hashed[k].append(sum(part.nbytes for part in parts))
+        return inner(fh, parts, sha256, bin_path)
+
+    def no_solve(matrix):
+        raise AssertionError(f"k={matrix.k} was solved, not read from the cache")
+
+    monkeypatch.setattr(eigensolve, "_read_verified", recording)
+    monkeypatch.setattr(eigensolve, "diagonalize", no_solve)
+    argv = ["coeff-hist", "--spins", "14", "--momentum", "all", "--cache-dir", str(tmp_path / "cache")]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    block = eigensolve.CACHE_BLOCK_ROWS
+    assert block == 8
+    for k, dim in dims.items():
+        start = dim // 2 // block * block  # the first row of the block that holds row D/2
+        # the head (energies, parity labels, moment sums), then that one block
+        assert hashed[k] == [17 * dim, 16 * dim * min(block, dim - start)], k
+
+
 def test_coeff_hist_skips_windows_without_a_degree_of_freedom(tmp_path, capsys):
     # k=0 is real: 30 levels give 30 samples, too few for a chi^2 with a degree of
     # freedom, so no window is written and, with none left, no file; 37 levels give finite fits
@@ -415,6 +453,30 @@ def test_spacing_neither_reads_nor_fills_the_cache(tmp_path, capsys, monkeypatch
     code, from_env, _ = run(capsys, *argv)
     assert code == EXIT_OK and from_env == uncached
     assert list(tmp_path.iterdir()) == []
+
+
+def test_spacing_imports_numpy_random_only_for_a_surrogate():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = ["spacing", "--spins", "8", "--momentum", "0"]
+    script = (
+        "import sys\n"
+        "from isingchaos.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    surrogate = [*argv, "--surrogate", "goe", "--seed", "3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "isingchaos.cli", *surrogate], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "reference values: GOE 0.5307, Poisson 0.3863",
+        "GOE surrogate mean r: 0.5355",
+        "k=0 parity +1: r = 0.5442 (0 degenerate spacings excluded)",
+        "k=0 parity -1: skipped (n < 20 levels)",
+    ]
 
 
 @pytest.mark.parametrize("alpha", ["1", "0"])

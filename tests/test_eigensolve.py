@@ -169,10 +169,10 @@ def test_cache_payload_layout(tmp_path):
     meta = json.loads(meta_path.read_text())
     assert meta["head_sha256"] == hashlib.sha256(head).hexdigest()
     rows = eigensolve.CACHE_BLOCK_ROWS
-    assert decomp.dim == 108 and rows == 64  # two blocks, the second one short
+    assert decomp.dim == 108 and rows == 8  # 14 blocks, the last one short (4 rows)
     assert meta["block_sha256"] == [
         hashlib.sha256(interleaved[start : start + rows].tobytes()).hexdigest()
-        for start in (0, rows)
+        for start in range(0, 13 * rows + 1, rows)
     ]
 
 
@@ -268,11 +268,12 @@ def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
     decomp = diagonalize(build_sector_hamiltonian(momentum_basis(12, 1), params))
     bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
     dim, rows = decomp.dim, eigensolve.CACHE_BLOCK_ROWS
-    _flip_byte(bin_path, 17 * dim + 16 * dim * (rows + 3) + 5)  # row 67, in block 1
-    for asked in ([67], [3, 70], None):  # a read block, and the full load
+    assert rows == 8
+    _flip_byte(bin_path, 17 * dim + 16 * dim * (rows + 3) + 5)  # row 11, in block 1
+    for asked in ([11], [3, 14], None):  # a read block, and the full load
         with pytest.raises(CacheCorruptionError, match="checksum"):
             cache_load(params, 1, tmp_path, rows=asked)
-    for asked in ([3], [3, 200], ()):  # blocks 0 and 3 only, or no block
+    for asked in ([3], [3, 200], [7, 16], ()):  # blocks 0 and 25, 0 and 2, or none
         loaded = cache_load(params, 1, tmp_path, rows=asked)
         assert np.array_equal(loaded.energies, decomp.energies)
         if asked:
@@ -582,3 +583,29 @@ def test_block_spectra_pre_solve_checks():
     pair = int(np.flatnonzero(basis.partner != np.arange(basis.dim))[0])
     with pytest.raises(SymmetryBreakingError, match="off-real by .* \\(matrix [0-9a-f]{16}\\)"):
         block_spectra(basis, _with(elements, [pair], [pair], [1e-6]))
+
+
+def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
+    params = ModelParams(10, 1.0, 1.0)
+    matrix = build_sector_hamiltonian(momentum_basis(10, 1), params)
+    decomp = diagonalize(matrix)
+    # an entry of format 3: one digest per 64 rows of V
+    monkeypatch.setattr(eigensolve, "CACHE_VERSION", 3)
+    monkeypatch.setattr(eigensolve, "CACHE_BLOCK_ROWS", 64)
+    v3_sidecar = cache_store(decomp, tmp_path)
+    monkeypatch.undo()
+    assert len(json.loads(v3_sidecar.read_text())["block_sha256"]) == -(-decomp.dim // 64)
+    with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
+        assert cache_load(params, 1, tmp_path) is None  # its key names format 3
+    assert "cache miss: no entry" in caplog.text
+    # the same entry under the format-4 name: a miss for its version, not a corrupt digest list
+    v4_sidecar = tmp_path / f"{eigensolve._cache_stem(params, 1)}.json"
+    v4_sidecar.write_text(v3_sidecar.read_text())
+    v3_sidecar.with_suffix(".bin").replace(v4_sidecar.with_suffix(".bin"))
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
+        loaded, hit = diagonalize_cached(lambda: matrix, params, 1, tmp_path)
+    assert not hit and "format version 3" in caplog.text
+    assert np.array_equal(loaded.energies, decomp.energies)
+    loaded, hit = diagonalize_cached(lambda: matrix, params, 1, tmp_path)
+    assert hit and len(json.loads(v4_sidecar.read_text())["block_sha256"]) == -(-decomp.dim // 8)

@@ -523,3 +523,118 @@ def test_gibbs_curve_far_outside_the_spectrum_is_finite_without_warnings(delta_m
             unscaled = factor * num / np.where(normal, den, 1.0)
             np.testing.assert_allclose(moment[normal], unscaled[normal], rtol=1e-12, atol=0)
     assert underflowed > 0
+
+
+# the field points of the benchmark's workloads, each chaotic and Gibbs-feasible at N = 14 and 20
+BENCH_POINTS = (
+    (1.0, 1.0), (1.001, 0.944), (1.054, 1.093), (0.933, 0.926),
+    (1.028, 1.073), (0.958, 1.09), (1.059, 1.075), (0.903, 0.98),
+)
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``statmodel.<name>`` with a wrapper that counts its calls; returns the counter."""
+    calls = []
+    inner = getattr(statmodel, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(statmodel, name, counting)
+    return calls
+
+
+def _assert_same_fit(got, want, rtol=1e-10):
+    scale = np.max(np.abs(want.std_coeffs))
+    np.testing.assert_allclose(got.std_coeffs, want.std_coeffs, rtol=0, atol=rtol * scale)
+    assert got.log_z_std == pytest.approx(want.log_z_std, rel=rtol, abs=rtol)
+    assert got.residual < statmodel.GIBBS_TOL
+
+
+def _stall_first_newton(monkeypatch, failure=None):
+    """Make the first Newton solve stall at its start (or raise ``failure``); returns the calls."""
+    calls = []
+    inner = statmodel._newton_solve
+
+    def stalling(targets, n_orders, powers, weights, tol, start):
+        calls.append((np.array(targets), np.array(start)))
+        if len(calls) > 1:
+            return inner(targets, n_orders, powers, weights, tol, start)
+        if failure is not None:
+            raise failure
+        return np.array(start, dtype=float), _std_moments(start, powers, weights), 1.0
+
+    monkeypatch.setattr(statmodel, "_newton_solve", stalling)
+    return calls
+
+
+def test_warm_started_model_takes_a_third_of_the_cold_moment_evaluations(monkeypatch):
+    params = ModelParams(14, 1.0, 1.0)
+    evaluations = _count_calls(monkeypatch, "_std_moments")
+    model = build_strength_model(params, "gibbs")
+    warm = len(evaluations)
+    evaluations.clear()
+    cold = [fit_gibbs(mom) for mom in model.moments]
+    assert warm <= 0.35 * len(evaluations)
+    for got, want in zip(model.gibbs_fits, cold):
+        _assert_same_fit(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_sites", [10, 14, 20])
+def test_no_warm_start_falls_back_at_the_benchmark_points(n_sites, caplog):
+    with caplog.at_level(logging.INFO, logger="isingchaos.statmodel"):
+        for lam, alpha in BENCH_POINTS:
+            model = build_strength_model(ModelParams(n_sites, lam, alpha), "gibbs")
+            assert all(fit is not None for fit in model.gibbs_fits)
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize(
+    "failure", [None, statmodel.GibbsFitError("singular moment covariance")], ids=["stalled", "singular"]
+)
+def test_stalled_warm_start_gives_the_cold_fit(monkeypatch, caplog, failure):
+    params = ModelParams(14, 1.0, 1.0)
+    mom = analytic_moments(params, 3)
+    cold = fit_gibbs(mom)
+    warm_start = fit_gibbs(analytic_moments(params, 4)).std_coeffs
+    calls = _stall_first_newton(monkeypatch, failure)
+    with caplog.at_level(logging.INFO, logger="isingchaos.statmodel"):
+        fit = statmodel._fit_gibbs(mom, 4, warm_start)
+    assert "warm-started Gibbs fit stalled" in caplog.text
+    np.testing.assert_array_equal(calls[0][1], warm_start)
+    np.testing.assert_array_equal(calls[1][1], statmodel.GAUSSIAN_START)
+    assert fit == cold  # the same path from the Gaussian on, so the same bits
+
+
+def test_continuation_ramp_recovers_a_stalled_newton(monkeypatch):
+    mom = analytic_moments(ModelParams(14, 1.0, 1.0), 0)  # the most skewed n
+    direct = fit_gibbs(mom)
+    calls = _stall_first_newton(monkeypatch)
+    fit = fit_gibbs(mom)
+    targets = calls[0][0]
+    # one stalled solve from the Gaussian, then the four steps of the ramp, from the Gaussian on
+    assert len(calls) == 5
+    np.testing.assert_array_equal(calls[1][1], statmodel.GAUSSIAN_START)
+    for (partial, _), frac in zip(calls[1:], (0.25, 0.5, 0.75, 1.0)):
+        np.testing.assert_allclose(partial[2:], [frac * targets[2], 3.0 + frac * (targets[3] - 3.0)])
+    _assert_same_fit(fit, direct)
+
+
+def test_node_doubling_recovers_a_coarse_grid_residual(monkeypatch):
+    mom = analytic_moments(ModelParams(14, 1.0, 1.0), 5)
+    direct = fit_gibbs(mom)
+    grids = _count_calls(monkeypatch, "_gibbs_grid")
+    inner = statmodel._std_to_energy_moments
+    checks = []
+
+    def off_once(m_std, e, sigma):
+        checks.append(e)
+        moments = inner(m_std, e, sigma)
+        return moments * (1.0 + 10 * statmodel.GIBBS_TOL) if len(checks) == 1 else moments
+
+    monkeypatch.setattr(statmodel, "_std_to_energy_moments", off_once)
+    fit = fit_gibbs(mom)
+    # solve on 2000 nodes, check on 4000: too far off, so solve on 4000 and check on 8000
+    assert [args[0] for args in grids] == [2000, 4000, 4000, 8000]
+    _assert_same_fit(fit, direct)
