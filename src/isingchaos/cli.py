@@ -49,6 +49,12 @@ PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
 # spectra (or symmetry blocks) with fewer levels are skipped by ``spacing``
 MIN_SPACING_LEVELS = 20
 
+# peak memory of one sector in units of a float64 D x D array (8 D^2 bytes), from
+# the whole-process peaks at N=16: a solve with eigenvectors took 7.4 units at k=1
+# and 4.6 at k=0, and the eigenvalues alone of ``spacing`` 2.4 at k=1 and 1.2 at k=0
+SOLVE_UNITS = 8.0
+SPECTRA_UNITS = 2.5
+
 CORRECTION_VARIANTS = {
     "none": "gaussian",
     "gram-charlier": "gram_charlier",
@@ -173,6 +179,33 @@ def _check_symbols(config: RunConfig) -> None:
                 raise ValueError(f"--symbol {sym} outside [0, {dim}) at k={k}")
 
 
+class SectorMemoryError(ChainSizeError):
+    """A sector would need more memory than the machine has available."""
+
+
+def _mem_available() -> int | None:
+    """MemAvailable of ``/proc/meminfo`` in bytes; None where the kernel does not report it."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_memory(config: RunConfig, k: int, units: float) -> None:
+    """Refuse sector ``k`` when ``units`` of 8 D^2 bytes exceed the available memory."""
+    need = units * 8 * sector_dimension(config.n_sites, k) ** 2
+    available = _mem_available()
+    if available is not None and need > available:
+        raise SectorMemoryError(
+            f"sector k={k} at N={config.n_sites} needs about {need / 2**20:.1f} MiB, "
+            f"more than the {available / 2**20:.1f} MiB available"
+        )
+
+
 def _ensure_out_dir(config: RunConfig) -> Path:
     out = Path(config.out_dir or "isingchaos_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -186,10 +219,12 @@ def _decompose_sector(
     """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit.
 
     Only a miss builds the sector matrix, over ``basis``, or over a basis
-    built then when none is given.
+    built then when none is given, and first refuses a sector too large for
+    the available memory.
     """
 
     def sector_matrix():
+        _check_memory(config, k, SOLVE_UNITS)
         return build_sector_hamiltonian(
             basis if basis is not None else momentum_basis(config.n_sites, k), config.params
         )
@@ -358,6 +393,7 @@ def cmd_spacing(config: RunConfig) -> int:
         r = empirics.spacing_ratio(empirics.poisson_surrogate_levels(200000, rng))
         print(f"Poisson surrogate mean r: {r.mean_r:.4f}")
     for k in config.momenta:
+        _check_memory(config, k, SPECTRA_UNITS)
         # the ratio reads energies only, so every symmetry block is solved for
         # its eigenvalues alone; on the integrable line (alpha = 0) z-parity is
         # a symmetry too and exact degeneracies abound, so it labels the rows

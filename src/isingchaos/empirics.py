@@ -3,12 +3,12 @@
 Everything here works on sector eigen-decompositions: windowed
 coefficient distributions with Gaussian-fit quality (from the one row of V
 per symbol they read), participation ratios (from the moment sums the
-decomposition carries), eigenvector moments (from every row of V),
-nearest-neighbour spacing ratios (with GOE / Poisson surrogates), and a
-deviation report that interpolates a model prediction at empirical window
-centers.  A window is a contiguous range of level ranks in
-the ascending spectrum, and one integer array of edges carries them all, so
-every windowed statistic is a reduction over slices of per-level values.
+decomposition carries), nearest-neighbour spacing ratios (with GOE /
+Poisson surrogates), and a deviation report that interpolates a model
+prediction at empirical window centers.  A window is a contiguous range of
+level ranks in the ascending spectrum, and one integer array of edges
+carries them all, so every windowed statistic is a reduction over slices of
+per-level values.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import EigenDecomposition, state_moment_sums
+from .eigensolve import EigenDecomposition
 from .spin_basis import is_real_sector
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
@@ -157,15 +157,6 @@ def windowed_coefficient_stats(
 def empirical_participation_ratio(decomp: EigenDecomposition) -> np.ndarray:
     """Per-eigenstate Pr = 1 / sum |C|^4 in the sector basis, from the decomposition's moment sums."""
     return 1.0 / decomp.sum_c4
-
-
-def empirical_moments(decomp: EigenDecomposition, q: float, edges: np.ndarray) -> np.ndarray:
-    """Window averages of the eigenvector moment sums; ``decomp`` must hold every row of V."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if decomp.rows is not None:
-        raise ValueError("moment sums need every row of the eigenvectors")
-    return window_means(state_moment_sums(decomp.vectors, q), edges)
 
 
 @dataclass(frozen=True)

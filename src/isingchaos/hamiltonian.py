@@ -24,7 +24,6 @@ import numpy as np
 from .spin_basis import ChainSizeError, MomentumBasis, popcount
 
 FULL_BASIS_MAX_SITES = 14
-SECTOR_MAX_SITES = 20
 # pre-solve checks: |h - h^dagger|, and the imaginary part and the coupling of
 # the symmetry blocks in the real basis, each relative to max(1, max|h|)
 HERMITICITY_TOL = 1e-12
@@ -132,8 +131,6 @@ def _element_chunks(basis: MomentumBasis, params: ModelParams):
     n = params.n_sites
     if basis.n_sites != n:
         raise ValueError("basis and params disagree on the chain length")
-    if n > SECTOR_MAX_SITES:
-        raise ChainSizeError(f"sector assembly capped at N={SECTOR_MAX_SITES} (got {n})")
 
     reps = basis.reps
     periods = basis.periods.astype(np.float64)

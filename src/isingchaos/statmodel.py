@@ -239,24 +239,17 @@ def _solve_standardized(targets, n_orders, powers, weights, tol, start):
     return coeffs, m_std, res_std
 
 
-def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4) -> GibbsFit:
+def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4, start=None) -> GibbsFit:
     """Fit exp(-sum_{j<=n_orders} mu_j E^j)/Z to the first n_orders moments.
 
     Works in the standardized variable on [-12, 12] sigma with composite
-    Gauss-Legendre quadrature, Newton iteration started from the Gaussian
-    solution, and continuation in the cumulant magnitudes if the direct
-    solve stalls.  Node count doubles from ``GIBBS_NODES`` until the converged
-    moments are stable below ``GIBBS_TOL``.
-    """
-    return _fit_gibbs(moments, n_orders, None)
-
-
-def _fit_gibbs(moments: LocalMomentSet, n_orders: int, start) -> GibbsFit:
-    """``fit_gibbs``, with Newton warm-started from ``start`` when it is given.
-
-    ``start`` is the ``std_coeffs`` of a fit of the same order.  The
-    max-entropy problem is convex, so the start changes the fit only in the
-    last digits; a warm start that stalls falls back to the Gaussian.
+    Gauss-Legendre quadrature, Newton iteration started from ``start`` when
+    it is given (the ``std_coeffs`` of a fit of the same order) and from the
+    Gaussian solution otherwise, and continuation in the cumulant magnitudes
+    if the direct solve stalls.  The max-entropy problem is convex, so a
+    start changes the fit only in the last digits; a start that stalls falls
+    back to the Gaussian.  Node count doubles from ``GIBBS_NODES`` until the
+    converged moments are stable below ``GIBBS_TOL``.
     """
     if n_orders not in (2, 4):
         raise ValueError("n_orders must be 2 or 4")
@@ -357,7 +350,7 @@ def _gibbs_fits(moments: tuple[LocalMomentSet, ...]) -> tuple[GibbsFit | None, .
         for n in walk:
             if n not in fits:
                 try:
-                    fits[n] = _fit_gibbs(moments[n], 4, start)
+                    fits[n] = fit_gibbs(moments[n], 4, start)
                 except GibbsFitError:
                     log.warning("Gibbs fit failed for n=%d; falling back to Gram-Charlier", n)
                     fits[n] = None
@@ -442,20 +435,12 @@ def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
     return np.clip(stack, 0.0, None) ** q
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, and NaN where den is 0: there every P_n(E) vanishes, so no states."""
-    return np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den > 0)
-
-
-def _delta(basis: MomentumBasis, powered: np.ndarray | None, mode: str):
-    """delta_q from ``powered``, the clipped stack to the power q (read by "exact" only)."""
+def _delta(basis: MomentumBasis, mode: str) -> float:
     if mode == "uniform":
         return basis.delta
     if mode == "none":
         return 0.0
-    if mode != "exact":
-        raise ValueError("mode must be 'uniform', 'exact' or 'none'")
-    return _ratio(basis.nu_inv().astype(float) @ powered, basis.nu_tot().astype(float) @ powered)
+    raise ValueError("mode must be 'uniform' or 'none'")
 
 
 def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
@@ -471,55 +456,12 @@ def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str
     s1 = nu @ clipped
     share = np.divide(clipped, s1, out=np.zeros(clipped.shape), where=(nu[:, None] > 0) & (s1 > 0))
     powered = share**q
-    delta = _delta(basis, powered, delta_mode)
+    delta = _delta(basis, delta_mode)
     if basis.is_real:
         factor = r_q_real(q) * (1.0 + (2.0 ** (q - 1) - 1.0) * delta)
     else:
         factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
     return np.where(s1 > 0, factor * (nu @ powered), np.nan)
-
-
-@dataclass(frozen=True)
-class ParitySplit:
-    """Inversion-parity bookkeeping for the k = 0 sector."""
-
-    delta: float
-    n_plus: float
-    n_minus: float
-    variance_scale_plus: float
-    variance_scale_minus: float
-
-    def rho_weight(self, parity: int) -> float:
-        return 0.5 * (1.0 + parity * self.delta)
-
-    def moment_factor(self, q: float, parity: int) -> float:
-        """M_q^(parity) / M_q for eigenstates of fixed inversion parity."""
-        d = self.delta
-        if parity > 0:
-            return (1.0 - d + 2.0**q * d) / (1.0 + d) ** q
-        return (1.0 - d) ** (1.0 - q)
-
-    def mixed_moment_factor(self, q: float) -> float:
-        """Parity-density-weighted average of the two moment factors."""
-        return sum(
-            self.rho_weight(p) * self.moment_factor(q, p) for p in (+1, -1)
-        )
-
-    def first_order_factor(self, q: float) -> float:
-        return 1.0 + (2.0 ** (q - 1) - 1.0) * self.delta
-
-
-def parity_split_quantities(basis: MomentumBasis) -> ParitySplit:
-    """Subspace sizes, densities, and variance scalings at momentum zero."""
-    delta = basis.delta
-    dim = basis.dim
-    return ParitySplit(
-        delta=delta,
-        n_plus=0.5 * (1 + delta) * dim,
-        n_minus=0.5 * (1 - delta) * dim,
-        variance_scale_plus=2.0 / (1 + delta),
-        variance_scale_minus=2.0 / (1 - delta),
-    )
 
 
 @dataclass
@@ -553,8 +495,7 @@ def prediction_curve(
     factor with the parity correction 1 + (2^(q-1) - 1) delta, so the
     effective R_2 is 3 (1 + delta); complex sectors interpolate between the
     complex and the real ensemble factor with weight delta, so R_2 = 2 + delta.
-    ``delta_mode`` is "uniform" (delta = N_inv / N_tot), "exact" (delta_q(E)
-    from the invariant states' share of the stack) or "none" (delta = 0,
+    ``delta_mode`` is "uniform" (delta = N_inv / N_tot) or "none" (delta = 0,
     the plain Gaussian-ensemble baseline).
     """
     energies = np.asarray(energies, dtype=float)

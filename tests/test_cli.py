@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from isingchaos import cli
 from isingchaos.cli import (
     EXIT_BAD_ARGS,
     EXIT_NUMERICAL,
@@ -594,6 +595,37 @@ def test_chain_size_error_is_a_bad_argument(capsys):
     code, _, err = run(capsys, "basis-info", "--spins", "30", "--momentum", "0")
     assert code == EXIT_BAD_ARGS
     assert "bad arguments" in err
+
+
+def test_sector_too_large_for_the_available_memory_is_refused(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    code, _, _ = run(capsys, "diag", "--spins", "10", "--cache-dir", str(cache))
+    assert code == EXIT_OK
+    filled = sorted(cache.iterdir())
+    monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 16)  # 64 KiB
+    # a cache hit is never refused
+    out = str(tmp_path / "out")
+    code, _, _ = run(capsys, "compare", "--spins", "10", "--cache-dir", str(cache), "--out", out)
+    assert code == EXIT_OK
+    # a miss is refused, and stores nothing
+    empty = tmp_path / "empty"
+    code, _, err = run(capsys, "diag", "--spins", "10", "--momentum", "1", "--cache-dir", str(empty))
+    assert code == EXIT_BAD_ARGS
+    assert "bad arguments: sector k=1 at N=10 needs about 0.6 MiB, more than the 0.1 MiB" in err
+    assert not empty.exists() or not any(empty.iterdir())
+    assert sorted(cache.iterdir()) == filled
+    code, _, err = run(capsys, "spacing", "--spins", "10", "--momentum", "0")
+    assert code == EXIT_BAD_ARGS
+    assert "bad arguments: sector k=0 at N=10" in err
+
+
+def test_the_real_memory_reading_admits_every_sector_at_n14():
+    available = cli._mem_available()
+    assert available is None or available > 0
+    config = RunConfig(n_sites=14, momenta=list(range(14)))
+    for k in config.momenta:
+        cli._check_memory(config, k, cli.SOLVE_UNITS)
+        cli._check_memory(config, k, cli.SPECTRA_UNITS)
 
 
 @pytest.mark.parametrize("command", ["predict", "compare"])

@@ -11,7 +11,6 @@ from isingchaos.empirics import (
     _median_p90,
     compare,
     coefficient_samples,
-    empirical_moments,
     empirical_participation_ratio,
     goe_surrogate_levels,
     poisson_surrogate_levels,
@@ -246,10 +245,12 @@ def test_chunked_participation_ratio_is_exact_and_small(store):
     assert _peak_bytes(empirical_participation_ratio, decomp) < 0.5 * decomp.vectors.nbytes
 
 
-@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
 def test_chunked_state_moment_sums_are_exact_and_small(store, q):
     basis, decomp = store.get(12, 1)
     sums = state_moment_sums(decomp.vectors, q)
+    if q == 1.0:  # each eigenstate is normalized
+        assert sums == pytest.approx(np.ones(decomp.dim), abs=1e-12)
     assert np.array_equal(sums, _unchunked_moment_sums(decomp.vectors, q))
     np.testing.assert_allclose(
         sums, np.sum(np.abs(decomp.vectors) ** (2 * q), axis=0), rtol=1e-14, atol=0
@@ -274,25 +275,6 @@ def test_participation_ratio_bounds(store):
     pr = empirical_participation_ratio(decomp)
     assert np.all(pr >= 1.0 - 1e-9)
     assert np.all(pr <= decomp.dim + 1e-9)
-
-
-def test_empirical_moments_q1_is_one(store):
-    basis, decomp = store.get(10, 2)
-    edges = windows_fixed_count(decomp.energies, 30)
-    m1 = empirical_moments(decomp, 1.0, edges)
-    assert m1 == pytest.approx(np.ones(edges.size - 1), abs=1e-12)
-    with pytest.raises(ValueError):
-        empirical_moments(decomp, 0.5, edges)
-    with pytest.raises(ValueError, match="every row"):
-        empirical_moments(eigensolve._restrict(decomp, [0, 3]), 1.0, edges)
-
-
-def test_empirical_moments_q2_vs_participation(store):
-    basis, decomp = store.get(10, 2)
-    edges = windows_fixed_count(decomp.energies, 30)
-    m2 = empirical_moments(decomp, 2.0, edges)
-    pr = empirical_participation_ratio(decomp)
-    assert m2 == pytest.approx(window_means(1.0 / pr, edges), rel=1e-12)
 
 
 def test_spacing_ratio_surrogates():

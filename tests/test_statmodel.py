@@ -14,7 +14,6 @@ from isingchaos.moments import LocalMomentSet, analytic_moments
 from isingchaos.spin_basis import momentum_basis
 from isingchaos.statmodel import (
     GibbsInfeasibleError,
-    ParitySplit,
     _clipped_power,
     _delta,
     _panel_quadrature,
@@ -25,7 +24,6 @@ from isingchaos.statmodel import (
     fit_gibbs,
     fmt_float,
     model_spectral_density,
-    parity_split_quantities,
     prediction_curve,
     prediction_span,
     r_q_complex,
@@ -234,34 +232,14 @@ def test_spectral_density_symmetry_and_norm():
         assert abs(total - 1.0) < 1e-6
 
 
-def exact_delta(basis, model, energies, q):
-    """delta_q(E) of ``delta_mode="exact"`` on a grid."""
-    return _delta(basis, _clipped_power(density_stack(model, energies), q), "exact")
-
-
 def test_delta_correction_values():
     model = build_strength_model(P17, "gaussian")
     b0 = momentum_basis(17, 0)
-    assert _delta(b0, None, "uniform") == pytest.approx(512 / 7712)
-    assert _delta(b0, None, "none") == 0.0
-    exact = exact_delta(b0, model, np.linspace(-15, 15, 61), 2.0)
-    assert np.all((exact >= 0.0) & (exact <= 1.0))
-    assert _delta(momentum_basis(15, 0), None, "uniform") == pytest.approx(256 / 2192)
-
-
-def test_delta_exact_reduces_to_uniform_when_densities_coincide():
-    params = ModelParams(9, 0.0, 1.0)
-    model = build_strength_model(params, "gaussian")
-    basis = momentum_basis(9, 0)
-    energies = np.array([-3.0, 0.0, 2.5])
-    exact = exact_delta(basis, model, energies, 2.0)
-    assert exact == pytest.approx(np.full(3, basis.delta))
-    # and so do the curves, in a real and in a complex sector
-    for sector in (basis, momentum_basis(9, 1)):
-        exact_curve = prediction_curve(sector, model, energies, delta_mode="exact")
-        uniform_curve = prediction_curve(sector, model, energies)
-        for q, moment in exact_curve.moments.items():
-            assert moment == pytest.approx(uniform_curve.moments[q], rel=1e-12)
+    assert _delta(b0, "uniform") == pytest.approx(512 / 7712)
+    assert _delta(b0, "none") == 0.0
+    assert _delta(momentum_basis(15, 0), "uniform") == pytest.approx(256 / 2192)
+    with pytest.raises(ValueError, match="mode"):
+        prediction_curve(b0, model, np.linspace(-15, 15, 61), delta_mode="exact")
 
 
 def test_moment_prediction_normalization():
@@ -350,46 +328,6 @@ def test_participation_ratio_is_inverse_second_moment():
     assert pr == pytest.approx(1.0 / m2)
 
 
-def test_parity_split_quantities():
-    b0 = momentum_basis(17, 0)
-    split = parity_split_quantities(b0)
-    assert split.delta == pytest.approx(512 / 7712)
-    assert split.n_plus == pytest.approx((7712 + 512) / 2)
-    assert split.n_minus == pytest.approx((7712 - 512) / 2)
-    assert split.variance_scale_plus == pytest.approx(2 / (1 + split.delta))
-    assert split.variance_scale_minus == pytest.approx(2 / (1 - split.delta))
-
-
-def test_parity_split_trivial_at_zero_delta():
-    split = ParitySplit(
-        delta=0.0,
-        n_plus=50.0,
-        n_minus=50.0,
-        variance_scale_plus=2.0,
-        variance_scale_minus=2.0,
-    )
-    for q in (1.5, 2.0, 3.0):
-        assert split.moment_factor(q, +1) == pytest.approx(1.0)
-        assert split.moment_factor(q, -1) == pytest.approx(1.0)
-        assert split.mixed_moment_factor(q) == pytest.approx(1.0)
-
-
-def test_parity_weighted_average_matches_first_order():
-    # the rho_+-weighted mix must agree with 1 + (2^(q-1) - 1) delta up to
-    # O(delta^2)
-    for delta in (0.02, 0.0664, 0.12):
-        split = ParitySplit(
-            delta=delta,
-            n_plus=0.0,
-            n_minus=0.0,
-            variance_scale_plus=0.0,
-            variance_scale_minus=0.0,
-        )
-        for q in (1.5, 2.0, 3.0):
-            gap = abs(split.mixed_moment_factor(q) - split.first_order_factor(q))
-            assert gap < 4 * 2**q * delta**2
-
-
 def test_prediction_csv_deterministic(tmp_path):
     model = build_strength_model(ModelParams(10, 1.0, 1.0), "gram_charlier")
     basis = momentum_basis(10, 1)
@@ -444,12 +382,12 @@ def test_prediction_curve_builds_one_density_stack(monkeypatch):
         return inner(model, n_up, energy)
 
     monkeypatch.setattr(statmodel, "strength_density", counting)
-    built = prediction_curve(basis, model, grid, delta_mode="exact")
+    built = prediction_curve(basis, model, grid, delta_mode="uniform")
     assert sorted(calls) == list(range(13))
     # a stack evaluated once serves any number of curves, with the same values
     calls.clear()
     stack = density_stack(model, grid)
-    given = prediction_curve(basis, model, grid, delta_mode="exact", stack=stack)
+    given = prediction_curve(basis, model, grid, delta_mode="uniform", stack=stack)
     assert sorted(calls) == list(range(13))
     assert np.array_equal(given.pr, built.pr) and np.array_equal(given.rho, built.rho)
     with pytest.raises(ValueError, match="does not match"):
@@ -488,7 +426,7 @@ def test_memoized_gibbs_quadrature_is_read_only():
             array[0] = 1.0
 
 
-@pytest.mark.parametrize("delta_mode", ["uniform", "exact"])
+@pytest.mark.parametrize("delta_mode", ["uniform", "none"])
 def test_gibbs_curve_far_outside_the_spectrum_is_finite_without_warnings(delta_mode):
     # out to twice the prediction span and a little beyond, the Gibbs densities are tiny
     # (rho down to 1e-112 at 2 spans) but not zero: M_q and Pr stay finite there, though
@@ -515,7 +453,7 @@ def test_gibbs_curve_far_outside_the_spectrum_is_finite_without_warnings(delta_m
         stack = _clipped_power(density_stack(model, grid), 1.0)
         for q, moment in curve.moments.items():
             powered = stack**q
-            factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * _delta(basis, powered, delta_mode)
+            factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * _delta(basis, delta_mode)
             num, den = nu @ powered, (nu @ stack) ** q
             normal = (num >= tiny) & (den >= tiny)
             underflowed += np.count_nonzero(den == 0)
@@ -581,6 +519,13 @@ def test_warm_started_model_takes_a_third_of_the_cold_moment_evaluations(monkeyp
         _assert_same_fit(got, want, rtol=1e-12)
 
 
+def test_model_fits_every_n_once_through_fit_gibbs(monkeypatch):
+    fits = _count_calls(monkeypatch, "fit_gibbs")
+    model = build_strength_model(ModelParams(14, 1.0, 1.0), "gibbs")
+    assert sorted(args[0].n_up for args in fits) == list(range(15))
+    assert all(fit is not None for fit in model.gibbs_fits)
+
+
 @pytest.mark.parametrize("n_sites", [10, 14, 20])
 def test_no_warm_start_falls_back_at_the_benchmark_points(n_sites, caplog):
     with caplog.at_level(logging.INFO, logger="isingchaos.statmodel"):
@@ -600,7 +545,7 @@ def test_stalled_warm_start_gives_the_cold_fit(monkeypatch, caplog, failure):
     warm_start = fit_gibbs(analytic_moments(params, 4)).std_coeffs
     calls = _stall_first_newton(monkeypatch, failure)
     with caplog.at_level(logging.INFO, logger="isingchaos.statmodel"):
-        fit = statmodel._fit_gibbs(mom, 4, warm_start)
+        fit = fit_gibbs(mom, 4, warm_start)
     assert "warm-started Gibbs fit stalled" in caplog.text
     np.testing.assert_array_equal(calls[0][1], warm_start)
     np.testing.assert_array_equal(calls[1][1], statmodel.GAUSSIAN_START)
