@@ -3,7 +3,7 @@ with statistical models of its chaotic eigenfunctions."""
 
 from .eigensolve import cache_load, diagonalize
 from .hamiltonian import ModelParams, build_full_hamiltonian, build_sector_hamiltonian
-from .spin_basis import momentum_basis
+from .spin_basis import momentum_basis, sector_counts
 
 __version__ = "0.1.0"
 
@@ -14,4 +14,5 @@ __all__ = [
     "cache_load",
     "diagonalize",
     "momentum_basis",
+    "sector_counts",
 ]

@@ -27,7 +27,7 @@ from .eigensolve import (
     diagonalize_cached,
 )
 from .hamiltonian import ModelParams, build_sector_hamiltonian, sector_elements
-from .spin_basis import ChainSizeError, MomentumBasis, momentum_basis, sector_dimension
+from .spin_basis import ChainSizeError, MomentumBasis, momentum_basis, sector_counts, sector_dimension
 from .statmodel import (
     GibbsFitError,
     GibbsInfeasibleError,
@@ -142,6 +142,7 @@ class RunConfig:
 
 
 def _parse_momenta(raw: list[str], n_sites: int) -> list[int]:
+    """The sectors to run, each once, in the order they were first named."""
     if any(tok == "all" for tok in raw):
         return list(range(n_sites))
     momenta = []
@@ -150,7 +151,7 @@ def _parse_momenta(raw: list[str], n_sites: int) -> list[int]:
         if not 0 <= k < n_sites:
             raise ValueError(f"momentum {k} outside [0, {n_sites})")
         momenta.append(k)
-    return momenta
+    return list(dict.fromkeys(momenta))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -240,17 +241,17 @@ def _model_grid(config: RunConfig) -> np.ndarray:
 def cmd_basis_info(config: RunConfig) -> int:
     rows = []
     for k in config.momenta:
-        basis = momentum_basis(config.n_sites, k)
+        counts = sector_counts(config.n_sites, k)
         rows.append(
             {
                 "k": k,
-                "dim_exact": basis.dim,
+                "dim_exact": momentum_basis(config.n_sites, k).dim,  # enumerated, against dim_formula
                 "dim_formula": sector_dimension(config.n_sites, k, "exact"),
                 "dim_approx": sector_dimension(config.n_sites, k, "approx"),
-                "n_invariant": basis.n_invariant,
-                "delta": basis.delta,
-                "nu_tot": basis.nu_tot().tolist(),
-                "nu_inv": basis.nu_inv().tolist(),
+                "n_invariant": counts.n_invariant,
+                "delta": counts.delta,
+                "nu_tot": counts.nu_tot.tolist(),
+                "nu_inv": counts.nu_inv.tolist(),
             }
         )
     print(f"{'k':>4} {'dim':>10} {'approx 2^N/N':>14} {'N_inv':>8} {'delta':>10}")
@@ -288,8 +289,8 @@ def cmd_predict(config: RunConfig) -> int:
     model = build_strength_model(config.params, variant)
     stack = density_stack(model, grid)  # the model on the grid, the same for every sector
     for k in config.momenta:
-        basis = momentum_basis(config.n_sites, k)
-        curve = prediction_curve(basis, model, grid, q_values=tuple(config.q_values), stack=stack)
+        counts = sector_counts(config.n_sites, k)
+        curve = prediction_curve(counts, model, grid, q_values=tuple(config.q_values), stack=stack)
         path = out / f"predict_k{k}_{config.corrections}.csv"
         write_prediction_csv(curve, path)
         print(f"k={k}: wrote {path}")
@@ -298,14 +299,14 @@ def cmd_predict(config: RunConfig) -> int:
 
 def _compare_sector(config: RunConfig, k: int, grid, corrected, uncorrected, out: Path) -> dict:
     """``corrected`` and ``uncorrected`` are each a model and its density stack on ``grid``."""
-    basis = momentum_basis(config.n_sites, k)
-    decomp, _ = _decompose_sector(config, k, rows=(), basis=basis)  # Pr reads the moment sums, not V
+    counts = sector_counts(config.n_sites, k)
+    decomp, _ = _decompose_sector(config, k, rows=())  # Pr reads the moment sums, not V; a hit builds no basis
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     pr = empirics.empirical_participation_ratio(decomp)
     (model, stack), (baseline, baseline_stack) = corrected, uncorrected
-    pr_c = prediction_curve(basis, model, grid, q_values=(2.0,), stack=stack).pr
+    pr_c = prediction_curve(counts, model, grid, q_values=(2.0,), stack=stack).pr
     pr_u = prediction_curve(
-        basis, baseline, grid, q_values=(2.0,), delta_mode="none", stack=baseline_stack
+        counts, baseline, grid, q_values=(2.0,), delta_mode="none", stack=baseline_stack
     ).pr
     rep_c = empirics.compare(grid, pr_c, decomp.energies, pr, edges, config.bulk_fraction)
     rep_u = empirics.compare(grid, pr_u, decomp.energies, pr, edges, config.bulk_fraction)

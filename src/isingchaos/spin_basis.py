@@ -6,13 +6,16 @@ which is a left rotation of the bit string.  Orbits under translation are
 grouped by their lexicographically smallest member (the representative), and
 a momentum basis holds one normalized plane-wave state per admissible orbit,
 stored as arrays together with the map of inversion x conjugation and the
-real basis that map defines.
+real basis that map defines.  ``sector_counts`` counts a sector's states per
+up-spin number, and the inversion-invariant ones, in closed form, without
+enumerating the 2^N configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb, gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -123,6 +126,89 @@ def sector_dimension(n_sites: int, k: int, mode: str = "exact") -> int | float:
 def is_real_sector(n_sites: int, k: int) -> bool:
     """Whether the momentum-k sector is real: k = 0 or 2k = N, the package's one such rule."""
     return k == 0 or 2 * k == n_sites
+
+
+def _symmetric_necklaces(m: int, j: int) -> int:
+    """Necklaces of length m and weight j equal to their mirror image.
+
+    That is the mean, over the m reflections of the ring, of the weight-j
+    strings each one fixes (Burnside).  For odd m every reflection fixes one
+    site and pairs the rest; for even m half of them fix two sites and pair
+    the rest, and the other half pair all m sites.
+    """
+    half = m // 2
+    if m % 2:
+        return comb(half, j // 2)
+    through_sites = sum(comb(2, c) * comb(half - 1, (j - c) // 2) for c in range(j % 2, min(j, 2) + 1, 2))
+    through_bonds = comb(half, j // 2) if j % 2 == 0 else 0
+    return (through_sites + through_bonds) // 2
+
+
+def _primitive(count, t: int, j: int) -> int:
+    """Moebius inversion of ``count(t, j)`` over the common divisors of t and j: its primitive part."""
+    return sum(_mobius(d) * count(t // d, j // d) for d in _divisors(gcd(t, j)))
+
+
+@dataclass(frozen=True, eq=False)
+class SectorCounts:
+    """The momentum-k basis counted by up-spin number n, without enumerating it.
+
+    ``nu_tot[n]`` is the number of basis states with n up spins and
+    ``nu_inv[n]`` the number of those that are inversion-invariant (their
+    orbit is its own mirror image); both have length N + 1.  They are what
+    the statistical model reads of a sector.
+    """
+
+    k: int
+    is_real: bool
+    nu_tot: np.ndarray
+    nu_inv: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.nu_tot.sum())
+
+    @property
+    def n_invariant(self) -> int:
+        return int(self.nu_inv.sum())
+
+    @property
+    def delta(self) -> float:
+        """Fraction of invariant states, N_inv / N_tot."""
+        return self.n_invariant / self.dim
+
+
+def sector_counts(n_sites: int, k: int) -> SectorCounts:
+    """Exact per-n state counts of the momentum-k sector, in closed form.
+
+    An orbit of primitive period t repeats a primitive necklace of length t
+    N/t times, so it carries momentum k iff k t = 0 mod N, and a necklace of
+    weight j gives n = j N / t up spins.  Primitive necklaces of length t and
+    weight j number (1/t) sum_{d | gcd(t, j)} mu(d) C(t/d, j/d), and the
+    mirror-symmetric ones sum_{d | gcd(t, j)} mu(d) F(t/d, j/d) with F the
+    count of symmetric necklaces.  A sector whose counts do not fit int64
+    raises ``ChainSizeError``.
+    """
+    if not 0 <= k < n_sites:
+        raise ValueError(f"momentum k={k} outside [0, {n_sites})")
+    nu_tot = [0] * (n_sites + 1)
+    nu_inv = [0] * (n_sites + 1)
+    for t in _divisors(n_sites):
+        if not momentum_admissible(t, k, n_sites):
+            continue
+        for j in range(t + 1):
+            n = j * (n_sites // t)
+            nu_tot[n] += _primitive(comb, t, j) // t
+            nu_inv[n] += _primitive(_symmetric_necklaces, t, j)
+    dim = sum(nu_tot)
+    if dim > np.iinfo(np.int64).max:
+        raise ChainSizeError(f"sector k={k} at N={n_sites} has {dim} states, too many to count in int64")
+    return SectorCounts(
+        k=k,
+        is_real=is_real_sector(n_sites, k),
+        nu_tot=np.array(nu_tot, dtype=np.int64),
+        nu_inv=np.array(nu_inv, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,26 +333,10 @@ class MomentumBasis:
         out[rows] = y
         return out
 
-    def nu_tot(self) -> np.ndarray:
-        """Number of basis states per up-spin count n (length N+1)."""
-        return np.bincount(self.n_up, minlength=self.n_sites + 1)
-
-    def nu_inv(self) -> np.ndarray:
-        """Number of inversion-invariant basis states per up-spin count."""
-        return np.bincount(self.n_up[self._invariant], minlength=self.n_sites + 1)
-
-    @property
-    def _invariant(self) -> np.ndarray:
-        return self.partner == np.arange(self.dim)
-
     @property
     def n_invariant(self) -> int:
-        return int(np.count_nonzero(self._invariant))
-
-    @property
-    def delta(self) -> float:
-        """Fraction of invariant states, N_inv / N_tot."""
-        return self.n_invariant / self.dim
+        """Number of inversion-invariant states, those that are their own partner."""
+        return int(np.count_nonzero(self.partner == np.arange(self.dim)))
 
     def config_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """Maps configuration -> (basis index of its representative, shift).

@@ -22,7 +22,7 @@ import numpy as np
 
 from .hamiltonian import ModelParams
 from .moments import LocalMomentSet, analytic_moments
-from .spin_basis import MomentumBasis
+from .spin_basis import SectorCounts
 
 log = logging.getLogger(__name__)
 
@@ -97,11 +97,37 @@ class GibbsInfeasibleError(RuntimeError):
     """Fitted density is dominated by the integration boundary."""
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton iteration on P_n from the asymptotic guesses cos(pi (i - 1/4) / (n + 1/2)),
+    with P_n and P_n' from the three-term recurrence; w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x
+        for m in range(2, n + 1):
+            p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+        return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    # the rule is symmetric about 0: average out the rounding of the two halves
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 def _panel_quadrature(n_nodes: int):
     """Composite Gauss-Legendre rule on [-GIBBS_HALF_WIDTH, GIBBS_HALF_WIDTH]."""
     per_panel = 40
     n_panels = max(2, int(np.ceil(n_nodes / per_panel)))
-    x, w = np.polynomial.legendre.leggauss(per_panel)
+    x, w = _gauss_legendre(per_panel)
     edges = np.linspace(-GIBBS_HALF_WIDTH, GIBBS_HALF_WIDTH, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -435,15 +461,15 @@ def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
     return np.clip(stack, 0.0, None) ** q
 
 
-def _delta(basis: MomentumBasis, mode: str) -> float:
+def _delta(counts: SectorCounts, mode: str) -> float:
     if mode == "uniform":
-        return basis.delta
+        return counts.delta
     if mode == "none":
         return 0.0
     raise ValueError("mode must be 'uniform' or 'none'")
 
 
-def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
+def _moment(counts: SectorCounts, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
     """M_q on the grid of ``clipped``, the density stack clipped at zero; NaN where no n has states.
 
     Each P_n is divided by sum_n nu_n P_n before the power, so that a tiny
@@ -452,12 +478,12 @@ def _moment(basis: MomentumBasis, clipped: np.ndarray, q: float, delta_mode: str
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    nu = basis.nu_tot().astype(float)
+    nu = counts.nu_tot.astype(float)
     s1 = nu @ clipped
     share = np.divide(clipped, s1, out=np.zeros(clipped.shape), where=(nu[:, None] > 0) & (s1 > 0))
     powered = share**q
-    delta = _delta(basis, delta_mode)
-    if basis.is_real:
+    delta = _delta(counts, delta_mode)
+    if counts.is_real:
         factor = r_q_real(q) * (1.0 + (2.0 ** (q - 1) - 1.0) * delta)
     else:
         factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
@@ -478,7 +504,7 @@ class PredictionCurve:
 
 
 def prediction_curve(
-    basis: MomentumBasis,
+    counts: SectorCounts,
     model: StrengthModel,
     energies: np.ndarray,
     q_values: tuple[float, ...] = (1.5, 2.0, 3.0),
@@ -491,7 +517,8 @@ def prediction_curve(
     ``density_stack(model, energies)``: a caller that predicts many sectors
     (``compare``, ``predict``) evaluates the model once and passes it.  A
     library call for one sector may leave it out, and it is built here.
-    Real sectors (``basis.is_real``: k = 0 and k = N/2) use the real-ensemble
+    The sector enters through its state counts ``counts`` (``sector_counts``).
+    Real sectors (``counts.is_real``: k = 0 and k = N/2) use the real-ensemble
     factor with the parity correction 1 + (2^(q-1) - 1) delta, so the
     effective R_2 is 3 (1 + delta); complex sectors interpolate between the
     complex and the real ensemble factor with weight delta, so R_2 = 2 + delta.
@@ -503,10 +530,10 @@ def prediction_curve(
         stack = density_stack(model, energies)
     elif stack.shape != (model.n_sites + 1, energies.size):
         raise ValueError(f"density stack of shape {stack.shape} does not match the model and grid")
-    rho = _spectral_density(stack, basis.nu_tot().astype(float))
+    rho = _spectral_density(stack, counts.nu_tot.astype(float))
     clipped = _clipped_power(stack, 1.0)
-    moments = {q: _moment(basis, clipped, q, delta_mode) for q in q_values}
-    m2 = moments[2.0] if 2.0 in moments else _moment(basis, clipped, 2.0, delta_mode)
+    moments = {q: _moment(counts, clipped, q, delta_mode) for q in q_values}
+    m2 = moments[2.0] if 2.0 in moments else _moment(counts, clipped, 2.0, delta_mode)
     pr = 1.0 / m2
     corrections = []
     if model.variant != "gaussian":
@@ -519,7 +546,7 @@ def prediction_curve(
         moments=moments,
         pr=pr,
         variant=model.variant,
-        sector=f"k={basis.k}",
+        sector=f"k={counts.k}",
         corrections="+".join(corrections) if corrections else "none",
     )
 

@@ -1,10 +1,11 @@
 """Brute-force references that the tests hold the package's fast paths against.
 
 None of these run in the pipeline: single-configuration bit operations,
-closed-form and exhaustive counts, explicit powers of H, spectral sums over
-eigenvectors, quadrature moments of a fitted Gibbs density, labelled
-symmetry blocks cut from the dense real-basis block, the Gaussian fit of one
-window at a time, and a CSV writer that formats cell by cell.
+closed-form and exhaustive counts, the per-n state counts of an enumerated
+basis, explicit powers of H, spectral sums over eigenvectors, quadrature
+moments of a fitted Gibbs density, labelled symmetry blocks cut from the
+dense real-basis block, the Gaussian fit of one window at a time, and a CSV
+writer that formats cell by cell.
 """
 
 from math import comb
@@ -15,7 +16,7 @@ import numpy as np
 from isingchaos.eigensolve import EigenDecomposition
 from isingchaos.empirics import normal_cdf
 from isingchaos.hamiltonian import FULL_BASIS_MAX_SITES, ModelParams, SectorMatrix, build_full_hamiltonian
-from isingchaos.spin_basis import ChainSizeError, _divisors, orbit_tables, popcount, reflect_table
+from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables, popcount, reflect_table
 from isingchaos.statmodel import (
     GibbsFit,
     _panel_quadrature,
@@ -60,6 +61,22 @@ def zero_momentum_dimension_totient(n_sites: int) -> int:
     total = sum(totient(d) * (1 << (n_sites // d)) for d in _divisors(n_sites))
     assert total % n_sites == 0
     return total // n_sites
+
+
+def nu_tot_by_enumeration(basis: MomentumBasis) -> np.ndarray:
+    """Number of basis states per up-spin count n (length N+1), counted state by state."""
+    return np.bincount(basis.n_up, minlength=basis.n_sites + 1)
+
+
+def nu_inv_by_enumeration(basis: MomentumBasis) -> np.ndarray:
+    """Number of inversion-invariant basis states (their own partner) per up-spin count."""
+    invariant = basis.partner == np.arange(basis.dim)
+    return np.bincount(basis.n_up[invariant], minlength=basis.n_sites + 1)
+
+
+def delta_by_enumeration(basis: MomentumBasis) -> float:
+    """Fraction of invariant states, N_inv / N_tot, of an enumerated basis."""
+    return basis.n_invariant / basis.dim
 
 
 class InvariantCount(NamedTuple):

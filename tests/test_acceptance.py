@@ -18,7 +18,7 @@ from isingchaos.hamiltonian import (
     sector_elements,
 )
 from isingchaos.moments import analytic_moments
-from isingchaos.spin_basis import momentum_basis, sector_dimension
+from isingchaos.spin_basis import momentum_basis, sector_counts, sector_dimension
 from isingchaos.statmodel import (
     _clipped_power,
     build_strength_model,
@@ -36,6 +36,7 @@ from oracles import (
     domain_wall_count,
     gibbs_energy_moments,
     invariant_counts,
+    nu_inv_by_enumeration,
 )
 
 
@@ -123,9 +124,10 @@ def test_criterion_4_counting_formulas():
         if basis.n_invariant != 2 ** (n_sites // 2 + 1):
             ok = False
             notes.append(f"invariant total mismatch N={n_sites}")
-        nu = basis.nu_inv()
+        nu = nu_inv_by_enumeration(basis)
+        closed_form = sector_counts(n_sites, 0).nu_inv
         for n_up in range(n_sites + 1):
-            if invariant_counts(n_sites, n_up).count != nu[n_up]:
+            if not invariant_counts(n_sites, n_up).count == nu[n_up] == closed_form[n_up]:
                 ok = False
                 notes.append(f"nu_inv mismatch N={n_sites} n={n_up}")
     report(
@@ -170,22 +172,22 @@ def test_criterion_5_spectral_density(store):
     )
 
 
-def _pr_comparison(basis, decomp, corrected_model, gauss_model):
+def _pr_comparison(counts, decomp, corrected_model, gauss_model):
     edges = empirics.windows_fixed_count(decomp.energies, max(50, decomp.dim // 40))
     pr = empirics.empirical_participation_ratio(decomp)
     grid = np.linspace(decomp.energies[0], decomp.energies[-1], 512)
-    corr = prediction_curve(basis, corrected_model, grid)
-    unc = prediction_curve(basis, gauss_model, grid, delta_mode="none")
+    corr = prediction_curve(counts, corrected_model, grid)
+    unc = prediction_curve(counts, gauss_model, grid, delta_mode="none")
     # oracle for the uncorrected baseline: the plain Gaussian-ensemble closed form
     stack = _clipped_power(density_stack(gauss_model, grid), 1.0)
-    nu = basis.nu_tot().astype(float)
-    factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
+    nu = counts.nu_tot.astype(float)
+    factor = r_q_real if counts.is_real else r_q_complex
     assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ (stack / (nu @ stack)) ** 2.0)))
     rep_c = empirics.compare(grid, corr.pr, decomp.energies, pr, edges)
     rep_u = empirics.compare(grid, unc.pr, decomp.energies, pr, edges)
     # effective R2 from data: model ratio-part divided by empirical Pr
     stack = _clipped_power(density_stack(corrected_model, rep_c.e_center), 1.0)
-    nu = basis.nu_tot().astype(float)
+    nu = counts.nu_tot.astype(float)
     ratio_part = (nu @ stack) ** 2 / (nu @ stack**2)
     bulk = rep_c.in_bulk
     r2_fit = float(np.median(ratio_part[bulk] / rep_c.empirical[bulk]))
@@ -201,11 +203,12 @@ def test_criterion_6_participation_ratio(store):
         gauss = build_strength_model(params, "gaussian")
         for k in (0, 1):
             keep = n_sites < 16
-            basis, decomp = store.get(n_sites, k, keep=keep)
-            med_c, med_u, r2_fit = _pr_comparison(basis, decomp, corrected, gauss)
+            _, decomp = store.get(n_sites, k, keep=keep)
+            counts = sector_counts(n_sites, k)
+            med_c, med_u, r2_fit = _pr_comparison(counts, decomp, corrected, gauss)
             sector_ok = med_c < 0.05 and med_c < med_u
             if k == 0:
-                target = 3 * (1 + basis.delta)
+                target = 3 * (1 + counts.delta)
                 sector_ok = sector_ok and abs(r2_fit - target) < abs(r2_fit - 3.0)
                 lines.append(
                     f"N={n_sites} k=0: corrected {med_c:.2%} vs {med_u:.2%}, "

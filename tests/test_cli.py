@@ -55,6 +55,20 @@ def test_basis_info(capsys):
     assert " 36 " in out
 
 
+def test_repeated_momentum_runs_its_sector_once(tmp_path, capsys):
+    code, out, _ = run(capsys, "basis-info", "--spins", "8", "--momentum", "1", "--momentum", "1")
+    assert code == EXIT_OK
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["1"]
+    momenta = ["--momentum", "2", "--momentum", "0", "--momentum", "2"]
+    code, out, _ = run(
+        capsys, "compare", "--spins", "8", *momenta, "--cache-dir", str(tmp_path / "cache"),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_OK
+    assert [line.split(":")[0] for line in out.splitlines()] == ["k=2", "k=0"]  # first-seen order
+    assert RunConfig.from_json((tmp_path / "out" / "run_config.json").read_text()).momenta == [2, 0]
+
+
 def test_basis_info_momentum_parsing_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basis-info", "--spins", "8", "--momentum", "9"])
@@ -261,11 +275,19 @@ def test_compare_evaluates_each_model_on_the_grid_once(tmp_path, capsys, monkeyp
     assert sorted(calls) == ["gaussian"] * 11 + ["gibbs"] * 11
 
 
-@pytest.mark.parametrize("command", [["compare", "--corrections", "gibbs"], ["coeff-hist"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compare", "--corrections", "gibbs", "--cache-dir", "{cache}"],
+        ["coeff-hist", "--cache-dir", "{cache}"],
+        ["predict", "--corrections", "gibbs"],
+    ],
+)
 def test_warm_analysis_leaves_numpy_ma_and_scipy_unloaded(tmp_path, capsys, command):
+    # nor numpy.polynomial: the Gibbs quadrature computes its own Gauss-Legendre rule
     cache = str(tmp_path / "cache")
     assert run(capsys, "diag", "--spins", "8", "--momentum", "all", "--cache-dir", cache)[0] == EXIT_OK
-    argv = [command[0], "--spins", "8", "--momentum", "all", *command[1:], "--cache-dir", cache,
+    argv = [command[0], "--spins", "8", "--momentum", "all", *(a.format(cache=cache) for a in command[1:]),
             "--out", str(tmp_path / "out")]
     script = (
         "import sys\n"
@@ -274,7 +296,8 @@ def test_warm_analysis_leaves_numpy_ma_and_scipy_unloaded(tmp_path, capsys, comm
         "    raise AssertionError('cache miss')\n"
         "eigensolve.diagonalize = no_solve\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "loaded = [m for m in sys.modules if m == 'numpy.ma' or m.startswith(('numpy.ma.', 'scipy'))]\n"
+        "loaded = [m for m in sys.modules if m in ('numpy.ma', 'numpy.polynomial')\n"
+        "          or m.startswith(('numpy.ma.', 'numpy.polynomial.', 'scipy'))]\n"
         "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -370,6 +393,44 @@ def test_predict_where_the_model_has_no_states(tmp_path, capsys):
     empty = [c for c in cells if c["Pr"] == "nan"]
     assert len(empty) == 45 and all(float(c["rho"]) == 0.0 for c in empty)
     assert all(np.isfinite(float(c["Pr"])) for c in cells if float(c["rho"]) > 0.0)
+
+
+def test_model_commands_enumerate_nothing(tmp_path, capsys, monkeypatch):
+    from isingchaos import spin_basis
+
+    cache = str(tmp_path / "cache")
+    assert run(capsys, "diag", "--spins", "10", "--momentum", "all", "--cache-dir", cache)[0] == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model command enumerated configurations")
+
+    for namespace, name in ((spin_basis, "orbit_tables"), (spin_basis, "momentum_basis"), (cli, "momentum_basis")):
+        monkeypatch.setattr(namespace, name, refuse)
+    code, out, _ = run(capsys, "predict", "--spins", "20", "--momentum", "all", "--out", str(tmp_path / "p"))
+    assert code == EXIT_OK and out.count("wrote") == 20
+    code, out, _ = run(capsys, "compare", "--spins", "10", "--cache-dir", cache, "--out", str(tmp_path / "c"))
+    assert code == EXIT_OK and out.count("corrected median dev") == 10
+
+
+def test_predict_beyond_the_enumerable_chains(tmp_path, capsys):
+    code, _, _ = run(
+        capsys, "predict", "--spins", "26", "--momentum", "0", "--momentum", "1", "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    for k in (0, 1):
+        header, *rows = (tmp_path / f"predict_k{k}_gram-charlier.csv").read_text().splitlines()
+        cells = np.array([row.split(",")[:6] for row in rows], dtype=float)
+        assert header.split(",")[:6] == ["E", "rho", "M_1.5", "M_2", "M_3", "Pr"]
+        assert len(rows) == 512 and np.isfinite(cells).all()
+
+
+def test_predict_refuses_counts_beyond_int64(tmp_path, capsys):
+    # the k = 0 sector of N = 69 holds about 2^69 / 69 states, that of N = 70 more than int64 holds
+    code, _, _ = run(capsys, "predict", "--spins", "69", "--momentum", "0", "--grid", "8", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    code, _, err = run(capsys, "predict", "--spins", "70", "--momentum", "0", "--grid", "8", "--out", str(tmp_path))
+    assert code == EXIT_BAD_ARGS
+    assert "bad arguments: sector k=0 at N=70" in err and "int64" in err
 
 
 def test_spacing_command(capsys):

@@ -17,9 +17,18 @@ from isingchaos.spin_basis import (
     momentum_admissible,
     momentum_basis,
     orbit_tables,
+    sector_counts,
     sector_dimension,
 )
-from oracles import invariant_counts, reflect, rotate_left, zero_momentum_dimension_totient
+from oracles import (
+    delta_by_enumeration,
+    invariant_counts,
+    nu_inv_by_enumeration,
+    nu_tot_by_enumeration,
+    reflect,
+    rotate_left,
+    zero_momentum_dimension_totient,
+)
 
 
 def brute_orbits(n_sites: int) -> dict[int, set[int]]:
@@ -204,7 +213,7 @@ def test_invariant_count_examples():
     # odd-chain formula against enumeration
     for n_sites in (5, 7, 9, 11):
         basis = momentum_basis(n_sites, 0)
-        nu = basis.nu_inv()
+        nu = nu_inv_by_enumeration(basis)
         for n in range(n_sites + 1):
             assert invariant_counts(n_sites, n).count == nu[n]
 
@@ -212,7 +221,7 @@ def test_invariant_count_examples():
 def test_invariant_count_even_fallback():
     for n_sites in (6, 8):
         basis = momentum_basis(n_sites, 0)
-        nu = basis.nu_inv()
+        nu = nu_inv_by_enumeration(basis)
         for n in range(n_sites + 1):
             result = invariant_counts(n_sites, n)
             assert result.by_formula is False
@@ -222,8 +231,8 @@ def test_invariant_count_even_fallback():
 @pytest.mark.parametrize("n_sites,k", [(8, 0), (9, 3), (17, 0)])
 def test_nu_count_sums(n_sites, k):
     basis = momentum_basis(n_sites, k)
-    assert basis.nu_tot().sum() == basis.dim
-    assert basis.nu_inv().sum() == basis.n_invariant
+    assert nu_tot_by_enumeration(basis).sum() == basis.dim
+    assert nu_inv_by_enumeration(basis).sum() == basis.n_invariant
 
 
 def test_basis_ordering_deterministic():
@@ -280,3 +289,49 @@ def test_basis_arrays_match_bruteforce(n_sites, k):
     assert basis.dim == oracle["reps"].size
     for name, expected in oracle.items():
         np.testing.assert_array_equal(getattr(basis, name), expected, err_msg=name)
+
+
+@pytest.mark.parametrize("n_sites", range(2, 21))
+def test_sector_counts_match_enumeration(n_sites):
+    for k in range(n_sites):
+        counts = sector_counts(n_sites, k)
+        basis = momentum_basis(n_sites, k)
+        assert counts.k == k and counts.is_real == basis.is_real
+        np.testing.assert_array_equal(counts.nu_tot, nu_tot_by_enumeration(basis))
+        np.testing.assert_array_equal(counts.nu_inv, nu_inv_by_enumeration(basis))
+        assert counts.dim == basis.dim == sector_dimension(n_sites, k)
+        assert counts.n_invariant == basis.n_invariant
+        assert counts.delta == delta_by_enumeration(basis)
+
+
+@pytest.mark.parametrize("n_sites", [*range(2, 21), *range(25, 33)])
+def test_sector_counts_identities(n_sites):
+    # beyond N = 24 nothing can be enumerated: the closed forms are held to each other
+    dims = []
+    for k in range(n_sites):
+        counts = sector_counts(n_sites, k)
+        assert counts.nu_tot.dtype == counts.nu_inv.dtype == np.int64
+        assert counts.dim == sector_dimension(n_sites, k)
+        assert counts.n_invariant == counts.nu_inv.sum() and counts.delta == counts.n_invariant / counts.dim
+        assert np.all(counts.nu_inv >= 0) and np.all(counts.nu_inv <= counts.nu_tot)
+        # spin flip maps n up spins to N - n and commutes with translation and inversion
+        np.testing.assert_array_equal(counts.nu_tot, counts.nu_tot[::-1])
+        np.testing.assert_array_equal(counts.nu_inv, counts.nu_inv[::-1])
+        dims.append(counts.dim)
+    assert sum(dims) == 1 << n_sites
+    # every orbit carries k = 0, so the k = 0 counts are the necklaces of each weight
+    zero = sector_counts(n_sites, 0)
+    assert zero.dim == zero_momentum_dimension_totient(n_sites)
+    if n_sites % 2:  # odd chains have closed forms for the invariant states too
+        assert zero.nu_inv.tolist() == [invariant_counts(n_sites, n).count for n in range(n_sites + 1)]
+        assert zero.n_invariant == 2 ** (n_sites // 2 + 1)
+
+
+def test_sector_counts_refuse_what_int64_cannot_hold():
+    # 2^69 / 69 states fit int64; 2^70 / 70 do not
+    assert sector_counts(69, 0).dim == sector_dimension(69, 0) < 2**63
+    assert sector_counts(69, 68).dim == sector_dimension(69, 68) < 2**63
+    with pytest.raises(ChainSizeError, match="int64"):
+        sector_counts(70, 0)
+    with pytest.raises(ChainSizeError, match="int64"):
+        sector_counts(70, 1)

@@ -11,7 +11,7 @@ from isingchaos.empirics import normal_cdf
 
 from isingchaos.hamiltonian import ModelParams
 from isingchaos.moments import LocalMomentSet, analytic_moments
-from isingchaos.spin_basis import momentum_basis
+from isingchaos.spin_basis import sector_counts
 from isingchaos.statmodel import (
     GibbsInfeasibleError,
     _clipped_power,
@@ -226,7 +226,7 @@ def test_spectral_density_symmetry_and_norm():
     x, w = _panel_quadrature(4000)
     sigma = np.sqrt(10 * (1 + 1.2**2))
     grid = sigma * 2.2 * x  # wide enough to cover all component means
-    sector_rho = prediction_curve(momentum_basis(10, 3), model, grid).rho  # M_q is NaN far out
+    sector_rho = prediction_curve(sector_counts(10, 3), model, grid).rho  # M_q is NaN far out
     for rho in (model_spectral_density(model, grid), sector_rho):
         total = np.sum(w * sigma * 2.2 * rho)
         assert abs(total - 1.0) < 1e-6
@@ -234,10 +234,10 @@ def test_spectral_density_symmetry_and_norm():
 
 def test_delta_correction_values():
     model = build_strength_model(P17, "gaussian")
-    b0 = momentum_basis(17, 0)
+    b0 = sector_counts(17, 0)
     assert _delta(b0, "uniform") == pytest.approx(512 / 7712)
     assert _delta(b0, "none") == 0.0
-    assert _delta(momentum_basis(15, 0), "uniform") == pytest.approx(256 / 2192)
+    assert _delta(sector_counts(15, 0), "uniform") == pytest.approx(256 / 2192)
     with pytest.raises(ValueError, match="mode"):
         prediction_curve(b0, model, np.linspace(-15, 15, 61), delta_mode="exact")
 
@@ -245,16 +245,16 @@ def test_delta_correction_values():
 def test_moment_prediction_normalization():
     model = build_strength_model(P17, "gram_charlier")
     for k in (0, 2):
-        curve = prediction_curve(momentum_basis(17, k), model, np.array([0.7]), q_values=(1.0,))
+        curve = prediction_curve(sector_counts(17, k), model, np.array([0.7]), q_values=(1.0,))
         assert curve.moments[1.0][0] == pytest.approx(1.0)
 
 
 def test_moment_prediction_flat_chain_closed_form():
     params = ModelParams(12, 0.0, 1.0)
     model = build_strength_model(params, "gaussian")
-    basis = momentum_basis(12, 1)
-    n_tot, delta = basis.dim, basis.delta
-    curve = prediction_curve(basis, model, np.array([0.0]), q_values=(1.5, 2.0, 3.0))
+    counts = sector_counts(12, 1)
+    n_tot, delta = counts.dim, counts.delta
+    curve = prediction_curve(counts, model, np.array([0.0]), q_values=(1.5, 2.0, 3.0))
     for q in (1.5, 2.0, 3.0):
         expected = (
             r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * delta
@@ -264,17 +264,17 @@ def test_moment_prediction_flat_chain_closed_form():
 
 def test_effective_r2():
     model = build_strength_model(P17, "gaussian")
-    b0 = momentum_basis(17, 0)
-    b2 = momentum_basis(17, 2)
+    b0 = sector_counts(17, 0)
+    b2 = sector_counts(17, 2)
     e = 0.35
 
-    def corrected_m2(basis):
-        return prediction_curve(basis, model, np.array([e]), q_values=(2.0,)).moments[2.0][0]
+    def corrected_m2(counts):
+        return prediction_curve(counts, model, np.array([e]), q_values=(2.0,)).moments[2.0][0]
 
-    for basis, r2 in ((b0, 3 * (1 + b0.delta)), (b2, 2 + b2.delta)):
-        m2 = corrected_m2(basis)
-        curve = prediction_curve(basis, model, np.array([e]), q_values=(2.0,), delta_mode="none")
-        base = 3.0 if basis.k == 0 else 2.0
+    for counts, r2 in ((b0, 3 * (1 + b0.delta)), (b2, 2 + b2.delta)):
+        m2 = corrected_m2(counts)
+        curve = prediction_curve(counts, model, np.array([e]), q_values=(2.0,), delta_mode="none")
+        base = 3.0 if counts.k == 0 else 2.0
         assert m2 / curve.moments[2.0][0] == pytest.approx(r2 / base)
     # the monotone-correction identity for the real sector
     m2_c = corrected_m2(b0)
@@ -282,24 +282,24 @@ def test_effective_r2():
     assert m2_c / curve0.moments[2.0][0] == pytest.approx(1 + b0.delta)
 
 
-def closed_form_uncorrected_moment(basis, model, energies, q):
+def closed_form_uncorrected_moment(counts, model, energies, q):
     """Oracle: the plain Gaussian-ensemble M_q = r_q sum_n nu_n (P_n / sum_m nu_m P_m)^q."""
     stack = _clipped_power(density_stack(model, energies), 1.0)
-    nu = basis.nu_tot().astype(float)
+    nu = counts.nu_tot.astype(float)
     s1 = nu @ stack
-    factor = r_q_real if basis.k == 0 or 2 * basis.k == basis.n_sites else r_q_complex
+    factor = r_q_real if counts.is_real else r_q_complex
     return factor(q) * (nu @ (stack / s1) ** q)
 
 
 @pytest.mark.parametrize("n_sites,k", [(17, 0), (17, 2), (12, 6)])
 def test_uncorrected_prediction_matches_closed_formula(n_sites, k):
-    basis = momentum_basis(n_sites, k)
+    counts = sector_counts(n_sites, k)
     energies = np.linspace(-12.0, 12.0, 41)
     for variant in ("gaussian", "gram_charlier"):
         model = build_strength_model(ModelParams(n_sites, 1.0, 1.0), variant)
-        curve = prediction_curve(basis, model, energies, q_values=(1.5, 2.0, 3.0), delta_mode="none")
+        curve = prediction_curve(counts, model, energies, q_values=(1.5, 2.0, 3.0), delta_mode="none")
         for q, moment in curve.moments.items():
-            assert np.array_equal(moment, closed_form_uncorrected_moment(basis, model, energies, q))
+            assert np.array_equal(moment, closed_form_uncorrected_moment(counts, model, energies, q))
         assert np.array_equal(curve.pr, 1.0 / curve.moments[2.0])
         assert curve.corrections == ("none" if variant == "gaussian" else variant)
 
@@ -307,8 +307,8 @@ def test_uncorrected_prediction_matches_closed_formula(n_sites, k):
 def test_participation_ratio_flat_chain():
     params = ModelParams(12, 0.0, 1.0)
     model = build_strength_model(params, "gaussian")
-    b1 = momentum_basis(12, 1)
-    b0 = momentum_basis(12, 0)
+    b1 = sector_counts(12, 1)
+    b0 = sector_counts(12, 0)
     energies = np.array([-2.0, 0.0, 3.0])
     assert prediction_curve(b1, model, energies).pr == pytest.approx(
         np.full(3, b1.dim / (2 + b1.delta))
@@ -320,18 +320,18 @@ def test_participation_ratio_flat_chain():
 
 def test_participation_ratio_is_inverse_second_moment():
     model = build_strength_model(P17, "gram_charlier")
-    basis = momentum_basis(17, 2)
+    counts = sector_counts(17, 2)
     energies = np.array([-4.0, 1.0])
     # Pr comes from its own M_2 when q = 2 is not among the curve's moments
-    pr = prediction_curve(basis, model, energies, q_values=(1.5,)).pr
-    m2 = prediction_curve(basis, model, energies, q_values=(2.0,)).moments[2.0]
+    pr = prediction_curve(counts, model, energies, q_values=(1.5,)).pr
+    m2 = prediction_curve(counts, model, energies, q_values=(2.0,)).moments[2.0]
     assert pr == pytest.approx(1.0 / m2)
 
 
 def test_prediction_csv_deterministic(tmp_path):
     model = build_strength_model(ModelParams(10, 1.0, 1.0), "gram_charlier")
-    basis = momentum_basis(10, 1)
-    curve = prediction_curve(basis, model, np.linspace(-12, 12, 25))
+    counts = sector_counts(10, 1)
+    curve = prediction_curve(counts, model, np.linspace(-12, 12, 25))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_prediction_csv(curve, p1)
     write_prediction_csv(curve, p2)
@@ -373,7 +373,7 @@ def test_column_writer_matches_the_per_cell_writer(tmp_path):
 
 def test_prediction_curve_builds_one_density_stack(monkeypatch):
     model = build_strength_model(ModelParams(12, 1.0, 1.0), "gibbs")
-    basis, grid = momentum_basis(12, 1), np.linspace(-20.0, 20.0, 33)
+    counts, grid = sector_counts(12, 1), np.linspace(-20.0, 20.0, 33)
     calls = []
     inner = statmodel.strength_density
 
@@ -382,16 +382,16 @@ def test_prediction_curve_builds_one_density_stack(monkeypatch):
         return inner(model, n_up, energy)
 
     monkeypatch.setattr(statmodel, "strength_density", counting)
-    built = prediction_curve(basis, model, grid, delta_mode="uniform")
+    built = prediction_curve(counts, model, grid, delta_mode="uniform")
     assert sorted(calls) == list(range(13))
     # a stack evaluated once serves any number of curves, with the same values
     calls.clear()
     stack = density_stack(model, grid)
-    given = prediction_curve(basis, model, grid, delta_mode="uniform", stack=stack)
+    given = prediction_curve(counts, model, grid, delta_mode="uniform", stack=stack)
     assert sorted(calls) == list(range(13))
     assert np.array_equal(given.pr, built.pr) and np.array_equal(given.rho, built.rho)
     with pytest.raises(ValueError, match="does not match"):
-        prediction_curve(basis, model, grid[1:], stack=stack)
+        prediction_curve(counts, model, grid[1:], stack=stack)
 
 
 def test_gibbs_multipliers_expand_the_standardized_polynomial():
@@ -420,6 +420,18 @@ def test_gibbs_quadrature_is_built_once_per_node_count(monkeypatch):
     assert len(built) == len(set(built)) and {2000, 4000} <= set(built)
 
 
+def test_gauss_legendre_rule():
+    x, w = statmodel._gauss_legendre(40)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    np.testing.assert_allclose(x, nodes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, weights, rtol=0, atol=1e-14)
+    assert w.sum() == pytest.approx(2.0, rel=1e-15)
+    # exact for every polynomial of degree 2 * 40 - 1, up to rounding
+    for m in range(80):
+        exact = 0.0 if m % 2 else 2.0 / (m + 1)
+        assert abs(w @ x**m - exact) <= 1e-15 * 2.0
+
+
 def test_memoized_gibbs_quadrature_is_read_only():
     for array in statmodel._gibbs_grid(2000):
         with pytest.raises(ValueError):
@@ -434,16 +446,16 @@ def test_gibbs_curve_far_outside_the_spectrum_is_finite_without_warnings(delta_m
     # makes them errors).  Beyond 2.1 spans P_10, whose n has no states at k = 1, exceeds
     # that sum by far and must not enter the normalized stack.
     params = ModelParams(10, 0.9, 1.1)
-    basis = momentum_basis(10, 1)
-    assert basis.nu_tot()[10] == 0
+    counts = sector_counts(10, 1)
+    assert counts.nu_tot[10] == 0
     model = build_strength_model(params, "gibbs")
     span = prediction_span(params)
-    nu = basis.nu_tot().astype(float)
+    nu = counts.nu_tot.astype(float)
     tiny = np.finfo(float).tiny
     underflowed = 0
     for half_width in (2.0, 2.2):
         grid = np.linspace(-half_width * span, half_width * span, 257)
-        curve = prediction_curve(basis, model, grid, delta_mode=delta_mode)
+        curve = prediction_curve(counts, model, grid, delta_mode=delta_mode)
         assert np.all(curve.rho > 0)
         assert np.isfinite(curve.pr).all()
         assert all(np.isfinite(m).all() for m in curve.moments.values())
@@ -453,7 +465,7 @@ def test_gibbs_curve_far_outside_the_spectrum_is_finite_without_warnings(delta_m
         stack = _clipped_power(density_stack(model, grid), 1.0)
         for q, moment in curve.moments.items():
             powered = stack**q
-            factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * _delta(basis, delta_mode)
+            factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * _delta(counts, delta_mode)
             num, den = nu @ powered, (nu @ stack) ** q
             normal = (num >= tiny) & (den >= tiny)
             underflowed += np.count_nonzero(den == 0)
