@@ -27,7 +27,7 @@ from .eigensolve import (
     diagonalize_cached,
 )
 from .hamiltonian import ModelParams, build_sector_hamiltonian, sector_elements
-from .spin_basis import ChainSizeError, MomentumBasis, momentum_basis, sector_counts, sector_dimension
+from .spin_basis import ChainSizeError, momentum_basis, sector_counts
 from .statmodel import (
     GibbsFitError,
     GibbsInfeasibleError,
@@ -173,9 +173,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_symbols(config: RunConfig) -> None:
+    if not config.symbols:
+        return  # the default symbol, D/2, is in range in every sector
     for k in config.momenta:
-        dim = sector_dimension(config.n_sites, k)
-        for sym in config.symbols or []:
+        dim = sector_counts(config.n_sites, k).dim
+        for sym in config.symbols:
             if not 0 <= sym < dim:
                 raise ValueError(f"--symbol {sym} outside [0, {dim}) at k={k}")
 
@@ -198,7 +200,7 @@ def _mem_available() -> int | None:
 
 def _check_memory(config: RunConfig, k: int, units: float) -> None:
     """Refuse sector ``k`` when ``units`` of 8 D^2 bytes exceed the available memory."""
-    need = units * 8 * sector_dimension(config.n_sites, k) ** 2
+    need = units * 8 * sector_counts(config.n_sites, k).dim ** 2
     available = _mem_available()
     if available is not None and need > available:
         raise SectorMemoryError(
@@ -214,21 +216,16 @@ def _ensure_out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _decompose_sector(
-    config: RunConfig, k: int, rows=None, basis: MomentumBasis | None = None
-) -> tuple[EigenDecomposition, bool]:
+def _decompose_sector(config: RunConfig, k: int, rows=None) -> tuple[EigenDecomposition, bool]:
     """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit.
 
-    Only a miss builds the sector matrix, over ``basis``, or over a basis
-    built then when none is given, and first refuses a sector too large for
-    the available memory.
+    Only a miss builds the basis and the sector matrix, and first refuses a
+    sector too large for the available memory; a hit enumerates nothing.
     """
 
     def sector_matrix():
         _check_memory(config, k, SOLVE_UNITS)
-        return build_sector_hamiltonian(
-            basis if basis is not None else momentum_basis(config.n_sites, k), config.params
-        )
+        return build_sector_hamiltonian(momentum_basis(config.n_sites, k), config.params)
 
     return diagonalize_cached(sector_matrix, config.params, k, config.cache_dir, rows)
 
@@ -246,8 +243,8 @@ def cmd_basis_info(config: RunConfig) -> int:
             {
                 "k": k,
                 "dim_exact": momentum_basis(config.n_sites, k).dim,  # enumerated, against dim_formula
-                "dim_formula": sector_dimension(config.n_sites, k, "exact"),
-                "dim_approx": sector_dimension(config.n_sites, k, "approx"),
+                "dim_formula": counts.dim,
+                "dim_approx": 2**config.n_sites / config.n_sites,
                 "n_invariant": counts.n_invariant,
                 "delta": counts.delta,
                 "nu_tot": counts.nu_tot.tolist(),
@@ -272,11 +269,10 @@ def cmd_basis_info(config: RunConfig) -> int:
 
 def cmd_diag(config: RunConfig) -> int:
     for k in config.momenta:
-        basis = momentum_basis(config.n_sites, k)
-        decomp, hit = _decompose_sector(config, k, rows=(), basis=basis)  # the energies only
+        decomp, hit = _decompose_sector(config, k, rows=())  # the energies only
         status = "cache hit" if hit else "computed"
         print(
-            f"k={k}: dim={basis.dim} {status}; "
+            f"k={k}: dim={decomp.dim} {status}; "
             f"E in [{decomp.energies[0]:.6f}, {decomp.energies[-1]:.6f}]"
         )
     return EXIT_OK
@@ -342,7 +338,7 @@ def cmd_compare(config: RunConfig) -> int:
 
 
 def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
-    symbols = config.symbols or [sector_dimension(config.n_sites, k) // 2]
+    symbols = config.symbols or [sector_counts(config.n_sites, k).dim // 2]
     decomp, _ = _decompose_sector(config, k, rows=symbols)  # no basis is built on a cache hit
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     for sym in symbols:

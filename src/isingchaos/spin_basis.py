@@ -8,7 +8,8 @@ a momentum basis holds one normalized plane-wave state per admissible orbit,
 stored as arrays together with the map of inversion x conjugation and the
 real basis that map defines.  ``sector_counts`` counts a sector's states per
 up-spin number, and the inversion-invariant ones, in closed form, without
-enumerating the 2^N configurations.
+enumerating the 2^N configurations; its ``dim`` is the package's one sector
+size.
 """
 
 from __future__ import annotations
@@ -94,33 +95,9 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def count_primitive_orbits(t: int) -> int:
-    """Number of translation orbits of binary chains with primitive period t."""
-    if t < 1:
-        raise ValueError("period must be positive")
-    total = sum((1 << (t // d)) * _mobius(d) for d in _divisors(t))
-    assert total % t == 0
-    return total // t
-
-
 def momentum_admissible(period: int, k: int, n_sites: int) -> bool:
     """An orbit of the given period carries momentum k iff k*t = 0 mod N."""
     return (k * period) % n_sites == 0
-
-
-def sector_dimension(n_sites: int, k: int, mode: str = "exact") -> int | float:
-    """Dimension of the momentum-k basis, exact or the 2^N / N estimate."""
-    if not 0 <= k < n_sites:
-        raise ValueError(f"momentum k={k} outside [0, {n_sites})")
-    if mode == "approx":
-        return 2**n_sites / n_sites
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    return sum(
-        count_primitive_orbits(t)
-        for t in _divisors(n_sites)
-        if momentum_admissible(t, k, n_sites)
-    )
 
 
 def is_real_sector(n_sites: int, k: int) -> bool:

@@ -439,21 +439,20 @@ def prediction_span(params: ModelParams) -> float:
     return abs(params.lam) * params.n_sites + 6 * sigma
 
 
-def _spectral_density(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # negative lobes of the corrected expansion are truncated so the density stays a density
-    weights = counts / counts.sum()
-    return np.clip(weights @ stack, 0.0, None)
+def _spectral_density(clipped: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The count-weighted mean of the rows of ``clipped``, the density stack clipped at zero."""
+    return (counts / counts.sum()) @ clipped
 
 
 def model_spectral_density(model: StrengthModel, energy) -> np.ndarray:
-    """Normalized model density of states of the full chain (clipped at zero).
+    """Normalized model density of states of the full chain, each P_n clipped at zero.
 
     The P_n(E) carry the 2^-N binomial weights of the full product basis; a
     sector's density is ``prediction_curve(...).rho``.
     """
     n = model.n_sites
     counts = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
-    return _spectral_density(density_stack(model, energy), counts)
+    return _spectral_density(_clipped_power(density_stack(model, energy), 1.0), counts)
 
 
 def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
@@ -530,8 +529,10 @@ def prediction_curve(
         stack = density_stack(model, energies)
     elif stack.shape != (model.n_sites + 1, energies.size):
         raise ValueError(f"density stack of shape {stack.shape} does not match the model and grid")
-    rho = _spectral_density(stack, counts.nu_tot.astype(float))
+    # rho and every M_q read the same stack, each P_n clipped at zero, so they
+    # agree on where the model has states
     clipped = _clipped_power(stack, 1.0)
+    rho = _spectral_density(clipped, counts.nu_tot.astype(float))
     moments = {q: _moment(counts, clipped, q, delta_mode) for q in q_values}
     m2 = moments[2.0] if 2.0 in moments else _moment(counts, clipped, 2.0, delta_mode)
     pr = 1.0 / m2

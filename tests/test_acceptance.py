@@ -18,7 +18,7 @@ from isingchaos.hamiltonian import (
     sector_elements,
 )
 from isingchaos.moments import analytic_moments
-from isingchaos.spin_basis import momentum_basis, sector_counts, sector_dimension
+from isingchaos.spin_basis import momentum_basis, sector_counts
 from isingchaos.statmodel import (
     _clipped_power,
     build_strength_model,
@@ -116,7 +116,7 @@ def test_criterion_4_counting_formulas():
     notes = []
     for n_sites in range(2, 18):
         for k in range(n_sites):
-            if momentum_basis(n_sites, k).dim != sector_dimension(n_sites, k):
+            if momentum_basis(n_sites, k).dim != sector_counts(n_sites, k).dim:
                 ok = False
                 notes.append(f"dim mismatch N={n_sites} k={k}")
     for n_sites in range(5, 18, 2):

@@ -21,7 +21,7 @@ from isingchaos.cli import (
 )
 from isingchaos.eigensolve import EigenDecomposition
 from isingchaos.hamiltonian import ModelParams
-from isingchaos.spin_basis import sector_dimension
+from isingchaos.spin_basis import sector_counts
 
 
 def run(capsys, *argv):
@@ -338,7 +338,7 @@ def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, m
     # a filled N=14 cache of random entries: which bytes a load reads does not depend on them
     params = ModelParams(14, 1.0, 1.0)
     rng = np.random.default_rng(0)
-    dims = {k: sector_dimension(14, k) for k in range(14)}
+    dims = {k: sector_counts(14, k).dim for k in range(14)}
     for k, dim in dims.items():
         vectors = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         energies = np.sort(rng.standard_normal(dim))
@@ -406,6 +406,9 @@ def test_model_commands_enumerate_nothing(tmp_path, capsys, monkeypatch):
 
     for namespace, name in ((spin_basis, "orbit_tables"), (spin_basis, "momentum_basis"), (cli, "momentum_basis")):
         monkeypatch.setattr(namespace, name, refuse)
+    # a filled cache is read with the sector sizes in closed form: diag builds no basis on a hit
+    code, out, _ = run(capsys, "diag", "--spins", "10", "--momentum", "all", "--cache-dir", cache)
+    assert code == EXIT_OK and out.count("cache hit") == 10
     code, out, _ = run(capsys, "predict", "--spins", "20", "--momentum", "all", "--out", str(tmp_path / "p"))
     assert code == EXIT_OK and out.count("wrote") == 20
     code, out, _ = run(capsys, "compare", "--spins", "10", "--cache-dir", cache, "--out", str(tmp_path / "c"))
@@ -422,6 +425,9 @@ def test_predict_beyond_the_enumerable_chains(tmp_path, capsys):
         cells = np.array([row.split(",")[:6] for row in rows], dtype=float)
         assert header.split(",")[:6] == ["E", "rho", "M_1.5", "M_2", "M_3", "Pr"]
         assert len(rows) == 512 and np.isfinite(cells).all()
+        # rho and Pr agree on where the model has states, though negative
+        # Gram-Charlier lobes outweigh the positive P_n in the tails
+        np.testing.assert_array_equal(cells[:, 1] > 0, np.isfinite(cells[:, 5]))
 
 
 def test_predict_refuses_counts_beyond_int64(tmp_path, capsys):
@@ -668,9 +674,17 @@ def test_sector_too_large_for_the_available_memory_is_refused(tmp_path, capsys, 
     out = str(tmp_path / "out")
     code, _, _ = run(capsys, "compare", "--spins", "10", "--cache-dir", str(cache), "--out", out)
     assert code == EXIT_OK
-    # a miss is refused, and stores nothing
+    # a miss is refused before it enumerates a configuration, and stores nothing
+    from isingchaos import spin_basis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused sector enumerated configurations")
+
     empty = tmp_path / "empty"
-    code, _, err = run(capsys, "diag", "--spins", "10", "--momentum", "1", "--cache-dir", str(empty))
+    with monkeypatch.context() as patch:
+        patch.setattr(spin_basis, "orbit_tables", refuse)
+        patch.setattr(cli, "momentum_basis", refuse)
+        code, _, err = run(capsys, "diag", "--spins", "10", "--momentum", "1", "--cache-dir", str(empty))
     assert code == EXIT_BAD_ARGS
     assert "bad arguments: sector k=1 at N=10 needs about 0.6 MiB, more than the 0.1 MiB" in err
     assert not empty.exists() or not any(empty.iterdir())

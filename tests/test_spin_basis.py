@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from isingchaos.spin_basis import (
     ChainSizeError,
-    count_primitive_orbits,
     momentum_admissible,
     momentum_basis,
     orbit_tables,
     sector_counts,
-    sector_dimension,
 )
 from oracles import (
     delta_by_enumeration,
@@ -111,42 +109,45 @@ def brute_primitive_count(t: int) -> int:
     return count // t
 
 
+def primitive_orbits(t: int) -> int:
+    """Orbits of primitive period t, counted by ``sector_counts``.
+
+    On a ring of t sites the momentum-1 sector admits only period t, since
+    1 * t' = 0 mod t needs t' = t; a ring of one site has only k = 0.
+    """
+    return sector_counts(t, 1 % t).dim
+
+
 @pytest.mark.parametrize("t,expected", [(1, 2), (2, 1), (4, 3)])
 def test_primitive_orbit_examples(t, expected):
-    assert count_primitive_orbits(t) == expected
+    assert primitive_orbits(t) == expected
     assert brute_primitive_count(t) == expected
 
 
 @pytest.mark.parametrize("t", range(1, 13))
 def test_primitive_counts_match_bruteforce(t):
-    assert count_primitive_orbits(t) == brute_primitive_count(t)
+    assert primitive_orbits(t) == brute_primitive_count(t)
 
 
 @pytest.mark.parametrize("n_sites", range(2, 21))
 def test_divisor_sum_identity(n_sites):
-    total = sum(
-        count_primitive_orbits(t) * t for t in range(1, n_sites + 1) if n_sites % t == 0
-    )
+    total = sum(primitive_orbits(t) * t for t in range(1, n_sites + 1) if n_sites % t == 0)
     assert total == 1 << n_sites
 
 
 def test_sector_dimension_examples():
-    assert [sector_dimension(4, k) for k in range(4)] == [6, 3, 4, 3]
-    assert sector_dimension(17, 0) == 7712
-    assert sector_dimension(17, 2) == 7710
-    # prime-chain closed forms
-    assert sector_dimension(17, 0) == (2**17 + 2 * 16) // 17
-    assert sector_dimension(17, 2) == (2**17 - 2) // 17
-    assert sector_dimension(17, 0, "approx") == pytest.approx(2**17 / 17)
+    assert [sector_counts(4, k).dim for k in range(4)] == [6, 3, 4, 3]
+    # prime-chain closed forms: at k = 0 the two uniform chains and the primitive
+    # orbits, elsewhere the primitive orbits alone
+    assert sector_counts(17, 0).dim == (2**17 + 2 * 16) // 17 == 7712
+    assert sector_counts(17, 2).dim == (2**17 - 2) // 17 == 7710
     with pytest.raises(ValueError):
-        sector_dimension(5, 5)
-    with pytest.raises(ValueError):
-        sector_dimension(5, 0, "bogus")
+        sector_counts(5, 5)
 
 
 @pytest.mark.parametrize("n_sites", range(2, 17))
 def test_sector_dimensions_sum_to_hilbert_space(n_sites):
-    dims = [sector_dimension(n_sites, k) for k in range(n_sites)]
+    dims = [sector_counts(n_sites, k).dim for k in range(n_sites)]
     assert sum(dims) == 1 << n_sites
     assert dims[0] == zero_momentum_dimension_totient(n_sites)
     for k in range(1, n_sites):
@@ -157,7 +158,7 @@ def test_sector_dimensions_sum_to_hilbert_space(n_sites):
 def test_sector_dimension_matches_enumeration(n_sites):
     for k in range(n_sites):
         basis = momentum_basis(n_sites, k)
-        assert basis.dim == sector_dimension(n_sites, k)
+        assert basis.dim == sector_counts(n_sites, k).dim
         for period in basis.periods.tolist():
             assert momentum_admissible(period, k, n_sites)
 
@@ -299,7 +300,7 @@ def test_sector_counts_match_enumeration(n_sites):
         assert counts.k == k and counts.is_real == basis.is_real
         np.testing.assert_array_equal(counts.nu_tot, nu_tot_by_enumeration(basis))
         np.testing.assert_array_equal(counts.nu_inv, nu_inv_by_enumeration(basis))
-        assert counts.dim == basis.dim == sector_dimension(n_sites, k)
+        assert counts.dim == basis.dim
         assert counts.n_invariant == basis.n_invariant
         assert counts.delta == delta_by_enumeration(basis)
 
@@ -311,7 +312,6 @@ def test_sector_counts_identities(n_sites):
     for k in range(n_sites):
         counts = sector_counts(n_sites, k)
         assert counts.nu_tot.dtype == counts.nu_inv.dtype == np.int64
-        assert counts.dim == sector_dimension(n_sites, k)
         assert counts.n_invariant == counts.nu_inv.sum() and counts.delta == counts.n_invariant / counts.dim
         assert np.all(counts.nu_inv >= 0) and np.all(counts.nu_inv <= counts.nu_tot)
         # spin flip maps n up spins to N - n and commutes with translation and inversion
@@ -329,8 +329,10 @@ def test_sector_counts_identities(n_sites):
 
 def test_sector_counts_refuse_what_int64_cannot_hold():
     # 2^69 / 69 states fit int64; 2^70 / 70 do not
-    assert sector_counts(69, 0).dim == sector_dimension(69, 0) < 2**63
-    assert sector_counts(69, 68).dim == sector_dimension(69, 68) < 2**63
+    # 69 = 3 * 23: the totient sum at k = 0, and at k = 68 the primitive orbits of
+    # period 69 alone, by Moebius inversion over its divisors 1, 3, 23 and 69
+    assert sector_counts(69, 0).dim == zero_momentum_dimension_totient(69) < 2**63
+    assert sector_counts(69, 68).dim == (2**69 - 2**23 - 2**3 + 2) // 69 < 2**63
     with pytest.raises(ChainSizeError, match="int64"):
         sector_counts(70, 0)
     with pytest.raises(ChainSizeError, match="int64"):
