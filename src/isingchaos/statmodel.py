@@ -173,18 +173,8 @@ class GibbsFit:
     sigma: float
     std_coeffs: tuple[float, float, float, float]
     log_z_std: float
-    n_orders: int
     residual: float
     boundary_ratio: float
-
-    @property
-    def multipliers(self) -> tuple[float, float, float, float]:
-        """mu_1..mu_4 of exp(-sum_i mu_i E^i): sum_j c_j ((E - E_n) / sigma)^j expanded in powers of E."""
-        c = self.std_coeffs
-        return tuple(
-            sum(comb(j, i) * c[j - 1] * (-self.e_center) ** (j - i) / self.sigma**j for j in range(i, 5))
-            for i in range(1, 5)
-        )
 
     def density(self, energy) -> np.ndarray:
         x = (np.asarray(energy, dtype=float) - self.e_center) / self.sigma
@@ -337,7 +327,6 @@ def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4, start=None) -> GibbsFi
         sigma=float(sigma),
         std_coeffs=tuple(coeffs),
         log_z_std=float(log_z_std),
-        n_orders=n_orders,
         residual=residual,
         boundary_ratio=boundary_ratio,
     )
@@ -439,22 +428,6 @@ def prediction_span(params: ModelParams) -> float:
     return abs(params.lam) * params.n_sites + 6 * sigma
 
 
-def _spectral_density(clipped: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The count-weighted mean of the rows of ``clipped``, the density stack clipped at zero."""
-    return (counts / counts.sum()) @ clipped
-
-
-def model_spectral_density(model: StrengthModel, energy) -> np.ndarray:
-    """Normalized model density of states of the full chain, each P_n clipped at zero.
-
-    The P_n(E) carry the 2^-N binomial weights of the full product basis; a
-    sector's density is ``prediction_curve(...).rho``.
-    """
-    n = model.n_sites
-    counts = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
-    return _spectral_density(_clipped_power(density_stack(model, energy), 1.0), counts)
-
-
 def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
     # negative Gram-Charlier lobes carry no weight when raised to real powers
     return np.clip(stack, 0.0, None) ** q
@@ -532,7 +505,8 @@ def prediction_curve(
     # rho and every M_q read the same stack, each P_n clipped at zero, so they
     # agree on where the model has states
     clipped = _clipped_power(stack, 1.0)
-    rho = _spectral_density(clipped, counts.nu_tot.astype(float))
+    nu = counts.nu_tot.astype(float)
+    rho = (nu / nu.sum()) @ clipped
     moments = {q: _moment(counts, clipped, q, delta_mode) for q in q_values}
     m2 = moments[2.0] if 2.0 in moments else _moment(counts, clipped, 2.0, delta_mode)
     pr = 1.0 / m2

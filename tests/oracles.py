@@ -2,10 +2,12 @@
 
 None of these run in the pipeline: single-configuration bit operations,
 closed-form and exhaustive counts, the per-n state counts of an enumerated
-basis, explicit powers of H, spectral sums over eigenvectors, quadrature
-moments of a fitted Gibbs density, labelled symmetry blocks cut from the
-dense real-basis block, the Gaussian fit of one window at a time, and a CSV
-writer that formats cell by cell.
+basis, a moment set built from given cumulants, explicit powers of H,
+spectral sums over eigenvectors, quadrature moments and the energy-power
+multipliers of a fitted Gibbs density, the full-chain model density of
+states, labelled symmetry blocks cut from the dense real-basis block, the
+Gaussian fit of one window at a time, and a CSV writer that formats cell
+by cell.
 """
 
 from math import comb
@@ -16,13 +18,17 @@ import numpy as np
 from isingchaos.eigensolve import EigenDecomposition
 from isingchaos.empirics import normal_cdf
 from isingchaos.hamiltonian import FULL_BASIS_MAX_SITES, ModelParams, SectorMatrix, build_full_hamiltonian
+from isingchaos.moments import LocalMomentSet
 from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables, popcount, reflect_table
 from isingchaos.statmodel import (
     GibbsFit,
+    StrengthModel,
+    _clipped_power,
     _panel_quadrature,
     _power_table,
     _std_moments,
     _std_to_energy_moments,
+    density_stack,
     fmt_float,
 )
 
@@ -117,6 +123,19 @@ def cumulants_from_raw(mu1: float, mu2: float, mu3: float, mu4: float) -> tuple[
     return k3, k4
 
 
+def moment_set_from_cumulants(
+    n_up: int, e_n: float, sigma2: float, k3: float, k4: float, k_walls: float = 0.0
+) -> LocalMomentSet:
+    """A moment set with the given mean, variance and cumulants, its raw moments derived from them."""
+    mu1 = e_n
+    mu2 = sigma2 + mu1**2
+    mu3 = k3 + 3 * mu2 * mu1 - 2 * mu1**3
+    mu4 = k4 + 4 * mu3 * mu1 + 3 * mu2**2 - 12 * mu2 * mu1**2 + 6 * mu1**4
+    return LocalMomentSet(
+        n_up=n_up, e_n=e_n, sigma2=sigma2, mu3=mu3, mu4=mu4, k3=k3, k4=k4, k_walls=k_walls
+    )
+
+
 def bruteforce_state_moments(config: int, params: ModelParams, order: int = 4) -> np.ndarray:
     """<s|H^j|s> for j = 1..order by repeated sparse application (N <= 12)."""
     if params.n_sites > 12:
@@ -188,6 +207,26 @@ def gibbs_energy_moments(fit: GibbsFit, n_nodes: int = 4000) -> np.ndarray:
     nodes, weights = _panel_quadrature(n_nodes)
     m = _std_moments(fit.std_coeffs, _power_table(nodes, 4), weights)
     return _std_to_energy_moments(m, fit.e_center, fit.sigma)
+
+
+def gibbs_multipliers(fit: GibbsFit) -> tuple[float, float, float, float]:
+    """mu_1..mu_4 of exp(-sum_i mu_i E^i): sum_j c_j ((E - E_n) / sigma)^j expanded in powers of E."""
+    c = fit.std_coeffs
+    return tuple(
+        sum(comb(j, i) * c[j - 1] * (-fit.e_center) ** (j - i) / fit.sigma**j for j in range(i, 5))
+        for i in range(1, 5)
+    )
+
+
+def model_spectral_density(model: StrengthModel, energy) -> np.ndarray:
+    """Normalized model density of states of the full chain, each P_n clipped at zero.
+
+    The P_n(E) carry the 2^-N binomial weights of the full product basis,
+    which no sector's ``prediction_curve(...).rho`` gives.
+    """
+    n = model.n_sites
+    counts = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
+    return (counts / counts.sum()) @ _clipped_power(density_stack(model, energy), 1.0)
 
 
 def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[int, int], np.ndarray]:

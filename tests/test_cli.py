@@ -30,6 +30,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def load_config(text: str) -> RunConfig:
+    """A ``run_config.json`` record reloaded."""
+    return RunConfig(**json.loads(text))
+
+
 def test_config_roundtrip():
     config = RunConfig(
         n_sites=10,
@@ -44,7 +49,7 @@ def test_config_roundtrip():
         out_dir="/tmp/out",
         seed=9,
     )
-    assert RunConfig.from_json(config.to_json()) == config
+    assert load_config(config.to_json()) == config
 
 
 def test_basis_info(capsys):
@@ -66,7 +71,18 @@ def test_repeated_momentum_runs_its_sector_once(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert [line.split(":")[0] for line in out.splitlines()] == ["k=2", "k=0"]  # first-seen order
-    assert RunConfig.from_json((tmp_path / "out" / "run_config.json").read_text()).momenta == [2, 0]
+    assert load_config((tmp_path / "out" / "run_config.json").read_text()).momenta == [2, 0]
+    # a repeated --symbol is fitted and written once, in the order first named
+    symbols = ["--symbol", "3", "--symbol", "1", "--symbol", "3"]
+    code, out, _ = run(
+        capsys, "coeff-hist", "--spins", "8", "--momentum", "1", *symbols,
+        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "hist"),
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        f"k=1 symbol={s}: wrote {tmp_path / 'hist' / f'coeff_hist_k1_s{s}.csv'}" for s in (3, 1)
+    ]
+    assert load_config((tmp_path / "hist" / "run_config.json").read_text()).symbols == [3, 1]
 
 
 def test_basis_info_momentum_parsing_error(capsys):
@@ -121,7 +137,7 @@ def test_predict_outputs_and_determinism(tmp_path, capsys):
     f_a = out_a / "predict_k1_gram-charlier.csv"
     f_b = out_b / "predict_k1_gram-charlier.csv"
     assert f_a.read_bytes() == f_b.read_bytes()
-    provenance = RunConfig.from_json((out_a / "run_config.json").read_text())
+    provenance = load_config((out_a / "run_config.json").read_text())
     assert provenance.n_sites == 10 and provenance.momenta == [1]
 
 
@@ -244,7 +260,7 @@ def test_run_config_records_only_what_the_command_reads(tmp_path, capsys, monkey
         assert run(capsys, *argv, "--out", str(out))[0] == EXIT_OK
         text = (out / "run_config.json").read_text()
         assert set(json.loads(text)) == {"command", "n_sites", "momenta"} | read
-        config = RunConfig.from_json(text)
+        config = load_config(text)
         assert config == dataclasses.replace(expected, out_dir=str(out))
         assert config.to_json() == text
         # basis-info takes no --cache-dir and leaves the variable unread; compare fills it
@@ -413,6 +429,12 @@ def test_model_commands_enumerate_nothing(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK and out.count("wrote") == 20
     code, out, _ = run(capsys, "compare", "--spins", "10", "--cache-dir", cache, "--out", str(tmp_path / "c"))
     assert code == EXIT_OK and out.count("corrected median dev") == 10
+    # basis-info prints and writes the counts in closed form
+    for fmt in ("csv", "json"):
+        out_dir = tmp_path / f"b-{fmt}"
+        code, out, _ = run(capsys, "basis-info", "--spins", "10", "--format", fmt, "--out", str(out_dir))
+        assert code == EXIT_OK and len(out.splitlines()) == 11
+        assert (out_dir / f"basis_info.{fmt}").exists()
 
 
 def test_predict_beyond_the_enumerable_chains(tmp_path, capsys):
@@ -428,6 +450,24 @@ def test_predict_beyond_the_enumerable_chains(tmp_path, capsys):
         # rho and Pr agree on where the model has states, though negative
         # Gram-Charlier lobes outweigh the positive P_n in the tails
         np.testing.assert_array_equal(cells[:, 1] > 0, np.isfinite(cells[:, 5]))
+
+
+def test_basis_info_beyond_the_enumerable_chains(tmp_path, capsys):
+    # the counts are in closed form, so basis-info runs wherever int64 holds them
+    for n_sites in (30, 69):
+        out_dir = tmp_path / str(n_sites)
+        code, out, _ = run(
+            capsys, "basis-info", "--spins", str(n_sites), "--momentum", "0", "--momentum", "1",
+            "--format", "json", "--out", str(out_dir),
+        )
+        assert code == EXIT_OK
+        rows = json.loads((out_dir / "basis_info.json").read_text())
+        assert [row["k"] for row in rows] == [0, 1]
+        for k, row in enumerate(rows):
+            counts = sector_counts(n_sites, k)
+            assert row["dim_exact"] == row["dim_formula"] == counts.dim
+            assert sum(row["nu_tot"]) == counts.dim
+            assert f"{counts.dim:>10}" in out.splitlines()[1 + k]
 
 
 def test_predict_refuses_counts_beyond_int64(tmp_path, capsys):
@@ -659,7 +699,8 @@ def test_coeff_hist_symbol_out_of_range_exits_at_parse_time(tmp_path, capsys, sy
 
 
 def test_chain_size_error_is_a_bad_argument(capsys):
-    code, _, err = run(capsys, "basis-info", "--spins", "30", "--momentum", "0")
+    # more states than int64 counts
+    code, _, err = run(capsys, "basis-info", "--spins", "70", "--momentum", "0")
     assert code == EXIT_BAD_ARGS
     assert "bad arguments" in err
 

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import logging
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -398,6 +400,47 @@ def test_orthonormality_check_catches_corrupted_column(monkeypatch, k):
     monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
     with pytest.raises(DiagonalizationError, match="orthonormality"):
         diagonalize(matrix)
+
+
+def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
+    given = []
+
+    def failing_eigh(a):
+        given.append(a.copy())
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(DiagonalizationError, match="eigensolver failed on matrix [0-9a-f]{16}") as exc:
+        diagonalize(sector(8, 1))
+    assert str(exc.value).endswith(eigensolve._fingerprint(given[0]))
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps a call's argument alive in the caller's frame until the call "
+    "returns, so the plane-wave block built for diagonalize outlives its solves there",
+)
+@pytest.mark.parametrize("k", [0, 1])
+def test_the_plane_wave_block_is_freed_before_the_solves(monkeypatch, k):
+    params = ModelParams(8, 1.0, 1.0)
+    entries = []
+
+    def builder():
+        matrix = build_sector_hamiltonian(momentum_basis(8, k), params)
+        entries.append(weakref.ref(matrix.entries))
+        return matrix
+
+    exact_eigh = np.linalg.eigh
+    alive = []
+
+    def eigh(a):
+        alive.append(entries[0]() is not None)
+        return exact_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    decomp, hit = diagonalize_cached(builder, params, k)
+    assert not hit and decomp.dim == momentum_basis(8, k).dim
+    assert alive == [False] * (2 if k == 0 else 1)  # k = 0 solves its two parity blocks
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,11 @@ stored, and must match the same recorded copy.
 
 To record the files afresh (only when an output change is intended and
 documented), run ``PYTHONPATH=src python tests/test_golden.py [CASE ...]``;
-with case names only those cases are recorded, otherwise all of them.
+with case names only those cases are recorded, otherwise all of them.  The
+recorder keeps every recorded number that the new run still matches at
+``RTOL`` and writes only the number tokens that moved, so a run on another
+machine rewrites nothing; a file whose text or token structure changed is
+written whole.  It prints, per file, what it did.
 """
 
 from __future__ import annotations
@@ -121,6 +125,52 @@ def test_golden_output_from_a_filled_cache(name, filled_cache, tmp_path, monkeyp
     assert_golden(name, got)
 
 
+def merge_numbers(got: str, want: str) -> tuple[str, list[float]] | None:
+    """``want`` with each number token that ``got`` no longer matches at ``RTOL`` replaced by ``got``'s.
+
+    Returns the merged text and the relative change of each replaced number,
+    or None when the two differ in their text or their token structure.
+    """
+    got_parts, want_parts = NUMBER.split(got), NUMBER.split(want)
+    if len(got_parts) != len(want_parts):
+        return None
+    moved = []
+    for i, (g, w) in enumerate(zip(got_parts, want_parts)):
+        if i % 2 == 0:
+            if g != w:
+                return None
+        elif not math.isclose(float(g), float(w), rel_tol=RTOL):
+            want_parts[i] = g
+            moved.append(abs(float(g) - float(w)) / abs(float(w)) if float(w) else math.inf)
+    return "".join(want_parts), moved
+
+
+def test_merge_numbers_writes_only_the_numbers_that_moved():
+    recorded = "E,rho\n1.0000000000000002,0.25\n-3,7e-05\n"
+    got = "E,rho\n1.0000000000000004,0.5\n-3.0000000000001,7.0000001e-05\n"
+    merged, moved = merge_numbers(got, recorded)
+    assert merged == "E,rho\n1.0000000000000002,0.5\n-3,7.0000001e-05\n"
+    assert moved == pytest.approx([1.0, 1e-7 / 7])
+    assert merge_numbers(got, got) == (got, [])
+    assert merge_numbers("E,rho\n1,2,3\n", recorded) is None  # another token structure
+    assert merge_numbers(got.replace("rho", "Pr"), recorded) is None  # other text
+
+
+def test_recording_every_case_again_rewrites_no_byte(tmp_path, monkeypatch, capsys):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    files = sorted(p for p in golden.rglob("*") if p.is_file())
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
+    monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    record([])
+    assert sorted(p for p in golden.rglob("*") if p.is_file()) == files
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files} == before
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(files)
+    assert all(line.endswith(": unchanged") for line in lines)
+
+
 def record(names: list[str]) -> None:
     os.environ.pop("ISINGCHAOS_CACHE_DIR", None)
     unknown = sorted(set(names) - set(CASES))
@@ -129,10 +179,26 @@ def record(names: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or CASES:
             target = GOLDEN / name
-            shutil.rmtree(target, ignore_errors=True)
-            target.mkdir(parents=True)
-            for key, text in run_case(name, Path(tmp)).items():
-                (target / key).write_text(text)
+            target.mkdir(parents=True, exist_ok=True)
+            got = run_case(name, Path(tmp))
+            for stale in sorted({p.name for p in target.iterdir()} - set(got)):
+                (target / stale).unlink()
+                print(f"{name}/{stale}: removed, the command no longer writes it")
+            for key, text in got.items():
+                path = target / key
+                recorded = path.read_text() if path.exists() else None
+                merged = None if recorded is None else merge_numbers(text, recorded)
+                if merged is None:
+                    path.write_text(text)
+                    why = "a new file" if recorded is None else "its text or token structure changed"
+                    print(f"{name}/{key}: written whole, {why}")
+                    continue
+                text, moved = merged
+                if moved:
+                    path.write_text(text)
+                    print(f"{name}/{key}: {len(moved)} numbers moved, largest relative change {max(moved):.3e}")
+                else:
+                    print(f"{name}/{key}: unchanged")
 
 
 if __name__ == "__main__":

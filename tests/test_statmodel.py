@@ -10,7 +10,7 @@ from isingchaos import statmodel
 from isingchaos.empirics import normal_cdf
 
 from isingchaos.hamiltonian import ModelParams
-from isingchaos.moments import LocalMomentSet, analytic_moments
+from isingchaos.moments import analytic_moments
 from isingchaos.spin_basis import sector_counts
 from isingchaos.statmodel import (
     GibbsInfeasibleError,
@@ -23,7 +23,6 @@ from isingchaos.statmodel import (
     density_stack,
     fit_gibbs,
     fmt_float,
-    model_spectral_density,
     prediction_curve,
     prediction_span,
     r_q_complex,
@@ -32,7 +31,13 @@ from isingchaos.statmodel import (
     write_csv,
     write_prediction_csv,
 )
-from oracles import gibbs_energy_moments, write_csv_rows
+from oracles import (
+    gibbs_energy_moments,
+    gibbs_multipliers,
+    model_spectral_density,
+    moment_set_from_cumulants,
+    write_csv_rows,
+)
 
 P17 = ModelParams(17, 1.0, 1.0)
 
@@ -122,7 +127,7 @@ def test_zero_cumulants_reduce_to_gaussian():
     model = build_strength_model(P17, "gaussian")
     gc = build_strength_model(P17, "gram_charlier")
     zeroed = gc.moments[8]
-    flat = LocalMomentSet.from_cumulants(8, zeroed.e_n, zeroed.sigma2, 0.0, 0.0, 0.0)
+    flat = moment_set_from_cumulants(8, zeroed.e_n, zeroed.sigma2, 0.0, 0.0, 0.0)
     patched = type(gc)(
         params=gc.params, variant="gram_charlier", moments=(flat,) * 18
     )
@@ -153,7 +158,7 @@ def test_density_moment_fidelity(variant, order):
 
 def test_gram_charlier_tail_clamp_logs(caplog):
     # cumulants large enough to push the far tail negative
-    mom = LocalMomentSet.from_cumulants(3, 0.0, 1.0, 2.5, 1.0, 0.0)
+    mom = moment_set_from_cumulants(3, 0.0, 1.0, 2.5, 1.0, 0.0)
     model = build_strength_model(ModelParams(6, 1.0, 1.0), "gram_charlier")
     patched = type(model)(params=model.params, variant="gram_charlier", moments=(mom,) * 7)
     e = np.linspace(-12, 12, 2001)
@@ -166,18 +171,18 @@ def test_gram_charlier_tail_clamp_logs(caplog):
 
 def test_gibbs_two_moment_fit_is_gaussian():
     mom = analytic_moments(P17, 8)
-    fit = fit_gibbs(mom, n_orders=2)
-    assert fit.multipliers[0] == pytest.approx(-mom.e_n / mom.sigma2, abs=1e-10)
-    assert fit.multipliers[1] == pytest.approx(1.0 / (2 * mom.sigma2), abs=1e-10)
-    assert fit.multipliers[2] == 0.0
-    assert fit.multipliers[3] == 0.0
+    multipliers = gibbs_multipliers(fit_gibbs(mom, n_orders=2))
+    assert multipliers[0] == pytest.approx(-mom.e_n / mom.sigma2, abs=1e-10)
+    assert multipliers[1] == pytest.approx(1.0 / (2 * mom.sigma2), abs=1e-10)
+    assert multipliers[2] == 0.0
+    assert multipliers[3] == 0.0
 
 
 def test_gibbs_zero_cumulants_zero_multipliers():
-    mom = LocalMomentSet.from_cumulants(8, 1.0, 34.0, 0.0, 0.0, 4.5)
-    fit = fit_gibbs(mom)
-    assert abs(fit.multipliers[2]) < 1e-8
-    assert abs(fit.multipliers[3]) < 1e-8
+    mom = moment_set_from_cumulants(8, 1.0, 34.0, 0.0, 0.0, 4.5)
+    multipliers = gibbs_multipliers(fit_gibbs(mom))
+    assert abs(multipliers[2]) < 1e-8
+    assert abs(multipliers[3]) < 1e-8
 
 
 def test_gibbs_reproduces_targets():
@@ -192,10 +197,10 @@ def test_gibbs_reproduces_targets():
 def test_gibbs_infeasible_targets_rejected():
     # kurtosis above the truncated-support bound L^2, and below the
     # Hamburger bound 1 + skew^2, cannot come from any density there
-    too_heavy = LocalMomentSet.from_cumulants(4, 0.0, 1.0, 0.0, 150.0 - 3.0, 0.0)
+    too_heavy = moment_set_from_cumulants(4, 0.0, 1.0, 0.0, 150.0 - 3.0, 0.0)
     with pytest.raises(GibbsInfeasibleError):
         fit_gibbs(too_heavy)
-    too_light = LocalMomentSet.from_cumulants(4, 0.0, 1.0, 0.0, 0.9 - 3.0, 0.0)
+    too_light = moment_set_from_cumulants(4, 0.0, 1.0, 0.0, 0.9 - 3.0, 0.0)
     with pytest.raises(GibbsInfeasibleError):
         fit_gibbs(too_light)
 
@@ -203,7 +208,7 @@ def test_gibbs_infeasible_targets_rejected():
 def test_gibbs_handles_large_feasible_kurtosis():
     # heavy but representable tails: the fit parks a small shelf against the
     # integration boundary and still reproduces the moments
-    mom = LocalMomentSet.from_cumulants(4, 0.0, 1.0, 0.0, 60.0, 0.0)
+    mom = moment_set_from_cumulants(4, 0.0, 1.0, 0.0, 60.0, 0.0)
     fit = fit_gibbs(mom)
     assert fit.residual < 1e-8
     assert 0.0 < fit.boundary_ratio < 1.0
@@ -399,7 +404,7 @@ def test_gibbs_multipliers_expand_the_standardized_polynomial():
         fit = fit_gibbs(mom)
         poly_x = np.polynomial.Polynomial([0.0, *fit.std_coeffs])
         poly_e = poly_x(np.polynomial.Polynomial([-fit.e_center / fit.sigma, 1.0 / fit.sigma]))
-        np.testing.assert_allclose(fit.multipliers, poly_e.coef[1:5], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(gibbs_multipliers(fit), poly_e.coef[1:5], rtol=1e-12, atol=1e-15)
 
 
 def test_gibbs_quadrature_is_built_once_per_node_count(monkeypatch):
