@@ -2,7 +2,7 @@
 with statistical models of its chaotic eigenfunctions."""
 
 from .eigensolve import cache_load, diagonalize
-from .hamiltonian import ModelParams, build_full_hamiltonian, build_sector_hamiltonian
+from .hamiltonian import ModelParams, build_full_hamiltonian, build_sector_hamiltonian, sector_elements
 from .spin_basis import momentum_basis, sector_counts
 
 __version__ = "0.1.0"
@@ -15,4 +15,5 @@ __all__ = [
     "diagonalize",
     "momentum_basis",
     "sector_counts",
+    "sector_elements",
 ]

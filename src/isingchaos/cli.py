@@ -26,7 +26,7 @@ from .eigensolve import (
     block_spectra,
     diagonalize_cached,
 )
-from .hamiltonian import ModelParams, build_sector_hamiltonian, sector_elements
+from .hamiltonian import ModelParams, sector_elements
 from .spin_basis import ChainSizeError, momentum_basis, sector_counts
 from .statmodel import (
     GibbsFitError,
@@ -50,8 +50,9 @@ PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
 MIN_SPACING_LEVELS = 20
 
 # peak memory of one sector in units of a float64 D x D array (8 D^2 bytes), from
-# the whole-process peaks at N=16: a solve with eigenvectors took 6.3 units at k=1
-# and 3.6 at k=0, and the eigenvalues alone of ``spacing`` 2.4 at k=1 and 1.2 at k=0
+# the whole-process peaks at N=16: a solve with eigenvectors took 5.5 units at k=1
+# (697 MiB) and 3.7 at k=0 (473 MiB), and the eigenvalues alone of ``spacing`` 2.4
+# at k=1 and 1.2 at k=0
 SOLVE_UNITS = 8.0
 SPECTRA_UNITS = 2.5
 
@@ -138,16 +139,22 @@ class RunConfig:
 
 
 def _parse_momenta(raw: list[str], n_sites: int) -> list[int]:
-    """The sectors to run, each once, in the order they were first named."""
-    if any(tok == "all" for tok in raw):
-        return list(range(n_sites))
+    """The sectors to run, each once, in the order they were first named; every k if one token is ``all``.
+
+    Every token is checked, also beside ``all``.
+    """
     momenta = []
     for tok in raw:
-        k = int(tok)
+        if tok == "all":
+            continue
+        try:
+            k = int(tok)
+        except ValueError:
+            raise ValueError(f"momentum {tok!r} is neither an integer nor 'all'") from None
         if not 0 <= k < n_sites:
             raise ValueError(f"momentum {k} outside [0, {n_sites})")
         momenta.append(k)
-    return list(dict.fromkeys(momenta))
+    return list(range(n_sites)) if "all" in raw else list(dict.fromkeys(momenta))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -217,15 +224,17 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 def _decompose_sector(config: RunConfig, k: int, rows=None) -> tuple[EigenDecomposition, bool]:
     """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit.
 
-    Only a miss builds the basis and the sector matrix, and first refuses a
-    sector too large for the available memory; a hit enumerates nothing.
+    Only a miss builds the basis and the sector's element list, and first
+    refuses a sector too large for the available memory; a hit enumerates
+    nothing.
     """
 
-    def sector_matrix():
+    def sector():
         _check_memory(config, k, SOLVE_UNITS)
-        return build_sector_hamiltonian(momentum_basis(config.n_sites, k), config.params)
+        basis = momentum_basis(config.n_sites, k)
+        return basis, sector_elements(basis, config.params)
 
-    return diagonalize_cached(sector_matrix, config.params, k, config.cache_dir, rows)
+    return diagonalize_cached(sector, config.params, k, config.cache_dir, rows)
 
 
 def _model_grid(config: RunConfig) -> np.ndarray:
@@ -240,7 +249,6 @@ def cmd_basis_info(config: RunConfig) -> int:
         rows.append(
             {
                 "k": k,
-                "dim_exact": counts.dim,
                 "dim_formula": counts.dim,
                 "dim_approx": 2**config.n_sites / config.n_sites,
                 "n_invariant": counts.n_invariant,
@@ -252,7 +260,7 @@ def cmd_basis_info(config: RunConfig) -> int:
     print(f"{'k':>4} {'dim':>10} {'approx 2^N/N':>14} {'N_inv':>8} {'delta':>10}")
     for r in rows:
         print(
-            f"{r['k']:>4} {r['dim_exact']:>10} {r['dim_approx']:>14.1f} "
+            f"{r['k']:>4} {r['dim_formula']:>10} {r['dim_approx']:>14.1f} "
             f"{r['n_invariant']:>8} {r['delta']:>10.4f}"
         )
     if config.out_dir:
@@ -260,7 +268,7 @@ def cmd_basis_info(config: RunConfig) -> int:
         if config.format == "json":
             (out / "basis_info.json").write_text(json.dumps(rows, indent=2))
         else:
-            header = ["k", "dim_exact", "dim_approx", "n_invariant", "delta"]
+            header = ["k", "dim_formula", "dim_approx", "n_invariant", "delta"]
             write_csv(out / "basis_info.csv", header, [[r[h] for r in rows] for h in header])
     return EXIT_OK
 

@@ -1,13 +1,14 @@
 """Dense Hermitian eigensolver with residual checks and on-disk caching.
 
-Every sector matrix is solved in real arithmetic, in the real basis its
+Every sector is solved in real arithmetic, in the real basis its
 ``MomentumBasis`` owns: at k = 0 and k = N/2 as separate inversion-even and
-inversion-odd blocks, elsewhere as one A-invariant block, with eigenvectors
-mapped back.  The returned eigenvectors are complex plane-wave coefficients
-in a fixed gauge.  ``block_spectra`` runs the same pre-solve checks and
-symmetry split on the sector's element list, with no dense plane-wave
-block, and solves for eigenvalues only, checked per block by their sum
-rules.
+inversion-odd blocks, elsewhere as one A-invariant block.  Both solvers cut
+those blocks, checked, from the sector's element list with
+``hamiltonian.element_blocks``, and neither forms the dense plane-wave
+block.  ``diagonalize`` verifies each block's eigenpairs and maps the
+eigenvectors back to complex plane-wave coefficients in a fixed gauge;
+``block_spectra`` solves for eigenvalues only, checked per block by their
+sum rules.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
 from its eigenvectors by ``state_moment_sums``.  It is cached per
@@ -36,11 +37,9 @@ from .hamiltonian import (
     ModelParams,
     NonHermitianError,
     SectorElements,
-    SectorMatrix,
     SymmetryBreakingError,
     element_blocks,
     summed_elements,
-    symmetry_blocks,
 )
 from .spin_basis import MomentumBasis
 
@@ -223,15 +222,29 @@ def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vectors
 
 
+def _fingerprint_elements(basis: MomentumBasis, elements: SectorElements) -> str:
+    return _fingerprint(*summed_elements(elements, basis.dim))
+
+
+def _checked_blocks(
+    basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
+) -> dict[tuple[int, int], np.ndarray]:
+    """``element_blocks``, with a ``SymmetryBreakingError`` carrying the fingerprint of the summed elements."""
+    try:
+        return element_blocks(basis, elements, row_labels)
+    except SymmetryBreakingError as exc:
+        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint_elements(basis, elements)})") from None
+
+
 def _solve_blocks(
     basis: MomentumBasis, blocks: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Solve and verify each block of ``symmetry_blocks`` on its own.
+    """Solve and verify each block of ``element_blocks`` on its own.
 
     Returns the energies in ascending order, the plane-wave eigenvectors
     (real where ``basis.is_real``) and there the inversion parity of each
-    eigenstate, elsewhere None.  ``blocks`` is emptied, so the real-basis
-    copy they view is freed before the solves.
+    eigenstate, elsewhere None.  ``blocks`` is emptied, so the blocks are
+    freed before the solves.
     """
     dim = basis.dim
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
@@ -259,14 +272,16 @@ def _solve_blocks(
     return energies[rank], basis.from_real(w), parity
 
 
-def diagonalize(matrix: SectorMatrix) -> EigenDecomposition:
-    """Diagonalize a sector matrix and verify the eigenpairs.
+def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelParams) -> EigenDecomposition:
+    """Diagonalize a sector, given by its element list over ``basis``, and verify the eigenpairs.
 
-    The matrix is split into the real blocks of ``symmetry_blocks``
-    (raising ``NonHermitianError`` or ``SymmetryBreakingError`` if a
-    pre-solve check fails): at k = 0 and k = N/2 an inversion-even and an
-    inversion-odd block, whose eigenstates ``parity`` labels, elsewhere one
-    A-invariant block.  Each block is solved and verified on its own in real
+    ``elements`` is the sector's list of ``hamiltonian.sector_elements`` for
+    ``params``, which the decomposition carries as its cache key.  The list
+    is cut into the checked real blocks of ``element_blocks`` (raising
+    ``NonHermitianError`` or ``SymmetryBreakingError`` if a pre-solve check
+    fails): at k = 0 and k = N/2 an inversion-even and an inversion-odd
+    block, whose eigenstates ``parity`` labels, elsewhere one A-invariant
+    block.  Each block is solved and verified on its own in real
     arithmetic, and the eigenvectors are rotated back.
 
     Coefficient statistics therefore stay complex in the plane-wave basis.
@@ -275,27 +290,16 @@ def diagonalize(matrix: SectorMatrix) -> EigenDecomposition:
     and positive.  The decomposition carries every row of V and its moment
     sums ``sum_c4``.
 
-    The dense plane-wave block is dropped once the real blocks are cut, so
-    where the caller holds no other reference to ``matrix`` (as
-    ``diagonalize_cached`` does not, on CPython >= 3.11) it is freed before
-    the first solve.
-
     Raises ``DiagonalizationError`` if LAPACK fails, a residual exceeds
     ``RESIDUAL_FACTOR`` times the spectral norm, or the eigenvectors fail a
     randomized orthonormality check (``ORTHO_PROBES`` probes at relative
     tolerance ``ORTHO_TOL``); its fingerprint is that of the symmetrized
-    real block LAPACK was given.  A ``SymmetryBreakingError`` is raised
-    before the cut and carries the fingerprint of the plane-wave block.
+    real block LAPACK was given.  A ``SymmetryBreakingError`` carries the
+    fingerprint of the summed elements, as in ``block_spectra``.
     """
-    try:
-        blocks = symmetry_blocks(matrix)
-    except SymmetryBreakingError as exc:
-        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint(matrix.entries)})") from None
-    params, k, basis = matrix.params, matrix.k, matrix.basis
-    del matrix  # the blocks do not view the plane-wave block
-    energies, vectors, parity = _solve_blocks(basis, blocks)
+    energies, vectors, parity = _solve_blocks(basis, _checked_blocks(basis, elements))
     vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
-    return EigenDecomposition(params=params, k=k, energies=energies, vectors=vectors, parity=parity)
+    return EigenDecomposition(params=params, k=basis.k, energies=energies, vectors=vectors, parity=parity)
 
 
 def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:
@@ -336,24 +340,21 @@ def block_spectra(
     ``SymmetryBreakingError``, or ``DiagonalizationError`` with a fingerprint
     of the summed elements if LAPACK fails or a check does not hold.
     """
-
-    def fingerprint() -> str:
-        return _fingerprint(*summed_elements(elements, basis.dim))
-
-    try:
-        blocks = element_blocks(basis, elements, row_labels)
-    except SymmetryBreakingError as exc:
-        raise SymmetryBreakingError(f"{exc} (matrix {fingerprint()})") from None
+    blocks = _checked_blocks(basis, elements, row_labels)
     spectra = {}
     for key in list(blocks):
         block = blocks.pop(key)  # each block is freed once solved
         try:
             energies = np.linalg.eigvalsh(block)
         except np.linalg.LinAlgError as exc:
-            raise DiagonalizationError(f"eigensolver failed on matrix {fingerprint()}") from exc
+            raise DiagonalizationError(
+                f"eigensolver failed on matrix {_fingerprint_elements(basis, elements)}"
+            ) from exc
         failure = _sum_rule_failure(block, energies)
         if failure is not None:
-            raise DiagonalizationError(f"block {key}: {failure} on matrix {fingerprint()}")
+            raise DiagonalizationError(
+                f"block {key}: {failure} on matrix {_fingerprint_elements(basis, elements)}"
+            )
         spectra[key] = energies
     return spectra
 
@@ -545,19 +546,22 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
 
 
 def diagonalize_cached(
-    matrix_builder, params: ModelParams, k: int, cache_dir=None, rows=None
+    sector_builder, params: ModelParams, k: int, cache_dir=None, rows=None
 ) -> tuple[EigenDecomposition, bool]:
     """Load from cache or diagonalize-and-store; returns (decomp, was_hit).
 
-    ``rows`` selects the rows of V as in ``cache_load``.  A miss stores the
-    full decomposition, then returns it cut down to those rows, as a hit
-    would return it.
+    Only a miss calls ``sector_builder``, which returns the sector's
+    ``(basis, elements)`` for ``diagonalize``.  ``rows`` selects the rows of
+    V as in ``cache_load``.  A miss stores the full decomposition, then
+    returns it cut down to those rows, as a hit would return it.
     """
     if cache_dir is not None:
         hit = cache_load(params, k, cache_dir, rows)
         if hit is not None:
             return hit, True
-    decomp = diagonalize(matrix_builder())
+    basis, elements = sector_builder()
+    decomp = diagonalize(basis, elements, params)
+    del basis, elements
     if cache_dir is not None:
         cache_store(decomp, cache_dir)
     return _restrict(decomp, rows), False

@@ -5,13 +5,15 @@ H = -sum_j sx_j sx_{j+1} - lam * sum_j sz_j - alpha * sum_j sx_j,  site N+1 = 1.
 Two assembly paths: a sparse matrix over the full product basis (small chains,
 used as an oracle) and, in fixed translation-momentum sectors (production
 path), one element list per sector, real at k = 0 and k = N/2 and complex
-elsewhere, which is summed into a dense block or mapped into real blocks.
+elsewhere.
 
 Every sector block commutes with the antiunitary A = (inversion) x (complex
 conjugation), so it is real symmetric in an A-invariant basis, which the
-sector's ``MomentumBasis`` owns.  ``symmetry_blocks`` checks a dense block
-and splits it there into real blocks; ``element_blocks`` runs the same
-checks on the element list and builds the real blocks from it directly.
+sector's ``MomentumBasis`` owns.  ``element_blocks`` checks the element list
+(hermiticity, and in the real basis a vanishing imaginary part and no
+coupling between blocks) and maps it straight into those real blocks, which
+both solvers of ``eigensolve`` read; no CLI command forms the dense
+plane-wave block.
 """
 
 from __future__ import annotations
@@ -93,7 +95,10 @@ def build_full_hamiltonian(params: ModelParams) -> "scipy.sparse.csr_matrix":
 class SectorMatrix:
     """Dense Hamiltonian block at fixed translation momentum.
 
-    ``entries`` is the block over the plane-wave states of ``basis``.
+    ``entries`` is the block over the plane-wave states of ``basis``.  No
+    command reads it: it stays here, with ``build_sector_hamiltonian``, for
+    the benchmark's ``check_spacing``, which reads ``entries`` for tr H and
+    |H|_F^2, and for the tests' dense references.
     """
 
     params: ModelParams
@@ -107,11 +112,6 @@ class SectorMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Largest absolute deviation from H = H^dagger."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 class SectorElements(NamedTuple):
@@ -193,40 +193,6 @@ def _block_edges(labels: np.ndarray, parity: np.ndarray) -> list[int]:
     return [0, *(np.flatnonzero(change) + 1).tolist(), parity.size]
 
 
-def symmetry_blocks(matrix: SectorMatrix) -> dict[tuple[int, int], np.ndarray]:
-    """Checked real diagonal blocks of a dense sector matrix in the real basis of its ``basis``.
-
-    The columns carry the inversion parity of that basis: +-1 at k = 0 and
-    N/2, 0 elsewhere.  Returns ``{(0, parity): block}`` in descending key
-    order, as views in basis column order.  With limit ``HERMITICITY_TOL`` *
-    max(1, max|h|), raises ``NonHermitianError`` if |h - h^dagger| exceeds
-    it and ``SymmetryBreakingError`` if, in the real basis, an imaginary
-    part or an entry coupling two blocks does.
-    """
-    basis, h = matrix.basis, matrix.entries
-    limit = _limit(np.abs(h))
-    defect = hermiticity_defect(h)
-    if defect > limit:
-        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    g = basis.to_real(h)
-    if np.iscomplexobj(g):  # a real h at real k gives a real g, with nothing to check
-        off_real = float(np.max(np.abs(g.imag), initial=0.0))
-        if off_real > limit:
-            raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
-        g = g.real
-    parity = basis.real_layout.parity
-    edges = _block_edges(np.zeros_like(parity), parity)
-    spans = list(zip(edges[:-1], edges[1:]))
-    coupling = max(
-        [0.0]
-        + [float(np.max(np.abs(g[a:b, b:]), initial=0.0)) for a, b in spans]
-        + [float(np.max(np.abs(g[b:, a:b]), initial=0.0)) for a, b in spans]
-    )
-    if coupling > limit:
-        raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
-    return {(0, int(parity[a])): g[a:b, a:b] for a, b in spans}
-
-
 def summed_elements(elements: SectorElements, dim: int) -> SectorElements:
     """One element per (row, col) pair of a ``dim`` x ``dim`` block, sorted by row, then col.
 
@@ -240,22 +206,12 @@ def summed_elements(elements: SectorElements, dim: int) -> SectorElements:
     return SectorElements(key // dim, key % dim, summed)
 
 
-def element_blocks(
-    basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
-) -> dict[tuple[int, int], np.ndarray]:
-    """Checked real diagonal blocks of a sector, built from its elements without the dense block.
+def _real_basis_elements(
+    basis: MomentumBasis, elements: SectorElements
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The checked elements of U^dagger h U, one per (row, col) pair, and the pre-solve limit.
 
-    The result equals ``symmetry_blocks`` of the dense block, up to rounding.
-    With ``row_labels`` each real column is also labelled by the integer
-    label of its plane-wave rows, which must agree on both members of a pair
-    (the z-parity does, since inversion keeps the up-spin count).  Returns
-    ``{(row label or 0, parity): block}`` in descending key order, each block
-    a new float64 array with its columns in basis column order.  After
-    summing repeated elements, with limit ``HERMITICITY_TOL`` * max(1,
-    max|h|) it raises ``NonHermitianError`` if an element differs from the
-    conjugate of its transpose (0 where that is absent) by more than the
-    limit, and ``SymmetryBreakingError`` if, in the real basis, an imaginary
-    part or an entry coupling two blocks does.
+    See ``element_blocks`` for the checks; the limit is that of h.
     """
     dim = basis.dim
     rows, cols, values = summed_elements(elements, dim)
@@ -282,11 +238,41 @@ def element_blocks(
         if off_real > limit:
             raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
         g = g.real
+    return g_rows, g_cols, g, limit
 
+
+def element_blocks(
+    basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
+) -> dict[tuple[int, int], np.ndarray]:
+    """Checked real diagonal blocks of a sector, built from its elements without the dense block.
+
+    The blocks are those of U^dagger h U for the summed block h and the real
+    basis U of ``basis``.  With ``row_labels`` each real column is also
+    labelled by the integer label of its plane-wave rows, which must agree
+    on both members of a pair (the z-parity does, since inversion keeps the
+    up-spin count).  Returns ``{(row label or 0, parity): block}`` in
+    descending key order, each block a new float64 array with its columns in
+    basis column order.  After summing repeated elements, with limit
+    ``HERMITICITY_TOL`` * max(1, max|h|) it raises ``NonHermitianError`` if
+    an element differs from the conjugate of its transpose (0 where that is
+    absent) by more than the limit, and ``SymmetryBreakingError`` if, in the
+    real basis, an imaginary part or an entry coupling two blocks does.
+
+    The blocks are allocated before the element lists of the mapping, so
+    that those are freed above them.  Allocated after them, the lists leave
+    a hole below the blocks that glibc's heap cannot give back: that raised
+    the peak RSS of ``diag --spins 14 --momentum all`` from 100 to 113 MiB.
+    """
+    dim = basis.dim
     parity = basis.real_layout.parity
     labels = np.zeros_like(parity) if row_labels is None else np.asarray(row_labels)[basis.real_layout.rows]
     order = np.lexsort((-parity, -labels))  # descending keys; stable, so basis order within a block
     edges = _block_edges(labels[order], parity[order])
+    blocks = {
+        (int(labels[order[a]]), int(parity[order[a]])): np.zeros((b - a, b - a))
+        for a, b in zip(edges[:-1], edges[1:])
+    }
+    g_rows, g_cols, g, limit = _real_basis_elements(basis, elements)
     block_of = np.empty(dim, dtype=np.int64)
     local = np.empty(dim, dtype=np.int64)
     block_of[order] = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
@@ -295,10 +281,7 @@ def element_blocks(
     coupling = float(np.max(np.abs(g[~inside]), initial=0.0))
     if coupling > limit:
         raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
-    blocks = {}
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+    for i, block in enumerate(blocks.values()):
         mine = inside & (block_of[g_rows] == i)
-        block = np.zeros((b - a, b - a))
         block[local[g_rows[mine]], local[g_cols[mine]]] = g[mine]
-        blocks[int(labels[order[a]]), int(parity[order[a]])] = block
     return blocks

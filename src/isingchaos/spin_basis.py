@@ -203,10 +203,11 @@ class MomentumBasis:
     reflected orbit is the orbit itself), and paired otherwise.
 
     Every sector matrix commutes with A, so it is real symmetric in an
-    A-invariant basis U, which the basis owns (``real_layout``, ``to_real``,
-    ``from_real``).  U has at most two nonzeros per column.  Where ``is_real``
-    (k = 0 and k = N/2) every phase exp(i angle) is +-1, A is the inversion P
-    times conjugation, and U is the real parity basis: e_a with parity
+    A-invariant basis U, which the basis owns (``real_layout``,
+    ``real_entries``, ``from_real``).  U has at most two nonzeros per
+    column.  Where ``is_real`` (k = 0 and k = N/2) every phase
+    exp(i angle) is +-1, A is the inversion P times conjugation, and U is
+    the real parity basis: e_a with parity
     exp(i angle_a) for each invariant state, and for each pair (a, b =
     partner[a]) with p = exp(i angle_a) the columns (e_a +- p e_b)/sqrt2 with
     parity +-1.  Its columns are ordered even invariant states, "+"
@@ -280,21 +281,6 @@ class MomentumBasis:
         out_col[rows], out_coef[rows] = col, coef
         return out_col, out_coef
 
-    def to_real(self, h: np.ndarray) -> np.ndarray:
-        """U^dagger h U for a matrix ``h`` over this basis.
-
-        Real for a real ``h`` where ``is_real``; complex elsewhere, with an
-        imaginary part that vanishes when ``h`` commutes with A.
-        """
-        rows, phase, lead, n_pair, _ = self.real_layout
-        g = h[np.ix_(rows, rows)].astype(np.result_type(h, phase), copy=False)
-        g *= phase.conj()[:, None]
-        g *= phase[None, :]
-        z = 1.0 if self.is_real else 1j
-        _mix_pairs(g, lead, n_pair, np.conj(z))  # rows: the conjugate of U's pair block
-        _mix_pairs(g.T, lead, n_pair, z)  # columns
-        return g
-
     def from_real(self, w: np.ndarray) -> np.ndarray:
         """U w: real-basis column vectors back to plane-wave coefficients.
 
@@ -304,7 +290,7 @@ class MomentumBasis:
         y = w.astype(np.result_type(w, phase), copy=False)
         if not self.is_real:
             y[lead + n_pair :] *= 1j
-        _mix_pairs(y, lead, n_pair, 1.0)
+        _mix_pairs(y, lead, n_pair)
         y *= phase[:, None]
         out = np.empty_like(y)
         out[rows] = y
@@ -341,14 +327,14 @@ class RealLayout(NamedTuple):
     parity: np.ndarray
 
 
-def _mix_pairs(x: np.ndarray, start: int, n_pair: int, z: complex) -> None:
-    """In place along axis 0: rows (a, b) of each pair become ((a + b), z (a - b))/sqrt2."""
+def _mix_pairs(x: np.ndarray, start: int, n_pair: int) -> None:
+    """In place along axis 0: rows (a, b) of each pair become ((a + b), (a - b))/sqrt2."""
     a = x[start : start + n_pair]
     b = x[start + n_pair : start + 2 * n_pair]
     diff = a - b
     a += b
     a *= np.sqrt(0.5)
-    np.multiply(diff, z * np.sqrt(0.5), out=b)
+    np.multiply(diff, np.sqrt(0.5), out=b)
 
 
 def _rep_index(reps: np.ndarray, n_sites: int) -> np.ndarray:

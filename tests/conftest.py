@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from isingchaos.eigensolve import EigenDecomposition, diagonalize
-from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian
+from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian, sector_elements
 from isingchaos.spin_basis import MomentumBasis, momentum_basis
 
 
@@ -27,7 +27,7 @@ class DecompStore:
         if key in self._decomps:
             return basis, self._decomps[key]
         params = ModelParams(n_sites=n_sites, lam=lam, alpha=alpha)
-        decomp = diagonalize(build_sector_hamiltonian(basis, params))
+        decomp = diagonalize(basis, sector_elements(basis, params), params)
         if keep:
             self._decomps[key] = decomp
         return basis, decomp

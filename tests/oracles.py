@@ -5,9 +5,10 @@ closed-form and exhaustive counts, the per-n state counts of an enumerated
 basis, a moment set built from given cumulants, explicit powers of H,
 spectral sums over eigenvectors, quadrature moments and the energy-power
 multipliers of a fitted Gibbs density, the full-chain model density of
-states, labelled symmetry blocks cut from the dense real-basis block, the
-Gaussian fit of one window at a time, and a CSV writer that formats cell
-by cell.
+states, the dense pre-solve path (the hermiticity defect of a dense block,
+its rotation into the real basis and the checked or labelled symmetry
+blocks cut from it), the Gaussian fit of one window at a time, and a CSV
+writer that formats cell by cell.
 """
 
 from math import comb
@@ -17,7 +18,16 @@ import numpy as np
 
 from isingchaos.eigensolve import EigenDecomposition
 from isingchaos.empirics import normal_cdf
-from isingchaos.hamiltonian import FULL_BASIS_MAX_SITES, ModelParams, SectorMatrix, build_full_hamiltonian
+from isingchaos.hamiltonian import (
+    FULL_BASIS_MAX_SITES,
+    ModelParams,
+    NonHermitianError,
+    SectorMatrix,
+    SymmetryBreakingError,
+    _block_edges,
+    _limit,
+    build_full_hamiltonian,
+)
 from isingchaos.moments import LocalMomentSet
 from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables, popcount, reflect_table
 from isingchaos.statmodel import (
@@ -229,6 +239,111 @@ def model_spectral_density(model: StrengthModel, energy) -> np.ndarray:
     return (counts / counts.sum()) @ _clipped_power(density_stack(model, energy), 1.0)
 
 
+def hermiticity_defect(matrix: np.ndarray) -> float:
+    """Largest absolute deviation from H = H^dagger."""
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
+
+
+def _mix_pairs(x: np.ndarray, start: int, n_pair: int, z: complex) -> None:
+    """In place along axis 0: rows (a, b) of each pair become ((a + b), z (a - b))/sqrt2."""
+    a = x[start : start + n_pair]
+    b = x[start + n_pair : start + 2 * n_pair]
+    diff = a - b
+    a += b
+    a *= np.sqrt(0.5)
+    np.multiply(diff, z * np.sqrt(0.5), out=b)
+
+
+def to_real(basis: MomentumBasis, h: np.ndarray) -> np.ndarray:
+    """U^dagger h U for a dense matrix ``h`` over ``basis``, by gathers on its ``real_layout``.
+
+    Real for a real ``h`` where ``basis.is_real``; complex elsewhere, with
+    an imaginary part that vanishes when ``h`` commutes with A.
+    """
+    rows, phase, lead, n_pair, _ = basis.real_layout
+    g = h[np.ix_(rows, rows)].astype(np.result_type(h, phase), copy=False)
+    g *= phase.conj()[:, None]
+    g *= phase[None, :]
+    z = 1.0 if basis.is_real else 1j
+    _mix_pairs(g, lead, n_pair, np.conj(z))  # rows: the conjugate of U's pair block
+    _mix_pairs(g.T, lead, n_pair, z)  # columns
+    return g
+
+
+def symmetry_blocks(matrix: SectorMatrix) -> dict[tuple[int, int], np.ndarray]:
+    """Dense reference for ``element_blocks``: the checked real blocks of a dense sector matrix.
+
+    The columns carry the inversion parity of the real basis: +-1 at k = 0
+    and N/2, 0 elsewhere.  Returns ``{(0, parity): block}`` in descending key
+    order, as views in basis column order.  With limit ``HERMITICITY_TOL`` *
+    max(1, max|h|), raises ``NonHermitianError`` if |h - h^dagger| exceeds
+    it and ``SymmetryBreakingError`` if, in the real basis, an imaginary
+    part or an entry coupling two blocks does.
+    """
+    basis, h = matrix.basis, matrix.entries
+    limit = _limit(np.abs(h))
+    defect = hermiticity_defect(h)
+    if defect > limit:
+        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
+    g = to_real(basis, h)
+    if np.iscomplexobj(g):  # a real h at real k gives a real g, with nothing to check
+        off_real = float(np.max(np.abs(g.imag), initial=0.0))
+        if off_real > limit:
+            raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
+        g = g.real
+    parity = basis.real_layout.parity
+    edges = _block_edges(np.zeros_like(parity), parity)
+    spans = list(zip(edges[:-1], edges[1:]))
+    coupling = max(
+        [0.0]
+        + [float(np.max(np.abs(g[a:b, b:]), initial=0.0)) for a, b in spans]
+        + [float(np.max(np.abs(g[b:, a:b]), initial=0.0)) for a, b in spans]
+    )
+    if coupling > limit:
+        raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
+    return {(0, int(parity[a])): g[a:b, a:b] for a, b in spans}
+
+
+def real_basis_matrix(basis: MomentumBasis) -> np.ndarray:
+    """The dense real basis U, column by column as the ``MomentumBasis`` docstring defines it."""
+    rows, phase, lead, n_pair, _ = basis.real_layout
+    z = 1.0 if basis.is_real else 1j
+    u = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for c in range(basis.dim):
+        if lead <= c < lead + n_pair:  # the "+" column of a pair
+            u[rows[c], c] = phase[c] * np.sqrt(0.5)
+            u[rows[c + n_pair], c] = phase[c + n_pair] * np.sqrt(0.5)
+        elif lead + n_pair <= c < lead + 2 * n_pair:  # its "-" column
+            u[rows[c - n_pair], c] = z * phase[c - n_pair] * np.sqrt(0.5)
+            u[rows[c], c] = -z * phase[c] * np.sqrt(0.5)
+        else:
+            u[rows[c], c] = phase[c]
+    return u
+
+
+def symmetry_decomposition(matrix: SectorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Dense reference for ``diagonalize``: eigh of each block of ``symmetry_blocks``, rotated back by U.
+
+    Returns the ascending energies, the plane-wave eigenvectors in no fixed
+    gauge and, where the basis ``is_real``, the parity of each eigenstate.
+    """
+    basis = matrix.basis
+    energies, columns, parities = [], [], []
+    start = 0
+    for (_, parity), block in symmetry_blocks(matrix).items():
+        e, w = np.linalg.eigh(block)
+        padded = np.zeros((basis.dim, e.size))
+        padded[start : start + e.size] = w
+        start += e.size
+        energies.append(e)
+        columns.append(padded)
+        parities.append(np.full(e.size, parity))
+    order = np.argsort(np.concatenate(energies), kind="stable")
+    vectors = real_basis_matrix(basis) @ np.concatenate(columns, axis=1)[:, order]
+    parity = np.concatenate(parities)[order] if basis.is_real else None
+    return np.concatenate(energies)[order], vectors, parity
+
+
 def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Dense reference for ``element_blocks`` with row labels.
 
@@ -237,7 +352,7 @@ def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[
     cut at each change.
     """
     basis = matrix.basis
-    g = basis.to_real(matrix.entries).real
+    g = to_real(basis, matrix.entries).real
     labels = np.asarray(row_labels)[basis.real_layout.rows]
     parity = basis.real_layout.parity
     order = np.lexsort((-parity, -labels))

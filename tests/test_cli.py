@@ -91,6 +91,25 @@ def test_basis_info_momentum_parsing_error(capsys):
     assert exc.value.code == EXIT_BAD_ARGS
 
 
+@pytest.mark.parametrize(
+    "command,momenta,message",
+    [
+        ("basis-info", ["all", "99"], "momentum 99 outside [0, 8)"),
+        ("basis-info", ["99", "all"], "momentum 99 outside [0, 8)"),
+        ("diag", ["all", "x"], "momentum 'x' is neither an integer nor 'all'"),
+        ("diag", ["x"], "momentum 'x' is neither an integer nor 'all'"),
+        ("predict", ["1", "all", "-1"], "momentum -1 outside [0, 8)"),
+    ],
+)
+def test_every_momentum_token_is_checked_beside_all(tmp_path, capsys, command, momenta, message):
+    argv = [command, "--spins", "8", *(a for k in momenta for a in ("--momentum", k))]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *(["--out", str(tmp_path)] if command == "predict" else [])])
+    assert exc.value.code == EXIT_BAD_ARGS
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_diag_uses_cache(tmp_path, capsys):
     argv = [
         "diag",
@@ -308,7 +327,7 @@ def test_warm_analysis_leaves_numpy_ma_and_scipy_unloaded(tmp_path, capsys, comm
     script = (
         "import sys\n"
         "from isingchaos import cli, eigensolve\n"
-        "def no_solve(matrix):\n"
+        "def no_solve(basis, elements, params):\n"
         "    raise AssertionError('cache miss')\n"
         "eigensolve.diagonalize = no_solve\n"
         f"assert cli.main({argv!r}) == 0\n"
@@ -367,8 +386,8 @@ def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, m
         hashed[k].append(sum(part.nbytes for part in parts))
         return inner(fh, parts, sha256, bin_path)
 
-    def no_solve(matrix):
-        raise AssertionError(f"k={matrix.k} was solved, not read from the cache")
+    def no_solve(basis, elements, params):
+        raise AssertionError(f"k={basis.k} was solved, not read from the cache")
 
     monkeypatch.setattr(eigensolve, "_read_verified", recording)
     monkeypatch.setattr(eigensolve, "diagonalize", no_solve)
@@ -465,7 +484,7 @@ def test_basis_info_beyond_the_enumerable_chains(tmp_path, capsys):
         assert [row["k"] for row in rows] == [0, 1]
         for k, row in enumerate(rows):
             counts = sector_counts(n_sites, k)
-            assert row["dim_exact"] == row["dim_formula"] == counts.dim
+            assert row["dim_formula"] == counts.dim and "dim_exact" not in row
             assert sum(row["nu_tot"]) == counts.dim
             assert f"{counts.dim:>10}" in out.splitlines()[1 + k]
 
@@ -514,23 +533,59 @@ def test_spacing_integrable_path(capsys):
     assert "z+1" in out and "z-1" in out
 
 
+def _refuse(what):
+    def call(*args, **kwargs):
+        raise AssertionError(f"the command ran {what}")
+
+    return call
+
+
+def _refuse_the_dense_path(monkeypatch):
+    """Make every part of the dense plane-wave path raise: the commands build their blocks from element lists."""
+    import isingchaos
+    import oracles
+    from isingchaos import hamiltonian
+
+    # cli binds no copy of it today; setting one anyway refuses a binding cli gains later
+    for module in (isingchaos, cli, hamiltonian):
+        monkeypatch.setattr(module, "build_sector_hamiltonian", _refuse("the dense assembly"), raising=False)
+    monkeypatch.setattr(oracles, "hermiticity_defect", _refuse("the dense hermiticity check"))
+    monkeypatch.setattr(oracles, "to_real", _refuse("the dense real-basis gather"))
+    monkeypatch.setattr(oracles, "symmetry_blocks", _refuse("the dense symmetry split"))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["diag"], ["compare", "--out", "{out}"], ["coeff-hist", "--out", "{out}"]],
+    ids=["diag", "compare", "coeff-hist"],
+)
+def test_a_cache_miss_solves_without_the_dense_path(tmp_path, capsys, monkeypatch, command):
+    from isingchaos import eigensolve
+
+    _refuse_the_dense_path(monkeypatch)
+    solved = []
+    inner = eigensolve.diagonalize
+
+    def recording(basis, elements, params):
+        solved.append(basis.k)
+        return inner(basis, elements, params)
+
+    monkeypatch.setattr(eigensolve, "diagonalize", recording)
+    cache = tmp_path / "cache"
+    argv = [command[0], "--spins", "8", "--momentum", "0", "--momentum", "1", "--cache-dir", str(cache)]
+    code, _, _ = run(capsys, *argv, *(a.format(out=tmp_path / "out") for a in command[1:]))
+    assert code == EXIT_OK
+    assert solved == [0, 1]  # both sectors were misses, solved and stored
+    assert len(list(cache.glob("*.json"))) == 2
+
+
 def test_spacing_solves_values_only(capsys, monkeypatch):
-    from isingchaos import cli, eigensolve, hamiltonian
-    from isingchaos.spin_basis import MomentumBasis
-
-    def refuse(what):
-        def call(*args, **kwargs):
-            raise AssertionError(f"spacing ran {what}")
-
-        return call
+    from isingchaos import eigensolve
 
     monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
-    monkeypatch.setattr(eigensolve, "diagonalize", refuse("the eigenvector solve"))
+    monkeypatch.setattr(eigensolve, "diagonalize", _refuse("the eigenvector solve"))
     # nor any part of the dense plane-wave path: spacing builds its blocks from the element list
-    for module in (cli, hamiltonian):
-        monkeypatch.setattr(module, "build_sector_hamiltonian", refuse("the dense assembly"))
-    monkeypatch.setattr(hamiltonian, "hermiticity_defect", refuse("the dense hermiticity check"))
-    monkeypatch.setattr(MomentumBasis, "to_real", refuse("the dense real-basis gather"))
+    _refuse_the_dense_path(monkeypatch)
     code, out, _ = run(capsys, "spacing", "--spins", "10", "--momentum", "0", "--momentum", "1", "--momentum", "5")
     assert code == EXIT_OK
     labels = [line.split(":")[0] for line in out.splitlines()[1:]]

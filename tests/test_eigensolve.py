@@ -4,8 +4,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -31,32 +29,37 @@ from isingchaos.hamiltonian import (
     SectorElements,
     build_full_hamiltonian,
     build_sector_hamiltonian,
+    element_blocks,
     sector_elements,
-    symmetry_blocks,
 )
 from isingchaos.spin_basis import momentum_basis
-from oracles import labelled_blocks
+from oracles import labelled_blocks, symmetry_blocks, symmetry_decomposition
 from parity_oracle import inversion_matrix
 
-def sector(n_sites, k):
-    return build_sector_hamiltonian(momentum_basis(n_sites, k), ModelParams(n_sites, 1.0, 1.0))
+
+def sector(n_sites, k, params=None):
+    """The arguments of ``diagonalize`` for one sector: basis, element list and parameters."""
+    params = params or ModelParams(n_sites, 1.0, 1.0)
+    basis = momentum_basis(n_sites, k)
+    return basis, sector_elements(basis, params), params
 
 
 def test_residuals_and_orthonormality():
     for k in (1, 0):
-        matrix = sector(8, k)
-        decomp = diagonalize(matrix)
+        basis, elements, params = sector(8, k)
+        decomp = diagonalize(basis, elements, params)
         norm = np.max(np.abs(decomp.energies))
-        residual = matrix.entries @ decomp.vectors - decomp.vectors * decomp.energies
+        h = build_sector_hamiltonian(basis, params).entries
+        residual = h @ decomp.vectors - decomp.vectors * decomp.energies
         assert np.max(np.linalg.norm(residual, axis=0)) < 1e-8 * norm
         gram = decomp.vectors.conj().T @ decomp.vectors
-        assert np.max(np.abs(gram - np.eye(matrix.dim))) < 1e-8
+        assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-8
         assert np.max(np.abs(np.sum(np.abs(decomp.vectors) ** 2, axis=0) - 1)) < 1e-10
 
 
 def test_phase_gauge():
     for k in (1, 0):
-        for col in diagonalize(sector(8, k)).vectors.T:
+        for col in diagonalize(*sector(8, k)).vectors.T:
             # symmetry ties |c_a| = |c_partner(a)|: the lowest index among them leads
             modulus = np.abs(col)
             lead = col[np.argmax(modulus >= (1 - eigensolve.GAUGE_TIE_RTOL) * modulus.max())]
@@ -75,18 +78,24 @@ def test_phase_gauge_breaks_ties_by_lowest_index():
     assert fixed[1] == pytest.approx(0.8, abs=1e-15)
 
 
+def _with_dense(elements, block):
+    """The element list with every entry of the dense ``block`` appended."""
+    rows, cols = np.indices(block.shape).reshape(2, -1)
+    return _with(elements, rows, cols, block.reshape(-1))
+
+
 def test_non_hermitian_rejected():
     for k in (1, 0):
-        matrix = sector(8, k)
-        a = np.random.default_rng(7).standard_normal((matrix.dim, matrix.dim))
-        skewed = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * (a - a.T))
+        basis, elements, params = sector(8, k)
+        a = np.random.default_rng(7).standard_normal((basis.dim, basis.dim))
+        skewed = _with_dense(elements, 1e-6 * (a - a.T))
         with pytest.raises(NonHermitianError, match="hermiticity defect"):
-            diagonalize(skewed)
+            diagonalize(basis, skewed, params)
 
 
 def test_energies_ascending_and_count():
-    basis = momentum_basis(8, 3)
-    decomp = diagonalize(build_sector_hamiltonian(basis, ModelParams(8, 1.0, 1.0)))
+    basis, elements, params = sector(8, 3)
+    decomp = diagonalize(basis, elements, params)
     assert decomp.dim == basis.dim
     assert np.all(np.diff(decomp.energies) >= 0)
 
@@ -96,7 +105,7 @@ def test_sector_vs_full_spectrum():
     full = np.sort(np.linalg.eigvalsh(build_full_hamiltonian(params).toarray()))
     union = np.concatenate(
         [
-            diagonalize(build_sector_hamiltonian(momentum_basis(8, k), params)).energies
+            diagonalize(*sector(8, k, params)).energies
             for k in range(8)
         ]
     )
@@ -104,10 +113,9 @@ def test_sector_vs_full_spectrum():
 
 
 def test_determinism():
-    basis = momentum_basis(7, 2)
-    matrix = build_sector_hamiltonian(basis, ModelParams(7, 1.0, 1.0))
-    d1 = diagonalize(matrix)
-    d2 = diagonalize(matrix)
+    args = sector(7, 2)
+    d1 = diagonalize(*args)
+    d2 = diagonalize(*args)
     assert np.array_equal(d1.energies, d2.energies)
     assert np.array_equal(d1.vectors, d2.vectors)
 
@@ -115,7 +123,7 @@ def test_determinism():
 def test_cache_roundtrip_bit_exact(tmp_path):
     params = ModelParams(10, 1.0, 1.0)
     for k in (1, 0):
-        decomp = diagonalize(build_sector_hamiltonian(momentum_basis(10, k), params))
+        decomp = diagonalize(*sector(10, k, params))
         cache_store(decomp, tmp_path)
         loaded = cache_load(params, k, tmp_path)
         assert loaded is not None
@@ -130,7 +138,7 @@ def test_cache_roundtrip_bit_exact(tmp_path):
 
 def test_cache_key_is_exact(tmp_path):
     params = ModelParams(6, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
+    decomp = diagonalize(*sector(6, 0, params))
     cache_store(decomp, tmp_path)
     nudged = ModelParams(6, 1.0 + 1e-15, 1.0)
     assert nudged.lam != params.lam
@@ -140,7 +148,7 @@ def test_cache_key_is_exact(tmp_path):
 
 def test_cache_corruption_detected(tmp_path):
     params = ModelParams(6, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
+    decomp = diagonalize(*sector(6, 0, params))
     meta_path = cache_store(decomp, tmp_path)
     bin_path = meta_path.with_suffix(".bin")
     original = bin_path.read_bytes()
@@ -157,7 +165,7 @@ def test_cache_payload_layout(tmp_path):
     # sums <f8, under one digest; then the eigenvectors as interleaved re/im
     # <f8 pairs in row-major order, one digest per block of rows
     params = ModelParams(10, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(10, 0), params))
+    decomp = diagonalize(*sector(10, 0, params))
     meta_path = cache_store(decomp, tmp_path)
     head = (
         decomp.energies.astype("<f8").tobytes()
@@ -181,7 +189,7 @@ def test_cache_payload_layout(tmp_path):
 @pytest.mark.parametrize("change", ["truncate", "append"])
 def test_cache_payload_size_change_detected(tmp_path, change):
     params = ModelParams(6, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 1), params))
+    decomp = diagonalize(*sector(6, 1, params))
     bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
     payload = bin_path.read_bytes()
     bin_path.write_bytes(payload[:-1] if change == "truncate" else payload + b"\0")
@@ -193,7 +201,7 @@ def test_cache_version_mismatch_is_a_miss(tmp_path, caplog):
     # a sidecar of format version 2: one digest over the whole payload, no
     # moment sums and no block digests
     params = ModelParams(6, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
+    decomp = diagonalize(*sector(6, 0, params))
     meta_path = cache_store(decomp, tmp_path)
     meta = json.loads(meta_path.read_text())
     del meta["head_sha256"], meta["block_sha256"]
@@ -205,11 +213,10 @@ def test_cache_version_mismatch_is_a_miss(tmp_path, caplog):
 
 
 def test_diagonalize_cached(tmp_path):
-    params = ModelParams(6, 1.0, 1.0)
-    basis = momentum_basis(6, 2)
+    basis, elements, params = sector(6, 2)
 
     def builder():
-        return build_sector_hamiltonian(basis, params)
+        return basis, elements
 
     first, hit1 = diagonalize_cached(builder, params, 2, tmp_path)
     second, hit2 = diagonalize_cached(builder, params, 2, tmp_path)
@@ -227,8 +234,8 @@ def _flip_byte(path, offset):
 @pytest.mark.parametrize("k", [0, 1])
 def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
     params = ModelParams(12, 1.0, 1.0)
-    matrix = build_sector_hamiltonian(momentum_basis(12, k), params)
-    decomp = diagonalize(matrix)
+    basis, elements, _ = sector(12, k, params)
+    decomp = diagonalize(basis, elements, params)
     cache_store(decomp, tmp_path)
     full = cache_load(params, k, tmp_path)
     dim = full.dim
@@ -237,7 +244,7 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
     for asked in ((dim - 1, 5, 64, 63, 5), (200,), ()):
         rows = tuple(sorted(set(asked)))
         loaded = cache_load(params, k, tmp_path, rows=asked)
-        missed, hit = diagonalize_cached(lambda: matrix, params, k, None, rows=asked)
+        missed, hit = diagonalize_cached(lambda: (basis, elements), params, k, None, rows=asked)
         assert not hit
         for got in (loaded, missed):  # a miss returns what a hit returns
             assert got.rows == rows
@@ -260,14 +267,14 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
 def test_stored_moment_sums_equal_the_kernel_on_the_stored_vectors(tmp_path):
     params = ModelParams(12, 1.0, 1.0)
     for k in (0, 1):
-        cache_store(diagonalize(build_sector_hamiltonian(momentum_basis(12, k), params)), tmp_path)
+        cache_store(diagonalize(*sector(12, k, params)), tmp_path)
         loaded = cache_load(params, k, tmp_path)
         assert np.array_equal(loaded.sum_c4, state_moment_sums(loaded.vectors, 2.0))
 
 
 def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
     params = ModelParams(12, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(12, 1), params))
+    decomp = diagonalize(*sector(12, 1, params))
     bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
     dim, rows = decomp.dim, eigensolve.CACHE_BLOCK_ROWS
     assert rows == 8
@@ -285,7 +292,7 @@ def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
 @pytest.mark.parametrize("part", ["energies", "parity", "sum_c4"])
 def test_corrupt_head_fails_every_load(tmp_path, part):
     params = ModelParams(10, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(10, 0), params))
+    decomp = diagonalize(*sector(10, 0, params))
     bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
     dim = decomp.dim
     _flip_byte(bin_path, {"energies": 3, "parity": 8 * dim + 7, "sum_c4": 9 * dim + 8 * dim - 1}[part])
@@ -306,9 +313,9 @@ def oracle_decomposition(matrix):
 def test_real_solve_matches_complex_oracle(n_sites):
     params = ModelParams(n_sites, 1.0, 1.0)
     for k in range(n_sites):
-        matrix = build_sector_hamiltonian(momentum_basis(n_sites, k), params)
-        decomp = diagonalize(matrix)
-        oracle = oracle_decomposition(matrix)
+        basis, elements, _ = sector(n_sites, k, params)
+        decomp = diagonalize(basis, elements, params)
+        oracle = oracle_decomposition(build_sector_hamiltonian(basis, params))
         assert decomp.vectors.dtype == np.complex128
         assert np.max(np.abs(decomp.energies - oracle.energies)) < 1e-12
         assert np.max(np.abs(decomp.vectors - oracle.vectors)) < 1e-10
@@ -321,10 +328,9 @@ def test_real_solve_matches_complex_oracle(n_sites):
 
 @pytest.mark.parametrize("n_sites,k", [(8, 4), (9, 0), (10, 0), (12, 0), (10, 5), (12, 6)])
 def test_parity_blocks_match_dense_inversion_oracle(n_sites, k):
-    basis = momentum_basis(n_sites, k)
-    matrix = build_sector_hamiltonian(basis, ModelParams(n_sites, 1.0, 1.0))
-    assert matrix.entries.dtype == np.float64
-    decomp = diagonalize(matrix)
+    basis, elements, params = sector(n_sites, k)
+    assert elements.values.dtype == np.float64
+    decomp = diagonalize(basis, elements, params)
     s_op = inversion_matrix(basis)
     assert np.max(np.abs(s_op @ decomp.vectors - decomp.vectors * decomp.parity)) < 1e-10
     # block sizes: one state of each parity per pair, invariant states by their own sign
@@ -335,61 +341,77 @@ def test_parity_blocks_match_dense_inversion_oracle(n_sites, k):
     assert np.sum(decomp.parity == -1) == basis.dim - n_even
     if k == 0:
         assert n_even == (basis.dim + basis.n_invariant) // 2
-    oracle = oracle_decomposition(matrix)
+    oracle = oracle_decomposition(build_sector_hamiltonian(basis, params))
     assert np.max(np.abs(decomp.energies - oracle.energies)) < 1e-12
     assert np.max(np.abs(decomp.vectors - oracle.vectors)) < 1e-10
 
 
+@pytest.mark.parametrize("n_sites", [8, 9, 10, 11, 12])
+def test_element_path_matches_the_dense_symmetry_oracle(n_sites):
+    # the dense reference: the plane-wave block, its checked real blocks cut
+    # by the oracle's gathers, and eigh of each
+    params = ModelParams(n_sites, 1.0, 1.0)
+    for k in range(n_sites):
+        basis, elements, _ = sector(n_sites, k, params)
+        decomp = diagonalize(basis, elements, params)
+        energies, vectors, parity = symmetry_decomposition(build_sector_hamiltonian(basis, params))
+        assert np.max(np.abs(decomp.energies - energies)) < 1e-12, k
+        assert np.max(np.abs(np.abs(decomp.vectors) - np.abs(vectors))) < 1e-10, k
+        assert (decomp.parity is None) == (parity is None)
+        if parity is not None:
+            assert np.array_equal(decomp.parity, parity)
+
+
 def test_cache_v1_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
-    params = ModelParams(6, 1.0, 1.0)
-    matrix = build_sector_hamiltonian(momentum_basis(6, 0), params)
-    decomp = diagonalize(matrix)
+    basis, elements, params = sector(6, 0)
+    decomp = diagonalize(basis, elements, params)
     # an entry written under format version 1, which carried no parity labels
     monkeypatch.setattr(eigensolve, "CACHE_VERSION", 1)
     v1_sidecar = cache_store(dataclasses.replace(decomp, parity=None), tmp_path)
     monkeypatch.undo()
     with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
-        loaded, hit = diagonalize_cached(lambda: matrix, params, 0, tmp_path)
+        loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
     assert not hit and "cache miss" in caplog.text
     assert np.array_equal(loaded.parity, decomp.parity)
     assert json.loads(v1_sidecar.read_text())["version"] == 1
-    loaded, hit = diagonalize_cached(lambda: matrix, params, 0, tmp_path)
+    loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
     assert hit and np.array_equal(loaded.parity, decomp.parity)
 
 
 def test_symmetry_breaking_perturbation_raises():
     # k = 1: complex noise breaks A; k = 0: real noise couples the parity blocks
     for k, imag in ((1, 1j), (0, 0.0)):
-        matrix = sector(8, k)
+        basis, elements, params = sector(8, k)
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((matrix.dim, matrix.dim)) + imag * rng.standard_normal((matrix.dim, matrix.dim))
-        broken = dataclasses.replace(matrix, entries=matrix.entries + 1e-6 * (a + a.conj().T))
-        with pytest.raises(SymmetryBreakingError, match="off-real" if k else "couples two symmetry blocks"):
-            diagonalize(broken)
+        a = rng.standard_normal((basis.dim, basis.dim)) + imag * rng.standard_normal((basis.dim, basis.dim))
+        broken = _with_dense(elements, 1e-6 * (a + a.conj().T))
+        match = "off-real" if k else "couples two symmetry blocks"
+        with pytest.raises(SymmetryBreakingError, match=match + " by .* \\(matrix [0-9a-f]{16}\\)"):
+            diagonalize(basis, broken, params)
 
 
 def test_real_sector_in_complex_storage_keeps_its_parity_blocks():
-    # the basis, not the dtype of the entries, chooses the real basis
-    matrix = sector(8, 0)
-    as_complex = dataclasses.replace(matrix, entries=matrix.entries.astype(np.complex128))
-    blocks, complex_blocks = symmetry_blocks(matrix), symmetry_blocks(as_complex)
+    # the basis, not the dtype of the elements, chooses the real basis
+    basis, elements, params = sector(8, 0)
+    as_complex = elements._replace(values=elements.values.astype(np.complex128))
+    blocks, complex_blocks = element_blocks(basis, elements), element_blocks(basis, as_complex)
     assert list(complex_blocks) == list(blocks) == [(0, 1), (0, -1)]
     for key, block in blocks.items():
         assert np.array_equal(complex_blocks[key], block)
-    decomp, complex_decomp = diagonalize(matrix), diagonalize(as_complex)
+    decomp, complex_decomp = diagonalize(basis, elements, params), diagonalize(basis, as_complex, params)
     assert np.array_equal(complex_decomp.energies, decomp.energies)
     assert np.array_equal(complex_decomp.parity, decomp.parity)
     assert np.array_equal(complex_decomp.vectors, decomp.vectors)
     # an imaginary Hermitian part breaks the real structure of k = 0
-    a = np.random.default_rng(3).standard_normal((matrix.dim, matrix.dim))
-    noisy = dataclasses.replace(as_complex, entries=as_complex.entries + 1e-6j * (a - a.T))
+    a = np.random.default_rng(3).standard_normal((basis.dim, basis.dim))
+    noisy = _with_dense(as_complex, 1e-6j * (a - a.T))
     with pytest.raises(SymmetryBreakingError, match="off-real"):
-        diagonalize(noisy)
+        diagonalize(basis, noisy, params)
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_orthonormality_check_catches_corrupted_column(monkeypatch, k):
-    matrix = build_sector_hamiltonian(momentum_basis(8, k), ModelParams(8, 1.0, 1.0))
+    args = sector(8, k)
     exact_eigh = np.linalg.eigh
 
     def corrupted_eigh(a):
@@ -399,7 +421,7 @@ def test_orthonormality_check_catches_corrupted_column(monkeypatch, k):
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
     with pytest.raises(DiagonalizationError, match="orthonormality"):
-        diagonalize(matrix)
+        diagonalize(*args)
 
 
 def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
@@ -411,36 +433,8 @@ def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(DiagonalizationError, match="eigensolver failed on matrix [0-9a-f]{16}") as exc:
-        diagonalize(sector(8, 1))
+        diagonalize(*sector(8, 1))
     assert str(exc.value).endswith(eigensolve._fingerprint(given[0]))
-
-
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="CPython 3.10 keeps a call's argument alive in the caller's frame until the call "
-    "returns, so the plane-wave block built for diagonalize outlives its solves there",
-)
-@pytest.mark.parametrize("k", [0, 1])
-def test_the_plane_wave_block_is_freed_before_the_solves(monkeypatch, k):
-    params = ModelParams(8, 1.0, 1.0)
-    entries = []
-
-    def builder():
-        matrix = build_sector_hamiltonian(momentum_basis(8, k), params)
-        entries.append(weakref.ref(matrix.entries))
-        return matrix
-
-    exact_eigh = np.linalg.eigh
-    alive = []
-
-    def eigh(a):
-        alive.append(entries[0]() is not None)
-        return exact_eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    decomp, hit = diagonalize_cached(builder, params, k)
-    assert not hit and decomp.dim == momentum_basis(8, k).dim
-    assert alive == [False] * (2 if k == 0 else 1)  # k = 0 solves its two parity blocks
 
 
 @pytest.mark.parametrize(
@@ -463,7 +457,7 @@ def test_the_plane_wave_block_is_freed_before_the_solves(monkeypatch, k):
 )
 def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, sidecar):
     params = ModelParams(6, 1.0, 1.0)
-    decomp = diagonalize(build_sector_hamiltonian(momentum_basis(6, 0), params))
+    decomp = diagonalize(*sector(6, 0, params))
     meta_path = cache_store(decomp, tmp_path)
     meta_path.write_text(sidecar(meta_path.read_text()))
     with caplog.at_level(logging.WARNING, logger="isingchaos.eigensolve"):
@@ -503,18 +497,17 @@ def test_block_spectra_match_diagonalize_per_block(n_sites, k):
     params = ModelParams(n_sites, 0.9, 0.0)
     z_parity = (-1) ** (n_sites - basis.n_up)
     spectra = block_spectra(basis, sector_elements(basis, params), z_parity)
-    matrix = build_sector_hamiltonian(basis, params)
-    blocks = labelled_blocks(matrix, z_parity)
+    blocks = labelled_blocks(build_sector_hamiltonian(basis, params), z_parity)
     assert list(spectra) == list(blocks)
     for key, block in blocks.items():
         oracle = np.linalg.eigvalsh(block)
         assert spectra[key].shape == oracle.shape
         assert np.max(np.abs(spectra[key] - oracle)) < 1e-12
     union = np.sort(np.concatenate(list(spectra.values())))
-    assert np.max(np.abs(union - diagonalize(matrix).energies)) < 1e-12
+    assert np.max(np.abs(union - diagonalize(*sector(n_sites, k, params)).energies)) < 1e-12
     # off the integrable line: inversion-parity blocks only, as diagonalize labels them
     params = ModelParams(n_sites, 0.9, 1.1)
-    decomp = diagonalize(build_sector_hamiltonian(basis, params))
+    decomp = diagonalize(*sector(n_sites, k, params))
     spectra = block_spectra(basis, sector_elements(basis, params))
     if decomp.parity is None:
         assert list(spectra) == [(0, 0)]
@@ -548,8 +541,7 @@ def _drop_level(energies):
 
 
 def _elements(n_sites, k):
-    basis = momentum_basis(n_sites, k)
-    return basis, sector_elements(basis, ModelParams(n_sites, 1.0, 1.0))
+    return sector(n_sites, k)[:2]
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -629,9 +621,8 @@ def test_block_spectra_pre_solve_checks():
 
 
 def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
-    params = ModelParams(10, 1.0, 1.0)
-    matrix = build_sector_hamiltonian(momentum_basis(10, 1), params)
-    decomp = diagonalize(matrix)
+    basis, elements, params = sector(10, 1)
+    decomp = diagonalize(basis, elements, params)
     # an entry of format 3: one digest per 64 rows of V
     monkeypatch.setattr(eigensolve, "CACHE_VERSION", 3)
     monkeypatch.setattr(eigensolve, "CACHE_BLOCK_ROWS", 64)
@@ -647,8 +638,8 @@ def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     v3_sidecar.with_suffix(".bin").replace(v4_sidecar.with_suffix(".bin"))
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
-        loaded, hit = diagonalize_cached(lambda: matrix, params, 1, tmp_path)
+        loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
     assert not hit and "format version 3" in caplog.text
     assert np.array_equal(loaded.energies, decomp.energies)
-    loaded, hit = diagonalize_cached(lambda: matrix, params, 1, tmp_path)
+    loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
     assert hit and len(json.loads(v4_sidecar.read_text())["block_sha256"]) == -(-decomp.dim // 8)

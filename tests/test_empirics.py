@@ -189,7 +189,7 @@ def test_strength_function_weight_and_sum_rules(store):
 def test_strength_function_centers_on_diagonal_at_strong_field(store):
     params = ModelParams(10, 5.0, 1.0)
     basis = momentum_basis(10, 1)
-    decomp = diagonalize(build_sector_hamiltonian(basis, params))
+    decomp = diagonalize(basis, sector_elements(basis, params), params)
     sym = 3
     e_n = params.lam * (10 - 2 * int(basis.reps[sym]).bit_count())
     mean_e = strength_moments(decomp, sym, order=1)[0]

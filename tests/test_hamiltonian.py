@@ -10,12 +10,10 @@ from isingchaos.hamiltonian import (
     build_full_hamiltonian,
     build_sector_hamiltonian,
     element_blocks,
-    hermiticity_defect,
     sector_elements,
-    symmetry_blocks,
 )
 from isingchaos.spin_basis import momentum_basis
-from oracles import labelled_blocks, rotate_left
+from oracles import hermiticity_defect, labelled_blocks, real_basis_matrix, rotate_left, symmetry_blocks, to_real
 from parity_oracle import inversion_matrix
 
 
@@ -222,7 +220,9 @@ def test_real_basis_is_unitary_and_invariant(n_sites, k):
     parity = basis.real_layout.parity
     sign = np.where(parity < 0, -1.0, 1.0)
     assert np.max(np.abs(conjugation_matrix(basis) @ u.conj() - u * sign)) < 1e-14
-    g = basis.to_real(sector.entries)
+    # the oracle's U, built column by column from the class docstring, is the same U
+    assert np.max(np.abs(real_basis_matrix(basis) - u)) < 1e-15
+    g = to_real(basis, sector.entries)
     assert np.max(np.abs(g - u.conj().T @ sector.entries @ u)) < 1e-12
     assert np.max(np.abs(g.imag)) < 1e-12
     if not basis.is_real:
