@@ -50,9 +50,9 @@ PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
 MIN_SPACING_LEVELS = 20
 
 # peak memory of one sector in units of a float64 D x D array (8 D^2 bytes), from
-# the whole-process peaks at N=16: a solve with eigenvectors took 5.5 units at k=1
-# (697 MiB) and 3.7 at k=0 (473 MiB), and the eigenvalues alone of ``spacing`` 2.4
-# at k=1 and 1.2 at k=0
+# the whole-process peaks at N=16: a solve with eigenvectors took 5.4 units at k=1
+# (687 MiB, inside ``np.linalg.eigh``) and 3.65 at k=0 (472 MiB, the complex copy of V),
+# and the eigenvalues alone of ``spacing`` 2.4 at k=1 and 1.2 at k=0
 SOLVE_UNITS = 8.0
 SPECTRA_UNITS = 2.5
 

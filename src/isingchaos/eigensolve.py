@@ -236,19 +236,18 @@ def _checked_blocks(
         raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint_elements(basis, elements)})") from None
 
 
-def _solve_blocks(
-    basis: MomentumBasis, blocks: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Solve and verify each block of ``element_blocks`` on its own.
+def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> EigenDecomposition:
+    """Solve and verify each block of ``element_blocks`` on its own, and rotate the eigenvectors back.
 
-    Returns the energies in ascending order, the plane-wave eigenvectors
-    (real where ``basis.is_real``) and there the inversion parity of each
-    eigenstate, elsewhere None.  ``blocks`` is emptied, so the blocks are
-    freed before the solves.
+    The energies ascend; where ``basis.is_real`` each eigenstate carries the
+    inversion parity of its block.  A block's eigenvectors fill the rows of
+    W that its columns of U name, and V = U W is put in the phase gauge.
+    ``blocks`` is emptied, so the blocks are freed before the solves.
     """
     dim = basis.dim
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
-    symmetrized = [block + block.T for block in blocks.values()]
+    columns = [block.columns for block in blocks.values()]
+    symmetrized = [block.entries + block.entries.T for block in blocks.values()]
     blocks.clear()
     solved = []
     for a in symmetrized:
@@ -258,18 +257,24 @@ def _solve_blocks(
     sizes = [e.size for e, _ in solved]
     energies = np.concatenate([e for e, _ in solved])
     rank = np.argsort(energies, kind="stable")
-    if len(solved) == 1:
+    if len(solved) == 1:  # one block spans every column of U, in order
         w = solved[0][1]
     else:  # block-diagonal eigenvectors, columns in ascending energy order
         w = np.zeros((dim, dim))
-        column = np.empty_like(rank)
-        column[rank] = np.arange(rank.size)
-        for start, (_, vectors) in zip(np.cumsum([0] + sizes), solved):
-            part = slice(start, start + vectors.shape[0])
-            w[part, column[part]] = vectors
+        position = np.empty_like(rank)
+        position[rank] = np.arange(rank.size)
+        for start, rows, (_, vectors) in zip(np.cumsum([0] + sizes), columns, solved):
+            w[np.ix_(rows, position[start : start + rows.size])] = vectors
     del solved
-    parity = np.repeat(parities, sizes)[rank] if basis.is_real else None
-    return energies[rank], basis.from_real(w), parity
+    vectors = basis.from_real(w)
+    del w
+    return EigenDecomposition(
+        params=params,
+        k=basis.k,
+        energies=energies[rank],
+        vectors=_fix_phases(vectors).astype(np.complex128, copy=False),
+        parity=np.repeat(parities, sizes)[rank] if basis.is_real else None,
+    )
 
 
 def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelParams) -> EigenDecomposition:
@@ -297,9 +302,7 @@ def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelPar
     real block LAPACK was given.  A ``SymmetryBreakingError`` carries the
     fingerprint of the summed elements, as in ``block_spectra``.
     """
-    energies, vectors, parity = _solve_blocks(basis, _checked_blocks(basis, elements))
-    vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
-    return EigenDecomposition(params=params, k=basis.k, energies=energies, vectors=vectors, parity=parity)
+    return _solve_blocks(basis, _checked_blocks(basis, elements), params)
 
 
 def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:
@@ -343,7 +346,7 @@ def block_spectra(
     blocks = _checked_blocks(basis, elements, row_labels)
     spectra = {}
     for key in list(blocks):
-        block = blocks.pop(key)  # each block is freed once solved
+        block = blocks.pop(key).entries  # each block is freed once solved
         try:
             energies = np.linalg.eigvalsh(block)
         except np.linalg.LinAlgError as exc:
@@ -449,7 +452,9 @@ def _read_sidecar(meta_path: Path) -> dict | None:
         logger.info("cache miss: %s has format version %r", meta_path, meta.get("version"))
         return None
     for key, kind in _SIDECAR_FIELDS.items():
-        if not isinstance(meta.get(key), kind):
+        value = meta.get(key)
+        # a bool is an int to isinstance, and a sector holds at least one state
+        if not isinstance(value, kind) or isinstance(value, bool) or (key == "dim" and value < 1):
             logger.warning("cache miss: sidecar %s lacks a valid %r", meta_path, key)
             return None
     digests = meta["block_sha256"]
@@ -551,7 +556,8 @@ def diagonalize_cached(
     """Load from cache or diagonalize-and-store; returns (decomp, was_hit).
 
     Only a miss calls ``sector_builder``, which returns the sector's
-    ``(basis, elements)`` for ``diagonalize``.  ``rows`` selects the rows of
+    ``(basis, elements)`` for ``diagonalize``; the element list is dropped
+    once the blocks are cut from it, before the solves.  ``rows`` selects the rows of
     V as in ``cache_load``.  A miss stores the full decomposition, then
     returns it cut down to those rows, as a hit would return it.
     """
@@ -560,8 +566,10 @@ def diagonalize_cached(
         if hit is not None:
             return hit, True
     basis, elements = sector_builder()
-    decomp = diagonalize(basis, elements, params)
-    del basis, elements
+    blocks = _checked_blocks(basis, elements)
+    del elements  # the solve needs only the blocks
+    decomp = _solve_blocks(basis, blocks, params)
+    del basis
     if cache_dir is not None:
         cache_store(decomp, cache_dir)
     return _restrict(decomp, rows), False

@@ -182,6 +182,13 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
     return SectorMatrix(params=params, basis=basis, entries=h)
 
 
+class RealBlock(NamedTuple):
+    """One diagonal block of a sector in its real basis U: the columns of U it spans and its entries."""
+
+    columns: np.ndarray
+    entries: np.ndarray
+
+
 def _limit(magnitudes: np.ndarray) -> float:
     """The pre-solve tolerance for a block with entries of these magnitudes."""
     return HERMITICITY_TOL * float(np.max(magnitudes, initial=1.0))
@@ -243,20 +250,23 @@ def _real_basis_elements(
 
 def element_blocks(
     basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
-) -> dict[tuple[int, int], np.ndarray]:
+) -> dict[tuple[int, int], RealBlock]:
     """Checked real diagonal blocks of a sector, built from its elements without the dense block.
 
     The blocks are those of U^dagger h U for the summed block h and the real
-    basis U of ``basis``.  With ``row_labels`` each real column is also
-    labelled by the integer label of its plane-wave rows, which must agree
-    on both members of a pair (the z-parity does, since inversion keeps the
-    up-spin count).  Returns ``{(row label or 0, parity): block}`` in
-    descending key order, each block a new float64 array with its columns in
-    basis column order.  After summing repeated elements, with limit
-    ``HERMITICITY_TOL`` * max(1, max|h|) it raises ``NonHermitianError`` if
-    an element differs from the conjugate of its transpose (0 where that is
-    absent) by more than the limit, and ``SymmetryBreakingError`` if, in the
-    real basis, an imaginary part or an entry coupling two blocks does.
+    basis U of ``basis``, whose column a belongs to plane-wave state a.  Each
+    column goes to the block of its inversion parity (``column_parity``)
+    and, with ``row_labels``, of the integer label of its plane-wave state,
+    which must agree on both members of a pair (the z-parity does, since
+    inversion keeps the up-spin count).  This is the one place that sorts
+    the columns into blocks.  Returns ``{(row label or 0, parity):
+    RealBlock(columns, entries)}`` in descending key order: the block's
+    columns of U, ascending, and a new float64 array over them.  After
+    summing repeated elements, with limit ``HERMITICITY_TOL`` * max(1,
+    max|h|) it raises ``NonHermitianError`` if an element differs from the
+    conjugate of its transpose (0 where that is absent) by more than the
+    limit, and ``SymmetryBreakingError`` if, in the real basis, an imaginary
+    part or an entry coupling two blocks does.
 
     The blocks are allocated before the element lists of the mapping, so
     that those are freed above them.  Allocated after them, the lists leave
@@ -264,12 +274,12 @@ def element_blocks(
     the peak RSS of ``diag --spins 14 --momentum all`` from 100 to 113 MiB.
     """
     dim = basis.dim
-    parity = basis.real_layout.parity
-    labels = np.zeros_like(parity) if row_labels is None else np.asarray(row_labels)[basis.real_layout.rows]
-    order = np.lexsort((-parity, -labels))  # descending keys; stable, so basis order within a block
+    parity = basis.column_parity
+    labels = np.zeros_like(parity) if row_labels is None else np.asarray(row_labels)
+    order = np.lexsort((-parity, -labels))  # descending keys; stable, so ascending columns within a block
     edges = _block_edges(labels[order], parity[order])
     blocks = {
-        (int(labels[order[a]]), int(parity[order[a]])): np.zeros((b - a, b - a))
+        (int(labels[order[a]]), int(parity[order[a]])): RealBlock(order[a:b], np.zeros((b - a, b - a)))
         for a, b in zip(edges[:-1], edges[1:])
     }
     g_rows, g_cols, g, limit = _real_basis_elements(basis, elements)
@@ -281,7 +291,7 @@ def element_blocks(
     coupling = float(np.max(np.abs(g[~inside]), initial=0.0))
     if coupling > limit:
         raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
-    for i, block in enumerate(blocks.values()):
+    for i, (_, block) in enumerate(blocks.values()):
         mine = inside & (block_of[g_rows] == i)
         block[local[g_rows[mine]], local[g_cols[mine]]] = g[mine]
     return blocks

@@ -15,13 +15,15 @@ size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, gcd
-from typing import NamedTuple
 
 import numpy as np
 
 MAX_ENUM_SITES = 24
+# ``MomentumBasis.from_real`` writes U w in this many chunks of rows, so that
+# its temporaries, about 3 / FROM_REAL_CHUNKS of 8 D^2 bytes, stay small
+FROM_REAL_CHUNKS = 32
 
 
 class ChainSizeError(ValueError):
@@ -203,18 +205,19 @@ class MomentumBasis:
     reflected orbit is the orbit itself), and paired otherwise.
 
     Every sector matrix commutes with A, so it is real symmetric in an
-    A-invariant basis U, which the basis owns (``real_layout``,
-    ``real_entries``, ``from_real``).  U has at most two nonzeros per
-    column.  Where ``is_real`` (k = 0 and k = N/2) every phase
-    exp(i angle) is +-1, A is the inversion P times conjugation, and U is
-    the real parity basis: e_a with parity
-    exp(i angle_a) for each invariant state, and for each pair (a, b =
-    partner[a]) with p = exp(i angle_a) the columns (e_a +- p e_b)/sqrt2 with
-    parity +-1.  Its columns are ordered even invariant states, "+"
-    combinations, "-" combinations, odd invariant states, so the even and the
-    odd block of U^T h U are contiguous.  Elsewhere U has the columns
-    exp(i angle_a / 2) e_a for each invariant state, then (e_a + p e_b)/sqrt2
-    and i (e_a - p e_b)/sqrt2 for each pair, all of parity 0.
+    A-invariant basis U, which the basis owns (``real_entries``,
+    ``column_parity``, ``from_real``).  U keeps the plane-wave order: its
+    column a belongs to state a, and U has at most two nonzeros per column.
+    Where ``is_real`` (k = 0 and k = N/2) every phase exp(i angle) is +-1,
+    A is the inversion P times conjugation, and U is the real parity basis:
+    column a is e_a with parity exp(i angle_a) for each invariant state a,
+    and for each pair (a, b = partner[a]) with a < b and p = exp(i angle_a)
+    columns a and b are (e_a + p e_b)/sqrt2 and (e_a - p e_b)/sqrt2, of
+    parity +1 and -1.  Elsewhere column a is exp(i angle_a / 2) e_a for each
+    invariant state, and columns a and b are (e_a + p e_b)/sqrt2 and
+    i (e_a - p e_b)/sqrt2 for each pair, all of parity 0.  Which columns
+    form which block of U^dagger h U is decided by
+    ``hamiltonian.element_blocks`` alone.
     """
 
     n_sites: int
@@ -234,66 +237,52 @@ class MomentumBasis:
         """k = 0 and k = N/2: real phases, a real sector matrix and parity-split real basis."""
         return is_real_sector(self.n_sites, self.k)
 
-    @cached_property
-    def real_layout(self) -> "RealLayout":
-        """The plane-wave rows and phases of U, grouped as the class docstring orders its columns."""
+    @property
+    def column_parity(self) -> np.ndarray:
+        """The inversion parity of each column of U, as int8: +-1 where ``is_real``, 0 elsewhere."""
         idx = np.arange(self.dim)
-        invariant = idx[self.partner == idx]
-        first = idx[self.partner > idx]
-        if self.is_real:
-            sign = np.where(self.angle == 0, 1.0, -1.0)  # angle is exactly 0 or pi here
-            odd = sign[invariant] < 0
-            invariant, trailing = invariant[~odd], invariant[odd]
-            lead_phase, pair_phase = np.ones(invariant.size), sign[first]
-        else:
-            trailing = idx[:0]
-            lead_phase = np.exp(0.5j * self.angle[invariant])
-            pair_phase = np.exp(1j * self.angle[first])
-        n_even = invariant.size + first.size
-        return RealLayout(
-            rows=np.concatenate([invariant, first, self.partner[first], trailing]),
-            phase=np.concatenate([lead_phase, np.ones(first.size), pair_phase, np.ones(trailing.size)]),
-            lead=invariant.size,
-            n_pair=first.size,
-            parity=(np.where(idx < n_even, 1, -1) * self.is_real).astype(np.int8),
-        )
+        parity = np.where(self.partner < idx, -1, 1)  # a pair's "-" column is its upper index
+        parity[(self.partner == idx) & (self.angle != 0)] = -1  # an invariant state's is exp(i angle)
+        return (parity * self.is_real).astype(np.int8)
 
     def real_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The nonzeros of U by plane-wave row: U[a, col[a, j]] = coef[a, j] for j = 0, 1.
 
-        ``col[a]`` holds the "+" and the "-" column of the pair of state a; an
-        invariant state has one column, so its ``coef[a, 1]`` is 0.
+        ``col[a]`` holds the "+" and the "-" column of the pair of state a,
+        its lower and its upper index; an invariant state has one column, its
+        own, so its ``coef[a, 1]`` is 0.
         """
-        rows, phase, lead, n_pair, _ = self.real_layout
-        z = 1.0 if self.is_real else 1j
-        first = slice(lead, lead + n_pair)
-        second = slice(lead + n_pair, lead + 2 * n_pair)
-        position = np.arange(self.dim)
-        col = np.stack([position, position], axis=1)
-        col[first, 1] = position[second]
-        col[second, 0] = position[first]
-        coef = np.zeros((self.dim, 2), dtype=np.result_type(phase, z))
-        coef[:, 0] = 1.0
-        coef[first] = [np.sqrt(0.5), z * np.sqrt(0.5)]
-        coef[second] = [np.sqrt(0.5), -z * np.sqrt(0.5)]
-        coef *= phase[:, None]
-        out_col, out_coef = np.empty_like(col), np.empty_like(coef)
-        out_col[rows], out_coef[rows] = col, coef
-        return out_col, out_coef
+        idx = np.arange(self.dim)
+        col = np.stack([np.minimum(idx, self.partner), np.maximum(idx, self.partner)], axis=1)
+        if self.is_real:  # angle is exactly 0 or pi here
+            z, phase, own = 1.0, np.where(self.angle == 0, 1.0, -1.0), np.ones(self.dim)
+        else:
+            z, phase, own = 1j, np.exp(1j * self.angle), np.exp(0.5j * self.angle)
+        coef = np.empty((self.dim, 2), dtype=phase.dtype)
+        coef[:] = [np.sqrt(0.5), z * np.sqrt(0.5)]  # row a of a pair (a, b), a < b
+        upper = self.partner < idx
+        coef[upper] *= phase[upper, None] * [1, -1]  # row b: p and -z p
+        invariant = self.partner == idx
+        coef[invariant, 0] = own[invariant]
+        coef[invariant, 1] = 0
+        return col, coef
 
     def from_real(self, w: np.ndarray) -> np.ndarray:
-        """U w: real-basis column vectors back to plane-wave coefficients.
+        """U w, as a new array: real-basis column vectors back to plane-wave coefficients.
 
-        Where ``is_real`` the result is real and ``w`` is overwritten.
+        Row a of U w is coef[a, 0] w[col[a, 0]] + coef[a, 1] w[col[a, 1]],
+        with the nonzeros of ``real_entries``.  It is written in
+        ``FROM_REAL_CHUNKS`` chunks of rows, so that the temporaries stay a
+        small fraction of the result.
         """
-        rows, phase, lead, n_pair, _ = self.real_layout
-        y = w.astype(np.result_type(w, phase), copy=False)
-        if not self.is_real:
-            y[lead + n_pair :] *= 1j
-        _mix_pairs(y, lead, n_pair)
-        y *= phase[:, None]
-        out = np.empty_like(y)
-        out[rows] = y
+        col, coef = self.real_entries()
+        out = np.empty(w.shape, dtype=np.result_type(w, coef))
+        step = -(-self.dim // FROM_REAL_CHUNKS)
+        for start in range(0, self.dim, step):
+            part = slice(start, start + step)
+            rows = out[part]
+            np.multiply(coef[part, :1], w[col[part, 0]], out=rows)
+            rows += coef[part, 1:] * w[col[part, 1]]
         return out
 
     @property
@@ -308,33 +297,6 @@ class MomentumBasis:
         """
         rep, shift, _ = orbit_tables(self.n_sites)
         return _rep_index(self.reps, self.n_sites)[rep], shift
-
-
-class RealLayout(NamedTuple):
-    """The real basis U of a ``MomentumBasis`` as U = P diag(phase) M.
-
-    P sends position c to plane-wave row ``rows[c]``.  M keeps the ``lead``
-    leading and any trailing positions and mixes positions lead + i and
-    lead + n_pair + i of pair i into its "+" and its "-" column.
-    ``parity`` is the inversion parity of each column: +-1 where the basis
-    ``is_real``, 0 elsewhere.
-    """
-
-    rows: np.ndarray
-    phase: np.ndarray
-    lead: int
-    n_pair: int
-    parity: np.ndarray
-
-
-def _mix_pairs(x: np.ndarray, start: int, n_pair: int) -> None:
-    """In place along axis 0: rows (a, b) of each pair become ((a + b), (a - b))/sqrt2."""
-    a = x[start : start + n_pair]
-    b = x[start + n_pair : start + 2 * n_pair]
-    diff = a - b
-    a += b
-    a *= np.sqrt(0.5)
-    np.multiply(diff, np.sqrt(0.5), out=b)
 
 
 def _rep_index(reps: np.ndarray, n_sites: int) -> np.ndarray:

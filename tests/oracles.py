@@ -24,7 +24,6 @@ from isingchaos.hamiltonian import (
     NonHermitianError,
     SectorMatrix,
     SymmetryBreakingError,
-    _block_edges,
     _limit,
     build_full_hamiltonian,
 )
@@ -244,41 +243,49 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def _mix_pairs(x: np.ndarray, start: int, n_pair: int, z: complex) -> None:
-    """In place along axis 0: rows (a, b) of each pair become ((a + b), z (a - b))/sqrt2."""
-    a = x[start : start + n_pair]
-    b = x[start + n_pair : start + 2 * n_pair]
-    diff = a - b
-    a += b
-    a *= np.sqrt(0.5)
-    np.multiply(diff, z * np.sqrt(0.5), out=b)
+def real_basis_matrix(basis: MomentumBasis) -> np.ndarray:
+    """The dense real basis U, column by column from ``partner``/``angle``, as the ``MomentumBasis`` docstring has it.
+
+    Real where ``basis.is_real`` (every phase exp(i angle) is +-1 there), complex elsewhere.
+    """
+    z = 1.0 if basis.is_real else 1j
+    phase = np.exp(1j * basis.angle)
+    if basis.is_real:
+        phase = np.round(phase.real)
+    u = np.zeros((basis.dim, basis.dim), dtype=phase.dtype)
+    for a in range(basis.dim):
+        b = int(basis.partner[a])
+        if b == a:  # an invariant state keeps its own column
+            u[a, a] = 1.0 if basis.is_real else np.exp(0.5j * basis.angle[a])
+        elif a < b:  # a pair's "+" combination, at its lower index
+            u[a, a] = np.sqrt(0.5)
+            u[b, a] = phase[a] * np.sqrt(0.5)
+        else:  # its "-" combination, at its upper index
+            u[b, a] = z * np.sqrt(0.5)
+            u[a, a] = -z * phase[b] * np.sqrt(0.5)
+    return u
 
 
 def to_real(basis: MomentumBasis, h: np.ndarray) -> np.ndarray:
-    """U^dagger h U for a dense matrix ``h`` over ``basis``, by gathers on its ``real_layout``.
+    """U^dagger h U for a dense matrix ``h`` over ``basis``, with the dense U of ``real_basis_matrix``.
 
     Real for a real ``h`` where ``basis.is_real``; complex elsewhere, with
     an imaginary part that vanishes when ``h`` commutes with A.
     """
-    rows, phase, lead, n_pair, _ = basis.real_layout
-    g = h[np.ix_(rows, rows)].astype(np.result_type(h, phase), copy=False)
-    g *= phase.conj()[:, None]
-    g *= phase[None, :]
-    z = 1.0 if basis.is_real else 1j
-    _mix_pairs(g, lead, n_pair, np.conj(z))  # rows: the conjugate of U's pair block
-    _mix_pairs(g.T, lead, n_pair, z)  # columns
-    return g
+    u = real_basis_matrix(basis)
+    return u.conj().T @ h @ u
 
 
 def symmetry_blocks(matrix: SectorMatrix) -> dict[tuple[int, int], np.ndarray]:
     """Dense reference for ``element_blocks``: the checked real blocks of a dense sector matrix.
 
-    The columns carry the inversion parity of the real basis: +-1 at k = 0
-    and N/2, 0 elsewhere.  Returns ``{(0, parity): block}`` in descending key
-    order, as views in basis column order.  With limit ``HERMITICITY_TOL`` *
-    max(1, max|h|), raises ``NonHermitianError`` if |h - h^dagger| exceeds
-    it and ``SymmetryBreakingError`` if, in the real basis, an imaginary
-    part or an entry coupling two blocks does.
+    The columns carry the inversion parity of the real basis
+    (``column_parity``): +-1 at k = 0 and N/2, 0 elsewhere.  Returns
+    ``{(0, parity): block}`` in descending key order, each block over the
+    columns of its parity in ascending order.  With limit
+    ``HERMITICITY_TOL`` * max(1, max|h|), raises ``NonHermitianError`` if
+    |h - h^dagger| exceeds it and ``SymmetryBreakingError`` if, in the real
+    basis, an imaginary part or an entry coupling two blocks does.
     """
     basis, h = matrix.basis, matrix.entries
     limit = _limit(np.abs(h))
@@ -291,34 +298,11 @@ def symmetry_blocks(matrix: SectorMatrix) -> dict[tuple[int, int], np.ndarray]:
         if off_real > limit:
             raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
         g = g.real
-    parity = basis.real_layout.parity
-    edges = _block_edges(np.zeros_like(parity), parity)
-    spans = list(zip(edges[:-1], edges[1:]))
-    coupling = max(
-        [0.0]
-        + [float(np.max(np.abs(g[a:b, b:]), initial=0.0)) for a, b in spans]
-        + [float(np.max(np.abs(g[b:, a:b]), initial=0.0)) for a, b in spans]
-    )
+    parity = basis.column_parity
+    coupling = float(np.max(np.abs(g[parity[:, None] != parity[None, :]]), initial=0.0))
     if coupling > limit:
         raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
-    return {(0, int(parity[a])): g[a:b, a:b] for a, b in spans}
-
-
-def real_basis_matrix(basis: MomentumBasis) -> np.ndarray:
-    """The dense real basis U, column by column as the ``MomentumBasis`` docstring defines it."""
-    rows, phase, lead, n_pair, _ = basis.real_layout
-    z = 1.0 if basis.is_real else 1j
-    u = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for c in range(basis.dim):
-        if lead <= c < lead + n_pair:  # the "+" column of a pair
-            u[rows[c], c] = phase[c] * np.sqrt(0.5)
-            u[rows[c + n_pair], c] = phase[c + n_pair] * np.sqrt(0.5)
-        elif lead + n_pair <= c < lead + 2 * n_pair:  # its "-" column
-            u[rows[c - n_pair], c] = z * phase[c - n_pair] * np.sqrt(0.5)
-            u[rows[c], c] = -z * phase[c] * np.sqrt(0.5)
-        else:
-            u[rows[c], c] = phase[c]
-    return u
+    return {(0, p): g[np.ix_(parity == p, parity == p)] for p in sorted(set(parity.tolist()), reverse=True)}
 
 
 def symmetry_decomposition(matrix: SectorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -329,12 +313,10 @@ def symmetry_decomposition(matrix: SectorMatrix) -> tuple[np.ndarray, np.ndarray
     """
     basis = matrix.basis
     energies, columns, parities = [], [], []
-    start = 0
     for (_, parity), block in symmetry_blocks(matrix).items():
         e, w = np.linalg.eigh(block)
         padded = np.zeros((basis.dim, e.size))
-        padded[start : start + e.size] = w
-        start += e.size
+        padded[basis.column_parity == parity] = w
         energies.append(e)
         columns.append(padded)
         parities.append(np.full(e.size, parity))
@@ -347,19 +329,18 @@ def symmetry_decomposition(matrix: SectorMatrix) -> tuple[np.ndarray, np.ndarray
 def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Dense reference for ``element_blocks`` with row labels.
 
-    The real-basis block U^dagger h U has its columns sorted by descending
-    (label of their plane-wave rows, parity), basis order within, and is
-    cut at each change.
+    Column a of the real-basis block U^dagger h U carries the label of
+    plane-wave state a and its inversion parity; each (label, parity) block
+    is cut by that mask, its columns in ascending order, and the blocks come
+    in descending key order.
     """
     basis = matrix.basis
     g = to_real(basis, matrix.entries).real
-    labels = np.asarray(row_labels)[basis.real_layout.rows]
-    parity = basis.real_layout.parity
-    order = np.lexsort((-parity, -labels))
-    g, labels, parity = g[np.ix_(order, order)], labels[order], parity[order]
-    change = (np.diff(labels) != 0) | (np.diff(parity) != 0)
-    edges = [0, *(np.flatnonzero(change) + 1).tolist(), g.shape[0]]
-    return {(int(labels[a]), int(parity[a])): g[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])}
+    labels = np.asarray(row_labels)
+    parity = basis.column_parity
+    keys = sorted(set(zip(labels.tolist(), parity.tolist())), reverse=True)
+    masks = {key: (labels == key[0]) & (parity == key[1]) for key in keys}
+    return {key: g[np.ix_(mask, mask)] for key, mask in masks.items()}
 
 
 def gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

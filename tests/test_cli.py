@@ -327,9 +327,9 @@ def test_warm_analysis_leaves_numpy_ma_and_scipy_unloaded(tmp_path, capsys, comm
     script = (
         "import sys\n"
         "from isingchaos import cli, eigensolve\n"
-        "def no_solve(basis, elements, params):\n"
+        "def no_solve(basis, blocks, params):\n"
         "    raise AssertionError('cache miss')\n"
-        "eigensolve.diagonalize = no_solve\n"
+        "eigensolve._solve_blocks = no_solve\n"
         f"assert cli.main({argv!r}) == 0\n"
         "loaded = [m for m in sys.modules if m in ('numpy.ma', 'numpy.polynomial')\n"
         "          or m.startswith(('numpy.ma.', 'numpy.polynomial.', 'scipy'))]\n"
@@ -386,11 +386,11 @@ def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, m
         hashed[k].append(sum(part.nbytes for part in parts))
         return inner(fh, parts, sha256, bin_path)
 
-    def no_solve(basis, elements, params):
+    def no_solve(basis, blocks, params):
         raise AssertionError(f"k={basis.k} was solved, not read from the cache")
 
     monkeypatch.setattr(eigensolve, "_read_verified", recording)
-    monkeypatch.setattr(eigensolve, "diagonalize", no_solve)
+    monkeypatch.setattr(eigensolve, "_solve_blocks", no_solve)
     argv = ["coeff-hist", "--spins", "14", "--momentum", "all", "--cache-dir", str(tmp_path / "cache")]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == EXIT_OK
@@ -550,7 +550,8 @@ def _refuse_the_dense_path(monkeypatch):
     for module in (isingchaos, cli, hamiltonian):
         monkeypatch.setattr(module, "build_sector_hamiltonian", _refuse("the dense assembly"), raising=False)
     monkeypatch.setattr(oracles, "hermiticity_defect", _refuse("the dense hermiticity check"))
-    monkeypatch.setattr(oracles, "to_real", _refuse("the dense real-basis gather"))
+    monkeypatch.setattr(oracles, "real_basis_matrix", _refuse("the dense real basis"))
+    monkeypatch.setattr(oracles, "to_real", _refuse("the dense real-basis product"))
     monkeypatch.setattr(oracles, "symmetry_blocks", _refuse("the dense symmetry split"))
 
 
@@ -564,13 +565,13 @@ def test_a_cache_miss_solves_without_the_dense_path(tmp_path, capsys, monkeypatc
 
     _refuse_the_dense_path(monkeypatch)
     solved = []
-    inner = eigensolve.diagonalize
+    inner = eigensolve._solve_blocks
 
-    def recording(basis, elements, params):
+    def recording(basis, blocks, params):
         solved.append(basis.k)
-        return inner(basis, elements, params)
+        return inner(basis, blocks, params)
 
-    monkeypatch.setattr(eigensolve, "diagonalize", recording)
+    monkeypatch.setattr(eigensolve, "_solve_blocks", recording)
     cache = tmp_path / "cache"
     argv = [command[0], "--spins", "8", "--momentum", "0", "--momentum", "1", "--cache-dir", str(cache)]
     code, _, _ = run(capsys, *argv, *(a.format(out=tmp_path / "out") for a in command[1:]))
@@ -583,7 +584,7 @@ def test_spacing_solves_values_only(capsys, monkeypatch):
     from isingchaos import eigensolve
 
     monkeypatch.delenv("ISINGCHAOS_CACHE_DIR", raising=False)
-    monkeypatch.setattr(eigensolve, "diagonalize", _refuse("the eigenvector solve"))
+    monkeypatch.setattr(eigensolve, "_solve_blocks", _refuse("the eigenvector solve"))
     # nor any part of the dense plane-wave path: spacing builds its blocks from the element list
     _refuse_the_dense_path(monkeypatch)
     code, out, _ = run(capsys, "spacing", "--spins", "10", "--momentum", "0", "--momentum", "1", "--momentum", "5")
@@ -611,7 +612,7 @@ def test_spacing_neither_reads_nor_fills_the_cache(tmp_path, capsys, monkeypatch
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--cache-dir", str(tmp_path / "flag")])
     assert exc.value.code == EXIT_BAD_ARGS
-    monkeypatch.setattr(eigensolve, "diagonalize", no_full_solve)
+    monkeypatch.setattr(eigensolve, "_solve_blocks", no_full_solve)
     monkeypatch.setenv("ISINGCHAOS_CACHE_DIR", str(tmp_path / "env"))
     code, from_env, _ = run(capsys, *argv)
     assert code == EXIT_OK and from_env == uncached

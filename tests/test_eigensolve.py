@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +226,30 @@ def test_diagonalize_cached(tmp_path):
     assert np.array_equal(first.vectors, second.vectors)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_diagonalize_cached_drops_the_element_list_before_the_solves(tmp_path, monkeypatch, k):
+    params = ModelParams(8, 1.0, 1.0)
+    element_rows = []
+
+    def builder():
+        basis = momentum_basis(8, k)
+        elements = sector_elements(basis, params)
+        element_rows.append(weakref.ref(elements.rows))
+        return basis, elements
+
+    exact_eigh = np.linalg.eigh
+    solves = []
+
+    def eigh(a):
+        assert element_rows[0]() is None, "the element list is alive during the solve"
+        solves.append(a.shape[0])
+        return exact_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    decomp, hit = diagonalize_cached(builder, params, k, tmp_path)
+    assert not hit and sum(solves) == decomp.dim and len(solves) == (2 if k == 0 else 1)
+
+
 def _flip_byte(path, offset):
     payload = bytearray(path.read_bytes())
     payload[offset] ^= 0xFF
@@ -396,8 +421,9 @@ def test_real_sector_in_complex_storage_keeps_its_parity_blocks():
     as_complex = elements._replace(values=elements.values.astype(np.complex128))
     blocks, complex_blocks = element_blocks(basis, elements), element_blocks(basis, as_complex)
     assert list(complex_blocks) == list(blocks) == [(0, 1), (0, -1)]
-    for key, block in blocks.items():
-        assert np.array_equal(complex_blocks[key], block)
+    for key, (columns, entries) in blocks.items():
+        assert np.array_equal(complex_blocks[key].columns, columns)
+        assert np.array_equal(complex_blocks[key].entries, entries)
     decomp, complex_decomp = diagonalize(basis, elements, params), diagonalize(basis, as_complex, params)
     assert np.array_equal(complex_decomp.energies, decomp.energies)
     assert np.array_equal(complex_decomp.parity, decomp.parity)
@@ -437,6 +463,17 @@ def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
     assert str(exc.value).endswith(eigensolve._fingerprint(given[0]))
 
 
+def _with_dim(dim):
+    """A sidecar edit: ``dim`` replaced, with as many block digests as that ``dim`` implies."""
+
+    def edit(text):
+        meta = json.loads(text)
+        digests = meta["block_sha256"][: -(-dim // eigensolve.CACHE_BLOCK_ROWS)]
+        return json.dumps({**meta, "dim": dim, "block_sha256": digests})
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "sidecar",
     [
@@ -449,10 +486,14 @@ def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
         lambda text: json.dumps({**json.loads(text), "block_sha256": 2 * json.loads(text)["block_sha256"]}),
         lambda text: json.dumps({**json.loads(text), "block_sha256": [0]}),
         lambda text: json.dumps({**json.loads(text), "block_sha256": json.loads(text)["block_sha256"][0]}),
+        _with_dim(True),
+        _with_dim(-1),
+        _with_dim(0),
     ],
     ids=[
         "truncated", "missing-key", "wrong-type", "not-an-object", "empty",
         "no-digests", "too-many-digests", "digest-not-a-string", "digests-not-a-list",
+        "dim-a-bool", "dim-negative", "dim-zero",
     ],
 )
 def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, sidecar):

@@ -322,10 +322,8 @@ def test_half_momentum_inversion_phases():
     diag = np.array([s_op[i, i].real for i in invariant])
     assert set(np.round(diag).astype(int)) <= {-1, 1}
     assert np.any(diag < 0)  # the -1 branch genuinely occurs
-    rows, parity = basis.real_layout.rows, basis.real_layout.parity
-    single = np.isin(rows, invariant)
-    assert np.array_equal(parity[single], np.diag(s_op).real[rows[single]])
-    assert not momentum_basis(8, 3).real_layout.parity.any()
+    assert np.array_equal(basis.column_parity[invariant], np.diag(s_op).real[invariant])
+    assert not momentum_basis(8, 3).column_parity.any()
 
 
 def test_split_by_parity_counts(store):
@@ -346,8 +344,8 @@ def test_inversion_blocks_reproduce_sector_spectrum(store):
     matrix = build_sector_hamiltonian(basis, params)
     blocks = element_blocks(basis, sector_elements(basis, params), np.zeros(basis.dim, dtype=int))
     assert sorted(blocks) == [(0, -1), (0, 1)]
-    assert blocks[0, 1].shape[0] == (basis.dim + basis.n_invariant) // 2
-    union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.values()]))
+    assert blocks[0, 1].entries.shape[0] == (basis.dim + basis.n_invariant) // 2
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(b.entries) for b in blocks.values()]))
     full = np.sort(np.linalg.eigvalsh(matrix.entries))
     assert np.max(np.abs(union - full)) < 1e-9
 
@@ -361,7 +359,7 @@ def test_z_parity_blocks_at_zero_longitudinal_field():
         blocks = element_blocks(basis, sector_elements(basis, params), signs)
         parities = [0] if k == 3 else [1, -1]
         assert list(blocks) == [(z, p) for z in (1, -1) for p in parities]
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks.values()]))
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(b.entries) for b in blocks.values()]))
         assert np.max(np.abs(union - np.sort(np.linalg.eigvalsh(matrix.entries)))) < 1e-9
         # at a nonzero longitudinal field z-parity is broken and the check says so
         with pytest.raises(ValueError, match="couples"):

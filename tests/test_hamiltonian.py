@@ -1,5 +1,7 @@
 """Hamiltonian assembly: full product basis vs momentum sectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,7 @@ def test_real_basis_is_unitary_and_invariant(n_sites, k):
     u = basis.from_real(np.eye(basis.dim))
     assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))) < 1e-14
     assert np.max(np.abs(np.sum(u != 0, axis=0) - 1.5)) <= 0.5  # one or two nonzeros per column
+    assert np.all(np.diag(u) != 0)  # plane-wave order: column a belongs to state a
     # the same U, row by row from its nonzeros
     col, coef = basis.real_entries()
     from_entries = np.zeros_like(u)
@@ -217,7 +220,7 @@ def test_real_basis_is_unitary_and_invariant(n_sites, k):
         np.add.at(from_entries, (np.arange(basis.dim), col[:, j]), coef[:, j])
     assert coef.dtype == u.dtype and np.max(np.abs(from_entries - u)) < 1e-15
     # A maps each column onto itself, times its inversion parity where there is one
-    parity = basis.real_layout.parity
+    parity = basis.column_parity
     sign = np.where(parity < 0, -1.0, 1.0)
     assert np.max(np.abs(conjugation_matrix(basis) @ u.conj() - u * sign)) < 1e-14
     # the oracle's U, built column by column from the class docstring, is the same U
@@ -230,22 +233,37 @@ def test_real_basis_is_unitary_and_invariant(n_sites, k):
         return
     # k = 0, N/2: the parity basis is real orthogonal and splits h into two blocks
     assert 2 * k % n_sites == 0 and u.dtype == g.dtype == np.float64
-    n_even = int(np.sum(parity == 1))
-    assert np.all(parity[n_even:] == -1)
-    assert np.max(np.abs(g[:n_even, n_even:])) < 1e-12
-    assert symmetry_blocks(sector)[0, 1].shape[0] == n_even
+    even = parity == 1
+    assert np.all(parity[~even] == -1)
+    assert np.max(np.abs(g[np.ix_(even, ~even)])) < 1e-12
+    assert symmetry_blocks(sector)[0, 1].shape[0] == np.count_nonzero(even)
 
 
 @pytest.mark.parametrize("n_sites,k", [(8, 4), (10, 0), (10, 5)])
-def test_real_layout_parities_match_inversion_oracle(n_sites, k):
+def test_column_parities_match_inversion_oracle(n_sites, k):
     basis = momentum_basis(n_sites, k)
     u = basis.from_real(np.eye(basis.dim))
     # the real basis diagonalizes the state-by-state inversion, with the column parities as signs
     rotated = u.T @ inversion_matrix(basis) @ u
     signs = np.diag(rotated).real
     assert np.max(np.abs(rotated - np.diag(signs))) < 1e-14
-    assert np.array_equal(np.sign(signs), basis.real_layout.parity)
+    assert np.array_equal(np.sign(signs), basis.column_parity)
     assert np.max(np.abs(np.abs(signs) - 1)) < 1e-14
+
+
+@pytest.mark.parametrize("n_sites", [12, 14])
+def test_from_real_adds_at_most_two_and_a_half_units(n_sites):
+    # V = U W is complex at k = 1, 2 units of 8 D^2 bytes; the chunks of rows add little beside it
+    basis = momentum_basis(n_sites, 1)
+    w = np.random.default_rng(0).standard_normal((basis.dim, basis.dim))
+    tracemalloc.start()
+    try:
+        v = basis.from_real(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * basis.dim**2
+    assert np.max(np.abs(v - real_basis_matrix(basis) @ w)) < 1e-12
 
 
 @pytest.mark.parametrize("n_sites", [6, 7, 8, 9, 10])
@@ -260,5 +278,11 @@ def test_element_blocks_match_dense_blocks(n_sites):
             got = element_blocks(basis, sector_elements(basis, params), labels)
             assert list(got) == list(want)
             for key, block in want.items():
-                assert got[key].dtype == np.float64 and got[key].shape == block.shape
-                assert np.max(np.abs(got[key] - block), initial=0.0) < 1e-13
+                columns, entries = got[key]
+                assert entries.dtype == np.float64 and entries.shape == block.shape
+                assert np.max(np.abs(entries - block), initial=0.0) < 1e-13
+                # the block's columns of U: those of its key, ascending
+                label = 0 if labels is None else labels[columns]
+                assert np.all(label == key[0]) and np.all(basis.column_parity[columns] == key[1])
+                assert np.all(np.diff(columns) > 0)
+            assert np.array_equal(np.sort(np.concatenate([b.columns for b in got.values()])), np.arange(basis.dim))
