@@ -465,7 +465,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
     try:
-        return COMMANDS[args.command](config)
+        code = COMMANDS[args.command](config)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except ChainSizeError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -477,6 +479,11 @@ def main(argv=None) -> int:
         ValueError,  # NonHermitianError, LinAlgError and failed statistics
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout was closed; drop the rest of its buffer
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

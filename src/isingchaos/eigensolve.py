@@ -11,14 +11,14 @@ eigenvectors back to complex plane-wave coefficients in a fixed gauge;
 sum rules.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
-from its eigenvectors by ``state_moment_sums``.  It is cached per
-(N, k, lam, alpha, format version) as one little-endian payload plus a JSON
-sidecar with the exact key and SHA-256 digests.  Format 4 lays the payload
-out as a head, the energies (<f8), parity labels (i1, 0 where there are
-none) and moment sums (<f8) under one digest, then V as row-major <c16 in
-blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads and
-verifies the head and only the blocks that hold the rows of V its caller
-asks for.  Writes are atomic (unique temp file + rename).
+from its eigenvectors by ``state_moment_sums`` in the solve.  It is cached
+per (N, k, lam, alpha, format version) as one little-endian payload plus a
+JSON sidecar with the exact key and SHA-256 digests.  Format 4 lays the
+payload out as a head, the energies (<f8), parity labels (i1, 0 where there
+are none) and moment sums (<f8) under one digest, then V as row-major <c16
+in blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads
+and verifies the head and only the blocks that hold the rows of V its
+caller asks for.  Writes are atomic (unique temp file + rename).
 """
 
 from __future__ import annotations
@@ -107,30 +107,23 @@ def state_moment_sums(vectors: np.ndarray, q: float) -> np.ndarray:
 class EigenDecomposition:
     """Full spectrum, per-state summary and gauge-fixed eigenvectors of one sector.
 
-    ``parity`` is the inversion parity (+1 or -1) of each eigenstate where the
-    sector was solved in parity blocks (k = 0 and k = N/2), None elsewhere.
-    ``sum_c4`` is sum_n |C_n|^4 of each eigenstate; when it is not given it is
-    computed from ``vectors``, which must then hold every row.
+    ``parity`` is the int8 inversion parity of each eigenstate: +1 or -1
+    where the sector was solved in parity blocks (k = 0 and k = N/2), 0 =
+    unlabelled elsewhere.  ``sum_c4`` is sum_n |C_n|^4 of each eigenstate.
 
     ``vectors`` holds V, one column per eigenstate.  With ``rows`` None it
     holds every row; otherwise ``vectors[i]`` is row ``rows[i]`` of V (the
-    rows ascending), and ``vectors`` is None when ``rows`` is empty.  Read a
-    row with ``coefficients``, which works either way.
+    rows ascending), and ``vectors`` has shape (0, D) when no row is loaded.
+    Read a row with ``coefficients``, which works either way.
     """
 
     params: ModelParams
     k: int
     energies: np.ndarray
-    vectors: np.ndarray | None
-    parity: np.ndarray | None = None
-    sum_c4: np.ndarray | None = None
+    vectors: np.ndarray
+    parity: np.ndarray
+    sum_c4: np.ndarray
     rows: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.sum_c4 is None:
-            if self.rows is not None:
-                raise ValueError("the moment sums need every row of the eigenvectors")
-            self.sum_c4 = state_moment_sums(self.vectors, 2.0)
 
     @property
     def dim(self) -> int:
@@ -160,8 +153,7 @@ def _restrict(decomp: EigenDecomposition, rows) -> EigenDecomposition:
     rows = _row_selection(rows, decomp.dim)
     if rows is None:
         return decomp
-    vectors = decomp.vectors[list(rows)] if rows else None  # a copy, so V can be freed
-    return replace(decomp, vectors=vectors, rows=rows)
+    return replace(decomp, vectors=decomp.vectors[list(rows)], rows=rows)  # a copy, so V can be freed
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -239,10 +231,11 @@ def _checked_blocks(
 def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> EigenDecomposition:
     """Solve and verify each block of ``element_blocks`` on its own, and rotate the eigenvectors back.
 
-    The energies ascend; where ``basis.is_real`` each eigenstate carries the
-    inversion parity of its block.  A block's eigenvectors fill the rows of
-    W that its columns of U name, and V = U W is put in the phase gauge.
-    ``blocks`` is emptied, so the blocks are freed before the solves.
+    The energies ascend, and each eigenstate carries the parity of its
+    block's key (0 outside k = 0 and N/2).  A block's eigenvectors fill the
+    rows of W that its columns of U name, V = U W is put in the phase gauge,
+    and its moment sums are taken.  ``blocks`` is emptied, so the blocks are
+    freed before the solves.
     """
     dim = basis.dim
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
@@ -268,12 +261,14 @@ def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> Ei
     del solved
     vectors = basis.from_real(w)
     del w
+    vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
     return EigenDecomposition(
         params=params,
         k=basis.k,
         energies=energies[rank],
-        vectors=_fix_phases(vectors).astype(np.complex128, copy=False),
-        parity=np.repeat(parities, sizes)[rank] if basis.is_real else None,
+        vectors=vectors,
+        parity=np.repeat(parities, sizes)[rank],
+        sum_c4=state_moment_sums(vectors, 2.0),
     )
 
 
@@ -397,10 +392,9 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
     cache_dir.mkdir(parents=True, exist_ok=True)
     stem = _cache_stem(decomp.params, decomp.k)
 
-    parity = np.zeros(decomp.dim) if decomp.parity is None else decomp.parity  # 0: no labels
     head = [
         np.ascontiguousarray(decomp.energies, dtype="<f8"),
-        np.ascontiguousarray(parity, dtype="i1"),
+        np.ascontiguousarray(decomp.parity, dtype="i1"),
         np.ascontiguousarray(decomp.sum_c4, dtype="<f8"),
     ]
     # little-endian complex128 is the interleaved re/im layout of the format
@@ -482,10 +476,10 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
     """Load a cached decomposition; None signals a miss (recompute).
 
     ``rows`` selects the rows of V to load: None (every row), an empty
-    sequence (none, and ``vectors`` is None) or the symbols whose rows are
-    wanted.  The head (energies, parity labels and moment sums) is always
-    read, and of V only the blocks that hold a wanted row; every part read
-    is checked against its SHA-256 in the sidecar.
+    sequence (none, and ``vectors`` has shape (0, D)) or the symbols whose
+    rows are wanted.  The head (energies, parity labels and moment sums) is
+    always read, and of V only the blocks that hold a wanted row; every part
+    read is checked against its SHA-256 in the sidecar.
 
     A missing, malformed or mismatched sidecar, or one of another format
     version, is a miss, logged with its reason.  A payload whose size
@@ -517,7 +511,6 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
     energies = np.empty(dim, dtype="<f8")
     parity = np.empty(dim, dtype="i1")
     sum_c4 = np.empty(dim, dtype="<f8")
-    vectors = None
     with open(bin_path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size != head_bytes + dim * row_bytes:
             raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
@@ -528,7 +521,7 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
             for block, sha256 in enumerate(digests):
                 start = block * CACHE_BLOCK_ROWS
                 _read_verified(fh, [vectors[start : start + CACHE_BLOCK_ROWS]], sha256, bin_path)
-        elif rows:  # only the blocks that hold a wanted row, each through one buffer
+        else:  # only the blocks that hold a wanted row, each through one buffer
             vectors = np.empty((len(rows), dim), dtype="<c16")
             buffer = np.empty((min(CACHE_BLOCK_ROWS, dim), dim), dtype="<c16")
             wanted = np.array(rows)
@@ -544,7 +537,7 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
         k=k,
         energies=energies,
         vectors=vectors,
-        parity=parity if parity.any() else None,  # 0: no parity labels
+        parity=parity,
         sum_c4=sum_c4,
         rows=rows,
     )

@@ -8,7 +8,6 @@ neighbour pairs / 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .hamiltonian import ModelParams
 from .spin_basis import ChainSizeError
@@ -40,9 +39,9 @@ class LocalMomentSet:
         return self.sigma2 + self.e_n**2
 
 
-def mean_domain_wall_count(n_sites: int, n_up: int) -> Fraction:
-    """Mean number of domain-wall pairs over all C(N, n) configurations with n up spins."""
-    return Fraction(n_up * (n_sites - n_up), n_sites - 1)
+def mean_domain_wall_count(n_sites: int, n_up: int) -> float:
+    """Mean number of domain-wall pairs over all C(N, n) configurations with n up spins, correctly rounded."""
+    return n_up * (n_sites - n_up) / (n_sites - 1)  # integer true division rounds once
 
 
 def analytic_moments(
@@ -59,7 +58,7 @@ def analytic_moments(
     if not 0 <= n_up <= n:
         raise ValueError("up-spin count outside [0, N]")
     if k_walls is None:
-        k_walls = float(mean_domain_wall_count(n, n_up))
+        k_walls = mean_domain_wall_count(n, n_up)
     a2 = alpha**2
     e = lam * (n - 2 * n_up)
     sigma2 = n * (1 + a2)

@@ -305,11 +305,12 @@ def symmetry_blocks(matrix: SectorMatrix) -> dict[tuple[int, int], np.ndarray]:
     return {(0, p): g[np.ix_(parity == p, parity == p)] for p in sorted(set(parity.tolist()), reverse=True)}
 
 
-def symmetry_decomposition(matrix: SectorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def symmetry_decomposition(matrix: SectorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense reference for ``diagonalize``: eigh of each block of ``symmetry_blocks``, rotated back by U.
 
     Returns the ascending energies, the plane-wave eigenvectors in no fixed
-    gauge and, where the basis ``is_real``, the parity of each eigenstate.
+    gauge and the parity of each eigenstate's block (0 where the basis is
+    not ``is_real``).
     """
     basis = matrix.basis
     energies, columns, parities = [], [], []
@@ -322,8 +323,7 @@ def symmetry_decomposition(matrix: SectorMatrix) -> tuple[np.ndarray, np.ndarray
         parities.append(np.full(e.size, parity))
     order = np.argsort(np.concatenate(energies), kind="stable")
     vectors = real_basis_matrix(basis) @ np.concatenate(columns, axis=1)[:, order]
-    parity = np.concatenate(parities)[order] if basis.is_real else None
-    return np.concatenate(energies)[order], vectors, parity
+    return np.concatenate(energies)[order], vectors, np.concatenate(parities)[order]
 
 
 def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[int, int], np.ndarray]:

@@ -319,7 +319,8 @@ def test_compare_evaluates_each_model_on_the_grid_once(tmp_path, capsys, monkeyp
     ],
 )
 def test_warm_analysis_leaves_numpy_ma_and_scipy_unloaded(tmp_path, capsys, command):
-    # nor numpy.polynomial: the Gibbs quadrature computes its own Gauss-Legendre rule
+    # nor numpy.polynomial: the Gibbs quadrature computes its own Gauss-Legendre rule;
+    # nor fractions and decimal: the mean domain-wall count is one float division
     cache = str(tmp_path / "cache")
     assert run(capsys, "diag", "--spins", "8", "--momentum", "all", "--cache-dir", cache)[0] == EXIT_OK
     argv = [command[0], "--spins", "8", "--momentum", "all", *(a.format(cache=cache) for a in command[1:]),
@@ -331,7 +332,7 @@ def test_warm_analysis_leaves_numpy_ma_and_scipy_unloaded(tmp_path, capsys, comm
         "    raise AssertionError('cache miss')\n"
         "eigensolve._solve_blocks = no_solve\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "loaded = [m for m in sys.modules if m in ('numpy.ma', 'numpy.polynomial')\n"
+        "loaded = [m for m in sys.modules if m in ('numpy.ma', 'numpy.polynomial', 'fractions', 'decimal')\n"
         "          or m.startswith(('numpy.ma.', 'numpy.polynomial.', 'scipy'))]\n"
         "assert not loaded, loaded\n"
     )
@@ -377,7 +378,10 @@ def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, m
     for k, dim in dims.items():
         vectors = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         energies = np.sort(rng.standard_normal(dim))
-        eigensolve.cache_store(EigenDecomposition(params, k, energies, vectors), tmp_path / "cache")
+        decomp = EigenDecomposition(
+            params, k, energies, vectors, np.zeros(dim, np.int8), eigensolve.state_moment_sums(vectors, 2.0)
+        )
+        eigensolve.cache_store(decomp, tmp_path / "cache")
     hashed = {k: [] for k in dims}
     inner = eigensolve._read_verified
 
@@ -820,6 +824,33 @@ def test_internal_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypat
     code, _, err = run(capsys, "compare", "--spins", "8", "--momentum", "1", "--out", str(tmp_path))
     assert code == EXIT_NUMERICAL
     assert "numerical failure: no finite deviations" in err
+
+
+@pytest.mark.parametrize("command,flag", [("diag", "--cache-dir"), ("predict", "--out")])
+def test_a_file_in_place_of_a_directory_is_an_io_failure(tmp_path, capsys, command, flag):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, command, "--spins", "6", "--momentum", "0", flag, str(blocker))
+    assert code == EXIT_NUMERICAL
+    assert err.splitlines() == [f"I/O failure: [Errno 17] File exists: '{blocker}'"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_stops_without_a_traceback(tmp_path, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "isingchaos.cli", "compare", "--spins", "8", "--momentum", "1",
+            "--out", str(tmp_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line is written
+    try:
+        done = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_NUMERICAL
+    assert done.stderr.splitlines() == ["I/O failure: [Errno 32] Broken pipe"]
 
 
 def test_two_concurrent_cache_writers(tmp_path):

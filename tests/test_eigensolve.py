@@ -130,11 +130,9 @@ def test_cache_roundtrip_bit_exact(tmp_path):
         assert loaded is not None
         assert np.array_equal(loaded.energies, decomp.energies)
         assert np.array_equal(loaded.vectors, decomp.vectors)
-        if k == 0:
-            assert loaded.parity.dtype == np.int8
-            assert np.array_equal(loaded.parity, decomp.parity)
-        else:
-            assert loaded.parity is None and decomp.parity is None
+        assert loaded.parity.dtype == decomp.parity.dtype == np.int8
+        assert np.array_equal(loaded.parity, decomp.parity)
+        assert decomp.parity.any() == (k == 0)  # 0: unlabelled
 
 
 def test_cache_key_is_exact(tmp_path):
@@ -280,7 +278,7 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
                 for row in rows:
                     assert np.array_equal(got.coefficients(row), full.coefficients(row))
             else:
-                assert got.vectors is None
+                assert got.vectors.shape == (0, dim)
             with pytest.raises(KeyError):
                 got.coefficients(1)
     with pytest.raises(IndexError):
@@ -329,8 +327,14 @@ def test_corrupt_head_fails_every_load(tmp_path, part):
 def oracle_decomposition(matrix):
     """Complex eigh of the plane-wave block, in the solver's phase gauge."""
     energies, vectors = np.linalg.eigh(matrix.entries)
+    vectors = _fix_phases(vectors)
     return EigenDecomposition(
-        params=matrix.params, k=matrix.k, energies=energies, vectors=_fix_phases(vectors)
+        params=matrix.params,
+        k=matrix.k,
+        energies=energies,
+        vectors=vectors,
+        parity=np.zeros(energies.size, dtype=np.int8),
+        sum_c4=state_moment_sums(vectors, 2.0),
     )
 
 
@@ -382,9 +386,7 @@ def test_element_path_matches_the_dense_symmetry_oracle(n_sites):
         energies, vectors, parity = symmetry_decomposition(build_sector_hamiltonian(basis, params))
         assert np.max(np.abs(decomp.energies - energies)) < 1e-12, k
         assert np.max(np.abs(np.abs(decomp.vectors) - np.abs(vectors))) < 1e-10, k
-        assert (decomp.parity is None) == (parity is None)
-        if parity is not None:
-            assert np.array_equal(decomp.parity, parity)
+        assert np.array_equal(decomp.parity, parity), k
 
 
 def test_cache_v1_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
@@ -392,7 +394,7 @@ def test_cache_v1_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     decomp = diagonalize(basis, elements, params)
     # an entry written under format version 1, which carried no parity labels
     monkeypatch.setattr(eigensolve, "CACHE_VERSION", 1)
-    v1_sidecar = cache_store(dataclasses.replace(decomp, parity=None), tmp_path)
+    v1_sidecar = cache_store(dataclasses.replace(decomp, parity=np.zeros_like(decomp.parity)), tmp_path)
     monkeypatch.undo()
     with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
         loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
@@ -550,7 +552,7 @@ def test_block_spectra_match_diagonalize_per_block(n_sites, k):
     params = ModelParams(n_sites, 0.9, 1.1)
     decomp = diagonalize(*sector(n_sites, k, params))
     spectra = block_spectra(basis, sector_elements(basis, params))
-    if decomp.parity is None:
+    if not decomp.parity.any():
         assert list(spectra) == [(0, 0)]
         assert np.max(np.abs(spectra[(0, 0)] - decomp.energies)) < 1e-12
     else:

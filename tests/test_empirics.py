@@ -29,11 +29,14 @@ def synthetic_decomposition(vectors: np.ndarray, energies=None, k=0) -> EigenDec
     n_states = vectors.shape[1]
     if energies is None:
         energies = np.arange(n_states, dtype=float)
+    vectors = np.asarray(vectors, dtype=np.complex128)
     return EigenDecomposition(
         params=ModelParams(4, 0.0, 0.0),
         k=k,
         energies=np.asarray(energies, dtype=float),
-        vectors=np.asarray(vectors, dtype=np.complex128),
+        vectors=vectors,
+        parity=np.zeros(n_states, dtype=np.int8),
+        sum_c4=state_moment_sums(vectors, 2.0),
     )
 
 
@@ -261,13 +264,9 @@ def test_chunked_state_moment_sums_are_exact_and_small(store, q):
 def test_state_moment_sums_of_real_vectors(store):
     # the kernel skips the imaginary part of real storage
     basis, decomp = store.get(10, 0)
-    real = EigenDecomposition(
-        params=decomp.params, k=0, energies=decomp.energies, vectors=decomp.vectors.real.copy()
-    )
+    real = decomp.vectors.real.copy()
     for q in (1.5, 2.0, 3.0):
-        assert np.array_equal(
-            state_moment_sums(real.vectors, q), _unchunked_moment_sums(real.vectors, q)
-        )
+        assert np.array_equal(state_moment_sums(real, q), _unchunked_moment_sums(real, q))
 
 
 def test_participation_ratio_bounds(store):

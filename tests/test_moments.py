@@ -55,7 +55,7 @@ def test_mean_domain_wall_identity_exact(n_sites):
             config = sum(1 << s for s in sites)
             total += domain_wall_count(config, n_sites)
             count += 1
-        assert total / count == mean_domain_wall_count(n_sites, n_up)
+        assert float(total / count) == mean_domain_wall_count(n_sites, n_up)  # correctly rounded
 
 
 def test_spec_value_examples():
