@@ -455,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> RunConfig:
+    """The checked run configuration; argparse exits, with code 0 after ``--help`` and 2 on bad arguments."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -463,9 +464,26 @@ def main(argv=None) -> int:
         if args.command == "coeff-hist":
             _check_symbols(config)
     except ValueError as exc:
-        parser.error(str(exc))  # exits with code 2
+        parser.error(str(exc))
+    return config
+
+
+def _drop_stdout() -> None:
+    """Point a stdout whose reader is gone at /dev/null: the rest of its buffer is dropped, not failed, at exit."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def main(argv=None) -> int:
     try:
-        code = COMMANDS[args.command](config)
+        config = _parse(argv)
+    except SystemExit:  # argparse has printed its help (code 0) or its usage text (code 2)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # argparse ignores a closed stdout, and so does its exit code
+            _drop_stdout()
+        raise
+    try:
+        code = COMMANDS[config.command](config)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except ChainSizeError as exc:
@@ -481,8 +499,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):  # stdout was closed; drop the rest of its buffer
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            _drop_stdout()
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

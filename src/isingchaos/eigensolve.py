@@ -3,12 +3,12 @@
 Every sector is solved in real arithmetic, in the real basis its
 ``MomentumBasis`` owns: at k = 0 and k = N/2 as separate inversion-even and
 inversion-odd blocks, elsewhere as one A-invariant block.  Both solvers cut
-those blocks, checked, from the sector's element list with
-``hamiltonian.element_blocks``, and neither forms the dense plane-wave
-block.  ``diagonalize`` verifies each block's eigenpairs and maps the
-eigenvectors back to complex plane-wave coefficients in a fixed gauge;
-``block_spectra`` solves for eigenvalues only, checked per block by their
-sum rules.
+those blocks, checked and exactly symmetric, from the sector's element list
+with ``hamiltonian.element_blocks`` and hand each to LAPACK as built;
+neither forms the dense plane-wave block.  ``diagonalize`` verifies each
+block's eigenpairs and maps the eigenvectors back to complex plane-wave
+coefficients in a fixed gauge; ``block_spectra`` solves for eigenvalues
+only, checked per block by their sum rules.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
 from its eigenvectors by ``state_moment_sums`` in the solve.  It is cached
@@ -18,7 +18,8 @@ payload out as a head, the energies (<f8), parity labels (i1, 0 where there
 are none) and moment sums (<f8) under one digest, then V as row-major <c16
 in blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads
 and verifies the head and only the blocks that hold the rows of V its
-caller asks for.  Writes are atomic (unique temp file + rename).
+caller asks for.  Writes are atomic and durable (unique temp file, fsync,
+rename), the payload before the sidecar.
 """
 
 from __future__ import annotations
@@ -234,19 +235,13 @@ def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> Ei
     The energies ascend, and each eigenstate carries the parity of its
     block's key (0 outside k = 0 and N/2).  A block's eigenvectors fill the
     rows of W that its columns of U name, V = U W is put in the phase gauge,
-    and its moment sums are taken.  ``blocks`` is emptied, so the blocks are
-    freed before the solves.
+    and its moment sums are taken.  Each block goes to LAPACK as built, and
+    is popped from ``blocks`` so that it is freed once solved.
     """
     dim = basis.dim
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
     columns = [block.columns for block in blocks.values()]
-    symmetrized = [block.entries + block.entries.T for block in blocks.values()]
-    blocks.clear()
-    solved = []
-    for a in symmetrized:
-        a *= 0.5
-        solved.append(_solve(a))
-    del symmetrized, a
+    solved = [_solve(blocks.pop(key).entries) for key in list(blocks)]
     sizes = [e.size for e, _ in solved]
     energies = np.concatenate([e for e, _ in solved])
     rank = np.argsort(energies, kind="stable")
@@ -293,8 +288,8 @@ def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelPar
     Raises ``DiagonalizationError`` if LAPACK fails, a residual exceeds
     ``RESIDUAL_FACTOR`` times the spectral norm, or the eigenvectors fail a
     randomized orthonormality check (``ORTHO_PROBES`` probes at relative
-    tolerance ``ORTHO_TOL``); its fingerprint is that of the symmetrized
-    real block LAPACK was given.  A ``SymmetryBreakingError`` carries the
+    tolerance ``ORTHO_TOL``); its fingerprint is that of the real block
+    LAPACK was given.  A ``SymmetryBreakingError`` carries the
     fingerprint of the summed elements, as in ``block_spectra``.
     """
     return _solve_blocks(basis, _checked_blocks(basis, elements), params)
@@ -372,12 +367,14 @@ def _cache_stem(params: ModelParams, k: int) -> str:
 
 
 def _atomic_write(path: Path, *chunks) -> None:
-    """Write the chunks to a uniquely named temp file beside ``path``, then rename onto it."""
+    """Write the chunks to a uniquely named temp file beside ``path``, sync it to disk, then rename onto it."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -414,6 +411,7 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
             for start in range(0, decomp.dim, CACHE_BLOCK_ROWS)
         ],
     }
+    # the payload is on disk before the sidecar that makes it an entry
     _atomic_write(cache_dir / f"{stem}.bin", *head, vectors)
     _atomic_write(
         cache_dir / f"{stem}.json", json.dumps(meta, sort_keys=True).encode()
@@ -515,23 +513,17 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
         if os.fstat(fh.fileno()).st_size != head_bytes + dim * row_bytes:
             raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
         _read_verified(fh, [energies, parity, sum_c4], meta["head_sha256"], bin_path)
-        digests = meta["block_sha256"]
-        if rows is None:  # every block in turn, straight into V
-            vectors = np.empty((dim, dim), dtype="<c16")
-            for block, sha256 in enumerate(digests):
-                start = block * CACHE_BLOCK_ROWS
-                _read_verified(fh, [vectors[start : start + CACHE_BLOCK_ROWS]], sha256, bin_path)
-        else:  # only the blocks that hold a wanted row, each through one buffer
-            vectors = np.empty((len(rows), dim), dtype="<c16")
-            buffer = np.empty((min(CACHE_BLOCK_ROWS, dim), dim), dtype="<c16")
-            wanted = np.array(rows)
-            for block in dict.fromkeys(row // CACHE_BLOCK_ROWS for row in rows):  # rows ascend
-                start = block * CACHE_BLOCK_ROWS
-                part = buffer[: min(CACHE_BLOCK_ROWS, dim - start)]
-                fh.seek(head_bytes + start * row_bytes)
-                _read_verified(fh, [part], digests[block], bin_path)
-                held = wanted // CACHE_BLOCK_ROWS == block
-                vectors[held] = part[wanted[held] - start]
+        # only the blocks that hold a wanted row, each through one buffer
+        wanted = np.arange(dim) if rows is None else np.array(rows, dtype=np.int64)  # ascending
+        vectors = np.empty((wanted.size, dim), dtype="<c16")
+        buffer = np.empty((min(CACHE_BLOCK_ROWS, dim), dim), dtype="<c16")
+        for block in dict.fromkeys((wanted // CACHE_BLOCK_ROWS).tolist()):
+            start = block * CACHE_BLOCK_ROWS
+            part = buffer[: min(CACHE_BLOCK_ROWS, dim - start)]
+            fh.seek(head_bytes + start * row_bytes)
+            _read_verified(fh, [part], meta["block_sha256"][block], bin_path)
+            lo, hi = np.searchsorted(wanted, (start, start + part.shape[0]))
+            vectors[lo:hi] = part[wanted[lo:hi] - start]
     return EigenDecomposition(
         params=params,
         k=k,

@@ -12,8 +12,8 @@ conjugation), so it is real symmetric in an A-invariant basis, which the
 sector's ``MomentumBasis`` owns.  ``element_blocks`` checks the element list
 (hermiticity, and in the real basis a vanishing imaginary part and no
 coupling between blocks) and maps it straight into those real blocks, which
-both solvers of ``eigensolve`` read; no CLI command forms the dense
-plane-wave block.
+both solvers of ``eigensolve`` read, each block exactly symmetric; no CLI
+command forms the dense plane-wave block.
 """
 
 from __future__ import annotations
@@ -213,6 +213,15 @@ def summed_elements(elements: SectorElements, dim: int) -> SectorElements:
     return SectorElements(key // dim, key % dim, summed)
 
 
+def _mirror(elements: SectorElements, dim: int) -> np.ndarray:
+    """For each element (row, col) of a ``summed_elements`` list, the value at (col, row); 0 where that is absent."""
+    rows, cols, values = elements
+    key = rows * dim + cols
+    mirror_key = cols * dim + rows
+    at = np.minimum(np.searchsorted(key, mirror_key), key.size - 1)
+    return np.where(key[at] == mirror_key, values[at], 0.0)
+
+
 def _real_basis_elements(
     basis: MomentumBasis, elements: SectorElements
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -221,13 +230,10 @@ def _real_basis_elements(
     See ``element_blocks`` for the checks; the limit is that of h.
     """
     dim = basis.dim
-    rows, cols, values = summed_elements(elements, dim)
+    summed = summed_elements(elements, dim)
+    rows, cols, values = summed
     limit = _limit(np.abs(values))
-    key = rows * dim + cols
-    mirror_key = cols * dim + rows
-    at = np.minimum(np.searchsorted(key, mirror_key), key.size - 1)
-    mirror = np.where(key[at] == mirror_key, values[at], 0.0)
-    defect = float(np.max(np.abs(values - mirror.conj()), initial=0.0))
+    defect = float(np.max(np.abs(values - _mirror(summed, dim).conj()), initial=0.0))
     if defect > limit:
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
 
@@ -266,7 +272,10 @@ def element_blocks(
     max|h|) it raises ``NonHermitianError`` if an element differs from the
     conjugate of its transpose (0 where that is absent) by more than the
     limit, and ``SymmetryBreakingError`` if, in the real basis, an imaginary
-    part or an entry coupling two blocks does.
+    part or an entry coupling two blocks does.  Past these checks each
+    real-basis pair (c, d), (d, c) gets the one value (g_cd + g_dc) / 2, so
+    that every block is exactly symmetric, as LAPACK takes it: this is the
+    one place that symmetrizes.
 
     The blocks are allocated before the element lists of the mapping, so
     that those are freed above them.  Allocated after them, the lists leave
@@ -291,7 +300,10 @@ def element_blocks(
     coupling = float(np.max(np.abs(g[~inside]), initial=0.0))
     if coupling > limit:
         raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
+    # past the checks, (c, d) and (d, c) get one value: the entry of (B + B^T) / 2, bit for bit
+    g = (g + _mirror(SectorElements(g_rows, g_cols, g), dim)) * 0.5
     for i, (_, block) in enumerate(blocks.values()):
         mine = inside & (block_of[g_rows] == i)
-        block[local[g_rows[mine]], local[g_cols[mine]]] = g[mine]
+        r, c = local[g_rows[mine]], local[g_cols[mine]]
+        block[r, c] = block[c, r] = g[mine]
     return blocks

@@ -7,7 +7,8 @@ spectral sums over eigenvectors, quadrature moments and the energy-power
 multipliers of a fitted Gibbs density, the full-chain model density of
 states, the dense pre-solve path (the hermiticity defect of a dense block,
 its rotation into the real basis and the checked or labelled symmetry
-blocks cut from it), the Gaussian fit of one window at a time, and a CSV
+blocks cut from it), the free-fermion levels of each momentum sector on
+the integrable line, the Gaussian fit of one window at a time, and a CSV
 writer that formats cell by cell.
 """
 
@@ -341,6 +342,34 @@ def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[
     keys = sorted(set(zip(labels.tolist(), parity.tolist())), reverse=True)
     masks = {key: (labels == key[0]) & (parity == key[1]) for key in keys}
     return {key: g[np.ix_(mask, mask)] for key, mask in masks.items()}
+
+
+def free_fermion_levels(n_sites: int, lam: float, k: int) -> dict[int, np.ndarray]:
+    """Every level of momentum sector ``k`` on the integrable line alpha = 0, by Jordan-Wigner.
+
+    Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961); Pfeuty, Ann. Phys.
+    57, 79 (1970).  A mode q has the energy 2 sqrt(1 + lam^2 - 2 lam cos q)
+    and a level is sum_q eps_q (n_q - 1/2).  An even fermion number takes
+    the antiperiodic modes q = 2 pi (m + 1/2) / N, an odd one the periodic
+    modes q = 2 pi m / N; a mode with q = -q (q = 0 or pi) is unpaired and
+    carries the signed energy 2 (lam - cos q).  The level's momentum is
+    sum of the occupied q, times N / 2 pi, mod N.  Returns {fermion-number
+    parity (+1 even, -1 odd): ascending levels}; the fermions are the down
+    spins, so that parity is the z-parity prod_j sz_j = (-1)^(N - n_up).
+    """
+    occupied = (np.arange(1 << n_sites)[:, None] >> np.arange(n_sites)) & 1
+    odd = occupied.sum(axis=1) % 2 == 1
+    levels = {}
+    for parity, offset in ((1, 1), (-1, 0)):
+        twice_m = 2 * np.arange(n_sites) + offset  # q = pi twice_m / N
+        q = np.pi * twice_m / n_sites
+        eps = 2 * np.sqrt(1 + lam**2 - 2 * lam * np.cos(q))
+        unpaired = twice_m % n_sites == 0
+        eps[unpaired] = 2 * (lam - np.cos(q[unpaired]))
+        states = occupied[odd == (parity == -1)]
+        momentum = (states @ twice_m) // 2 % n_sites  # states @ twice_m is even in both cases
+        levels[parity] = np.sort(states[momentum == k] @ eps - eps.sum() / 2)
+    return levels
 
 
 def gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 """CLI pipelines: argument handling, caching, determinism, exports."""
 
 import dataclasses
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -851,6 +854,48 @@ def test_a_closed_stdout_stops_without_a_traceback(tmp_path, unbuffered):
         os.close(write_end)
     assert done.returncode == EXIT_NUMERICAL
     assert done.stderr.splitlines() == ["I/O failure: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["--help"], EXIT_OK), (["diag", "--help"], EXIT_OK), (["diag", "--spins", "x"], EXIT_BAD_ARGS),
+     (["basis-info", "--spins", "8", "--momentum", "9"], EXIT_BAD_ARGS)],
+)
+def test_help_and_usage_errors_keep_their_exit_codes_on_a_closed_stdout(unbuffered, argv, code):
+    # argparse prints and exits before any command runs; with a buffered
+    # stdout the help text used to fail only at exit, with status 120
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "isingchaos.cli", *argv], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert "Exception ignored" not in done.stderr and "Traceback" not in done.stderr
+    if code == EXIT_OK:
+        assert done.stderr == ""
+    else:
+        assert done.stderr.splitlines()[-1].startswith("isingchaos")
+        assert ": error: " in done.stderr
+
+
+def test_the_console_script_runs_basis_info(capsys, monkeypatch):
+    # the [project.scripts] entry, resolved and called with no arguments as
+    # an installed wrapper calls it, without installing
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL).group(1)
+    entries = dict(re.findall(r'^([\w-]+)\s*=\s*"([\w.:]+)"\s*$', section, re.MULTILINE))
+    module, function = entries["isingchaos"].split(":")
+    script = getattr(importlib.import_module(module), function)
+    monkeypatch.setattr(sys, "argv", ["isingchaos", "basis-info", "--spins", "8", "--momentum", "0"])
+    assert script() == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["0", "36"]
 
 
 def test_two_concurrent_cache_writers(tmp_path):

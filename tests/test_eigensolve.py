@@ -465,6 +465,27 @@ def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
     assert str(exc.value).endswith(eigensolve._fingerprint(given[0]))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_each_block_goes_to_lapack_as_built(monkeypatch, k):
+    built, given = [], []
+    exact_eigh = np.linalg.eigh
+
+    def recording_blocks(*args):
+        blocks = element_blocks(*args)
+        built.extend(block.entries for block in blocks.values())
+        return blocks
+
+    def recording_eigh(a):
+        given.append(a)
+        return exact_eigh(a)
+
+    monkeypatch.setattr(eigensolve, "element_blocks", recording_blocks)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    diagonalize(*sector(8, k))
+    assert len(given) == len(built) == (2 if k == 0 else 1)
+    assert all(a is block for a, block in zip(given, built))
+
+
 def _with_dim(dim):
     """A sidecar edit: ``dim`` replaced, with as many block digests as that ``dim`` implies."""
 
@@ -531,6 +552,28 @@ def test_atomic_write_uses_unique_temp_files(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         eigensolve._atomic_write(target, b"third")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.bin"]
+
+
+def test_cache_store_syncs_the_payload_before_the_sidecar(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = eigensolve.os.fsync, eigensolve.os.replace
+
+    def recording_fsync(fd):
+        real_fsync(fd)
+        events.append(("fsync", eigensolve.os.fstat(fd).st_ino))
+
+    def recording_replace(src, dst):
+        # the file renamed is the one synced last
+        events.append(("replace", eigensolve.os.stat(src).st_ino, eigensolve.Path(dst).suffix))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(eigensolve.os, "fsync", recording_fsync)
+    monkeypatch.setattr(eigensolve.os, "replace", recording_replace)
+    cache_store(diagonalize(*sector(6, 1)), tmp_path)
+    assert [event[0] for event in events] == ["fsync", "replace"] * 2
+    assert [event[2] for event in events[1::2]] == [".bin", ".json"]
+    for synced, renamed in zip(events[::2], events[1::2]):
+        assert synced[1] == renamed[1]
 
 
 @pytest.mark.parametrize("n_sites,k", [(10, 0), (10, 5), (12, 1), (12, 3)])

@@ -286,3 +286,20 @@ def test_element_blocks_match_dense_blocks(n_sites):
                 assert np.all(label == key[0]) and np.all(basis.column_parity[columns] == key[1])
                 assert np.all(np.diff(columns) > 0)
             assert np.array_equal(np.sort(np.concatenate([b.columns for b in got.values()])), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("n_sites", [8, 9, 10, 11, 12])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_element_blocks_are_exactly_symmetric(n_sites, labelled):
+    # LAPACK reads one triangle, the sum rules the whole block: both must see one matrix
+    for k in range(n_sites):
+        basis = momentum_basis(n_sites, k)
+        labels = (-1) ** (n_sites - basis.n_up) if labelled else None
+        params = ModelParams(n_sites, 0.9, 0.0 if labelled else 1.1)
+        matrix = build_sector_hamiltonian(basis, params)
+        want = labelled_blocks(matrix, labels) if labelled else symmetry_blocks(matrix)
+        got = element_blocks(basis, sector_elements(basis, params), labels)
+        assert list(got) == list(want)
+        for key, (_, entries) in got.items():
+            assert np.array_equal(entries, entries.T), (k, key)
+            assert np.max(np.abs(entries - (want[key] + want[key].T) / 2), initial=0.0) < 1e-14, (k, key)
