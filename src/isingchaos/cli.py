@@ -29,8 +29,6 @@ from .eigensolve import (
 from .hamiltonian import ModelParams, sector_elements
 from .spin_basis import ChainSizeError, momentum_basis, sector_counts
 from .statmodel import (
-    GibbsFitError,
-    GibbsInfeasibleError,
     build_strength_model,
     density_stack,
     prediction_curve,
@@ -492,8 +490,6 @@ def main(argv=None) -> int:
     except (
         CacheCorruptionError,
         DiagonalizationError,
-        GibbsFitError,
-        GibbsInfeasibleError,
         ValueError,  # NonHermitianError, LinAlgError and failed statistics
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

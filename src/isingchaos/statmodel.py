@@ -3,8 +3,10 @@
 Per up-spin count n the strength function P_n(E) is modelled three ways:
 a plain Gaussian from the first two moments, a Gram-Charlier series adding
 the third and fourth cumulants through Hermite polynomials, and a
-moment-matched maximum-entropy density exp(-sum_j mu_j E^j)/Z fitted by
-Newton iteration.  On top of the P_n the module evaluates the model spectral
+moment-matched maximum-entropy density exp(-sum_j mu_j E^j)/Z.  Each Gibbs
+density is one damped Newton solve, checked once on a finer grid; where that
+check fails, or no such density has the n's moments, Gram-Charlier stands in
+for that n alone.  On top of the P_n the module evaluates the model spectral
 density, symmetry-corrected wave-function moments M_q(E), and the predicted
 participation ratio, including the corrections from inversion-invariant
 basis states (real vs complex coefficient ensembles).
@@ -32,7 +34,7 @@ GC_CLAMP_SIGMAS = 6.0
 GIBBS_HALF_WIDTH = 12.0  # integration half-width in units of sigma
 GIBBS_TOL = 1e-8  # relative moment residual a fit must reach
 GIBBS_MAX_ITER = 100  # Newton steps per solve
-GIBBS_NODES = 2000  # quadrature nodes of the first grid; refinement doubles them
+GIBBS_NODES = 2000  # quadrature nodes of the fit; its check uses twice as many
 GAUSSIAN_START = (0.0, 0.5, 0.0, 0.0)  # standardized coefficients of exp(-x^2 / 2)
 
 
@@ -90,11 +92,11 @@ def _hermite4(x):
 
 
 class GibbsFitError(RuntimeError):
-    """Newton iteration failed; caller should fall back to Gram-Charlier."""
+    """The Newton solve missed the target moments; Gram-Charlier stands in."""
 
 
 class GibbsInfeasibleError(RuntimeError):
-    """Fitted density is dominated by the integration boundary."""
+    """No smooth density on the integration interval has the target moments; Gram-Charlier stands in."""
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +141,11 @@ def _power_table(nodes: np.ndarray, n_max: int = 8) -> np.ndarray:
     return np.vander(nodes, n_max + 1, increasing=True)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _gibbs_grid(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights and power table of one composite grid, built once per node count.
 
-    Every fit shares them, so they are read-only.
+    Every fit shares the two it uses, so they are read-only.
     """
     nodes, weights = _panel_quadrature(n_nodes)
     powers = _power_table(nodes)
@@ -183,7 +185,12 @@ class GibbsFit:
 
 
 def _newton_solve(targets, n_orders, powers, weights, tol, start):
-    """Damped Newton on the standardized moment equations; returns best found."""
+    """Damped Newton on the standardized moment equations; returns the best coefficients found.
+
+    It stops when the residual falls below ``tol`` or no halved step lowers
+    it; ``fit_gibbs`` then checks the result.  A singular step raises
+    ``GibbsFitError``.
+    """
     coeffs = np.array(start, dtype=float)
     m = _std_moments(coeffs, powers, weights)
     g = m[1 : n_orders + 1] - targets
@@ -212,8 +219,8 @@ def _newton_solve(targets, n_orders, powers, weights, tol, start):
                 break
             step *= 0.5
         if not improved:
-            break  # stalled at the quadrature noise floor; caller verifies
-    return coeffs, m, residual
+            break  # stalled at the quadrature noise floor
+    return coeffs
 
 
 def _std_to_energy_moments(m_std: np.ndarray, e: float, sigma: float) -> np.ndarray:
@@ -226,46 +233,18 @@ def _std_to_energy_moments(m_std: np.ndarray, e: float, sigma: float) -> np.ndar
     return out
 
 
-def _solve_standardized(targets, n_orders, powers, weights, tol, start):
-    """Coefficients, moments and residual of one grid's Newton solve.
-
-    With a ``start`` (a warm start) Newton runs from it first.  If that
-    stalls, or when there is none, Newton runs from the Gaussian, and if that
-    stalls too, the cumulants are ramped up from the Gaussian solution.
-    """
-    stall_limit = 1e3 * tol
-    if start is not None:
-        try:
-            coeffs, m_std, res_std = _newton_solve(targets, n_orders, powers, weights, tol, start)
-        except GibbsFitError:
-            res_std = np.inf
-        if res_std <= stall_limit:
-            return coeffs, m_std, res_std
-        log.info("warm-started Gibbs fit stalled; restarting from the Gaussian")
-    coeffs, m_std, res_std = _newton_solve(targets, n_orders, powers, weights, tol, GAUSSIAN_START)
-    if res_std > stall_limit:
-        # continuation: ramp the cumulants up from the Gaussian solution
-        coeffs = GAUSSIAN_START
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            partial = targets.copy()
-            if n_orders == 4:
-                partial[2] = frac * targets[2]
-                partial[3] = 3.0 + frac * (targets[3] - 3.0)
-            coeffs, m_std, res_std = _newton_solve(partial, n_orders, powers, weights, tol, coeffs)
-    return coeffs, m_std, res_std
-
-
 def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4, start=None) -> GibbsFit:
     """Fit exp(-sum_{j<=n_orders} mu_j E^j)/Z to the first n_orders moments.
 
     Works in the standardized variable on [-12, 12] sigma with composite
-    Gauss-Legendre quadrature, Newton iteration started from ``start`` when
-    it is given (the ``std_coeffs`` of a fit of the same order) and from the
-    Gaussian solution otherwise, and continuation in the cumulant magnitudes
-    if the direct solve stalls.  The max-entropy problem is convex, so a
-    start changes the fit only in the last digits; a start that stalls falls
-    back to the Gaussian.  Node count doubles from ``GIBBS_NODES`` until the
-    converged moments are stable below ``GIBBS_TOL``.
+    Gauss-Legendre quadrature: one damped Newton solve on ``GIBBS_NODES``
+    nodes, started from ``start`` when it is given (the ``std_coeffs`` of a
+    fit of the same order) and from the Gaussian otherwise.  The max-entropy
+    problem is convex, so a start changes the fit only in the last digits.
+    The fitted energy moments are checked once, on twice as many nodes:
+    a residual not below ``GIBBS_TOL``, or a singular Newton step, raises
+    ``GibbsFitError``.  Targets no smooth density on the interval can have,
+    and a density that peaks at its edge, raise ``GibbsInfeasibleError``.
     """
     if n_orders not in (2, 4):
         raise ValueError("n_orders must be 2 or 4")
@@ -293,22 +272,17 @@ def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4, start=None) -> GibbsFi
     )
     tol_std = max(5e-14, GIBBS_TOL * 1e-5)
 
-    nodes_now = GIBBS_NODES
-    for _refine in range(4):
-        weights, powers = _gibbs_grid(nodes_now)
-        coeffs, m_std, res_std = _solve_standardized(
-            targets, n_orders, powers, weights, tol_std, start
-        )
-        fine_weights, fine_powers = _gibbs_grid(2 * nodes_now)
-        m_fine = _std_moments(coeffs, fine_powers, fine_weights)
-        mu_fit = _std_to_energy_moments(m_fine, moments.e_n, sigma)
-        residual = float(np.max(np.abs(mu_fit - mu_target)[:n_orders] / mu_scale[:n_orders]))
-        if residual < GIBBS_TOL:
-            break
-        nodes_now *= 2
-    else:
+    weights, powers = _gibbs_grid(GIBBS_NODES)
+    fine_weights, fine_powers = _gibbs_grid(2 * GIBBS_NODES)
+    coeffs = _newton_solve(
+        targets, n_orders, powers, weights, tol_std, GAUSSIAN_START if start is None else start
+    )
+    m_fine = _std_moments(coeffs, fine_powers, fine_weights)
+    mu_fit = _std_to_energy_moments(m_fine, moments.e_n, sigma)
+    residual = float(np.max(np.abs(mu_fit - mu_target)[:n_orders] / mu_scale[:n_orders]))
+    if not residual < GIBBS_TOL:  # NaN included
         raise GibbsFitError(
-            f"moment residual {residual:.2e} above {GIBBS_TOL:.0e} after refinement"
+            f"moment residual {residual:.2e} not below {GIBBS_TOL:.0e} on {2 * GIBBS_NODES} nodes"
         )
 
     logp = -(powers[:, 1:5] @ coeffs)
@@ -348,7 +322,7 @@ class StrengthModel:
 
 
 def _gibbs_fits(moments: tuple[LocalMomentSet, ...]) -> tuple[GibbsFit | None, ...]:
-    """One four-moment fit per n, None where it failed (Gram-Charlier stands in).
+    """One four-moment fit per n, None where it failed or is infeasible (Gram-Charlier stands in).
 
     The first fit is of the n whose standardized skewness and excess
     kurtosis are smallest, from the Gaussian.  The fits then walk outward
@@ -366,8 +340,8 @@ def _gibbs_fits(moments: tuple[LocalMomentSet, ...]) -> tuple[GibbsFit | None, .
             if n not in fits:
                 try:
                     fits[n] = fit_gibbs(moments[n], 4, start)
-                except GibbsFitError:
-                    log.warning("Gibbs fit failed for n=%d; falling back to Gram-Charlier", n)
+                except (GibbsFitError, GibbsInfeasibleError) as exc:
+                    log.warning("Gibbs fit failed for n=%d (%s); falling back to Gram-Charlier", n, exc)
                     fits[n] = None
             if fits[n] is not None:
                 start = fits[n].std_coeffs

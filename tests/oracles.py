@@ -8,7 +8,8 @@ multipliers of a fitted Gibbs density, the full-chain model density of
 states, the dense pre-solve path (the hermiticity defect of a dense block,
 its rotation into the real basis and the checked or labelled symmetry
 blocks cut from it), the free-fermion levels of each momentum sector on
-the integrable line, the Gaussian fit of one window at a time, and a CSV
+the integrable line alpha = 0 and the classical necklace levels on the line
+lam = 0, the Gaussian fit of one window at a time, and a CSV
 writer that formats cell by cell.
 """
 
@@ -370,6 +371,27 @@ def free_fermion_levels(n_sites: int, lam: float, k: int) -> dict[int, np.ndarra
         momentum = (states @ twice_m) // 2 % n_sites  # states @ twice_m is even in both cases
         levels[parity] = np.sort(states[momentum == k] @ eps - eps.sum() / 2)
     return levels
+
+
+def necklace_levels(n_sites: int, alpha: float, k: int) -> np.ndarray:
+    """Every level of momentum sector ``k`` on the line lam = 0, where H is diagonal in the sx basis.
+
+    There a configuration x in {+1, -1}^N of the sx_j has the classical
+    energy -sum_j x_j x_{j+1} - alpha sum_j x_j, and translation permutes the
+    configurations, as it permutes the sz ones.  So sector k holds one level
+    per necklace (translation orbit) whose period t has k t = 0 mod N: the
+    orbit's plane wave of momentum k is nonzero just then.  Returns the
+    ascending levels.
+    """
+    configs = np.arange(1 << n_sites)
+    x = 1 - 2 * ((configs[:, None] >> np.arange(n_sites)) & 1)
+    energy = -np.sum(x * np.roll(x, -1, axis=1), axis=1) - alpha * np.sum(x, axis=1)
+    mask = (1 << n_sites) - 1
+    shifts = np.arange(1, n_sites + 1)
+    rotated = ((configs[:, None] << shifts) | (configs[:, None] >> (n_sites - shifts))) & mask
+    period = np.argmax(rotated == configs[:, None], axis=1) + 1  # the shift by N always matches
+    representative = rotated.min(axis=1) == configs
+    return np.sort(energy[representative & (k * period % n_sites == 0)])
 
 
 def gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -24,7 +24,9 @@ from isingchaos.cli import (
 )
 from isingchaos.eigensolve import EigenDecomposition
 from isingchaos.hamiltonian import ModelParams
+from isingchaos.moments import analytic_moments
 from isingchaos.spin_basis import sector_counts
+from isingchaos.statmodel import GibbsInfeasibleError, fit_gibbs
 
 
 def run(capsys, *argv):
@@ -209,6 +211,33 @@ def test_predict_three_correction_variants(tmp_path, capsys):
         body = path.read_text()
         variant = {"none": "gaussian", "gram-charlier": "gram_charlier", "gibbs": "gibbs"}
         assert variant[corr] in body
+
+
+def test_predict_with_an_infeasible_gibbs_n_uses_gram_charlier_there(tmp_path):
+    # at lam = 10 the end classes n = 0 and 6 have standardized kurtosis near 190, beyond the
+    # 144 a density on +-12 sigma can have: Gram-Charlier stands in for those two n only.
+    # Run as a user runs it, in its own interpreter: the fitted P_1..P_5 have c4 < 0, so they
+    # overflow beyond their +-12 sigma support inside the prediction span, and the suite
+    # turns those RuntimeWarnings into errors.
+    params = ModelParams(6, 10.0, 0.5)
+    infeasible = []
+    for n in range(7):
+        try:
+            fit_gibbs(analytic_moments(params, n))
+        except GibbsInfeasibleError:
+            infeasible.append(n)
+    assert infeasible == [0, 6]
+    argv = ["predict", "--spins", "6", "--lambda", "10", "--alpha", "0.5", "--momentum", "0",
+            "--corrections", "gibbs", "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "isingchaos.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    fallbacks = re.findall(r"^Gibbs fit failed for n=(\d+) \(standardized kurtosis .*\); falling back to "
+                           r"Gram-Charlier$", done.stderr, flags=re.M)
+    assert sorted(map(int, fallbacks)) == infeasible
+    assert done.stderr.count("Gibbs fit failed") == len(infeasible)
+    assert (tmp_path / "predict_k0_gibbs.csv").exists()
 
 
 def test_compare_pipeline(tmp_path, capsys):

@@ -507,23 +507,6 @@ def _assert_same_fit(got, want, rtol=1e-10):
     assert got.residual < statmodel.GIBBS_TOL
 
 
-def _stall_first_newton(monkeypatch, failure=None):
-    """Make the first Newton solve stall at its start (or raise ``failure``); returns the calls."""
-    calls = []
-    inner = statmodel._newton_solve
-
-    def stalling(targets, n_orders, powers, weights, tol, start):
-        calls.append((np.array(targets), np.array(start)))
-        if len(calls) > 1:
-            return inner(targets, n_orders, powers, weights, tol, start)
-        if failure is not None:
-            raise failure
-        return np.array(start, dtype=float), _std_moments(start, powers, weights), 1.0
-
-    monkeypatch.setattr(statmodel, "_newton_solve", stalling)
-    return calls
-
-
 def test_warm_started_model_takes_a_third_of_the_cold_moment_evaluations(monkeypatch):
     params = ModelParams(14, 1.0, 1.0)
     evaluations = _count_calls(monkeypatch, "_std_moments")
@@ -543,60 +526,57 @@ def test_model_fits_every_n_once_through_fit_gibbs(monkeypatch):
     assert all(fit is not None for fit in model.gibbs_fits)
 
 
-@pytest.mark.parametrize("n_sites", [10, 14, 20])
-def test_no_warm_start_falls_back_at_the_benchmark_points(n_sites, caplog):
+# the fits need no retry: at every benchmark point and the golden one, each n is fitted by
+# one Newton solve, checked on the doubled grid, and no other grid is built
+@pytest.mark.parametrize("n_sites", [10, 14, 20, 24])
+def test_no_warm_start_falls_back_at_the_benchmark_points(monkeypatch, n_sites, caplog):
+    solves = _count_calls(monkeypatch, "_newton_solve")
+    grids = _count_calls(monkeypatch, "_gibbs_grid")
     with caplog.at_level(logging.INFO, logger="isingchaos.statmodel"):
-        for lam, alpha in BENCH_POINTS:
+        for lam, alpha in (*BENCH_POINTS, (0.9, 1.1)):
+            solves.clear()
+            grids.clear()
             model = build_strength_model(ModelParams(n_sites, lam, alpha), "gibbs")
             assert all(fit is not None for fit in model.gibbs_fits)
+            assert len(solves) == n_sites + 1, (lam, alpha)
+            assert {args[0] for args in grids} == {2000, 4000}, (lam, alpha)
     assert caplog.records == []
 
 
 @pytest.mark.parametrize(
     "failure", [None, statmodel.GibbsFitError("singular moment covariance")], ids=["stalled", "singular"]
 )
-def test_stalled_warm_start_gives_the_cold_fit(monkeypatch, caplog, failure):
+def test_a_failed_newton_solve_is_not_retried(monkeypatch, failure):
     params = ModelParams(14, 1.0, 1.0)
     mom = analytic_moments(params, 3)
-    cold = fit_gibbs(mom)
     warm_start = fit_gibbs(analytic_moments(params, 4)).std_coeffs
-    calls = _stall_first_newton(monkeypatch, failure)
-    with caplog.at_level(logging.INFO, logger="isingchaos.statmodel"):
-        fit = fit_gibbs(mom, 4, warm_start)
-    assert "warm-started Gibbs fit stalled" in caplog.text
-    np.testing.assert_array_equal(calls[0][1], warm_start)
-    np.testing.assert_array_equal(calls[1][1], statmodel.GAUSSIAN_START)
-    assert fit == cold  # the same path from the Gaussian on, so the same bits
-
-
-def test_continuation_ramp_recovers_a_stalled_newton(monkeypatch):
-    mom = analytic_moments(ModelParams(14, 1.0, 1.0), 0)  # the most skewed n
-    direct = fit_gibbs(mom)
-    calls = _stall_first_newton(monkeypatch)
-    fit = fit_gibbs(mom)
-    targets = calls[0][0]
-    # one stalled solve from the Gaussian, then the four steps of the ramp, from the Gaussian on
-    assert len(calls) == 5
-    np.testing.assert_array_equal(calls[1][1], statmodel.GAUSSIAN_START)
-    for (partial, _), frac in zip(calls[1:], (0.25, 0.5, 0.75, 1.0)):
-        np.testing.assert_allclose(partial[2:], [frac * targets[2], 3.0 + frac * (targets[3] - 3.0)])
-    _assert_same_fit(fit, direct)
-
-
-def test_node_doubling_recovers_a_coarse_grid_residual(monkeypatch):
-    mom = analytic_moments(ModelParams(14, 1.0, 1.0), 5)
-    direct = fit_gibbs(mom)
     grids = _count_calls(monkeypatch, "_gibbs_grid")
+    solves = []
+
+    def failing(targets, n_orders, powers, weights, tol, start):
+        # stall at the start, or raise ``failure``
+        solves.append(np.array(start))
+        if failure is not None:
+            raise failure
+        return np.array(start, dtype=float)
+
+    monkeypatch.setattr(statmodel, "_newton_solve", failing)
+    with pytest.raises(statmodel.GibbsFitError):
+        fit_gibbs(mom, 4, warm_start)
+    assert len(solves) == 1  # no restart from the Gaussian
+    np.testing.assert_array_equal(solves[0], warm_start)
+    assert [args[0] for args in grids] == [2000, 4000]
+
+
+def test_an_off_doubled_grid_check_is_not_retried(monkeypatch):
+    mom = analytic_moments(ModelParams(14, 1.0, 1.0), 5)
+    grids = _count_calls(monkeypatch, "_gibbs_grid")
+    solves = _count_calls(monkeypatch, "_newton_solve")
     inner = statmodel._std_to_energy_moments
-    checks = []
-
-    def off_once(m_std, e, sigma):
-        checks.append(e)
-        moments = inner(m_std, e, sigma)
-        return moments * (1.0 + 10 * statmodel.GIBBS_TOL) if len(checks) == 1 else moments
-
-    monkeypatch.setattr(statmodel, "_std_to_energy_moments", off_once)
-    fit = fit_gibbs(mom)
-    # solve on 2000 nodes, check on 4000: too far off, so solve on 4000 and check on 8000
-    assert [args[0] for args in grids] == [2000, 4000, 4000, 8000]
-    _assert_same_fit(fit, direct)
+    monkeypatch.setattr(
+        statmodel, "_std_to_energy_moments", lambda *args: inner(*args) * (1.0 + 10 * statmodel.GIBBS_TOL)
+    )
+    with pytest.raises(statmodel.GibbsFitError, match="not below"):
+        fit_gibbs(mom)
+    assert len(solves) == 1
+    assert [args[0] for args in grids] == [2000, 4000]
