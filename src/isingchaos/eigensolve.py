@@ -222,11 +222,11 @@ def _fingerprint_elements(basis: MomentumBasis, elements: SectorElements) -> str
 def _checked_blocks(
     basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
 ) -> dict[tuple[int, int], np.ndarray]:
-    """``element_blocks``, with a ``SymmetryBreakingError`` carrying the fingerprint of the summed elements."""
+    """``element_blocks``; a failed pre-solve check is raised as its own class, with the elements' fingerprint."""
     try:
         return element_blocks(basis, elements, row_labels)
-    except SymmetryBreakingError as exc:
-        raise SymmetryBreakingError(f"{exc} (matrix {_fingerprint_elements(basis, elements)})") from None
+    except NonHermitianError as exc:
+        raise type(exc)(f"{exc} (matrix {_fingerprint_elements(basis, elements)})") from None
 
 
 def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> EigenDecomposition:
@@ -289,8 +289,8 @@ def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelPar
     ``RESIDUAL_FACTOR`` times the spectral norm, or the eigenvectors fail a
     randomized orthonormality check (``ORTHO_PROBES`` probes at relative
     tolerance ``ORTHO_TOL``); its fingerprint is that of the real block
-    LAPACK was given.  A ``SymmetryBreakingError`` carries the
-    fingerprint of the summed elements, as in ``block_spectra``.
+    LAPACK was given.  A ``NonHermitianError`` or ``SymmetryBreakingError``
+    carries the fingerprint of the summed elements, as in ``block_spectra``.
     """
     return _solve_blocks(basis, _checked_blocks(basis, elements), params)
 
@@ -329,9 +329,10 @@ def block_spectra(
     error that preserves both sums passes.
 
     Returns ``{(label, parity): ascending energies}`` keyed and ordered as
-    ``element_blocks`` returns the blocks.  Raises ``NonHermitianError``,
-    ``SymmetryBreakingError``, or ``DiagonalizationError`` with a fingerprint
-    of the summed elements if LAPACK fails or a check does not hold.
+    ``element_blocks`` returns the blocks.  Raises ``NonHermitianError`` or
+    ``SymmetryBreakingError`` if a pre-solve check fails, and
+    ``DiagonalizationError`` if LAPACK fails or a spectrum check does not
+    hold, each with a fingerprint of the summed elements.
     """
     blocks = _checked_blocks(basis, elements, row_labels)
     spectra = {}

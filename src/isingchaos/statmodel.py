@@ -30,7 +30,6 @@ log = logging.getLogger(__name__)
 
 VARIANTS = ("gaussian", "gram_charlier", "gibbs")
 
-GC_CLAMP_SIGMAS = 6.0
 GIBBS_HALF_WIDTH = 12.0  # integration half-width in units of sigma
 GIBBS_TOL = 1e-8  # relative moment residual a fit must reach
 GIBBS_MAX_ITER = 100  # Newton steps per solve
@@ -306,7 +305,7 @@ def fit_gibbs(moments: LocalMomentSet, n_orders: int = 4, start=None) -> GibbsFi
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrengthModel:
     """Per-n strength-function model for one parameter set."""
 
@@ -314,7 +313,6 @@ class StrengthModel:
     variant: str
     moments: tuple[LocalMomentSet, ...]
     gibbs_fits: tuple[GibbsFit | None, ...] = ()
-    _warned_clamp: bool = False
 
     @property
     def n_sites(self) -> int:
@@ -358,7 +356,7 @@ def build_strength_model(params: ModelParams, variant: str = "gaussian") -> Stre
 
 
 def strength_density(model: StrengthModel, n_up: int, energy) -> np.ndarray:
-    """Model density P_n(E); vectorized over the energy argument."""
+    """Model density P_n(E), vectorized over E: the plain series, negative Gram-Charlier lobes included."""
     mom = model.moments[n_up]
     e = np.asarray(energy, dtype=float)
     sigma2 = mom.sigma2
@@ -377,34 +375,23 @@ def strength_density(model: StrengthModel, n_up: int, energy) -> np.ndarray:
         + mom.k3 / (6.0 * sigma**3) * _hermite3(x)
         + mom.k4 / (24.0 * sigma2**2) * _hermite4(x)
     )
-    out = gauss * bracket
-    clamp = (np.abs(x) > GC_CLAMP_SIGMAS) & (out < 0)
-    if np.any(clamp):
-        if not model._warned_clamp:
-            log.warning(
-                "negative Gram-Charlier tail clamped to zero beyond %.0f sigma",
-                GC_CLAMP_SIGMAS,
-            )
-            model._warned_clamp = True
-        out = np.where(clamp, 0.0, out)
-    return out
+    return gauss * bracket
 
 
 def density_stack(model: StrengthModel, energy) -> np.ndarray:
-    """The (N+1) x G stack of P_n(E): the one input of every prediction, the same for every sector."""
+    """The (N+1) x G stack of max(P_n(E), 0): the one input of every prediction, the same for every sector.
+
+    It is the one place that clips negative densities (the Gram-Charlier lobes), which carry no weight.
+    """
     e = np.atleast_1d(np.asarray(energy, dtype=float))
-    return np.stack([strength_density(model, n, e) for n in range(model.n_sites + 1)])
+    stack = np.stack([strength_density(model, n, e) for n in range(model.n_sites + 1)])
+    return np.maximum(stack, 0.0, out=stack)
 
 
 def prediction_span(params: ModelParams) -> float:
     """Half-width |lam| N + 6 sigma of the energy range that predictions cover."""
     sigma = np.sqrt(params.n_sites * (1 + params.alpha**2))
     return abs(params.lam) * params.n_sites + 6 * sigma
-
-
-def _clipped_power(stack: np.ndarray, q: float) -> np.ndarray:
-    # negative Gram-Charlier lobes carry no weight when raised to real powers
-    return np.clip(stack, 0.0, None) ** q
 
 
 def _delta(counts: SectorCounts, mode: str) -> float:
@@ -415,8 +402,8 @@ def _delta(counts: SectorCounts, mode: str) -> float:
     raise ValueError("mode must be 'uniform' or 'none'")
 
 
-def _moment(counts: SectorCounts, clipped: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
-    """M_q on the grid of ``clipped``, the density stack clipped at zero; NaN where no n has states.
+def _moment(counts: SectorCounts, stack: np.ndarray, q: float, delta_mode: str) -> np.ndarray:
+    """M_q on the grid of ``stack`` (``density_stack``); NaN where no n has states.
 
     Each P_n is divided by sum_n nu_n P_n before the power, so that a tiny
     but nonzero density does not underflow to 0 / 0.  An n without states
@@ -425,8 +412,8 @@ def _moment(counts: SectorCounts, clipped: np.ndarray, q: float, delta_mode: str
     if q < 1:
         raise ValueError("q must be >= 1")
     nu = counts.nu_tot.astype(float)
-    s1 = nu @ clipped
-    share = np.divide(clipped, s1, out=np.zeros(clipped.shape), where=(nu[:, None] > 0) & (s1 > 0))
+    s1 = nu @ stack
+    share = np.divide(stack, s1, out=np.zeros(stack.shape), where=(nu[:, None] > 0) & (s1 > 0))
     powered = share**q
     delta = _delta(counts, delta_mode)
     if counts.is_real:
@@ -460,9 +447,10 @@ def prediction_curve(
     """Evaluate density, M_q, and Pr = 1 / M_2 predictions on a grid.
 
     Every column comes from the strength-density stack ``stack``, which is
-    ``density_stack(model, energies)``: a caller that predicts many sectors
-    (``compare``, ``predict``) evaluates the model once and passes it.  A
-    library call for one sector may leave it out, and it is built here.
+    ``density_stack(model, energies)`` and is read as given, so rho and every
+    M_q agree on where the model has states.  A caller that predicts many
+    sectors (``compare``, ``predict``) evaluates the model once and passes it.
+    A library call for one sector may leave it out, and it is built here.
     The sector enters through its state counts ``counts`` (``sector_counts``).
     Real sectors (``counts.is_real``: k = 0 and k = N/2) use the real-ensemble
     factor with the parity correction 1 + (2^(q-1) - 1) delta, so the
@@ -476,13 +464,10 @@ def prediction_curve(
         stack = density_stack(model, energies)
     elif stack.shape != (model.n_sites + 1, energies.size):
         raise ValueError(f"density stack of shape {stack.shape} does not match the model and grid")
-    # rho and every M_q read the same stack, each P_n clipped at zero, so they
-    # agree on where the model has states
-    clipped = _clipped_power(stack, 1.0)
     nu = counts.nu_tot.astype(float)
-    rho = (nu / nu.sum()) @ clipped
-    moments = {q: _moment(counts, clipped, q, delta_mode) for q in q_values}
-    m2 = moments[2.0] if 2.0 in moments else _moment(counts, clipped, 2.0, delta_mode)
+    rho = (nu / nu.sum()) @ stack
+    moments = {q: _moment(counts, stack, q, delta_mode) for q in q_values}
+    m2 = moments[2.0] if 2.0 in moments else _moment(counts, stack, 2.0, delta_mode)
     pr = 1.0 / m2
     corrections = []
     if model.variant != "gaussian":

@@ -34,7 +34,6 @@ from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbi
 from isingchaos.statmodel import (
     GibbsFit,
     StrengthModel,
-    _clipped_power,
     _panel_quadrature,
     _power_table,
     _std_moments,
@@ -237,7 +236,7 @@ def model_spectral_density(model: StrengthModel, energy) -> np.ndarray:
     """
     n = model.n_sites
     counts = np.array([comb(n, m) for m in range(n + 1)], dtype=float)
-    return (counts / counts.sum()) @ _clipped_power(density_stack(model, energy), 1.0)
+    return (counts / counts.sum()) @ density_stack(model, energy)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:

@@ -20,7 +20,6 @@ from isingchaos.hamiltonian import (
 from isingchaos.moments import analytic_moments
 from isingchaos.spin_basis import momentum_basis, sector_counts
 from isingchaos.statmodel import (
-    _clipped_power,
     build_strength_model,
     density_stack,
     fit_gibbs,
@@ -180,14 +179,14 @@ def _pr_comparison(counts, decomp, corrected_model, gauss_model):
     corr = prediction_curve(counts, corrected_model, grid)
     unc = prediction_curve(counts, gauss_model, grid, delta_mode="none")
     # oracle for the uncorrected baseline: the plain Gaussian-ensemble closed form
-    stack = _clipped_power(density_stack(gauss_model, grid), 1.0)
+    stack = density_stack(gauss_model, grid)
     nu = counts.nu_tot.astype(float)
     factor = r_q_real if counts.is_real else r_q_complex
     assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ (stack / (nu @ stack)) ** 2.0)))
     rep_c = empirics.compare(grid, corr.pr, decomp.energies, pr, edges)
     rep_u = empirics.compare(grid, unc.pr, decomp.energies, pr, edges)
     # effective R2 from data: model ratio-part divided by empirical Pr
-    stack = _clipped_power(density_stack(corrected_model, rep_c.e_center), 1.0)
+    stack = density_stack(corrected_model, rep_c.e_center)
     nu = counts.nu_tot.astype(float)
     ratio_part = (nu @ stack) ** 2 / (nu @ stack**2)
     bulk = rep_c.in_bulk

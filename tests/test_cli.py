@@ -240,6 +240,18 @@ def test_predict_with_an_infeasible_gibbs_n_uses_gram_charlier_there(tmp_path):
     assert (tmp_path / "predict_k0_gibbs.csv").exists()
 
 
+def test_gram_charlier_prediction_writes_nothing_to_stderr(tmp_path):
+    # negative Gram-Charlier lobes are clipped in density_stack without a log line
+    argv = ["predict", "--spins", "20", "--lambda", "0.9", "--alpha", "1.1", "--momentum", "0",
+            "--corrections", "gram-charlier", "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "isingchaos.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stderr == ""
+    assert (tmp_path / "predict_k0_gram-charlier.csv").exists()
+
+
 def test_compare_pipeline(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -452,8 +464,9 @@ def test_coeff_hist_skips_windows_without_a_degree_of_freedom(tmp_path, capsys):
 
 
 def test_predict_where_the_model_has_no_states(tmp_path, capsys):
-    # the Gram-Charlier clamp zeroes every P_n(E) at the grid edge: M_q and Pr are
-    # NaN there, without a floating-point warning (the suite turns those into errors)
+    # the Gram-Charlier tails are negative at the grid edge and density_stack clips
+    # them to zero: M_q and Pr are NaN there, without a floating-point warning (the
+    # suite turns those into errors)
     code, _, _ = run(
         capsys, "predict", "--spins", "10", "--lambda", "0.8", "--alpha", "1.2", "--momentum", "1",
         "--corrections", "gram-charlier", "--out", str(tmp_path),

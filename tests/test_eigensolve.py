@@ -706,6 +706,23 @@ def test_block_spectra_pre_solve_checks():
         block_spectra(basis, _with(elements, [pair], [pair], [1e-6]))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("solve", [diagonalize, block_spectra])
+def test_non_hermitian_failure_carries_the_fingerprint(solve, k):
+    # one off-diagonal element moved by 1e-6 fails as NonHermitianError itself, not a subclass,
+    # with the fingerprint of the summed elements that every pre-solve failure carries
+    basis, elements, params = sector(8, k)
+    row, col = elements.rows[-1], elements.cols[-1]
+    assert row != col
+    skewed = _with(elements, [row], [col], [1e-6])
+    args = (basis, skewed, params) if solve is diagonalize else (basis, skewed)
+    with pytest.raises(NonHermitianError) as info:
+        solve(*args)
+    assert type(info.value) is NonHermitianError
+    fingerprint = eigensolve._fingerprint_elements(basis, skewed)
+    assert str(info.value) == f"hermiticity defect 1.000e-06 exceeds tolerance (matrix {fingerprint})"
+
+
 def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     basis, elements, params = sector(10, 1)
     decomp = diagonalize(basis, elements, params)

@@ -1,5 +1,6 @@
 """Strength-function models, the max-entropy fitter, and moment predictions."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -13,8 +14,8 @@ from isingchaos.hamiltonian import ModelParams
 from isingchaos.moments import analytic_moments
 from isingchaos.spin_basis import sector_counts
 from isingchaos.statmodel import (
+    VARIANTS,
     GibbsInfeasibleError,
-    _clipped_power,
     _delta,
     _panel_quadrature,
     _power_table,
@@ -156,19 +157,6 @@ def test_density_moment_fidelity(variant, order):
             assert abs(got[j] - target[j]) / max(abs(target[j]), 1.0) < 1e-6
 
 
-def test_gram_charlier_tail_clamp_logs(caplog):
-    # cumulants large enough to push the far tail negative
-    mom = moment_set_from_cumulants(3, 0.0, 1.0, 2.5, 1.0, 0.0)
-    model = build_strength_model(ModelParams(6, 1.0, 1.0), "gram_charlier")
-    patched = type(model)(params=model.params, variant="gram_charlier", moments=(mom,) * 7)
-    e = np.linspace(-12, 12, 2001)
-    with caplog.at_level(logging.WARNING):
-        dens = strength_density(patched, 3, e)
-    x = np.abs(e)
-    assert np.all(dens[(x > 6.0)] >= 0.0)
-    assert any("clamped" in rec.message for rec in caplog.records)
-
-
 def test_gibbs_two_moment_fit_is_gaussian():
     mom = analytic_moments(P17, 8)
     multipliers = gibbs_multipliers(fit_gibbs(mom, n_orders=2))
@@ -289,7 +277,7 @@ def test_effective_r2():
 
 def closed_form_uncorrected_moment(counts, model, energies, q):
     """Oracle: the plain Gaussian-ensemble M_q = r_q sum_n nu_n (P_n / sum_m nu_m P_m)^q."""
-    stack = _clipped_power(density_stack(model, energies), 1.0)
+    stack = density_stack(model, energies)
     nu = counts.nu_tot.astype(float)
     s1 = nu @ stack
     factor = r_q_real if counts.is_real else r_q_complex
@@ -467,7 +455,7 @@ def test_gibbs_curve_far_outside_the_spectrum_is_finite_without_warnings(delta_m
         # the unscaled ratio sum_n nu_n P_n^q / (sum_n nu_n P_n)^q gives the same values
         # wherever neither sum underflows: to 0 (0 / 0) or to a subnormal number, which
         # has lost digits
-        stack = _clipped_power(density_stack(model, grid), 1.0)
+        stack = density_stack(model, grid)
         for q, moment in curve.moments.items():
             powered = stack**q
             factor = r_q_complex(q) + (r_q_real(q) - r_q_complex(q)) * _delta(counts, delta_mode)
@@ -485,6 +473,31 @@ BENCH_POINTS = (
     (1.0, 1.0), (1.001, 0.944), (1.054, 1.093), (0.933, 0.926),
     (1.028, 1.073), (0.958, 1.09), (1.059, 1.075), (0.903, 0.98),
 )
+
+
+@pytest.mark.parametrize("n_sites", [10, 14])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_density_stack_clips_each_plain_density_once(variant, n_sites):
+    negative = 0
+    for lam, alpha in (*BENCH_POINTS, (0.9, 1.1)):
+        params = ModelParams(n_sites, lam, alpha)
+        model = build_strength_model(params, variant)
+        span = prediction_span(params)
+        grid = np.linspace(-span, span, 512)
+        stack = density_stack(model, grid)
+        assert not np.any(stack < 0), (lam, alpha)
+        for n, row in enumerate(stack):
+            plain = strength_density(model, n, grid)
+            negative += np.count_nonzero(plain < 0)
+            assert np.array_equal(row, np.maximum(plain, 0.0)), (lam, alpha, n)
+    # strength_density keeps the negative Gram-Charlier lobes; the other two are positive
+    assert (negative > 0) == (variant == "gram_charlier")
+
+
+def test_strength_model_is_frozen():
+    model = build_strength_model(ModelParams(6, 1.0, 1.0), "gram_charlier")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.variant = "gaussian"
 
 
 def _count_calls(monkeypatch, name):
