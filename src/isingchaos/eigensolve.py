@@ -4,11 +4,13 @@ Every sector is solved in real arithmetic, in the real basis its
 ``MomentumBasis`` owns: at k = 0 and k = N/2 as separate inversion-even and
 inversion-odd blocks, elsewhere as one A-invariant block.  Both solvers cut
 those blocks, checked and exactly symmetric, from the sector's element list
-with ``hamiltonian.element_blocks`` and hand each to LAPACK as built;
-neither forms the dense plane-wave block.  ``diagonalize`` verifies each
-block's eigenpairs and maps the eigenvectors back to complex plane-wave
-coefficients in a fixed gauge; ``block_spectra`` solves for eigenvalues
-only, checked per block by their sum rules.
+with ``hamiltonian.element_blocks`` and hand each to LAPACK as built, as
+its Fortran-ordered transpose (the same matrix); neither forms the dense
+plane-wave block.  ``diagonalize`` verifies each block's eigenpairs and
+maps the eigenvectors back to complex plane-wave coefficients in a fixed
+gauge; ``block_spectra`` solves for eigenvalues only, checked per block by
+their sum rules against the trace and squared norm that ``element_blocks``
+sums from the block's real-basis elements.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
 from its eigenvectors by ``state_moment_sums`` in the solve.  It is cached
@@ -37,6 +39,7 @@ import numpy as np
 from .hamiltonian import (
     ModelParams,
     NonHermitianError,
+    RealBlock,
     SectorElements,
     SymmetryBreakingError,
     element_blocks,
@@ -204,9 +207,13 @@ def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray) -> str | None:
 
 
 def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Verified eigenpairs of the symmetric ``a``, which is fingerprinted on failure."""
+    """Verified eigenpairs of the symmetric ``a``, which is fingerprinted on failure.
+
+    LAPACK gets ``a.T``: the same exactly symmetric matrix, in the Fortran
+    order that numpy copies into LAPACK's workspace without a strided pass.
+    """
     try:
-        energies, vectors = np.linalg.eigh(a)
+        energies, vectors = np.linalg.eigh(a.T)
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(a)}") from exc
     failure = _verify(a, energies, vectors)
@@ -221,7 +228,7 @@ def _fingerprint_elements(basis: MomentumBasis, elements: SectorElements) -> str
 
 def _checked_blocks(
     basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
-) -> dict[tuple[int, int], np.ndarray]:
+) -> dict[tuple[int, int], RealBlock]:
     """``element_blocks``; a failed pre-solve check is raised as its own class, with the elements' fingerprint."""
     try:
         return element_blocks(basis, elements, row_labels)
@@ -235,8 +242,9 @@ def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> Ei
     The energies ascend, and each eigenstate carries the parity of its
     block's key (0 outside k = 0 and N/2).  A block's eigenvectors fill the
     rows of W that its columns of U name, V = U W is put in the phase gauge,
-    and its moment sums are taken.  Each block goes to LAPACK as built, and
-    is popped from ``blocks`` so that it is freed once solved.
+    and its moment sums are taken.  Each block goes to LAPACK as built (as
+    its Fortran-ordered transpose, see ``_solve``), and is popped from
+    ``blocks`` so that it is freed once solved.
     """
     dim = basis.dim
     parities = np.array([parity for _, parity in blocks], dtype=np.int8)
@@ -295,14 +303,17 @@ def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelPar
     return _solve_blocks(basis, _checked_blocks(basis, elements), params)
 
 
-def _sum_rule_failure(block: np.ndarray, energies: np.ndarray) -> str | None:
-    """Level count, finiteness and the two sum rules of a block's spectrum; a failure message or None."""
-    n = block.shape[0]
+def _sum_rule_failure(block: RealBlock, energies: np.ndarray) -> str | None:
+    """Level count, finiteness and the two sum rules of a block's spectrum; a failure message or None.
+
+    tr B and |B|_F^2 are those the block carries, summed from its
+    real-basis elements, so the check reads the element list the block
+    was cut from and not the array LAPACK was given.
+    """
+    n, frob2 = block.columns.size, block.frob2
     if energies.shape != (n,) or not np.all(np.isfinite(energies)):
         return f"{energies.size} levels, not {n} finite ones"
-    # row sums first: each row holds a few nonzeros, so the total stays exact to rounding
-    frob2 = float(np.sum(np.einsum("ij,ij->i", block, block)))
-    deviation = abs(float(np.sum(energies)) - float(np.trace(block)))
+    deviation = abs(float(np.sum(energies)) - block.trace)
     bound = SUM_RULE_RTOL * np.sqrt(n * frob2)
     if deviation > bound:
         return f"sum E deviates from tr B by {deviation:.3e} (bound {bound:.1e})"
@@ -321,12 +332,15 @@ def block_spectra(
     Builds the checked real blocks of ``element_blocks`` from the sector's
     elements over ``basis`` (``hamiltonian.sector_elements``), here with
     optional ``row_labels``, with no dense plane-wave block, and runs
-    ``np.linalg.eigvalsh`` on each block B of dimension n.  Each spectrum
-    must hold n finite levels and satisfy the sum rules sum E = tr B within
-    ``SUM_RULE_RTOL`` sqrt(n) |B|_F and sum E^2 = |B|_F^2 within
-    ``SUM_RULE_RTOL`` |B|_F^2.  That catches a lost, shifted or non-finite
-    level, but it is weaker than the residual check of ``diagonalize``: an
-    error that preserves both sums passes.
+    ``np.linalg.eigvalsh`` on each block B of dimension n, given as its
+    Fortran-ordered transpose.  Each spectrum must hold n finite levels and
+    satisfy the sum rules sum E = tr B within ``SUM_RULE_RTOL`` sqrt(n)
+    |B|_F and sum E^2 = |B|_F^2 within ``SUM_RULE_RTOL`` |B|_F^2, where tr B
+    and |B|_F^2 are summed in O(nnz) from the block's real-basis elements,
+    not read from the array LAPACK got.  So a block changed between its
+    assembly and the solve fails too.  The check catches a lost, shifted or
+    non-finite level, but it is weaker than the residual check of
+    ``diagonalize``: an error that preserves both sums passes.
 
     Returns ``{(label, parity): ascending energies}`` keyed and ordered as
     ``element_blocks`` returns the blocks.  Raises ``NonHermitianError`` or
@@ -337,9 +351,9 @@ def block_spectra(
     blocks = _checked_blocks(basis, elements, row_labels)
     spectra = {}
     for key in list(blocks):
-        block = blocks.pop(key).entries  # each block is freed once solved
+        block = blocks.pop(key)  # each block is freed once solved
         try:
-            energies = np.linalg.eigvalsh(block)
+            energies = np.linalg.eigvalsh(block.entries.T)  # the same symmetric matrix, in Fortran order
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(
                 f"eigensolver failed on matrix {_fingerprint_elements(basis, elements)}"

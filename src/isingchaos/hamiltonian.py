@@ -183,10 +183,16 @@ def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> Secto
 
 
 class RealBlock(NamedTuple):
-    """One diagonal block of a sector in its real basis U: the columns of U it spans and its entries."""
+    """One diagonal block of a sector in its real basis U.
+
+    The columns of U it spans, its entries, and tr B and |B|_F^2, each
+    summed from the block's own real-basis elements.
+    """
 
     columns: np.ndarray
     entries: np.ndarray
+    trace: float
+    frob2: float
 
 
 def _limit(magnitudes: np.ndarray) -> float:
@@ -213,45 +219,84 @@ def summed_elements(elements: SectorElements, dim: int) -> SectorElements:
     return SectorElements(key // dim, key % dim, summed)
 
 
-def _mirror(elements: SectorElements, dim: int) -> np.ndarray:
-    """For each element (row, col) of a ``summed_elements`` list, the value at (col, row); 0 where that is absent."""
+def _grouped_elements(
+    elements: SectorElements, pair: np.ndarray, slot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The summed elements, laid out by the two inversion pairs they join: the one sort of the list.
+
+    State a is in slot ``slot[a]`` of the inversion pair named by its lower
+    index ``pair[a]``: slot 0 for that index, 1 for its partner.  Group i
+    joins pairs P_i <= Q_i.  Returns (R, C, h) with R = (P, Q), C = (Q, P)
+    and h of shape (2, 2, 2 G): h[x, y, m] is the element from slot x of
+    pair R[m] to slot y of pair C[m], so that group i appears as m = i and
+    m = G + i (as two copies of one where P_i = Q_i), and ``_transposed(h)``
+    holds each element's transpose.  An absent element is 0, and repeated
+    ones are added in list order, as in ``summed_elements``.
+    """
+    dim = pair.size
     rows, cols, values = elements
-    key = rows * dim + cols
-    mirror_key = cols * dim + rows
-    at = np.minimum(np.searchsorted(key, mirror_key), key.size - 1)
-    return np.where(key[at] == mirror_key, values[at], 0.0)
+    p, q = pair[rows], pair[cols]
+    key, group = np.unique(np.minimum(p, q) * dim + np.maximum(p, q), return_inverse=True)
+    size = 2 * key.size
+    bins = (slot[rows] * 2 + slot[cols]) * size + (p > q) * key.size + group
+    h = np.bincount(bins, weights=values.real, minlength=4 * size)
+    if np.iscomplexobj(values):
+        h = h + 1j * np.bincount(bins, weights=values.imag, minlength=4 * size)
+    h = h.reshape(2, 2, size)
+    first, second = key // dim, key % dim
+    within = np.flatnonzero(first == second)
+    h[:, :, key.size + within] = h[:, :, within]
+    return np.concatenate([first, second]), np.concatenate([second, first]), h
+
+
+def _transposed(t: np.ndarray) -> np.ndarray:
+    """A (2, 2, 2 G) layout of ``_grouped_elements`` at each entry's transpose: [x, y, m] holds t[y, x, m -+ G]."""
+    return t.reshape(2, 2, 2, -1).swapaxes(0, 1)[:, :, ::-1].reshape(t.shape)
 
 
 def _real_basis_elements(
     basis: MomentumBasis, elements: SectorElements
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The checked elements of U^dagger h U, one per (row, col) pair, and the pre-solve limit.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The checked elements of U^dagger h U and the pre-solve limit, as (c, d, g, s, limit).
 
-    See ``element_blocks`` for the checks; the limit is that of h.
+    Each real-basis pair (c, d) that two inversion pairs span appears once,
+    with its entry g and its symmetrized entry s = (g_cd + g_dc) / 2; see
+    ``element_blocks`` for the checks.  The limit is that of h.
     """
-    dim = basis.dim
-    summed = summed_elements(elements, dim)
-    rows, cols, values = summed
-    limit = _limit(np.abs(values))
-    defect = float(np.max(np.abs(values - _mirror(summed, dim).conj()), initial=0.0))
+    col, coef = basis.real_entries()  # col[a]: the two columns of a's pair, its name first
+    slot = (basis.partner < np.arange(basis.dim)).astype(np.int64)
+    row_pair, col_pair, h = _grouped_elements(elements, col[:, 0], slot)
+    limit = _limit(np.abs(h))
+    defect = float(np.max(np.abs(h - _transposed(h).conj()), initial=0.0))
     if defect > limit:
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
 
-    # U^dagger h U: the element (a, b, v) adds conj(U[a, c]) v U[b, d] at (c, d)
-    # for each of the at most 2 x 2 nonzeros U[a, c], U[b, d]
-    u_col, u_coef = basis.real_entries()
-    g = u_coef[rows].conj()[:, :, None] * values[:, None, None] * u_coef[cols][:, None, :]
-    g_rows, g_cols = np.broadcast_arrays(u_col[rows][:, :, None], u_col[cols][:, None, :])
-    nonzero = (u_coef[rows] != 0)[:, :, None] & (u_coef[cols] != 0)[:, None, :]
-    g_rows, g_cols, g = summed_elements(
-        SectorElements(g_rows[nonzero], g_cols[nonzero], g[nonzero]), dim
-    )
+    # U^dagger h U: the element from slot x of the row pair to slot y of the
+    # column pair adds conj(U[x, j]) h U[y, l] at their columns j and l.  The
+    # terms are added in ascending (row, col), as a scatter of the summed
+    # list adds them, and each complex product keeps its operands' order
+    u = np.zeros((2, 2, basis.dim), dtype=coef.dtype)  # u[x, j, P]: 0 where pair P has no slot x
+    u[slot, :, col[:, 0]] = coef
+    u_row, u_col = np.take(u, row_pair, axis=2).conj(), np.take(u, col_pair, axis=2)
+    g = np.zeros((2, 2, row_pair.size), dtype=np.result_type(h, coef))  # g[j, l, m]
+    for x in (0, 1):
+        for y in (0, 1):
+            g += u_row[x][:, None] * h[x, y] * u_col[y][None, :]
     if np.iscomplexobj(g):  # real values at real k give a real g, with nothing to check
         off_real = float(np.max(np.abs(g.imag), initial=0.0))
         if off_real > limit:
             raise SymmetryBreakingError(f"block is off-real by {off_real:.3e} in its symmetry basis")
         g = g.real
-    return g_rows, g_cols, g, limit
+    s = (g + _transposed(g)) * 0.5
+    # each (c, d) once: a pair has a column 1 only if it holds two states,
+    # and a group within one pair keeps its first copy
+    has = np.stack([np.ones(basis.dim, dtype=bool), col[:, 1] != col[:, 0]])
+    keep = has[:, None, row_pair] & has[None, :, col_pair]
+    second = slice(row_pair.size // 2, None)
+    keep[:, :, second] &= row_pair[second] != col_pair[second]
+    c = np.broadcast_to(col[row_pair].T[:, None], g.shape)[keep]
+    d = np.broadcast_to(col[col_pair].T[None, :], g.shape)[keep]
+    return c, d, g[keep], s[keep], limit
 
 
 def element_blocks(
@@ -266,8 +311,13 @@ def element_blocks(
     which must agree on both members of a pair (the z-parity does, since
     inversion keeps the up-spin count).  This is the one place that sorts
     the columns into blocks.  Returns ``{(row label or 0, parity):
-    RealBlock(columns, entries)}`` in descending key order: the block's
-    columns of U, ascending, and a new float64 array over them.  After
+    RealBlock(columns, entries, trace, frob2)}`` in descending key order:
+    the block's columns of U, ascending, a new float64 array over them, and
+    its tr B and |B|_F^2, summed from the block's real-basis elements.
+
+    The element list is sorted once, by the two inversion pairs each element
+    joins: the elements between two pairs are all that U maps onto the real
+    columns of those pairs, and they hold their own transposes.  After
     summing repeated elements, with limit ``HERMITICITY_TOL`` * max(1,
     max|h|) it raises ``NonHermitianError`` if an element differs from the
     conjugate of its transpose (0 where that is absent) by more than the
@@ -287,23 +337,22 @@ def element_blocks(
     labels = np.zeros_like(parity) if row_labels is None else np.asarray(row_labels)
     order = np.lexsort((-parity, -labels))  # descending keys; stable, so ascending columns within a block
     edges = _block_edges(labels[order], parity[order])
-    blocks = {
-        (int(labels[order[a]]), int(parity[order[a]])): RealBlock(order[a:b], np.zeros((b - a, b - a)))
-        for a, b in zip(edges[:-1], edges[1:])
-    }
-    g_rows, g_cols, g, limit = _real_basis_elements(basis, elements)
+    spans = list(zip(edges[:-1], edges[1:]))
+    entries = [np.zeros((b - a, b - a)) for a, b in spans]
+    c, d, g, s, limit = _real_basis_elements(basis, elements)
     block_of = np.empty(dim, dtype=np.int64)
     local = np.empty(dim, dtype=np.int64)
-    block_of[order] = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    block_of[order] = np.repeat(np.arange(len(spans)), np.diff(edges))
     local[order] = np.arange(dim) - np.repeat(edges[:-1], np.diff(edges))
-    inside = block_of[g_rows] == block_of[g_cols]
-    coupling = float(np.max(np.abs(g[~inside]), initial=0.0))
+    which = np.where(block_of[c] == block_of[d], block_of[c], -1)  # -1: between two blocks
+    coupling = float(np.max(np.abs(g[which < 0]), initial=0.0))
     if coupling > limit:
         raise SymmetryBreakingError(f"block couples two symmetry blocks by {coupling:.3e}")
-    # past the checks, (c, d) and (d, c) get one value: the entry of (B + B^T) / 2, bit for bit
-    g = (g + _mirror(SectorElements(g_rows, g_cols, g), dim)) * 0.5
-    for i, (_, block) in enumerate(blocks.values()):
-        mine = inside & (block_of[g_rows] == i)
-        r, c = local[g_rows[mine]], local[g_cols[mine]]
-        block[r, c] = block[c, r] = g[mine]
+    blocks = {}
+    for i, ((a, b), block) in enumerate(zip(spans, entries)):
+        mine = which == i
+        block[local[c[mine]], local[d[mine]]] = s[mine]
+        trace = float(np.sum(s[mine & (c == d)]))
+        frob2 = float(np.sum(np.square(s[mine])))
+        blocks[int(labels[order[a]]), int(parity[order[a]])] = RealBlock(order[a:b], block, trace, frob2)
     return blocks

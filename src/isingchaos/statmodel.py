@@ -381,10 +381,16 @@ def strength_density(model: StrengthModel, n_up: int, energy) -> np.ndarray:
 def density_stack(model: StrengthModel, energy) -> np.ndarray:
     """The (N+1) x G stack of max(P_n(E), 0): the one input of every prediction, the same for every sector.
 
-    It is the one place that clips negative densities (the Gram-Charlier lobes), which carry no weight.
+    It is the one place that clips negative densities (the Gram-Charlier lobes), which carry no weight,
+    and it logs their count at DEBUG.
     """
     e = np.atleast_1d(np.asarray(energy, dtype=float))
     stack = np.stack([strength_density(model, n, e) for n in range(model.n_sites + 1)])
+    log.debug(
+        "density_stack: clipped %d of %d values P_n(E) < 0 (%s, N=%d, lam=%g, alpha=%g)",
+        np.count_nonzero(stack < 0), stack.size, model.variant,
+        model.params.n_sites, model.params.lam, model.params.alpha,
+    )
     return np.maximum(stack, 0.0, out=stack)
 
 

@@ -7,7 +7,8 @@ spectral sums over eigenvectors, quadrature moments and the energy-power
 multipliers of a fitted Gibbs density, the full-chain model density of
 states, the dense pre-solve path (the hermiticity defect of a dense block,
 its rotation into the real basis and the checked or labelled symmetry
-blocks cut from it), the free-fermion levels of each momentum sector on
+blocks cut from it, and the summed element list scattered through U in
+list order), the free-fermion levels of each momentum sector on
 the integrable line alpha = 0 and the classical necklace levels on the line
 lam = 0, the Gaussian fit of one window at a time, and a CSV
 writer that formats cell by cell.
@@ -25,9 +26,11 @@ from isingchaos.hamiltonian import (
     ModelParams,
     NonHermitianError,
     SectorMatrix,
+    SectorElements,
     SymmetryBreakingError,
     _limit,
     build_full_hamiltonian,
+    summed_elements,
 )
 from isingchaos.moments import LocalMomentSet
 from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables, popcount, reflect_table
@@ -338,6 +341,31 @@ def labelled_blocks(matrix: SectorMatrix, row_labels: np.ndarray) -> dict[tuple[
     basis = matrix.basis
     g = to_real(basis, matrix.entries).real
     labels = np.asarray(row_labels)
+    parity = basis.column_parity
+    keys = sorted(set(zip(labels.tolist(), parity.tolist())), reverse=True)
+    masks = {key: (labels == key[0]) & (parity == key[1]) for key in keys}
+    return {key: g[np.ix_(mask, mask)] for key, mask in masks.items()}
+
+
+def scattered_blocks(
+    basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
+) -> dict[tuple[int, int], np.ndarray]:
+    """Bit-for-bit reference for ``element_blocks``, without its checks: the summed list scattered through U.
+
+    Each element (a, b, h) of ``summed_elements``, in its (row, col) order,
+    adds conj(U[a, c]) h U[b, d] at (c, d) of a dense G for each nonzero
+    U[a, c], U[b, d].  The blocks are cut from the real part of
+    (G + G^T) / 2 by (label, parity), as in ``labelled_blocks``.
+    """
+    rows, cols, values = summed_elements(elements, basis.dim)
+    col, coef = basis.real_entries()
+    terms = coef[rows].conj()[:, :, None] * values[:, None, None] * coef[cols][:, None, :]
+    nonzero = (coef[rows] != 0)[:, :, None] & (coef[cols] != 0)[:, None, :]
+    at = np.broadcast_arrays(col[rows][:, :, None], col[cols][:, None, :])
+    g = np.zeros((basis.dim, basis.dim), dtype=terms.dtype)
+    np.add.at(g, (at[0][nonzero], at[1][nonzero]), terms[nonzero])
+    g = (g.real + g.real.T) * 0.5
+    labels = np.zeros(basis.dim, dtype=int) if row_labels is None else np.asarray(row_labels)
     parity = basis.column_parity
     keys = sorted(set(zip(labels.tolist(), parity.tolist())), reverse=True)
     masks = {key: (labels == key[0]) & (parity == key[1]) for key in keys}

@@ -301,7 +301,7 @@ def test_criterion_9_spacing_ratios(store):
     z_parity = (-1) ** (15 - basis.n_up)
     blocks = element_blocks(basis, sector_elements(basis, params0), z_parity)
     integrable_rs = []
-    for _, block in blocks.values():
+    for _, block, *_ in blocks.values():
         energies = np.linalg.eigvalsh(0.5 * (block + block.T))
         integrable_rs.append(empirics.spacing_ratio(energies).r_values)
     integrable = float(np.concatenate(integrable_rs).mean())

@@ -423,9 +423,10 @@ def test_real_sector_in_complex_storage_keeps_its_parity_blocks():
     as_complex = elements._replace(values=elements.values.astype(np.complex128))
     blocks, complex_blocks = element_blocks(basis, elements), element_blocks(basis, as_complex)
     assert list(complex_blocks) == list(blocks) == [(0, 1), (0, -1)]
-    for key, (columns, entries) in blocks.items():
+    for key, (columns, entries, trace, frob2) in blocks.items():
         assert np.array_equal(complex_blocks[key].columns, columns)
         assert np.array_equal(complex_blocks[key].entries, entries)
+        assert (complex_blocks[key].trace, complex_blocks[key].frob2) == (trace, frob2)
     decomp, complex_decomp = diagonalize(basis, elements, params), diagonalize(basis, as_complex, params)
     assert np.array_equal(complex_decomp.energies, decomp.energies)
     assert np.array_equal(complex_decomp.parity, decomp.parity)
@@ -467,23 +468,55 @@ def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_each_block_goes_to_lapack_as_built(monkeypatch, k):
+    # LAPACK gets each block as built: its Fortran-ordered transpose, a view of the same memory
     built, given = [], []
-    exact_eigh = np.linalg.eigh
+    exact_eigh, exact_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def recording_blocks(*args):
         blocks = element_blocks(*args)
         built.extend(block.entries for block in blocks.values())
         return blocks
 
-    def recording_eigh(a):
-        given.append(a)
-        return exact_eigh(a)
+    def recording(solve):
+        def recorded(a):
+            given.append(a)
+            return solve(a)
+
+        return recorded
 
     monkeypatch.setattr(eigensolve, "element_blocks", recording_blocks)
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    diagonalize(*sector(8, k))
-    assert len(given) == len(built) == (2 if k == 0 else 1)
-    assert all(a is block for a, block in zip(given, built))
+    monkeypatch.setattr(np.linalg, "eigh", recording(exact_eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(exact_eigvalsh))
+    basis, elements, params = sector(12, k)
+    decomp, spectra = diagonalize(basis, elements, params), block_spectra(basis, elements)
+    assert len(given) == len(built) == (4 if k == 0 else 2)
+    for a, block in zip(given, built):
+        assert a.flags.f_contiguous and not a.flags.owndata and np.shares_memory(a, block)
+        assert np.array_equal(a, block)
+    # the same bits as a solve of each block in its built C order
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: exact_eigh(np.ascontiguousarray(a.T)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: exact_eigvalsh(np.ascontiguousarray(a.T)))
+    c_decomp, c_spectra = diagonalize(basis, elements, params), block_spectra(basis, elements)
+    for field in ("energies", "vectors", "parity", "sum_c4"):
+        assert np.array_equal(getattr(decomp, field), getattr(c_decomp, field)), field
+    assert list(spectra) == list(c_spectra)
+    assert all(np.array_equal(spectra[key], c_spectra[key]) for key in spectra)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_sum_rules_check_the_elements_not_the_array_lapack_gets(monkeypatch, k):
+    # a diagonal entry moved by 1e-6 after assembly: the spectrum LAPACK returns for the moved
+    # array breaks the sum rules of the elements the block was cut from
+    def moved_blocks(*args):
+        blocks = element_blocks(*args)
+        next(iter(blocks.values())).entries[0, 0] += 1e-6
+        return blocks
+
+    monkeypatch.setattr(eigensolve, "element_blocks", moved_blocks)
+    basis, elements, _ = sector(12, k)
+    fingerprint = eigensolve._fingerprint_elements(basis, elements)
+    with pytest.raises(DiagonalizationError, match=f"sum E deviates from tr B .* on matrix {fingerprint}$"):
+        block_spectra(basis, elements)
 
 
 def _with_dim(dim):

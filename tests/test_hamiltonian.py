@@ -15,7 +15,15 @@ from isingchaos.hamiltonian import (
     sector_elements,
 )
 from isingchaos.spin_basis import momentum_basis
-from oracles import hermiticity_defect, labelled_blocks, real_basis_matrix, rotate_left, symmetry_blocks, to_real
+from oracles import (
+    hermiticity_defect,
+    labelled_blocks,
+    real_basis_matrix,
+    rotate_left,
+    scattered_blocks,
+    symmetry_blocks,
+    to_real,
+)
 from parity_oracle import inversion_matrix
 
 
@@ -278,9 +286,12 @@ def test_element_blocks_match_dense_blocks(n_sites):
             got = element_blocks(basis, sector_elements(basis, params), labels)
             assert list(got) == list(want)
             for key, block in want.items():
-                columns, entries = got[key]
+                columns, entries, trace, frob2 = got[key]
                 assert entries.dtype == np.float64 and entries.shape == block.shape
                 assert np.max(np.abs(entries - block), initial=0.0) < 1e-13
+                # tr B and |B|_F^2, summed from the block's elements
+                assert abs(trace - np.trace(entries)) <= 1e-13 * max(1.0, frob2)
+                assert abs(frob2 - np.sum(entries**2)) <= 1e-13 * max(1.0, frob2)
                 # the block's columns of U: those of its key, ascending
                 label = 0 if labels is None else labels[columns]
                 assert np.all(label == key[0]) and np.all(basis.column_parity[columns] == key[1])
@@ -300,6 +311,23 @@ def test_element_blocks_are_exactly_symmetric(n_sites, labelled):
         want = labelled_blocks(matrix, labels) if labelled else symmetry_blocks(matrix)
         got = element_blocks(basis, sector_elements(basis, params), labels)
         assert list(got) == list(want)
-        for key, (_, entries) in got.items():
+        for key, (_, entries, *_) in got.items():
             assert np.array_equal(entries, entries.T), (k, key)
             assert np.max(np.abs(entries - (want[key] + want[key].T) / 2), initial=0.0) < 1e-14, (k, key)
+
+
+@pytest.mark.parametrize("n_sites", [6, 7, 8, 9, 10])
+def test_element_blocks_equal_the_scattered_list_bit_for_bit(n_sites):
+    # one sort of the list by inversion pairs adds every entry's terms in the order of a
+    # scatter of the summed list, so the blocks keep their bits, also in complex storage
+    for k in range(n_sites):
+        basis = momentum_basis(n_sites, k)
+        for alpha, labels in ((1.1, None), (0.0, (-1) ** (n_sites - basis.n_up))):
+            elements = sector_elements(basis, ModelParams(n_sites, 0.9, alpha))
+            stored = [elements, elements._replace(values=elements.values.astype(np.complex128))]
+            for elements in stored[: 1 + basis.is_real]:
+                want = scattered_blocks(basis, elements, labels)
+                got = element_blocks(basis, elements, labels)
+                assert list(got) == list(want)
+                for key, block in want.items():
+                    assert np.array_equal(got[key].entries.view(np.uint64), block.view(np.uint64)), (k, key)

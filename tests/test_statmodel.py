@@ -494,6 +494,24 @@ def test_density_stack_clips_each_plain_density_once(variant, n_sites):
     assert (negative > 0) == (variant == "gram_charlier")
 
 
+@pytest.mark.parametrize("variant,clipped", [("gram_charlier", True), ("gaussian", False)])
+def test_density_stack_logs_the_count_it_clips(caplog, variant, clipped):
+    # N = 14 on the CLI grid: the Gram-Charlier lobes are clipped and counted, the Gaussian has none
+    params = ModelParams(14, 1.0, 1.0)
+    model = build_strength_model(params, variant)
+    span = prediction_span(params)
+    grid = np.linspace(-span, span, 512)
+    plain = np.stack([strength_density(model, n, grid) for n in range(15)])
+    with caplog.at_level(logging.DEBUG, logger="isingchaos.statmodel"):
+        density_stack(model, grid)
+    [record] = [r for r in caplog.records if r.msg.startswith("density_stack")]
+    assert record.levelno == logging.DEBUG
+    count = np.count_nonzero(plain < 0)
+    assert (count > 0) == clipped
+    assert f"clipped {count} of {plain.size} values" in record.getMessage()
+    assert variant in record.getMessage()
+
+
 def test_strength_model_is_frozen():
     model = build_strength_model(ModelParams(6, 1.0, 1.0), "gram_charlier")
     with pytest.raises(dataclasses.FrozenInstanceError):
