@@ -2,15 +2,18 @@
 
 Every sector is solved in real arithmetic, in the real basis its
 ``MomentumBasis`` owns: at k = 0 and k = N/2 as separate inversion-even and
-inversion-odd blocks, elsewhere as one A-invariant block.  Both solvers cut
-those blocks, checked and exactly symmetric, from the sector's element list
-with ``hamiltonian.element_blocks`` and hand each to LAPACK as built, as
-its Fortran-ordered transpose (the same matrix); neither forms the dense
-plane-wave block.  ``diagonalize`` verifies each block's eigenpairs and
-maps the eigenvectors back to complex plane-wave coefficients in a fixed
-gauge; ``block_spectra`` solves for eigenvalues only, checked per block by
-their sum rules against the trace and squared norm that ``element_blocks``
-sums from the block's real-basis elements.
+inversion-odd blocks, elsewhere as one A-invariant block.  Both solvers run
+one loop: it cuts those blocks, checked and exactly symmetric, from the
+sector's element list with ``hamiltonian.element_blocks``, hands each to
+LAPACK as built, as its Fortran-ordered transpose (the same matrix), and
+checks each solve; neither solver forms the dense plane-wave block.  Every
+block's spectrum must satisfy the sum rules against the trace and squared
+norm that ``element_blocks`` sums from the block's real-basis elements, and
+with eigenvectors its residuals and orthonormality are checked too.  Every
+failure carries the fingerprint of the sector's summed elements.
+``diagonalize`` maps the eigenvectors back to complex plane-wave
+coefficients in a fixed gauge; ``block_spectra`` solves for eigenvalues
+only.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
 from its eigenvectors by ``state_moment_sums`` in the solve.  It is cached
@@ -185,83 +188,131 @@ def _sha256(*parts: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _fingerprint(*arrays: np.ndarray) -> str:
-    return _sha256(*map(np.ascontiguousarray, arrays))[:16]
+def _fingerprint_elements(basis: MomentumBasis, elements: SectorElements) -> str:
+    """The fingerprint that every failure of a sector's solve carries: that of its summed elements."""
+    return _sha256(*summed_elements(elements, basis.dim))[:16]
 
 
-def _verify(a: np.ndarray, energies: np.ndarray, w: np.ndarray) -> str | None:
-    """Residual and orthonormality of the eigenpairs of ``a``; a failure message or None."""
-    norm = max(float(np.max(np.abs(energies))), np.finfo(float).tiny)
-    residual = a @ w
-    residual -= w * energies
-    worst = float(np.max(np.linalg.norm(residual, axis=0)))
-    del residual
-    if worst > RESIDUAL_FACTOR * norm:
-        return f"residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.1e} * |H|"
-    probes = np.random.default_rng(ORTHO_SEED).standard_normal((w.shape[0], ORTHO_PROBES))
-    back = w.T @ (w @ probes)  # W^T W x without copying W
-    defect = float(np.max(np.linalg.norm(back - probes, axis=0) / np.linalg.norm(probes, axis=0)))
-    if defect > ORTHO_TOL:
-        return f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL:.1e}"
-    return None
+def _solve_block(
+    key: tuple[int, int], block: RealBlock, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None, str | None]:
+    """Solve one block and check it: (energies, eigenvectors or None, the first failed check or None).
+
+    LAPACK gets ``block.entries.T``: the same exactly symmetric matrix, in
+    the Fortran order that numpy copies into LAPACK's workspace without a
+    strided pass.  The spectrum must hold n finite levels and satisfy the
+    sum rules sum E = tr B within ``SUM_RULE_RTOL`` sqrt(n) |B|_F and
+    sum E^2 = |B|_F^2 within ``SUM_RULE_RTOL`` |B|_F^2.  These read the
+    tr B and |B|_F^2 that the block carries, summed from its real-basis
+    elements, and not the array LAPACK was given: a block changed after
+    assembly fails them.  With eigenvectors W there follow the largest
+    residual |B w - E w| against ``RESIDUAL_FACTOR`` max|E|, and the
+    orthonormality defect |W^T W x - x| / |x| of ``ORTHO_PROBES`` random
+    probes against ``ORTHO_TOL``; a NaN value fails.  One DEBUG line per
+    block gives its key, n, the driver and each check's value and bound.
+    """
+    n, frob2 = block.columns.size, block.frob2
+    if vectors:
+        energies, w = np.linalg.eigh(block.entries.T)
+    else:
+        energies, w = np.linalg.eigvalsh(block.entries.T), None
+    head = f"block {key}: n={n}, {'eigh' if vectors else 'eigvalsh'}; "
+    if energies.shape != (n,) or not np.all(np.isfinite(energies)):
+        failure = f"{energies.size} levels, not {n} finite ones"
+        logger.debug(head + failure)
+        return energies, w, failure
+    sum_e, sum_e2 = float(np.sum(energies)), float(np.sum(np.square(energies)))
+    checks = [
+        ("sum E deviates from tr B by", abs(sum_e - block.trace), SUM_RULE_RTOL * np.sqrt(n * frob2)),
+        ("sum E^2 deviates from |B|_F^2 by", abs(sum_e2 - frob2), SUM_RULE_RTOL * frob2),
+    ]
+    if w is not None:
+        residual = block.entries @ w
+        residual -= w * energies
+        norm = max(float(np.max(np.abs(energies))), np.finfo(float).tiny)
+        checks.append(("residual", float(np.max(np.linalg.norm(residual, axis=0))), RESIDUAL_FACTOR * norm))
+        del residual
+        probes = np.random.default_rng(ORTHO_SEED).standard_normal((n, ORTHO_PROBES))
+        back = w.T @ (w @ probes)  # W^T W x without copying W
+        defect = float(np.max(np.linalg.norm(back - probes, axis=0) / np.linalg.norm(probes, axis=0)))
+        checks.append(("orthonormality defect", defect, ORTHO_TOL))
+    report = [f"{name} {value:.3e} (bound {bound:.1e})" for name, value, bound in checks]
+    logger.debug(head + "; ".join(report))
+    failed = [text for text, (_, value, bound) in zip(report, checks) if not value <= bound]
+    return energies, w, failed[0] if failed else None
 
 
-def _solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Verified eigenpairs of the symmetric ``a``, which is fingerprinted on failure.
+def _solved_blocks(
+    basis: MomentumBasis, elements: SectorElements, vectors: bool, row_labels: np.ndarray | None = None
+) -> list[tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray | None]]:
+    """The one solve loop of both solvers: (key, columns, energies, eigenvectors or None) per checked block.
 
-    LAPACK gets ``a.T``: the same exactly symmetric matrix, in the Fortran
-    order that numpy copies into LAPACK's workspace without a strided pass.
+    Cuts the blocks of ``element_blocks`` and solves each with
+    ``_solve_block``, in key order, popping it so that it is freed once
+    solved.  Every failure carries the fingerprint of the summed elements,
+    so the element list is kept until every block has passed: a failed
+    pre-solve check is raised as its own class, with " (matrix
+    <fingerprint>)" appended, and a failed solve or check as
+    ``DiagonalizationError("block (label, parity): <failure> on matrix
+    <fingerprint>")``, where LAPACK's failure reads "eigensolver failed".
     """
     try:
-        energies, vectors = np.linalg.eigh(a.T)
-    except np.linalg.LinAlgError as exc:
-        raise DiagonalizationError(f"eigensolver failed on matrix {_fingerprint(a)}") from exc
-    failure = _verify(a, energies, vectors)
-    if failure is not None:
-        raise DiagonalizationError(f"{failure} on matrix {_fingerprint(a)}")
-    return energies, vectors
-
-
-def _fingerprint_elements(basis: MomentumBasis, elements: SectorElements) -> str:
-    return _fingerprint(*summed_elements(elements, basis.dim))
-
-
-def _checked_blocks(
-    basis: MomentumBasis, elements: SectorElements, row_labels: np.ndarray | None = None
-) -> dict[tuple[int, int], RealBlock]:
-    """``element_blocks``; a failed pre-solve check is raised as its own class, with the elements' fingerprint."""
-    try:
-        return element_blocks(basis, elements, row_labels)
+        blocks = element_blocks(basis, elements, row_labels)
     except NonHermitianError as exc:
         raise type(exc)(f"{exc} (matrix {_fingerprint_elements(basis, elements)})") from None
+    solved = []
+    for key in list(blocks):
+        block, cause = blocks.pop(key), None
+        try:
+            energies, w, failure = _solve_block(key, block, vectors)
+        except np.linalg.LinAlgError as exc:
+            failure, cause = "eigensolver failed", exc
+        if failure is not None:
+            fingerprint = _fingerprint_elements(basis, elements)
+            raise DiagonalizationError(f"block {key}: {failure} on matrix {fingerprint}") from cause
+        solved.append((key, block.columns, energies, w))
+    return solved
 
 
-def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> EigenDecomposition:
-    """Solve and verify each block of ``element_blocks`` on its own, and rotate the eigenvectors back.
+def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelParams) -> EigenDecomposition:
+    """Diagonalize a sector, given by its element list over ``basis``, and verify the eigenpairs.
 
-    The energies ascend, and each eigenstate carries the parity of its
-    block's key (0 outside k = 0 and N/2).  A block's eigenvectors fill the
-    rows of W that its columns of U name, V = U W is put in the phase gauge,
-    and its moment sums are taken.  Each block goes to LAPACK as built (as
-    its Fortran-ordered transpose, see ``_solve``), and is popped from
-    ``blocks`` so that it is freed once solved.
+    ``elements`` is the sector's list of ``hamiltonian.sector_elements`` for
+    ``params``, which the decomposition carries as its cache key.  The list
+    is cut into the checked real blocks of ``element_blocks``: at k = 0 and
+    k = N/2 an inversion-even and an inversion-odd block, whose eigenstates
+    ``parity`` labels, elsewhere one A-invariant block.  Each block is
+    solved and checked on its own in real arithmetic, in the loop shared
+    with ``block_spectra``; its eigenvectors fill the rows of W that its
+    columns of U name, and V = U W is rotated back to the plane-wave basis.
+
+    Coefficient statistics therefore stay complex.  Each eigenvector's phase
+    is fixed so that its largest-modulus component, the lowest index among
+    ties within relative ``GAUGE_TIE_RTOL``, is real and positive.  The
+    energies ascend, and the decomposition carries every row of V and its
+    moment sums ``sum_c4``.
+
+    Raises ``NonHermitianError`` or ``SymmetryBreakingError`` if a pre-solve
+    check fails, and ``DiagonalizationError`` if LAPACK fails or a block
+    fails a check of ``_solve_block``: the sum rules of ``block_spectra``,
+    a residual past ``RESIDUAL_FACTOR`` times the spectral norm, or the
+    randomized orthonormality check (``ORTHO_PROBES`` probes at relative
+    tolerance ``ORTHO_TOL``).  Each error carries the fingerprint of the
+    summed elements.
     """
-    dim = basis.dim
-    parities = np.array([parity for _, parity in blocks], dtype=np.int8)
-    columns = [block.columns for block in blocks.values()]
-    solved = [_solve(blocks.pop(key).entries) for key in list(blocks)]
-    sizes = [e.size for e, _ in solved]
-    energies = np.concatenate([e for e, _ in solved])
+    keys, columns, spectra, block_vectors = zip(*_solved_blocks(basis, elements, vectors=True))
+    sizes = [rows.size for rows in columns]
+    energies = np.concatenate(spectra)
     rank = np.argsort(energies, kind="stable")
-    if len(solved) == 1:  # one block spans every column of U, in order
-        w = solved[0][1]
+    if len(keys) == 1:  # one block spans every column of U, in order
+        w = block_vectors[0]
     else:  # block-diagonal eigenvectors, columns in ascending energy order
-        w = np.zeros((dim, dim))
+        w = np.zeros((basis.dim, basis.dim))
         position = np.empty_like(rank)
         position[rank] = np.arange(rank.size)
-        for start, rows, (_, vectors) in zip(np.cumsum([0] + sizes), columns, solved):
+        for start, rows, vectors in zip(np.cumsum([0] + sizes), columns, block_vectors):
             w[np.ix_(rows, position[start : start + rows.size])] = vectors
-    del solved
+    del block_vectors
     vectors = basis.from_real(w)
     del w
     vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
@@ -270,58 +321,9 @@ def _solve_blocks(basis: MomentumBasis, blocks: dict, params: ModelParams) -> Ei
         k=basis.k,
         energies=energies[rank],
         vectors=vectors,
-        parity=np.repeat(parities, sizes)[rank],
+        parity=np.repeat(np.array([parity for _, parity in keys], dtype=np.int8), sizes)[rank],
         sum_c4=state_moment_sums(vectors, 2.0),
     )
-
-
-def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelParams) -> EigenDecomposition:
-    """Diagonalize a sector, given by its element list over ``basis``, and verify the eigenpairs.
-
-    ``elements`` is the sector's list of ``hamiltonian.sector_elements`` for
-    ``params``, which the decomposition carries as its cache key.  The list
-    is cut into the checked real blocks of ``element_blocks`` (raising
-    ``NonHermitianError`` or ``SymmetryBreakingError`` if a pre-solve check
-    fails): at k = 0 and k = N/2 an inversion-even and an inversion-odd
-    block, whose eigenstates ``parity`` labels, elsewhere one A-invariant
-    block.  Each block is solved and verified on its own in real
-    arithmetic, and the eigenvectors are rotated back.
-
-    Coefficient statistics therefore stay complex in the plane-wave basis.
-    Each eigenvector's phase is fixed so that its largest-modulus component,
-    the lowest index among ties within relative ``GAUGE_TIE_RTOL``, is real
-    and positive.  The decomposition carries every row of V and its moment
-    sums ``sum_c4``.
-
-    Raises ``DiagonalizationError`` if LAPACK fails, a residual exceeds
-    ``RESIDUAL_FACTOR`` times the spectral norm, or the eigenvectors fail a
-    randomized orthonormality check (``ORTHO_PROBES`` probes at relative
-    tolerance ``ORTHO_TOL``); its fingerprint is that of the real block
-    LAPACK was given.  A ``NonHermitianError`` or ``SymmetryBreakingError``
-    carries the fingerprint of the summed elements, as in ``block_spectra``.
-    """
-    return _solve_blocks(basis, _checked_blocks(basis, elements), params)
-
-
-def _sum_rule_failure(block: RealBlock, energies: np.ndarray) -> str | None:
-    """Level count, finiteness and the two sum rules of a block's spectrum; a failure message or None.
-
-    tr B and |B|_F^2 are those the block carries, summed from its
-    real-basis elements, so the check reads the element list the block
-    was cut from and not the array LAPACK was given.
-    """
-    n, frob2 = block.columns.size, block.frob2
-    if energies.shape != (n,) or not np.all(np.isfinite(energies)):
-        return f"{energies.size} levels, not {n} finite ones"
-    deviation = abs(float(np.sum(energies)) - block.trace)
-    bound = SUM_RULE_RTOL * np.sqrt(n * frob2)
-    if deviation > bound:
-        return f"sum E deviates from tr B by {deviation:.3e} (bound {bound:.1e})"
-    deviation = abs(float(np.sum(np.square(energies))) - frob2)
-    bound = SUM_RULE_RTOL * frob2
-    if deviation > bound:
-        return f"sum E^2 deviates from |B|_F^2 by {deviation:.3e} (bound {bound:.1e})"
-    return None
 
 
 def block_spectra(
@@ -332,39 +334,23 @@ def block_spectra(
     Builds the checked real blocks of ``element_blocks`` from the sector's
     elements over ``basis`` (``hamiltonian.sector_elements``), here with
     optional ``row_labels``, with no dense plane-wave block, and runs
-    ``np.linalg.eigvalsh`` on each block B of dimension n, given as its
-    Fortran-ordered transpose.  Each spectrum must hold n finite levels and
-    satisfy the sum rules sum E = tr B within ``SUM_RULE_RTOL`` sqrt(n)
-    |B|_F and sum E^2 = |B|_F^2 within ``SUM_RULE_RTOL`` |B|_F^2, where tr B
-    and |B|_F^2 are summed in O(nnz) from the block's real-basis elements,
-    not read from the array LAPACK got.  So a block changed between its
-    assembly and the solve fails too.  The check catches a lost, shifted or
-    non-finite level, but it is weaker than the residual check of
-    ``diagonalize``: an error that preserves both sums passes.
+    ``np.linalg.eigvalsh`` on each block B of dimension n in the loop shared
+    with ``diagonalize``.  Each spectrum must hold n finite levels and
+    satisfy the sum rules sum E = tr B and sum E^2 = |B|_F^2 of
+    ``_solve_block``, where tr B and |B|_F^2 are summed in O(nnz) from the
+    block's real-basis elements, not read from the array LAPACK got, so a
+    block changed between its assembly and the solve fails too.  This
+    catches a lost, shifted or non-finite level, but it is weaker than the
+    residual check of ``diagonalize``: an error that preserves both sums
+    passes.
 
     Returns ``{(label, parity): ascending energies}`` keyed and ordered as
     ``element_blocks`` returns the blocks.  Raises ``NonHermitianError`` or
     ``SymmetryBreakingError`` if a pre-solve check fails, and
     ``DiagonalizationError`` if LAPACK fails or a spectrum check does not
-    hold, each with a fingerprint of the summed elements.
+    hold, each with the fingerprint of the summed elements.
     """
-    blocks = _checked_blocks(basis, elements, row_labels)
-    spectra = {}
-    for key in list(blocks):
-        block = blocks.pop(key)  # each block is freed once solved
-        try:
-            energies = np.linalg.eigvalsh(block.entries.T)  # the same symmetric matrix, in Fortran order
-        except np.linalg.LinAlgError as exc:
-            raise DiagonalizationError(
-                f"eigensolver failed on matrix {_fingerprint_elements(basis, elements)}"
-            ) from exc
-        failure = _sum_rule_failure(block, energies)
-        if failure is not None:
-            raise DiagonalizationError(
-                f"block {key}: {failure} on matrix {_fingerprint_elements(basis, elements)}"
-            )
-        spectra[key] = energies
-    return spectra
+    return {key: energies for key, _, energies, _ in _solved_blocks(basis, elements, False, row_labels)}
 
 
 def _cache_stem(params: ModelParams, k: int) -> str:
@@ -556,20 +542,19 @@ def diagonalize_cached(
     """Load from cache or diagonalize-and-store; returns (decomp, was_hit).
 
     Only a miss calls ``sector_builder``, which returns the sector's
-    ``(basis, elements)`` for ``diagonalize``; the element list is dropped
-    once the blocks are cut from it, before the solves.  ``rows`` selects the rows of
-    V as in ``cache_load``.  A miss stores the full decomposition, then
-    returns it cut down to those rows, as a hit would return it.
+    ``(basis, elements)``, and solves them with ``diagonalize``, which keeps
+    the element list until every block has passed its checks.  ``rows``
+    selects the rows of V as in ``cache_load``.  A miss stores the full
+    decomposition, then returns it cut down to those rows, as a hit would
+    return it.
     """
     if cache_dir is not None:
         hit = cache_load(params, k, cache_dir, rows)
         if hit is not None:
             return hit, True
     basis, elements = sector_builder()
-    blocks = _checked_blocks(basis, elements)
-    del elements  # the solve needs only the blocks
-    decomp = _solve_blocks(basis, blocks, params)
-    del basis
+    decomp = diagonalize(basis, elements, params)
+    del basis, elements
     if cache_dir is not None:
         cache_store(decomp, cache_dir)
     return _restrict(decomp, rows), False

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import re
 import weakref
 
 import numpy as np
@@ -225,7 +226,9 @@ def test_diagonalize_cached(tmp_path):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_diagonalize_cached_drops_the_element_list_before_the_solves(tmp_path, monkeypatch, k):
+def test_diagonalize_cached_keeps_the_element_list_through_the_checks(tmp_path, monkeypatch, k):
+    # every failed check carries the fingerprint of the summed elements, so the list
+    # lives through the solves, and is freed once the decomposition is built
     params = ModelParams(8, 1.0, 1.0)
     element_rows = []
 
@@ -239,13 +242,14 @@ def test_diagonalize_cached_drops_the_element_list_before_the_solves(tmp_path, m
     solves = []
 
     def eigh(a):
-        assert element_rows[0]() is None, "the element list is alive during the solve"
+        assert element_rows[0]() is not None, "the element list was dropped before the solve"
         solves.append(a.shape[0])
         return exact_eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     decomp, hit = diagonalize_cached(builder, params, k, tmp_path)
     assert not hit and sum(solves) == decomp.dim and len(solves) == (2 if k == 0 else 1)
+    assert element_rows[0]() is None, "the element list outlived the solve"
 
 
 def _flip_byte(path, offset):
@@ -453,17 +457,107 @@ def test_orthonormality_check_catches_corrupted_column(monkeypatch, k):
         diagonalize(*args)
 
 
-def test_a_failed_solve_fingerprints_the_block_lapack_got(monkeypatch):
-    given = []
-
-    def failing_eigh(a):
-        given.append(a.copy())
+def _no_convergence(solve):
+    def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    with pytest.raises(DiagonalizationError, match="eigensolver failed on matrix [0-9a-f]{16}") as exc:
-        diagonalize(*sector(8, 1))
-    assert str(exc.value).endswith(eigensolve._fingerprint(given[0]))
+    return failing
+
+
+def _swapped_columns(solve):
+    # still orthonormal, with the same levels: only the residual sees it
+    def swapped(a):
+        energies, vectors = solve(a)
+        return energies, vectors[:, ::-1].copy()
+
+    return swapped
+
+
+def _stretched_column(solve):
+    # still an eigenvector, no longer unit norm: only the orthonormality probes see it
+    def stretched(a):
+        energies, vectors = solve(a)
+        vectors[:, 3] *= 1.001
+        return energies, vectors
+
+    return stretched
+
+
+def _nan_column(solve):
+    # a comparison with NaN is false, so a NaN residual must fail, not pass
+    def poisoned(a):
+        energies, vectors = solve(a)
+        vectors[:, 3] = np.nan
+        return energies, vectors
+
+    return poisoned
+
+
+def _shifted_top(solve):
+    def shifted(a):
+        result = solve(a)
+        _shift_top_level(result[0] if isinstance(result, tuple) else result)
+        return result
+
+    return shifted
+
+
+# a failed check's value and the bound it exceeds
+_PAST_BOUND = r" [0-9.e+-]+ \(bound [0-9.e+-]+\)"
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "solve,corrupt,failure",
+    [
+        (diagonalize, _no_convergence, "eigensolver failed"),
+        (block_spectra, _no_convergence, "eigensolver failed"),
+        (diagonalize, _swapped_columns, "residual" + _PAST_BOUND),
+        (diagonalize, _stretched_column, "orthonormality defect" + _PAST_BOUND),
+        (diagonalize, _nan_column, r"residual nan \(bound [0-9.e+-]+\)"),
+        (diagonalize, _shifted_top, "sum E deviates from tr B by" + _PAST_BOUND),
+        (block_spectra, _shifted_top, "sum E deviates from tr B by" + _PAST_BOUND),
+    ],
+    ids=[
+        "diagonalize-linalg", "block_spectra-linalg", "diagonalize-residual", "diagonalize-orthonormality",
+        "diagonalize-nan-residual", "diagonalize-sum-rule", "block_spectra-sum-rule",
+    ],
+)
+def test_every_solve_failure_names_its_block_and_the_elements(monkeypatch, k, solve, corrupt, failure):
+    # one form for every failure of either solver: the block, what failed, and the
+    # fingerprint of the summed elements that the pre-solve failures carry too
+    basis, elements, params = sector(8, k)
+    driver = "eigh" if solve is diagonalize else "eigvalsh"
+    monkeypatch.setattr(np.linalg, driver, corrupt(getattr(np.linalg, driver)))
+    with pytest.raises(DiagonalizationError) as info:
+        solve(*((basis, elements, params) if solve is diagonalize else (basis, elements)))
+    first = next(iter(element_blocks(basis, elements)))  # the first block solved fails
+    fingerprint = eigensolve._fingerprint_elements(basis, elements)
+    assert re.fullmatch(re.escape(f"block {first}: ") + failure + f" on matrix {fingerprint}", str(info.value))
+    if corrupt is _no_convergence:
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_each_block_solve_logs_its_checks(caplog, k):
+    basis, elements, params = sector(8, k)
+    blocks = element_blocks(basis, elements)
+    with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
+        diagonalize(basis, elements, params)
+        block_spectra(basis, elements)
+    lines = [r.getMessage() for r in caplog.records if r.name == "isingchaos.eigensolve"]
+    assert len(lines) == 2 * len(blocks)  # one line per block and solve
+    sum_rules = ["sum E deviates from tr B by", "sum E^2 deviates from |B|_F^2 by"]
+    solves = [("eigh", [*sum_rules, "residual", "orthonormality defect"]), ("eigvalsh", sum_rules)]
+    for i, line in enumerate(lines):
+        driver, checks = solves[i // len(blocks)]
+        key, block = list(blocks.items())[i % len(blocks)]
+        head, *parts = line.split("; ")
+        assert head == f"block {key}: n={block.columns.size}, {driver}"
+        assert len(parts) == len(checks)
+        for check, part in zip(checks, parts):
+            value, bound = re.fullmatch(re.escape(check) + r" (\S+) \(bound (\S+)\)", part).groups()
+            assert float(value) <= float(bound)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -504,19 +598,21 @@ def test_each_block_goes_to_lapack_as_built(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_sum_rules_check_the_elements_not_the_array_lapack_gets(monkeypatch, k):
+@pytest.mark.parametrize("solve", [diagonalize, block_spectra])
+def test_sum_rules_check_the_elements_not_the_array_lapack_gets(monkeypatch, solve, k):
     # a diagonal entry moved by 1e-6 after assembly: the spectrum LAPACK returns for the moved
-    # array breaks the sum rules of the elements the block was cut from
+    # array breaks the sum rules of the elements the block was cut from, and the eigenpairs
+    # of the moved array pass its residual, so the vector solve must check the sum rules too
     def moved_blocks(*args):
         blocks = element_blocks(*args)
         next(iter(blocks.values())).entries[0, 0] += 1e-6
         return blocks
 
     monkeypatch.setattr(eigensolve, "element_blocks", moved_blocks)
-    basis, elements, _ = sector(12, k)
+    basis, elements, params = sector(12, k)
     fingerprint = eigensolve._fingerprint_elements(basis, elements)
     with pytest.raises(DiagonalizationError, match=f"sum E deviates from tr B .* on matrix {fingerprint}$"):
-        block_spectra(basis, elements)
+        solve(*((basis, elements, params) if solve is diagonalize else (basis, elements)))
 
 
 def _with_dim(dim):

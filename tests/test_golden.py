@@ -114,11 +114,11 @@ def filled_cache(tmp_path_factory) -> Path:
 def test_golden_output_from_a_filled_cache(name, filled_cache, tmp_path, monkeypatch):
     # the cases recorded without a cache, run again on the entries diag stored:
     # every sector must be a hit, and the hit path must write the same files
-    def no_solve(basis, blocks, params):
+    def no_solve(basis, elements, params):
         raise AssertionError(f"k={basis.k} was solved, not read from the cache")
 
     monkeypatch.setenv("ISINGCHAOS_CACHE_DIR", str(filled_cache))
-    monkeypatch.setattr(eigensolve, "_solve_blocks", no_solve)
+    monkeypatch.setattr(eigensolve, "diagonalize", no_solve)
     got = run_case(name, tmp_path)
     # the cache directory is the one recorded setting that differs
     got["run_config.json"] = got["run_config.json"].replace(json.dumps(str(filled_cache)), "null")
