@@ -115,7 +115,6 @@ class RunConfig:
     format: str = "csv"
     symbols: list[int] | None = None
     surrogate: str | None = None
-    q_values: list[float] = dataclasses.field(default_factory=lambda: [1.5, 2.0, 3.0])
 
     def to_json(self) -> str:
         """``n_sites``, ``momenta`` and what ``command`` reads; every field without a command."""
@@ -123,8 +122,6 @@ class RunConfig:
         if self.command is not None:
             read = {"command", "n_sites", "momenta"}
             read.update(FLAGS[flag][0] for flag in COMMAND_FLAGS[self.command])
-            if self.command == "predict":
-                read.add("q_values")
             record = {key: value for key, value in record.items() if key in read}
         return json.dumps(record, sort_keys=True, indent=2)
 
@@ -290,7 +287,7 @@ def cmd_predict(config: RunConfig) -> int:
     stack = density_stack(model, grid)  # the model on the grid, the same for every sector
     for k in config.momenta:
         counts = sector_counts(config.n_sites, k)
-        curve = prediction_curve(counts, model, grid, q_values=tuple(config.q_values), stack=stack)
+        curve = prediction_curve(counts, model, grid, stack=stack)
         path = out / f"predict_k{k}_{config.corrections}.csv"
         write_prediction_csv(curve, path)
         print(f"k={k}: wrote {path}")

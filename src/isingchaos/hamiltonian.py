@@ -5,7 +5,9 @@ H = -sum_j sx_j sx_{j+1} - lam * sum_j sz_j - alpha * sum_j sx_j,  site N+1 = 1.
 Two assembly paths: a sparse matrix over the full product basis (small chains,
 used as an oracle) and, in fixed translation-momentum sectors (production
 path), one element list per sector, real at k = 0 and k = N/2 and complex
-elsewhere.
+elsewhere, built from the sector's representatives and ``orbit_tables``.
+The dense plane-wave block of ``build_sector_hamiltonian`` is that list
+summed by ``summed_elements`` and scattered once.
 
 Every sector block commutes with the antiunitary A = (inversion) x (complex
 conjugation), so it is real symmetric in an A-invariant basis, which the
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_basis import ChainSizeError, MomentumBasis, popcount
+from .spin_basis import ChainSizeError, MomentumBasis, _rep_index, orbit_tables, popcount
 
 FULL_BASIS_MAX_SITES = 14
 # pre-solve checks: |h - h^dagger|, and the imaginary part and the coupling of
@@ -126,31 +128,6 @@ class SectorElements(NamedTuple):
     values: np.ndarray
 
 
-def _element_chunks(basis: MomentumBasis, params: ModelParams):
-    """The elements of ``sector_elements`` as (rows, cols, values) chunks: the diagonal, then each flip."""
-    n = params.n_sites
-    if basis.n_sites != n:
-        raise ValueError("basis and params disagree on the chain length")
-
-    reps = basis.reps
-    periods = basis.periods.astype(np.float64)
-    rep_index, shift = basis.config_lookup()
-
-    phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
-    if basis.is_real:
-        phases = phases.real  # exactly +-1
-    states = np.arange(basis.dim)
-    yield states, states, diagonal_energy(params, basis.n_up)
-    flips = [((1 << j) | (1 << ((j + 1) % n)), -1.0) for j in range(n)]
-    flips += [(1 << j, -params.alpha) for j in range(n)]
-    for mask, coeff in flips:
-        targets = reps ^ mask
-        rows = rep_index[targets]
-        valid = rows >= 0
-        r, c = rows[valid], states[valid]
-        yield r, c, coeff * np.sqrt(periods[c] / periods[r]) * phases[shift[targets[valid]] % n]
-
-
 def sector_elements(basis: MomentumBasis, params: ModelParams) -> SectorElements:
     """The elements of the momentum-sector Hamiltonian in the given orbit basis.
 
@@ -161,24 +138,38 @@ def sector_elements(basis: MomentumBasis, params: ModelParams) -> SectorElements
     b inside its own orbit.  The values are float64 where ``basis.is_real``
     (every phase is +-1) and complex128 elsewhere.
     """
-    rows, cols, values = zip(*_element_chunks(basis, params))
+    n = params.n_sites
+    if basis.n_sites != n:
+        raise ValueError("basis and params disagree on the chain length")
+
+    reps = basis.reps
+    periods = basis.periods.astype(np.float64)
+    rep_of, shift, _ = orbit_tables(n)
+    rep_index = _rep_index(reps, n)
+
+    phases = np.exp(2j * np.pi * basis.k * np.arange(n) / n)
+    if basis.is_real:
+        phases = phases.real  # exactly +-1
+    states = np.arange(basis.dim)
+    rows, cols, values = [states], [states], [diagonal_energy(params, basis.n_up)]
+    flips = [((1 << j) | (1 << ((j + 1) % n)), -1.0) for j in range(n)]
+    flips += [(1 << j, -params.alpha) for j in range(n)]
+    for mask, coeff in flips:
+        targets = reps ^ mask
+        target_rows = rep_index[rep_of[targets]]
+        valid = target_rows >= 0
+        r, c = target_rows[valid], states[valid]
+        rows.append(r)
+        cols.append(c)
+        values.append(coeff * np.sqrt(periods[c] / periods[r]) * phases[shift[targets[valid]] % n])
     return SectorElements(np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
 def build_sector_hamiltonian(basis: MomentumBasis, params: ModelParams) -> SectorMatrix:
-    """The dense momentum-sector block: the elements of ``sector_elements`` summed in their order.
-
-    The block is filled chunk by chunk: one scatter of the concatenated list
-    leaves heap fragments that raised the peak RSS of ``diag --spins 14
-    --momentum all`` by 7% (glibc's dynamic mmap threshold).
-    """
-    chunks = _element_chunks(basis, params)
-    states, _, energies = next(chunks)
-    h = np.zeros((basis.dim, basis.dim), dtype=np.float64 if basis.is_real else np.complex128)
-    # the diagonal is assigned, not added, so that a vanishing diagonal energy keeps its sign
-    h[states, states] = energies
-    for rows, cols, values in chunks:
-        np.add.at(h, (rows, cols), values)
+    """The dense momentum-sector block: one scatter of ``summed_elements(sector_elements(...))``."""
+    rows, cols, values = summed_elements(sector_elements(basis, params), basis.dim)
+    h = np.zeros((basis.dim, basis.dim), dtype=values.dtype)
+    h[rows, cols] = values
     return SectorMatrix(params=params, basis=basis, entries=h)
 
 

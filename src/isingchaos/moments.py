@@ -1,8 +1,9 @@
 """Moments and cumulants of the chain Hamiltonian in product states.
 
-Closed forms for the first four moments of H in a configuration with n spins
-up, parameterized by the number k of domain-wall pairs (anti-aligned
-neighbour pairs / 2).
+Closed forms for the mean, the variance and the third and fourth cumulants
+of H in a configuration with n spins up, parameterized by the number k of
+domain-wall pairs (anti-aligned neighbour pairs / 2); the raw third and
+fourth moments follow from them.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ class FormulaRangeError(ChainSizeError):
 
 @dataclass(frozen=True)
 class LocalMomentSet:
-    """First four moments/cumulants of H in configurations with n spins up."""
+    """First four moments/cumulants of H in configurations with n spins up.
+
+    The raw moments ``mu3`` and ``mu4`` follow from the cumulants ``k3`` and
+    ``k4``, the variance ``sigma2`` and the mean ``e_n``.
+    """
 
     n_up: int
     e_n: float
     sigma2: float
-    mu3: float
-    mu4: float
     k3: float
     k4: float
     k_walls: float
@@ -37,6 +40,15 @@ class LocalMomentSet:
     @property
     def mu2(self) -> float:
         return self.sigma2 + self.e_n**2
+
+    @property
+    def mu3(self) -> float:
+        return self.k3 + 3 * self.sigma2 * self.e_n + self.e_n**3
+
+    @property
+    def mu4(self) -> float:
+        e = self.e_n
+        return self.k4 + 4 * self.k3 * e + 3 * self.sigma2**2 + 6 * self.sigma2 * e**2 + e**4
 
 
 def mean_domain_wall_count(n_sites: int, n_up: int) -> float:
@@ -62,19 +74,7 @@ def analytic_moments(
     a2 = alpha**2
     e = lam * (n - 2 * n_up)
     sigma2 = n * (1 + a2)
-    mu3 = e**3 + (3 * (1 + a2) * n - 4 - 2 * a2) * e - 6 * n * a2
     k3 = -6 * n * a2 - 2 * e * (a2 + 2)
-    tail = n * (24 * a2 - 2 - 2 * a2**2 + 16 * lam**2 + 4 * lam**2 * a2)
-    mu4 = (
-        e**4
-        + e**2 * (6 * n * (1 + a2) - 16 - 8 * a2)
-        + 8 * e * (4 - 3 * n) * a2
-        + 3 * n**2 * (1 + a2) ** 2
-        - 32 * k_walls * lam**2
-        + tail
-    )
-    k4 = 32 * a2 * e - 32 * k_walls * lam**2 + tail
-    return LocalMomentSet(
-        n_up=n_up, e_n=e, sigma2=sigma2, mu3=mu3, mu4=mu4, k3=k3, k4=k4, k_walls=k_walls
-    )
+    k4 = 32 * a2 * e - 32 * k_walls * lam**2 + n * (24 * a2 - 2 - 2 * a2**2 + 16 * lam**2 + 4 * lam**2 * a2)
+    return LocalMomentSet(n_up=n_up, e_n=e, sigma2=sigma2, k3=k3, k4=k4, k_walls=k_walls)
 

@@ -6,10 +6,11 @@ which is a left rotation of the bit string.  Orbits under translation are
 grouped by their lexicographically smallest member (the representative), and
 a momentum basis holds one normalized plane-wave state per admissible orbit,
 stored as arrays together with the map of inversion x conjugation and the
-real basis that map defines.  ``sector_counts`` counts a sector's states per
-up-spin number, and the inversion-invariant ones, in closed form, without
-enumerating the 2^N configurations; its ``dim`` is the package's one sector
-size.
+real basis that map defines.  That map comes from mirroring the
+representatives alone, so ``orbit_tables`` is the only 2^N table.
+``sector_counts`` counts a sector's states per up-spin number, and the
+inversion-invariant ones, in closed form, without enumerating the 2^N
+configurations; its ``dim`` is the package's one sector size.
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ FROM_REAL_CHUNKS = 32
 
 class ChainSizeError(ValueError):
     """Requested chain length outside the supported range."""
-
-
-@lru_cache(maxsize=4)
-def reflect_table(n_sites: int) -> np.ndarray:
-    """Geometric inversion (site order reversed) of all 2^N configurations."""
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    out = np.zeros_like(states)
-    for i in range(n_sites):
-        out |= ((states >> i) & 1) << (n_sites - 1 - i)
-    return out
 
 
 @lru_cache(maxsize=4)
@@ -290,16 +281,9 @@ class MomentumBasis:
         """Number of inversion-invariant states, those that are their own partner."""
         return int(np.count_nonzero(self.partner == np.arange(self.dim)))
 
-    def config_lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Maps configuration -> (basis index of its representative, shift).
-
-        Index is -1 for configurations whose orbit does not carry momentum k.
-        """
-        rep, shift, _ = orbit_tables(self.n_sites)
-        return _rep_index(self.reps, self.n_sites)[rep], shift
-
 
 def _rep_index(reps: np.ndarray, n_sites: int) -> np.ndarray:
+    """Per configuration: the basis index of the representative it is, -1 where it is none of ``reps``."""
     index = np.full(1 << n_sites, -1, dtype=np.int32)
     index[reps] = np.arange(reps.size, dtype=np.int32)
     return index
@@ -323,7 +307,9 @@ def momentum_basis(n_sites: int, k: int) -> MomentumBasis:
     n_up = popcount(reps, n_sites)
     order = np.lexsort((reps, n_up))
     reps, n_up = reps[order], n_up[order]
-    reflected = reflect_table(n_sites)[reps]
+    reflected = np.zeros_like(reps)  # the geometric inversion (site order reversed) of each representative
+    for i in range(n_sites):
+        reflected |= ((reps >> i) & 1) << (n_sites - 1 - i)
     partner = _rep_index(reps, n_sites)[rep_of[reflected]].astype(np.int64)
     assert np.array_equal(partner[partner], np.arange(reps.size))
     steps = (k * shift_of[reflected].astype(np.int64)) % n_sites

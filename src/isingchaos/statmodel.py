@@ -319,12 +319,15 @@ class StrengthModel:
         return self.params.n_sites
 
 
-def _gibbs_fits(moments: tuple[LocalMomentSet, ...]) -> tuple[GibbsFit | None, ...]:
+def _gibbs_fits(params: ModelParams, moments: tuple[LocalMomentSet, ...]) -> tuple[GibbsFit | None, ...]:
     """One four-moment fit per n, None where it failed or is infeasible (Gram-Charlier stands in).
 
     The first fit is of the n whose standardized skewness and excess
     kurtosis are smallest, from the Gaussian.  The fits then walk outward
     from it to both ends, each warm-started from the last fit on its way.
+    One DEBUG line sums the model up: the fitted count, the n that fell
+    back, the largest residual and boundary ratio, and the fits with a
+    negative quartic coefficient c4 (they grow beyond the fit interval).
     """
 
     def non_gaussianity(mom: LocalMomentSet) -> float:
@@ -343,7 +346,18 @@ def _gibbs_fits(moments: tuple[LocalMomentSet, ...]) -> tuple[GibbsFit | None, .
                     fits[n] = None
             if fits[n] is not None:
                 start = fits[n].std_coeffs
-    return tuple(fits[n] for n in range(len(moments)))
+    result = tuple(fits[n] for n in range(len(moments)))
+    fitted = [fit for fit in result if fit is not None]
+    log.debug(
+        "gibbs fits: fitted %d of %d (N=%d, lam=%g, alpha=%g), fell back at n=%s, largest residual %.3g "
+        "(GIBBS_TOL %.0e), largest boundary ratio %.3g, %d with c4 < 0",
+        len(fitted), len(result), params.n_sites, params.lam, params.alpha,
+        [n for n, fit in enumerate(result) if fit is None],
+        max((fit.residual for fit in fitted), default=math.nan), GIBBS_TOL,
+        max((fit.boundary_ratio for fit in fitted), default=math.nan),
+        sum(fit.std_coeffs[3] < 0 for fit in fitted),
+    )
+    return result
 
 
 def build_strength_model(params: ModelParams, variant: str = "gaussian") -> StrengthModel:
@@ -351,7 +365,7 @@ def build_strength_model(params: ModelParams, variant: str = "gaussian") -> Stre
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     moments = tuple(analytic_moments(params, n) for n in range(params.n_sites + 1))
-    fits = _gibbs_fits(moments) if variant == "gibbs" else ()
+    fits = _gibbs_fits(params, moments) if variant == "gibbs" else ()
     return StrengthModel(params=params, variant=variant, moments=moments, gibbs_fits=fits)
 
 

@@ -33,7 +33,7 @@ from isingchaos.hamiltonian import (
     summed_elements,
 )
 from isingchaos.moments import LocalMomentSet
-from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables, popcount, reflect_table
+from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables, popcount
 from isingchaos.statmodel import (
     GibbsFit,
     StrengthModel,
@@ -114,12 +114,9 @@ def invariant_counts(n_sites: int, n_up: int) -> InvariantCount:
     if n_sites % 2 == 1:
         return InvariantCount(comb(n_sites // 2, n_up // 2), True)
     rep_of, _, _ = orbit_tables(n_sites)
-    refl = reflect_table(n_sites)
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    is_rep = rep_of == states
-    reps = states[is_rep]
-    invariant = rep_of[refl[reps]] == reps
-    return InvariantCount(int(np.sum(invariant & (popcount(reps, n_sites) == n_up))), False)
+    reps = np.flatnonzero(rep_of == np.arange(1 << n_sites))
+    reps = reps[popcount(reps, n_sites) == n_up].tolist()
+    return InvariantCount(sum(int(rep_of[reflect(rep, n_sites)]) == rep for rep in reps), False)
 
 
 def domain_wall_count(config: int, n_sites: int) -> int:
@@ -139,14 +136,8 @@ def cumulants_from_raw(mu1: float, mu2: float, mu3: float, mu4: float) -> tuple[
 def moment_set_from_cumulants(
     n_up: int, e_n: float, sigma2: float, k3: float, k4: float, k_walls: float = 0.0
 ) -> LocalMomentSet:
-    """A moment set with the given mean, variance and cumulants, its raw moments derived from them."""
-    mu1 = e_n
-    mu2 = sigma2 + mu1**2
-    mu3 = k3 + 3 * mu2 * mu1 - 2 * mu1**3
-    mu4 = k4 + 4 * mu3 * mu1 + 3 * mu2**2 - 12 * mu2 * mu1**2 + 6 * mu1**4
-    return LocalMomentSet(
-        n_up=n_up, e_n=e_n, sigma2=sigma2, mu3=mu3, mu4=mu4, k3=k3, k4=k4, k_walls=k_walls
-    )
+    """A moment set with the given mean, variance and cumulants."""
+    return LocalMomentSet(n_up=n_up, e_n=e_n, sigma2=sigma2, k3=k3, k4=k4, k_walls=k_walls)
 
 
 def bruteforce_state_moments(config: int, params: ModelParams, order: int = 4) -> np.ndarray:

@@ -314,7 +314,7 @@ def test_run_config_records_only_what_the_command_reads(tmp_path, capsys, monkey
         ),
         (
             ["predict", "--spins", "6", "--momentum", "0", "--grid", "16"],
-            {"lam", "alpha", "corrections", "grid", "out_dir", "q_values"},
+            {"lam", "alpha", "corrections", "grid", "out_dir"},
             RunConfig(n_sites=6, momenta=[0], command="predict", grid=16),
         ),
     ]
@@ -942,9 +942,11 @@ def test_the_console_script_runs_basis_info(capsys, monkeypatch):
 
 
 def test_two_concurrent_cache_writers(tmp_path):
-    from isingchaos import ModelParams, cache_load
+    # two diag runs store every k of one key into one directory at once: each
+    # entry lands whole, with no temp file left, and holds the solve's result
+    from isingchaos import ModelParams, cache_load, diagonalize, momentum_basis, sector_elements
 
-    argv = [sys.executable, "-m", "isingchaos.cli", "diag", "--spins", "8", "--momentum", "1"]
+    argv = [sys.executable, "-m", "isingchaos.cli", "diag", "--spins", "12", "--momentum", "all"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     writers = [
         subprocess.Popen(argv + ["--cache-dir", str(tmp_path)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -953,6 +955,12 @@ def test_two_concurrent_cache_writers(tmp_path):
     for writer in writers:
         _, err = writer.communicate(timeout=120)
         assert writer.returncode == 0, err.decode()
-    loaded = cache_load(ModelParams(8, 1.0, 1.0), 1, tmp_path)  # raises on a checksum mismatch
-    assert loaded is not None and loaded.dim == 30
-    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".bin", ".json"]
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".bin"] * 12 + [".json"] * 12
+    assert not list(tmp_path.glob("*.tmp"))
+    params = ModelParams(12, 1.0, 1.0)
+    for k in range(12):
+        loaded = cache_load(params, k, tmp_path)  # raises on a digest mismatch
+        basis = momentum_basis(12, k)
+        assert loaded is not None and loaded.vectors.shape == (basis.dim, basis.dim)
+        fresh = diagonalize(basis, sector_elements(basis, params), params)
+        assert np.array_equal(loaded.energies, fresh.energies), k

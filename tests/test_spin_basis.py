@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from isingchaos.spin_basis import (
     ChainSizeError,
+    _rep_index,
     momentum_admissible,
     momentum_basis,
     orbit_tables,
@@ -244,7 +245,8 @@ def test_basis_ordering_deterministic():
 
 def test_config_lookup_roundtrip():
     basis = momentum_basis(8, 2)
-    rep_idx, shift = basis.config_lookup()
+    rep_of, shift, _ = orbit_tables(8)
+    rep_idx = _rep_index(basis.reps, 8)[rep_of]
     for s in range(256):
         i = rep_idx[s]
         if i < 0:

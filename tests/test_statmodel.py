@@ -512,6 +512,23 @@ def test_density_stack_logs_the_count_it_clips(caplog, variant, clipped):
     assert variant in record.getMessage()
 
 
+def test_gibbs_fits_log_one_summary_line(caplog):
+    # N = 14 at (1, 1): every n fits, far inside the tolerance, and four fits have c4 < 0
+    with caplog.at_level(logging.DEBUG, logger="isingchaos.statmodel"):
+        model = build_strength_model(ModelParams(14, 1.0, 1.0), "gibbs")
+    [record] = [r for r in caplog.records if r.msg.startswith("gibbs fits")]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    fits = model.gibbs_fits
+    assert "fitted 15 of 15 (N=14, lam=1, alpha=1), fell back at n=[]" in message
+    residual = max(fit.residual for fit in fits)
+    assert residual < 1e-12
+    assert f"largest residual {residual:.3g} (GIBBS_TOL 1e-08)" in message
+    assert f"largest boundary ratio {max(fit.boundary_ratio for fit in fits):.3g}" in message
+    assert sum(fit.std_coeffs[3] < 0 for fit in fits) == 4
+    assert message.endswith("4 with c4 < 0")
+
+
 def test_strength_model_is_frozen():
     model = build_strength_model(ModelParams(6, 1.0, 1.0), "gram_charlier")
     with pytest.raises(dataclasses.FrozenInstanceError):
