@@ -1,6 +1,7 @@
 """Batch pipelines: build bases, diagonalize sectors, predict, compare.
 
-All outputs are deterministic for a fixed configuration: floats are written
+All outputs are bit-reproducible for a fixed configuration, BLAS thread
+count and BLAS kernel, and agree to round-off otherwise: floats are written
 with 17 significant digits, row order is fixed, and every output directory
 receives a ``run_config.json`` provenance block that reloads to an equal
 ``RunConfig`` as ``RunConfig(**json.loads(text))``.
@@ -72,10 +73,8 @@ FLAGS = {
     "--grid": ("grid", {"type": int}),
     "--cache-dir": ("cache_dir", {}),
     "--out": ("out_dir", {}),
-    "--seed": ("seed", {"type": int}),
     "--format": ("format", {"choices": ["csv", "json"]}),
     "--symbol": ("symbols", {"type": int, "action": "append"}),
-    "--surrogate": ("surrogate", {"choices": ["goe", "poisson"]}),
 }
 
 # the flags each command reads besides --spins and --momentum; any other exits 2
@@ -88,7 +87,7 @@ COMMAND_FLAGS = {
         "--grid", "--cache-dir", "--out",
     ],
     "coeff-hist": ["--lambda", "--alpha", "--window-levels", "--cache-dir", "--out", "--symbol"],
-    "spacing": ["--lambda", "--alpha", "--seed", "--surrogate"],
+    "spacing": ["--lambda", "--alpha"],
 }
 
 
@@ -111,10 +110,8 @@ class RunConfig:
     grid: int = 512
     cache_dir: str | None = None
     out_dir: str | None = None
-    seed: int = 0
     format: str = "csv"
     symbols: list[int] | None = None
-    surrogate: str | None = None
 
     def to_json(self) -> str:
         """``n_sites``, ``momenta`` and what ``command`` reads; every field without a command."""
@@ -162,13 +159,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ModelParams(n_sites=args.spins, lam=args.lam, alpha=args.alpha)  # raises on bad values
     if not 0.0 < args.bulk_fraction <= 1.0:
         raise ValueError(f"--bulk-fraction {args.bulk_fraction} is outside (0, 1]")
-    for flag, value, low in (
-        ("--grid", args.grid, 2),
-        ("--window-levels", args.window_levels, 2),
-        ("--seed", args.seed, 0),
-    ):
-        if value is not None and value < low:
-            raise ValueError(f"{flag} {value} is below {low}")
+    for flag, value in (("--grid", args.grid), ("--window-levels", args.window_levels)):
+        if value is not None and value < 2:
+            raise ValueError(f"{flag} {value} is below 2")
     return RunConfig(n_sites=args.spins, momenta=momenta, command=args.command, **settings)
 
 
@@ -375,21 +368,10 @@ def cmd_coeff_hist(config: RunConfig) -> int:
 
 
 def cmd_spacing(config: RunConfig) -> int:
-    # numpy.random is imported only when a surrogate needs it
-    rng = np.random.default_rng(config.seed) if config.surrogate else None
     print(
         f"reference values: GOE {empirics.GOE_MEAN_R:.4f}, "
         f"Poisson {empirics.POISSON_MEAN_R:.4f}"
     )
-    if config.surrogate == "goe":
-        rs = [
-            empirics.spacing_ratio(empirics.goe_surrogate_levels(800, rng)).mean_r
-            for _ in range(10)
-        ]
-        print(f"GOE surrogate mean r: {np.mean(rs):.4f}")
-    elif config.surrogate == "poisson":
-        r = empirics.spacing_ratio(empirics.poisson_surrogate_levels(200000, rng))
-        print(f"Poisson surrogate mean r: {r.mean_r:.4f}")
     for k in config.momenta:
         _check_memory(config, k, SPECTRA_UNITS)
         # the ratio reads energies only, so every symmetry block is solved for

@@ -3,12 +3,12 @@
 Everything here works on sector eigen-decompositions: windowed
 coefficient distributions with Gaussian-fit quality (from the one row of V
 per symbol they read), participation ratios (from the moment sums the
-decomposition carries), nearest-neighbour spacing ratios (with GOE /
-Poisson surrogates), and a deviation report that interpolates a model
-prediction at empirical window centers.  A window is a contiguous range of
-level ranks in the ascending spectrum, and one integer array of edges
-carries them all, so every windowed statistic is a reduction over slices of
-per-level values.
+decomposition carries), nearest-neighbour spacing ratios (beside their GOE
+and Poisson reference values), and a deviation report that interpolates a
+model prediction at empirical window centers.  A window is a contiguous
+range of level ranks in the ascending spectrum, and one integer array of
+edges carries them all, so every windowed statistic is a reduction over
+slices of per-level values.
 """
 
 from __future__ import annotations
@@ -184,17 +184,6 @@ def spacing_ratio(energies: np.ndarray) -> SpacingRatioResult:
         raise ValueError("not enough non-degenerate spacings")
     r = np.minimum(s[:-1], s[1:]) / np.maximum(s[:-1], s[1:])
     return SpacingRatioResult(mean_r=float(r.mean()), r_values=r, n_excluded=n_excluded)
-
-
-def goe_surrogate_levels(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Spectrum of one GOE random matrix."""
-    a = rng.standard_normal((dim, dim))
-    return np.linalg.eigvalsh((a + a.T) / np.sqrt(2 * dim))
-
-
-def poisson_surrogate_levels(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Levels of an uncorrelated (Poisson) spectrum."""
-    return np.sort(rng.uniform(0.0, 1.0, size=n))
 
 
 @dataclass(frozen=True)

@@ -63,23 +63,14 @@ def write_csv(path, header: list[str], columns) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_gamma = np.frompyfunc(math.gamma, 1, 1)
-
-
-def gamma(x) -> np.ndarray | float:
-    """Euler's Gamma function elementwise (the arguments are a few q values)."""
-    return np.asarray(_gamma(x), dtype=float)[()]
-
-
-def r_q_complex(q) -> np.ndarray | float:
+def r_q_complex(q: float) -> float:
     """Moments <|C|^2q> / <|C|^2>^q of a complex Gaussian coefficient."""
-    return gamma(np.asarray(q, dtype=float) + 1.0)
+    return math.gamma(q + 1.0)
 
 
-def r_q_real(q) -> np.ndarray | float:
+def r_q_real(q: float) -> float:
     """Moments <C^2q> / <C^2>^q of a real Gaussian coefficient."""
-    q = np.asarray(q, dtype=float)
-    return 2.0**q * gamma(q + 0.5) / np.sqrt(np.pi)
+    return 2.0**q * math.gamma(q + 0.5) / math.sqrt(math.pi)
 
 
 def _hermite3(x):

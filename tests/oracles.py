@@ -10,8 +10,9 @@ its rotation into the real basis and the checked or labelled symmetry
 blocks cut from it, and the summed element list scattered through U in
 list order), the free-fermion levels of each momentum sector on
 the integrable line alpha = 0 and the classical necklace levels on the line
-lam = 0, the Gaussian fit of one window at a time, and a CSV
-writer that formats cell by cell.
+lam = 0, the Gaussian fit of one window at a time, the GOE and Poisson
+surrogate spectra that the spacing ratio is checked on, and a CSV writer
+that formats cell by cell.
 """
 
 from math import comb
@@ -434,6 +435,17 @@ def gaussian_fit_chi2(samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarra
         return np.inf, edges, counts
     chi2 = float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep]))
     return chi2 / dof, edges, counts
+
+
+def goe_surrogate_levels(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Spectrum of one GOE random matrix."""
+    a = rng.standard_normal((dim, dim))
+    return np.linalg.eigvalsh((a + a.T) / np.sqrt(2 * dim))
+
+
+def poisson_surrogate_levels(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Levels of an uncorrelated (Poisson) spectrum."""
+    return np.sort(rng.uniform(0.0, 1.0, size=n))
 
 
 def write_csv_rows(path, header: list[str], rows) -> None:

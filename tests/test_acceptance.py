@@ -34,9 +34,11 @@ from oracles import (
     domain_wall_count,
     gibbs_energy_moments,
     gibbs_multipliers,
+    goe_surrogate_levels,
     invariant_counts,
     model_spectral_density,
     nu_inv_by_enumeration,
+    poisson_surrogate_levels,
 )
 
 
@@ -274,13 +276,13 @@ def test_criterion_9_spacing_ratios(store):
     goe = float(
         np.mean(
             [
-                empirics.spacing_ratio(empirics.goe_surrogate_levels(800, rng)).mean_r
+                empirics.spacing_ratio(goe_surrogate_levels(800, rng)).mean_r
                 for _ in range(20)
             ]
         )
     )
     poisson = empirics.spacing_ratio(
-        empirics.poisson_surrogate_levels(200_000, rng)
+        poisson_surrogate_levels(200_000, rng)
     ).mean_r
 
     basis, decomp = store.get(15, 0)

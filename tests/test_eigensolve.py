@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -120,6 +123,54 @@ def test_determinism():
     d2 = diagonalize(*args)
     assert np.array_equal(d1.energies, d2.energies)
     assert np.array_equal(d1.vectors, d2.vectors)
+
+
+def test_solves_agree_to_round_off_across_blas_thread_counts(tmp_path):
+    # the bits of a solve depend on the BLAS thread count; its energies and
+    # moment sums do not, beyond round-off
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from isingchaos import ModelParams, diagonalize, momentum_basis, sector_elements\n"
+        "params = ModelParams(12, 1.0, 1.0)\n"
+        "solved = {}\n"
+        "for k in range(12):\n"
+        "    basis = momentum_basis(12, k)\n"
+        "    decomp = diagonalize(basis, sector_elements(basis, params), params)\n"
+        "    solved[f'e{k}'], solved[f'c{k}'] = decomp.energies, decomp.sum_c4\n"
+        "np.savez(sys.argv[1], **solved)\n"
+    )
+    runs = {}
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs[threads] = np.load(path)
+    one, two = runs["1"], runs["2"]
+    for k in range(12):
+        scale = np.max(np.abs(one[f"e{k}"]))
+        np.testing.assert_allclose(two[f"e{k}"], one[f"e{k}"], rtol=0, atol=1e-13 * scale, err_msg=f"k={k}")
+        np.testing.assert_allclose(two[f"c{k}"], one[f"c{k}"], rtol=1e-9, atol=0, err_msg=f"k={k}")
+
+
+def test_field_sign_flips_keep_every_sector():
+    # flipping every spin maps lam to -lam, and the rotation prod_j sigma^z_j
+    # maps alpha to -alpha; both commute with translation and map each
+    # momentum state onto one of equal weight, so every sector keeps its
+    # levels and each level its sum_n |C_n|^4
+    n_sites = 11
+    for k in range(n_sites):
+        reference = diagonalize(*sector(n_sites, k, ModelParams(n_sites, 0.9, 1.1)))
+        scale = np.max(np.abs(reference.energies))
+        for lam, alpha in ((-0.9, 1.1), (0.9, -1.1), (-0.9, -1.1)):
+            flipped = diagonalize(*sector(n_sites, k, ModelParams(n_sites, lam, alpha)))
+            label = f"k={k} lam={lam} alpha={alpha}"
+            np.testing.assert_allclose(
+                flipped.energies, reference.energies, rtol=0, atol=1e-12 * scale, err_msg=label
+            )
+            np.testing.assert_allclose(flipped.sum_c4, reference.sum_c4, rtol=1e-10, atol=0, err_msg=label)
 
 
 def test_cache_roundtrip_bit_exact(tmp_path):

@@ -12,8 +12,6 @@ from isingchaos.empirics import (
     compare,
     coefficient_samples,
     empirical_participation_ratio,
-    goe_surrogate_levels,
-    poisson_surrogate_levels,
     spacing_ratio,
     window_means,
     windowed_coefficient_stats,
@@ -21,7 +19,14 @@ from isingchaos.empirics import (
 )
 from isingchaos.hamiltonian import ModelParams, build_sector_hamiltonian, element_blocks, sector_elements
 from isingchaos.spin_basis import momentum_basis
-from oracles import empirical_strength_function, gaussian_fit_chi2, sector_state_moments, strength_moments
+from oracles import (
+    empirical_strength_function,
+    gaussian_fit_chi2,
+    goe_surrogate_levels,
+    poisson_surrogate_levels,
+    sector_state_moments,
+    strength_moments,
+)
 from parity_oracle import inversion_matrix
 
 

@@ -67,12 +67,9 @@ def test_gaussian_moment_factors():
 
 
 def test_elementwise_special_functions_match_scipy():
-    q = np.array([1.0, 1.5, 1.7, 2.0, 2.5, 3.0, 4.25])
-    for arg in (q + 1.0, q + 0.5):
-        np.testing.assert_allclose(statmodel.gamma(arg), gamma(arg), rtol=1e-14, atol=0)
     x = np.linspace(-4.0, 4.0, 41)
     np.testing.assert_allclose(normal_cdf(x), ndtr(x), rtol=1e-14, atol=0)
-    assert isinstance(statmodel.gamma(2.5), float) and isinstance(normal_cdf(0.3), float)
+    assert isinstance(normal_cdf(0.3), float)
     assert normal_cdf(x).dtype == np.float64
 
 
