@@ -17,14 +17,14 @@ only.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
 from its eigenvectors by ``state_moment_sums`` in the solve.  It is cached
-per (N, k, lam, alpha, format version) as one little-endian payload plus a
-JSON sidecar with the exact key and SHA-256 digests.  Format 4 lays the
-payload out as a head, the energies (<f8), parity labels (i1, 0 where there
-are none) and moment sums (<f8) under one digest, then V as row-major <c16
-in blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads
-and verifies the head and only the blocks that hold the rows of V its
-caller asks for.  Writes are atomic and durable (unique temp file, fsync,
-rename), the payload before the sidecar.
+per (N, k, lam, alpha, format version) as one file: in format 5 an 8-byte
+little-endian length, a JSON header with the exact key and SHA-256 digests,
+a head of energies (<f8), parity labels (i1, 0 where there are none) and
+moment sums (<f8) under one digest, then V as row-major <c16 in blocks of
+``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads the header,
+the head and only the blocks that hold the rows of V asked for, through one
+open file.  A write is atomic and durable (unique temp file, fsync, one
+rename), so a reader or a second writer of a key sees one writer's entry.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .spin_basis import MomentumBasis
 
 logger = logging.getLogger(__name__)
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 # rows of V under one digest in the cache payload; fixed by CACHE_VERSION.
 # Small, so that a load of a few rows hashes little more than those rows
 CACHE_BLOCK_ROWS = 8
@@ -353,7 +353,7 @@ def block_spectra(
     return {key: energies for key, _, energies, _ in _solved_blocks(basis, elements, False, row_labels)}
 
 
-def _cache_stem(params: ModelParams, k: int) -> str:
+def _entry_path(params: ModelParams, k: int, cache_dir) -> Path:
     key = "|".join(
         [
             str(params.n_sites),
@@ -364,7 +364,7 @@ def _cache_stem(params: ModelParams, k: int) -> str:
         ]
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return f"N{params.n_sites}_k{k}_{digest}"
+    return Path(cache_dir) / f"N{params.n_sites}_k{k}_{digest}.bin"
 
 
 def _atomic_write(path: Path, *chunks) -> None:
@@ -383,12 +383,11 @@ def _atomic_write(path: Path, *chunks) -> None:
 
 
 def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
-    """Persist a decomposition that holds every row of V; returns the sidecar path."""
+    """Persist a decomposition that holds every row of V as one entry file; returns its path."""
     if decomp.rows is not None:
         raise ValueError("only a decomposition with every row of the eigenvectors is stored")
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    stem = _cache_stem(decomp.params, decomp.k)
+    path = _entry_path(decomp.params, decomp.k, cache_dir)
+    path.parent.mkdir(parents=True, exist_ok=True)
 
     head = [
         np.ascontiguousarray(decomp.energies, dtype="<f8"),
@@ -412,15 +411,12 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
             for start in range(0, decomp.dim, CACHE_BLOCK_ROWS)
         ],
     }
-    # the payload is on disk before the sidecar that makes it an entry
-    _atomic_write(cache_dir / f"{stem}.bin", *head, vectors)
-    _atomic_write(
-        cache_dir / f"{stem}.json", json.dumps(meta, sort_keys=True).encode()
-    )
-    return cache_dir / f"{stem}.json"
+    header = json.dumps(meta, sort_keys=True).encode()
+    _atomic_write(path, len(header).to_bytes(8, "little"), header, *head, vectors)
+    return path
 
 
-_SIDECAR_FIELDS = {
+_HEADER_FIELDS = {
     "n_sites": int,
     "k": int,
     "lam_hex": str,
@@ -431,44 +427,48 @@ _SIDECAR_FIELDS = {
 }
 
 
-def _read_sidecar(meta_path: Path) -> dict | None:
-    """Parsed sidecar, or None (logged) when it is unreadable, of another format version or incomplete."""
+def _read_header(fh, size: int, path: Path) -> dict | None:
+    """Parsed header of a ``size``-byte entry, ``fh`` left at the payload, or None (logged) if it is bad."""
+    length = int.from_bytes(fh.read(8), "little")
+    if length > size - 8:
+        logger.warning("cache miss: truncated header in %s", path)
+        return None
     try:
-        meta = json.loads(meta_path.read_bytes())
-    except (OSError, ValueError) as exc:
-        logger.warning("cache miss: unreadable sidecar %s (%s)", meta_path, exc)
+        meta = json.loads(fh.read(length))
+    except ValueError as exc:
+        logger.warning("cache miss: unreadable header in %s (%s)", path, exc)
         return None
     if not isinstance(meta, dict):
-        logger.warning("cache miss: sidecar %s is not a JSON object", meta_path)
+        logger.warning("cache miss: the header of %s is not a JSON object", path)
         return None
     if meta.get("version") != CACHE_VERSION:
-        logger.info("cache miss: %s has format version %r", meta_path, meta.get("version"))
+        logger.info("cache miss: %s has format version %r", path, meta.get("version"))
         return None
-    for key, kind in _SIDECAR_FIELDS.items():
+    for key, kind in _HEADER_FIELDS.items():
         value = meta.get(key)
         # a bool is an int to isinstance, and a sector holds at least one state
         if not isinstance(value, kind) or isinstance(value, bool) or (key == "dim" and value < 1):
-            logger.warning("cache miss: sidecar %s lacks a valid %r", meta_path, key)
+            logger.warning("cache miss: the header of %s lacks a valid %r", path, key)
             return None
     digests = meta["block_sha256"]
     if len(digests) != -(-meta["dim"] // CACHE_BLOCK_ROWS) or not all(
         isinstance(digest, str) for digest in digests
     ):
-        logger.warning("cache miss: sidecar %s lacks a valid 'block_sha256'", meta_path)
+        logger.warning("cache miss: the header of %s lacks a valid 'block_sha256'", path)
         return None
     return meta
 
 
-def _read_verified(fh, parts: list[np.ndarray], sha256: str, bin_path: Path) -> None:
+def _read_verified(fh, parts: list[np.ndarray], sha256: str, path: Path) -> None:
     """Read the next bytes of ``fh`` straight into ``parts``, checked against ``sha256``."""
     digest = hashlib.sha256()
     for part in parts:
         raw = part.reshape(-1).view(np.uint8)
         if fh.readinto(raw) != raw.size:
-            raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
+            raise CacheCorruptionError(f"payload size mismatch for {path}")
         digest.update(raw)
     if digest.hexdigest() != sha256:
-        raise CacheCorruptionError(f"checksum mismatch for {bin_path}")
+        raise CacheCorruptionError(f"checksum mismatch for {path}")
 
 
 def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomposition | None:
@@ -476,44 +476,43 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
 
     ``rows`` selects the rows of V to load: None (every row), an empty
     sequence (none, and ``vectors`` has shape (0, D)) or the symbols whose
-    rows are wanted.  The head (energies, parity labels and moment sums) is
-    always read, and of V only the blocks that hold a wanted row; every part
-    read is checked against its SHA-256 in the sidecar.
+    rows are wanted.  The header, the head (energies, parity labels and
+    moment sums) and of V only the blocks that hold a wanted row are read
+    through one open file, each part checked against its SHA-256.
 
-    A missing, malformed or mismatched sidecar, or one of another format
-    version, is a miss, logged with its reason.  A payload whose size
-    disagrees with a valid sidecar, or a part read that fails its digest,
-    raises ``CacheCorruptionError``.  A row outside the basis raises
+    A missing entry, a truncated, malformed or mismatched header, or one of
+    another format version, is a miss, logged with its reason.  A payload
+    whose size disagrees with a valid header, or a part read that fails its
+    digest, raises ``CacheCorruptionError``.  A row outside the basis raises
     ``IndexError``.
     """
-    cache_dir = Path(cache_dir)
-    stem = _cache_stem(params, k)
-    meta_path = cache_dir / f"{stem}.json"
-    bin_path = cache_dir / f"{stem}.bin"
-    if not meta_path.exists() or not bin_path.exists():
-        logger.debug("cache miss: no entry %s in %s", stem, cache_dir)
+    path = _entry_path(params, k, cache_dir)
+    if not path.exists():
+        logger.debug("cache miss: no entry %s", path)
         return None
-    meta = _read_sidecar(meta_path)
-    if meta is None:
-        return None
-    if (
-        meta["lam_hex"] != float(params.lam).hex()
-        or meta["alpha_hex"] != float(params.alpha).hex()
-        or meta["n_sites"] != params.n_sites
-        or meta["k"] != k
-    ):
-        logger.info("cache miss: %s holds a different key", meta_path)
-        return None
-    dim = meta["dim"]
-    rows = _row_selection(rows, dim)
-    head_bytes, row_bytes = 17 * dim, 16 * dim
-    energies = np.empty(dim, dtype="<f8")
-    parity = np.empty(dim, dtype="i1")
-    sum_c4 = np.empty(dim, dtype="<f8")
-    with open(bin_path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size != head_bytes + dim * row_bytes:
-            raise CacheCorruptionError(f"payload size mismatch for {bin_path}")
-        _read_verified(fh, [energies, parity, sum_c4], meta["head_sha256"], bin_path)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        meta = _read_header(fh, size, path)
+        if meta is None:
+            return None
+        if (
+            meta["lam_hex"] != float(params.lam).hex()
+            or meta["alpha_hex"] != float(params.alpha).hex()
+            or meta["n_sites"] != params.n_sites
+            or meta["k"] != k
+        ):
+            logger.info("cache miss: %s holds a different key", path)
+            return None
+        dim = meta["dim"]
+        rows = _row_selection(rows, dim)
+        head_bytes, row_bytes = 17 * dim, 16 * dim
+        body = fh.tell()  # the payload starts right after the header
+        if size != body + head_bytes + dim * row_bytes:
+            raise CacheCorruptionError(f"payload size mismatch for {path}")
+        energies = np.empty(dim, dtype="<f8")
+        parity = np.empty(dim, dtype="i1")
+        sum_c4 = np.empty(dim, dtype="<f8")
+        _read_verified(fh, [energies, parity, sum_c4], meta["head_sha256"], path)
         # only the blocks that hold a wanted row, each through one buffer
         wanted = np.arange(dim) if rows is None else np.array(rows, dtype=np.int64)  # ascending
         vectors = np.empty((wanted.size, dim), dtype="<c16")
@@ -521,8 +520,8 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
         for block in dict.fromkeys((wanted // CACHE_BLOCK_ROWS).tolist()):
             start = block * CACHE_BLOCK_ROWS
             part = buffer[: min(CACHE_BLOCK_ROWS, dim - start)]
-            fh.seek(head_bytes + start * row_bytes)
-            _read_verified(fh, [part], meta["block_sha256"][block], bin_path)
+            fh.seek(body + head_bytes + start * row_bytes)
+            _read_verified(fh, [part], meta["block_sha256"][block], path)
             lo, hi = np.searchsorted(wanted, (start, start + part.shape[0]))
             vectors[lo:hi] = part[wanted[lo:hi] - start]
     return EigenDecomposition(

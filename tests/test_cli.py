@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from isingchaos.cli import (
     build_parser,
     main,
 )
-from isingchaos.eigensolve import EigenDecomposition
+from isingchaos.eigensolve import EigenDecomposition, cache_load
 from isingchaos.hamiltonian import ModelParams
 from isingchaos.moments import analytic_moments
 from isingchaos.spin_basis import sector_counts
@@ -135,7 +136,7 @@ def test_diag_uses_cache(tmp_path, capsys):
 def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ISINGCHAOS_CACHE_DIR", str(tmp_path))
     run(capsys, "diag", "--spins", "6", "--momentum", "0")
-    assert list(tmp_path.glob("*.json"))
+    assert [p.suffix for p in tmp_path.iterdir()] == [".bin"]  # one file per entry
 
 
 def test_predict_outputs_and_determinism(tmp_path, capsys):
@@ -613,7 +614,7 @@ def test_a_cache_miss_solves_without_the_dense_path(tmp_path, capsys, monkeypatc
     code, _, _ = run(capsys, *argv, *(a.format(out=tmp_path / "out") for a in command[1:]))
     assert code == EXIT_OK
     assert solved == [0, 1]  # both sectors were misses, solved and stored
-    assert len(list(cache.glob("*.json"))) == 2
+    assert sorted(p.suffix for p in cache.iterdir()) == [".bin"] * 2
 
 
 def test_spacing_solves_values_only(capsys, monkeypatch):
@@ -679,10 +680,18 @@ def test_spacing_skips_small_blocks(capsys, spins, alpha):
 
 
 def test_import_leaves_scipy_unloaded():
+    # the CLI's start-up, through its help text, loads none of the modules
+    # that only some commands or the tests need
     script = (
         "import sys\n"
         "import isingchaos.cli\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')], 'scipy imported'\n"
+        "try:\n"
+        "    isingchaos.cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "unwanted = ('scipy', 'numpy.ma', 'numpy.polynomial', 'numpy.random', 'fractions', 'decimal')\n"
+        "loaded = [m for m in sys.modules if m in unwanted or m.startswith(tuple(u + '.' for u in unwanted))]\n"
+        "assert not loaded, f'{loaded} imported'\n"
         "from isingchaos import ModelParams, build_full_hamiltonian\n"
         "h = build_full_hamiltonian(ModelParams(4, 1.0, 1.0))\n"
         "assert h.shape == (16, 16) and abs(h - h.T).max() == 0\n"
@@ -702,14 +711,15 @@ def test_every_public_name_resolves():
     assert [name for name in isingchaos.__all__ if not hasattr(isingchaos, name)] == []
 
 
-def test_truncated_sidecar_recomputes(tmp_path, capsys):
+def test_truncated_header_recomputes(tmp_path, capsys):
     code, out, _ = run(capsys, *_diag_n6(tmp_path))
     assert code == EXIT_OK and "computed" in out
-    (sidecar,) = tmp_path.glob("*.json")
-    sidecar.write_text(sidecar.read_text()[:20])
+    (entry,) = tmp_path.iterdir()
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[: 8 + 20])  # cut inside the header
     code, out, _ = run(capsys, *_diag_n6(tmp_path))
     assert code == EXIT_OK and "computed" in out
-    json.loads(sidecar.read_text())  # rewritten whole
+    assert entry.read_bytes() == whole  # rewritten whole
     code, out, _ = run(capsys, *_diag_n6(tmp_path))
     assert code == EXIT_OK and "cache hit" in out
 
@@ -717,10 +727,10 @@ def test_truncated_sidecar_recomputes(tmp_path, capsys):
 def test_corrupted_payload_is_a_numerical_failure(tmp_path, capsys):
     code, _, _ = run(capsys, *_diag_n6(tmp_path))
     assert code == EXIT_OK
-    (payload,) = tmp_path.glob("*.bin")
-    data = bytearray(payload.read_bytes())
-    data[40] ^= 0xFF
-    payload.write_bytes(bytes(data))
+    (entry,) = tmp_path.iterdir()
+    data = bytearray(entry.read_bytes())
+    data[8 + int.from_bytes(data[:8], "little") + 40] ^= 0xFF  # an energy, past the header length and the header
+    entry.write_bytes(bytes(data))
     code, _, err = run(capsys, *_diag_n6(tmp_path))
     assert code == EXIT_NUMERICAL
     assert "checksum mismatch" in err
@@ -917,35 +927,128 @@ def test_the_console_script_runs_basis_info(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["0", "36"]
 
 
+# runs the CLI on argv[2:] after a hook that, the first time it fires, touches
+# <argv[1]>/paused and waits there until <argv[1]>/go exists
+_PAUSING_CLI = (
+    "import json, os, sys, time\n"
+    "from pathlib import Path\n"
+    "from isingchaos.cli import main\n"
+    "signals = Path(sys.argv[1])\n"
+    "def pause():\n"
+    "    (signals / 'paused').touch()\n"
+    "    for _ in range(12000):  # two minutes at most, should the test stop before it says go\n"
+    "        if (signals / 'go').exists():\n"
+    "            break\n"
+    "        time.sleep(0.01)\n"
+    "{hook}"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+def _python(threads, *argv):
+    """A Python process at ``threads`` BLAS threads, its output piped."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(sys.path),
+        "OPENBLAS_NUM_THREADS": threads,
+        "OMP_NUM_THREADS": threads,
+    }
+    return subprocess.Popen([sys.executable, *map(str, argv)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def _finish(process):
+    out, err = process.communicate(timeout=120)
+    return process.returncode, out, err
+
+
+def _until_paused(process, signals):
+    deadline = time.monotonic() + 120
+    while not (signals / "paused").exists():
+        assert process.poll() is None, _finish(process)
+        assert time.monotonic() < deadline, "the paused process never reached its pause"
+        time.sleep(0.01)
+
+
 def test_two_concurrent_cache_writers(tmp_path):
     # two diag runs store every k of one key into one directory at once: each
     # entry lands whole, with no temp file left, and holds the bytes that one
     # run alone writes. Every run takes one BLAS thread: the bits of a solve
     # depend on the thread count, and two runs of two threads each at once
     # oversubscribe a two-core machine many times over
-    argv = [sys.executable, "-m", "isingchaos.cli", "diag", "--spins", "12", "--momentum", "all"]
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(sys.path),
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
-    }
+    argv = ["-m", "isingchaos.cli", "diag", "--spins", "12", "--momentum", "all", "--cache-dir"]
     shared, alone = tmp_path / "shared", tmp_path / "alone"
-
-    def start(cache_dir):
-        return subprocess.Popen(
-            argv + ["--cache-dir", str(cache_dir)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-        )
-
-    def wait(writer):
-        _, err = writer.communicate(timeout=120)
-        assert writer.returncode == 0, err.decode()
-
-    for writer in [start(shared), start(shared)]:
-        wait(writer)
-    wait(start(alone))
+    writers = [_python("1", *argv, shared), _python("1", *argv, shared)]  # both run at once
+    for writer in writers:
+        code, _, err = _finish(writer)
+        assert code == EXIT_OK, err
+    assert _finish(_python("1", *argv, alone))[0] == EXIT_OK
     names = sorted(p.name for p in alone.iterdir())
-    assert sorted(Path(name).suffix for name in names) == [".bin"] * 12 + [".json"] * 12
+    assert sorted(Path(name).suffix for name in names) == [".bin"] * 12
     assert sorted(p.name for p in shared.iterdir()) == names  # no temp file left
     for name in names:
         assert (shared / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_a_store_paused_after_its_rename_leaves_one_whole_entry(tmp_path):
+    # writer A, at one BLAS thread, pauses right after its first rename until
+    # writer B, at two, has stored the same key and exited. The bits of a
+    # solve depend on the thread count, so a second rename of A's that lands
+    # after B's would mix the two runs' bytes under one key
+    argv = ["diag", "--spins", "12", "--momentum", "1", "--cache-dir"]
+    hook = (
+        "real_replace = os.replace\n"
+        "def replace(src, dst):\n"
+        "    real_replace(src, dst)\n"
+        "    os.replace = real_replace\n"
+        "    pause()\n"
+        "os.replace = replace\n"
+    )
+    shared, signals = tmp_path / "shared", tmp_path / "signals"
+    signals.mkdir()
+    writer_a = _python("1", "-c", _PAUSING_CLI.format(hook=hook), signals, *argv, shared)
+    _until_paused(writer_a, signals)
+    assert _finish(_python("2", "-m", "isingchaos.cli", *argv, shared))[0] == EXIT_OK
+    (signals / "go").touch()
+    assert _finish(writer_a)[0] == EXIT_OK
+    assert cache_load(ModelParams(12, 1.0, 1.0), 1, shared, rows=None) is not None
+    # the entry is, byte for byte, the one that a lone run at one of the two thread counts writes
+    lone = {}
+    for threads in ("1", "2"):
+        assert _finish(_python(threads, "-m", "isingchaos.cli", *argv, tmp_path / threads))[0] == EXIT_OK
+        lone[threads] = {p.name: p.read_bytes() for p in (tmp_path / threads).iterdir()}
+    assert {p.name: p.read_bytes() for p in shared.iterdir()} in lone.values()
+
+
+def test_a_load_paused_after_the_header_reads_one_entry(tmp_path):
+    # a compare reads the header of an entry solved at one BLAS thread, then
+    # pauses while another process, at two threads, stores the same key over
+    # it: the rest of the load still reads the entry whose header it read
+    cache, signals = tmp_path / "cache", tmp_path / "signals"
+    signals.mkdir()
+    diag = ["-m", "isingchaos.cli", "diag", "--spins", "12", "--momentum", "1", "--cache-dir", cache]
+    assert _finish(_python("1", *diag))[0] == EXIT_OK
+    hook = (
+        "real_loads = json.loads\n"
+        "def loads(text, **kwargs):\n"
+        "    value = real_loads(text, **kwargs)\n"
+        "    if isinstance(value, dict) and 'head_sha256' in value:  # a cache entry's header\n"
+        "        json.loads = real_loads\n"
+        "        pause()\n"
+        "    return value\n"
+        "json.loads = loads\n"
+    )
+    compare = ["compare", "--spins", "12", "--momentum", "1", "--cache-dir", cache, "--out", tmp_path / "out"]
+    reader = _python("1", "-c", _PAUSING_CLI.format(hook=hook), signals, *compare)
+    _until_paused(reader, signals)
+    store = (
+        "import sys\n"
+        "from isingchaos import ModelParams, diagonalize, momentum_basis, sector_elements\n"
+        "from isingchaos.eigensolve import cache_store\n"
+        "params, basis = ModelParams(12, 1.0, 1.0), momentum_basis(12, 1)\n"
+        "cache_store(diagonalize(basis, sector_elements(basis, params), params), sys.argv[1])\n"
+    )
+    assert _finish(_python("2", "-c", store, cache))[0] == 0
+    (signals / "go").touch()
+    code, _, err = _finish(reader)
+    assert code == EXIT_OK, err

@@ -173,6 +173,22 @@ def test_field_sign_flips_keep_every_sector():
             np.testing.assert_allclose(flipped.sum_c4, reference.sum_c4, rtol=1e-10, atol=0, err_msg=label)
 
 
+def _payload_offset(path):
+    """Where an entry's payload starts: past the 8-byte header length and the header."""
+    return 8 + int.from_bytes(path.read_bytes()[:8], "little")
+
+
+def _header(path):
+    return json.loads(path.read_bytes()[8 : _payload_offset(path)])
+
+
+def _edit_header(path, edit):
+    """Replace an entry's header text by ``edit(text)``, with the length that says how long it now is."""
+    data, body = path.read_bytes(), _payload_offset(path)
+    header = edit(data[8:body].decode()).encode()
+    path.write_bytes(len(header).to_bytes(8, "little") + header + data[body:])
+
+
 def test_cache_roundtrip_bit_exact(tmp_path):
     params = ModelParams(10, 1.0, 1.0)
     for k in (1, 0):
@@ -200,10 +216,9 @@ def test_cache_key_is_exact(tmp_path):
 def test_cache_corruption_detected(tmp_path):
     params = ModelParams(6, 1.0, 1.0)
     decomp = diagonalize(*sector(6, 0, params))
-    meta_path = cache_store(decomp, tmp_path)
-    bin_path = meta_path.with_suffix(".bin")
+    bin_path = cache_store(decomp, tmp_path)
     original = bin_path.read_bytes()
-    for offset in (13, len(original) - 1):  # an energy byte, the last byte of V
+    for offset in (_payload_offset(bin_path) + 13, len(original) - 1):  # an energy byte, the last byte of V
         payload = bytearray(original)
         payload[offset] ^= 0xFF
         bin_path.write_bytes(bytes(payload))
@@ -212,12 +227,14 @@ def test_cache_corruption_detected(tmp_path):
 
 
 def test_cache_payload_layout(tmp_path):
-    # the head: energies <f8, one int8 parity label per state and the moment
-    # sums <f8, under one digest; then the eigenvectors as interleaved re/im
-    # <f8 pairs in row-major order, one digest per block of rows
+    # one file: the header's length as 8 little-endian bytes and the header,
+    # then the head: energies <f8, one int8 parity label per state and the
+    # moment sums <f8, under one digest; then the eigenvectors as interleaved
+    # re/im <f8 pairs in row-major order, one digest per block of rows
     params = ModelParams(10, 1.0, 1.0)
     decomp = diagonalize(*sector(10, 0, params))
-    meta_path = cache_store(decomp, tmp_path)
+    bin_path = cache_store(decomp, tmp_path)
+    assert sorted(tmp_path.iterdir()) == [bin_path]
     head = (
         decomp.energies.astype("<f8").tobytes()
         + decomp.parity.astype("i1").tobytes()
@@ -226,8 +243,11 @@ def test_cache_payload_layout(tmp_path):
     interleaved = np.empty(decomp.vectors.shape + (2,), dtype="<f8")
     interleaved[..., 0] = decomp.vectors.real
     interleaved[..., 1] = decomp.vectors.imag
-    assert meta_path.with_suffix(".bin").read_bytes() == head + interleaved.tobytes()
-    meta = json.loads(meta_path.read_text())
+    data = bin_path.read_bytes()
+    meta = _header(bin_path)
+    assert data[8 : _payload_offset(bin_path)] == json.dumps(meta, sort_keys=True).encode()
+    assert data[_payload_offset(bin_path) :] == head + interleaved.tobytes()
+    assert meta["version"] == eigensolve.CACHE_VERSION == 5
     assert meta["head_sha256"] == hashlib.sha256(head).hexdigest()
     rows = eigensolve.CACHE_BLOCK_ROWS
     assert decomp.dim == 108 and rows == 8  # 14 blocks, the last one short (4 rows)
@@ -241,7 +261,7 @@ def test_cache_payload_layout(tmp_path):
 def test_cache_payload_size_change_detected(tmp_path, change):
     params = ModelParams(6, 1.0, 1.0)
     decomp = diagonalize(*sector(6, 1, params))
-    bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
+    bin_path = cache_store(decomp, tmp_path)
     payload = bin_path.read_bytes()
     bin_path.write_bytes(payload[:-1] if change == "truncate" else payload + b"\0")
     with pytest.raises(CacheCorruptionError, match="size mismatch"):
@@ -249,15 +269,17 @@ def test_cache_payload_size_change_detected(tmp_path, change):
 
 
 def test_cache_version_mismatch_is_a_miss(tmp_path, caplog):
-    # a sidecar of format version 2: one digest over the whole payload, no
+    # a header of format version 2: one digest over the whole payload, no
     # moment sums and no block digests
     params = ModelParams(6, 1.0, 1.0)
     decomp = diagonalize(*sector(6, 0, params))
-    meta_path = cache_store(decomp, tmp_path)
-    meta = json.loads(meta_path.read_text())
-    del meta["head_sha256"], meta["block_sha256"]
-    meta.update(version=2, payload_sha256="0" * 64)
-    meta_path.write_text(json.dumps(meta))
+
+    def version_2(text):
+        meta = json.loads(text)
+        del meta["head_sha256"], meta["block_sha256"]
+        return json.dumps({**meta, "version": 2, "payload_sha256": "0" * 64})
+
+    _edit_header(cache_store(decomp, tmp_path), version_2)
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
         assert cache_load(params, 0, tmp_path) is None
     assert "cache miss" in caplog.text and "format version 2" in caplog.text
@@ -353,10 +375,10 @@ def test_stored_moment_sums_equal_the_kernel_on_the_stored_vectors(tmp_path):
 def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
     params = ModelParams(12, 1.0, 1.0)
     decomp = diagonalize(*sector(12, 1, params))
-    bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
+    bin_path = cache_store(decomp, tmp_path)
     dim, rows = decomp.dim, eigensolve.CACHE_BLOCK_ROWS
     assert rows == 8
-    _flip_byte(bin_path, 17 * dim + 16 * dim * (rows + 3) + 5)  # row 11, in block 1
+    _flip_byte(bin_path, _payload_offset(bin_path) + 17 * dim + 16 * dim * (rows + 3) + 5)  # row 11, in block 1
     for asked in ([11], [3, 14], None):  # a read block, and the full load
         with pytest.raises(CacheCorruptionError, match="checksum"):
             cache_load(params, 1, tmp_path, rows=asked)
@@ -371,9 +393,10 @@ def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
 def test_corrupt_head_fails_every_load(tmp_path, part):
     params = ModelParams(10, 1.0, 1.0)
     decomp = diagonalize(*sector(10, 0, params))
-    bin_path = cache_store(decomp, tmp_path).with_suffix(".bin")
+    bin_path = cache_store(decomp, tmp_path)
     dim = decomp.dim
-    _flip_byte(bin_path, {"energies": 3, "parity": 8 * dim + 7, "sum_c4": 9 * dim + 8 * dim - 1}[part])
+    offset = {"energies": 3, "parity": 8 * dim + 7, "sum_c4": 9 * dim + 8 * dim - 1}[part]
+    _flip_byte(bin_path, _payload_offset(bin_path) + offset)
     for asked in ((), [3], None):
         with pytest.raises(CacheCorruptionError, match="checksum"):
             cache_load(params, 0, tmp_path, rows=asked)
@@ -449,13 +472,13 @@ def test_cache_v1_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     decomp = diagonalize(basis, elements, params)
     # an entry written under format version 1, which carried no parity labels
     monkeypatch.setattr(eigensolve, "CACHE_VERSION", 1)
-    v1_sidecar = cache_store(dataclasses.replace(decomp, parity=np.zeros_like(decomp.parity)), tmp_path)
+    v1_entry = cache_store(dataclasses.replace(decomp, parity=np.zeros_like(decomp.parity)), tmp_path)
     monkeypatch.undo()
     with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
         loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
     assert not hit and "cache miss" in caplog.text
     assert np.array_equal(loaded.parity, decomp.parity)
-    assert json.loads(v1_sidecar.read_text())["version"] == 1
+    assert _header(v1_entry)["version"] == 1
     loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
     assert hit and np.array_equal(loaded.parity, decomp.parity)
 
@@ -667,7 +690,7 @@ def test_sum_rules_check_the_elements_not_the_array_lapack_gets(monkeypatch, sol
 
 
 def _with_dim(dim):
-    """A sidecar edit: ``dim`` replaced, with as many block digests as that ``dim`` implies."""
+    """A header edit: ``dim`` replaced, with as many block digests as that ``dim`` implies."""
 
     def edit(text):
         meta = json.loads(text)
@@ -678,7 +701,7 @@ def _with_dim(dim):
 
 
 @pytest.mark.parametrize(
-    "sidecar",
+    "edit",
     [
         lambda text: text[: len(text) // 2],  # truncated
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}),
@@ -699,14 +722,29 @@ def _with_dim(dim):
         "dim-a-bool", "dim-negative", "dim-zero",
     ],
 )
-def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, sidecar):
+def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, edit):
+    # each edit rewrites the entry's header, with the length that matches it
     params = ModelParams(6, 1.0, 1.0)
     decomp = diagonalize(*sector(6, 0, params))
-    meta_path = cache_store(decomp, tmp_path)
-    meta_path.write_text(sidecar(meta_path.read_text()))
+    _edit_header(cache_store(decomp, tmp_path), edit)
     with caplog.at_level(logging.WARNING, logger="isingchaos.eigensolve"):
         assert cache_load(params, 0, tmp_path) is None
     assert "cache miss" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [lambda data: b"", lambda data: data[:5], lambda data: data[: 8 + 20], lambda data: b"\xff" * 8 + data[8:]],
+    ids=["empty", "inside-the-length", "inside-the-header", "length-past-the-end"],
+)
+def test_a_header_past_the_end_of_its_entry_is_a_logged_miss(tmp_path, caplog, cut):
+    # the header's length is checked against the file size before the header is read
+    params = ModelParams(6, 1.0, 1.0)
+    path = cache_store(diagonalize(*sector(6, 0, params)), tmp_path)
+    path.write_bytes(cut(path.read_bytes()))
+    with caplog.at_level(logging.WARNING, logger="isingchaos.eigensolve"):
+        assert cache_load(params, 0, tmp_path) is None
+    assert "cache miss: truncated header" in caplog.text
 
 
 def test_atomic_write_uses_unique_temp_files(tmp_path, monkeypatch):
@@ -734,7 +772,7 @@ def test_atomic_write_uses_unique_temp_files(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.bin"]
 
 
-def test_cache_store_syncs_the_payload_before_the_sidecar(tmp_path, monkeypatch):
+def test_cache_store_syncs_and_renames_one_file(tmp_path, monkeypatch):
     events = []
     real_fsync, real_replace = eigensolve.os.fsync, eigensolve.os.replace
 
@@ -749,11 +787,10 @@ def test_cache_store_syncs_the_payload_before_the_sidecar(tmp_path, monkeypatch)
 
     monkeypatch.setattr(eigensolve.os, "fsync", recording_fsync)
     monkeypatch.setattr(eigensolve.os, "replace", recording_replace)
-    cache_store(diagonalize(*sector(6, 1)), tmp_path)
-    assert [event[0] for event in events] == ["fsync", "replace"] * 2
-    assert [event[2] for event in events[1::2]] == [".bin", ".json"]
-    for synced, renamed in zip(events[::2], events[1::2]):
-        assert synced[1] == renamed[1]
+    path = cache_store(diagonalize(*sector(6, 1)), tmp_path)
+    assert [event[0] for event in events] == ["fsync", "replace"]
+    assert events[1][2] == ".bin" and events[0][1] == events[1][1] == path.stat().st_ino
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("n_sites,k", [(10, 0), (10, 5), (12, 1), (12, 3)])
@@ -909,20 +946,18 @@ def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     # an entry of format 3: one digest per 64 rows of V
     monkeypatch.setattr(eigensolve, "CACHE_VERSION", 3)
     monkeypatch.setattr(eigensolve, "CACHE_BLOCK_ROWS", 64)
-    v3_sidecar = cache_store(decomp, tmp_path)
+    v3_entry = cache_store(decomp, tmp_path)
     monkeypatch.undo()
-    assert len(json.loads(v3_sidecar.read_text())["block_sha256"]) == -(-decomp.dim // 64)
+    assert len(_header(v3_entry)["block_sha256"]) == -(-decomp.dim // 64)
     with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
         assert cache_load(params, 1, tmp_path) is None  # its key names format 3
     assert "cache miss: no entry" in caplog.text
-    # the same entry under the format-4 name: a miss for its version, not a corrupt digest list
-    v4_sidecar = tmp_path / f"{eigensolve._cache_stem(params, 1)}.json"
-    v4_sidecar.write_text(v3_sidecar.read_text())
-    v3_sidecar.with_suffix(".bin").replace(v4_sidecar.with_suffix(".bin"))
+    # the same entry under the current name: a miss for its version, not a corrupt digest list
+    entry = v3_entry.replace(eigensolve._entry_path(params, 1, tmp_path))
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
         loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
     assert not hit and "format version 3" in caplog.text
     assert np.array_equal(loaded.energies, decomp.energies)
     loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
-    assert hit and len(json.loads(v4_sidecar.read_text())["block_sha256"]) == -(-decomp.dim // 8)
+    assert hit and len(_header(entry)["block_sha256"]) == -(-decomp.dim // 8)
