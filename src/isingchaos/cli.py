@@ -467,6 +467,7 @@ def main(argv=None) -> int:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except (
+        ArithmeticError,  # OverflowError of a field too large to square
         CacheCorruptionError,
         DiagonalizationError,
         ValueError,  # NonHermitianError, LinAlgError and failed statistics

@@ -17,13 +17,14 @@ only.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
 from its eigenvectors by ``state_moment_sums`` in the solve.  It is cached
-per (N, k, lam, alpha, format version) as one file: in format 5 an 8-byte
-little-endian length, a JSON header with the exact key and SHA-256 digests,
-a head of energies (<f8), parity labels (i1, 0 where there are none) and
-moment sums (<f8) under one digest, then V as row-major <c16 in blocks of
-``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads the header,
-the head and only the blocks that hold the rows of V asked for, through one
-open file.  A write is atomic and durable (unique temp file, fsync, one
+under the key of ``_key`` (format version and exact N, k, lam, alpha),
+which names the entry's file and heads its header, as one file: in format 5
+an 8-byte little-endian length, a JSON header with the key, the size D and
+SHA-256 digests, the head of ``CACHE_HEAD`` (energies <f8, parity labels i1,
+0 where there are none, and moment sums <f8) under one digest, then V as
+row-major <c16 in blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.
+A load reads the header, the head and only the blocks that hold the rows of
+V asked for, through one open file.  A write is atomic and durable (unique temp file, fsync, one
 rename), so a reader or a second writer of a key sees one writer's entry.
 """
 
@@ -48,7 +49,7 @@ from .hamiltonian import (
     element_blocks,
     summed_elements,
 )
-from .spin_basis import MomentumBasis
+from .spin_basis import MomentumBasis, sector_counts
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +57,9 @@ CACHE_VERSION = 5
 # rows of V under one digest in the cache payload; fixed by CACHE_VERSION.
 # Small, so that a load of a few rows hashes little more than those rows
 CACHE_BLOCK_ROWS = 8
+# the head of an entry's payload, one array of D values per field of
+# EigenDecomposition, in this order under one digest; fixed by CACHE_VERSION
+CACHE_HEAD = (("energies", "<f8"), ("parity", "i1"), ("sum_c4", "<f8"))
 # rows of V per chunk of the moment sums sum_n |C_n|^2q
 MOMENT_CHUNK_ROWS = 64
 
@@ -353,17 +357,20 @@ def block_spectra(
     return {key: energies for key, _, energies, _ in _solved_blocks(basis, elements, False, row_labels)}
 
 
+def _key(params: ModelParams, k: int) -> dict:
+    """What names a cache entry: the format version and the exact (N, k, lam, alpha)."""
+    return {
+        "version": CACHE_VERSION,
+        "n_sites": params.n_sites,
+        "k": k,
+        "lam_hex": float(params.lam).hex(),
+        "alpha_hex": float(params.alpha).hex(),
+    }
+
+
 def _entry_path(params: ModelParams, k: int, cache_dir) -> Path:
-    key = "|".join(
-        [
-            str(params.n_sites),
-            str(k),
-            float(params.lam).hex(),
-            float(params.alpha).hex(),
-            f"v{CACHE_VERSION}",
-        ]
-    )
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    version, *fields = _key(params, k).values()  # hashed as "N|k|lam_hex|alpha_hex|v<version>"
+    digest = hashlib.sha256("|".join([*map(str, fields), f"v{version}"]).encode()).hexdigest()[:16]
     return Path(cache_dir) / f"N{params.n_sites}_k{k}_{digest}.bin"
 
 
@@ -389,21 +396,13 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
     path = _entry_path(decomp.params, decomp.k, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
 
-    head = [
-        np.ascontiguousarray(decomp.energies, dtype="<f8"),
-        np.ascontiguousarray(decomp.parity, dtype="i1"),
-        np.ascontiguousarray(decomp.sum_c4, dtype="<f8"),
-    ]
+    head = [np.ascontiguousarray(getattr(decomp, field), dtype=dtype) for field, dtype in CACHE_HEAD]
     # little-endian complex128 is the interleaved re/im layout of the format
     vectors = np.ascontiguousarray(decomp.vectors, dtype="<c16")
     meta = {
-        "version": CACHE_VERSION,
-        "n_sites": decomp.params.n_sites,
-        "k": decomp.k,
+        **_key(decomp.params, decomp.k),
         "lam": decomp.params.lam,
         "alpha": decomp.params.alpha,
-        "lam_hex": float(decomp.params.lam).hex(),
-        "alpha_hex": float(decomp.params.alpha).hex(),
         "dim": decomp.dim,
         "head_sha256": _sha256(*head),
         "block_sha256": [
@@ -416,19 +415,11 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
     return path
 
 
-_HEADER_FIELDS = {
-    "n_sites": int,
-    "k": int,
-    "lam_hex": str,
-    "alpha_hex": str,
-    "dim": int,
-    "head_sha256": str,
-    "block_sha256": list,
-}
+def _read_header(fh, size: int, path: Path, expected: dict) -> dict | None:
+    """Parsed header of a ``size``-byte entry, ``fh`` left at the payload, or None (logged) if it is bad.
 
-
-def _read_header(fh, size: int, path: Path) -> dict | None:
-    """Parsed header of a ``size``-byte entry, ``fh`` left at the payload, or None (logged) if it is bad."""
+    Each field of ``expected`` must hold its value with its type (a bool is not an int).
+    """
     length = int.from_bytes(fh.read(8), "little")
     if length > size - 8:
         logger.warning("cache miss: truncated header in %s", path)
@@ -441,20 +432,16 @@ def _read_header(fh, size: int, path: Path) -> dict | None:
     if not isinstance(meta, dict):
         logger.warning("cache miss: the header of %s is not a JSON object", path)
         return None
-    if meta.get("version") != CACHE_VERSION:
-        logger.info("cache miss: %s has format version %r", path, meta.get("version"))
-        return None
-    for key, kind in _HEADER_FIELDS.items():
-        value = meta.get(key)
-        # a bool is an int to isinstance, and a sector holds at least one state
-        if not isinstance(value, kind) or isinstance(value, bool) or (key == "dim" and value < 1):
-            logger.warning("cache miss: the header of %s lacks a valid %r", path, key)
+    for field, value in expected.items():
+        found = meta.get(field)
+        if type(found) is not type(value) or found != value:
+            logger.warning("cache miss: %s has %s %r, expected %r", path, field, found, value)
             return None
-    digests = meta["block_sha256"]
-    if len(digests) != -(-meta["dim"] // CACHE_BLOCK_ROWS) or not all(
-        isinstance(digest, str) for digest in digests
+    digests = meta.get("block_sha256")
+    if not isinstance(digests, list) or len(digests) != -(-expected["dim"] // CACHE_BLOCK_ROWS) or not all(
+        isinstance(digest, str) for digest in [meta.get("head_sha256"), *digests]
     ):
-        logger.warning("cache miss: the header of %s lacks a valid 'block_sha256'", path)
+        logger.warning("cache miss: the header of %s lacks valid digests", path)
         return None
     return meta
 
@@ -480,39 +467,32 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
     moment sums) and of V only the blocks that hold a wanted row are read
     through one open file, each part checked against its SHA-256.
 
-    A missing entry, a truncated, malformed or mismatched header, or one of
-    another format version, is a miss, logged with its reason.  A payload
-    whose size disagrees with a valid header, or a part read that fails its
-    digest, raises ``CacheCorruptionError``.  A row outside the basis raises
-    ``IndexError``.
+    The header must hold the entry's name: each field of ``_key`` and the
+    sector's size D from ``sector_counts``, with the same value and type.
+    A missing entry, a truncated or unreadable header, one that is not a JSON
+    object, a field of the name that differs (the log names the first, the
+    value found and the value expected) or a bad digest list is a miss,
+    logged with its reason.  A payload whose size disagrees with a valid
+    header, or a part read that fails its digest, raises
+    ``CacheCorruptionError``.  A row outside the basis raises ``IndexError``.
     """
     path = _entry_path(params, k, cache_dir)
     if not path.exists():
         logger.debug("cache miss: no entry %s", path)
         return None
+    dim = sector_counts(params.n_sites, k).dim
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        meta = _read_header(fh, size, path)
+        meta = _read_header(fh, size, path, {**_key(params, k), "dim": dim})
         if meta is None:
             return None
-        if (
-            meta["lam_hex"] != float(params.lam).hex()
-            or meta["alpha_hex"] != float(params.alpha).hex()
-            or meta["n_sites"] != params.n_sites
-            or meta["k"] != k
-        ):
-            logger.info("cache miss: %s holds a different key", path)
-            return None
-        dim = meta["dim"]
         rows = _row_selection(rows, dim)
-        head_bytes, row_bytes = 17 * dim, 16 * dim
+        head = {field: np.empty(dim, dtype=dtype) for field, dtype in CACHE_HEAD}
+        head_bytes, row_bytes = sum(part.nbytes for part in head.values()), 16 * dim
         body = fh.tell()  # the payload starts right after the header
         if size != body + head_bytes + dim * row_bytes:
             raise CacheCorruptionError(f"payload size mismatch for {path}")
-        energies = np.empty(dim, dtype="<f8")
-        parity = np.empty(dim, dtype="i1")
-        sum_c4 = np.empty(dim, dtype="<f8")
-        _read_verified(fh, [energies, parity, sum_c4], meta["head_sha256"], path)
+        _read_verified(fh, list(head.values()), meta["head_sha256"], path)
         # only the blocks that hold a wanted row, each through one buffer
         wanted = np.arange(dim) if rows is None else np.array(rows, dtype=np.int64)  # ascending
         vectors = np.empty((wanted.size, dim), dtype="<c16")
@@ -524,15 +504,7 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
             _read_verified(fh, [part], meta["block_sha256"][block], path)
             lo, hi = np.searchsorted(wanted, (start, start + part.shape[0]))
             vectors[lo:hi] = part[wanted[lo:hi] - start]
-    return EigenDecomposition(
-        params=params,
-        k=k,
-        energies=energies,
-        vectors=vectors,
-        parity=parity,
-        sum_c4=sum_c4,
-        rows=rows,
-    )
+    return EigenDecomposition(params=params, k=k, vectors=vectors, rows=rows, **head)
 
 
 def diagonalize_cached(

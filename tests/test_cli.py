@@ -858,6 +858,15 @@ def test_internal_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypat
     assert "numerical failure: no finite deviations" in err
 
 
+@pytest.mark.parametrize("command,field", [("compare", "--lambda"), ("predict", "--alpha")])
+def test_a_field_too_large_to_square_is_a_numerical_failure(tmp_path, capsys, command, field):
+    # the analytic moments square each field on Python floats, which overflows past ~1.4e154
+    argv = [command, "--spins", "8", "--momentum", "1", field, "1e200", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,flag", [("diag", "--cache-dir"), ("predict", "--out")])
 def test_a_file_in_place_of_a_directory_is_an_io_failure(tmp_path, capsys, command, flag):
     blocker = tmp_path / "file"

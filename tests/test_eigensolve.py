@@ -282,7 +282,17 @@ def test_cache_version_mismatch_is_a_miss(tmp_path, caplog):
     _edit_header(cache_store(decomp, tmp_path), version_2)
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
         assert cache_load(params, 0, tmp_path) is None
-    assert "cache miss" in caplog.text and "format version 2" in caplog.text
+    assert "cache miss" in caplog.text and "has version 2, expected 5" in caplog.text
+
+
+def test_an_entry_under_another_sectors_name_is_a_logged_miss(tmp_path, caplog):
+    # the entry of k=1 copied onto the name of k=2: its header names k=1
+    params = ModelParams(6, 1.0, 1.0)
+    entry = cache_store(diagonalize(*sector(6, 1, params)), tmp_path)
+    eigensolve._entry_path(params, 2, tmp_path).write_bytes(entry.read_bytes())
+    with caplog.at_level(logging.WARNING, logger="isingchaos.eigensolve"):
+        assert cache_load(params, 2, tmp_path) is None
+    assert re.search(r"cache miss: \S+N6_k2_\w+\.bin has k 1, expected 2$", caplog.text, re.M)
 
 
 def test_diagonalize_cached(tmp_path):
@@ -701,35 +711,51 @@ def _with_dim(dim):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,reason",
     [
-        lambda text: text[: len(text) // 2],  # truncated
-        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}),
-        lambda text: json.dumps({**json.loads(text), "dim": "12"}),
-        lambda text: "[]",
-        lambda text: "",
-        lambda text: json.dumps({**json.loads(text), "block_sha256": []}),
-        lambda text: json.dumps({**json.loads(text), "block_sha256": 2 * json.loads(text)["block_sha256"]}),
-        lambda text: json.dumps({**json.loads(text), "block_sha256": [0]}),
-        lambda text: json.dumps({**json.loads(text), "block_sha256": json.loads(text)["block_sha256"][0]}),
-        _with_dim(True),
-        _with_dim(-1),
-        _with_dim(0),
+        (lambda text: text[: len(text) // 2], "unreadable header"),  # truncated
+        (
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}),
+            "has dim None, expected 14",
+        ),
+        (lambda text: json.dumps({**json.loads(text), "dim": "12"}), "has dim '12', expected 14"),
+        (lambda text: "[]", "is not a JSON object"),
+        (lambda text: "", "unreadable header"),
+        (lambda text: json.dumps({**json.loads(text), "block_sha256": []}), "lacks valid digests"),
+        (
+            lambda text: json.dumps({**json.loads(text), "block_sha256": 2 * json.loads(text)["block_sha256"]}),
+            "lacks valid digests",
+        ),
+        (lambda text: json.dumps({**json.loads(text), "block_sha256": [0]}), "lacks valid digests"),
+        (
+            lambda text: json.dumps({**json.loads(text), "block_sha256": json.loads(text)["block_sha256"][0]}),
+            "lacks valid digests",
+        ),
+        (_with_dim(True), "has dim True, expected 14"),
+        (_with_dim(-1), "has dim -1, expected 14"),
+        (_with_dim(0), "has dim 0, expected 14"),
+        (_with_dim(13), "has dim 13, expected 14"),
+        (_with_dim(15), "has dim 15, expected 14"),
     ],
     ids=[
         "truncated", "missing-key", "wrong-type", "not-an-object", "empty",
         "no-digests", "too-many-digests", "digest-not-a-string", "digests-not-a-list",
-        "dim-a-bool", "dim-negative", "dim-zero",
+        "dim-a-bool", "dim-negative", "dim-zero", "dim-one-less", "dim-one-more",
     ],
 )
-def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, edit):
-    # each edit rewrites the entry's header, with the length that matches it
-    params = ModelParams(6, 1.0, 1.0)
-    decomp = diagonalize(*sector(6, 0, params))
+def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, edit, reason):
+    # each edit rewrites the entry's header, with the length that matches it; the
+    # miss is logged with its reason, solved again, and the entry stored then is read back
+    basis, elements, params = sector(6, 0)
+    assert basis.dim == 14
+    decomp = diagonalize(basis, elements, params)
     _edit_header(cache_store(decomp, tmp_path), edit)
     with caplog.at_level(logging.WARNING, logger="isingchaos.eigensolve"):
         assert cache_load(params, 0, tmp_path) is None
-    assert "cache miss" in caplog.text
+    assert "cache miss" in caplog.text and reason in caplog.text
+    assert not diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)[1]
+    loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
+    assert hit and np.array_equal(loaded.vectors, decomp.vectors)
 
 
 @pytest.mark.parametrize(
@@ -957,7 +983,7 @@ def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
         loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
-    assert not hit and "format version 3" in caplog.text
+    assert not hit and "has version 3, expected 5" in caplog.text
     assert np.array_equal(loaded.energies, decomp.energies)
     loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
     assert hit and len(_header(entry)["block_sha256"]) == -(-decomp.dim // 8)

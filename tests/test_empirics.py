@@ -223,6 +223,36 @@ def test_participation_ratio_synthetic():
     assert pr[0] == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_invariant_states_carry_real_coefficients_and_paired_states_complex_ones(store, k):
+    # the symmetry correction state by state: at a complex k, the coefficient of a state
+    # that is its own inversion partner is a real Gaussian (<|C|^4>/<|C|^2>^2 = 3), that
+    # of a paired state a complex one (2).  Per window of m levels and kind of state,
+    # K = sum_s m4_s / sum_s U_s with x = |C_sa|^2, m4_s the window mean of x^2 and
+    # U_s = ((sum x)^2 - sum x^2) / (m (m - 1)) the unbiased estimate of m2_s^2, so that
+    # the Gaussian values are exactly 3 and 2.  At N=14 both K sit a few percent above
+    # them, unevenly, so the ratio holds the correction (3/2, not 1), not the exact law
+    basis, decomp = store.get(14, k)
+    m, skip = 50, int(round(0.2 * decomp.dim))  # windows over the middle 60% of levels
+    invariant = basis.partner == np.arange(decomp.dim)
+    k_inv, k_pair = [], []
+    for start in range(skip, decomp.dim - skip - m + 1, m):
+        x = np.abs(decomp.vectors[:, start : start + m]) ** 2
+        m4 = np.mean(x**2, axis=1)
+        u = (np.sum(x, axis=1) ** 2 - np.sum(x**2, axis=1)) / (m * (m - 1))
+        k_inv.append(m4[invariant].sum() / u[invariant].sum())
+        k_pair.append(m4[~invariant].sum() / u[~invariant].sum())
+    ratios = np.array(k_inv) / np.array(k_pair)
+    ratio, se = ratios.mean(), ratios.std(ddof=1) / np.sqrt(ratios.size)
+    print(
+        f"\nN=14 k={k}: {ratios.size} windows, K_inv {np.mean(k_inv):.3f}, K_pair {np.mean(k_pair):.3f}, "
+        f"ratio {ratio:.3f} +- {se:.3f}, z vs 3/2 {(ratio - 1.5) / se:+.1f}"
+    )
+    assert abs(ratio / 1.5 - 1) < 0.05
+    assert ratio - 1 >= 10 * se
+    assert np.mean(k_inv) > 3 and np.mean(k_pair) > 2
+
+
 def _peak_bytes(fn, *args):
     import tracemalloc
 
