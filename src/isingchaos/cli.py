@@ -212,14 +212,14 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 def _decompose_sector(config: RunConfig, k: int, rows=None) -> tuple[EigenDecomposition, bool]:
     """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit.
 
-    Only a miss builds the basis and the sector's element list, and first
-    refuses a sector too large for the available memory; a hit enumerates
-    nothing.
+    Only a miss builds the basis and the element list of the sector that
+    ``diagonalize_cached`` solves, and first refuses a sector too large for
+    the available memory; a hit enumerates nothing.
     """
 
-    def sector():
-        _check_memory(config, k, SOLVE_UNITS)
-        basis = momentum_basis(config.n_sites, k)
+    def sector(solved: int):
+        _check_memory(config, solved, SOLVE_UNITS)
+        basis = momentum_basis(config.n_sites, solved)
         return basis, sector_elements(basis, config.params)
 
     return diagonalize_cached(sector, config.params, k, config.cache_dir, rows)
@@ -467,7 +467,7 @@ def main(argv=None) -> int:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except (
-        ArithmeticError,  # OverflowError of a field too large to square
+        ArithmeticError,  # OverflowError of float arithmetic
         CacheCorruptionError,
         DiagonalizationError,
         ValueError,  # NonHermitianError, LinAlgError and failed statistics

@@ -16,15 +16,24 @@ coefficients in a fixed gauge; ``block_spectra`` solves for eigenvalues
 only.
 
 Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
-from its eigenvectors by ``state_moment_sums`` in the solve.  It is cached
-under the key of ``_key`` (format version and exact N, k, lam, alpha),
-which names the entry's file and heads its header, as one file: in format 5
-an 8-byte little-endian length, a JSON header with the key, the size D and
-SHA-256 digests, the head of ``CACHE_HEAD`` (energies <f8, parity labels i1,
-0 where there are none, and moment sums <f8) under one digest, then V as
-row-major <c16 in blocks of ``CACHE_BLOCK_ROWS`` rows, one digest per block.
-A load reads the header, the head and only the blocks that hold the rows of
-V asked for, through one open file.  A write is atomic and durable (unique temp file, fsync, one
+from its eigenvectors by ``state_moment_sums`` in the solve.
+
+Sectors k and N - k are one solve: H_{N-k} = conj(H_k) in the plane-wave
+basis, so they share energies, parity labels (all 0 there) and moment sums,
+and V_{N-k} = conj(V_k).  ``solved_momentum`` names the sector that is
+solved, cached and named for k, min(k, N - k); ``cache_load`` and
+``diagonalize_cached`` return N - k as that sector with its V conjugated in
+place, and ``cache_store`` stores no other.
+
+A decomposition is cached under the key of ``_key`` (format version and
+exact N, k, lam, alpha), which names the entry's file and heads its header,
+as one file: in format 5 an 8-byte little-endian length, a JSON header with
+the key, the size D and SHA-256 digests, the head of ``CACHE_HEAD``
+(energies <f8, parity labels i1, 0 where there are none, and moment sums
+<f8) under one digest, then V as row-major <c16 in blocks of
+``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads the header,
+the head and only the blocks that hold the rows of V asked for, through one
+open file.  A write is atomic and durable (unique temp file, fsync, one
 rename), so a reader or a second writer of a key sees one writer's entry.
 """
 
@@ -357,6 +366,19 @@ def block_spectra(
     return {key: energies for key, _, energies, _ in _solved_blocks(basis, elements, False, row_labels)}
 
 
+def solved_momentum(n_sites: int, k: int) -> int:
+    """The sector solved, cached and named for sector k: min(k, N - k), since H_{N-k} = conj(H_k)."""
+    return min(k, n_sites - k)
+
+
+def _as_sector(decomp: EigenDecomposition, k: int) -> EigenDecomposition:
+    """Sector ``k`` from the decomposition of its solved sector: V conjugated in place unless they are one."""
+    if decomp.k != k:
+        np.conjugate(decomp.vectors, out=decomp.vectors)
+        decomp.k = k
+    return decomp
+
+
 def _key(params: ModelParams, k: int) -> dict:
     """What names a cache entry: the format version and the exact (N, k, lam, alpha)."""
     return {
@@ -390,9 +412,15 @@ def _atomic_write(path: Path, *chunks) -> None:
 
 
 def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
-    """Persist a decomposition that holds every row of V as one entry file; returns its path."""
+    """Persist a decomposition that holds every row of V as one entry file; returns its path.
+
+    Only a solved sector, k <= N/2, is stored; its partner N - k is loaded from it.
+    """
     if decomp.rows is not None:
         raise ValueError("only a decomposition with every row of the eigenvectors is stored")
+    solved = solved_momentum(decomp.params.n_sites, decomp.k)
+    if solved != decomp.k:
+        raise ValueError(f"sector k={decomp.k} is not stored: it is loaded from sector k={solved}")
     path = _entry_path(decomp.params, decomp.k, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -461,6 +489,11 @@ def _read_verified(fh, parts: list[np.ndarray], sha256: str, path: Path) -> None
 def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomposition | None:
     """Load a cached decomposition; None signals a miss (recompute).
 
+    The entry read is that of the solved sector ``solved_momentum(N, k)``.
+    For k > N/2 it is sector N - k, and the V just read is conjugated in
+    place, so that the load allocates no second copy of it; the energies,
+    parity labels and moment sums are those of the entry.
+
     ``rows`` selects the rows of V to load: None (every row), an empty
     sequence (none, and ``vectors`` has shape (0, D)) or the symbols whose
     rows are wanted.  The header, the head (energies, parity labels and
@@ -476,14 +509,15 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
     header, or a part read that fails its digest, raises
     ``CacheCorruptionError``.  A row outside the basis raises ``IndexError``.
     """
-    path = _entry_path(params, k, cache_dir)
+    solved = solved_momentum(params.n_sites, k)
+    path = _entry_path(params, solved, cache_dir)
     if not path.exists():
         logger.debug("cache miss: no entry %s", path)
         return None
-    dim = sector_counts(params.n_sites, k).dim
+    dim = sector_counts(params.n_sites, solved).dim
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        meta = _read_header(fh, size, path, {**_key(params, k), "dim": dim})
+        meta = _read_header(fh, size, path, {**_key(params, solved), "dim": dim})
         if meta is None:
             return None
         rows = _row_selection(rows, dim)
@@ -504,7 +538,7 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
             _read_verified(fh, [part], meta["block_sha256"][block], path)
             lo, hi = np.searchsorted(wanted, (start, start + part.shape[0]))
             vectors[lo:hi] = part[wanted[lo:hi] - start]
-    return EigenDecomposition(params=params, k=k, vectors=vectors, rows=rows, **head)
+    return _as_sector(EigenDecomposition(params=params, k=solved, vectors=vectors, rows=rows, **head), k)
 
 
 def diagonalize_cached(
@@ -512,20 +546,22 @@ def diagonalize_cached(
 ) -> tuple[EigenDecomposition, bool]:
     """Load from cache or diagonalize-and-store; returns (decomp, was_hit).
 
-    Only a miss calls ``sector_builder``, which returns the sector's
-    ``(basis, elements)``, and solves them with ``diagonalize``, which keeps
-    the element list until every block has passed its checks.  ``rows``
-    selects the rows of V as in ``cache_load``.  A miss stores the full
-    decomposition, then returns it cut down to those rows, as a hit would
-    return it.
+    Only a miss calls ``sector_builder(solved)``, with the solved sector
+    ``solved_momentum(N, k)``, which returns that sector's ``(basis,
+    elements)``, and solves them with ``diagonalize``, which keeps the
+    element list until every block has passed its checks.  ``rows`` selects
+    the rows of V as in ``cache_load``.  A miss stores the full
+    decomposition of the solved sector, then returns it cut down to those
+    rows and, for k > N/2, conjugated in place, as a hit would return it.
+    Without a cache, sector N - k is solved as sector k again.
     """
     if cache_dir is not None:
         hit = cache_load(params, k, cache_dir, rows)
         if hit is not None:
             return hit, True
-    basis, elements = sector_builder()
+    basis, elements = sector_builder(solved_momentum(params.n_sites, k))
     decomp = diagonalize(basis, elements, params)
     del basis, elements
     if cache_dir is not None:
         cache_store(decomp, cache_dir)
-    return _restrict(decomp, rows), False
+    return _as_sector(_restrict(decomp, rows), k), False

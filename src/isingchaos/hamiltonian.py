@@ -20,6 +20,7 @@ command forms the dense plane-wave block.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,10 @@ FULL_BASIS_MAX_SITES = 14
 # pre-solve checks: |h - h^dagger|, and the imaginary part and the coupling of
 # the symmetry blocks in the real basis, each relative to max(1, max|h|)
 HERMITICITY_TOL = 1e-12
+# the largest field scale max(|lam|, |alpha|) N: the analytic moments raise it
+# to the fourth power, and at N >= 5 mu4 is at most 4.3 times that power, so
+# below this bound (about 5.8e76) every moment stays finite
+FIELD_SCALE_MAX = sys.float_info.max ** 0.25 / 2
 
 
 class NonHermitianError(ValueError):
@@ -54,6 +59,12 @@ class ModelParams:
             raise ChainSizeError("need at least 2 sites")
         if not (np.isfinite(self.lam) and np.isfinite(self.alpha)):
             raise ValueError("fields must be finite")
+        name, value = max(("lam", self.lam), ("alpha", self.alpha), key=lambda field: abs(field[1]))
+        if abs(value) * self.n_sites > FIELD_SCALE_MAX:
+            raise ValueError(
+                f"field {name} = {value!r} is too large: max(|lam|, |alpha|) * N must not exceed "
+                f"{FIELD_SCALE_MAX:.4g}"
+            )
 
 
 def diagonal_energy(params: ModelParams, n_up) -> np.ndarray | float:

@@ -116,6 +116,8 @@ def test_every_momentum_token_is_checked_beside_all(tmp_path, capsys, command, m
 
 
 def test_diag_uses_cache(tmp_path, capsys):
+    from isingchaos import eigensolve
+
     argv = [
         "diag",
         "--spins",
@@ -125,9 +127,13 @@ def test_diag_uses_cache(tmp_path, capsys):
         "--cache-dir",
         str(tmp_path),
     ]
+    # k = 0..4 are solved and stored; k = 5..7 load as k = 3..1, stored the moment before
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert out.count("computed") == 8
+    assert out.count("computed") == 5 and out.count("cache hit") == 3
+    assert ["computed" in line for line in out.splitlines()] == [True] * 5 + [False] * 3
+    params = ModelParams(8, 1.0, 1.0)
+    assert sorted(tmp_path.iterdir()) == sorted(eigensolve._entry_path(params, k, tmp_path) for k in range(5))
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert out.count("cache hit") == 8
@@ -415,10 +421,11 @@ def _chi2_column(path):
 def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, monkeypatch):
     from isingchaos import eigensolve
 
-    # a filled N=14 cache of random entries: which bytes a load reads does not depend on them
+    # a filled N=14 cache of random entries, k = 0..7, that every k loads from as
+    # k~ = min(k, 14 - k): which bytes a load reads does not depend on them
     params = ModelParams(14, 1.0, 1.0)
     rng = np.random.default_rng(0)
-    dims = {k: sector_counts(14, k).dim for k in range(14)}
+    dims = {k: sector_counts(14, k).dim for k in range(8)}
     for k, dim in dims.items():
         vectors = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         energies = np.sort(rng.standard_normal(dim))
@@ -446,8 +453,10 @@ def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, m
     assert block == 8
     for k, dim in dims.items():
         start = dim // 2 // block * block  # the first row of the block that holds row D/2
-        # the head (energies, parity labels, moment sums), then that one block
-        assert hashed[k] == [17 * dim, 16 * dim * min(block, dim - start)], k
+        # the head (energies, parity labels, moment sums), then that one block, once
+        # for k and once more for 14 - k where that is another sector
+        loads = 1 if k in (0, 7) else 2
+        assert hashed[k] == [17 * dim, 16 * dim * min(block, dim - start)] * loads, k
 
 
 def test_coeff_hist_skips_windows_without_a_degree_of_freedom(tmp_path, capsys):
@@ -858,13 +867,19 @@ def test_internal_value_error_is_a_numerical_failure(tmp_path, capsys, monkeypat
     assert "numerical failure: no finite deviations" in err
 
 
-@pytest.mark.parametrize("command,field", [("compare", "--lambda"), ("predict", "--alpha")])
-def test_a_field_too_large_to_square_is_a_numerical_failure(tmp_path, capsys, command, field):
-    # the analytic moments square each field on Python floats, which overflows past ~1.4e154
-    argv = [command, "--spins", "8", "--momentum", "1", field, "1e200", "--out", str(tmp_path)]
-    code, _, err = run(capsys, *argv)
-    assert code == EXIT_NUMERICAL
-    assert err.startswith("numerical failure") and "Traceback" not in err
+@pytest.mark.parametrize("command,field,name", [("compare", "--lambda", "lam"), ("predict", "--alpha", "alpha")])
+def test_a_field_too_large_for_the_moment_formulas_is_a_bad_argument(tmp_path, capsys, command, field, name):
+    # the analytic moments raise max(|lam|, |alpha|) N to the fourth power, which
+    # overflows a float past about 1.2e77; 1e200 once failed in them with exit 3
+    from isingchaos.hamiltonian import FIELD_SCALE_MAX
+
+    argv = [command, "--spins", "8", "--momentum", "1", field, "1e200", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert f"error: field {name} = 1e+200 is too large" in err and f"{FIELD_SCALE_MAX:.4g}" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,flag", [("diag", "--cache-dir"), ("predict", "--out")])
@@ -993,7 +1008,7 @@ def test_two_concurrent_cache_writers(tmp_path):
         assert code == EXIT_OK, err
     assert _finish(_python("1", *argv, alone))[0] == EXIT_OK
     names = sorted(p.name for p in alone.iterdir())
-    assert sorted(Path(name).suffix for name in names) == [".bin"] * 12
+    assert sorted(Path(name).suffix for name in names) == [".bin"] * 7  # k = 0..6; 7..11 load from 5..1
     assert sorted(p.name for p in shared.iterdir()) == names  # no temp file left
     for name in names:
         assert (shared / name).read_bytes() == (alone / name).read_bytes(), name

@@ -37,7 +37,7 @@ from isingchaos.hamiltonian import (
     element_blocks,
     sector_elements,
 )
-from isingchaos.spin_basis import momentum_basis
+from isingchaos.spin_basis import momentum_basis, sector_counts
 from oracles import labelled_blocks, symmetry_blocks, symmetry_decomposition
 from parity_oracle import inversion_matrix
 
@@ -298,7 +298,8 @@ def test_an_entry_under_another_sectors_name_is_a_logged_miss(tmp_path, caplog):
 def test_diagonalize_cached(tmp_path):
     basis, elements, params = sector(6, 2)
 
-    def builder():
+    def builder(solved):
+        assert solved == 2
         return basis, elements
 
     first, hit1 = diagonalize_cached(builder, params, 2, tmp_path)
@@ -315,8 +316,8 @@ def test_diagonalize_cached_keeps_the_element_list_through_the_checks(tmp_path, 
     params = ModelParams(8, 1.0, 1.0)
     element_rows = []
 
-    def builder():
-        basis = momentum_basis(8, k)
+    def builder(solved):
+        basis = momentum_basis(8, solved)
         elements = sector_elements(basis, params)
         element_rows.append(weakref.ref(elements.rows))
         return basis, elements
@@ -333,6 +334,87 @@ def test_diagonalize_cached_keeps_the_element_list_through_the_checks(tmp_path, 
     decomp, hit = diagonalize_cached(builder, params, k, tmp_path)
     assert not hit and sum(solves) == decomp.dim and len(solves) == (2 if k == 0 else 1)
     assert element_rows[0]() is None, "the element list outlived the solve"
+
+
+@pytest.mark.parametrize("n_sites", [10, 12, 13, 14])
+def test_a_sector_past_n_over_2_loads_as_a_direct_solve_of_it(tmp_path, n_sites):
+    # the oracle: sector k > N/2 solved on its own, against the one loaded from
+    # the entry of N - k; they differ in the last digits, as exp(i theta) rounds
+    # differently at N - k
+    for lam, alpha in ((1.0, 1.0), (0.9, 1.1), (-0.7, -0.3)):
+        params = ModelParams(n_sites, lam, alpha)
+        cache = tmp_path / f"{lam}_{alpha}"
+        for k in range(n_sites // 2 + 1, n_sites):
+            loaded, hit = diagonalize_cached(lambda solved: sector(n_sites, solved, params)[:2], params, k, cache)
+            assert not hit and loaded.k == k
+            assert eigensolve.solved_momentum(n_sites, k) == n_sites - k
+            direct = diagonalize(*sector(n_sites, k, params))
+            scale = np.max(np.abs(direct.energies))
+            assert np.max(np.abs(loaded.energies - direct.energies)) <= 1e-14 * scale, (params, k)
+            assert np.max(np.abs(loaded.vectors - direct.vectors)) <= 1e-11, (params, k)
+            assert np.max(np.abs(loaded.sum_c4 / direct.sum_c4 - 1)) <= 1e-10, (params, k)
+            assert np.array_equal(loaded.parity, direct.parity) and not loaded.parity.any()
+        stored = sorted(path.name.split("_")[1] for path in cache.iterdir())
+        assert stored == sorted(f"k{k}" for k in range(1, (n_sites + 1) // 2)), stored
+
+
+def test_the_derived_sector_is_the_conjugate_of_its_partner_bit_for_bit(tmp_path):
+    params = ModelParams(10, 0.9, 1.1)
+    basis, elements, _ = sector(10, 3, params)
+    solved = diagonalize(basis, elements, params)
+    cache_store(solved, tmp_path)
+    for rows in (None, (2, 17, 40), ()):
+        partner = cache_load(params, 3, tmp_path, rows)
+        loaded = cache_load(params, 7, tmp_path, rows)
+        missed, hit = diagonalize_cached(lambda k: (basis, elements), params, 7, None, rows)
+        assert not hit
+        for got in (loaded, missed):  # a miss returns what a hit returns
+            assert (got.k, got.rows) == (7, partner.rows)
+            assert got.vectors.dtype == np.complex128
+            assert np.array_equal(got.vectors, np.conj(partner.vectors))
+            for name in ("energies", "parity", "sum_c4"):
+                assert np.array_equal(getattr(got, name), getattr(solved, name)), name
+    with pytest.raises(ValueError, match="sector k=7 is not stored: it is loaded from sector k=3"):
+        cache_store(dataclasses.replace(solved, k=7), tmp_path)
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_the_derived_sector_conjugates_in_place(tmp_path):
+    # a load of N - k allocates what a load of k does: V is conjugated where it was read to
+    import tracemalloc
+
+    params = ModelParams(12, 1.0, 1.0)
+    cache_store(diagonalize(*sector(12, 1, params)), tmp_path)
+    v_bytes = 16 * sector_counts(12, 1).dim ** 2
+    peaks = {}
+    for k in (1, 11, 1, 11):  # the second round, once every import is done
+        tracemalloc.start()
+        decomp = cache_load(params, k, tmp_path)
+        peaks[k] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        del decomp
+    assert peaks[1] > v_bytes and peaks[11] < peaks[1] + v_bytes // 10, peaks
+
+
+def test_a_partner_entry_left_by_an_older_run_is_never_read(tmp_path, caplog, monkeypatch):
+    # before sector N - k loaded from sector k, it had an entry of its own; one left
+    # in the cache is neither read nor deleted: N - k is read through sector k
+    params = ModelParams(8, 1.0, 1.0)
+    monkeypatch.setattr(eigensolve, "solved_momentum", lambda n_sites, k: k)
+    old = cache_store(diagonalize(*sector(8, 5, params)), tmp_path)
+    monkeypatch.undo()
+    old_bytes = old.read_bytes()
+    assert old == eigensolve._entry_path(params, 5, tmp_path)
+    with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
+        assert cache_load(params, 5, tmp_path) is None
+    assert f"no entry {eigensolve._entry_path(params, 3, tmp_path)}" in caplog.text
+    solved, hit = diagonalize_cached(lambda k: sector(8, k, params)[:2], params, 5, tmp_path)
+    assert not hit and solved.k == 5
+    loaded, hit = diagonalize_cached(lambda k: pytest.fail("solved again"), params, 5, tmp_path)
+    assert hit and np.array_equal(loaded.vectors, solved.vectors)
+    assert np.array_equal(cache_load(params, 3, tmp_path).vectors, np.conj(loaded.vectors))
+    assert sorted(tmp_path.iterdir()) == sorted([old, eigensolve._entry_path(params, 3, tmp_path)])
+    assert old.read_bytes() == old_bytes
 
 
 def _flip_byte(path, offset):
@@ -354,7 +436,7 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
     for asked in ((dim - 1, 5, 64, 63, 5), (200,), ()):
         rows = tuple(sorted(set(asked)))
         loaded = cache_load(params, k, tmp_path, rows=asked)
-        missed, hit = diagonalize_cached(lambda: (basis, elements), params, k, None, rows=asked)
+        missed, hit = diagonalize_cached(lambda solved: (basis, elements), params, k, None, rows=asked)
         assert not hit
         for got in (loaded, missed):  # a miss returns what a hit returns
             assert got.rows == rows
@@ -485,11 +567,11 @@ def test_cache_v1_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     v1_entry = cache_store(dataclasses.replace(decomp, parity=np.zeros_like(decomp.parity)), tmp_path)
     monkeypatch.undo()
     with caplog.at_level(logging.DEBUG, logger="isingchaos.eigensolve"):
-        loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
+        loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 0, tmp_path)
     assert not hit and "cache miss" in caplog.text
     assert np.array_equal(loaded.parity, decomp.parity)
     assert _header(v1_entry)["version"] == 1
-    loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
+    loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 0, tmp_path)
     assert hit and np.array_equal(loaded.parity, decomp.parity)
 
 
@@ -753,8 +835,8 @@ def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, edit, reason):
     with caplog.at_level(logging.WARNING, logger="isingchaos.eigensolve"):
         assert cache_load(params, 0, tmp_path) is None
     assert "cache miss" in caplog.text and reason in caplog.text
-    assert not diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)[1]
-    loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 0, tmp_path)
+    assert not diagonalize_cached(lambda solved: (basis, elements), params, 0, tmp_path)[1]
+    loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 0, tmp_path)
     assert hit and np.array_equal(loaded.vectors, decomp.vectors)
 
 
@@ -982,8 +1064,8 @@ def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     entry = v3_entry.replace(eigensolve._entry_path(params, 1, tmp_path))
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
-        loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
+        loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 1, tmp_path)
     assert not hit and "has version 3, expected 5" in caplog.text
     assert np.array_equal(loaded.energies, decomp.energies)
-    loaded, hit = diagonalize_cached(lambda: (basis, elements), params, 1, tmp_path)
+    loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 1, tmp_path)
     assert hit and len(_header(entry)["block_sha256"]) == -(-decomp.dim // 8)

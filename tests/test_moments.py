@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingchaos.hamiltonian import ModelParams
+from isingchaos.hamiltonian import FIELD_SCALE_MAX, ModelParams
 from isingchaos.moments import (
     FormulaRangeError,
     analytic_moments,
@@ -147,3 +147,20 @@ def test_bruteforce_supports_order_six():
     assert mus.shape == (6,)
     # even moments of a Hermitian operator are positive
     assert mus[1] > 0 and mus[3] > 0 and mus[5] > 0
+
+
+@pytest.mark.parametrize("n_sites", [5, 8, 20])
+def test_every_moment_is_finite_up_to_the_largest_field(n_sites):
+    # at the bound, with both fields at it and of either sign, mu1..mu4 stay finite;
+    # one step past it the parameters are refused, naming the larger field
+    top = FIELD_SCALE_MAX / n_sites
+    for lam, alpha in ((top, top), (-top, top), (top, -top)):
+        params = ModelParams(n_sites, lam, alpha)
+        for n_up in range(n_sites + 1):
+            m = analytic_moments(params, n_up)
+            assert np.all(np.isfinite([m.mu1, m.mu2, m.mu3, m.mu4])), (lam, alpha, n_up)
+    past = np.nextafter(top, np.inf)
+    with pytest.raises(ValueError, match=r"field alpha = .* too large"):
+        ModelParams(n_sites, 0.5, -past)
+    with pytest.raises(ValueError, match=r"field lam = .* too large"):
+        ModelParams(n_sites, past, 0.5)
