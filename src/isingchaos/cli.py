@@ -26,6 +26,7 @@ from .eigensolve import (
     EigenDecomposition,
     block_spectra,
     diagonalize_cached,
+    solved_momentum,
 )
 from .hamiltonian import ModelParams, sector_elements
 from .spin_basis import ChainSizeError, momentum_basis, sector_counts
@@ -49,9 +50,10 @@ PARITY_LABELS = {1: " S+", -1: " S-", 0: ""}
 MIN_SPACING_LEVELS = 20
 
 # peak memory of one sector in units of a float64 D x D array (8 D^2 bytes), from
-# the whole-process peaks at N=16: a solve with eigenvectors took 5.4 units at k=1
-# (687 MiB, inside ``np.linalg.eigh``) and 3.65 at k=0 (472 MiB, the complex copy of V),
-# and the eigenvalues alone of ``spacing`` 2.4 at k=1 and 1.2 at k=0
+# the whole-process peaks (VmHWM) at N=16 on a 2-vCPU Xeon: a solve with eigenvectors,
+# ``diag --spins 16 --momentum K``, took 5.4 units at k=1 (691 MiB, inside
+# ``np.linalg.eigh``) and 2.06 at k=0 (266 MiB), and the eigenvalues alone of
+# ``spacing`` 2.4 at k=1 and 1.2 at k=0
 SOLVE_UNITS = 8.0
 SPECTRA_UNITS = 2.5
 
@@ -209,18 +211,19 @@ def _ensure_out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _decompose_sector(config: RunConfig, k: int, rows=None) -> tuple[EigenDecomposition, bool]:
-    """The sector's decomposition holding the rows of V that ``rows`` selects, and if it was a cache hit.
+def _decompose_sector(config: RunConfig, k: int, rows=None, basis=None) -> tuple[EigenDecomposition, bool]:
+    """The sector's decomposition holding the rows of W that ``rows`` selects, and if it was a cache hit.
 
-    Only a miss builds the basis and the element list of the sector that
-    ``diagonalize_cached`` solves, and first refuses a sector too large for
-    the available memory; a hit enumerates nothing.
+    Only a miss builds the element list of the sector that
+    ``diagonalize_cached`` solves, and its basis unless the caller gives
+    ``basis``, and first refuses a sector too large for the available
+    memory; a hit builds nothing.
     """
 
     def sector(solved: int):
         _check_memory(config, solved, SOLVE_UNITS)
-        basis = momentum_basis(config.n_sites, solved)
-        return basis, sector_elements(basis, config.params)
+        built = momentum_basis(config.n_sites, solved) if basis is None else basis
+        return built, sector_elements(built, config.params)
 
     return diagonalize_cached(sector, config.params, k, config.cache_dir, rows)
 
@@ -290,7 +293,7 @@ def cmd_predict(config: RunConfig) -> int:
 def _compare_sector(config: RunConfig, k: int, grid, corrected, uncorrected, out: Path) -> dict:
     """``corrected`` and ``uncorrected`` are each a model and its density stack on ``grid``."""
     counts = sector_counts(config.n_sites, k)
-    decomp, _ = _decompose_sector(config, k, rows=())  # Pr reads the moment sums, not V; a hit builds no basis
+    decomp, _ = _decompose_sector(config, k, rows=())  # Pr reads the moment sums, not W; a hit builds no basis
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     pr = empirics.empirical_participation_ratio(decomp)
     (model, stack), (baseline, baseline_stack) = corrected, uncorrected
@@ -333,10 +336,13 @@ def cmd_compare(config: RunConfig) -> int:
 
 def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
     symbols = config.symbols or [sector_counts(config.n_sites, k).dim // 2]
-    decomp, _ = _decompose_sector(config, k, rows=symbols)  # no basis is built on a cache hit
+    # the solved sector's basis pairs each symbol with the partner whose row of W its coefficient reads too
+    basis = momentum_basis(config.n_sites, solved_momentum(config.n_sites, k))
+    rows = [*symbols, *basis.partner[symbols].tolist()]
+    decomp, _ = _decompose_sector(config, k, rows, basis)
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     for sym in symbols:
-        stats = empirics.windowed_coefficient_stats(decomp, sym, edges)
+        stats = empirics.windowed_coefficient_stats(decomp, basis, sym, edges)
         fitted = [(i, st) for i, st in enumerate(stats) if not st.insufficient]
         if not fitted:
             print(f"k={k} symbol={sym}: skipped (no window has a degree of freedom)")

@@ -11,28 +11,26 @@ block's spectrum must satisfy the sum rules against the trace and squared
 norm that ``element_blocks`` sums from the block's real-basis elements, and
 with eigenvectors its residuals and orthonormality are checked too.  Every
 failure carries the fingerprint of the sector's summed elements.
-``diagonalize`` maps the eigenvectors back to complex plane-wave
-coefficients in a fixed gauge; ``block_spectra`` solves for eigenvalues
-only.
-
-Each decomposition carries the per-eigenstate sum_n |C_n|^4, computed once
-from its eigenvectors by ``state_moment_sums`` in the solve.
+``diagonalize`` keeps the real eigenvectors W, sign-gauged, as the sector's
+one eigenvector object: no complex V = U W is formed, and the moment sums
+and single rows of V are read from W.  ``block_spectra`` solves for
+eigenvalues only.
 
 Sectors k and N - k are one solve: H_{N-k} = conj(H_k) in the plane-wave
-basis, so they share energies, parity labels (all 0 there) and moment sums,
-and V_{N-k} = conj(V_k).  ``solved_momentum`` names the sector that is
+basis, so they share energies, parity labels (all 0 there), moment sums and
+W, and V_{N-k} = conj(V_k).  ``solved_momentum`` names the sector that is
 solved, cached and named for k, min(k, N - k); ``cache_load`` and
-``diagonalize_cached`` return N - k as that sector with its V conjugated in
-place, and ``cache_store`` stores no other.
+``diagonalize_cached`` return N - k as that sector's decomposition, W
+untouched, with ``k`` set to N - k, and ``cache_store`` stores no other.
 
 A decomposition is cached under the key of ``_key`` (format version and
 exact N, k, lam, alpha), which names the entry's file and heads its header,
-as one file: in format 5 an 8-byte little-endian length, a JSON header with
+as one file: in format 6 an 8-byte little-endian length, a JSON header with
 the key, the size D and SHA-256 digests, the head of ``CACHE_HEAD``
 (energies <f8, parity labels i1, 0 where there are none, and moment sums
-<f8) under one digest, then V as row-major <c16 in blocks of
+<f8) under one digest, then W as row-major <f8 in blocks of
 ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads the header,
-the head and only the blocks that hold the rows of V asked for, through one
+the head and only the blocks that hold the rows of W asked for, through one
 open file.  A write is atomic and durable (unique temp file, fsync, one
 rename), so a reader or a second writer of a key sees one writer's entry.
 """
@@ -62,18 +60,18 @@ from .spin_basis import MomentumBasis, sector_counts
 
 logger = logging.getLogger(__name__)
 
-CACHE_VERSION = 5
-# rows of V under one digest in the cache payload; fixed by CACHE_VERSION.
+CACHE_VERSION = 6
+# rows of W under one digest in the cache payload; fixed by CACHE_VERSION.
 # Small, so that a load of a few rows hashes little more than those rows
 CACHE_BLOCK_ROWS = 8
 # the head of an entry's payload, one array of D values per field of
 # EigenDecomposition, in this order under one digest; fixed by CACHE_VERSION
 CACHE_HEAD = (("energies", "<f8"), ("parity", "i1"), ("sum_c4", "<f8"))
-# rows of V per chunk of the moment sums sum_n |C_n|^2q
+# rows of W per chunk of the moment sums sum_a |c_a|^2q
 MOMENT_CHUNK_ROWS = 64
 
 # components within this relative distance of an eigenvector's largest
-# modulus count as tied for the phase gauge; symmetry makes exact ties common
+# modulus count as tied for the sign gauge; symmetry makes exact ties common
 GAUGE_TIE_RTOL = 1e-8
 # randomized orthonormality check: |W^H W x - x| <= ORTHO_TOL |x| per probe
 ORTHO_PROBES = 4
@@ -94,26 +92,32 @@ class CacheCorruptionError(RuntimeError):
     """Cache payload does not match its recorded checksum."""
 
 
-def state_moment_sums(vectors: np.ndarray, q: float) -> np.ndarray:
-    """Per-eigenstate (column) sum_n |C_n|^2q, with |C|^2 = Re^2 + Im^2 and, at q = 2, no pow().
+def state_moment_sums(w: np.ndarray, partner: np.ndarray, q: float) -> np.ndarray:
+    """Per-eigenstate (column) sum_a |c_a|^2q of V = U W, from the real W alone, with no pow() at q = 2.
 
+    |c_a|^2 = (W_a^2 + W_b^2) / 2 with b = ``partner[a]``, an invariant state
+    being its own partner: a pair's c_a is (W_a +- i W_b) / sqrt2 up to a
+    phase, and at k = 0 and N/2, where each eigenstate has a parity, one of
+    W_a and W_b is 0.
     The rows go through in blocks of ``MOMENT_CHUNK_ROWS`` into one small
     (rows + 1) x D buffer whose first row carries the running sums, so no
     D x D temporary is made and each column adds its rows in the same order
-    as ``np.sum(..., axis=0)`` of the whole C-ordered array.
+    as ``np.sum(..., axis=0)`` of the whole C-ordered array of |c|^2q.
     """
-    n_rows, n_cols = vectors.shape
+    n_rows, n_cols = w.shape
     buf = np.zeros((MOMENT_CHUNK_ROWS + 1, n_cols))
-    imag_sq = np.empty((MOMENT_CHUNK_ROWS, n_cols))
+    partner_sq = np.empty((MOMENT_CHUNK_ROWS, n_cols))
     sums = np.zeros(n_cols)
     for start in range(0, n_rows, MOMENT_CHUNK_ROWS):
-        block = vectors[start : start + MOMENT_CHUNK_ROWS]
+        block = w[start : start + MOMENT_CHUNK_ROWS]
         rows = block.shape[0]
-        p = buf[1 : rows + 1]
-        np.multiply(block.real, block.real, out=p)
-        if np.iscomplexobj(block):
-            np.multiply(block.imag, block.imag, out=imag_sq[:rows])
-            p += imag_sq[:rows]
+        p, other = buf[1 : rows + 1], partner_sq[:rows]
+        np.multiply(block, block, out=p)
+        # the partners are in range; the "clip" mode writes into ``other`` without a buffer
+        np.take(w, partner[start : start + rows], axis=0, out=other, mode="clip")
+        np.multiply(other, other, out=other)
+        p += other
+        p *= 0.5
         if q == 2:
             p *= p
         elif q != 1:
@@ -125,20 +129,26 @@ def state_moment_sums(vectors: np.ndarray, q: float) -> np.ndarray:
 
 @dataclass
 class EigenDecomposition:
-    """Full spectrum, per-state summary and gauge-fixed eigenvectors of one sector.
+    """Full spectrum, per-state summary and sign-gauged real eigenvectors of one sector.
 
     ``parity`` is the int8 inversion parity of each eigenstate: +1 or -1
     where the sector was solved in parity blocks (k = 0 and k = N/2), 0 =
-    unlabelled elsewhere.  ``sum_c4`` is sum_n |C_n|^4 of each eigenstate.
+    unlabelled elsewhere.  ``sum_c4`` is sum_a |c_a|^4 of each eigenstate.
 
-    ``vectors`` holds V, one column per eigenstate.  With ``rows`` None it
-    holds every row; otherwise ``vectors[i]`` is row ``rows[i]`` of V (the
-    rows ascending), and ``vectors`` has shape (0, D) when no row is loaded.
-    Read a row with ``coefficients``, which works either way.
+    ``vectors`` holds W, the real eigenvectors of sector ``solved_k`` in
+    the real basis U of its ``MomentumBasis``, one column per eigenstate:
+    ``solved_k`` is k where k was solved itself, and N - k where it was
+    derived from sector N - k (``solved_momentum``).  The plane-wave
+    coefficients are V = U W, conjugated where the two differ; read a row
+    of V with ``coefficients`` and one of W with ``row``.  With ``rows``
+    None ``vectors`` holds every row of W; otherwise ``vectors[i]`` is row
+    ``rows[i]`` of W (the rows ascending), and ``vectors`` has shape (0, D)
+    when no row is loaded.
     """
 
     params: ModelParams
     k: int
+    solved_k: int
     energies: np.ndarray
     vectors: np.ndarray
     parity: np.ndarray
@@ -149,17 +159,26 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.energies.size
 
-    def coefficients(self, symbol: int) -> np.ndarray:
-        """Row ``symbol`` of V: the coefficient of that basis state in each eigenstate."""
+    def row(self, index: int) -> np.ndarray:
+        """Row ``index`` of W."""
         if self.rows is None:
-            return self.vectors[symbol]
-        if symbol not in self.rows:
-            raise KeyError(f"row {symbol} of the eigenvectors was not loaded")
-        return self.vectors[self.rows.index(symbol)]
+            return self.vectors[index]
+        if index not in self.rows:
+            raise KeyError(f"row {index} of the eigenvectors was not loaded")
+        return self.vectors[self.rows.index(index)]
+
+    def coefficients(self, symbol: int, basis: MomentumBasis) -> np.ndarray:
+        """Row ``symbol`` of V, from loaded rows a and ``partner[a]`` of W and ``basis``, that of sector ``solved_k``."""
+        if (basis.n_sites, basis.k) != (self.params.n_sites, self.solved_k):
+            raise ValueError(f"the eigenvectors of sector k={self.solved_k} are not in the basis of k={basis.k}")
+        col, coef = basis.real_entries()
+        (lower, upper), (x, y) = col[symbol], coef[symbol]
+        c = x * self.row(lower) + y * self.row(upper)
+        return c if self.solved_k == self.k else c.conj()
 
 
 def _row_selection(rows, dim: int) -> tuple[int, ...] | None:
-    """The rows of V a caller asks for, ascending and distinct; None means every row."""
+    """The rows of W a caller asks for, ascending and distinct; None means every row."""
     if rows is None:
         return None
     rows = tuple(sorted({int(row) for row in rows}))
@@ -169,29 +188,25 @@ def _row_selection(rows, dim: int) -> tuple[int, ...] | None:
 
 
 def _restrict(decomp: EigenDecomposition, rows) -> EigenDecomposition:
-    """A full decomposition cut down to the rows of V that ``rows`` selects."""
+    """A full decomposition cut down to the rows of W that ``rows`` selects."""
     rows = _row_selection(rows, decomp.dim)
     if rows is None:
         return decomp
-    return replace(decomp, vectors=decomp.vectors[list(rows)], rows=rows)  # a copy, so V can be freed
+    return replace(decomp, vectors=decomp.vectors[list(rows)], rows=rows)  # a copy, so W can be freed
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make one leading component of each eigenvector real-positive, in place.
+def _fix_signs(w: np.ndarray) -> np.ndarray:
+    """Make one leading component of each column of W positive, in place.
 
     The leading component is the lowest-index one whose modulus lies within
     relative ``GAUGE_TIE_RTOL`` of the column maximum, so symmetry-tied
-    components (|c_a| = |c_partner(a)|) do not leave the choice to rounding.
+    components do not leave the choice to rounding.
     """
-    modulus = np.abs(vectors)
-    top = modulus.max(axis=0)
-    idx = np.argmax(modulus >= (1.0 - GAUGE_TIE_RTOL) * top, axis=0)
-    del modulus
-    lead = vectors[idx, np.arange(vectors.shape[1])]
-    scale = np.abs(lead)
-    scale[scale == 0] = 1.0
-    vectors *= lead.conj() / scale
-    return vectors
+    bound = (1.0 - GAUGE_TIE_RTOL) * np.maximum(w.max(axis=0), -w.min(axis=0))
+    tied = w >= bound  # |w| >= bound, through boolean arrays only, with no D x D |w|
+    tied |= w <= -bound
+    w *= np.where(w[np.argmax(tied, axis=0), np.arange(w.shape[1])] < 0, -1.0, 1.0)
+    return w
 
 
 def _sha256(*parts: np.ndarray) -> str:
@@ -297,13 +312,13 @@ def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelPar
     ``parity`` labels, elsewhere one A-invariant block.  Each block is
     solved and checked on its own in real arithmetic, in the loop shared
     with ``block_spectra``; its eigenvectors fill the rows of W that its
-    columns of U name, and V = U W is rotated back to the plane-wave basis.
+    columns of U name.
 
-    Coefficient statistics therefore stay complex.  Each eigenvector's phase
-    is fixed so that its largest-modulus component, the lowest index among
-    ties within relative ``GAUGE_TIE_RTOL``, is real and positive.  The
-    energies ascend, and the decomposition carries every row of V and its
-    moment sums ``sum_c4``.
+    Each column of W is given the sign that makes its largest-modulus
+    component, the lowest index among ties within relative
+    ``GAUGE_TIE_RTOL``, positive.  The energies ascend, and the
+    decomposition carries every row of W and the moment sums ``sum_c4`` of
+    V = U W, taken from W by ``state_moment_sums``.
 
     Raises ``NonHermitianError`` or ``SymmetryBreakingError`` if a pre-solve
     check fails, and ``DiagonalizationError`` if LAPACK fails or a block
@@ -326,16 +341,15 @@ def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelPar
         for start, rows, vectors in zip(np.cumsum([0] + sizes), columns, block_vectors):
             w[np.ix_(rows, position[start : start + rows.size])] = vectors
     del block_vectors
-    vectors = basis.from_real(w)
-    del w
-    vectors = _fix_phases(vectors).astype(np.complex128, copy=False)
+    w = _fix_signs(w)
     return EigenDecomposition(
         params=params,
         k=basis.k,
+        solved_k=basis.k,
         energies=energies[rank],
-        vectors=vectors,
+        vectors=w,
         parity=np.repeat(np.array([parity for _, parity in keys], dtype=np.int8), sizes)[rank],
-        sum_c4=state_moment_sums(vectors, 2.0),
+        sum_c4=state_moment_sums(w, basis.partner, 2.0),
     )
 
 
@@ -371,14 +385,6 @@ def solved_momentum(n_sites: int, k: int) -> int:
     return min(k, n_sites - k)
 
 
-def _as_sector(decomp: EigenDecomposition, k: int) -> EigenDecomposition:
-    """Sector ``k`` from the decomposition of its solved sector: V conjugated in place unless they are one."""
-    if decomp.k != k:
-        np.conjugate(decomp.vectors, out=decomp.vectors)
-        decomp.k = k
-    return decomp
-
-
 def _key(params: ModelParams, k: int) -> dict:
     """What names a cache entry: the format version and the exact (N, k, lam, alpha)."""
     return {
@@ -412,7 +418,7 @@ def _atomic_write(path: Path, *chunks) -> None:
 
 
 def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
-    """Persist a decomposition that holds every row of V as one entry file; returns its path.
+    """Persist a decomposition that holds every row of W as one entry file; returns its path.
 
     Only a solved sector, k <= N/2, is stored; its partner N - k is loaded from it.
     """
@@ -425,8 +431,7 @@ def cache_store(decomp: EigenDecomposition, cache_dir) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
 
     head = [np.ascontiguousarray(getattr(decomp, field), dtype=dtype) for field, dtype in CACHE_HEAD]
-    # little-endian complex128 is the interleaved re/im layout of the format
-    vectors = np.ascontiguousarray(decomp.vectors, dtype="<c16")
+    vectors = np.ascontiguousarray(decomp.vectors, dtype="<f8")
     meta = {
         **_key(decomp.params, decomp.k),
         "lam": decomp.params.lam,
@@ -490,15 +495,15 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
     """Load a cached decomposition; None signals a miss (recompute).
 
     The entry read is that of the solved sector ``solved_momentum(N, k)``.
-    For k > N/2 it is sector N - k, and the V just read is conjugated in
-    place, so that the load allocates no second copy of it; the energies,
-    parity labels and moment sums are those of the entry.
+    For k > N/2 it is sector N - k, returned as it was read, with ``k`` set
+    to the k asked for: no pass is made over W, and only the rows of V that
+    ``coefficients`` builds from it are conjugated.
 
-    ``rows`` selects the rows of V to load: None (every row), an empty
-    sequence (none, and ``vectors`` has shape (0, D)) or the symbols whose
-    rows are wanted.  The header, the head (energies, parity labels and
-    moment sums) and of V only the blocks that hold a wanted row are read
-    through one open file, each part checked against its SHA-256.
+    ``rows`` selects the rows of W to load: None (every row), an empty
+    sequence (none, and ``vectors`` has shape (0, D)) or the indices of the
+    rows wanted.  The header, the head (energies, parity labels and moment
+    sums) and of W only the blocks that hold a wanted row are read through
+    one open file, each part checked against its SHA-256.
 
     The header must hold the entry's name: each field of ``_key`` and the
     sector's size D from ``sector_counts``, with the same value and type.
@@ -522,15 +527,15 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
             return None
         rows = _row_selection(rows, dim)
         head = {field: np.empty(dim, dtype=dtype) for field, dtype in CACHE_HEAD}
-        head_bytes, row_bytes = sum(part.nbytes for part in head.values()), 16 * dim
+        head_bytes, row_bytes = sum(part.nbytes for part in head.values()), 8 * dim
         body = fh.tell()  # the payload starts right after the header
         if size != body + head_bytes + dim * row_bytes:
             raise CacheCorruptionError(f"payload size mismatch for {path}")
         _read_verified(fh, list(head.values()), meta["head_sha256"], path)
         # only the blocks that hold a wanted row, each through one buffer
         wanted = np.arange(dim) if rows is None else np.array(rows, dtype=np.int64)  # ascending
-        vectors = np.empty((wanted.size, dim), dtype="<c16")
-        buffer = np.empty((min(CACHE_BLOCK_ROWS, dim), dim), dtype="<c16")
+        vectors = np.empty((wanted.size, dim), dtype="<f8")
+        buffer = np.empty((min(CACHE_BLOCK_ROWS, dim), dim), dtype="<f8")
         for block in dict.fromkeys((wanted // CACHE_BLOCK_ROWS).tolist()):
             start = block * CACHE_BLOCK_ROWS
             part = buffer[: min(CACHE_BLOCK_ROWS, dim - start)]
@@ -538,7 +543,7 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
             _read_verified(fh, [part], meta["block_sha256"][block], path)
             lo, hi = np.searchsorted(wanted, (start, start + part.shape[0]))
             vectors[lo:hi] = part[wanted[lo:hi] - start]
-    return _as_sector(EigenDecomposition(params=params, k=solved, vectors=vectors, rows=rows, **head), k)
+    return EigenDecomposition(params=params, k=k, solved_k=solved, vectors=vectors, rows=rows, **head)
 
 
 def diagonalize_cached(
@@ -550,10 +555,10 @@ def diagonalize_cached(
     ``solved_momentum(N, k)``, which returns that sector's ``(basis,
     elements)``, and solves them with ``diagonalize``, which keeps the
     element list until every block has passed its checks.  ``rows`` selects
-    the rows of V as in ``cache_load``.  A miss stores the full
+    the rows of W as in ``cache_load``.  A miss stores the full
     decomposition of the solved sector, then returns it cut down to those
-    rows and, for k > N/2, conjugated in place, as a hit would return it.
-    Without a cache, sector N - k is solved as sector k again.
+    rows and, for k > N/2, with ``k`` set to N - k, as a hit would return
+    it.  Without a cache, sector N - k is solved as sector k again.
     """
     if cache_dir is not None:
         hit = cache_load(params, k, cache_dir, rows)
@@ -564,4 +569,4 @@ def diagonalize_cached(
     del basis, elements
     if cache_dir is not None:
         cache_store(decomp, cache_dir)
-    return _as_sector(_restrict(decomp, rows), k), False
+    return replace(_restrict(decomp, rows), k=k), False

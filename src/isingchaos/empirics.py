@@ -1,14 +1,14 @@
 """Empirical eigenvector statistics and model-vs-data comparison tools.
 
 Everything here works on sector eigen-decompositions: windowed
-coefficient distributions with Gaussian-fit quality (from the one row of V
-per symbol they read), participation ratios (from the moment sums the
-decomposition carries), nearest-neighbour spacing ratios (beside their GOE
-and Poisson reference values), and a deviation report that interpolates a
-model prediction at empirical window centers.  A window is a contiguous
-range of level ranks in the ascending spectrum, and one integer array of
-edges carries them all, so every windowed statistic is a reduction over
-slices of per-level values.
+coefficient distributions with Gaussian-fit quality (from the rows of W
+one symbol's coefficient reads), participation ratios (from the moment
+sums the decomposition carries), nearest-neighbour spacing ratios (beside
+their GOE and Poisson reference values), and a deviation report that
+interpolates a model prediction at empirical window centers.  A window is
+a contiguous range of level ranks in the ascending spectrum, and one
+integer array of edges carries them all, so every windowed statistic is a
+reduction over slices of per-level values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolve import EigenDecomposition
-from .spin_basis import is_real_sector
+from .spin_basis import MomentumBasis
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
@@ -58,17 +58,22 @@ def window_means(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.array([values[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
 
 
-def coefficient_samples(decomp: EigenDecomposition, symbol_index: int, levels) -> np.ndarray:
+def coefficient_samples(
+    decomp: EigenDecomposition, basis: MomentumBasis, symbol_index: int, levels
+) -> np.ndarray:
     """Real coefficient samples for one symbol over the eigenstates ``levels`` (indices or a slice).
 
-    Real sectors (``is_real_sector``) give the coefficients themselves;
-    complex sectors contribute real and imaginary parts as separate Gaussian
-    samples, joined along the last axis, so a 2-D index array of windows
-    gives one row of samples per window.
+    ``basis``, that of ``decomp.solved_k``, says what kind of coefficient
+    it is.  A real one, where ``basis.is_real``, gives itself; at a complex k
+    a paired state's gives its real and imaginary parts, joined along the
+    last axis, and an invariant state's, exp(i angle / 2) W_a, its one real
+    Gaussian W_a.  A 2-D index array of windows gives one row per window.
     """
-    c = decomp.coefficients(symbol_index)[levels]
-    if is_real_sector(decomp.params.n_sites, decomp.k):
-        return c.real.copy()
+    c = decomp.coefficients(symbol_index, basis)[levels]
+    if basis.is_real:
+        return c
+    if basis.partner[symbol_index] == symbol_index:
+        return decomp.row(symbol_index)[levels]
     return np.concatenate([c.real, c.imag], axis=-1)
 
 
@@ -135,12 +140,13 @@ def _gaussian_fits(samples: np.ndarray) -> list[WindowCoefficientStats]:
 
 
 def windowed_coefficient_stats(
-    decomp: EigenDecomposition, symbol_index: int, edges: np.ndarray
+    decomp: EigenDecomposition, basis: MomentumBasis, symbol_index: int, edges: np.ndarray
 ) -> list[WindowCoefficientStats]:
     """Per-window sample statistics of one coefficient with Gaussian fits.
 
-    Windows of one size are fitted together as the rows of one 2-D array of
-    samples: the full windows in one group, a short last one in another.
+    ``basis`` is that of ``coefficient_samples``.  Windows of one size are
+    fitted together as the rows of one 2-D array of samples: the full
+    windows in one group, a short last one in another.
     """
     if not 0 <= symbol_index < decomp.dim:
         raise IndexError("symbol index outside the basis")
@@ -148,7 +154,7 @@ def windowed_coefficient_stats(
     out = [None] * sizes.size
     for size in set(sizes.tolist()):
         windows = np.flatnonzero(sizes == size)
-        samples = coefficient_samples(decomp, symbol_index, starts[windows, None] + np.arange(size))
+        samples = coefficient_samples(decomp, basis, symbol_index, starts[windows, None] + np.arange(size))
         for window, stats in zip(windows.tolist(), _gaussian_fits(samples)):
             out[window] = stats
     return out

@@ -22,9 +22,6 @@ from math import comb, gcd
 import numpy as np
 
 MAX_ENUM_SITES = 24
-# ``MomentumBasis.from_real`` writes U w in this many chunks of rows, so that
-# its temporaries, about 3 / FROM_REAL_CHUNKS of 8 D^2 bytes, stay small
-FROM_REAL_CHUNKS = 32
 
 
 class ChainSizeError(ValueError):
@@ -197,8 +194,8 @@ class MomentumBasis:
 
     Every sector matrix commutes with A, so it is real symmetric in an
     A-invariant basis U, which the basis owns (``real_entries``,
-    ``column_parity``, ``from_real``).  U keeps the plane-wave order: its
-    column a belongs to state a, and U has at most two nonzeros per column.
+    ``column_parity``).  U keeps the plane-wave order: its column a belongs
+    to state a, and U has at most two nonzeros per column.
     Where ``is_real`` (k = 0 and k = N/2) every phase exp(i angle) is +-1,
     A is the inversion P times conjugation, and U is the real parity basis:
     column a is e_a with parity exp(i angle_a) for each invariant state a,
@@ -257,24 +254,6 @@ class MomentumBasis:
         coef[invariant, 0] = own[invariant]
         coef[invariant, 1] = 0
         return col, coef
-
-    def from_real(self, w: np.ndarray) -> np.ndarray:
-        """U w, as a new array: real-basis column vectors back to plane-wave coefficients.
-
-        Row a of U w is coef[a, 0] w[col[a, 0]] + coef[a, 1] w[col[a, 1]],
-        with the nonzeros of ``real_entries``.  It is written in
-        ``FROM_REAL_CHUNKS`` chunks of rows, so that the temporaries stay a
-        small fraction of the result.
-        """
-        col, coef = self.real_entries()
-        out = np.empty(w.shape, dtype=np.result_type(w, coef))
-        step = -(-self.dim // FROM_REAL_CHUNKS)
-        for start in range(0, self.dim, step):
-            part = slice(start, start + step)
-            rows = out[part]
-            np.multiply(coef[part, :1], w[col[part, 0]], out=rows)
-            rows += coef[part, 1:] * w[col[part, 1]]
-        return out
 
     @property
     def n_invariant(self) -> int:

@@ -5,10 +5,11 @@ closed-form and exhaustive counts, the per-n state counts of an enumerated
 basis, a moment set built from given cumulants, explicit powers of H,
 spectral sums over eigenvectors, quadrature moments and the energy-power
 multipliers of a fitted Gibbs density, the full-chain model density of
-states, the dense pre-solve path (the hermiticity defect of a dense block,
-its rotation into the real basis and the checked or labelled symmetry
-blocks cut from it, and the summed element list scattered through U in
-list order), the free-fermion levels of each momentum sector on
+states, the plane-wave eigenvectors V = U W of the solver's real ones and
+the phase that matches two eigenvectors, the dense pre-solve path (the
+hermiticity defect of a dense block, its rotation into the real basis and
+the checked or labelled symmetry blocks cut from it, and the summed
+element list scattered through U in list order), the free-fermion levels of each momentum sector on
 the integrable line alpha = 0 and the classical necklace levels on the line
 lam = 0, the Gaussian fit of one window at a time, the GOE and Poisson
 surrogate spectra that the spacing ratio is checked on, and a CSV writer
@@ -45,6 +46,10 @@ from isingchaos.statmodel import (
     density_stack,
     fmt_float,
 )
+
+# ``from_real`` writes U w in this many chunks of rows, so that its
+# temporaries, about 3 / FROM_REAL_CHUNKS of 8 D^2 bytes, stay small
+FROM_REAL_CHUNKS = 32
 
 
 def rotate_left(state: int, n_sites: int, shift: int = 1) -> int:
@@ -188,22 +193,24 @@ def sector_state_moments(matrix: np.ndarray, index: int, order: int = 4) -> np.n
 
 
 def empirical_strength_function(
-    decomp: EigenDecomposition, symbol_index: int, bins: int = 60
+    decomp: EigenDecomposition, basis: MomentumBasis, symbol_index: int, bins: int = 60
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|C|^2-weighted histogram of the spectrum: the empirical P_n(E).
+    """|C|^2-weighted histogram of the spectrum: the empirical P_n(E), with C the row of V = U W.
 
     Returns (bin_edges, density); the density integrates to the total weight
     sum |C|^2 = 1.
     """
-    weights = np.abs(decomp.vectors[symbol_index, :]) ** 2
+    weights = np.abs(from_real(basis, decomp.vectors)[symbol_index]) ** 2
     counts, edges = np.histogram(decomp.energies, bins=bins, weights=weights)
     density = counts / np.diff(edges)
     return edges, density
 
 
-def strength_moments(decomp: EigenDecomposition, symbol_index: int, order: int = 4) -> np.ndarray:
-    """Spectral moments sum_a |C(a)|^2 E_a^j for j = 1..order."""
-    w = np.abs(decomp.vectors[symbol_index, :]) ** 2
+def strength_moments(
+    decomp: EigenDecomposition, basis: MomentumBasis, symbol_index: int, order: int = 4
+) -> np.ndarray:
+    """Spectral moments sum_a |C(a)|^2 E_a^j for j = 1..order, with C the row of V = U W."""
+    w = np.abs(from_real(basis, decomp.vectors)[symbol_index]) ** 2
     return np.array([np.sum(w * decomp.energies**j) for j in range(1, order + 1)])
 
 
@@ -260,6 +267,35 @@ def real_basis_matrix(basis: MomentumBasis) -> np.ndarray:
             u[b, a] = z * np.sqrt(0.5)
             u[a, a] = -z * phase[b] * np.sqrt(0.5)
     return u
+
+
+def from_real(basis: MomentumBasis, w: np.ndarray) -> np.ndarray:
+    """U w, as a new array: real-basis column vectors back to plane-wave coefficients.
+
+    Row a of U w is coef[a, 0] w[col[a, 0]] + coef[a, 1] w[col[a, 1]],
+    with the nonzeros of ``basis.real_entries``.  It is written in
+    ``FROM_REAL_CHUNKS`` chunks of rows, so that the temporaries stay a
+    small fraction of the result.
+    """
+    col, coef = basis.real_entries()
+    out = np.empty(w.shape, dtype=np.result_type(w, coef))
+    step = -(-basis.dim // FROM_REAL_CHUNKS)
+    for start in range(0, basis.dim, step):
+        part = slice(start, start + step)
+        rows = out[part]
+        np.multiply(coef[part, :1], w[col[part, 0]], out=rows)
+        rows += coef[part, 1:] * w[col[part, 1]]
+    return out
+
+
+def column_phases(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per column, the unit phase z that brings column j of ``v`` nearest to that of ``ref``: z = <v_j, ref_j> / |.|.
+
+    For two gauges of one nondegenerate eigenvector, ``v * z`` equals ``ref``
+    up to round-off, and z is +-1 where both are fixed by a sign.
+    """
+    overlap = np.einsum("ij,ij->j", v.conj(), ref)
+    return overlap / np.abs(overlap)
 
 
 def to_real(basis: MomentumBasis, h: np.ndarray) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_criterion_8_coefficient_gaussianity(store):
     symbols = rng.choice(decomp.dim, size=20, replace=False)
     chis = []
     for symbol in symbols:
-        stats = empirics.windowed_coefficient_stats(decomp, int(symbol), edges)
+        stats = empirics.windowed_coefficient_stats(decomp, basis, int(symbol), edges)
         chis.extend(s.chi2_reduced for s in stats if not s.insufficient)
     median = float(np.median(chis))
     report(

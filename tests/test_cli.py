@@ -26,7 +26,7 @@ from isingchaos.cli import (
 from isingchaos.eigensolve import EigenDecomposition, cache_load
 from isingchaos.hamiltonian import ModelParams
 from isingchaos.moments import analytic_moments
-from isingchaos.spin_basis import sector_counts
+from isingchaos.spin_basis import momentum_basis, sector_counts
 from isingchaos.statmodel import GibbsInfeasibleError, fit_gibbs
 
 
@@ -77,16 +77,15 @@ def test_repeated_momentum_runs_its_sector_once(tmp_path, capsys):
     assert code == EXIT_OK
     assert [line.split(":")[0] for line in out.splitlines()] == ["k=2", "k=0"]  # first-seen order
     assert load_config((tmp_path / "out" / "run_config.json").read_text()).momenta == [2, 0]
-    # a repeated --symbol is fitted and written once, in the order first named
+    # a repeated --symbol is fitted once, in the order first named: at k=1 both are
+    # invariant states, whose 30 samples, one per level, leave no window a degree of freedom
     symbols = ["--symbol", "3", "--symbol", "1", "--symbol", "3"]
     code, out, _ = run(
         capsys, "coeff-hist", "--spins", "8", "--momentum", "1", *symbols,
         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "hist"),
     )
     assert code == EXIT_OK
-    assert out.splitlines() == [
-        f"k=1 symbol={s}: wrote {tmp_path / 'hist' / f'coeff_hist_k1_s{s}.csv'}" for s in (3, 1)
-    ]
+    assert out.splitlines() == [f"k=1 symbol={s}: skipped (no window has a degree of freedom)" for s in (3, 1)]
     assert load_config((tmp_path / "hist" / "run_config.json").read_text()).symbols == [3, 1]
 
 
@@ -418,22 +417,23 @@ def _chi2_column(path):
     return [float(row.split(",")[col]) for row in rows]
 
 
-def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, monkeypatch):
+def test_coeff_hist_hashes_the_head_and_the_blocks_of_its_rows(tmp_path, capsys, monkeypatch):
     from isingchaos import eigensolve
 
     # a filled N=14 cache of random entries, k = 0..7, that every k loads from as
     # k~ = min(k, 14 - k): which bytes a load reads does not depend on them
     params = ModelParams(14, 1.0, 1.0)
     rng = np.random.default_rng(0)
-    dims = {k: sector_counts(14, k).dim for k in range(8)}
-    for k, dim in dims.items():
-        vectors = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    bases = {k: momentum_basis(14, k) for k in range(8)}
+    for k, basis in bases.items():
+        dim = basis.dim
+        w = rng.standard_normal((dim, dim))
         energies = np.sort(rng.standard_normal(dim))
         decomp = EigenDecomposition(
-            params, k, energies, vectors, np.zeros(dim, np.int8), eigensolve.state_moment_sums(vectors, 2.0)
+            params, k, k, energies, w, np.zeros(dim, np.int8), eigensolve.state_moment_sums(w, basis.partner, 2.0)
         )
         eigensolve.cache_store(decomp, tmp_path / "cache")
-    hashed = {k: [] for k in dims}
+    hashed = {k: [] for k in bases}
     inner = eigensolve._read_verified
 
     def recording(fh, parts, sha256, bin_path):
@@ -451,12 +451,16 @@ def test_coeff_hist_hashes_the_head_and_one_block_per_sector(tmp_path, capsys, m
     assert code == EXIT_OK
     block = eigensolve.CACHE_BLOCK_ROWS
     assert block == 8
-    for k, dim in dims.items():
-        start = dim // 2 // block * block  # the first row of the block that holds row D/2
-        # the head (energies, parity labels, moment sums), then that one block, once
-        # for k and once more for 14 - k where that is another sector
+    for k, basis in bases.items():
+        dim, symbol = basis.dim, basis.dim // 2
+        # the default symbol D/2 is a paired state whose partner's row lies in another block
+        rows = sorted([symbol, int(basis.partner[symbol])])
+        assert rows[0] // block != rows[1] // block, k
+        # the head (energies, parity labels, moment sums), then the block of each of the two
+        # rows of W, once for k and once more for 14 - k where that is another sector
+        blocks = [8 * dim * min(block, dim - row // block * block) for row in rows]
         loads = 1 if k in (0, 7) else 2
-        assert hashed[k] == [17 * dim, 16 * dim * min(block, dim - start)] * loads, k
+        assert hashed[k] == [17 * dim, *blocks] * loads, k
 
 
 def test_coeff_hist_skips_windows_without_a_degree_of_freedom(tmp_path, capsys):

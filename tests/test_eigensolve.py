@@ -17,10 +17,9 @@ from isingchaos import eigensolve
 from isingchaos.eigensolve import (
     CacheCorruptionError,
     DiagonalizationError,
-    EigenDecomposition,
     NonHermitianError,
     SymmetryBreakingError,
-    _fix_phases,
+    _fix_signs,
     block_spectra,
     cache_load,
     cache_store,
@@ -38,7 +37,7 @@ from isingchaos.hamiltonian import (
     sector_elements,
 )
 from isingchaos.spin_basis import momentum_basis, sector_counts
-from oracles import labelled_blocks, symmetry_blocks, symmetry_decomposition
+from oracles import column_phases, from_real, labelled_blocks, symmetry_blocks, symmetry_decomposition
 from parity_oracle import inversion_matrix
 
 
@@ -50,37 +49,55 @@ def sector(n_sites, k, params=None):
 
 
 def test_residuals_and_orthonormality():
+    # the plane-wave eigenvectors V = U W of the oracle are eigenvectors of the dense
+    # sector block, and orthonormal; so is the real W on its own
     for k in (1, 0):
         basis, elements, params = sector(8, k)
         decomp = diagonalize(basis, elements, params)
+        assert decomp.vectors.dtype == np.float64
+        v = from_real(basis, decomp.vectors)
         norm = np.max(np.abs(decomp.energies))
         h = build_sector_hamiltonian(basis, params).entries
-        residual = h @ decomp.vectors - decomp.vectors * decomp.energies
+        residual = h @ v - v * decomp.energies
         assert np.max(np.linalg.norm(residual, axis=0)) < 1e-8 * norm
-        gram = decomp.vectors.conj().T @ decomp.vectors
+        gram = v.conj().T @ v
         assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-8
-        assert np.max(np.abs(np.sum(np.abs(decomp.vectors) ** 2, axis=0) - 1)) < 1e-10
+        assert np.max(np.abs(np.sum(np.abs(v) ** 2, axis=0) - 1)) < 1e-10
+        assert np.max(np.abs(decomp.vectors.T @ decomp.vectors - np.eye(basis.dim))) < 1e-8
 
 
 def test_phase_gauge():
+    # the gauge of a real eigenvector is its sign: the leading component of each column of W is positive
     for k in (1, 0):
         for col in diagonalize(*sector(8, k)).vectors.T:
-            # symmetry ties |c_a| = |c_partner(a)|: the lowest index among them leads
+            # symmetry ties |W_a| = |W_b| exactly: the lowest index among them leads
             modulus = np.abs(col)
             lead = col[np.argmax(modulus >= (1 - eigensolve.GAUGE_TIE_RTOL) * modulus.max())]
-            assert lead.imag == pytest.approx(0.0, abs=1e-12)
-            assert lead.real > 0
+            assert lead > 0
 
 
 def test_phase_gauge_breaks_ties_by_lowest_index():
-    # |c_1| exceeds |c_0| by rounding-level noise only: the lower index leads
-    col = np.array([0.6j, 0.6 * (1 + 1e-12) * np.exp(0.4j), 0.0, 0.529150262212918])
-    fixed = _fix_phases(col[:, None].copy())[:, 0]
-    assert fixed[0] == pytest.approx(0.6, abs=1e-15)
+    # |W_1| exceeds |W_0| by rounding-level noise only: the lower index leads
+    col = np.array([-0.6, 0.6 * (1 + 1e-12), 0.0, 0.529150262212918])
+    fixed = _fix_signs(col[:, None].copy())[:, 0]
+    assert fixed[0] == 0.6 and fixed[1] == -0.6 * (1 + 1e-12)
     # a clear maximum still leads, wherever it sits
-    col = np.array([0.5j, -0.8, 0.33166247903554])
-    fixed = _fix_phases(col[:, None].copy())[:, 0]
-    assert fixed[1] == pytest.approx(0.8, abs=1e-15)
+    col = np.array([0.5, -0.8, 0.33166247903554])
+    fixed = _fix_signs(col[:, None].copy())[:, 0]
+    assert fixed.tolist() == [-0.5, 0.8, -0.33166247903554]
+
+
+def test_the_sign_gauge_makes_no_float_copy_of_w():
+    # the ties are found through boolean masks, an eighth of W each: at k = 0 a D x D |W|
+    # beside W set the peak of the whole solve
+    import tracemalloc
+
+    w = np.random.default_rng(1).standard_normal((600, 600))
+    tracemalloc.start()
+    _fix_signs(w)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 0.3 * w.nbytes, peak / w.nbytes
 
 
 def _with_dense(elements, block):
@@ -218,7 +235,7 @@ def test_cache_corruption_detected(tmp_path):
     decomp = diagonalize(*sector(6, 0, params))
     bin_path = cache_store(decomp, tmp_path)
     original = bin_path.read_bytes()
-    for offset in (_payload_offset(bin_path) + 13, len(original) - 1):  # an energy byte, the last byte of V
+    for offset in (_payload_offset(bin_path) + 13, len(original) - 1):  # an energy byte, the last byte of W
         payload = bytearray(original)
         payload[offset] ^= 0xFF
         bin_path.write_bytes(bytes(payload))
@@ -229,32 +246,31 @@ def test_cache_corruption_detected(tmp_path):
 def test_cache_payload_layout(tmp_path):
     # one file: the header's length as 8 little-endian bytes and the header,
     # then the head: energies <f8, one int8 parity label per state and the
-    # moment sums <f8, under one digest; then the eigenvectors as interleaved
-    # re/im <f8 pairs in row-major order, one digest per block of rows
+    # moment sums <f8, under one digest; then the real eigenvectors W as <f8
+    # in row-major order, one digest per block of rows
     params = ModelParams(10, 1.0, 1.0)
-    decomp = diagonalize(*sector(10, 0, params))
-    bin_path = cache_store(decomp, tmp_path)
-    assert sorted(tmp_path.iterdir()) == [bin_path]
-    head = (
-        decomp.energies.astype("<f8").tobytes()
-        + decomp.parity.astype("i1").tobytes()
-        + decomp.sum_c4.astype("<f8").tobytes()
-    )
-    interleaved = np.empty(decomp.vectors.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = decomp.vectors.real
-    interleaved[..., 1] = decomp.vectors.imag
-    data = bin_path.read_bytes()
-    meta = _header(bin_path)
-    assert data[8 : _payload_offset(bin_path)] == json.dumps(meta, sort_keys=True).encode()
-    assert data[_payload_offset(bin_path) :] == head + interleaved.tobytes()
-    assert meta["version"] == eigensolve.CACHE_VERSION == 5
-    assert meta["head_sha256"] == hashlib.sha256(head).hexdigest()
-    rows = eigensolve.CACHE_BLOCK_ROWS
-    assert decomp.dim == 108 and rows == 8  # 14 blocks, the last one short (4 rows)
-    assert meta["block_sha256"] == [
-        hashlib.sha256(interleaved[start : start + rows].tobytes()).hexdigest()
-        for start in range(0, 13 * rows + 1, rows)
-    ]
+    for k in (0, 1):  # a real and a complex sector store the same layout
+        decomp = diagonalize(*sector(10, k, params))
+        bin_path = cache_store(decomp, tmp_path / str(k))
+        assert sorted((tmp_path / str(k)).iterdir()) == [bin_path]
+        head = (
+            decomp.energies.astype("<f8").tobytes()
+            + decomp.parity.astype("i1").tobytes()
+            + decomp.sum_c4.astype("<f8").tobytes()
+        )
+        w = decomp.vectors.astype("<f8")
+        data = bin_path.read_bytes()
+        meta = _header(bin_path)
+        assert data[8 : _payload_offset(bin_path)] == json.dumps(meta, sort_keys=True).encode()
+        assert data[_payload_offset(bin_path) :] == head + w.tobytes()
+        assert len(data) - _payload_offset(bin_path) == 17 * decomp.dim + 8 * decomp.dim**2
+        assert meta["version"] == eigensolve.CACHE_VERSION == 6
+        assert meta["head_sha256"] == hashlib.sha256(head).hexdigest()
+        rows = eigensolve.CACHE_BLOCK_ROWS
+        assert (decomp.dim, rows) == ((108, 8) if k == 0 else (99, 8))  # 14 or 13 blocks, the last one short
+        assert meta["block_sha256"] == [
+            hashlib.sha256(w[start : start + rows].tobytes()).hexdigest() for start in range(0, decomp.dim, rows)
+        ]
 
 
 @pytest.mark.parametrize("change", ["truncate", "append"])
@@ -282,7 +298,7 @@ def test_cache_version_mismatch_is_a_miss(tmp_path, caplog):
     _edit_header(cache_store(decomp, tmp_path), version_2)
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
         assert cache_load(params, 0, tmp_path) is None
-    assert "cache miss" in caplog.text and "has version 2, expected 5" in caplog.text
+    assert "cache miss" in caplog.text and "has version 2, expected 6" in caplog.text
 
 
 def test_an_entry_under_another_sectors_name_is_a_logged_miss(tmp_path, caplog):
@@ -338,9 +354,11 @@ def test_diagonalize_cached_keeps_the_element_list_through_the_checks(tmp_path, 
 
 @pytest.mark.parametrize("n_sites", [10, 12, 13, 14])
 def test_a_sector_past_n_over_2_loads_as_a_direct_solve_of_it(tmp_path, n_sites):
-    # the oracle: sector k > N/2 solved on its own, against the one loaded from
-    # the entry of N - k; they differ in the last digits, as exp(i theta) rounds
-    # differently at N - k
+    # the oracle: sector k > N/2 solved on its own, against the one loaded from the
+    # entry of N - k.  Their plane-wave eigenvectors, conj(U_{N-k} W_{N-k}) and
+    # U_k W_k, agree up to one sign per eigenstate: the real bases differ by a sign
+    # on some columns, so the sign gauge may pick the other sign; they differ in the
+    # last digits, as exp(i theta) rounds differently at N - k
     for lam, alpha in ((1.0, 1.0), (0.9, 1.1), (-0.7, -0.3)):
         params = ModelParams(n_sites, lam, alpha)
         cache = tmp_path / f"{lam}_{alpha}"
@@ -348,10 +366,15 @@ def test_a_sector_past_n_over_2_loads_as_a_direct_solve_of_it(tmp_path, n_sites)
             loaded, hit = diagonalize_cached(lambda solved: sector(n_sites, solved, params)[:2], params, k, cache)
             assert not hit and loaded.k == k
             assert eigensolve.solved_momentum(n_sites, k) == n_sites - k
-            direct = diagonalize(*sector(n_sites, k, params))
+            basis, elements, _ = sector(n_sites, k, params)
+            direct = diagonalize(basis, elements, params)
             scale = np.max(np.abs(direct.energies))
             assert np.max(np.abs(loaded.energies - direct.energies)) <= 1e-14 * scale, (params, k)
-            assert np.max(np.abs(loaded.vectors - direct.vectors)) <= 1e-11, (params, k)
+            v_loaded = np.conj(from_real(momentum_basis(n_sites, n_sites - k), loaded.vectors))
+            v_direct = from_real(basis, direct.vectors)
+            signs = column_phases(v_loaded, v_direct)
+            assert np.max(np.abs(np.abs(signs.real) - 1)) <= 1e-11, (params, k)
+            assert np.max(np.abs(v_loaded * np.sign(signs.real) - v_direct)) <= 1e-11, (params, k)
             assert np.max(np.abs(loaded.sum_c4 / direct.sum_c4 - 1)) <= 1e-10, (params, k)
             assert np.array_equal(loaded.parity, direct.parity) and not loaded.parity.any()
         stored = sorted(path.name.split("_")[1] for path in cache.iterdir())
@@ -359,33 +382,40 @@ def test_a_sector_past_n_over_2_loads_as_a_direct_solve_of_it(tmp_path, n_sites)
 
 
 def test_the_derived_sector_is_the_conjugate_of_its_partner_bit_for_bit(tmp_path):
+    # sector 7 holds the W of sector 3 untouched, and each row of V it builds is the conjugate of 3's
     params = ModelParams(10, 0.9, 1.1)
     basis, elements, _ = sector(10, 3, params)
     solved = diagonalize(basis, elements, params)
     cache_store(solved, tmp_path)
-    for rows in (None, (2, 17, 40), ()):
+    assert basis.partner[6] == 7 and basis.partner[8] == 10 and basis.partner[0] == 0  # two pairs, an invariant state
+    for rows in (None, (0, 6, 7, 8, 10), ()):
         partner = cache_load(params, 3, tmp_path, rows)
         loaded = cache_load(params, 7, tmp_path, rows)
         missed, hit = diagonalize_cached(lambda k: (basis, elements), params, 7, None, rows)
         assert not hit
         for got in (loaded, missed):  # a miss returns what a hit returns
             assert (got.k, got.rows) == (7, partner.rows)
-            assert got.vectors.dtype == np.complex128
-            assert np.array_equal(got.vectors, np.conj(partner.vectors))
+            assert got.vectors.dtype == np.float64
+            assert np.array_equal(got.vectors, partner.vectors)
+            for symbol in (0, 6, 7, 8, 10) if rows else ():
+                row = got.coefficients(symbol, basis)
+                assert np.iscomplexobj(row) and np.array_equal(row, np.conj(partner.coefficients(symbol, basis)))
             for name in ("energies", "parity", "sum_c4"):
                 assert np.array_equal(getattr(got, name), getattr(solved, name)), name
+    with pytest.raises(ValueError, match="the eigenvectors of sector k=3 are not in the basis of k=7"):
+        loaded.coefficients(6, momentum_basis(10, 7))
     with pytest.raises(ValueError, match="sector k=7 is not stored: it is loaded from sector k=3"):
         cache_store(dataclasses.replace(solved, k=7), tmp_path)
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_the_derived_sector_conjugates_in_place(tmp_path):
-    # a load of N - k allocates what a load of k does: V is conjugated where it was read to
+def test_the_derived_sector_loads_the_solved_w_untouched(tmp_path):
+    # a load of N - k allocates what a load of k does: no pass over W makes a second copy of it
     import tracemalloc
 
     params = ModelParams(12, 1.0, 1.0)
     cache_store(diagonalize(*sector(12, 1, params)), tmp_path)
-    v_bytes = 16 * sector_counts(12, 1).dim ** 2
+    w_bytes = 8 * sector_counts(12, 1).dim ** 2
     peaks = {}
     for k in (1, 11, 1, 11):  # the second round, once every import is done
         tracemalloc.start()
@@ -393,7 +423,7 @@ def test_the_derived_sector_conjugates_in_place(tmp_path):
         peaks[k] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         del decomp
-    assert peaks[1] > v_bytes and peaks[11] < peaks[1] + v_bytes // 10, peaks
+    assert peaks[1] > w_bytes and peaks[11] < peaks[1] + w_bytes // 10, peaks
 
 
 def test_a_partner_entry_left_by_an_older_run_is_never_read(tmp_path, caplog, monkeypatch):
@@ -412,7 +442,7 @@ def test_a_partner_entry_left_by_an_older_run_is_never_read(tmp_path, caplog, mo
     assert not hit and solved.k == 5
     loaded, hit = diagonalize_cached(lambda k: pytest.fail("solved again"), params, 5, tmp_path)
     assert hit and np.array_equal(loaded.vectors, solved.vectors)
-    assert np.array_equal(cache_load(params, 3, tmp_path).vectors, np.conj(loaded.vectors))
+    assert np.array_equal(cache_load(params, 3, tmp_path).vectors, loaded.vectors)
     assert sorted(tmp_path.iterdir()) == sorted([old, eigensolve._entry_path(params, 3, tmp_path)])
     assert old.read_bytes() == old_bytes
 
@@ -445,11 +475,11 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
             if rows:
                 assert np.array_equal(got.vectors, full.vectors[list(rows)])
                 for row in rows:
-                    assert np.array_equal(got.coefficients(row), full.coefficients(row))
+                    assert np.array_equal(got.row(row), full.row(row))
             else:
                 assert got.vectors.shape == (0, dim)
             with pytest.raises(KeyError):
-                got.coefficients(1)
+                got.row(1)
     with pytest.raises(IndexError):
         cache_load(params, k, tmp_path, rows=[dim])
     with pytest.raises(ValueError, match="every row"):
@@ -461,7 +491,7 @@ def test_stored_moment_sums_equal_the_kernel_on_the_stored_vectors(tmp_path):
     for k in (0, 1):
         cache_store(diagonalize(*sector(12, k, params)), tmp_path)
         loaded = cache_load(params, k, tmp_path)
-        assert np.array_equal(loaded.sum_c4, state_moment_sums(loaded.vectors, 2.0))
+        assert np.array_equal(loaded.sum_c4, state_moment_sums(loaded.vectors, momentum_basis(12, k).partner, 2.0))
 
 
 def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
@@ -470,7 +500,7 @@ def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
     bin_path = cache_store(decomp, tmp_path)
     dim, rows = decomp.dim, eigensolve.CACHE_BLOCK_ROWS
     assert rows == 8
-    _flip_byte(bin_path, _payload_offset(bin_path) + 17 * dim + 16 * dim * (rows + 3) + 5)  # row 11, in block 1
+    _flip_byte(bin_path, _payload_offset(bin_path) + 17 * dim + 8 * dim * (rows + 3) + 5)  # row 11, in block 1
     for asked in ([11], [3, 14], None):  # a read block, and the full load
         with pytest.raises(CacheCorruptionError, match="checksum"):
             cache_load(params, 1, tmp_path, rows=asked)
@@ -495,34 +525,30 @@ def test_corrupt_head_fails_every_load(tmp_path, part):
 
 
 def oracle_decomposition(matrix):
-    """Complex eigh of the plane-wave block, in the solver's phase gauge."""
-    energies, vectors = np.linalg.eigh(matrix.entries)
-    vectors = _fix_phases(vectors)
-    return EigenDecomposition(
-        params=matrix.params,
-        k=matrix.k,
-        energies=energies,
-        vectors=vectors,
-        parity=np.zeros(energies.size, dtype=np.int8),
-        sum_c4=state_moment_sums(vectors, 2.0),
-    )
+    """Complex eigh of the plane-wave block: ascending energies and eigenvectors V in LAPACK's gauge."""
+    return np.linalg.eigh(matrix.entries)
 
 
 @pytest.mark.parametrize("n_sites", [9, 10, 12])
 def test_real_solve_matches_complex_oracle(n_sites):
+    # V = U W against a complex solve of the plane-wave block, up to one phase per
+    # eigenstate; the moment sums taken from W against sum |V|^4
     params = ModelParams(n_sites, 1.0, 1.0)
     for k in range(n_sites):
         basis, elements, _ = sector(n_sites, k, params)
         decomp = diagonalize(basis, elements, params)
-        oracle = oracle_decomposition(build_sector_hamiltonian(basis, params))
-        assert decomp.vectors.dtype == np.complex128
-        assert np.max(np.abs(decomp.energies - oracle.energies)) < 1e-12
-        assert np.max(np.abs(decomp.vectors - oracle.vectors)) < 1e-10
-        real_sector = k == 0 or 2 * k == n_sites
+        energies, oracle = oracle_decomposition(build_sector_hamiltonian(basis, params))
+        v = from_real(basis, decomp.vectors)
+        assert decomp.vectors.dtype == np.float64
+        assert np.max(np.abs(decomp.energies - energies)) < 1e-12
+        assert np.max(np.abs(v * column_phases(v, oracle) - oracle)) < 1e-10
+        np.testing.assert_allclose(decomp.sum_c4, np.sum(np.abs(v) ** 4, axis=0), rtol=1e-14, atol=0)
         for sym in (0, 5, decomp.dim // 2):
-            got = coefficient_samples(decomp, sym, np.arange(decomp.dim))
-            ref = coefficient_samples(oracle, sym, np.arange(decomp.dim))
-            assert got.size == ref.size == (1 if real_sector else 2) * decomp.dim
+            c = decomp.coefficients(sym, basis)
+            assert np.max(np.abs(c - v[sym])) < 1e-15
+            samples = coefficient_samples(decomp, basis, sym, np.arange(decomp.dim))
+            one_real = basis.is_real or basis.partner[sym] == sym
+            assert samples.size == (1 if one_real else 2) * decomp.dim
 
 
 @pytest.mark.parametrize("n_sites,k", [(8, 4), (9, 0), (10, 0), (12, 0), (10, 5), (12, 6)])
@@ -530,8 +556,9 @@ def test_parity_blocks_match_dense_inversion_oracle(n_sites, k):
     basis, elements, params = sector(n_sites, k)
     assert elements.values.dtype == np.float64
     decomp = diagonalize(basis, elements, params)
+    v = from_real(basis, decomp.vectors)
     s_op = inversion_matrix(basis)
-    assert np.max(np.abs(s_op @ decomp.vectors - decomp.vectors * decomp.parity)) < 1e-10
+    assert np.max(np.abs(s_op @ v - v * decomp.parity)) < 1e-10
     # block sizes: one state of each parity per pair, invariant states by their own sign
     invariant = np.flatnonzero(np.diag(s_op) != 0)
     n_pairs = (basis.dim - len(invariant)) // 2
@@ -540,9 +567,9 @@ def test_parity_blocks_match_dense_inversion_oracle(n_sites, k):
     assert np.sum(decomp.parity == -1) == basis.dim - n_even
     if k == 0:
         assert n_even == (basis.dim + basis.n_invariant) // 2
-    oracle = oracle_decomposition(build_sector_hamiltonian(basis, params))
-    assert np.max(np.abs(decomp.energies - oracle.energies)) < 1e-12
-    assert np.max(np.abs(decomp.vectors - oracle.vectors)) < 1e-10
+    energies, oracle = oracle_decomposition(build_sector_hamiltonian(basis, params))
+    assert np.max(np.abs(decomp.energies - energies)) < 1e-12
+    assert np.max(np.abs(v * column_phases(v, oracle) - oracle)) < 1e-10
 
 
 @pytest.mark.parametrize("n_sites", [8, 9, 10, 11, 12])
@@ -555,7 +582,7 @@ def test_element_path_matches_the_dense_symmetry_oracle(n_sites):
         decomp = diagonalize(basis, elements, params)
         energies, vectors, parity = symmetry_decomposition(build_sector_hamiltonian(basis, params))
         assert np.max(np.abs(decomp.energies - energies)) < 1e-12, k
-        assert np.max(np.abs(np.abs(decomp.vectors) - np.abs(vectors))) < 1e-10, k
+        assert np.max(np.abs(np.abs(from_real(basis, decomp.vectors)) - np.abs(vectors))) < 1e-10, k
         assert np.array_equal(decomp.parity, parity), k
 
 
@@ -1065,7 +1092,7 @@ def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="isingchaos.eigensolve"):
         loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 1, tmp_path)
-    assert not hit and "has version 3, expected 5" in caplog.text
+    assert not hit and "has version 3, expected 6" in caplog.text
     assert np.array_equal(loaded.energies, decomp.energies)
     loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 1, tmp_path)
     assert hit and len(_header(entry)["block_sha256"]) == -(-decomp.dim // 8)

