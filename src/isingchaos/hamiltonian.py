@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_basis import ChainSizeError, MomentumBasis, _rep_index, orbit_tables, popcount
+from .spin_basis import ChainSizeError, MomentumBasis, _rep_index, orbit_tables
 
 FULL_BASIS_MAX_SITES = 14
 # pre-solve checks: |h - h^dagger|, and the imaginary part and the coupling of
@@ -83,7 +83,7 @@ def build_full_hamiltonian(params: ModelParams) -> "scipy.sparse.csr_matrix":
         )
     size = 1 << n
     states = np.arange(size, dtype=np.int64)
-    diag = diagonal_energy(params, popcount(states, n))
+    diag = diagonal_energy(params, np.bitwise_count(states))
 
     rows = [states]
     cols = [states]

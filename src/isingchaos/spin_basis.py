@@ -268,14 +268,6 @@ def _rep_index(reps: np.ndarray, n_sites: int) -> np.ndarray:
     return index
 
 
-def popcount(states: np.ndarray, n_sites: int) -> np.ndarray:
-    """Number of up spins in each configuration."""
-    counts = np.zeros_like(states)
-    for i in range(n_sites):
-        counts += (states >> i) & 1
-    return counts
-
-
 def momentum_basis(n_sites: int, k: int) -> MomentumBasis:
     """Build the momentum-k basis from admissible orbits, with its inversion map."""
     if not 0 <= k < n_sites:
@@ -283,7 +275,7 @@ def momentum_basis(n_sites: int, k: int) -> MomentumBasis:
     rep_of, shift_of, period_of = orbit_tables(n_sites)
     states = np.arange(1 << n_sites, dtype=np.int64)
     reps = states[(rep_of == states) & momentum_admissible(period_of, k, n_sites)]
-    n_up = popcount(reps, n_sites)
+    n_up = np.bitwise_count(reps).astype(np.int64)
     order = np.lexsort((reps, n_up))
     reps, n_up = reps[order], n_up[order]
     reflected = np.zeros_like(reps)  # the geometric inversion (site order reversed) of each representative

@@ -374,13 +374,19 @@ def strength_density(model: StrengthModel, n_up: int, energy) -> np.ndarray:
         fit = model.gibbs_fits[n_up] if model.gibbs_fits else None
         if fit is not None:
             return fit.density(e)
-    # Gram-Charlier path (also the per-n fallback for failed Gibbs fits)
+    # Gram-Charlier path (also the per-n fallback for failed Gibbs fits).  The
+    # bracket is formed only where the Gaussian is nonzero: far in its tails,
+    # at large fields, He4(x) overflows and inf * 0 would be NaN
+    live = gauss > 0
+    x = x[live]
     bracket = (
         1.0
         + mom.k3 / (6.0 * sigma**3) * _hermite3(x)
         + mom.k4 / (24.0 * sigma2**2) * _hermite4(x)
     )
-    return gauss * bracket
+    density = np.zeros_like(gauss)
+    density[live] = gauss[live] * bracket
+    return density
 
 
 def density_stack(model: StrengthModel, energy) -> np.ndarray:

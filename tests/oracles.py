@@ -2,9 +2,10 @@
 
 None of these run in the pipeline: single-configuration bit operations,
 closed-form and exhaustive counts, the per-n state counts of an enumerated
-basis, a moment set built from given cumulants, explicit powers of H,
-spectral sums over eigenvectors, quadrature moments and the energy-power
-multipliers of a fitted Gibbs density, the full-chain model density of
+basis, a moment set built from given cumulants, explicit powers of H and
+their traces over each up-spin class by a transfer matrix, spectral sums
+over eigenvectors, quadrature moments and the energy-power multipliers of
+a fitted Gibbs density, the full-chain model density of
 states, the plane-wave eigenvectors V = U W of the solver's real ones and
 the phase that matches two eigenvectors, the dense pre-solve path (the
 hermiticity defect of a dense block, its rotation into the real basis and
@@ -35,7 +36,7 @@ from isingchaos.hamiltonian import (
     summed_elements,
 )
 from isingchaos.moments import LocalMomentSet
-from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables, popcount
+from isingchaos.spin_basis import ChainSizeError, MomentumBasis, _divisors, orbit_tables
 from isingchaos.statmodel import (
     GibbsFit,
     StrengthModel,
@@ -121,7 +122,7 @@ def invariant_counts(n_sites: int, n_up: int) -> InvariantCount:
         return InvariantCount(comb(n_sites // 2, n_up // 2), True)
     rep_of, _, _ = orbit_tables(n_sites)
     reps = np.flatnonzero(rep_of == np.arange(1 << n_sites))
-    reps = reps[popcount(reps, n_sites) == n_up].tolist()
+    reps = reps[np.bitwise_count(reps) == n_up].tolist()
     return InvariantCount(sum(int(rep_of[reflect(rep, n_sites)]) == rep for rep in reps), False)
 
 
@@ -178,6 +179,44 @@ def all_state_moments(params: ModelParams, order: int = 4) -> np.ndarray:
         power = power @ h
         out[j] = np.diag(power)
     return out
+
+
+def class_traces(params: ModelParams, j: int) -> np.ndarray:
+    """tr_n H^m for m = 0..j and n = 0..N: the trace of H^m over the configurations with n up spins.
+
+    A transfer matrix at any N.  Each of the j factors of H^j is read site by
+    site as a 4-state automaton: 0 before its term, 1 inside a bond, 2 after
+    its term, and 3 inside the bond that wraps from site 1 to site N, which
+    only site 1 opens and only site N closes.  The sites are contracted one
+    at a time, and tr(z^n_up H^j) is carried as a polynomial in the fugacity
+    z, whose coefficient of z^n is tr_n.  A factor that ends in state 0 placed
+    no term and is the identity, so the end states with m factors at 2 and
+    the rest at 0 give tr_n H^m.  Returns an array of shape (j + 1, N + 1).
+    """
+    n = params.n_sites
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    bulk = np.zeros((4, 4, 2, 2))  # [state before, state after, row spin, column spin]; spin 1 is up
+    bulk[0, 0] = bulk[2, 2] = bulk[3, 3] = np.eye(2)
+    bulk[0, 1] = x
+    bulk[1, 2] = -x
+    bulk[0, 2] = np.diag([params.lam, -params.lam]) - params.alpha * x
+    first, last = bulk.copy(), bulk.copy()
+    first[0, 3] = x
+    last[3, 2] = -x
+    carry = np.zeros((4,) * j + (n + 1,))  # [state of each factor, power of z]
+    carry[(0,) * j + (0,)] = 1.0
+    for site in range(n):
+        w = first if site == 0 else last if site == n - 1 else bulk
+        # [spin of the trace, spin after the factors so far, states, power of z]:
+        # the sites before this one reach z^site at most
+        t = np.zeros((2, 2) + carry.shape[:-1] + (site + 1,))
+        t[0, 0] = t[1, 1] = carry[..., : site + 1]
+        for i in range(j):
+            t = np.tensordot(t, w, axes=([1, 2 + i], [2, 0]))
+            t = np.moveaxis(t, [-1, -2], [1, 2 + i])
+        carry[..., : site + 1] = t[0, 0]
+        carry[..., 1 : site + 2] += t[1, 1]  # an up spin multiplies by z
+    return np.stack([carry[(2,) * m + (0,) * (j - m)] for m in range(j + 1)])
 
 
 def sector_state_moments(matrix: np.ndarray, index: int, order: int = 4) -> np.ndarray:

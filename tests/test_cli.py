@@ -886,6 +886,18 @@ def test_a_field_too_large_for_the_moment_formulas_is_a_bad_argument(tmp_path, c
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,code,stderr", [
+    ("compare", EXIT_NUMERICAL, "numerical failure: no finite deviations inside the bulk\n"),
+    ("predict", EXIT_OK, ""),
+])
+def test_a_large_allowed_field_overflows_no_density(tmp_path, capsys, command, code, stderr):
+    # lam N = 5.76e76 is inside FIELD_SCALE_MAX, and far in the Gaussian's tails the
+    # Gram-Charlier term He4(x) overflows; the suite turns any NumPy warning into an error
+    got, _, err = run(capsys, command, "--spins", "8", "--momentum", "1", "--lambda", "7.2e75",
+                      "--out", str(tmp_path))
+    assert (got, err) == (code, stderr)
+
+
 @pytest.mark.parametrize("command,flag", [("diag", "--cache-dir"), ("predict", "--out")])
 def test_a_file_in_place_of_a_directory_is_an_io_failure(tmp_path, capsys, command, flag):
     blocker = tmp_path / "file"

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,8 +144,8 @@ def test_determinism():
 
 
 def test_solves_agree_to_round_off_across_blas_thread_counts(tmp_path):
-    # the bits of a solve depend on the BLAS thread count; its energies and
-    # moment sums do not, beyond round-off
+    # the bits of a solve depend on the BLAS thread count and kernel; its
+    # energies and moment sums do not, beyond round-off
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -157,19 +158,30 @@ def test_solves_agree_to_round_off_across_blas_thread_counts(tmp_path):
         "    solved[f'e{k}'], solved[f'c{k}'] = decomp.energies, decomp.sum_c4\n"
         "np.savez(sys.argv[1], **solved)\n"
     )
-    runs = {}
-    for threads in ("1", "2"):
-        path = tmp_path / f"threads{threads}.npz"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": threads}
+
+    def solve(name, **settings):
+        path = tmp_path / f"{name}.npz"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **settings}
         done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        runs[threads] = np.load(path)
-    one, two = runs["1"], runs["2"]
-    for k in range(12):
-        scale = np.max(np.abs(one[f"e{k}"]))
-        np.testing.assert_allclose(two[f"e{k}"], one[f"e{k}"], rtol=0, atol=1e-13 * scale, err_msg=f"k={k}")
-        np.testing.assert_allclose(two[f"c{k}"], one[f"c{k}"], rtol=1e-9, atol=0, err_msg=f"k={k}")
+        return np.load(path)
+
+    def assert_agree(other, label):
+        for k in range(12):
+            scale = np.max(np.abs(one[f"e{k}"]))
+            np.testing.assert_allclose(other[f"e{k}"], one[f"e{k}"], rtol=0, atol=1e-13 * scale,
+                                       err_msg=f"{label}, k={k}")
+            np.testing.assert_allclose(other[f"c{k}"], one[f"c{k}"], rtol=1e-9, atol=0, err_msg=f"{label}, k={k}")
+
+    one = solve("threads1", OPENBLAS_NUM_THREADS="1")
+    assert_agree(solve("threads2", OPENBLAS_NUM_THREADS="2"), "2 threads")
+    # OpenBLAS forced onto its Haswell kernel plays another host; without AVX2
+    # that kernel dies of SIGILL
+    cpuinfo = Path("/proc/cpuinfo")
+    if not (cpuinfo.exists() and re.search(r"^flags\s*:.*\bavx2\b", cpuinfo.read_text(), flags=re.M)):
+        pytest.skip("the CPU lacks AVX2, which the Haswell kernel needs")
+    assert_agree(solve("haswell", OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell"), "Haswell kernel")
 
 
 def test_field_sign_flips_keep_every_sector():
@@ -852,7 +864,7 @@ def _with_dim(dim):
         "dim-a-bool", "dim-negative", "dim-zero", "dim-one-less", "dim-one-more",
     ],
 )
-def test_malformed_sidecar_is_a_logged_miss(tmp_path, caplog, edit, reason):
+def test_malformed_header_is_a_logged_miss(tmp_path, caplog, edit, reason):
     # each edit rewrites the entry's header, with the length that matches it; the
     # miss is logged with its reason, solved again, and the entry stored then is read back
     basis, elements, params = sector(6, 0)
@@ -1073,6 +1085,22 @@ def test_non_hermitian_failure_carries_the_fingerprint(solve, k):
     assert type(info.value) is NonHermitianError
     fingerprint = eigensolve._fingerprint_elements(basis, skewed)
     assert str(info.value) == f"hermiticity defect 1.000e-06 exceeds tolerance (matrix {fingerprint})"
+
+
+def test_a_format_5_header_under_the_format_6_name_is_solved_again(tmp_path, caplog):
+    basis, elements, params = sector(10, 1)
+    decomp = diagonalize(basis, elements, params)
+    entry = cache_store(decomp, tmp_path)
+    _edit_header(entry, lambda text: json.dumps({**json.loads(text), "version": 5}))
+    with caplog.at_level(logging.WARNING, logger="isingchaos.eigensolve"):
+        loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 1, tmp_path)
+    assert not hit
+    assert re.search(r"cache miss: \S+N10_k1_\w+\.bin has version 5, expected 6$", caplog.text, re.M)
+    assert np.array_equal(loaded.energies, decomp.energies)
+    # the solve replaced the entry by one of format 6, which the next load reads
+    assert _header(entry)["version"] == 6
+    loaded, hit = diagonalize_cached(lambda solved: (basis, elements), params, 1, tmp_path)
+    assert hit and np.array_equal(loaded.vectors, decomp.vectors)
 
 
 def test_cache_v3_entry_is_a_logged_miss(tmp_path, caplog, monkeypatch):

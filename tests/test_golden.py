@@ -24,6 +24,7 @@ import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -60,6 +61,9 @@ CASES = {
     # the integrable line: z-parity labels every block as well
     "spacing-alpha-0": ["spacing", *SECTOR, "--lambda", "0.9", "--alpha", "0"],
 }
+
+# the cases that read the cache, run once more on the entries that diag stored
+CACHED_CASES = ["coeff-hist", "coeff-hist-symbol-3", *(f"compare-{c}" for c in CORRECTIONS)]
 
 NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 
@@ -110,7 +114,7 @@ def filled_cache(tmp_path_factory) -> Path:
     return cache
 
 
-@pytest.mark.parametrize("name", ["coeff-hist", "coeff-hist-symbol-3", *(f"compare-{c}" for c in CORRECTIONS)])
+@pytest.mark.parametrize("name", CACHED_CASES)
 def test_golden_output_from_a_filled_cache(name, filled_cache, tmp_path, monkeypatch):
     # the cases recorded without a cache, run again on the entries diag stored:
     # every sector must be a hit, and the hit path must write the same files
@@ -123,6 +127,36 @@ def test_golden_output_from_a_filled_cache(name, filled_cache, tmp_path, monkeyp
     # the cache directory is the one recorded setting that differs
     got["run_config.json"] = got["run_config.json"].replace(json.dumps(str(filled_cache)), "null")
     assert_golden(name, got)
+
+
+# pytest's arguments run in a fresh interpreter where every import of SciPy fails
+WITHOUT_SCIPY = """
+import sys
+
+import pytest
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} blocked: the commands run on NumPy alone")
+
+
+sys.meta_path.insert(0, NoScipy())
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def test_every_golden_case_runs_without_scipy(tmp_path):
+    # SciPy is a test dependency only (the sparse full-basis oracle), so every
+    # command, cold and from a filled cache, must write its golden files without it
+    tests = [f"{__file__}::test_golden_output", f"{__file__}::test_golden_output_from_a_filled_cache"]
+    argv = [*tests, "-q", "-p", "no:cacheprovider", "--basetemp", str(tmp_path / "runs")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(CASES) + len(CACHED_CASES)} passed" in done.stdout
 
 
 def merge_numbers(got: str, want: str) -> tuple[str, list[float]] | None:

@@ -2,22 +2,25 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingchaos.hamiltonian import FIELD_SCALE_MAX, ModelParams
+from isingchaos.eigensolve import block_spectra
+from isingchaos.hamiltonian import FIELD_SCALE_MAX, ModelParams, sector_elements
 from isingchaos.moments import (
     FormulaRangeError,
     analytic_moments,
     mean_domain_wall_count,
 )
-from isingchaos.spin_basis import ChainSizeError
+from isingchaos.spin_basis import ChainSizeError, momentum_basis
 from oracles import (
     all_state_moments,
     bruteforce_state_moments,
+    class_traces,
     cumulants_from_raw,
     domain_wall_count,
     moment_set_from_cumulants,
@@ -100,6 +103,46 @@ def test_analytic_matches_oracle(n_sites, lam, alpha):
         got = np.array([m.mu1, m.mu2, m.mu3, m.mu4])
         ref = oracle[:, config]
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("n_sites,lam,alpha", [(5, 0.7, -1.3), (6, 1.0, 1.0), (7, -0.4, 0.9)])
+def test_class_traces_are_the_sums_over_each_class(n_sites, lam, alpha):
+    params = ModelParams(n_sites, lam, alpha)
+    traces = class_traces(params, 6)
+    oracle = all_state_moments(params, 6)
+    n_up = np.bitwise_count(np.arange(1 << n_sites))
+    want = np.array([np.bincount(n_up, weights=row, minlength=n_sites + 1) for row in oracle])
+    assert np.array_equal(traces[0], [comb(n_sites, n) for n in range(n_sites + 1)])
+    assert np.max(np.abs(traces[1:] - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam,alpha", [(1.0, 1.0), (-0.7, -0.3), (2.5, -0.4)])
+def test_analytic_moments_are_the_class_means_at_every_length(lam, alpha):
+    # mu_1..mu_4 at the mean wall count are tr_n H^j / C(N, n), up to N = 69, where
+    # C(69, 34) ~ 1e20 configurations lie beyond any enumeration
+    for n_sites in range(5, 70):
+        params = ModelParams(n_sites, lam, alpha)
+        traces = class_traces(params, 4)
+        means = traces[1:] / traces[0]
+        for n_up in range(n_sites + 1):
+            m = analytic_moments(params, n_up)
+            size = means[1, n_up] ** (np.arange(1, 5) / 2)  # sqrt(mu2)^j, the scale of mu_j
+            got = np.array([m.mu1, m.mu2, m.mu3, m.mu4])
+            assert np.all(np.abs(got - means[:, n_up]) <= 1e-13 * size), (n_sites, n_up)
+
+
+@pytest.mark.parametrize("n_sites,lam,alpha", [(12, 0.9, 1.1), (13, -0.7, -0.3)])
+def test_power_sums_of_every_sector_spectrum_are_the_traces_of_h(n_sites, lam, alpha):
+    params = ModelParams(n_sites, lam, alpha)
+    sums = np.zeros(7)
+    for k in range(n_sites):
+        basis = momentum_basis(n_sites, k)
+        for energies in block_spectra(basis, sector_elements(basis, params)).values():
+            sums += [np.sum(energies**j) for j in range(7)]
+    traces = class_traces(params, 6).sum(axis=1)
+    assert sums[0] == traces[0] == 2**n_sites
+    size = (traces[2] / traces[0]) ** (np.arange(7) / 2) * traces[0]
+    assert np.all(np.abs(sums[2:] - traces[2:]) <= 1e-12 * size[2:])
 
 
 def test_third_moment_is_wall_independent():
