@@ -26,7 +26,6 @@ from .eigensolve import (
     EigenDecomposition,
     block_spectra,
     diagonalize_cached,
-    solved_momentum,
 )
 from .hamiltonian import ModelParams, sector_elements
 from .spin_basis import ChainSizeError, momentum_basis, sector_counts
@@ -211,21 +210,19 @@ def _ensure_out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _decompose_sector(config: RunConfig, k: int, rows=None, basis=None) -> tuple[EigenDecomposition, bool]:
-    """The sector's decomposition holding the rows of W that ``rows`` selects, and if it was a cache hit.
+def _decompose_sector(config: RunConfig, k: int, symbols=None) -> tuple[EigenDecomposition, bool]:
+    """The sector's decomposition holding the rows of W that ``symbols`` read, and if it was a cache hit.
 
-    Only a miss builds the element list of the sector that
-    ``diagonalize_cached`` solves, and its basis unless the caller gives
-    ``basis``, and first refuses a sector too large for the available
-    memory; a hit builds nothing.
+    A miss refuses a sector too large for the available memory before it
+    builds the basis and element list of the sector ``diagonalize_cached`` solves.
     """
 
     def sector(solved: int):
         _check_memory(config, solved, SOLVE_UNITS)
-        built = momentum_basis(config.n_sites, solved) if basis is None else basis
-        return built, sector_elements(built, config.params)
+        basis = momentum_basis(config.n_sites, solved)
+        return basis, sector_elements(basis, config.params)
 
-    return diagonalize_cached(sector, config.params, k, config.cache_dir, rows)
+    return diagonalize_cached(sector, config.params, k, config.cache_dir, symbols)
 
 
 def _model_grid(config: RunConfig) -> np.ndarray:
@@ -266,7 +263,7 @@ def cmd_basis_info(config: RunConfig) -> int:
 
 def cmd_diag(config: RunConfig) -> int:
     for k in config.momenta:
-        decomp, hit = _decompose_sector(config, k, rows=())  # the energies only
+        decomp, hit = _decompose_sector(config, k, symbols=())  # the energies only
         status = "cache hit" if hit else "computed"
         print(
             f"k={k}: dim={decomp.dim} {status}; "
@@ -284,6 +281,10 @@ def cmd_predict(config: RunConfig) -> int:
     for k in config.momenta:
         counts = sector_counts(config.n_sites, k)
         curve = prediction_curve(counts, model, grid, stack=stack)
+        if not np.any(curve.rho > 0):  # every class's density fell between the grid points
+            sigma = max(np.sqrt(model.moments[n].sigma2) for n in np.flatnonzero(counts.nu_tot))
+            raise ValueError(f"sector k={k}: rho is 0 at every grid point; the grid spacing "
+                             f"{grid[1] - grid[0]:.3g} is far wider than the largest class sigma {sigma:.3g}")
         path = out / f"predict_k{k}_{config.corrections}.csv"
         write_prediction_csv(curve, path)
         print(f"k={k}: wrote {path}")
@@ -293,7 +294,7 @@ def cmd_predict(config: RunConfig) -> int:
 def _compare_sector(config: RunConfig, k: int, grid, corrected, uncorrected, out: Path) -> dict:
     """``corrected`` and ``uncorrected`` are each a model and its density stack on ``grid``."""
     counts = sector_counts(config.n_sites, k)
-    decomp, _ = _decompose_sector(config, k, rows=())  # Pr reads the moment sums, not W; a hit builds no basis
+    decomp, _ = _decompose_sector(config, k, symbols=())  # Pr reads the moment sums, not W
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     pr = empirics.empirical_participation_ratio(decomp)
     (model, stack), (baseline, baseline_stack) = corrected, uncorrected
@@ -336,13 +337,10 @@ def cmd_compare(config: RunConfig) -> int:
 
 def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
     symbols = config.symbols or [sector_counts(config.n_sites, k).dim // 2]
-    # the solved sector's basis pairs each symbol with the partner whose row of W its coefficient reads too
-    basis = momentum_basis(config.n_sites, solved_momentum(config.n_sites, k))
-    rows = [*symbols, *basis.partner[symbols].tolist()]
-    decomp, _ = _decompose_sector(config, k, rows, basis)
+    decomp, _ = _decompose_sector(config, k, symbols)
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     for sym in symbols:
-        stats = empirics.windowed_coefficient_stats(decomp, basis, sym, edges)
+        stats = empirics.windowed_coefficient_stats(decomp, sym, edges)
         fitted = [(i, st) for i, st in enumerate(stats) if not st.insufficient]
         if not fitted:
             print(f"k={k} symbol={sym}: skipped (no window has a degree of freedom)")

@@ -20,8 +20,10 @@ Sectors k and N - k are one solve: H_{N-k} = conj(H_k) in the plane-wave
 basis, so they share energies, parity labels (all 0 there), moment sums and
 W, and V_{N-k} = conj(V_k).  ``solved_momentum`` names the sector that is
 solved, cached and named for k, min(k, N - k); ``cache_load`` and
-``diagonalize_cached`` return N - k as that sector's decomposition, W
-untouched, with ``k`` set to N - k, and ``cache_store`` stores no other.
+``diagonalize_cached`` return N - k as that sector's decomposition, W and
+its basis untouched, with ``k`` set to N - k, and ``cache_store`` stores no
+other.  Both take the symbols whose coefficients the caller reads, which
+``_held_rows`` alone maps to rows of W.
 
 A decomposition is cached under the key of ``_key`` (format version and
 exact N, k, lam, alpha), which names the entry's file and heads its header,
@@ -31,8 +33,10 @@ the key, the size D and SHA-256 digests, the head of ``CACHE_HEAD``
 <f8) under one digest, then W as row-major <f8 in blocks of
 ``CACHE_BLOCK_ROWS`` rows, one digest per block.  A load reads the header,
 the head and only the blocks that hold the rows of W asked for, through one
-open file.  A write is atomic and durable (unique temp file, fsync, one
-rename), so a reader or a second writer of a key sees one writer's entry.
+open file.  A write goes to a unique temp file, synced, then one rename, so
+a reader or a second writer of a key sees one writer's whole entry.  The
+directory is not synced: after a crash an entry is whole or absent, and an
+absent entry is a logged miss that is solved again.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .hamiltonian import (
     element_blocks,
     summed_elements,
 )
-from .spin_basis import MomentumBasis, sector_counts
+from .spin_basis import MomentumBasis, momentum_basis, sector_counts
 
 logger = logging.getLogger(__name__)
 
@@ -135,20 +139,19 @@ class EigenDecomposition:
     where the sector was solved in parity blocks (k = 0 and k = N/2), 0 =
     unlabelled elsewhere.  ``sum_c4`` is sum_a |c_a|^4 of each eigenstate.
 
-    ``vectors`` holds W, the real eigenvectors of sector ``solved_k`` in
-    the real basis U of its ``MomentumBasis``, one column per eigenstate:
-    ``solved_k`` is k where k was solved itself, and N - k where it was
-    derived from sector N - k (``solved_momentum``).  The plane-wave
-    coefficients are V = U W, conjugated where the two differ; read a row
-    of V with ``coefficients`` and one of W with ``row``.  With ``rows``
-    None ``vectors`` holds every row of W; otherwise ``vectors[i]`` is row
-    ``rows[i]`` of W (the rows ascending), and ``vectors`` has shape (0, D)
-    when no row is loaded.
+    ``vectors`` holds W, the real eigenvectors of sector ``basis.k`` in the
+    real basis U of ``basis``, one column per eigenstate: k where k was
+    solved itself, N - k where it was derived from N - k (``solved_momentum``).
+    The plane-wave coefficients are V = U W, conjugated where ``basis.k`` is
+    not k; read a row of V with ``coefficients`` and one of W with ``row``.
+    With ``rows`` None ``vectors`` holds every row of W; otherwise
+    ``vectors[i]`` is row ``rows[i]`` of W (the rows ascending), and with no
+    row ``vectors`` has shape (0, D) and ``basis`` is None.
     """
 
     params: ModelParams
     k: int
-    solved_k: int
+    basis: MomentumBasis | None
     energies: np.ndarray
     vectors: np.ndarray
     parity: np.ndarray
@@ -167,32 +170,32 @@ class EigenDecomposition:
             raise KeyError(f"row {index} of the eigenvectors was not loaded")
         return self.vectors[self.rows.index(index)]
 
-    def coefficients(self, symbol: int, basis: MomentumBasis) -> np.ndarray:
-        """Row ``symbol`` of V, from loaded rows a and ``partner[a]`` of W and ``basis``, that of sector ``solved_k``."""
-        if (basis.n_sites, basis.k) != (self.params.n_sites, self.solved_k):
-            raise ValueError(f"the eigenvectors of sector k={self.solved_k} are not in the basis of k={basis.k}")
-        col, coef = basis.real_entries()
+    def coefficients(self, symbol: int) -> np.ndarray:
+        """Row ``symbol`` of V, from the held rows a and ``basis.partner[a]`` of W."""
+        if self.basis is None:
+            raise KeyError("no row of the eigenvectors was loaded")
+        col, coef = self.basis.real_entries()
         (lower, upper), (x, y) = col[symbol], coef[symbol]
         c = x * self.row(lower) + y * self.row(upper)
-        return c if self.solved_k == self.k else c.conj()
+        return c if self.basis.k == self.k else c.conj()
 
 
-def _row_selection(rows, dim: int) -> tuple[int, ...] | None:
-    """The rows of W a caller asks for, ascending and distinct; None means every row."""
-    if rows is None:
-        return None
-    rows = tuple(sorted({int(row) for row in rows}))
-    if rows and not (rows[0] >= 0 and rows[-1] < dim):
-        raise IndexError(f"rows {list(rows)} outside the basis [0, {dim})")
-    return rows
+def _held_rows(symbols, dim: int, basis_of) -> tuple[MomentumBasis | None, tuple[int, ...] | None]:
+    """The basis W is in and the rows of W that the coefficients of ``symbols`` read: each a and ``partner[a]``.
 
-
-def _restrict(decomp: EigenDecomposition, rows) -> EigenDecomposition:
-    """A full decomposition cut down to the rows of W that ``rows`` selects."""
-    rows = _row_selection(rows, decomp.dim)
-    if rows is None:
-        return decomp
-    return replace(decomp, vectors=decomp.vectors[list(rows)], rows=rows)  # a copy, so W can be freed
+    ``symbols`` None means every row (rows None), and no symbol no row and no
+    basis: ``basis_of()`` builds the solved sector's basis only where a row
+    is held, once the symbols are checked to lie in [0, ``dim``).
+    """
+    if symbols is None:
+        return basis_of(), None
+    symbols = sorted({int(symbol) for symbol in symbols})
+    if not symbols:
+        return None, ()
+    if not (symbols[0] >= 0 and symbols[-1] < dim):
+        raise IndexError(f"symbols {symbols} outside the basis [0, {dim})")
+    basis = basis_of()
+    return basis, tuple(sorted({*symbols, *basis.partner[symbols].tolist()}))
 
 
 def _fix_signs(w: np.ndarray) -> np.ndarray:
@@ -345,7 +348,7 @@ def diagonalize(basis: MomentumBasis, elements: SectorElements, params: ModelPar
     return EigenDecomposition(
         params=params,
         k=basis.k,
-        solved_k=basis.k,
+        basis=basis,
         energies=energies[rank],
         vectors=w,
         parity=np.repeat(np.array([parity for _, parity in keys], dtype=np.int8), sizes)[rank],
@@ -491,7 +494,7 @@ def _read_verified(fh, parts: list[np.ndarray], sha256: str, path: Path) -> None
         raise CacheCorruptionError(f"checksum mismatch for {path}")
 
 
-def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomposition | None:
+def cache_load(params: ModelParams, k: int, cache_dir, symbols=None) -> EigenDecomposition | None:
     """Load a cached decomposition; None signals a miss (recompute).
 
     The entry read is that of the solved sector ``solved_momentum(N, k)``.
@@ -499,11 +502,12 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
     to the k asked for: no pass is made over W, and only the rows of V that
     ``coefficients`` builds from it are conjugated.
 
-    ``rows`` selects the rows of W to load: None (every row), an empty
-    sequence (none, and ``vectors`` has shape (0, D)) or the indices of the
-    rows wanted.  The header, the head (energies, parity labels and moment
-    sums) and of W only the blocks that hold a wanted row are read through
-    one open file, each part checked against its SHA-256.
+    ``symbols`` names the coefficients read, as ``_held_rows`` takes them:
+    None (every row of W), none (no row and no basis) or the symbols wanted,
+    whose basis is built only once the header has passed.  The header, the
+    head (energies, parity labels and moment sums) and of W only the blocks
+    that hold a wanted row are read through one open file, each part checked
+    against its SHA-256.
 
     The header must hold the entry's name: each field of ``_key`` and the
     sector's size D from ``sector_counts``, with the same value and type.
@@ -512,7 +516,7 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
     value found and the value expected) or a bad digest list is a miss,
     logged with its reason.  A payload whose size disagrees with a valid
     header, or a part read that fails its digest, raises
-    ``CacheCorruptionError``.  A row outside the basis raises ``IndexError``.
+    ``CacheCorruptionError``.  A symbol outside the basis raises ``IndexError``.
     """
     solved = solved_momentum(params.n_sites, k)
     path = _entry_path(params, solved, cache_dir)
@@ -525,7 +529,7 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
         meta = _read_header(fh, size, path, {**_key(params, solved), "dim": dim})
         if meta is None:
             return None
-        rows = _row_selection(rows, dim)
+        basis, rows = _held_rows(symbols, dim, lambda: momentum_basis(params.n_sites, solved))
         head = {field: np.empty(dim, dtype=dtype) for field, dtype in CACHE_HEAD}
         head_bytes, row_bytes = sum(part.nbytes for part in head.values()), 8 * dim
         body = fh.tell()  # the payload starts right after the header
@@ -543,30 +547,30 @@ def cache_load(params: ModelParams, k: int, cache_dir, rows=None) -> EigenDecomp
             _read_verified(fh, [part], meta["block_sha256"][block], path)
             lo, hi = np.searchsorted(wanted, (start, start + part.shape[0]))
             vectors[lo:hi] = part[wanted[lo:hi] - start]
-    return EigenDecomposition(params=params, k=k, solved_k=solved, vectors=vectors, rows=rows, **head)
+    return EigenDecomposition(params=params, k=k, basis=basis, vectors=vectors, rows=rows, **head)
 
 
 def diagonalize_cached(
-    sector_builder, params: ModelParams, k: int, cache_dir=None, rows=None
+    sector_builder, params: ModelParams, k: int, cache_dir=None, symbols=None
 ) -> tuple[EigenDecomposition, bool]:
     """Load from cache or diagonalize-and-store; returns (decomp, was_hit).
 
     Only a miss calls ``sector_builder(solved)``, with the solved sector
     ``solved_momentum(N, k)``, which returns that sector's ``(basis,
     elements)``, and solves them with ``diagonalize``, which keeps the
-    element list until every block has passed its checks.  ``rows`` selects
-    the rows of W as in ``cache_load``.  A miss stores the full
+    element list until every block has passed its checks.  ``symbols``
+    selects the rows of W as in ``cache_load``.  A miss stores the full
     decomposition of the solved sector, then returns it cut down to those
     rows and, for k > N/2, with ``k`` set to N - k, as a hit would return
     it.  Without a cache, sector N - k is solved as sector k again.
     """
     if cache_dir is not None:
-        hit = cache_load(params, k, cache_dir, rows)
+        hit = cache_load(params, k, cache_dir, symbols)
         if hit is not None:
             return hit, True
-    basis, elements = sector_builder(solved_momentum(params.n_sites, k))
-    decomp = diagonalize(basis, elements, params)
-    del basis, elements
+    decomp = diagonalize(*sector_builder(solved_momentum(params.n_sites, k)), params)
     if cache_dir is not None:
         cache_store(decomp, cache_dir)
-    return replace(_restrict(decomp, rows), k=k), False
+    basis, rows = _held_rows(symbols, decomp.dim, lambda: decomp.basis)
+    vectors = decomp.vectors if rows is None else decomp.vectors[list(rows)]  # a copy, so W can be freed
+    return replace(decomp, k=k, basis=basis, vectors=vectors, rows=rows), False

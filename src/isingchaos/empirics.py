@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolve import EigenDecomposition
-from .spin_basis import MomentumBasis
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
@@ -58,21 +57,19 @@ def window_means(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.array([values[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
 
 
-def coefficient_samples(
-    decomp: EigenDecomposition, basis: MomentumBasis, symbol_index: int, levels
-) -> np.ndarray:
+def coefficient_samples(decomp: EigenDecomposition, symbol_index: int, levels) -> np.ndarray:
     """Real coefficient samples for one symbol over the eigenstates ``levels`` (indices or a slice).
 
-    ``basis``, that of ``decomp.solved_k``, says what kind of coefficient
-    it is.  A real one, where ``basis.is_real``, gives itself; at a complex k
-    a paired state's gives its real and imaginary parts, joined along the
-    last axis, and an invariant state's, exp(i angle / 2) W_a, its one real
-    Gaussian W_a.  A 2-D index array of windows gives one row per window.
+    ``decomp.basis`` says what kind of coefficient it is.  A real one (k = 0
+    and N/2) gives itself; at a complex k a paired state's gives its real
+    and imaginary parts, joined along the last axis, and an invariant
+    state's, exp(i angle / 2) W_a, its one real Gaussian W_a.  A 2-D index
+    array of windows gives one row per window.
     """
-    c = decomp.coefficients(symbol_index, basis)[levels]
-    if basis.is_real:
+    c = decomp.coefficients(symbol_index)[levels]
+    if decomp.basis.is_real:
         return c
-    if basis.partner[symbol_index] == symbol_index:
+    if decomp.basis.partner[symbol_index] == symbol_index:
         return decomp.row(symbol_index)[levels]
     return np.concatenate([c.real, c.imag], axis=-1)
 
@@ -140,13 +137,12 @@ def _gaussian_fits(samples: np.ndarray) -> list[WindowCoefficientStats]:
 
 
 def windowed_coefficient_stats(
-    decomp: EigenDecomposition, basis: MomentumBasis, symbol_index: int, edges: np.ndarray
+    decomp: EigenDecomposition, symbol_index: int, edges: np.ndarray
 ) -> list[WindowCoefficientStats]:
-    """Per-window sample statistics of one coefficient with Gaussian fits.
+    """Per-window sample statistics of one coefficient, as ``coefficient_samples`` takes it, with Gaussian fits.
 
-    ``basis`` is that of ``coefficient_samples``.  Windows of one size are
-    fitted together as the rows of one 2-D array of samples: the full
-    windows in one group, a short last one in another.
+    Windows of one size are fitted together as the rows of one 2-D array of
+    samples: the full windows in one group, a short last one in another.
     """
     if not 0 <= symbol_index < decomp.dim:
         raise IndexError("symbol index outside the basis")
@@ -154,7 +150,7 @@ def windowed_coefficient_stats(
     out = [None] * sizes.size
     for size in set(sizes.tolist()):
         windows = np.flatnonzero(sizes == size)
-        samples = coefficient_samples(decomp, basis, symbol_index, starts[windows, None] + np.arange(size))
+        samples = coefficient_samples(decomp, symbol_index, starts[windows, None] + np.arange(size))
         for window, stats in zip(windows.tolist(), _gaussian_fits(samples)):
             out[window] = stats
     return out

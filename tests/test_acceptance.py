@@ -253,13 +253,13 @@ def test_criterion_7_gibbs_fitter():
 
 
 def test_criterion_8_coefficient_gaussianity(store):
-    basis, decomp = store.get(14, 0)
+    _, decomp = store.get(14, 0)
     edges = empirics.windows_fixed_count(decomp.energies, 500)
     rng = np.random.default_rng(42)
     symbols = rng.choice(decomp.dim, size=20, replace=False)
     chis = []
     for symbol in symbols:
-        stats = empirics.windowed_coefficient_stats(decomp, basis, int(symbol), edges)
+        stats = empirics.windowed_coefficient_stats(decomp, int(symbol), edges)
         chis.extend(s.chi2_reduced for s in stats if not s.insufficient)
     median = float(np.median(chis))
     report(

@@ -815,6 +815,10 @@ def test_sector_too_large_for_the_available_memory_is_refused(tmp_path, capsys, 
     code, _, _ = run(capsys, "diag", "--spins", "10", "--cache-dir", str(cache))
     assert code == EXIT_OK
     filled = sorted(cache.iterdir())
+    hist_argv = ["coeff-hist", "--spins", "10", "--momentum", "1", "--momentum", "7", "--symbol", "4",
+                 "--cache-dir", str(cache), "--out"]
+    code, _, _ = run(capsys, *hist_argv, str(tmp_path / "hist"))
+    assert code == EXIT_OK
     monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 16)  # 64 KiB
     # a cache hit is never refused
     out = str(tmp_path / "out")
@@ -834,6 +838,21 @@ def test_sector_too_large_for_the_available_memory_is_refused(tmp_path, capsys, 
     assert code == EXIT_BAD_ARGS
     assert "bad arguments: sector k=1 at N=10 needs about 0.6 MiB, more than the 0.1 MiB" in err
     assert not empty.exists() or not any(empty.iterdir())
+    # coeff-hist names symbols; only a hit maps them to rows of W, so a miss builds no basis either
+    with monkeypatch.context() as patch:
+        patch.setattr(spin_basis, "orbit_tables", refuse)
+        code, _, err = run(capsys, "coeff-hist", "--spins", "10", "--momentum", "1", "--cache-dir", str(empty),
+                           "--out", str(tmp_path / "refused"))
+    assert code == EXIT_BAD_ARGS
+    assert "bad arguments: sector k=1 at N=10 needs about 0.6 MiB, more than the 0.1 MiB" in err
+    assert not empty.exists() or not any(empty.iterdir())
+    # a coeff-hist hit builds its basis and writes what a run with the real memory reading writes
+    code, _, _ = run(capsys, *hist_argv, str(tmp_path / "hist_refusing"))
+    assert code == EXIT_OK
+    written = [{path.name: path.read_bytes() for path in (tmp_path / name).glob("*.csv")}
+               for name in ("hist", "hist_refusing")]
+    assert sorted(written[0]) == ["coeff_hist_k1_s4.csv", "coeff_hist_k7_s4.csv"]
+    assert written[1] == written[0]
     assert sorted(cache.iterdir()) == filled
     code, _, err = run(capsys, "spacing", "--spins", "10", "--momentum", "0")
     assert code == EXIT_BAD_ARGS
@@ -888,14 +907,18 @@ def test_a_field_too_large_for_the_moment_formulas_is_a_bad_argument(tmp_path, c
 
 @pytest.mark.parametrize("command,code,stderr", [
     ("compare", EXIT_NUMERICAL, "numerical failure: no finite deviations inside the bulk\n"),
-    ("predict", EXIT_OK, ""),
+    pytest.param("predict", EXIT_NUMERICAL, "numerical failure: sector k=1: rho is 0 at every grid point; the "
+                 "grid spacing 2.25e+74 is far wider than the largest class sigma 4\n", id="predict-3-no-weight"),
 ])
 def test_a_large_allowed_field_overflows_no_density(tmp_path, capsys, command, code, stderr):
     # lam N = 5.76e76 is inside FIELD_SCALE_MAX, and far in the Gaussian's tails the
-    # Gram-Charlier term He4(x) overflows; the suite turns any NumPy warning into an error
+    # Gram-Charlier term He4(x) overflows; the suite turns any NumPy warning into an error.
+    # The grid spacing dwarfs every class's sigma, so no grid point of k=1 holds model
+    # weight: neither command writes a curve for it
     got, _, err = run(capsys, command, "--spins", "8", "--momentum", "1", "--lambda", "7.2e75",
                       "--out", str(tmp_path))
     assert (got, err) == (code, stderr)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run_config.json"]
 
 
 @pytest.mark.parametrize("command,flag", [("diag", "--cache-dir"), ("predict", "--out")])
@@ -1051,7 +1074,7 @@ def test_a_store_paused_after_its_rename_leaves_one_whole_entry(tmp_path):
     assert _finish(_python("2", "-m", "isingchaos.cli", *argv, shared))[0] == EXIT_OK
     (signals / "go").touch()
     assert _finish(writer_a)[0] == EXIT_OK
-    assert cache_load(ModelParams(12, 1.0, 1.0), 1, shared, rows=None) is not None
+    assert cache_load(ModelParams(12, 1.0, 1.0), 1, shared, symbols=None) is not None
     # the entry is, byte for byte, the one that a lone run at one of the two thread counts writes
     lone = {}
     for threads in ("1", "2"):

@@ -400,22 +400,24 @@ def test_the_derived_sector_is_the_conjugate_of_its_partner_bit_for_bit(tmp_path
     solved = diagonalize(basis, elements, params)
     cache_store(solved, tmp_path)
     assert basis.partner[6] == 7 and basis.partner[8] == 10 and basis.partner[0] == 0  # two pairs, an invariant state
-    for rows in (None, (0, 6, 7, 8, 10), ()):
-        partner = cache_load(params, 3, tmp_path, rows)
-        loaded = cache_load(params, 7, tmp_path, rows)
-        missed, hit = diagonalize_cached(lambda k: (basis, elements), params, 7, None, rows)
+    for symbols in (None, (0, 6, 8), ()):
+        partner = cache_load(params, 3, tmp_path, symbols)
+        loaded = cache_load(params, 7, tmp_path, symbols)
+        missed, hit = diagonalize_cached(lambda k: (basis, elements), params, 7, None, symbols)
         assert not hit
+        assert partner.rows == (None if symbols is None else (0, 6, 7, 8, 10) if symbols else ())
         for got in (loaded, missed):  # a miss returns what a hit returns
             assert (got.k, got.rows) == (7, partner.rows)
             assert got.vectors.dtype == np.float64
             assert np.array_equal(got.vectors, partner.vectors)
-            for symbol in (0, 6, 7, 8, 10) if rows else ():
-                row = got.coefficients(symbol, basis)
-                assert np.iscomplexobj(row) and np.array_equal(row, np.conj(partner.coefficients(symbol, basis)))
+            # W stays in the basis of sector 3, and ``coefficients`` conjugates what it builds from it
+            assert got.basis is None if symbols == () else np.array_equal(got.basis.partner, basis.partner)
+            for symbol in (0, 6, 7, 8, 10) if symbols != () else ():
+                row = got.coefficients(symbol)
+                assert got.basis.k == 3 and np.iscomplexobj(row)
+                assert np.array_equal(row, np.conj(partner.coefficients(symbol)))
             for name in ("energies", "parity", "sum_c4"):
                 assert np.array_equal(getattr(got, name), getattr(solved, name)), name
-    with pytest.raises(ValueError, match="the eigenvectors of sector k=3 are not in the basis of k=7"):
-        loaded.coefficients(6, momentum_basis(10, 7))
     with pytest.raises(ValueError, match="sector k=7 is not stored: it is loaded from sector k=3"):
         cache_store(dataclasses.replace(solved, k=7), tmp_path)
     assert len(list(tmp_path.iterdir())) == 1
@@ -467,6 +469,7 @@ def _flip_byte(path, offset):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
+    # a load of symbols holds the rows of W that their coefficients read: each symbol's and its partner's
     params = ModelParams(12, 1.0, 1.0)
     basis, elements, _ = sector(12, k, params)
     decomp = diagonalize(basis, elements, params)
@@ -474,11 +477,13 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
     full = cache_load(params, k, tmp_path)
     dim = full.dim
     assert full.rows is None and np.array_equal(full.vectors, decomp.vectors)
+    assert np.array_equal(full.basis.partner, basis.partner)
+    assert basis.partner[63] == 61  # a paired symbol, whose partner's row is loaded too
     # unordered, repeated, and spread over the first, a middle and the short last block
     for asked in ((dim - 1, 5, 64, 63, 5), (200,), ()):
-        rows = tuple(sorted(set(asked)))
-        loaded = cache_load(params, k, tmp_path, rows=asked)
-        missed, hit = diagonalize_cached(lambda solved: (basis, elements), params, k, None, rows=asked)
+        rows = tuple(sorted({*asked, *basis.partner[list(asked)].tolist()}))
+        loaded = cache_load(params, k, tmp_path, symbols=asked)
+        missed, hit = diagonalize_cached(lambda solved: (basis, elements), params, k, None, symbols=asked)
         assert not hit
         for got in (loaded, missed):  # a miss returns what a hit returns
             assert got.rows == rows
@@ -486,14 +491,19 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
                 assert np.array_equal(getattr(got, name), getattr(full, name)), name
             if rows:
                 assert np.array_equal(got.vectors, full.vectors[list(rows)])
+                assert np.array_equal(got.basis.partner, basis.partner)
                 for row in rows:
                     assert np.array_equal(got.row(row), full.row(row))
+                for symbol in asked:
+                    assert np.array_equal(got.coefficients(symbol), full.coefficients(symbol))
             else:
-                assert got.vectors.shape == (0, dim)
+                assert got.vectors.shape == (0, dim) and got.basis is None
+                with pytest.raises(KeyError):
+                    got.coefficients(0)
             with pytest.raises(KeyError):
                 got.row(1)
     with pytest.raises(IndexError):
-        cache_load(params, k, tmp_path, rows=[dim])
+        cache_load(params, k, tmp_path, symbols=[dim])
     with pytest.raises(ValueError, match="every row"):
         cache_store(loaded, tmp_path)
 
@@ -513,14 +523,15 @@ def test_corrupt_block_fails_only_the_loads_that_read_it(tmp_path):
     dim, rows = decomp.dim, eigensolve.CACHE_BLOCK_ROWS
     assert rows == 8
     _flip_byte(bin_path, _payload_offset(bin_path) + 17 * dim + 8 * dim * (rows + 3) + 5)  # row 11, in block 1
-    for asked in ([11], [3, 14], None):  # a read block, and the full load
+    # symbol 7 reads block 1 through its partner, row 8; 3 and 200 are invariant, and 16 is paired with 20
+    assert [decomp.basis.partner[symbol] for symbol in (7, 3, 200, 16)] == [8, 3, 200, 20]
+    for asked in ([11], [3, 14], [7], None):  # a read block, and the full load
         with pytest.raises(CacheCorruptionError, match="checksum"):
-            cache_load(params, 1, tmp_path, rows=asked)
-    for asked in ([3], [3, 200], [7, 16], ()):  # blocks 0 and 25, 0 and 2, or none
-        loaded = cache_load(params, 1, tmp_path, rows=asked)
+            cache_load(params, 1, tmp_path, symbols=asked)
+    for asked in ([3], [3, 200], [16], ()):  # blocks 0, 0 and 25, 2, or none
+        loaded = cache_load(params, 1, tmp_path, symbols=asked)
         assert np.array_equal(loaded.energies, decomp.energies)
-        if asked:
-            assert np.array_equal(loaded.vectors, decomp.vectors[asked])
+        assert np.array_equal(loaded.vectors, decomp.vectors[list(loaded.rows)])
 
 
 @pytest.mark.parametrize("part", ["energies", "parity", "sum_c4"])
@@ -533,7 +544,7 @@ def test_corrupt_head_fails_every_load(tmp_path, part):
     _flip_byte(bin_path, _payload_offset(bin_path) + offset)
     for asked in ((), [3], None):
         with pytest.raises(CacheCorruptionError, match="checksum"):
-            cache_load(params, 0, tmp_path, rows=asked)
+            cache_load(params, 0, tmp_path, symbols=asked)
 
 
 def oracle_decomposition(matrix):
@@ -556,9 +567,9 @@ def test_real_solve_matches_complex_oracle(n_sites):
         assert np.max(np.abs(v * column_phases(v, oracle) - oracle)) < 1e-10
         np.testing.assert_allclose(decomp.sum_c4, np.sum(np.abs(v) ** 4, axis=0), rtol=1e-14, atol=0)
         for sym in (0, 5, decomp.dim // 2):
-            c = decomp.coefficients(sym, basis)
+            c = decomp.coefficients(sym)
             assert np.max(np.abs(c - v[sym])) < 1e-15
-            samples = coefficient_samples(decomp, basis, sym, np.arange(decomp.dim))
+            samples = coefficient_samples(decomp, sym, np.arange(decomp.dim))
             one_real = basis.is_real or basis.partner[sym] == sym
             assert samples.size == (1 if one_real else 2) * decomp.dim
 

@@ -30,15 +30,13 @@ from oracles import (
 from oracles import from_real
 from parity_oracle import inversion_matrix
 
-# N = 4, k = 2: a real sector of 4 states, each its own mirror image, so that row a
-# of V is row a of W
-SYNTHETIC = momentum_basis(4, 2)
-
-
 def synthetic_decomposition(vectors: np.ndarray, energies=None, n_sites=4, k=2) -> EigenDecomposition:
     """Sector k's decomposition, derived from min(k, N - k), whose W is ``vectors``.
 
-    Its moment sums are taken as if every state were its own partner.
+    W is in the basis of sector min(k, N - k); the default, N = 4 and k = 2, is
+    a real sector of 4 states, each its own mirror image, so that row a of V
+    is row a of W.  The moment sums are taken as if every state were its own
+    partner.
     """
     n_states = vectors.shape[1]
     if energies is None:
@@ -47,7 +45,7 @@ def synthetic_decomposition(vectors: np.ndarray, energies=None, n_sites=4, k=2) 
     return EigenDecomposition(
         params=ModelParams(n_sites, 0.0, 0.0),
         k=k,
-        solved_k=min(k, n_sites - k),
+        basis=momentum_basis(n_sites, min(k, n_sites - k)),
         energies=np.asarray(energies, dtype=float),
         vectors=vectors,
         parity=np.zeros(n_states, dtype=np.int8),
@@ -89,7 +87,7 @@ def test_window_stats_on_true_gaussian_samples():
     vectors = rng.standard_normal((4, dim)) * 0.01
     decomp = synthetic_decomposition(vectors)
     edges = windows_fixed_count(decomp.energies, dim)
-    stats = windowed_coefficient_stats(decomp, SYNTHETIC, 1, edges)[0]
+    stats = windowed_coefficient_stats(decomp, 1, edges)[0]
     assert not stats.insufficient
     assert stats.mean == pytest.approx(0.0, abs=4 * 0.01 / np.sqrt(dim))
     assert stats.variance == pytest.approx(1e-4, rel=0.1)
@@ -100,7 +98,7 @@ def test_window_stats_insufficient_flag():
     rng = np.random.default_rng(1)
     decomp = synthetic_decomposition(rng.standard_normal((4, 20)))
     edges = windows_fixed_count(decomp.energies, 20)
-    stats = windowed_coefficient_stats(decomp, SYNTHETIC, 0, edges)[0]
+    stats = windowed_coefficient_stats(decomp, 0, edges)[0]
     assert stats.insufficient
 
 
@@ -109,17 +107,17 @@ def test_window_is_insufficient_exactly_without_a_degree_of_freedom(n):
     # a moment-fitted Gaussian has a degree of freedom from 37 samples on
     rng = np.random.default_rng(n)
     decomp = synthetic_decomposition(rng.standard_normal((4, n)))
-    (stats,) = windowed_coefficient_stats(decomp, SYNTHETIC, 0, windows_fixed_count(decomp.energies, n))
+    (stats,) = windowed_coefficient_stats(decomp, 0, windows_fixed_count(decomp.energies, n))
     assert stats.n_samples == n
     assert stats.insufficient == (n <= 36) == (stats.chi2_reduced == np.inf)
 
 
-def _assert_fits_equal_the_oracle(decomp, basis, symbol, edges):
+def _assert_fits_equal_the_oracle(decomp, symbol, edges):
     """Each window's stats equal the one-window fit bit for bit; returns them."""
-    stats = windowed_coefficient_stats(decomp, basis, symbol, edges)
+    stats = windowed_coefficient_stats(decomp, symbol, edges)
     assert len(stats) == edges.size - 1
     for a, b, st in zip(edges[:-1], edges[1:], stats):
-        samples = coefficient_samples(decomp, basis, symbol, slice(a, b))
+        samples = coefficient_samples(decomp, symbol, slice(a, b))
         chi2, bin_edges, counts = gaussian_fit_chi2(samples)
         assert st.n_samples == samples.size
         assert st.mean == float(samples.mean()) and st.variance == float(samples.var())
@@ -139,7 +137,7 @@ def test_array_window_fits_equal_the_per_window_oracle(store):
             edges = windows_fixed_count(decomp.energies, levels)
             assert np.diff(edges)[-1] < levels  # a short last window
             for symbol in (0, decomp.dim // 2, decomp.dim - 1):
-                stats = _assert_fits_equal_the_oracle(decomp, basis, symbol, edges)
+                stats = _assert_fits_equal_the_oracle(decomp, symbol, edges)
                 fitted += sum(not st.insufficient for st in stats)
                 insufficient += sum(st.insufficient and st.n_samples <= 36 for st in stats)
     assert fitted > 0 and insufficient > 0
@@ -150,8 +148,8 @@ def test_array_window_fits_equal_the_oracle_on_a_zero_spread_window():
     vectors = rng.standard_normal((4, 130))
     vectors[0, 50:100] = 0.125
     decomp = synthetic_decomposition(vectors)
-    assert SYNTHETIC.is_real and np.array_equal(SYNTHETIC.partner, np.arange(4))  # c_0 = W_0
-    stats = _assert_fits_equal_the_oracle(decomp, SYNTHETIC, 0, windows_fixed_count(decomp.energies, 50))
+    assert decomp.basis.is_real and np.array_equal(decomp.basis.partner, np.arange(4))  # c_0 = W_0
+    stats = _assert_fits_equal_the_oracle(decomp, 0, windows_fixed_count(decomp.energies, 50))
     assert [st.insufficient for st in stats] == [False, True, True]
     assert stats[1].counts.tolist() == [50] and stats[1].bin_edges.tolist() == [0.125, 0.125]
 
@@ -167,10 +165,10 @@ def test_bulk_median_and_p90_equal_numpy_bit_for_bit():
 def test_variance_estimators_agree(store):
     # window-mean |C|^2 and the averaged-strength-function construction are
     # the same sum; both paths must agree identically
-    basis, decomp = store.get(10, 1)
+    _, decomp = store.get(10, 1)
     edges = windows_fixed_count(decomp.energies, 40)
     sym = 17
-    weights = np.abs(decomp.coefficients(sym, basis)) ** 2
+    weights = np.abs(decomp.coefficients(sym)) ** 2
     direct = window_means(weights, edges)
     strength_path = np.add.reduceat(weights[: edges[-1]], edges[:-1]) / np.diff(edges)
     assert direct == pytest.approx(strength_path, rel=1e-14)
@@ -179,16 +177,16 @@ def test_variance_estimators_agree(store):
 def test_coefficient_samples_real_vs_complex(store):
     levels = np.arange(99)
     basis0, decomp0 = store.get(10, 0)
-    s0 = coefficient_samples(decomp0, basis0, 5, levels)
+    s0 = coefficient_samples(decomp0, 5, levels)
     assert np.array_equal(s0, from_real(basis0, decomp0.vectors)[5, levels])  # real sector: c_a itself
     basis1, decomp1 = store.get(10, 1)
     v1 = from_real(basis1, decomp1.vectors)
     paired, invariant = 49, 0
     assert basis1.partner[paired] != paired and basis1.partner[invariant] == invariant
-    s1 = coefficient_samples(decomp1, basis1, paired, levels)
+    s1 = coefficient_samples(decomp1, paired, levels)
     assert np.array_equal(s1, np.concatenate([v1[paired, levels].real, v1[paired, levels].imag]))  # re and im
     # an invariant state's c_a = exp(i angle / 2) W_a is one real Gaussian: W_a
-    s1 = coefficient_samples(decomp1, basis1, invariant, levels)
+    s1 = coefficient_samples(decomp1, invariant, levels)
     assert np.array_equal(s1, decomp1.vectors[invariant, levels])
     assert np.max(np.abs(s1 * np.exp(0.5j * basis1.angle[invariant]) - v1[invariant, levels])) < 1e-15
 
@@ -200,13 +198,14 @@ def test_coefficient_samples_follow_the_sector_not_the_data():
     rng = np.random.default_rng(5)
     kinds = set()
     for k in range(6):
-        basis = momentum_basis(6, min(k, 6 - k))
-        decomp = synthetic_decomposition(rng.standard_normal((basis.dim, 12)), n_sites=6, k=k)
+        decomp = synthetic_decomposition(rng.standard_normal((momentum_basis(6, k).dim, 12)), n_sites=6, k=k)
+        basis = decomp.basis
+        assert basis.k == min(k, 6 - k)
         for symbol in range(basis.dim):
             paired = basis.partner[symbol] != symbol
             n_samples = 24 if paired and not basis.is_real else 12
             kinds.add((basis.is_real, bool(paired)))
-            assert coefficient_samples(decomp, basis, symbol, slice(0, 12)).size == n_samples, (k, symbol)
+            assert coefficient_samples(decomp, symbol, slice(0, 12)).size == n_samples, (k, symbol)
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -299,7 +298,7 @@ def test_coefficient_histograms_accept_the_gaussian_for_both_kinds_of_symbol(sto
         chis = [
             st.chi2_reduced
             for symbol in symbols.tolist()
-            for st in windowed_coefficient_stats(decomp, basis, symbol, edges)
+            for st in windowed_coefficient_stats(decomp, symbol, edges)
             if not st.insufficient
         ]
         assert len(chis) == 20 * (edges.size - 1)
