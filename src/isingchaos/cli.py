@@ -281,9 +281,13 @@ def cmd_predict(config: RunConfig) -> int:
     for k in config.momenta:
         counts = sector_counts(config.n_sites, k)
         curve = prediction_curve(counts, model, grid, stack=stack)
-        if not np.any(curve.rho > 0):  # every class's density fell between the grid points
+        # the grid's end points may round onto the edge classes' energies -+lam N, so the rule
+        # reads the points between them, and every point of a two-point grid
+        inner = curve.rho[1:-1] if grid.size > 2 else curve.rho
+        if not np.any(inner > 0):  # every class's density fell between the grid points
             sigma = max(np.sqrt(model.moments[n].sigma2) for n in np.flatnonzero(counts.nu_tot))
-            raise ValueError(f"sector k={k}: rho is 0 at every grid point; the grid spacing "
+            where = "every grid point" + (" between the end points" if np.any(curve.rho > 0) else "")
+            raise ValueError(f"sector k={k}: rho is 0 at {where}; the grid spacing "
                              f"{grid[1] - grid[0]:.3g} is far wider than the largest class sigma {sigma:.3g}")
         path = out / f"predict_k{k}_{config.corrections}.csv"
         write_prediction_csv(curve, path)
@@ -291,45 +295,40 @@ def cmd_predict(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _compare_sector(config: RunConfig, k: int, grid, corrected, uncorrected, out: Path) -> dict:
-    """``corrected`` and ``uncorrected`` are each a model and its density stack on ``grid``."""
+def _compare_sector(config: RunConfig, k: int, grid, models: dict, out: Path) -> dict:
+    """``models`` maps each curve's name to its model, density stack on ``grid`` and delta mode."""
     counts = sector_counts(config.n_sites, k)
     decomp, _ = _decompose_sector(config, k, symbols=())  # Pr reads the moment sums, not W
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     pr = empirics.empirical_participation_ratio(decomp)
-    (model, stack), (baseline, baseline_stack) = corrected, uncorrected
-    pr_c = prediction_curve(counts, model, grid, q_values=(2.0,), stack=stack).pr
-    pr_u = prediction_curve(
-        counts, baseline, grid, q_values=(2.0,), delta_mode="none", stack=baseline_stack
-    ).pr
-    rep_c = empirics.compare(grid, pr_c, decomp.energies, pr, edges, config.bulk_fraction)
-    rep_u = empirics.compare(grid, pr_u, decomp.energies, pr, edges, config.bulk_fraction)
+    predictions = {
+        name: prediction_curve(counts, model, grid, q_values=(2.0,), delta_mode=delta_mode, stack=stack).pr
+        for name, (model, stack, delta_mode) in models.items()
+    }
+    reports = empirics.compare(grid, predictions, decomp.energies, pr, edges, config.bulk_fraction)
+    (first, rep), *rest = reports.items()  # every report holds the same window columns
     write_csv(
         out / f"compare_k{k}.csv",
-        ["E", "empirical_Pr", "predicted_corrected", "predicted_uncorrected", "in_bulk"],
-        [rep_c.e_center, rep_c.empirical, rep_c.predicted, rep_u.predicted, rep_c.in_bulk],
+        ["E", "empirical_Pr", *(f"predicted_{name}" for name in reports), "in_bulk"],
+        [rep.e_center, rep.empirical, *(r.predicted for r in reports.values()), rep.in_bulk],
     )
-    print(
-        f"k={k}: corrected median dev {rep_c.bulk_median:.4f}, "
-        f"uncorrected {rep_u.bulk_median:.4f}"
-    )
-    return {"corrected": rep_c.to_dict(), "uncorrected": rep_u.to_dict()}
+    others = "".join(f", {name} {r.bulk_median:.4f}" for name, r in rest)
+    print(f"k={k}: {first} median dev {rep.bulk_median:.4f}{others}")
+    return {name: r.to_dict() for name, r in reports.items()}
 
 
 def cmd_compare(config: RunConfig) -> int:
     out = _ensure_out_dir(config)
     grid = _model_grid(config)
-    variant = CORRECTION_VARIANTS[config.corrections]
-    model = build_strength_model(config.params, variant)
+    model = build_strength_model(config.params, CORRECTION_VARIANTS[config.corrections])
     baseline = build_strength_model(config.params, "gaussian")
     # each model is evaluated on the grid once, for every sector
-    corrected = (model, density_stack(model, grid))
-    uncorrected = (baseline, density_stack(baseline, grid))
-    # one sector per call, so that every array of a sector is freed before the next one loads
-    report_all = {
-        f"k={k}": _compare_sector(config, k, grid, corrected, uncorrected, out)
-        for k in config.momenta
+    models = {
+        "corrected": (model, density_stack(model, grid), "uniform"),
+        "uncorrected": (baseline, density_stack(baseline, grid), "none"),
     }
+    # one sector per call, so that every array of a sector is freed before the next one loads
+    report_all = {f"k={k}": _compare_sector(config, k, grid, models, out) for k in config.momenta}
     # no indent: that keeps json on its C encoder, twice as fast on an N=14 report
     (out / "comparison_report.json").write_text(json.dumps(report_all))
     return EXIT_OK

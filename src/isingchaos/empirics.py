@@ -4,8 +4,9 @@ Everything here works on sector eigen-decompositions: windowed
 coefficient distributions with Gaussian-fit quality (from the rows of W
 one symbol's coefficient reads), participation ratios (from the moment
 sums the decomposition carries), nearest-neighbour spacing ratios (beside
-their GOE and Poisson reference values), and a deviation report that
-interpolates a model prediction at empirical window centers.  A window is
+their GOE and Poisson reference values), and deviation reports that
+interpolate model predictions at empirical window centers, from one window
+pass that serves every model.  A window is
 a contiguous range of level ranks in the ascending spectrum, and one
 integer array of edges carries them all, so every windowed statistic is a
 reduction over slices of per-level values.
@@ -234,16 +235,19 @@ def _median_p90(values: np.ndarray) -> tuple[float, float]:
 
 def compare(
     pred_energies: np.ndarray,
-    pred_values: np.ndarray,
+    predictions: dict[str, np.ndarray],
     energies: np.ndarray,
     values: np.ndarray,
     edges: np.ndarray,
     bulk_fraction: float = 0.6,
-) -> ComparisonReport:
-    """Window means of the per-level ``values`` against a prediction at the window centers.
+) -> dict[str, ComparisonReport]:
+    """Window means of the per-level ``values`` against each named prediction at the window centers.
 
-    ``energies`` is the ascending spectrum that ``edges`` cuts into windows.
-    Bulk windows are those whose mean level rank falls in the central
+    ``energies`` is the ascending spectrum that ``edges`` cuts into windows,
+    and ``predictions`` maps each model's name to its values on
+    ``pred_energies``.  The windows are cut once for every model: the reports,
+    one per name, share their centers, empirical means and bulk flags.  Bulk
+    windows are those whose mean level rank falls in the central
     ``bulk_fraction`` of the spectrum; the others are flagged, not dropped.
     """
     pred_energies = np.asarray(pred_energies, dtype=float)
@@ -251,27 +255,21 @@ def compare(
     centers = 0.5 * (energies[lo] + energies[hi - 1])
     if centers.min() > pred_energies.max() or centers.max() < pred_energies.min():
         raise ValueError("prediction grid and empirical windows do not overlap")
-    empirical = window_means(values, edges)
-    predicted = np.interp(centers, pred_energies, pred_values)
-    rel = np.divide(
-        np.abs(empirical - predicted),
-        np.abs(predicted),
-        out=np.full(centers.size, np.inf),
-        where=predicted != 0,
-    )
     # mean level rank of each window as a fraction of the spectrum (exact half-integers)
     in_bulk = np.abs(0.5 * (lo + hi) / energies.size - 0.5) <= bulk_fraction / 2
-    bulk = rel[in_bulk & np.isfinite(rel)]
-    if not bulk.size:
-        raise ValueError("no finite deviations inside the bulk")
-    bulk_median, bulk_p90 = _median_p90(bulk)
-    return ComparisonReport(
-        e_center=centers,
-        empirical=empirical,
-        predicted=predicted,
-        rel_deviation=rel,
-        in_bulk=in_bulk,
-        bulk_median=bulk_median,
-        bulk_p90=bulk_p90,
-        bulk_fraction=bulk_fraction,
-    )
+    if not in_bulk.any():
+        raise ValueError(f"no window lies in the bulk: none of the {centers.size} windows has its mean "
+                         f"level rank in the central fraction {bulk_fraction:g} of the spectrum")
+    empirical = window_means(values, edges)
+    reports = {}
+    for name, pred_values in predictions.items():
+        predicted = np.interp(centers, pred_energies, pred_values)
+        rel = np.full(centers.size, np.inf)
+        np.divide(np.abs(empirical - predicted), np.abs(predicted), out=rel, where=predicted != 0)
+        bulk = rel[in_bulk & np.isfinite(rel)]
+        if not bulk.size:
+            raise ValueError("no finite deviations inside the bulk")
+        reports[name] = ComparisonReport(
+            centers, empirical, predicted, rel, in_bulk, *_median_p90(bulk), bulk_fraction
+        )
+    return reports

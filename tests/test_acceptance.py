@@ -185,8 +185,8 @@ def _pr_comparison(counts, decomp, corrected_model, gauss_model):
     nu = counts.nu_tot.astype(float)
     factor = r_q_real if counts.is_real else r_q_complex
     assert np.array_equal(unc.pr, 1.0 / (factor(2.0) * (nu @ (stack / (nu @ stack)) ** 2.0)))
-    rep_c = empirics.compare(grid, corr.pr, decomp.energies, pr, edges)
-    rep_u = empirics.compare(grid, unc.pr, decomp.energies, pr, edges)
+    reports = empirics.compare(grid, {"corrected": corr.pr, "uncorrected": unc.pr}, decomp.energies, pr, edges)
+    rep_c, rep_u = reports["corrected"], reports["uncorrected"]
     # effective R2 from data: model ratio-part divided by empirical Pr
     stack = density_stack(corrected_model, rep_c.e_center)
     nu = counts.nu_tot.astype(float)

@@ -359,6 +359,32 @@ def test_compare_evaluates_each_model_on_the_grid_once(tmp_path, capsys, monkeyp
     assert sorted(calls) == ["gaussian"] * 11 + ["gibbs"] * 11
 
 
+def test_compare_cuts_the_windows_of_a_sector_once_for_both_models(tmp_path, capsys, monkeypatch):
+    from isingchaos import empirics
+
+    calls = []
+    inner = empirics.compare
+
+    def counting(pred_energies, predictions, *args, **kwargs):
+        calls.append(sorted(predictions))
+        return inner(pred_energies, predictions, *args, **kwargs)
+
+    monkeypatch.setattr(empirics, "compare", counting)
+    code, _, _ = run(capsys, "compare", "--spins", "10", "--momentum", "all",
+                     "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    assert calls == [["corrected", "uncorrected"]] * 10
+    report = json.loads((tmp_path / "out" / "comparison_report.json").read_text())
+    assert len(report) == 10
+    for sector in report.values():
+        # the window columns, row for row, are the same under both models
+        corrected, uncorrected = (
+            [(row["E"], row["empirical"], row["in_bulk"]) for row in sector[name]["rows"]]
+            for name in ("corrected", "uncorrected")
+        )
+        assert corrected == uncorrected and len(corrected) > 1
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -905,19 +931,39 @@ def test_a_field_too_large_for_the_moment_formulas_is_a_bad_argument(tmp_path, c
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,code,stderr", [
-    ("compare", EXIT_NUMERICAL, "numerical failure: no finite deviations inside the bulk\n"),
-    pytest.param("predict", EXIT_NUMERICAL, "numerical failure: sector k=1: rho is 0 at every grid point; the "
-                 "grid spacing 2.25e+74 is far wider than the largest class sigma 4\n", id="predict-3-no-weight"),
+NO_BULK_DEVIATION = "numerical failure: no finite deviations inside the bulk\n"
+
+
+@pytest.mark.parametrize("command,momentum,code,stderr", [
+    # the id is the one pytest derives from the values (command, code, stderr)
+    pytest.param("compare", "1", EXIT_NUMERICAL, NO_BULK_DEVIATION, id=f"compare-3-{NO_BULK_DEVIATION}"),
+    pytest.param("predict", "1", EXIT_NUMERICAL, "numerical failure: sector k=1: rho is 0 at every grid point; "
+                 "the grid spacing 2.25e+74 is far wider than the largest class sigma 4\n", id="predict-3-no-weight"),
+    pytest.param("predict", "0", EXIT_NUMERICAL, "numerical failure: sector k=0: rho is 0 at every grid point "
+                 "between the end points; the grid spacing 2.25e+74 is far wider than the largest class sigma 4\n",
+                 id="predict-k0-3-no-weight"),
 ])
-def test_a_large_allowed_field_overflows_no_density(tmp_path, capsys, command, code, stderr):
+def test_a_large_allowed_field_overflows_no_density(tmp_path, capsys, command, momentum, code, stderr):
     # lam N = 5.76e76 is inside FIELD_SCALE_MAX, and far in the Gaussian's tails the
     # Gram-Charlier term He4(x) overflows; the suite turns any NumPy warning into an error.
     # The grid spacing dwarfs every class's sigma, so no grid point of k=1 holds model
-    # weight: neither command writes a curve for it
-    got, _, err = run(capsys, command, "--spins", "8", "--momentum", "1", "--lambda", "7.2e75",
+    # weight: neither command writes a curve for it. At k=0 the grid's end points round
+    # onto the energies -+lam N of the classes n = 0 and N and hold weight, but no point
+    # between them does, so predict writes no curve for k=0 either
+    got, _, err = run(capsys, command, "--spins", "8", "--momentum", momentum, "--lambda", "7.2e75",
                       "--out", str(tmp_path))
     assert (got, err) == (code, stderr)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run_config.json"]
+
+
+def test_no_window_in_the_bulk_is_named_as_the_cause(tmp_path, capsys):
+    # 167 two-level windows have mean ranks 1, 3, ..., 333 of D = 335 levels, and none
+    # of them is within 0.1675 of the middle rank 167.5
+    code, _, err = run(capsys, "compare", "--spins", "12", "--momentum", "1", "--window-levels", "2",
+                       "--bulk-fraction", "0.001", "--out", str(tmp_path))
+    assert code == EXIT_NUMERICAL
+    assert err == ("numerical failure: no window lies in the bulk: none of the 167 windows has its mean "
+                   "level rank in the central fraction 0.001 of the spectrum\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run_config.json"]
 
 

@@ -465,17 +465,19 @@ def test_compare_identical_and_offset(store):
     edges = windows_fixed_count(decomp.energies, 25)
     pr = empirical_participation_ratio(decomp)
     # a first report gives the window centers and means to use as the prediction
-    first = compare(decomp.energies, np.ones(decomp.dim), decomp.energies, pr, edges)
+    first = compare(decomp.energies, {"ones": np.ones(decomp.dim)}, decomp.energies, pr, edges)["ones"]
     grid, exact = first.e_center, first.empirical
     assert np.array_equal(exact, window_means(pr, edges))
-    report = compare(grid, exact, decomp.energies, pr, edges)
+    reports = compare(grid, {"exact": exact, "scaled": exact / 1.10}, decomp.energies, pr, edges)
+    report = reports["exact"]
     assert report.bulk_median == pytest.approx(0.0, abs=1e-12)
-    report_off = compare(grid, exact, decomp.energies, pr * 1.10, edges)
+    assert reports["scaled"].bulk_median == pytest.approx(0.10, rel=1e-6)
+    report_off = compare(grid, {"exact": exact}, decomp.energies, pr * 1.10, edges)["exact"]
     assert report_off.bulk_median == pytest.approx(0.10, rel=1e-6)
     assert not report.in_bulk.all()  # edge windows are flagged, not dropped
     assert report.in_bulk.size == edges.size - 1
-    with pytest.raises(ValueError):
-        compare(grid + 1e6, exact, decomp.energies, pr, edges)
+    with pytest.raises(ValueError, match="do not overlap"):
+        compare(grid + 1e6, {"exact": exact}, decomp.energies, pr, edges)
 
 
 def test_compare_columns_equal_the_per_window_loop(store):
@@ -485,16 +487,23 @@ def test_compare_columns_equal_the_per_window_loop(store):
     edges = windows_fixed_count(decomp.energies, 30)
     pr = empirical_participation_ratio(decomp)
     grid = np.linspace(decomp.energies[0], decomp.energies[-1], 77)
-    pred = 2.0 + np.cos(grid)
-    report = compare(grid, pred, decomp.energies, pr, edges, bulk_fraction=0.5)
-    assert report.in_bulk.any() and not report.in_bulk.all()
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        center = 0.5 * (float(decomp.energies[a]) + float(decomp.energies[b - 1]))
-        emp = pr[a:b].mean()
-        p = float(np.interp(center, grid, pred))
-        assert (report.e_center[i], report.empirical[i], report.predicted[i]) == (center, emp, p)
-        assert report.rel_deviation[i] == abs(emp - p) / abs(p)
-        assert report.in_bulk[i] == (abs((a + b) / 2 / decomp.dim - 0.5) <= 0.25)
+    preds = {"cos": 2.0 + np.cos(grid), "sin": 3.0 - np.sin(grid)}
+    reports = compare(grid, preds, decomp.energies, pr, edges, bulk_fraction=0.5)
+    assert list(reports) == ["cos", "sin"]
+    for name, pred in preds.items():
+        report = reports[name]
+        assert report.in_bulk.any() and not report.in_bulk.all()
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            center = 0.5 * (float(decomp.energies[a]) + float(decomp.energies[b - 1]))
+            emp = pr[a:b].mean()
+            p = float(np.interp(center, grid, pred))
+            assert (report.e_center[i], report.empirical[i], report.predicted[i]) == (center, emp, p)
+            assert report.rel_deviation[i] == abs(emp - p) / abs(p)
+            assert report.in_bulk[i] == (abs((a + b) / 2 / decomp.dim - 0.5) <= 0.25)
+    # the window columns are cut once and shared by every model's report
+    assert reports["cos"].e_center is reports["sin"].e_center
+    assert reports["cos"].empirical is reports["sin"].empirical
+    assert reports["cos"].in_bulk is reports["sin"].in_bulk
 
 
 def test_compare_bulk_fraction():
@@ -504,6 +513,9 @@ def test_compare_bulk_fraction():
     edges = windows_fixed_count(energies, 20)
     grid = np.linspace(0, 1, 50)
     pr = empirical_participation_ratio(decomp)  # every state is a basis state: Pr = 1
-    report = compare(grid, np.ones(50), energies, pr, edges, bulk_fraction=0.6)
+    report = compare(grid, {"ones": np.ones(50)}, energies, pr, edges, bulk_fraction=0.6)["ones"]
     assert report.bulk_median == 0.0
     assert report.in_bulk.sum() == 6  # central 60% of ten 20-level windows
+    # window mean ranks 10, 30, ..., 190 of 200 levels: none within 5 of the middle, 100
+    with pytest.raises(ValueError, match="none of the 10 windows .* central fraction 0.05 of"):
+        compare(grid, {"ones": np.ones(50)}, energies, pr, edges, bulk_fraction=0.05)
