@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .eigensolve import (
     EigenDecomposition,
     block_spectra,
     diagonalize_cached,
+    solved_momentum,
 )
 from .hamiltonian import ModelParams, sector_elements
 from .spin_basis import ChainSizeError, momentum_basis, sector_counts
@@ -36,6 +38,8 @@ from .statmodel import (
     write_csv,
     write_prediction_csv,
 )
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -210,19 +214,21 @@ def _ensure_out_dir(config: RunConfig) -> Path:
     return out
 
 
+def _sector(config: RunConfig, k: int, units: float):
+    """Sector k's basis and element list, built once ``_check_memory`` admits ``units`` of it."""
+    _check_memory(config, k, units)
+    basis = momentum_basis(config.n_sites, k)
+    return basis, sector_elements(basis, config.params)
+
+
 def _decompose_sector(config: RunConfig, k: int, symbols=None) -> tuple[EigenDecomposition, bool]:
     """The sector's decomposition holding the rows of W that ``symbols`` read, and if it was a cache hit.
 
     A miss refuses a sector too large for the available memory before it
     builds the basis and element list of the sector ``diagonalize_cached`` solves.
     """
-
-    def sector(solved: int):
-        _check_memory(config, solved, SOLVE_UNITS)
-        basis = momentum_basis(config.n_sites, solved)
-        return basis, sector_elements(basis, config.params)
-
-    return diagonalize_cached(sector, config.params, k, config.cache_dir, symbols)
+    return diagonalize_cached(lambda solved: _sector(config, solved, SOLVE_UNITS),
+                              config.params, k, config.cache_dir, symbols)
 
 
 def _model_grid(config: RunConfig) -> np.ndarray:
@@ -299,7 +305,8 @@ def _compare_sector(config: RunConfig, k: int, grid, models: dict, out: Path) ->
     """``models`` maps each curve's name to its model, density stack on ``grid`` and delta mode."""
     counts = sector_counts(config.n_sites, k)
     decomp, _ = _decompose_sector(config, k, symbols=())  # Pr reads the moment sums, not W
-    edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
+    levels = config.default_window_levels(decomp.dim)
+    edges = empirics.windows_fixed_count(decomp.energies, levels)
     pr = empirics.empirical_participation_ratio(decomp)
     predictions = {
         name: prediction_curve(counts, model, grid, q_values=(2.0,), delta_mode=delta_mode, stack=stack).pr
@@ -307,6 +314,9 @@ def _compare_sector(config: RunConfig, k: int, grid, models: dict, out: Path) ->
     }
     reports = empirics.compare(grid, predictions, decomp.energies, pr, edges, config.bulk_fraction)
     (first, rep), *rest = reports.items()  # every report holds the same window columns
+    if rep.in_bulk.sum() == 1:
+        log.warning("k=%d: the bulk holds 1 window (D=%d levels in windows of %d), so each bulk median "
+                    "is that one window's deviation", k, decomp.dim, levels)
     write_csv(
         out / f"compare_k{k}.csv",
         ["E", "empirical_Pr", *(f"predicted_{name}" for name in reports), "in_bulk"],
@@ -375,16 +385,18 @@ def cmd_spacing(config: RunConfig) -> int:
         f"reference values: GOE {empirics.GOE_MEAN_R:.4f}, "
         f"Poisson {empirics.POISSON_MEAN_R:.4f}"
     )
+    spectra = {}  # the blocks of each solved sector: N - k prints those of k, as H_{N-k} = conj H_k
     for k in config.momenta:
-        _check_memory(config, k, SPECTRA_UNITS)
-        # the ratio reads energies only, so every symmetry block is solved for
-        # its eigenvalues alone; on the integrable line (alpha = 0) z-parity is
-        # a symmetry too and exact degeneracies abound, so it labels the rows
-        basis = momentum_basis(config.n_sites, k)
-        z_parity = (-1) ** (config.n_sites - basis.n_up) if config.alpha == 0.0 else None
-        spectra = block_spectra(basis, sector_elements(basis, config.params), z_parity)
-        for (z, parity), energies in spectra.items():
-            if z_parity is not None:
+        solved = solved_momentum(config.n_sites, k)
+        if solved not in spectra:
+            # the ratio reads energies only, so every symmetry block is solved for
+            # its eigenvalues alone; on the integrable line (alpha = 0) z-parity is
+            # a symmetry too and exact degeneracies abound, so it labels the rows
+            basis, elements = _sector(config, solved, SPECTRA_UNITS)
+            z_parity = (-1) ** (config.n_sites - basis.n_up) if config.alpha == 0.0 else None
+            spectra[solved] = block_spectra(basis, elements, z_parity)
+        for (z, parity), energies in spectra[solved].items():
+            if config.alpha == 0.0:
                 label = f"z{z:+d}{PARITY_LABELS[parity]}"
             else:
                 label = f"parity {parity:+d}" if parity else ""

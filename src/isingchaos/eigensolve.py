@@ -384,7 +384,11 @@ def block_spectra(
 
 
 def solved_momentum(n_sites: int, k: int) -> int:
-    """The sector solved, cached and named for sector k: min(k, N - k), since H_{N-k} = conj(H_k)."""
+    """The sector solved, cached and named for sector k: min(k, N - k), since H_{N-k} = conj(H_k).
+
+    Both sectors share one spectrum: ``spacing`` prints N - k from the block
+    spectra of k, and the solvers derive N - k's decomposition from k's.
+    """
     return min(k, n_sites - k)
 
 

@@ -24,8 +24,8 @@ from .eigensolve import EigenDecomposition
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
 
-# spacing_ratio reads the central fraction of the levels, and spacings below
-# the tolerance count as degenerate
+# spacing_ratio reads the central fraction of the levels, and spacings up to
+# the tolerance times max(1, max|E|) over those levels count as degenerate
 SPACING_BULK_FRACTION = 0.6
 DEGENERACY_TOL = 1e-12
 
@@ -173,14 +173,15 @@ def spacing_ratio(energies: np.ndarray) -> SpacingRatioResult:
     """Mean consecutive-spacing ratio r = min(s_i, s_i+1)/max(s_i, s_i+1).
 
     Restricted to the central ``SPACING_BULK_FRACTION`` of levels; spacings
-    below ``DEGENERACY_TOL`` are excluded and counted.
+    up to ``DEGENERACY_TOL`` max(1, max|E|) over those levels are excluded
+    and counted, so a degeneracy that rounding split stays one at any scale.
     """
     e = np.sort(np.asarray(energies, dtype=float))
     n = e.size
     skip = int(round(0.5 * (1 - SPACING_BULK_FRACTION) * n))
     e = e[skip : n - skip] if skip > 0 else e
     s = np.diff(e)
-    keep = s > DEGENERACY_TOL
+    keep = s > DEGENERACY_TOL * float(np.max(np.abs(e), initial=1.0))
     n_excluded = int(np.sum(~keep))
     s = s[keep]
     if s.size < 2:

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -709,6 +710,34 @@ def test_spacing_imports_no_numpy_random():
     assert done.returncode == 0, done.stderr
 
 
+def test_spacing_solves_each_pair_of_sectors_once(capsys, monkeypatch):
+    solved = []
+    inner = cli.block_spectra
+
+    def counting(basis, *args, **kwargs):
+        solved.append(basis.k)
+        return inner(basis, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "block_spectra", counting)
+    code, _, _ = run(capsys, "spacing", "--spins", "10", "--momentum", "all")
+    assert code == EXIT_OK
+    assert solved == [0, 1, 2, 3, 4, 5]  # k = 6..9 print the spectra of k = 4..1
+
+
+@pytest.mark.parametrize("alpha", ["1", "0"])
+@pytest.mark.parametrize("spins", [9, 10])
+def test_spacing_prints_sector_n_minus_k_as_sector_k(capsys, spins, alpha):
+    code, out, _ = run(capsys, "spacing", "--spins", str(spins), "--alpha", alpha, "--momentum", "all")
+    assert code == EXIT_OK
+    lines = {}
+    for line in out.splitlines()[1:]:
+        k, rest = re.fullmatch(r"k=(\d+)(.*)", line).groups()
+        lines.setdefault(int(k), []).append(rest)
+    assert sorted(lines) == list(range(spins))
+    for k in range(spins // 2 + 1, spins):
+        assert lines[k] == lines[spins - k]
+
+
 @pytest.mark.parametrize("alpha", ["1", "0"])
 @pytest.mark.parametrize("spins", ["3", "4", "5"])
 def test_spacing_skips_small_blocks(capsys, spins, alpha):
@@ -883,6 +912,10 @@ def test_sector_too_large_for_the_available_memory_is_refused(tmp_path, capsys, 
     code, _, err = run(capsys, "spacing", "--spins", "10", "--momentum", "0")
     assert code == EXIT_BAD_ARGS
     assert "bad arguments: sector k=0 at N=10" in err
+    # spacing refuses the sector it solves: k=7 is printed from the spectra of k=3
+    code, _, err = run(capsys, "spacing", "--spins", "10", "--momentum", "7")
+    assert code == EXIT_BAD_ARGS
+    assert "bad arguments: sector k=3 at N=10" in err
 
 
 def test_the_real_memory_reading_admits_every_sector_at_n14():
@@ -956,6 +989,26 @@ def test_a_large_allowed_field_overflows_no_density(tmp_path, capsys, command, m
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run_config.json"]
 
 
+ONE_BULK_WINDOW = ("k={k}: the bulk holds 1 window (D={dim} levels in windows of 50), so each bulk median "
+                   "is that one window's deviation")
+
+
+def test_compare_warns_of_a_bulk_of_one_window(tmp_path, capsys, caplog):
+    # every N = 8 sector has fewer levels than one 50-level window; at N = 10 every
+    # sector has two windows in the bulk
+    with caplog.at_level(logging.WARNING, logger="isingchaos.cli"):
+        code, out, _ = run(capsys, "compare", "--spins", "8", "--momentum", "0", "--out", str(tmp_path / "8"))
+    assert code == EXIT_OK
+    assert [r.getMessage() for r in caplog.records] == [ONE_BULK_WINDOW.format(k=0, dim=36)]
+    assert caplog.records[0].levelno == logging.WARNING
+    assert out == "k=0: corrected median dev 0.8934, uncorrected 0.0049\n"
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="isingchaos.cli"):
+        code, _, _ = run(capsys, "compare", "--spins", "10", "--out", str(tmp_path / "10"))
+    assert code == EXIT_OK
+    assert caplog.records == []
+
+
 def test_no_window_in_the_bulk_is_named_as_the_cause(tmp_path, capsys):
     # 167 two-level windows have mean ranks 1, 3, ..., 333 of D = 335 levels, and none
     # of them is within 0.1675 of the middle rank 167.5
@@ -991,7 +1044,8 @@ def test_a_closed_stdout_stops_without_a_traceback(tmp_path, unbuffered):
     finally:
         os.close(write_end)
     assert done.returncode == EXIT_NUMERICAL
-    assert done.stderr.splitlines() == ["I/O failure: [Errno 32] Broken pipe"]
+    # the sector's one bulk window is logged before its line is written
+    assert done.stderr.splitlines() == [ONE_BULK_WINDOW.format(k=1, dim=30), "I/O failure: [Errno 32] Broken pipe"]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

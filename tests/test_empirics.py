@@ -27,7 +27,7 @@ from oracles import (
     sector_state_moments,
     strength_moments,
 )
-from oracles import from_real
+from oracles import free_fermion_levels, from_real
 from parity_oracle import inversion_matrix
 
 def synthetic_decomposition(vectors: np.ndarray, energies=None, n_sites=4, k=2) -> EigenDecomposition:
@@ -389,6 +389,18 @@ def test_spacing_ratio_excludes_degeneracies():
     assert res.n_excluded == pytest.approx(0.6 * base.size, abs=2)
     with pytest.raises(ValueError):
         spacing_ratio(np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("z", [1, -1])
+def test_spacing_ratio_counts_degeneracies_relative_to_the_scale(z):
+    # the free-fermion levels of a z block at k=1 hold exact degeneracies that the
+    # summation order splits by round-off; scaled by 1e4 those splits pass an absolute
+    # bound of 1e-12, and the same spectrum lost 6 and 13 of its 18 and 24 degeneracies
+    energies = free_fermion_levels(12, 0.9, 1)[z]
+    unit, scaled = spacing_ratio(energies), spacing_ratio(1e4 * energies)
+    assert unit.n_excluded > 0
+    assert scaled.n_excluded == unit.n_excluded
+    assert scaled.mean_r == pytest.approx(unit.mean_r, rel=1e-12)
 
 
 def test_inversion_matrix_is_involution_and_commutes(store):

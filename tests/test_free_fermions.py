@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isingchaos import cli
-from isingchaos.eigensolve import block_spectra, diagonalize
+from isingchaos.eigensolve import block_spectra, diagonalize, solved_momentum
 from isingchaos.hamiltonian import ModelParams, sector_elements
 from isingchaos.spin_basis import momentum_basis
 from oracles import free_fermion_levels, necklace_levels
@@ -70,8 +70,12 @@ def test_spacing_z_parity_labels_are_the_fermion_number_parity(capsys, monkeypat
     argv = ["spacing", "--spins", str(n_sites), "--lambda", str(lam), "--alpha", "0", "--momentum", "all"]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert [k for k, _ in solved] == list(range(n_sites))
-    for k, spectra in solved:
+    # spacing solves k <= N/2 once each and prints sector N - k from the spectra of k,
+    # so every sector's z blocks are held to that sector's own free-fermion levels
+    assert [k for k, _ in solved] == list(range(n_sites // 2 + 1))
+    by_sector = dict(solved)
+    for k in range(n_sites):
+        spectra = by_sector[solved_momentum(n_sites, k)]
         levels = free_fermion_levels(n_sites, lam, k)
         for z in (1, -1):
             got = np.sort(np.concatenate([e for (label, _), e in spectra.items() if label == z] or [np.empty(0)]))
