@@ -307,7 +307,7 @@ def _compare_sector(config: RunConfig, k: int, grid, models: dict, out: Path) ->
     decomp, _ = _decompose_sector(config, k, symbols=())  # Pr reads the moment sums, not W
     levels = config.default_window_levels(decomp.dim)
     edges = empirics.windows_fixed_count(decomp.energies, levels)
-    pr = empirics.empirical_participation_ratio(decomp)
+    pr = empirics.empirical_participation_ratio(decomp.sum_c4)
     predictions = {
         name: prediction_curve(counts, model, grid, q_values=(2.0,), delta_mode=delta_mode, stack=stack).pr
         for name, (model, stack, delta_mode) in models.items()
@@ -349,7 +349,7 @@ def _coeff_hist_sector(config: RunConfig, k: int, out: Path) -> None:
     decomp, _ = _decompose_sector(config, k, symbols)
     edges = empirics.windows_fixed_count(decomp.energies, config.default_window_levels(decomp.dim))
     for sym in symbols:
-        stats = empirics.windowed_coefficient_stats(decomp, sym, edges)
+        stats = empirics.windowed_coefficient_stats(decomp.samples(sym), edges)
         fitted = [(i, st) for i, st in enumerate(stats) if not st.insufficient]
         if not fitted:
             print(f"k={k} symbol={sym}: skipped (no window has a degree of freedom)")

@@ -143,7 +143,8 @@ class EigenDecomposition:
     real basis U of ``basis``, one column per eigenstate: k where k was
     solved itself, N - k where it was derived from N - k (``solved_momentum``).
     The plane-wave coefficients are V = U W, conjugated where ``basis.k`` is
-    not k; read a row of V with ``coefficients`` and one of W with ``row``.
+    not k; ``coefficients`` reads a row of V, ``row`` one of W, and
+    ``samples`` the real samples of a coefficient.
     With ``rows`` None ``vectors`` holds every row of W; otherwise
     ``vectors[i]`` is row ``rows[i]`` of W (the rows ascending), and with no
     row ``vectors`` has shape (0, D) and ``basis`` is None.
@@ -165,19 +166,41 @@ class EigenDecomposition:
     def row(self, index: int) -> np.ndarray:
         """Row ``index`` of W."""
         if self.rows is None:
+            if not 0 <= index < self.vectors.shape[0]:
+                raise IndexError(f"row {index} outside the basis [0, {self.vectors.shape[0]})")
             return self.vectors[index]
         if index not in self.rows:
             raise KeyError(f"row {index} of the eigenvectors was not loaded")
         return self.vectors[self.rows.index(index)]
 
-    def coefficients(self, symbol: int) -> np.ndarray:
-        """Row ``symbol`` of V, from the held rows a and ``basis.partner[a]`` of W."""
+    def _basis_of(self, symbol: int) -> MomentumBasis:
+        """``basis``, once a row is held and ``symbol`` lies in it."""
         if self.basis is None:
             raise KeyError("no row of the eigenvectors was loaded")
-        col, coef = self.basis.real_entries()
+        if not 0 <= symbol < self.basis.dim:
+            raise IndexError(f"symbol {symbol} outside the basis [0, {self.basis.dim})")
+        return self.basis
+
+    def coefficients(self, symbol: int) -> np.ndarray:
+        """Row ``symbol`` of V, from the held rows a and ``basis.partner[a]`` of W."""
+        basis = self._basis_of(symbol)
+        col, coef = basis.real_entries()
         (lower, upper), (x, y) = col[symbol], coef[symbol]
         c = x * self.row(lower) + y * self.row(upper)
-        return c if self.basis.k == self.k else c.conj()
+        return c if basis.k == self.k else c.conj()
+
+    def samples(self, symbol: int) -> np.ndarray:
+        """The real samples of coefficient ``symbol``, shape (m, D): one row per real degree of freedom.
+
+        A real c_a (k = 0 and N/2) gives itself; at a complex k a paired state's
+        c_a gives Re c_a and Im c_a, and an invariant state's, exp(i angle/2) W_a,
+        its one real Gaussian W_a, with no row of V built.
+        """
+        basis = self._basis_of(symbol)
+        if not basis.is_real and basis.partner[symbol] == symbol:
+            return self.row(symbol)[None]
+        c = self.coefficients(symbol)
+        return c[None] if basis.is_real else np.stack([c.real, c.imag])
 
 
 def _held_rows(symbols, dim: int, basis_of) -> tuple[MomentumBasis | None, tuple[int, ...] | None]:

@@ -1,15 +1,14 @@
 """Empirical eigenvector statistics and model-vs-data comparison tools.
 
-Everything here works on sector eigen-decompositions: windowed
-coefficient distributions with Gaussian-fit quality (from the rows of W
-one symbol's coefficient reads), participation ratios (from the moment
-sums the decomposition carries), nearest-neighbour spacing ratios (beside
-their GOE and Poisson reference values), and deviation reports that
-interpolate model predictions at empirical window centers, from one window
-pass that serves every model.  A window is
-a contiguous range of level ranks in the ascending spectrum, and one
-integer array of edges carries them all, so every windowed statistic is a
-reduction over slices of per-level values.
+Everything here works on arrays, with NumPy alone: windowed coefficient
+distributions with Gaussian-fit quality (from one symbol's real samples,
+``EigenDecomposition.samples``), participation ratios (from the moment
+sums), nearest-neighbour spacing ratios (beside their GOE and Poisson
+reference values), and deviation reports that interpolate model
+predictions at empirical window centers, from one window pass that serves
+every model.  A window is a contiguous range of level ranks in the
+ascending spectrum, and one integer array of edges carries them all, so
+every windowed statistic is a reduction over slices of per-level values.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .eigensolve import EigenDecomposition
 
 POISSON_MEAN_R = 2 * np.log(2) - 1  # 0.3863
 GOE_MEAN_R = 0.5307  # accepted numerical value for the 3x3-surmise ensemble
@@ -56,23 +53,6 @@ def windows_fixed_count(energies: np.ndarray, levels_per_window: int) -> np.ndar
 def window_means(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Mean of the per-level ``values`` over each window of ``edges``."""
     return np.array([values[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
-
-
-def coefficient_samples(decomp: EigenDecomposition, symbol_index: int, levels) -> np.ndarray:
-    """Real coefficient samples for one symbol over the eigenstates ``levels`` (indices or a slice).
-
-    ``decomp.basis`` says what kind of coefficient it is.  A real one (k = 0
-    and N/2) gives itself; at a complex k a paired state's gives its real
-    and imaginary parts, joined along the last axis, and an invariant
-    state's, exp(i angle / 2) W_a, its one real Gaussian W_a.  A 2-D index
-    array of windows gives one row per window.
-    """
-    c = decomp.coefficients(symbol_index)[levels]
-    if decomp.basis.is_real:
-        return c
-    if decomp.basis.partner[symbol_index] == symbol_index:
-        return decomp.row(symbol_index)[levels]
-    return np.concatenate([c.real, c.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -137,29 +117,25 @@ def _gaussian_fits(samples: np.ndarray) -> list[WindowCoefficientStats]:
     ]
 
 
-def windowed_coefficient_stats(
-    decomp: EigenDecomposition, symbol_index: int, edges: np.ndarray
-) -> list[WindowCoefficientStats]:
-    """Per-window sample statistics of one coefficient, as ``coefficient_samples`` takes it, with Gaussian fits.
+def windowed_coefficient_stats(samples: np.ndarray, edges: np.ndarray) -> list[WindowCoefficientStats]:
+    """Per-window statistics of one coefficient's real ``samples``, (rows, levels), with Gaussian fits.
 
-    Windows of one size are fitted together as the rows of one 2-D array of
-    samples: the full windows in one group, a short last one in another.
+    A window's samples are its columns of each row, joined row after row, and
+    windows of one size are fitted together: the full windows, then a short last one.
     """
-    if not 0 <= symbol_index < decomp.dim:
-        raise IndexError("symbol index outside the basis")
     starts, sizes = edges[:-1], np.diff(edges)
     out = [None] * sizes.size
     for size in set(sizes.tolist()):
         windows = np.flatnonzero(sizes == size)
-        samples = coefficient_samples(decomp, symbol_index, starts[windows, None] + np.arange(size))
-        for window, stats in zip(windows.tolist(), _gaussian_fits(samples)):
+        joined = np.concatenate(samples[:, starts[windows, None] + np.arange(size)], axis=-1)
+        for window, stats in zip(windows.tolist(), _gaussian_fits(joined)):
             out[window] = stats
     return out
 
 
-def empirical_participation_ratio(decomp: EigenDecomposition) -> np.ndarray:
-    """Per-eigenstate Pr = 1 / sum |C|^4 in the sector basis, from the decomposition's moment sums."""
-    return 1.0 / decomp.sum_c4
+def empirical_participation_ratio(sum_c4: np.ndarray) -> np.ndarray:
+    """Per-eigenstate Pr = 1 / sum |C|^4 in the sector basis, from the moment sums ``sum_c4``."""
+    return 1.0 / sum_c4
 
 
 @dataclass(frozen=True)

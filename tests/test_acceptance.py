@@ -176,7 +176,7 @@ def test_criterion_5_spectral_density(store):
 
 def _pr_comparison(counts, decomp, corrected_model, gauss_model):
     edges = empirics.windows_fixed_count(decomp.energies, max(50, decomp.dim // 40))
-    pr = empirics.empirical_participation_ratio(decomp)
+    pr = empirics.empirical_participation_ratio(decomp.sum_c4)
     grid = np.linspace(decomp.energies[0], decomp.energies[-1], 512)
     corr = prediction_curve(counts, corrected_model, grid)
     unc = prediction_curve(counts, gauss_model, grid, delta_mode="none")
@@ -259,7 +259,7 @@ def test_criterion_8_coefficient_gaussianity(store):
     symbols = rng.choice(decomp.dim, size=20, replace=False)
     chis = []
     for symbol in symbols:
-        stats = empirics.windowed_coefficient_stats(decomp, int(symbol), edges)
+        stats = empirics.windowed_coefficient_stats(decomp.samples(int(symbol)), edges)
         chis.extend(s.chi2_reduced for s in stats if not s.insufficient)
     median = float(np.median(chis))
     report(

@@ -28,7 +28,6 @@ from isingchaos.eigensolve import (
     diagonalize_cached,
     state_moment_sums,
 )
-from isingchaos.empirics import coefficient_samples
 from isingchaos.hamiltonian import (
     ModelParams,
     SectorElements,
@@ -496,16 +495,30 @@ def test_row_limited_load_equals_the_rows_of_a_full_load(tmp_path, k):
                     assert np.array_equal(got.row(row), full.row(row))
                 for symbol in asked:
                     assert np.array_equal(got.coefficients(symbol), full.coefficients(symbol))
+                    assert np.array_equal(got.samples(symbol), full.samples(symbol))
             else:
                 assert got.vectors.shape == (0, dim) and got.basis is None
                 with pytest.raises(KeyError):
                     got.coefficients(0)
+                with pytest.raises(KeyError):
+                    got.samples(0)
             with pytest.raises(KeyError):
                 got.row(1)
     with pytest.raises(IndexError):
         cache_load(params, k, tmp_path, symbols=[dim])
     with pytest.raises(ValueError, match="every row"):
         cache_store(loaded, tmp_path)
+
+
+def test_a_symbol_outside_the_basis_is_refused():
+    # on a full W a negative index must not read the last symbol's row
+    params = ModelParams(8, 1.0, 1.0)
+    decomp = diagonalize(*sector(8, 1, params))
+    assert decomp.rows is None and decomp.vectors.shape[0] == decomp.basis.dim
+    for name in ("coefficients", "row", "samples"):
+        for index in (-1, decomp.basis.dim):
+            with pytest.raises(IndexError):
+                getattr(decomp, name)(index)
 
 
 def test_stored_moment_sums_equal_the_kernel_on_the_stored_vectors(tmp_path):
@@ -569,9 +582,9 @@ def test_real_solve_matches_complex_oracle(n_sites):
         for sym in (0, 5, decomp.dim // 2):
             c = decomp.coefficients(sym)
             assert np.max(np.abs(c - v[sym])) < 1e-15
-            samples = coefficient_samples(decomp, sym, np.arange(decomp.dim))
+            samples = decomp.samples(sym)
             one_real = basis.is_real or basis.partner[sym] == sym
-            assert samples.size == (1 if one_real else 2) * decomp.dim
+            assert samples.shape == (1 if one_real else 2, decomp.dim)
 
 
 @pytest.mark.parametrize("n_sites,k", [(8, 4), (9, 0), (10, 0), (12, 0), (10, 5), (12, 6)])

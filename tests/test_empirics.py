@@ -10,7 +10,6 @@ from isingchaos.empirics import (
     POISSON_MEAN_R,
     _median_p90,
     compare,
-    coefficient_samples,
     empirical_participation_ratio,
     spacing_ratio,
     window_means,
@@ -87,7 +86,7 @@ def test_window_stats_on_true_gaussian_samples():
     vectors = rng.standard_normal((4, dim)) * 0.01
     decomp = synthetic_decomposition(vectors)
     edges = windows_fixed_count(decomp.energies, dim)
-    stats = windowed_coefficient_stats(decomp, 1, edges)[0]
+    stats = windowed_coefficient_stats(decomp.samples(1), edges)[0]
     assert not stats.insufficient
     assert stats.mean == pytest.approx(0.0, abs=4 * 0.01 / np.sqrt(dim))
     assert stats.variance == pytest.approx(1e-4, rel=0.1)
@@ -98,7 +97,7 @@ def test_window_stats_insufficient_flag():
     rng = np.random.default_rng(1)
     decomp = synthetic_decomposition(rng.standard_normal((4, 20)))
     edges = windows_fixed_count(decomp.energies, 20)
-    stats = windowed_coefficient_stats(decomp, 0, edges)[0]
+    stats = windowed_coefficient_stats(decomp.samples(0), edges)[0]
     assert stats.insufficient
 
 
@@ -107,17 +106,18 @@ def test_window_is_insufficient_exactly_without_a_degree_of_freedom(n):
     # a moment-fitted Gaussian has a degree of freedom from 37 samples on
     rng = np.random.default_rng(n)
     decomp = synthetic_decomposition(rng.standard_normal((4, n)))
-    (stats,) = windowed_coefficient_stats(decomp, 0, windows_fixed_count(decomp.energies, n))
+    (stats,) = windowed_coefficient_stats(decomp.samples(0), windows_fixed_count(decomp.energies, n))
     assert stats.n_samples == n
     assert stats.insufficient == (n <= 36) == (stats.chi2_reduced == np.inf)
 
 
 def _assert_fits_equal_the_oracle(decomp, symbol, edges):
     """Each window's stats equal the one-window fit bit for bit; returns them."""
-    stats = windowed_coefficient_stats(decomp, symbol, edges)
+    rows = decomp.samples(symbol)
+    stats = windowed_coefficient_stats(rows, edges)
     assert len(stats) == edges.size - 1
     for a, b, st in zip(edges[:-1], edges[1:], stats):
-        samples = coefficient_samples(decomp, symbol, slice(a, b))
+        samples = rows[:, a:b].ravel()  # the window's columns, row after row
         chi2, bin_edges, counts = gaussian_fit_chi2(samples)
         assert st.n_samples == samples.size
         assert st.mean == float(samples.mean()) and st.variance == float(samples.var())
@@ -175,20 +175,21 @@ def test_variance_estimators_agree(store):
 
 
 def test_coefficient_samples_real_vs_complex(store):
-    levels = np.arange(99)
+    # ``samples`` gives one row per real degree of freedom, a column per level
     basis0, decomp0 = store.get(10, 0)
-    s0 = coefficient_samples(decomp0, 5, levels)
-    assert np.array_equal(s0, from_real(basis0, decomp0.vectors)[5, levels])  # real sector: c_a itself
+    s0 = decomp0.samples(5)
+    assert s0.dtype == np.float64
+    assert np.array_equal(s0, from_real(basis0, decomp0.vectors)[5][None])  # real sector: c_a itself
     basis1, decomp1 = store.get(10, 1)
     v1 = from_real(basis1, decomp1.vectors)
     paired, invariant = 49, 0
     assert basis1.partner[paired] != paired and basis1.partner[invariant] == invariant
-    s1 = coefficient_samples(decomp1, paired, levels)
-    assert np.array_equal(s1, np.concatenate([v1[paired, levels].real, v1[paired, levels].imag]))  # re and im
+    s1 = decomp1.samples(paired)
+    assert np.array_equal(s1, np.stack([v1[paired].real, v1[paired].imag]))  # re and im
     # an invariant state's c_a = exp(i angle / 2) W_a is one real Gaussian: W_a
-    s1 = coefficient_samples(decomp1, invariant, levels)
-    assert np.array_equal(s1, decomp1.vectors[invariant, levels])
-    assert np.max(np.abs(s1 * np.exp(0.5j * basis1.angle[invariant]) - v1[invariant, levels])) < 1e-15
+    s1 = decomp1.samples(invariant)
+    assert np.array_equal(s1, decomp1.vectors[invariant][None])
+    assert np.max(np.abs(s1[0] * np.exp(0.5j * basis1.angle[invariant]) - v1[invariant])) < 1e-15
 
 
 def test_coefficient_samples_follow_the_sector_not_the_data():
@@ -203,9 +204,9 @@ def test_coefficient_samples_follow_the_sector_not_the_data():
         assert basis.k == min(k, 6 - k)
         for symbol in range(basis.dim):
             paired = basis.partner[symbol] != symbol
-            n_samples = 24 if paired and not basis.is_real else 12
+            samples_per_level = 2 if paired and not basis.is_real else 1
             kinds.add((basis.is_real, bool(paired)))
-            assert coefficient_samples(decomp, symbol, slice(0, 12)).size == n_samples, (k, symbol)
+            assert decomp.samples(symbol).shape == (samples_per_level, 12), (k, symbol)
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -244,10 +245,10 @@ def test_strength_completeness(store):
 def test_participation_ratio_synthetic():
     aligned = np.zeros((4, 1))
     aligned[2, 0] = 1.0
-    pr = empirical_participation_ratio(synthetic_decomposition(aligned, [0.0]))
+    pr = empirical_participation_ratio(synthetic_decomposition(aligned, [0.0]).sum_c4)
     assert pr[0] == pytest.approx(1.0)
     uniform = np.full((8, 1), np.sqrt(1 / 8))
-    pr = empirical_participation_ratio(synthetic_decomposition(uniform, [0.0]))
+    pr = empirical_participation_ratio(synthetic_decomposition(uniform, [0.0]).sum_c4)
     assert pr[0] == pytest.approx(8.0)
 
 
@@ -298,7 +299,7 @@ def test_coefficient_histograms_accept_the_gaussian_for_both_kinds_of_symbol(sto
         chis = [
             st.chi2_reduced
             for symbol in symbols.tolist()
-            for st in windowed_coefficient_stats(decomp, symbol, edges)
+            for st in windowed_coefficient_stats(decomp.samples(symbol), edges)
             if not st.insufficient
         ]
         assert len(chis) == 20 * (edges.size - 1)
@@ -327,14 +328,14 @@ def test_chunked_participation_ratio_is_exact_and_small(store):
     basis, decomp = store.get(12, 1)
     rows = eigensolve.MOMENT_CHUNK_ROWS
     assert decomp.dim > rows and decomp.dim % rows  # several blocks, the last one short
-    pr = empirical_participation_ratio(decomp)
+    pr = empirical_participation_ratio(decomp.sum_c4)
     # exact against the same formula summed without chunks
     assert np.array_equal(pr, 1.0 / _unchunked_moment_sums(decomp.vectors, basis.partner, 2.0))
     # and within rounding of the plain |C|^4 sum over V = U W
     np.testing.assert_allclose(
         pr, 1.0 / np.sum(np.abs(from_real(basis, decomp.vectors)) ** 4, axis=0), rtol=1e-14, atol=0
     )
-    assert _peak_bytes(empirical_participation_ratio, decomp) < 0.5 * decomp.vectors.nbytes
+    assert _peak_bytes(empirical_participation_ratio, decomp.sum_c4) < 0.5 * decomp.vectors.nbytes
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
@@ -365,7 +366,7 @@ def test_state_moment_sums_of_real_vectors(store):
 
 def test_participation_ratio_bounds(store):
     basis, decomp = store.get(10, 1)
-    pr = empirical_participation_ratio(decomp)
+    pr = empirical_participation_ratio(decomp.sum_c4)
     assert np.all(pr >= 1.0 - 1e-9)
     assert np.all(pr <= decomp.dim + 1e-9)
 
@@ -475,7 +476,7 @@ def test_z_parity_blocks_at_zero_longitudinal_field():
 def test_compare_identical_and_offset(store):
     basis, decomp = store.get(10, 1)
     edges = windows_fixed_count(decomp.energies, 25)
-    pr = empirical_participation_ratio(decomp)
+    pr = empirical_participation_ratio(decomp.sum_c4)
     # a first report gives the window centers and means to use as the prediction
     first = compare(decomp.energies, {"ones": np.ones(decomp.dim)}, decomp.energies, pr, edges)["ones"]
     grid, exact = first.e_center, first.empirical
@@ -497,7 +498,7 @@ def test_compare_columns_equal_the_per_window_loop(store):
     # bulk flag one scalar at a time
     basis, decomp = store.get(10, 1)
     edges = windows_fixed_count(decomp.energies, 30)
-    pr = empirical_participation_ratio(decomp)
+    pr = empirical_participation_ratio(decomp.sum_c4)
     grid = np.linspace(decomp.energies[0], decomp.energies[-1], 77)
     preds = {"cos": 2.0 + np.cos(grid), "sin": 3.0 - np.sin(grid)}
     reports = compare(grid, preds, decomp.energies, pr, edges, bulk_fraction=0.5)
@@ -524,7 +525,7 @@ def test_compare_bulk_fraction():
     decomp = synthetic_decomposition(vectors, energies)
     edges = windows_fixed_count(energies, 20)
     grid = np.linspace(0, 1, 50)
-    pr = empirical_participation_ratio(decomp)  # every state is a basis state: Pr = 1
+    pr = empirical_participation_ratio(decomp.sum_c4)  # every state is a basis state: Pr = 1
     report = compare(grid, {"ones": np.ones(50)}, energies, pr, edges, bulk_fraction=0.6)["ones"]
     assert report.bulk_median == 0.0
     assert report.in_bulk.sum() == 6  # central 60% of ten 20-level windows

@@ -1,4 +1,4 @@
-"""Every top-level function, class and constant of the package is used.
+"""Every top-level function, class and constant of the package is used, and the modules import in layers.
 
 A name is used if package code names it outside its own definition (an AST
 name, an attribute or an imported name; docstrings and comments do not
@@ -64,3 +64,31 @@ def test_an_unused_helper_is_found(tmp_path):
     with open(tmp_path / "moments.py", "a") as fh:
         fh.write("\n\ndef _orphan(x):\n    return _orphan(x - 1) if x else 0\n")
     assert unused_names(tmp_path, set(isingchaos.__all__)) == ["moments._orphan"]
+
+
+# the package modules each module imports: no module imports one above it, and
+# ``empirics`` works on arrays alone
+LAYERS = {
+    "spin_basis": set(),
+    "hamiltonian": {"spin_basis"},
+    "moments": {"hamiltonian", "spin_basis"},
+    "eigensolve": {"hamiltonian", "spin_basis"},
+    "statmodel": {"hamiltonian", "moments", "spin_basis"},
+    "empirics": set(),
+    "cli": {"eigensolve", "empirics", "hamiltonian", "spin_basis", "statmodel"},
+    "__init__": {"eigensolve", "hamiltonian", "spin_basis"},
+}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules that ``from .x import ...`` and ``from . import x`` name anywhere in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([node.module] if node.module else (alias.name for alias in node.names))
+    return found
+
+
+def test_the_modules_import_in_layers():
+    imports = {path.stem: package_imports(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    assert imports == LAYERS
